@@ -24,7 +24,7 @@ from .trends import (TrendFit, first_differences, fit_linear_trend,
 from .weights import (KINDS, WeightMatrix, cluster_restricted_weights,
                       contiguity_weights, distance_weights)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AdjacencyList", "ClusterAssignment", "ClusterStats", "ContingencyTable",

@@ -134,7 +134,10 @@ def _load_inputs(cfg: RunConfig, need_adjacency: bool
 
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
 
 

@@ -5,6 +5,12 @@ minimal inter-cluster distance, the pair whose (smaller, larger) representative
 labels sort lexicographically first wins, where a cluster's representative is
 its smallest member label. Label-based tie-breaking makes partitions invariant
 to the input ordering even on integer-valued (Hamming) matrices.
+
+Linkage caches each row's nearest neighbour (the generic algorithm of
+Muellner 2011, arXiv:1109.2378), so a merge costs O(K) plus a rescan of the
+rows it invalidates: O(K^2) time for K items in the typical case, with a
+K x K working matrix. Heights and tie-breaks are exactly those of a full
+rescan of the Lance-Williams distances at every step.
 """
 from __future__ import annotations
 
@@ -71,6 +77,13 @@ def agglomerate(dist: DistanceMatrix) -> Dendrogram:
     Inter-cluster distances are maintained with the Lance-Williams update
     d(a+b, c) = (n_a d(a,c) + n_b d(b,c)) / (n_a + n_b); merge heights are
     non-decreasing.
+
+    Rows are held in sorted-label order and a merge keeps the lower row, so a
+    cluster's row is the rank of its representative label and the tie key
+    (height, smaller label, larger label) is (height, lower row, higher row).
+    Each live row caches its nearest neighbour, the first minimum of the row.
+    A merge recomputes only the merged row and the rows whose neighbour was
+    one of the pair; every other row compares its cache with the new column.
     """
     k = dist.size
     if k < 2:
@@ -78,55 +91,45 @@ def agglomerate(dist: DistanceMatrix) -> Dendrogram:
     if not np.all(np.isfinite(dist.values)):
         raise ValidationError("distance matrix contains non-finite entries")
 
-    work = dist.values.astype(float).copy()
+    order = sorted(range(k), key=dist.labels.__getitem__)
+    work = dist.values[np.ix_(order, order)]
     np.fill_diagonal(work, np.inf)
-    node_of = list(range(k))
+    node_of = order
     sizes = [1] * k
-    reps = list(dist.labels)
-    alive = [True] * k
+    nearest = work.argmin(axis=1)
+    nearest_d = work[np.arange(k), nearest]
     merges: list[Merge] = []
 
     for step in range(k - 1):
-        dmin = work.min()
-        rows, cols = np.nonzero(work == dmin)
-        best: tuple[str, str] | None = None
-        best_pair = (-1, -1)
-        for i, j in zip(rows, cols):
-            if i >= j:
-                continue
-            key = (min(reps[i], reps[j]), max(reps[i], reps[j]))
-            if best is None or key < best:
-                best = key
-                best_pair = (int(i), int(j))
-        i, j = best_pair
-        # Report the smaller-representative cluster as the left node.
-        if reps[j] < reps[i]:
-            i, j = j, i
+        # The first row holding the smallest cached distance owns the
+        # smallest key, and its neighbour is a higher row.
+        i = int(nearest_d.argmin())
+        j = int(nearest[i])
         new_size = sizes[i] + sizes[j]
         merges.append(Merge(left=node_of[i], right=node_of[j],
-                            height=float(dmin), size=new_size))
+                            height=float(nearest_d[i]), size=new_size))
 
-        weights_i, weights_j = sizes[i], sizes[j]
-        merged_row = (weights_i * _finite(work[i]) + weights_j * _finite(work[j])) / new_size
+        # Dead and diagonal entries are inf and stay inf through the update.
+        merged_row = (sizes[i] * work[i] + sizes[j] * work[j]) / new_size
         work[i, :] = merged_row
         work[:, i] = merged_row
-        work[i, i] = np.inf
         work[j, :] = np.inf
         work[:, j] = np.inf
-        alive[j] = False
         node_of[i] = k + step
         sizes[i] = new_size
-        reps[i] = min(reps[i], reps[j])
-        for idx, ok in enumerate(alive):
-            if not ok:
-                work[i, idx] = np.inf
-                work[idx, i] = np.inf
+
+        stale = (nearest == i) | (nearest == j)
+        stale[i], stale[j] = True, False
+        nearest[j], nearest_d[j] = -1, np.inf
+        closer = (merged_row < nearest_d) | ((merged_row == nearest_d) & (i < nearest))
+        nearest[closer] = i
+        nearest_d[closer] = merged_row[closer]
+        rows = np.flatnonzero(stale)
+        best = work[rows].argmin(axis=1)
+        nearest[rows] = best
+        nearest_d[rows] = work[rows, best]
 
     return Dendrogram(leaf_labels=dist.labels, merges=tuple(merges))
-
-
-def _finite(row: np.ndarray) -> np.ndarray:
-    return np.where(np.isfinite(row), row, 0.0)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .panel import TemperaturePanel
 from .trends import TrendFit, panel_differences, sign_sequence
 
 METRICS = ("slope", "diff", "hamming")
+_ROW_BLOCK = 32  # rows of pairwise gaps formed at once in diff_distance
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,16 @@ def slope_distance(trends: Sequence[TrendFit], ids: Sequence[str]) -> DistanceMa
 
 
 def diff_distance(panel: TemperaturePanel) -> DistanceMatrix:
-    """Euclidean distance between the first-difference series of two countries."""
+    """Euclidean distance between the first-difference series of two countries.
+
+    The pairwise gaps are formed one block of rows at a time, so the temporary
+    tensor holds _ROW_BLOCK x K x (T-1) values instead of K x K x (T-1).
+    """
     diffs = panel_differences(panel)
-    gaps = diffs[:, None, :] - diffs[None, :, :]
-    values = np.sqrt(np.einsum("ijt,ijt->ij", gaps, gaps))
+    values = np.empty((diffs.shape[0], diffs.shape[0]))
+    for start in range(0, diffs.shape[0], _ROW_BLOCK):
+        gaps = diffs[start:start + _ROW_BLOCK, None, :] - diffs[None, :, :]
+        values[start:start + _ROW_BLOCK] = np.sqrt(np.einsum("ijt,ijt->ij", gaps, gaps))
     np.fill_diagonal(values, 0.0)
     return DistanceMatrix(metric="diff", labels=panel.ids, values=values)
 

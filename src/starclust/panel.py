@@ -235,6 +235,8 @@ def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
                 )
             entry[name] = text
 
+    if not cells:
+        raise ValidationError("long panel has a header but no observations")
     ids = sorted({country for country, _ in cells})
     years = sorted({year for _, year in cells})
     full_years = list(range(years[0], years[-1] + 1))
@@ -250,15 +252,15 @@ def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
     return TemperaturePanel(countries=countries, years=tuple(full_years), values=values)
 
 
+def _parse_area(text: str, country_id: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"non-numeric area {text!r} for country {country_id!r}") from None
+
+
 def _meta_from_strings(country_id: str, entry: dict[str, str]) -> CountryMeta:
-    area: float | None = None
-    if "area" in entry:
-        try:
-            area = float(entry["area"])
-        except ValueError:
-            raise ValidationError(
-                f"non-numeric area {entry['area']!r} for country {country_id!r}"
-            ) from None
+    area = _parse_area(entry["area"], country_id) if "area" in entry else None
     return CountryMeta(id=country_id, name=entry.get("name"),
                        zone=entry.get("zone"), area=area)
 
@@ -347,7 +349,9 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
     cols = {name: lowered.index(name) for name in ("country", "zone", "name", "area")
             if name in lowered}
     table: dict[str, dict[str, str]] = {}
-    for row in rows:
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) < len(header):
+            raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
         country = row[cols["country"]].strip()
         table[country] = {name: row[idx].strip() for name, idx in cols.items()
                           if name != "country" and row[idx].strip()}
@@ -361,7 +365,7 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
         area = entry.get("area")
         countries.append(CountryMeta(
             id=c.id, name=merged["name"], zone=merged["zone"],
-            area=float(area) if area is not None else c.area))
+            area=_parse_area(area, c.id) if area is not None else c.area))
     return TemperaturePanel(countries=tuple(countries), years=panel.years,
                             values=panel.values.copy())
 

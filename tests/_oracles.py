@@ -97,6 +97,36 @@ def naive_linkage(values: np.ndarray, labels: list[str]) -> list[tuple[frozenset
     return merges
 
 
+def lance_williams_linkage(values: np.ndarray, labels: list[str]) -> list[tuple[frozenset, frozenset, float]]:
+    """Average-linkage merge sequence from a full rescan of updated distances.
+
+    Same tie rule as naive_linkage, but inter-cluster distances follow the
+    package's floating-point recurrence (n_a d(a,c) + n_b d(b,c)) / (n_a + n_b)
+    instead of a fresh mean over raw distances. The two can differ in the last
+    bit, which is enough to break an exact tie the other way on integer
+    (Hamming) matrices; this oracle reproduces the package's heights exactly.
+    """
+    k = len(labels)
+    members = {i: frozenset([i]) for i in range(k)}
+    reps = {i: labels[i] for i in range(k)}
+    dist = {frozenset((a, b)): float(values[a, b])
+            for a in range(k) for b in range(a + 1, k)}
+    merges = []
+    while len(members) > 1:
+        pair = min(dist, key=lambda p: (dist[p], *sorted(reps[c] for c in p)))
+        a, b = sorted(pair)
+        na, nb = len(members[a]), len(members[b])
+        node = k + len(merges)
+        for c in members:
+            if c not in pair:
+                dist[frozenset((node, c))] = (na * dist.pop(frozenset((a, c)))
+                                              + nb * dist.pop(frozenset((b, c)))) / (na + nb)
+        merges.append((members[a], members[b], dist.pop(pair)))
+        members[node] = members.pop(a) | members.pop(b)
+        reps[node] = min(reps.pop(a), reps.pop(b))
+    return merges
+
+
 def dendrogram_leafset_merges(dendro) -> list[tuple[frozenset, frozenset, float]]:
     """Re-express a Dendrogram's merges as (leafset, leafset, height) triples."""
     k = dendro.n_leaves

@@ -9,6 +9,7 @@ the files are absent:
 """
 from __future__ import annotations
 
+import importlib.util
 import os
 from pathlib import Path
 
@@ -59,6 +60,29 @@ def real_adjacency(real_panel: TemperaturePanel) -> AdjacencyList:
     if path is None:
         pytest.skip(f"adjacency not configured (set {ADJACENCY_ENV})")
     return load_adjacency(path, real_panel)
+
+
+@pytest.fixture(scope="session")
+def synthetic_inputs(tmp_path_factory) -> dict[str, Path]:
+    """Paper-shaped panel, zones and adjacency CSVs: 168 units, 1901-2022,
+    from the benchmark's seeded generator (bench/gen_panel.py, seed 0)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen_panel.py"
+    spec = importlib.util.spec_from_file_location("gen_panel", path)
+    gen_panel = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_panel)
+    return gen_panel.write_inputs(gen_panel.generate(seed=0, k=168),
+                                  tmp_path_factory.mktemp("synthetic"))
+
+
+@pytest.fixture(scope="session")
+def synthetic_panel(synthetic_inputs) -> TemperaturePanel:
+    return attach_zones(load_panel(synthetic_inputs["panel"]),
+                        synthetic_inputs["zones"])
+
+
+@pytest.fixture(scope="session")
+def synthetic_adjacency(synthetic_inputs, synthetic_panel) -> AdjacencyList:
+    return load_adjacency(synthetic_inputs["adjacency"], synthetic_panel)
 
 
 def make_panel(values: np.ndarray, first_year: int = 1990,

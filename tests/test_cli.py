@@ -1,10 +1,14 @@
 """End-to-end command line checks, driving main() in-process."""
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import starclust
 from starclust.cli import main
 
 
@@ -378,3 +382,47 @@ class TestConfigResolution:
         captured = capsys.readouterr()
         assert rc == 2
         assert "missing.csv" in captured.err
+
+
+class TestMalformedInputs:
+    """Bad files and paths end in exit 2 with a message, never a traceback."""
+
+    @staticmethod
+    def run_cli(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(starclust.__file__).parents[1]))
+        env.pop("STARCLUST_CONFIG", None)
+        return subprocess.run([sys.executable, "-m", "starclust.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    def assert_clean_exit_2(self, result, message):
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert message in result.stderr
+
+    def test_header_only_panel(self, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("country,year,temperature\n", encoding="utf-8")
+        result = self.run_cli("trends", "--data", str(panel), "--out", str(tmp_path))
+        self.assert_clean_exit_2(result, "no observations")
+
+    def test_non_numeric_zone_area(self, dataset, tmp_path):
+        zones = tmp_path / "zones.csv"
+        zones.write_text("country,zone,area\nC00,Europe,large\n", encoding="utf-8")
+        result = self.run_cli("trends", "--data", str(dataset["panel"]),
+                              "--zones", str(zones), "--out", str(tmp_path))
+        self.assert_clean_exit_2(result, "non-numeric area 'large' for country 'C00'")
+
+    def test_short_zone_row(self, dataset, tmp_path):
+        zones = tmp_path / "zones.csv"
+        zones.write_text("country,zone,area\nC00,Europe\n", encoding="utf-8")
+        result = self.run_cli("trends", "--data", str(dataset["panel"]),
+                              "--zones", str(zones), "--out", str(tmp_path))
+        self.assert_clean_exit_2(result, "line 2: expected 3 columns, got 2")
+
+    def test_uncreatable_output_directory(self, dataset, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n", encoding="utf-8")
+        out = blocker / "run" / "out"
+        result = self.run_cli("trends", "--data", str(dataset["panel"]),
+                              "--out", str(out))
+        self.assert_clean_exit_2(result, f"cannot create output directory {out}")

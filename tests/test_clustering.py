@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import squareform
+
 from starclust import (ClusterAssignment, ContingencyTable, CutRule, Dendrogram,
                        DistanceMatrix, Merge, ValidationError, agglomerate,
-                       cluster_summary, cross_tab, cut, relabel_by_feature,
-                       zone_cross_tab)
+                       cluster_summary, cross_tab, cut, hamming_distance,
+                       relabel_by_feature, zone_cross_tab)
 from starclust.clustering import (assignment_to_json, dendrogram_to_json,
                                   write_contingency_csv)
 
-from _oracles import dendrogram_leafset_merges, naive_linkage
+from _oracles import (dendrogram_leafset_merges, lance_williams_linkage,
+                      naive_linkage)
 from conftest import make_panel
 
 
@@ -32,6 +36,53 @@ def random_distance(rng, k, integer=False):
     np.fill_diagonal(values, 0.0)
     labels = tuple(f"L{i:02d}" for i in range(k))
     return DistanceMatrix(metric="diff", labels=labels, values=values)
+
+
+def shuffled_labels(rng, k):
+    """Labels whose sorted order differs from the row order."""
+    return tuple(f"L{i:03d}" for i in rng.permutation(k))
+
+
+def sign_string_distance(rng, k, length):
+    """Hamming matrix of k random sign strings: integer-valued, tie-heavy."""
+    bits = rng.integers(0, 2, size=(k, length)).astype(np.uint8)
+    return hamming_distance(list(bits), shuffled_labels(rng, k))
+
+
+def ultrametric_sign_distance(rng, groups=3, subgroups=3):
+    """Hamming matrix of repeated sign strings at distance 0, 2 or 4.
+
+    Copies of one string are 0 apart, strings of one group 2 and strings of
+    different groups 4. Every merge joins parts equidistant from the rest, so
+    each average is an exact integer and each tie is exact, both for the
+    Lance-Williams recurrence and for a mean over raw distances.
+    """
+    strings = []
+    for g in range(groups):
+        for sub in range(subgroups):
+            bits = np.zeros(groups + groups * subgroups, dtype=np.uint8)
+            bits[g] = 1
+            bits[groups + g * subgroups + sub] = 1
+            strings += [bits] * int(rng.integers(1, 4))
+    return hamming_distance(strings, shuffled_labels(rng, len(strings)))
+
+
+def same_sets(got, want):
+    """Merge sequences agree leaf set for leaf set and height for height."""
+    assert len(got) == len(want)
+    for (gl, gr, gh), (wl, wr, wh) in zip(got, want):
+        assert {gl, gr} == {wl, wr}
+        assert gh == wh
+
+
+def label_merges(dendro):
+    out = []
+    for left, right, height in dendrogram_leafset_merges(dendro):
+        sets = sorted([frozenset(dendro.leaf_labels[i] for i in left),
+                       frozenset(dendro.leaf_labels[i] for i in right)],
+                      key=sorted)
+        out.append((sets[0], sets[1], height))
+    return out
 
 
 class TestAgglomerate:
@@ -62,6 +113,23 @@ class TestAgglomerate:
         assert (dendro.merges[1].left, dendro.merges[1].right) == (4, 1)
         assert (dendro.merges[2].left, dendro.merges[2].right) == (5, 0)
         assert np.all(dendro.heights() == 1.0)
+
+    def test_merged_distance_rounding_below_cached_neighbour(self):
+        # a is 0.7 from everyone; c joins {d1, d2} at 0.2. The merged distance
+        # (1 * 0.7 + 2 * 0.7) / 3 rounds to just below 0.7, so a's nearest
+        # neighbour moves from b to the new cluster although neither b nor
+        # the merged pair was a's cached neighbour.
+        values = np.full((5, 5), 5.0)
+        values[0, :] = values[:, 0] = 0.7
+        values[2, 3:] = values[3:, 2] = 0.2
+        values[3, 4] = values[4, 3] = 0.1
+        np.fill_diagonal(values, 0.0)
+        dendro = agglomerate(square(values, ["a", "b", "c", "d1", "d2"]))
+        below = (1 * 0.7 + 2 * 0.7) / 3
+        assert below < 0.7
+        assert [(m.left, m.right, m.height, m.size) for m in dendro.merges] == [
+            (3, 4, 0.1, 2), (2, 5, 0.2, 3), (0, 6, below, 4),
+            (7, 1, (1 * 0.7 + 3 * 5.0) / 4, 5)]
 
     @pytest.mark.parametrize("seed", range(100))
     def test_matches_naive_linkage(self, seed):
@@ -104,17 +172,82 @@ class TestAgglomerate:
         base = agglomerate(dist)
         other = agglomerate(permuted)
         assert np.array_equal(base.heights(), other.heights())
-
-        def label_merges(dendro):
-            out = []
-            for left, right, height in dendrogram_leafset_merges(dendro):
-                sets = sorted([frozenset(dendro.leaf_labels[i] for i in left),
-                               frozenset(dendro.leaf_labels[i] for i in right)],
-                              key=sorted)
-                out.append((sets[0], sets[1], height))
-            return out
-
         assert label_merges(base) == label_merges(other)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10_000), perm_seed=st.integers(0, 10_000))
+    def test_permutation_invariance_wide_hamming(self, seed, perm_seed):
+        # 240 sign strings of length 10: almost every merge height is tied.
+        dist = sign_string_distance(np.random.default_rng(seed), 240, 10)
+        perm = np.random.default_rng(perm_seed).permutation(240)
+        permuted = DistanceMatrix(metric=dist.metric,
+                                  labels=tuple(dist.labels[i] for i in perm),
+                                  values=dist.values[np.ix_(perm, perm)])
+        base = agglomerate(dist)
+        other = agglomerate(permuted)
+        assert np.array_equal(base.heights(), other.heights())
+        assert label_merges(base) == label_merges(other)
+
+
+class TestLinkageAtTiesAndScale:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dense_exact_ties_match_naive_linkage(self, seed):
+        dist = ultrametric_sign_distance(np.random.default_rng(seed))
+        got = dendrogram_leafset_merges(agglomerate(dist))
+        same_sets(got, naive_linkage(dist.values, list(dist.labels)))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_dense_ties_match_lance_williams_rescan(self, seed):
+        # Short random sign strings tie at fractional heights too, where a
+        # mean over raw distances may differ from the recurrence in the last
+        # bit; the rescan shares the package's arithmetic, so it must agree
+        # exactly.
+        rng = np.random.default_rng(4000 + seed)
+        dist = sign_string_distance(rng, int(rng.integers(10, 40)),
+                                    int(rng.integers(2, 7)))
+        got = dendrogram_leafset_merges(agglomerate(dist))
+        same_sets(got, lance_williams_linkage(dist.values, list(dist.labels)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_chaining_hub(self, seed):
+        # Every row's nearest neighbour is the hub, and then the growing hub
+        # cluster, so most cached neighbours go stale at each merge.
+        rng = np.random.default_rng(5000 + seed)
+        k = 30
+        raw = 10.0 + rng.random((k, k))
+        values = (raw + raw.T) / 2.0
+        hub = int(rng.integers(k))
+        values[hub, :] = values[:, hub] = 1.0 + rng.random(k)
+        np.fill_diagonal(values, 0.0)
+        dist = DistanceMatrix(metric="diff", labels=shuffled_labels(rng, k),
+                              values=values)
+        got = dendrogram_leafset_merges(agglomerate(dist))
+        want = naive_linkage(values, list(dist.labels))
+        assert len(got) == len(want) == k - 1
+        for (gl, gr, gh), (wl, wr, wh) in zip(got, want):
+            assert {gl, gr} == {wl, wr}
+            assert gh == pytest.approx(wh, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tied_chaining_hub_matches_lance_williams_rescan(self, seed):
+        rng = np.random.default_rng(6000 + seed)
+        k = 40
+        raw = rng.integers(5, 8, size=(k, k)).astype(float)
+        values = np.minimum(raw, raw.T)
+        values[0, :] = values[:, 0] = 1.0
+        np.fill_diagonal(values, 0.0)
+        dist = DistanceMatrix(metric="hamming", labels=shuffled_labels(rng, k),
+                              values=values)
+        got = dendrogram_leafset_merges(agglomerate(dist))
+        same_sets(got, lance_williams_linkage(values, list(dist.labels)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_heights_match_scipy_average_linkage(self, seed):
+        rng = np.random.default_rng(7000 + seed)
+        dist = random_distance(rng, 400)
+        reference = linkage(squareform(dist.values, checks=False), method="average")
+        assert np.allclose(agglomerate(dist).heights(), np.sort(reference[:, 2]),
+                           rtol=1e-12, atol=0.0)
 
 
 class TestDendrogram:

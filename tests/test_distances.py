@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from starclust import (DistanceMatrix, ValidationError, diff_distance,
                        fit_panel_trends, hamming_distance, sign_distance,
                        sign_sequence, slope_distance)
-from starclust.distances import write_distance_csv
+from starclust.distances import _ROW_BLOCK, write_distance_csv
 from starclust.trends import TrendFit, panel_differences
 
 from _oracles import (brute_diff_distance, brute_hamming_distance,
@@ -104,6 +104,20 @@ class TestDiffDistance:
         panel = make_panel(rng.normal(10, 4, (12, 30)))
         values = diff_distance(panel).values
         assert np.array_equal(values, values.T)
+
+    def test_row_blocks_match_whole_tensor_and_brute_force(self):
+        # A partial last block: K is not a multiple of the block size.
+        k = 2 * _ROW_BLOCK + 5
+        rng = np.random.default_rng(9)
+        panel = make_panel(rng.normal(10, 4, (k, 16)))
+        values = diff_distance(panel).values
+        assert np.allclose(values, brute_diff_distance(panel.values),
+                           rtol=1e-12, atol=1e-12)
+        diffs = panel_differences(panel)
+        gaps = diffs[:, None, :] - diffs[None, :, :]
+        whole = np.sqrt(np.einsum("ijt,ijt->ij", gaps, gaps))
+        np.fill_diagonal(whole, 0.0)
+        assert np.array_equal(values, whole)
 
 
 class TestHammingDistance:
