@@ -391,23 +391,13 @@ def cmd_mcs(args: argparse.Namespace) -> int:
                             block=cfg.mcs_block, statistic=cfg.mcs_statistic,
                             seed=cfg.seed)
     payload_path = out / "mcs.json"
-    _write_mcs_json(report, payload_path)
+    evaluation.write_mcs_json(report, payload_path)
     print(f"{'model':<8} {'mcs_p':>7}")
     for model, p in report.eliminations:
         print(f"{model:<8} {p:>7.3f}")
     print(f"survivors at alpha={cfg.mcs_alpha}: {', '.join(report.survivors)}")
     print(f"wrote {payload_path}")
     return 0
-
-
-def _write_mcs_json(report: evaluation.McsReport, path: Path) -> None:
-    import json
-    payload = {"statistic": report.statistic, "reps": report.reps,
-               "block": report.block, "seed": report.seed, "alpha": report.alpha,
-               "eliminations": [[m, p] for m, p in report.eliminations],
-               "survivors": list(report.survivors)}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
 
 
 def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:

@@ -86,8 +86,15 @@ def hamming_distance(signs: Sequence[np.ndarray], ids: Sequence[str]) -> Distanc
     lengths = {len(s) for s in signs}
     if len(lengths) > 1:
         raise ValidationError(f"sign strings have mixed lengths: {sorted(lengths)}")
-    bits = np.asarray(signs, dtype=np.uint8)
-    values = (bits[:, None, :] != bits[None, :, :]).sum(axis=2).astype(float)
+    bits = np.asarray(signs, dtype=float)
+    if np.any((bits != 0.0) & (bits != 1.0)):
+        raise ValidationError("sign strings must hold only 0 and 1")
+    # Positions where i has 1 and j has 0, plus the reverse: integer counts,
+    # exact in float64 below 2**53, without a K x K x (T-1) tensor. einsum
+    # rather than matmul keeps BLAS worker threads asleep; on two cores their
+    # spin after the call slowed the linkage that follows.
+    values = np.einsum("it,jt->ij", bits, 1.0 - bits)
+    values += values.T.copy()
     return DistanceMatrix(metric="hamming", labels=tuple(ids), values=values)
 
 

@@ -2,9 +2,10 @@
 
 The MCS procedure studentizes pairwise mean loss differentials with a
 moving-block bootstrap variance, forms a semi-quadratic (or range) statistic,
-and eliminates the worst model while the equivalence test rejects. The
-bootstrap index matrix is drawn once per run from a fixed seed, so reports are
-bit-identical across repeated calls.
+and eliminates the worst model while the equivalence test rejects. Bootstrap
+means are streamed from prefix sums and block starts drawn in fixed chunks of
+replications from a seeded generator, so reports are bit-identical across
+repeated calls and memory does not grow with reps x periods.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from .errors import ValidationError
 from .panel import TemperaturePanel, split_panel
 from .star import ForecastPanel, fit_star, fitted_levels, forecast
 from .weights import WeightMatrix
+
+_REP_CHUNK = 64  # bootstrap replications drawn and summed at once in mcs
 
 
 def frobenius_norm(observed: np.ndarray, predicted: np.ndarray) -> float:
@@ -179,13 +182,59 @@ class McsReport:
         return {model: p for model, p in self.eliminations}
 
 
-def _block_indices(rng: np.random.Generator, n_periods: int, block: int,
-                   reps: int) -> np.ndarray:
-    """Moving-block bootstrap index matrix (reps x n_periods), block=1 is iid."""
+def _start_chunks(rng: np.random.Generator, n_periods: int, block: int,
+                  reps: int) -> Iterator[np.ndarray]:
+    """Block starts, _REP_CHUNK replications (rows) per draw.
+
+    Row chunks drawn in sequence consume the generator exactly as one
+    rng.integers(..., size=(reps, ceil(n_periods / block))) call does, so the
+    stream does not depend on the chunk size.
+    """
     n_blocks = math.ceil(n_periods / block)
-    starts = rng.integers(0, n_periods - block + 1, size=(reps, n_blocks))
-    idx = (starts[:, :, None] + np.arange(block)[None, None, :]).reshape(reps, -1)
-    return idx[:, :n_periods]
+    for done in range(0, reps, _REP_CHUNK):
+        yield rng.integers(0, n_periods - block + 1,
+                           size=(min(_REP_CHUNK, reps - done), n_blocks))
+
+
+def _boot_means(matrix: np.ndarray, block: int, reps: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means (models) and moving-block bootstrap means (models x reps).
+
+    A replicate concatenates ceil(n/block) blocks from drawn starts and keeps
+    the first n periods, so its sum is the full blocks at every start but the
+    last plus the last block cut to n - (ceil(n/block) - 1) * block periods.
+    Block sums are differences of prefix sums; per replicate, the full-block
+    starts are counted and the counts multiplied by the block-sum table, so
+    no reps x periods array is formed. Sample means come from the same prefix
+    sums, so with block == n every replicate equals the sample mean exactly.
+    """
+    n_models, n_periods = matrix.shape
+    n_starts = n_periods - block + 1
+    tail = n_periods - (math.ceil(n_periods / block) - 1) * block
+    prefix = np.zeros((n_models, n_periods + 1))
+    np.cumsum(matrix, axis=1, out=prefix[:, 1:])
+    full = prefix[:, block:] - prefix[:, :n_starts]           # models x starts
+    last = prefix[:, tail:tail + n_starts] - prefix[:, :n_starts]
+    sums = np.empty((n_models, reps))
+    done = 0
+    for starts in _start_chunks(rng, n_periods, block, reps):
+        rows = len(starts)
+        # Offset each row's starts so one bincount counts every row at once.
+        keys = starts[:, :-1] + (np.arange(rows) * n_starts)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=rows * n_starts)
+        counts = counts.reshape(rows, n_starts).astype(float)
+        sums[:, done:done + rows] = full @ counts.T + last[:, starts[:, -1]]
+        done += rows
+    return prefix[:, -1] / n_periods, sums / n_periods
+
+
+def _constant_differentials(matrix: np.ndarray) -> np.ndarray:
+    """models x models mask: L_i(t) - L_j(t) is the same double in every period."""
+    constant = np.empty((len(matrix), len(matrix)), dtype=bool)
+    for i, row in enumerate(matrix):
+        gaps = row - matrix
+        constant[i] = (gaps == gaps[:, :1]).all(axis=1)
+    return constant
 
 
 def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
@@ -196,6 +245,16 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
     a max-adjusted p-value; the surviving set keeps models with p >= alpha.
     Round p-values use add-one smoothing, (1 + hits)/(reps + 1), so they are
     strictly positive and alpha -> 0 retains everything.
+
+    Blocks run over the periods in their given order. Per-observation losses
+    are ordered year-major over (year, country), so there a block of length 2
+    mostly pairs two countries in the same year rather than two years of one
+    country; whether blocks should span years for all countries together is
+    an open question, and the ordering is kept as it is.
+
+    A pair whose loss differential L_i(t) - L_j(t) is the same double in every
+    period, or whose bootstrap variance is 0, is degenerate: it contributes 0
+    to every statistic and is listed in a RuntimeWarning.
     """
     if not losses:
         raise ValidationError("the confidence set needs at least one model")
@@ -221,17 +280,13 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
         raise ValidationError(f"statistic must be 'SQ' or 'R', got {statistic!r}")
 
     matrix = np.vstack([ls.values for ls in losses])
-    rng = np.random.default_rng(seed)
-    idx = _block_indices(rng, n_periods, block, reps)
     # Resampled per-model means, computed once; pairwise differentials derive
-    # from them because d_ij(t) = L_i(t) - L_j(t). Chunked over replications
-    # to bound memory under per-observation granularity.
-    boot_means = np.empty((len(ids), reps))
-    chunk = max(1, 500_000 // n_periods)
-    for start in range(0, reps, chunk):
-        sel = idx[start:start + chunk]
-        boot_means[:, start:start + chunk] = matrix[:, sel].mean(axis=2)
-    full_means = matrix.mean(axis=1)
+    # from them because d_ij(t) = L_i(t) - L_j(t).
+    full_means, boot_means = _boot_means(matrix, block, reps,
+                                         np.random.default_rng(seed))
+    # A constant differential has zero bootstrap variance in exact arithmetic,
+    # whatever rounding leaves in var; decide it from the losses themselves.
+    constant = _constant_differentials(matrix)
 
     active = list(range(len(ids)))
     eliminations: list[tuple[str, float]] = []
@@ -245,8 +300,7 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
         dbar = mu[:, None] - mu[None, :]                # m x m
         diff_boot = centered[:, None, :] - centered[None, :, :]
         var = (diff_boot ** 2).mean(axis=2)             # m x m
-        valid = var > 0
-        np.fill_diagonal(valid, False)
+        valid = (var > 0) & ~constant[np.ix_(sub, sub)]  # diagonal is constant
         for i in range(len(sub)):
             for j in range(i + 1, len(sub)):
                 if not valid[i, j]:
@@ -343,5 +397,14 @@ def write_report_json(report: EvaluationReport, path: str | Path) -> None:
             "survivors": list(report.mcs_report.survivors),
         },
     }
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
+
+
+def write_mcs_json(report: McsReport, path: str | Path) -> None:
+    payload = {"statistic": report.statistic, "reps": report.reps,
+               "block": report.block, "seed": report.seed, "alpha": report.alpha,
+               "eliminations": [[m, p] for m, p in report.eliminations],
+               "survivors": list(report.survivors)}
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                           encoding="utf-8")

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive: explicit normal equations, O(K^3)
 linkage re-scans over the raw distance matrix, brute-force distance loops,
-and pure-Python forecast recursions.
+pure-Python forecast recursions, and a bootstrap that materialises the full
+reps x periods index matrix.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import stats
@@ -195,3 +198,26 @@ def simulate_star(n_units: int, n_years: int, c: float, phi: float, psi: float,
     levels[:, 0] = base_level + rng.normal(0, 1, n_units)
     levels[:, 1:] = levels[:, [0]] + np.cumsum(diffs, axis=1)
     return levels
+
+
+def _block_indices(rng: np.random.Generator, n_periods: int, block: int,
+                   reps: int) -> np.ndarray:
+    """Moving-block bootstrap index matrix (reps x n_periods), block=1 is iid."""
+    n_blocks = math.ceil(n_periods / block)
+    starts = rng.integers(0, n_periods - block + 1, size=(reps, n_blocks))
+    idx = (starts[:, :, None] + np.arange(block)[None, None, :]).reshape(reps, -1)
+    return idx[:, :n_periods]
+
+
+def gather_boot_means(matrix: np.ndarray, block: int, reps: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Moving-block bootstrap means (models x reps) by gathering every
+    resampled period through the index matrix, as mcs once did."""
+    n_periods = matrix.shape[1]
+    idx = _block_indices(rng, n_periods, block, reps)
+    boot_means = np.empty((matrix.shape[0], reps))
+    chunk = max(1, 500_000 // n_periods)
+    for start in range(0, reps, chunk):
+        sel = idx[start:start + chunk]
+        boot_means[:, start:start + chunk] = matrix[:, sel].mean(axis=2)
+    return boot_means

@@ -324,6 +324,18 @@ class TestMcs:
         assert payload["seed"] == 7
         assert payload["reps"] == 500
 
+    def test_mcs_json_bytes_are_pinned(self, losses_csv, tmp_path, capsys):
+        rc = main(["mcs", "--losses", str(losses_csv), "--reps", "500",
+                   "--seed", "7", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert (tmp_path / "mcs.json").read_text(encoding="utf-8") == (
+            '{\n  "alpha": 0.01,\n  "block": 2,\n  "eliminations": [\n'
+            '    [\n      "bad",\n      0.001996007984031936\n    ],\n'
+            '    [\n      "good",\n      1.0\n    ]\n  ],\n  "reps": 500,\n'
+            '  "seed": 7,\n  "statistic": "SQ",\n  "survivors": [\n'
+            '    "good"\n  ]\n}\n')
+
     def test_full_pipeline_without_losses_file(self, dataset, tmp_path, capsys):
         rc = run(["mcs"], dataset, tmp_path)
         captured = capsys.readouterr()

@@ -150,6 +150,17 @@ class TestHammingDistance:
             for j in range(6):
                 assert dist.values[i, j] == float(np.bitwise_xor(bits[i], bits[j]).sum())
 
+    @pytest.mark.parametrize("k", [1, 2, 69, 800])
+    def test_bitwise_equal_to_broadcast_mismatch_count(self, k):
+        bits = np.random.default_rng(k).integers(0, 2, (k, 121)).astype(np.uint8)
+        dist = hamming_distance(list(bits), [f"c{i}" for i in range(k)])
+        expected = (bits[:, None, :] != bits[None, :, :]).sum(axis=2).astype(float)
+        assert np.array_equal(dist.values, expected)
+
+    def test_non_binary_strings_rejected(self):
+        with pytest.raises(ValidationError, match="only 0 and 1"):
+            hamming_distance([np.array([1, 0, 2]), np.array([1, 1, 0])], ["a", "b"])
+
     def test_integer_valued_within_bounds(self, toy_panel):
         values = sign_distance(toy_panel).values
         assert np.array_equal(values, np.round(values))

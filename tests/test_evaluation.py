@@ -1,5 +1,7 @@
 """Loss accounting, out-of-sample experiments, and the model confidence set."""
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,16 @@ import pytest
 from starclust import (LossSeries, McsReport, ValidationError, WeightMatrix,
                        build_report, fit_star, forecast, frobenius_norm,
                        in_sample_fn, loss_series, mcs, oos_experiment)
-from starclust.evaluation import write_report_csv, write_report_json
+from starclust.evaluation import (_REP_CHUNK, _boot_means, _start_chunks,
+                                  write_report_csv, write_report_json)
 from starclust.pipeline import fixed_weight_builder
 from conftest import make_panel
 
-from _oracles import simulate_star
+from _oracles import gather_boot_means, simulate_star
+
+# Eliminations recorded from the index-matrix implementation mcs replaced.
+GOLDEN_MCS = json.loads((Path(__file__).parent / "data" / "mcs_golden.json")
+                        .read_text(encoding="utf-8"))
 
 
 def ring(labels, kind="NN"):
@@ -28,6 +35,16 @@ def loss(model, values, periods=None):
     if periods is None:
         periods = tuple(range(2001, 2001 + len(values)))
     return LossSeries(model=model, periods=tuple(periods), values=values)
+
+
+def seven_model_losses(seed, n_periods):
+    """Seven models sharing a common loss path, each noisier than the last."""
+    rng = np.random.default_rng(seed)
+    base = rng.gamma(2.0, 1.0, n_periods)
+    step = 1.5 / np.sqrt(n_periods)
+    return [LossSeries(model=f"m{k}", periods=tuple(range(n_periods)),
+                       values=base + rng.gamma(2.0, 1.0 + k * step, n_periods))
+            for k in range(7)]
 
 
 class TestFrobeniusNorm:
@@ -268,6 +285,45 @@ class TestMcs:
             report = mcs([a, b], reps=200, seed=0)
         assert len(report.eliminations) == 2
 
+    @pytest.mark.parametrize("a, b", [
+        (np.full(10, 0.1), np.full(10, 0.3)),
+        (np.full(22, 0.1), np.full(22, 0.3)),
+        (np.full(3696, 0.1), np.full(3696, 0.3)),
+        (np.full(22, 1 / 3), np.full(22, 2 / 3)),
+        # Eighths, so a + 1 rounds exactly and a - b is -1.0 in every period.
+        (np.arange(22) % 7 / 8, np.arange(22) % 7 / 8 + 1),
+    ], ids=["0.1-0.3-n10", "0.1-0.3-n22", "0.1-0.3-n3696", "thirds-n22",
+            "shifted-by-one"])
+    def test_constant_differential_is_degenerate(self, a, b):
+        # Decided from the losses, not from whether rounding happens to leave
+        # the bootstrap variance at exactly 0.
+        with pytest.warns(RuntimeWarning,
+                          match=r"zero bootstrap variance for model pairs \[\('a', 'b'\)\]"):
+            report = mcs([loss("a", a), loss("b", b)], reps=200, seed=0)
+        # The only pair contributes 0 to the observed and every null statistic,
+        # so no round rejects and both models keep p = 1.
+        assert report.eliminations == (("a", 1.0), ("b", 1.0))
+
+    def test_block_spanning_the_sample_is_degenerate(self):
+        # With block == n every replicate redraws the sample itself, so the
+        # bootstrap variance is exactly 0 although no differential is constant.
+        rng = np.random.default_rng(3)
+        losses = [loss(m, rng.random(500)) for m in ("a", "b", "c")]
+        with pytest.warns(RuntimeWarning, match="zero bootstrap variance"):
+            report = mcs(losses, reps=200, block=500, seed=0)
+        assert report.p_values() == {"a": 1.0, "b": 1.0, "c": 1.0}
+
+    def test_constant_differential_beside_an_informative_pair(self):
+        rng = np.random.default_rng(4)
+        base = rng.random(30)
+        losses = [loss("a", np.round(base * 64) / 64),
+                  loss("b", np.round(base * 64) / 64 + 0.5),
+                  loss("c", base + 3.0 + rng.normal(0, 0.05, 30) ** 2)]
+        with pytest.warns(RuntimeWarning, match=r"\[\('a', 'b'\)\]"):
+            report = mcs(losses, reps=300, seed=0)
+        assert report.eliminations[0][0] == "c"
+        assert report.p_values()["c"] < 0.01
+
     def test_three_model_dominance_order(self):
         rng = np.random.default_rng(8)
         base = rng.random(25)
@@ -308,6 +364,52 @@ class TestMcs:
             McsReport(statistic="SQ", reps=100, block=2, seed=0, alpha=0.01,
                       eliminations=(("a", 0.5), ("b", 0.9)),
                       survivors=("b",))
+
+
+class TestStreamingBootstrap:
+    @pytest.mark.parametrize("n, block", [
+        (22, 1), (22, 2), (22, 3), (22, 22),
+        (23, 1), (23, 2), (23, 3), (23, 23),
+        (3696, 1), (3696, 2), (3696, 5), (3696, 3696),
+    ])
+    def test_means_match_gather_oracle(self, n, block):
+        matrix = np.random.default_rng(n + block).gamma(2.0, 1.0, (7, n))
+        means, boot = _boot_means(matrix, block, 300, np.random.default_rng(1))
+        expected = gather_boot_means(matrix, block, 300, np.random.default_rng(1))
+        np.testing.assert_allclose(boot, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(means, matrix.mean(axis=1), rtol=1e-12, atol=0)
+
+    def test_block_spanning_the_sample_redraws_the_mean_exactly(self):
+        matrix = np.random.default_rng(5).random((3, 500))
+        means, boot = _boot_means(matrix, 500, 100, np.random.default_rng(0))
+        assert np.array_equal(boot, np.repeat(means[:, None], 100, axis=1))
+
+    @pytest.mark.parametrize("n, block, reps", [(22, 2, 1000), (23, 2, 333),
+                                                (3696, 2, 200), (5, 5, 130)])
+    def test_chunked_starts_equal_one_draw(self, n, block, reps):
+        chunks = list(_start_chunks(np.random.default_rng(8), n, block, reps))
+        assert len(chunks) == -(-reps // _REP_CHUNK) > 1
+        single = np.random.default_rng(8).integers(
+            0, n - block + 1, size=(reps, -(-n // block)))
+        assert np.array_equal(np.concatenate(chunks), single)
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_MCS))
+    def test_eliminations_match_golden(self, key):
+        n, seed, statistic, block = key.split("/")
+        report = mcs(seven_model_losses(int(seed), int(n)), reps=1000,
+                     block=int(block), statistic=statistic, seed=int(seed))
+        assert [list(pair) for pair in report.eliminations] == GOLDEN_MCS[key]
+
+    def test_peak_memory_is_bounded(self):
+        losses = seven_model_losses(0, 3696)
+        tracemalloc.start()
+        try:
+            mcs(losses, reps=10_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A reps x periods int64 index matrix alone would take 282 MiB.
+        assert peak < 64 * 2**20
 
 
 class TestReports:
