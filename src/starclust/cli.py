@@ -245,13 +245,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
     cfg.validate(require_adjacency=args.kind == "NN")
     panel, adjacency = _load_inputs(cfg, need_adjacency=args.kind == "NN")
     out = _outdir(cfg)
-    built = pipeline.build_weights(
-        panel, kinds=[args.kind], adjacency=adjacency,
-        include_null_in_dA=cfg.include_null_in_dA,
-        rescale=cfg.rescale_distances, rho=cfg.rescale_rho,
-        alpha=cfg.trend_alpha, min_size=cfg.min_cluster_size,
-        k_by_scheme={"A": cfg.k_a, "B": cfg.k_b, "C": cfg.k_c})
-    matrix = built[args.kind]
+    matrix = _build_kind(cfg, panel, adjacency, args.kind)
     weights.write_weight_csv(matrix, out / f"weights_{args.kind}.csv")
     weights.write_weight_meta(matrix, out / f"weights_{args.kind}.json")
     print(f"{args.kind}: {matrix.size}x{matrix.size}, "
@@ -260,14 +254,18 @@ def cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
+def _weight_params(cfg: RunConfig) -> dict:
+    """The keyword arguments that `pipeline.build_weights` takes from a run config."""
+    return {"include_null_in_dA": cfg.include_null_in_dA,
+            "rescale": cfg.rescale_distances, "rho": cfg.rescale_rho,
+            "alpha": cfg.trend_alpha, "min_size": cfg.min_cluster_size,
+            "k_by_scheme": {"A": cfg.k_a, "B": cfg.k_b, "C": cfg.k_c}}
+
+
 def _build_kind(cfg: RunConfig, panel: TemperaturePanel,
                 adjacency: AdjacencyList | None, kind: str) -> weights.WeightMatrix:
-    return pipeline.build_weights(
-        panel, kinds=[kind], adjacency=adjacency,
-        include_null_in_dA=cfg.include_null_in_dA,
-        rescale=cfg.rescale_distances, rho=cfg.rescale_rho,
-        alpha=cfg.trend_alpha, min_size=cfg.min_cluster_size,
-        k_by_scheme={"A": cfg.k_a, "B": cfg.k_b, "C": cfg.k_c})[kind]
+    return pipeline.build_weights(panel, kinds=[kind], adjacency=adjacency,
+                                  **_weight_params(cfg))[kind]
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -315,12 +313,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def _run_oos(cfg: RunConfig, panel: TemperaturePanel,
              adjacency: AdjacencyList) -> evaluation.OosResult:
-    builder = pipeline.weight_builder(
-        kinds=weights.KINDS, adjacency=adjacency,
-        include_null_in_dA=cfg.include_null_in_dA,
-        rescale=cfg.rescale_distances, rho=cfg.rescale_rho,
-        alpha=cfg.trend_alpha, min_size=cfg.min_cluster_size,
-        k_by_scheme={"A": cfg.k_a, "B": cfg.k_b, "C": cfg.k_c})
+    builder = pipeline.weight_builder(kinds=weights.KINDS, adjacency=adjacency,
+                                      **_weight_params(cfg))
     return evaluation.oos_experiment(panel, builder, cfg.split_year, cfg.horizon,
                                      granularity=cfg.granularity,
                                      workers=cfg.workers)
@@ -332,12 +326,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     panel, adjacency = _load_inputs(cfg, need_adjacency=True)
     out = _outdir(cfg)
 
-    full_weights = pipeline.build_weights(
-        panel, kinds=weights.KINDS, adjacency=adjacency,
-        include_null_in_dA=cfg.include_null_in_dA,
-        rescale=cfg.rescale_distances, rho=cfg.rescale_rho,
-        alpha=cfg.trend_alpha, min_size=cfg.min_cluster_size,
-        k_by_scheme={"A": cfg.k_a, "B": cfg.k_b, "C": cfg.k_c})
+    full_weights = pipeline.build_weights(panel, kinds=weights.KINDS, adjacency=adjacency,
+                                          **_weight_params(cfg))
     in_sample = evaluation.in_sample_fn(panel, full_weights)
     oos = _run_oos(cfg, panel, adjacency)
     report_mcs = evaluation.mcs(list(oos.losses.values()), alpha=cfg.mcs_alpha,

@@ -5,9 +5,7 @@ integer counts widened to float in the shared matrix type.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -102,12 +100,3 @@ def sign_distance(panel: TemperaturePanel) -> DistanceMatrix:
     """Hamming distance over the panel's change-sign strings."""
     bits = sign_sequence(panel_differences(panel))
     return hamming_distance(list(bits), panel.ids)
-
-
-def write_distance_csv(dist: DistanceMatrix, path: str | Path) -> None:
-    """Square CSV with id header row and column."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + list(dist.labels))
-        for label, row in zip(dist.labels, dist.values):
-            writer.writerow([label] + [repr(float(v)) for v in row])

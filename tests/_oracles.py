@@ -2,15 +2,21 @@
 
 Everything here is deliberately naive: explicit normal equations, O(K^3)
 linkage re-scans over the raw distance matrix, brute-force distance loops,
-pure-Python forecast recursions, and a bootstrap that materialises the full
-reps x periods index matrix.
+pure-Python forecast recursions, a bootstrap that materialises the full
+reps x periods index matrix, and a row-by-row panel CSV reader.
 """
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import stats
+
+from starclust.errors import ValidationError
+from starclust.panel import (_LONG_HEADER, _META_COLUMNS, TemperaturePanel,
+                             _meta_from_strings, _parse_temperature, detect_format)
 
 
 def ols_normal_equations(design: np.ndarray, response: np.ndarray) -> np.ndarray:
@@ -221,3 +227,124 @@ def gather_boot_means(matrix: np.ndarray, block: int, reps: int,
         sel = idx[start:start + chunk]
         boot_means[:, start:start + chunk] = matrix[:, sel].mean(axis=2)
     return boot_means
+
+
+# Row-by-row panel reader: `_read_rows`, `_load_long` and `_load_wide` as the
+# package had them before long panels were parsed column-wise (verbatim), and
+# `load_panel_rows` composing them as `starclust.panel.load_panel` does.
+
+def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"file not found: {path}")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise ValidationError(f"empty file: {path}")
+    header = [cell.strip() for cell in rows[0]]
+    return header, rows[1:]
+
+
+def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
+    lowered = [h.lower() for h in header]
+    col = {name: lowered.index(name) for name in _LONG_HEADER if name in lowered}
+    missing = [name for name in _LONG_HEADER if name not in col]
+    if missing:
+        raise ValidationError(f"long panel header missing columns: {missing}")
+    meta_col = {name: lowered.index(name) for name in _META_COLUMNS if name in lowered}
+
+    cells: dict[tuple[str, int], float] = {}
+    meta: dict[str, dict[str, str]] = {}
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) < len(header):
+            raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
+        country = row[col["country"]].strip()
+        year_text = row[col["year"]].strip()
+        try:
+            year = int(year_text)
+        except ValueError:
+            raise ValidationError(
+                f"line {lineno}: non-integer year {year_text!r} for country {country!r}"
+            ) from None
+        value = _parse_temperature(row[col["temperature"]].strip(), country, year)
+        if (country, year) in cells:
+            raise ValidationError(f"duplicate entry for country {country!r}, year {year}")
+        cells[(country, year)] = value
+        entry = meta.setdefault(country, {})
+        for name, idx in meta_col.items():
+            text = row[idx].strip()
+            if not text:
+                continue
+            if name in entry and entry[name] != text:
+                raise ValidationError(
+                    f"conflicting {name} for country {country!r}: "
+                    f"{entry[name]!r} vs {text!r}"
+                )
+            entry[name] = text
+
+    if not cells:
+        raise ValidationError("long panel has a header but no observations")
+    ids = sorted({country for country, _ in cells})
+    years = sorted({year for _, year in cells})
+    full_years = list(range(years[0], years[-1] + 1))
+    gaps = [(country, year) for country in ids for year in full_years
+            if (country, year) not in cells]
+    if gaps:
+        shown = ", ".join(f"{c}/{y}" for c, y in gaps[:10])
+        more = "" if len(gaps) <= 10 else f" (+{len(gaps) - 10} more)"
+        raise ValidationError(f"missing observations: {shown}{more}")
+
+    values = np.array([[cells[(c, y)] for y in full_years] for c in ids], dtype=float)
+    countries = tuple(_meta_from_strings(c, meta.get(c, {})) for c in ids)
+    return TemperaturePanel(countries=countries, years=tuple(full_years), values=values)
+
+
+def _load_wide(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
+    lowered = [h.lower() for h in header]
+    year_cols = [(i, int(h)) for i, h in enumerate(lowered) if h.lstrip("-").isdigit()]
+    if not year_cols:
+        raise ValidationError("wide panel has no year columns")
+    meta_col = {name: lowered.index(name) for name in _META_COLUMNS if name in lowered}
+    id_col = lowered.index("country")
+
+    years = [y for _, y in year_cols]
+    if years != sorted(years):
+        order = np.argsort(years)
+        year_cols = [year_cols[i] for i in order]
+        years = [y for _, y in year_cols]
+    for prev, cur in zip(years, years[1:]):
+        if cur != prev + 1:
+            raise ValidationError(f"wide panel year columns not consecutive: {prev} then {cur}")
+
+    seen: dict[str, int] = {}
+    records: list[tuple[CountryMeta, list[float]]] = []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) < len(header):
+            raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
+        country = row[id_col].strip()
+        if country in seen:
+            raise ValidationError(f"duplicate country row for {country!r}")
+        seen[country] = lineno
+        series = []
+        for idx, year in year_cols:
+            text = row[idx].strip()
+            if not text:
+                raise ValidationError(f"missing observation for country {country!r}, year {year}")
+            series.append(_parse_temperature(text, country, year))
+        entry = {name: row[idx].strip() for name, idx in meta_col.items() if row[idx].strip()}
+        records.append((_meta_from_strings(country, entry), series))
+
+    records.sort(key=lambda rec: rec[0].id)
+    countries = tuple(rec[0] for rec in records)
+    values = np.array([rec[1] for rec in records], dtype=float)
+    return TemperaturePanel(countries=countries, years=tuple(years), values=values)
+
+
+def load_panel_rows(path: str | Path, fmt: str = "auto") -> TemperaturePanel:
+    header, rows = _read_rows(path)
+    if fmt == "auto":
+        fmt = detect_format(header)
+    if fmt == "long":
+        return _load_long(header, rows)
+    return _load_wide(header, rows)

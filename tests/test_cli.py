@@ -1,12 +1,17 @@
 """End-to-end command line checks, driving main() in-process."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starclust
 from starclust.cli import main
@@ -438,3 +443,77 @@ class TestMalformedInputs:
         result = self.run_cli("trends", "--data", str(dataset["panel"]),
                               "--out", str(out))
         self.assert_clean_exit_2(result, f"cannot create output directory {out}")
+
+
+class TestImportFootprint:
+    def test_evaluate_runs_without_scipy(self, dataset, tmp_path):
+        script = ("import sys\n"
+                  "from starclust.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                  "print('scipy modules:', loaded)\n"
+                  "sys.exit(code if not loaded else 9)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(starclust.__file__).parents[1]))
+        env.pop("STARCLUST_CONFIG", None)
+        result = subprocess.run(
+            [sys.executable, "-c", script, "evaluate", "--config", str(dataset["config"]),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "scipy modules: []" in result.stdout
+
+
+_JUNK = ("", " ", "x", "nan", "inf", "-1", "0", "1e999", "99999999999999999999",
+         "1901.5", '"', "Atlantis", "Europe", "C00", "C99", "true", "[1, 2",
+         "{a: 1}", "- 3", ": :", "\t", "SQ", "observation", "0.5", "1e-300", ",,,")
+_FILES = ("panel", "zones", "adjacency", "config")
+_EDITS = ("delete", "duplicate", "cell", "append", "truncate")
+
+
+def _edit(text: str, op: str, at: int, junk: str) -> str:
+    """One malformation of a CSV or YAML text: lines dropped, repeated or
+    added, one cell (or YAML value) replaced, or the file cut short."""
+    if op == "truncate":
+        return text[:at % (len(text) + 1)]
+    lines = text.splitlines()
+    if op == "append" or not lines:
+        return "\n".join(lines + [junk]) + "\n"
+    i = at % len(lines)
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        sep = ": " if ": " in lines[i] else ","
+        cells = lines[i].split(sep)
+        cells[(at // len(lines)) % len(cells)] = junk
+        lines[i] = sep.join(cells)
+    return "\n".join(lines) + "\n"
+
+
+class TestMalformedFuzz:
+    """Mutated panel, zones, adjacency and YAML inputs end in exit 0, 2 or 3
+    from `main`, never in an escaped exception or a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_FILES), st.sampled_from(_EDITS),
+                              st.integers(0, 10**6), st.sampled_from(_JUNK)),
+                    min_size=1, max_size=3))
+    def test_evaluate_on_mutated_inputs(self, dataset, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            paths = {name: root / dataset[name].name for name in _FILES}
+            texts = {name: dataset[name].read_text(encoding="utf-8") for name in _FILES}
+            texts["config"] = (texts["config"]
+                               .replace(str(dataset["panel"]), str(paths["panel"]))
+                               .replace(str(dataset["adjacency"]), str(paths["adjacency"])))
+            for name, op, at, junk in edits:
+                texts[name] = _edit(texts[name], op, at, junk)
+            for name in _FILES:
+                paths[name].write_text(texts[name], encoding="utf-8")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["evaluate", "--config", str(paths["config"]),
+                             "--zones", str(paths["zones"]), "--out", str(root / "out")])
+        assert code in (0, 2, 3), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()

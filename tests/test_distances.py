@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from starclust import (DistanceMatrix, ValidationError, diff_distance,
                        fit_panel_trends, hamming_distance, sign_distance,
                        sign_sequence, slope_distance)
-from starclust.distances import _ROW_BLOCK, write_distance_csv
+from starclust.distances import _ROW_BLOCK
 from starclust.trends import TrendFit, panel_differences
 
 from _oracles import (brute_diff_distance, brute_hamming_distance,
@@ -180,16 +180,3 @@ class TestSlopeSubsetLabels:
         dist = slope_distance([fits[c] for c in kept], kept)
         assert dist.labels == tuple(kept)
         assert dist.size == 4
-
-
-class TestCsvExport:
-    def test_square_layout_round_trips(self, toy_panel, tmp_path):
-        dist = diff_distance(toy_panel)
-        path = tmp_path / "dist.csv"
-        write_distance_csv(dist, path)
-        lines = path.read_text().strip().splitlines()
-        header = lines[0].split(",")
-        assert header[0] == "id"
-        assert tuple(header[1:]) == toy_panel.ids
-        cell = float(lines[1].split(",")[2])
-        assert cell == dist.values[0, 1]

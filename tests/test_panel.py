@@ -1,6 +1,10 @@
 """Panel loading, validation, writing, adjacency, zones, and splitting."""
 from __future__ import annotations
 
+import csv
+import io
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +13,10 @@ from hypothesis import strategies as st
 from starclust import (AdjacencyList, CountryMeta, TemperaturePanel,
                        ValidationError, attach_zones, load_adjacency,
                        load_panel, split_panel, write_panel)
-from starclust.panel import detect_format
+from starclust.cli import main
+from starclust.panel import ZONES, detect_format
 
+from _oracles import load_panel_rows
 from conftest import make_panel
 
 
@@ -137,6 +143,158 @@ class TestLoadLong:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="file not found"):
             load_panel(tmp_path / "absent.csv")
+
+    def test_mistyped_year_fails_fast(self, tmp_path, capsys):
+        # One year typed with four extra digits makes the year span
+        # 190 million long; the gap report must not walk that span.
+        path = write_csv(tmp_path / "p.csv",
+                         "country,year,temperature\nA,1901,1.0\nA,190100000,1.5\n")
+        begin = time.perf_counter()
+        code = main(["trends", "--data", path, "--out", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - begin
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "missing observations: A/1902, A/1903" in err
+        assert f"(+{190100000 - 1901 - 1 - 10} more)" in err
+        assert elapsed < 1.0
+
+    def test_year_outside_int64_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv",
+                         "country,year,temperature\nA,1901,1.0\n"
+                         "A,99999999999999999999,1.5\n")
+        with pytest.raises(ValidationError,
+                           match="line 3: year '99999999999999999999' for country 'A' is out of range"):
+            load_panel(path)
+
+
+_NAMES = ("Alpha", "Beta land", "Gamma, Republic of", "Delta")
+_ZONE_CHOICES = sorted(ZONES)
+
+
+def _long_rows(rng: np.random.Generator, n: int, t: int) -> tuple[list[str], list[list[str]]]:
+    """A valid long panel with shuffled columns and rows, padded cells,
+    ids that need quoting and optional name/zone/area columns."""
+    ids = [f"C{i}" if rng.random() < 0.7 else f"C,{i}" for i in range(n)]
+    meta = [name for name in ("name", "zone", "area") if rng.random() < 0.5]
+    header = ["country", "year", "temperature", *meta]
+    rng.shuffle(header)
+    values = rng.normal(15.0, 8.0, (n, t))
+    values[rng.random((n, t)) < 0.1] = -0.0
+    formats = (repr, lambda v: f"{v:.4f}", lambda v: f"{v:.3e}", lambda v: f" {v!r} ")
+    rows = []
+    for i, cid in enumerate(ids):
+        name = _NAMES[i % len(_NAMES)]
+        zone = _ZONE_CHOICES[i % len(_ZONE_CHOICES)]
+        area = repr(float(rng.integers(1, 10_000)))
+        for j in range(t):
+            cell = {"country": cid if rng.random() < 0.8 else f"  {cid}\t",
+                    "year": str(1990 + j) if rng.random() < 0.8 else f" +{1990 + j} ",
+                    "temperature": formats[rng.integers(len(formats))](float(values[i, j])),
+                    # blank metadata cells are skipped, repeated ones must agree
+                    "name": name if rng.random() < 0.8 else "",
+                    "zone": zone if rng.random() < 0.8 else " ",
+                    "area": area if rng.random() < 0.8 else ""}
+            rows.append([cell[h] for h in header])
+    order = rng.permutation(len(rows))
+    return header, [rows[k] for k in order]
+
+
+def _write_rows(path, rng, header, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, quoting=csv.QUOTE_ALL if rng.random() < 0.3 else csv.QUOTE_MINIMAL)
+    writer.writerow(header)
+    for row in rows:
+        if rng.random() < 0.1:
+            buffer.write(["\n", " , ,\t\n", '"",""\n'][rng.integers(3)])
+        writer.writerow(row)
+    path.write_text(buffer.getvalue(), encoding="utf-8")
+    return str(path)
+
+
+def _mutate(rng: np.random.Generator, header: list[str], rows: list[list[str]]) -> None:
+    """Apply one malformation to a random row, in place."""
+    k = int(rng.integers(len(rows)))
+    row = rows[k]
+    if len(row) < len(header):
+        return
+    col = {name: header.index(name) for name in header}
+    kind = rng.integers(10)
+    if kind == 0:
+        del row[int(rng.integers(1, len(row) + 1)) - 1:]
+    elif kind == 1:
+        row[col["year"]] = ["19x0", "1990.5", "", " ", "MMXX"][rng.integers(5)]
+    elif kind == 2:
+        row[col["temperature"]] = ["warm", "", "1,5", "0x1p3"][rng.integers(4)]
+    elif kind == 3:
+        row[col["temperature"]] = ["nan", "inf", "-Infinity", "1e999"][rng.integers(4)]
+    elif kind == 4:
+        rows.insert(int(rng.integers(len(rows) + 1)), list(row))
+    elif kind == 5:
+        del rows[k]
+    elif kind == 6:
+        row[col["year"]] = "2" + row[col["year"]].strip()
+    elif kind == 7:
+        meta = [name for name in ("name", "zone", "area") if name in col]
+        if meta:
+            row[col[meta[rng.integers(len(meta))]]] = "Oceania"
+    elif kind == 8:
+        row[col["country"]] = " "
+    elif "zone" in col:
+        # consistent but unknown: rejected only once the rows have passed
+        for other in rows:
+            if len(other) == len(header) and other[col["country"]] == row[col["country"]]:
+                other[col["zone"]] = "Atlantis"
+
+
+def _outcome(path, loader):
+    try:
+        return loader(path)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+class TestLoaderParity:
+    """The column-wise loader against the row-by-row reference in _oracles."""
+
+    @staticmethod
+    def assert_same_panel(got: TemperaturePanel, ref: TemperaturePanel) -> None:
+        assert got.ids == ref.ids
+        assert got.years == ref.years
+        assert got.countries == ref.countries
+        assert got.values.shape == ref.values.shape
+        assert np.array_equal(got.values.view(np.int64), ref.values.view(np.int64))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_valid_long_panels(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        header, rows = _long_rows(rng, int(rng.integers(1, 7)), int(rng.integers(1, 9)))
+        path = _write_rows(tmp_path / "p.csv", rng, header, rows)
+        self.assert_same_panel(load_panel(path), load_panel_rows(path))
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_malformed_long_panels(self, tmp_path, seed):
+        rng = np.random.default_rng(1000 + seed)
+        header, rows = _long_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 8)))
+        for _ in range(int(rng.integers(1, 4))):
+            _mutate(rng, header, rows)
+        path = _write_rows(tmp_path / "p.csv", rng, header, rows)
+        got, ref = _outcome(path, load_panel), _outcome(path, load_panel_rows)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            self.assert_same_panel(got, ref)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_valid_wide_panels(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        panel = make_panel(rng.normal(15.0, 8.0, (n, int(rng.integers(1, 9)))),
+                           zones=[_ZONE_CHOICES[i % len(_ZONE_CHOICES)] for i in range(n)])
+        write_panel(panel, tmp_path / "w.csv", fmt="wide")
+        lines = (tmp_path / "w.csv").read_text(encoding="utf-8").splitlines()
+        lines.insert(1 + int(rng.integers(len(lines))), " ,\t, ")
+        path = write_csv(tmp_path / "w.csv", "\n".join(lines) + "\n")
+        self.assert_same_panel(load_panel(path), load_panel_rows(path))
 
 
 class TestLoadWide:

@@ -84,11 +84,24 @@ class TestFitLinearTrend:
 
 class TestStudentT:
     def test_matches_scipy_survival(self):
-        for t_stat in (0.0, 0.5, -1.3, 2.1, -4.7, 9.0):
-            for df in (1, 5, 30, 120):
+        # |t| runs out past the point where p underflows (df >= 2), and for
+        # df = 1 to 1e150, short of where t * t overflows.
+        # Below |t| = 1e-5 scipy's df = 1 value loses digits (1.0 at 1e-9,
+        # where p = 1 - 6.4e-10), so the grid starts there.
+        t_stats = (0.0, 0.5, -1.3, 2.1, -4.7, 9.0, 1e-5, -0.02, 37.5, -250.0,
+                   1e3, 1e5, -1e8, 1e12, 1e20, -1e40, 1e60, 1e100, -1e150,
+                   *np.geomspace(0.05, 200.0, 40), np.inf, -np.inf)
+        for t_stat in t_stats:
+            for df in (1, 2, 3, 5, 10, 30, 118, 120, 200):
                 expected = 2 * stats.t.sf(abs(t_stat), df)
                 assert math.isclose(student_t_sf2(t_stat, df), expected,
-                                    rel_tol=1e-10, abs_tol=1e-300)
+                                    rel_tol=1e-12, abs_tol=1e-300), (t_stat, df)
+
+    def test_edge_cases(self):
+        assert student_t_sf2(0.0, 7) == 1.0
+        assert student_t_sf2(np.inf, 7) == student_t_sf2(np.nan, 7) == 0.0
+        with pytest.raises(ValidationError, match="degrees of freedom"):
+            student_t_sf2(1.0, 0)
 
     def test_matches_numeric_density_integration(self):
         # independent check: integrate the t density directly
