@@ -83,7 +83,6 @@ def _base_parser() -> argparse.ArgumentParser:
     p.add_argument("--origin", dest="split_year", type=int)
     p.add_argument("--horizon", type=int)
     p.add_argument("--granularity", choices=("year", "observation"))
-    p.add_argument("--workers", type=int)
 
     p = sub.add_parser("mcs", parents=[common],
                        help="model confidence set over forecast losses")
@@ -91,7 +90,6 @@ def _base_parser() -> argparse.ArgumentParser:
     p.add_argument("--origin", dest="split_year", type=int)
     p.add_argument("--horizon", type=int)
     p.add_argument("--granularity", choices=("year", "observation"))
-    p.add_argument("--workers", type=int)
     p.add_argument("--losses", help="CSV of model,period,loss to test directly")
     return parser
 
@@ -110,7 +108,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     for name in ("panel_path", "adjacency_path", "zones_path", "output_dir",
                  "seed", "trend_alpha", "min_cluster_size", "rescale_distances",
                  "rescale_rho", "split_year", "horizon", "mcs_alpha", "mcs_reps",
-                 "mcs_block", "mcs_statistic", "granularity", "workers"):
+                 "mcs_block", "mcs_statistic", "granularity"):
         if hasattr(args, name):
             overrides[name] = getattr(args, name)
     if getattr(args, "k", None) is not None:
@@ -316,8 +314,7 @@ def _run_oos(cfg: RunConfig, panel: TemperaturePanel,
     builder = pipeline.weight_builder(kinds=weights.KINDS, adjacency=adjacency,
                                       **_weight_params(cfg))
     return evaluation.oos_experiment(panel, builder, cfg.split_year, cfg.horizon,
-                                     granularity=cfg.granularity,
-                                     workers=cfg.workers)
+                                     granularity=cfg.granularity)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -397,10 +394,14 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
     by_model: dict[str, list[tuple[str, float]]] = {}
     with p.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        required = {"model", "period", "loss"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValidationError(f"losses file needs columns {sorted(required)}")
-        for line, row in enumerate(reader, start=2):
+        columns = ("model", "period", "loss")
+        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+            raise ValidationError(f"losses file needs columns {sorted(columns)}")
+        for row in reader:
+            line = reader.line_num  # physical line: blank lines are skipped
+            absent = [name for name in columns if row[name] is None]
+            if absent:
+                raise ValidationError(f"{p}:{line}: missing {' and '.join(absent)}")
             try:
                 value = float(row["loss"])
             except ValueError as exc:

@@ -39,7 +39,6 @@ class RunConfig:
     mcs_block: int = 2
     mcs_statistic: str = "SQ"
     granularity: str = "year"
-    workers: int = 1
 
     def validate(self, require_panel: bool = True,
                  require_adjacency: bool = False) -> None:
@@ -77,8 +76,6 @@ class RunConfig:
             raise ValidationError(f"mcs_statistic must be one of {_STATISTICS}")
         if self.granularity not in _GRANULARITIES:
             raise ValidationError(f"granularity must be one of {_GRANULARITIES}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
 
     def with_overrides(self, **overrides: Any) -> "RunConfig":
         effective = {k: v for k, v in overrides.items() if v is not None}
@@ -103,7 +100,6 @@ _TOP_LEVEL = {
     "output_dir": ("output_dir", str), "seed": ("seed", int),
     "trend_alpha": ("trend_alpha", float), "split_year": ("split_year", int),
     "horizon": ("horizon", int), "granularity": ("granularity", str),
-    "workers": ("workers", int),
 }
 
 

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -100,15 +99,14 @@ class OosResult:
 def oos_experiment(panel: TemperaturePanel,
                    weight_builder: Callable[[TemperaturePanel], Mapping[str, WeightMatrix]],
                    origin_year: int, horizon: int,
-                   granularity: str = "year", workers: int = 1) -> OosResult:
+                   granularity: str = "year") -> OosResult:
     """Fit every model on data through origin_year, forecast the next
     `horizon` years, and score each forecast against the held-out levels.
 
     weight_builder receives the training slice, so clusters and distances are
     re-estimated on the reduced sample; pass a builder closing over
-    full-sample weights to reuse them instead. Models are independent given
-    the training slice, and workers > 1 fits them concurrently; results are
-    keyed by kind, so the outcome does not depend on completion order.
+    full-sample weights to reuse them instead. Results are keyed by kind, in
+    the builder's order.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be at least 1, got {horizon}")
@@ -121,29 +119,14 @@ def oos_experiment(panel: TemperaturePanel,
     test_years = list(test.years[:horizon])
     test_values = test.values[:, :horizon]
 
-    weight_map = weight_builder(train)
-
-    def run_one(kind: str) -> tuple[str, float, LossSeries, ForecastPanel]:
-        model = fit_star(train, weight_map[kind])
-        fc = forecast(model, train, horizon)
-        value = frobenius_norm(test_values, fc.levels)
-        series = loss_series(kind, test_values, fc.levels, test_years,
-                             countries=test.ids, granularity=granularity)
-        return kind, value, series, fc
-
-    kinds = list(weight_map)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, kinds))
-    else:
-        rows = [run_one(kind) for kind in kinds]
-
     fn: dict[str, float] = {}
     losses: dict[str, LossSeries] = {}
     forecasts: dict[str, ForecastPanel] = {}
-    for kind, value, series, fc in rows:
-        fn[kind] = value
-        losses[kind] = series
+    for kind, weights in weight_builder(train).items():
+        fc = forecast(fit_star(train, weights), train, horizon)
+        fn[kind] = frobenius_norm(test_values, fc.levels)
+        losses[kind] = loss_series(kind, test_values, fc.levels, test_years,
+                                   countries=test.ids, granularity=granularity)
         forecasts[kind] = fc
     return OosResult(origin_year=origin_year, horizon=horizon, fn=fn,
                      losses=losses, forecasts=forecasts)

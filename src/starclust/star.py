@@ -4,16 +4,20 @@ Each country i gets its own OLS equation on the differenced series x = dy:
 
     x_{i,t} = c_i + phi_i x_{i,t-1} + psi_i sum_j w_ij x_{j,t-1} + e_{i,t}
 
-estimated equation by equation. Countries whose weight row is zero drop the
-spatial term and reduce to a univariate AR(1) on differences. Fitted levels
-add the predicted difference to the previous observed level; forecasts iterate
-the difference equation deterministically and integrate from the last
-observed level.
+The N equations are estimated together: their designs are stacked into one
+N x (T-2) x 3 array, a boolean mask marks the columns each country keeps, and
+every column pattern is solved by one batched SVD. Countries whose weight row
+is zero never carry the spatial term and reduce to a univariate AR(1) on
+differences. Fitted levels add the predicted difference to the previous
+observed level; forecasts iterate the difference equation deterministically
+and integrate from the last observed level.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -40,34 +44,47 @@ class EquationFit:
             raise ValidationError(f"negative residual variance for {self.country}")
 
 
+# Removed regressors by code: 1 = spatial term dropped, 2 = temporal term dropped.
+_DROPPED = ((), ("spatial",), ("temporal",), ("spatial", "temporal"))
+
+
 @dataclass(frozen=True)
 class StarModel:
-    equations: dict[str, EquationFit]
+    """Coefficient arrays in weight-label order.
+
+    psi is 0 where has_psi is False (a zero weight row or a dropped spatial
+    term); dropped holds each country's removed regressor names.
+    """
+
     weights: WeightMatrix
     train_span: tuple[int, int]
+    c: np.ndarray
+    phi: np.ndarray
+    psi: np.ndarray
+    has_psi: np.ndarray
+    sigma2: np.ndarray
+    dropped: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "equations", dict(self.equations))
-        if set(self.equations) != set(self.weights.labels):
-            raise ValidationError("equations do not match weight matrix labels")
+        n = len(self.weights.labels)
+        arrays = (self.c, self.phi, self.psi, self.has_psi, self.sigma2)
+        if any(np.shape(a) != (n,) for a in arrays) or len(self.dropped) != n:
+            raise ValidationError("coefficient arrays do not match weight matrix labels")
 
-    def coefficient_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(c, phi, psi) in weight-label order, absent psi encoded as 0."""
-        order = self.weights.labels
-        c = np.array([self.equations[i].c for i in order])
-        phi = np.array([self.equations[i].phi for i in order])
-        psi = np.array([0.0 if self.equations[i].psi is None else self.equations[i].psi
-                        for i in order])
-        return c, phi, psi
+    @cached_property
+    def equations(self) -> dict[str, EquationFit]:
+        """The arrays as one EquationFit per country id."""
+        rows = zip(self.weights.labels, self.c.tolist(), self.phi.tolist(),
+                   self.psi.tolist(), self.has_psi.tolist(), self.sigma2.tolist(),
+                   self.dropped)
+        return {cid: EquationFit(country=cid, c=c, phi=phi, psi=psi if has else None,
+                                 sigma2=sigma2, dropped=dropped)
+                for cid, c, phi, psi, has, sigma2, dropped in rows}
 
     def nonstationary_countries(self) -> tuple[str, ...]:
         """Countries whose difference equation has |phi| + |psi| >= 1."""
-        flagged = []
-        for cid, eq in sorted(self.equations.items()):
-            total = abs(eq.phi) + (0.0 if eq.psi is None else abs(eq.psi))
-            if total >= 1.0:
-                flagged.append(cid)
-        return tuple(flagged)
+        flagged = np.abs(self.phi) + np.abs(self.psi) >= 1.0
+        return tuple(sorted(compress(self.weights.labels, flagged.tolist())))
 
 
 @dataclass(frozen=True)
@@ -113,12 +130,18 @@ def _spatial_lags(weights: WeightMatrix, diffs: np.ndarray) -> np.ndarray:
 
 
 def fit_star(panel: TemperaturePanel, weights: WeightMatrix) -> StarModel:
-    """Estimate the per-country difference equations by OLS.
+    """Estimate the per-country difference equations by OLS, all at once.
 
-    Usable rows run over t = 3..T of the level panel (T - 2 equations rows):
-    differencing consumes the first year and the lag the second. A singular
-    design (e.g. a constant spatial lag) drops the offending regressor, spatial
-    term first, and records what was removed.
+    Usable rows run over t = 3..T of the level panel (T - 2 equation rows):
+    differencing consumes the first year and the lag the second. The designs
+    are stacked as N x (T-2) x 3 (constant, own lag, spatial lag) and a mask
+    marks each country's kept columns; a zero weight row starts without the
+    spatial lag. Each column pattern, widest first, gets one batched SVD whose
+    singular values give the rank (with numpy.linalg.matrix_rank's tolerance)
+    and, where the rank equals the kept columns, the least-squares solution.
+    A singular design (e.g. a constant spatial lag) drops the offending
+    regressor, spatial term first, moves to the next pattern, and records
+    what was removed.
     """
     if tuple(weights.labels) != tuple(panel.ids):
         raise ValidationError("weight matrix labels must match panel id order")
@@ -126,64 +149,52 @@ def fit_star(panel: TemperaturePanel, weights: WeightMatrix) -> StarModel:
         raise ValidationError(f"need at least 4 years to fit, got {panel.n_years}")
 
     diffs = panel_differences(panel)      # N x (T-1), columns are years[1:]
+    overflow = np.flatnonzero(~np.isfinite(diffs).all(axis=1))
+    if overflow.size:
+        raise NumericalError(f"non-finite differences for {panel.ids[overflow[0]]}")
     spatial = _spatial_lags(weights, diffs)
     response = diffs[:, 1:]               # x_t  for t = 3..T
     own_lag = diffs[:, :-1]               # x_{t-1}
     spatial_lag = spatial[:, :-1]         # sum_j w_ij x_{j,t-1}
-    zero_row = weights.values.sum(axis=1) == 0.0
+    n_rows = response.shape[1]
+    design = np.stack([np.ones_like(response), own_lag, spatial_lag], axis=2)
+    weighted = weights.values.sum(axis=1) != 0.0
 
-    equations: dict[str, EquationFit] = {}
-    for i, cid in enumerate(panel.ids):
-        y = response[i]
-        columns: list[tuple[str, np.ndarray]] = [("const", np.ones_like(y)),
-                                                 ("temporal", own_lag[i])]
-        if not zero_row[i]:
-            columns.append(("spatial", spatial_lag[i]))
-        names, coefs, dropped = _ols_with_fallback(cid, columns, y)
-        lookup = dict(zip(names, coefs))
-        resid = y - _predict(columns, names, lookup)
-        dof = len(y) - len(names)
-        sigma2 = float(resid @ resid) / dof if dof > 0 else float(resid @ resid) / len(y)
-        psi = lookup.get("spatial") if not zero_row[i] and "spatial" in lookup else None
-        equations[cid] = EquationFit(country=cid,
-                                     c=float(lookup.get("const", 0.0)),
-                                     phi=float(lookup.get("temporal", 0.0)),
-                                     psi=None if psi is None else float(psi),
-                                     sigma2=sigma2,
-                                     dropped=tuple(dropped))
-    return StarModel(equations=equations, weights=weights,
-                     train_span=(panel.years[0], panel.years[-1]))
+    keep = np.ones((panel.n_countries, 3), dtype=bool)
+    keep[:, 2] = weighted
+    coefs = np.zeros((panel.n_countries, 3))
+    degenerate = np.zeros(panel.n_countries, dtype=bool)
+    for width in (3, 2, 1):
+        rows = np.flatnonzero(keep.sum(axis=1) == width)
+        if rows.size == 0:
+            continue
+        u, s, vh = np.linalg.svd(design[rows, :, :width], full_matrices=False)
+        tol = s.max(axis=1, keepdims=True) * max(n_rows, width) * np.finfo(float).eps
+        # Compare with the kept columns: T = 4 gives 2 singular values for 3.
+        full = np.count_nonzero(s > tol, axis=1) == width
+        if width > 1:   # drop the last kept column: spatial, then temporal
+            keep[rows[~full], width - 1] = False
+        else:
+            degenerate[rows[~full]] = True
+        solved = rows[full]
+        scaled = np.einsum("nmk,nm->nk", u[full], response[solved]) / s[full]
+        coefs[solved, :width] = np.einsum("nkj,nk->nj", vh[full], scaled)
 
-
-def _ols_with_fallback(cid: str, columns: list[tuple[str, np.ndarray]],
-                       y: np.ndarray) -> tuple[list[str], np.ndarray, list[str]]:
-    """Least squares, dropping the spatial then the temporal regressor on
-    rank deficiency rather than returning an arbitrary minimum-norm solution."""
-    drop_order = ("spatial", "temporal")
-    kept = list(columns)
-    dropped: list[str] = []
-    while True:
-        design = np.column_stack([col for _, col in kept])
-        if np.linalg.matrix_rank(design) == design.shape[1]:
-            coefs, *_ = np.linalg.lstsq(design, y, rcond=None)
-            if not np.all(np.isfinite(coefs)):
-                raise NumericalError(f"non-finite coefficients for {cid}")
-            return [name for name, _ in kept], coefs, dropped
-        candidates = [name for name in drop_order if any(n == name for n, _ in kept)]
-        if not candidates:
+    faults = np.flatnonzero(degenerate | ~np.isfinite(coefs).all(axis=1))
+    if faults.size:
+        cid = panel.ids[faults[0]]
+        if degenerate[faults[0]]:
             raise NumericalError(f"design matrix for {cid} is degenerate beyond repair")
-        victim = candidates[0]
-        kept = [(n, col) for n, col in kept if n != victim]
-        dropped.append(victim)
+        raise NumericalError(f"non-finite coefficients for {cid}")
 
-
-def _predict(columns: list[tuple[str, np.ndarray]], names: list[str],
-             lookup: dict[str, float]) -> np.ndarray:
-    total = np.zeros_like(columns[0][1])
-    for name, col in columns:
-        if name in names:
-            total = total + lookup[name] * col
-    return total
+    c, phi, psi = coefs.T.copy()
+    resid = response - (c[:, None] + phi[:, None] * own_lag + psi[:, None] * spatial_lag)
+    dof = n_rows - keep.sum(axis=1)
+    sigma2 = np.einsum("nm,nm->n", resid, resid) / np.where(dof > 0, dof, n_rows)
+    codes = (weighted & ~keep[:, 2]) + 2 * ~keep[:, 1]
+    return StarModel(weights=weights, train_span=(panel.years[0], panel.years[-1]),
+                     c=c, phi=phi, psi=psi, has_psi=keep[:, 2], sigma2=sigma2,
+                     dropped=tuple(_DROPPED[code] for code in codes.tolist()))
 
 
 def fitted_levels(model: StarModel, panel: TemperaturePanel) -> FittedPanel:
@@ -192,7 +203,7 @@ def fitted_levels(model: StarModel, panel: TemperaturePanel) -> FittedPanel:
         raise ValidationError("model weight labels must match panel id order")
     diffs = panel_differences(panel)
     spatial = _spatial_lags(model.weights, diffs)
-    c, phi, psi = model.coefficient_arrays()
+    c, phi, psi = model.c, model.phi, model.psi
     pred_diffs = c[:, None] + phi[:, None] * diffs[:, :-1] + psi[:, None] * spatial[:, :-1]
     prev_levels = panel.values[:, 1:-1]
     return FittedPanel(countries=panel.ids,
@@ -211,7 +222,7 @@ def forecast(model: StarModel, panel: TemperaturePanel, horizon: int) -> Forecas
         raise ValidationError(f"forecast horizon must be at least 1, got {horizon}")
     if tuple(model.weights.labels) != tuple(panel.ids):
         raise ValidationError("model weight labels must match panel id order")
-    c, phi, psi = model.coefficient_arrays()
+    c, phi, psi = model.c, model.phi, model.psi
     weights = model.weights.values
     current = panel_differences(panel)[:, -1]
     steps = []

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: explicit normal equations, O(K^3)
 linkage re-scans over the raw distance matrix, brute-force distance loops,
 pure-Python forecast recursions, a bootstrap that materialises the full
-reps x periods index matrix, and a row-by-row panel CSV reader.
+reps x periods index matrix, a row-by-row panel CSV reader, and a STAR fit
+that solves one country's equation at a time.
 """
 from __future__ import annotations
 
@@ -14,9 +15,12 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from starclust.errors import ValidationError
+from starclust.errors import NumericalError, ValidationError
 from starclust.panel import (_LONG_HEADER, _META_COLUMNS, TemperaturePanel,
                              _meta_from_strings, _parse_temperature, detect_format)
+from starclust.star import EquationFit
+from starclust.trends import panel_differences
+from starclust.weights import WeightMatrix
 
 
 def ols_normal_equations(design: np.ndarray, response: np.ndarray) -> np.ndarray:
@@ -348,3 +352,82 @@ def load_panel_rows(path: str | Path, fmt: str = "auto") -> TemperaturePanel:
     if fmt == "long":
         return _load_long(header, rows)
     return _load_wide(header, rows)
+
+
+# Country-by-country STAR fit: `fit_star`, `_ols_with_fallback` and `_predict`
+# as the package had them before the equations were solved as one batch
+# (verbatim, except that the loop returns its equations instead of a model and
+# forms the spatial lags inline).
+
+def loop_fit_star(panel: TemperaturePanel, weights: WeightMatrix) -> dict[str, EquationFit]:
+    """Estimate the per-country difference equations by OLS, one at a time.
+
+    Usable rows run over t = 3..T of the level panel (T - 2 equations rows):
+    differencing consumes the first year and the lag the second. A singular
+    design (e.g. a constant spatial lag) drops the offending regressor, spatial
+    term first, and records what was removed.
+    """
+    if tuple(weights.labels) != tuple(panel.ids):
+        raise ValidationError("weight matrix labels must match panel id order")
+    if panel.n_years < 4:
+        raise ValidationError(f"need at least 4 years to fit, got {panel.n_years}")
+
+    diffs = panel_differences(panel)      # N x (T-1), columns are years[1:]
+    spatial = weights.values @ diffs
+    response = diffs[:, 1:]               # x_t  for t = 3..T
+    own_lag = diffs[:, :-1]               # x_{t-1}
+    spatial_lag = spatial[:, :-1]         # sum_j w_ij x_{j,t-1}
+    zero_row = weights.values.sum(axis=1) == 0.0
+
+    equations: dict[str, EquationFit] = {}
+    for i, cid in enumerate(panel.ids):
+        y = response[i]
+        columns: list[tuple[str, np.ndarray]] = [("const", np.ones_like(y)),
+                                                 ("temporal", own_lag[i])]
+        if not zero_row[i]:
+            columns.append(("spatial", spatial_lag[i]))
+        names, coefs, dropped = _ols_with_fallback(cid, columns, y)
+        lookup = dict(zip(names, coefs))
+        resid = y - _predict(columns, names, lookup)
+        dof = len(y) - len(names)
+        sigma2 = float(resid @ resid) / dof if dof > 0 else float(resid @ resid) / len(y)
+        psi = lookup.get("spatial") if not zero_row[i] and "spatial" in lookup else None
+        equations[cid] = EquationFit(country=cid,
+                                     c=float(lookup.get("const", 0.0)),
+                                     phi=float(lookup.get("temporal", 0.0)),
+                                     psi=None if psi is None else float(psi),
+                                     sigma2=sigma2,
+                                     dropped=tuple(dropped))
+    return equations
+
+
+def _ols_with_fallback(cid: str, columns: list[tuple[str, np.ndarray]],
+                       y: np.ndarray) -> tuple[list[str], np.ndarray, list[str]]:
+    """Least squares, dropping the spatial then the temporal regressor on
+    rank deficiency rather than returning an arbitrary minimum-norm solution."""
+    drop_order = ("spatial", "temporal")
+    kept = list(columns)
+    dropped: list[str] = []
+    while True:
+        design = np.column_stack([col for _, col in kept])
+        if np.linalg.matrix_rank(design) == design.shape[1]:
+            coefs, *_ = np.linalg.lstsq(design, y, rcond=None)
+            if not np.all(np.isfinite(coefs)):
+                raise NumericalError(f"non-finite coefficients for {cid}")
+            return [name for name, _ in kept], coefs, dropped
+        candidates = [name for name in drop_order if any(n == name for n, _ in kept)]
+        if not candidates:
+            raise NumericalError(f"design matrix for {cid} is degenerate beyond repair")
+        victim = candidates[0]
+        kept = [(n, col) for n, col in kept if n != victim]
+        dropped.append(victim)
+
+
+def _predict(columns: list[tuple[str, np.ndarray]], names: list[str],
+             lookup: dict[str, float]) -> np.ndarray:
+    total = np.zeros_like(columns[0][1])
+    for name, col in columns:
+        if name in names:
+            total = total + lookup[name] * col
+    return total
+

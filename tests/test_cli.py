@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,18 +302,22 @@ class TestEvaluate:
         assert "runs past the panel end 1990" in captured.err
 
 
+def _losses_text():
+    """Dominance setup: one model's losses sit a unit above the other's."""
+    rng = np.random.default_rng(0)
+    lines = ["model,period,loss"]
+    for t in range(20):
+        base = float(rng.normal(1.0, 0.05))
+        lines.append(f"good,{2000 + t},{base}")
+        lines.append(f"bad,{2000 + t},{base + 1.0 + float(rng.normal(0, 0.01))}")
+    return "\n".join(lines) + "\n"
+
+
 class TestMcs:
     @pytest.fixture()
     def losses_csv(self, tmp_path):
-        """Dominance setup: one model's losses sit a unit above the other's."""
-        rng = np.random.default_rng(0)
-        lines = ["model,period,loss"]
-        for t in range(20):
-            base = float(rng.normal(1.0, 0.05))
-            lines.append(f"good,{2000 + t},{base}")
-            lines.append(f"bad,{2000 + t},{base + 1.0 + float(rng.normal(0, 0.01))}")
         path = tmp_path / "losses.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(_losses_text(), encoding="utf-8")
         return path
 
     def test_from_losses_csv(self, losses_csv, tmp_path, capsys):
@@ -364,6 +369,14 @@ class TestMcs:
         assert rc == 2
         assert f"{path}:2: bad loss 'oops'" in captured.err
 
+    def test_losses_row_shorter_than_header(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("model,period,loss\ngood,2000,1.0\n\ngood,2001\nbad\n")
+        rc = main(["mcs", "--losses", str(path), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{path}:4: missing loss" in captured.err
+
     def test_losses_needs_columns(self, tmp_path, capsys):
         path = tmp_path / "cols.csv"
         path.write_text("model,year,value\ngood,2000,1.0\n")
@@ -391,6 +404,17 @@ class TestConfigResolution:
         captured = capsys.readouterr()
         assert rc == 2
         assert "panel file not found: /nonexistent/panel.csv" in captured.err
+
+    def test_workers_flag_and_key_are_unknown(self, dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["evaluate", "--workers", "2"], dataset, tmp_path)
+        assert excinfo.value.code == 2
+        config = tmp_path / "workers.yaml"
+        config.write_text(dataset["config"].read_text() + "workers: 2\n")
+        rc = main(["evaluate", "--config", str(config), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "unknown config key 'workers'" in captured.err
 
     def test_data_flag_beats_config_file(self, dataset, tmp_path, capsys):
         rc = main(["trends", "--config", str(dataset["config"]),
@@ -435,6 +459,25 @@ class TestMalformedInputs:
         result = self.run_cli("trends", "--data", str(dataset["panel"]),
                               "--zones", str(zones), "--out", str(tmp_path))
         self.assert_clean_exit_2(result, "line 2: expected 3 columns, got 2")
+
+    def test_short_losses_row(self, tmp_path):
+        losses = tmp_path / "losses.csv"
+        losses.write_text("model,period,loss\na,1,0.5\na,2\nb,1,0.7\nb,2,0.8\n",
+                          encoding="utf-8")
+        result = self.run_cli("mcs", "--losses", str(losses), "--out", str(tmp_path))
+        self.assert_clean_exit_2(result, f"{losses}:3: missing loss")
+
+    def test_overflowing_differences_exit_3(self, dataset, tmp_path):
+        # Finite levels whose first difference overflows to inf.
+        panel = tmp_path / "panel.csv"
+        panel.write_text(dataset["panel"].read_text(encoding="utf-8")
+                         .replace("C04,1960,", "C04,1960,1.7e308,")
+                         .replace("C04,1961,", "C04,1961,-1.7e308,"), encoding="utf-8")
+        result = self.run_cli("fit", "--kind", "NN", "--data", str(panel),
+                              "--adjacency", str(dataset["adjacency"]), "--out", str(tmp_path))
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "non-finite differences for C04" in result.stderr
 
     def test_uncreatable_output_directory(self, dataset, tmp_path):
         blocker = tmp_path / "blocker"
@@ -491,9 +534,22 @@ def _edit(text: str, op: str, at: int, junk: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _main_on_files(argv):
+    """Exit code and stderr of `main`. Mutated inputs can make an MCS pair
+    degenerate, so its zero-variance warning is ignored; any other
+    RuntimeWarning still fails the test."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="zero bootstrap variance",
+                                category=RuntimeWarning)
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
 class TestMalformedFuzz:
-    """Mutated panel, zones, adjacency and YAML inputs end in exit 0, 2 or 3
-    from `main`, never in an escaped exception or a traceback."""
+    """Mutated panel, zones, adjacency, YAML and losses inputs end in exit 0,
+    2 or 3 from `main`, never in an escaped exception or a traceback."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_FILES), st.sampled_from(_EDITS),
@@ -511,9 +567,24 @@ class TestMalformedFuzz:
                 texts[name] = _edit(texts[name], op, at, junk)
             for name in _FILES:
                 paths[name].write_text(texts[name], encoding="utf-8")
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(["evaluate", "--config", str(paths["config"]),
-                             "--zones", str(paths["zones"]), "--out", str(root / "out")])
-        assert code in (0, 2, 3), stderr.getvalue()
-        assert "Traceback" not in stderr.getvalue()
+            code, stderr = _main_on_files(
+                ["evaluate", "--config", str(paths["config"]),
+                 "--zones", str(paths["zones"]), "--out", str(root / "out")])
+        assert code in (0, 2, 3), stderr
+        assert "Traceback" not in stderr
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_EDITS), st.integers(0, 10**6),
+                              st.sampled_from(_JUNK)),
+                    min_size=1, max_size=3))
+    def test_mcs_on_mutated_losses(self, edits):
+        text = _losses_text()
+        for op, at, junk in edits:
+            text = _edit(text, op, at, junk)
+        with tempfile.TemporaryDirectory() as tmp:
+            losses = Path(tmp) / "losses.csv"
+            losses.write_text(text, encoding="utf-8")
+            code, stderr = _main_on_files(["mcs", "--losses", str(losses), "--reps", "200",
+                                           "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3), stderr
+        assert "Traceback" not in stderr

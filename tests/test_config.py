@@ -63,7 +63,6 @@ class TestValidation:
         ("mcs_block", 0, "mcs_block"),
         ("mcs_statistic", "max", "mcs_statistic"),
         ("granularity", "daily", "granularity"),
-        ("workers", 0, "workers"),
     ])
     def test_out_of_range_rejected(self, field, value, match):
         cfg = RunConfig(**{field: value})

@@ -143,19 +143,6 @@ class TestOosExperiment:
         with pytest.raises(ValidationError, match="past the panel end"):
             oos_experiment(panel, builder, origin_year=2005, horizon=50)
 
-    def test_workers_agree_with_serial(self):
-        labels = tuple(f"C{i:02d}" for i in range(6))
-        levels = simulate_star(6, 30, c=0.0, phi=0.3, psi=0.2,
-                               weights=ring(labels).values, seed=4, sigma=0.5)
-        panel = make_panel(levels, first_year=1980, ids=list(labels))
-        builder = fixed_weight_builder({
-            "NN": ring(labels),
-            "dB": ring(labels, kind="dB"),
-        })
-        serial = oos_experiment(panel, builder, 1999, 5, workers=1)
-        threaded = oos_experiment(panel, builder, 1999, 5, workers=4)
-        assert serial.fn == threaded.fn
-
     def test_true_weights_win_on_their_own_dgp(self):
         # Monte Carlo: data generated with ring weights; the model using the
         # generating weights should beat a mis-specified alternative on
@@ -414,9 +401,11 @@ class TestStreamingBootstrap:
 
 class TestReports:
     def build(self):
+        # b = a + 1 exactly: the pair is degenerate on purpose.
         losses = [loss("a", np.array([1.0, 2.0, 1.5])),
                   loss("b", np.array([2.0, 3.0, 2.5]))]
-        m = mcs(losses, reps=200, seed=0)
+        with pytest.warns(RuntimeWarning, match="zero bootstrap variance"):
+            m = mcs(losses, reps=200, seed=0)
         oos_stub = type("S", (), {"fn": {"a": 4.5, "b": 7.5}})()
         return build_report({"a": 10.0, "b": 12.0}, oos_stub, m)
 

@@ -2,14 +2,15 @@
 import numpy as np
 import pytest
 
-from starclust import (EquationFit, NumericalError, StarModel, ValidationError,
-                       WeightMatrix, first_differences, fit_star, fitted_levels,
-                       forecast)
+from starclust import (KINDS, EquationFit, StarModel, ValidationError,
+                       WeightMatrix, build_weights, first_differences, fit_star,
+                       fitted_levels, forecast)
+from starclust.panel import split_panel
 from starclust.star import write_coefficients_csv, write_level_csv
-from conftest import make_panel
+from conftest import dyadic, make_panel
 
-from _oracles import (hand_forecast, ols_normal_equations, scalar_ar1_forecast,
-                      simulate_star)
+from _oracles import (hand_forecast, loop_fit_star, ols_normal_equations,
+                      scalar_ar1_forecast, simulate_star)
 
 
 def zero_weights(labels):
@@ -39,7 +40,7 @@ class TestFitStar:
                                weights=w.values, seed=38, sigma=0.5)
         panel = make_panel(levels, first_year=1, ids=list(labels))
         model = fit_star(panel, w)
-        c, phi, psi = model.coefficient_arrays()
+        c, phi, psi = model.c, model.phi, model.psi
         assert np.all(np.abs(c - 0.0) < 0.05)
         assert np.all(np.abs(phi - 0.4) < 0.05)
         assert np.all(np.abs(psi - 0.3) < 0.05)
@@ -155,20 +156,59 @@ class TestFitStar:
             assert eq.dropped and eq.dropped[0] == "spatial"
             assert eq.psi is None
 
-    def test_rank_deficient_design_records_drop(self):
+    def test_rank_deficient_design_records_drop(self, ring_weights):
         # A constant difference series makes the temporal lag collinear with
         # the intercept; with zero weights the spatial term is already absent.
-        labels = ("a", "b")
+        # With nonzero weights over constant differences the spatial lag is
+        # constant too, so both regressors go, spatial first.
         t = 12
         base = np.linspace(0.0, 11.0, t)  # constant diff = 1
-        panel = make_panel(np.vstack([base, base + 3.0]), ids=list(labels))
-        model = fit_star(panel, zero_weights(labels))
-        for cid in labels:
+        cases = [
+            (("a", "b"), [base, base + 3.0], zero_weights(("a", "b")),
+             ("temporal",), [1.0, 1.0]),
+            (("a", "b", "c"), [base, 2.0 * base + 3.0, -base],
+             ring_weights(3, ("a", "b", "c")), ("spatial", "temporal"),
+             [1.0, 2.0, -1.0]),
+        ]
+        for labels, rows, weights, dropped, constant_diffs in cases:
+            panel = make_panel(np.vstack(rows), ids=list(labels))
+            model = fit_star(panel, weights)
+            for cid, diff in zip(labels, constant_diffs):
+                eq = model.equations[cid]
+                assert eq.psi is None
+                assert eq.dropped == dropped
+                assert eq.phi == 0.0
+                assert eq.c == pytest.approx(diff)
+
+    @pytest.mark.parametrize("n_years", [4, 5])
+    def test_shortest_panels_rank_edges(self, ring_weights, n_years):
+        # T = 4 leaves 2 equation rows for 3 regressors: the spatial term is
+        # dropped, the remaining 2 x 2 design fits exactly with no degrees of
+        # freedom, and sigma2 falls back to rss / (T - 2). T = 5 is full rank.
+        rng = np.random.default_rng(16)
+        labels = tuple(f"C{i}" for i in range(5))
+        panel = make_panel(rng.normal(10, 2, (5, n_years)), ids=list(labels))
+        w = ring_weights(5, labels)
+        model = fit_star(panel, w)
+        diffs = np.diff(panel.values, axis=1)
+        spatial = w.values @ diffs
+        for i, cid in enumerate(labels):
             eq = model.equations[cid]
-            assert eq.psi is None
-            assert eq.dropped == ("temporal",)
-            assert eq.phi == 0.0
-            assert eq.c == pytest.approx(1.0)
+            columns = [np.ones(n_years - 2), diffs[i, :-1]]
+            if n_years == 4:
+                assert eq.dropped == ("spatial",)
+                assert eq.psi is None
+            else:
+                assert eq.dropped == ()
+                assert eq.psi is not None
+                columns.append(spatial[i, :-1])
+            design = np.column_stack(columns)
+            beta = np.linalg.solve(design, diffs[i, 1:])
+            coefs = [eq.c, eq.phi] + ([] if eq.psi is None else [eq.psi])
+            assert np.allclose(coefs, beta, rtol=1e-8, atol=1e-10)
+            resid = diffs[i, 1:] - design @ np.array(coefs)
+            assert eq.sigma2 == pytest.approx(resid @ resid / (n_years - 2),
+                                              rel=1e-6, abs=1e-24)
 
     def test_labels_must_match_panel(self, ring_weights):
         panel = make_panel(np.random.default_rng(0).random((3, 10)),
@@ -189,13 +229,90 @@ class TestFitStar:
             EquationFit(country="a", c=0.0, phi=0.1, psi=None, sigma2=-1.0)
 
 
+def model_from(weights, c, phi, psi, train_span=(1990, 2000)):
+    """StarModel from per-country coefficient lists; a psi of None is absent."""
+    n = len(psi)
+    return StarModel(weights=weights, train_span=train_span,
+                     c=np.asarray(c, dtype=float), phi=np.asarray(phi, dtype=float),
+                     psi=np.array([0.0 if p is None else p for p in psi]),
+                     has_psi=np.array([p is not None for p in psi]),
+                     sigma2=np.ones(n), dropped=((),) * n)
+
+
+def mixed_panel(rng, n_years):
+    """Panel and weights in which every column pattern occurs in one fit.
+
+    Dyadic levels and slopes keep constant differences exact, and the weights
+    on linear units are 1, so constant spatial lags are exact too.
+    """
+    roles = (["full"] * 6 + ["zero"] * 2 + ["zero_linear"] + ["linear"] * 2
+             + ["spatial_dropped"] * 2)
+    rng.shuffle(roles)
+    n = len(roles)
+    values = dyadic(rng, (n, n_years), low=-5.0, high=25.0)
+    linear = [i for i, role in enumerate(roles) if role.endswith("linear")]
+    for i in linear:
+        values[i] = values[i, 0] + rng.integers(-64, 65) / 64 * np.arange(n_years)
+    noisy = [i for i, role in enumerate(roles) if role in ("full", "zero")]
+    pair = [i for i, role in enumerate(roles) if role == "linear"]
+    w = np.zeros((n, n))
+    for i, role in enumerate(roles):
+        if role == "full":
+            others = rng.choice([j for j in noisy if j != i], size=3, replace=False)
+            share = rng.random(3) + 0.1
+            w[i, others] = share / share.sum()
+        elif role == "linear":
+            w[i, pair[1] if i == pair[0] else pair[0]] = 1.0   # both dropped
+        elif role == "spatial_dropped":
+            w[i, pair[0]] = 1.0                                 # constant spatial lag
+    labels = tuple(f"U{i:02d}" for i in range(n))
+    return (make_panel(values, ids=list(labels)),
+            WeightMatrix(kind="NN", labels=labels, values=w))
+
+
+def assert_matches_loop(model, want):
+    assert list(model.equations) == list(want)
+    for cid, ref in want.items():
+        eq = model.equations[cid]
+        assert eq.dropped == ref.dropped, cid
+        assert (eq.psi is None) == (ref.psi is None), cid
+        got = [eq.c, eq.phi, 0.0 if eq.psi is None else eq.psi, eq.sigma2]
+        exp = [ref.c, ref.phi, 0.0 if ref.psi is None else ref.psi, ref.sigma2]
+        np.testing.assert_allclose(got, exp, rtol=1e-10, atol=1e-12, err_msg=cid)
+
+
+class TestLoopParity:
+    """The batched fit against the country-by-country loop it replaced."""
+
+    @pytest.mark.parametrize("n_years", [4, 5, 6, 30, 122])
+    def test_mixed_panels_match_loop(self, n_years):
+        seen = set()
+        for seed in range(10):
+            panel, w = mixed_panel(np.random.default_rng([n_years, seed]), n_years)
+            want = loop_fit_star(panel, w)
+            assert_matches_loop(fit_star(panel, w), want)
+            seen |= {(eq.dropped, eq.psi is None) for eq in want.values()}
+        patterns = {((), True), (("temporal",), True), (("spatial",), True),
+                    (("spatial", "temporal"), True)}
+        if n_years > 4:
+            patterns.add(((), False))   # at T = 4 every weighted design drops psi
+        assert seen == patterns
+
+    def test_benchmark_panel_all_kinds(self, synthetic_panel, synthetic_adjacency):
+        train, _ = split_panel(synthetic_panel, 2000)
+        for panel in (synthetic_panel, train):
+            matrices = build_weights(panel, adjacency=synthetic_adjacency)
+            assert set(matrices) == set(KINDS)
+            for kind, w in matrices.items():
+                assert_matches_loop(fit_star(panel, w), loop_fit_star(panel, w))
+
+
 class TestStarModel:
     def build(self, psi_values, ring_weights):
         labels = tuple(f"C{i}" for i in range(len(psi_values)))
         w = ring_weights(len(labels), labels)
-        eqs = {cid: EquationFit(country=cid, c=0.0, phi=0.5, psi=p, sigma2=1.0)
-               for cid, p in zip(labels, psi_values)}
-        return StarModel(equations=eqs, weights=w, train_span=(1990, 2000))
+        n = len(labels)
+        return model_from(w, [0.0] * n, [0.5] * n, psi_values)
 
     def test_nonstationary_flags(self, ring_weights):
         model = self.build([0.6, 0.4, None], ring_weights)
@@ -204,15 +321,14 @@ class TestStarModel:
 
     def test_psi_none_encoded_as_zero(self, ring_weights):
         model = self.build([0.2, None, 0.1], ring_weights)
-        _, _, psi = model.coefficient_arrays()
-        assert np.all(psi == [0.2, 0.0, 0.1])
+        assert np.all(model.psi == [0.2, 0.0, 0.1])
+        assert [eq.psi for eq in model.equations.values()] == [0.2, None, 0.1]
 
     def test_equations_must_cover_labels(self, ring_weights):
         labels = ("a", "b", "c")
         w = ring_weights(3, labels)
-        eqs = {"a": EquationFit(country="a", c=0.0, phi=0.1, psi=0.0, sigma2=1.0)}
         with pytest.raises(ValidationError, match="do not match weight matrix"):
-            StarModel(equations=eqs, weights=w, train_span=(1990, 2000))
+            model_from(w, [0.0], [0.1], [0.0])
 
 
 class TestFittedLevels:
@@ -243,7 +359,7 @@ class TestForecast:
         w = ring_weights(n, labels)
         model = fit_star(panel, w)
         out = forecast(model, panel, horizon=1)
-        c, phi, psi = model.coefficient_arrays()
+        c, phi, psi = model.c, model.phi, model.psi
         last_diff = panel.values[:, -1] - panel.values[:, -2]
         step = c + phi * last_diff + psi * (w.values @ last_diff)
         assert np.allclose(out.diffs[:, 0], step, atol=1e-14)
@@ -259,7 +375,7 @@ class TestForecast:
         w = ring_weights(n, labels)
         model = fit_star(panel, w)
         out = forecast(model, panel, horizon=horizon)
-        c, phi, psi = model.coefficient_arrays()
+        c, phi, psi = model.c, model.phi, model.psi
         want = hand_forecast(c, phi, psi, w.values,
                              panel.values[:, -1] - panel.values[:, -2],
                              panel.values[:, -1], horizon)
@@ -282,9 +398,7 @@ class TestForecast:
     def test_all_zero_coefficients_flat_forecast(self, ring_weights):
         labels = ("a", "b", "c")
         w = ring_weights(3, labels)
-        eqs = {cid: EquationFit(country=cid, c=0.0, phi=0.0, psi=0.0, sigma2=1.0)
-               for cid in labels}
-        model = StarModel(equations=eqs, weights=w, train_span=(1990, 1999))
+        model = model_from(w, [0.0] * 3, [0.0] * 3, [0.0] * 3, train_span=(1990, 1999))
         panel = make_panel(np.random.default_rng(2).random((3, 10)),
                            ids=list(labels))
         out = forecast(model, panel, horizon=4)
