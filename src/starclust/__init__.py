@@ -12,15 +12,13 @@ from .evaluation import (EvaluationReport, LossSeries, McsReport, OosResult,
                          build_report, frobenius_norm, in_sample_fn, loss_series,
                          mcs, oos_experiment)
 from .panel import (AdjacencyList, CountryMeta, TemperaturePanel, attach_zones,
-                    load_adjacency, load_panel, split_panel, write_panel)
+                    load_adjacency, load_panel, split_panel)
 from .pipeline import (DEFAULT_K, SCHEMES, SchemeResult, build_weights,
-                       compute_scheme, fixed_weight_builder, scheme_features,
-                       weight_builder)
+                       compute_scheme, scheme_features, weight_builder)
 from .star import (EquationFit, FittedPanel, ForecastPanel, StarModel, fit_star,
                    fitted_levels, forecast)
-from .trends import (TrendFit, first_differences, fit_linear_trend,
-                     fit_panel_trends, panel_differences, sign_sequence,
-                     slope_significance, student_t_sf2)
+from .trends import (TrendFit, fit_linear_trend, fit_panel_trends,
+                     panel_differences, sign_sequence, student_t_sf2)
 from .weights import (KINDS, WeightMatrix, cluster_restricted_weights,
                       contiguity_weights, distance_weights)
 
@@ -36,12 +34,11 @@ __all__ = [
     "agglomerate", "attach_zones", "build_report", "build_weights",
     "cluster_restricted_weights", "cluster_summary", "compute_scheme",
     "config_from_dict", "contiguity_weights", "cross_tab", "cut",
-    "diff_distance", "distance_weights", "first_differences",
-    "fit_linear_trend", "fit_panel_trends", "fit_star", "fitted_levels",
-    "fixed_weight_builder", "forecast", "frobenius_norm", "hamming_distance",
-    "in_sample_fn", "load_adjacency", "load_config", "load_panel",
-    "loss_series", "mcs", "oos_experiment", "panel_differences",
-    "relabel_by_feature", "scheme_features", "sign_distance", "sign_sequence",
-    "slope_distance", "slope_significance", "split_panel", "student_t_sf2",
-    "weight_builder", "write_panel", "zone_cross_tab",
+    "diff_distance", "distance_weights", "fit_linear_trend",
+    "fit_panel_trends", "fit_star", "fitted_levels", "forecast",
+    "frobenius_norm", "hamming_distance", "in_sample_fn", "load_adjacency",
+    "load_config", "load_panel", "loss_series", "mcs", "oos_experiment",
+    "panel_differences", "relabel_by_feature", "scheme_features",
+    "sign_distance", "sign_sequence", "slope_distance", "split_panel",
+    "student_t_sf2", "weight_builder", "zone_cross_tab",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import clustering, evaluation, pipeline, star, trends, weights
 from .config import RunConfig, load_config
-from .errors import NumericalError, StarclustError, ValidationError
+from .errors import NumericalError, StarclustError, ValidationError, undecodable
 from .panel import (AdjacencyList, TemperaturePanel, attach_zones,
                     load_adjacency, load_panel, split_panel)
 
@@ -394,19 +394,25 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
     by_model: dict[str, list[tuple[str, float]]] = {}
     with p.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        columns = ("model", "period", "loss")
-        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
-            raise ValidationError(f"losses file needs columns {sorted(columns)}")
-        for row in reader:
-            line = reader.line_num  # physical line: blank lines are skipped
-            absent = [name for name in columns if row[name] is None]
-            if absent:
-                raise ValidationError(f"{p}:{line}: missing {' and '.join(absent)}")
-            try:
-                value = float(row["loss"])
-            except ValueError as exc:
-                raise ValidationError(f"{p}:{line}: bad loss {row['loss']!r}") from exc
-            by_model.setdefault(row["model"], []).append((row["period"], value))
+        try:
+            columns = ("model", "period", "loss")
+            if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+                raise ValidationError(f"losses file needs columns {sorted(columns)}")
+            for row in reader:
+                line = reader.line_num  # physical line: blank lines are skipped
+                absent = [name for name in columns if row[name] is None]
+                if absent:
+                    raise ValidationError(f"{p}:{line}: missing {' and '.join(absent)}")
+                try:
+                    value = float(row["loss"])
+                except ValueError as exc:
+                    raise ValidationError(f"{p}:{line}: bad loss {row['loss']!r}") from exc
+                by_model.setdefault(row["model"], []).append((row["period"], value))
+        except UnicodeDecodeError:
+            raise undecodable(p) from None
+        except csv.Error as exc:
+            # DictReader updates its own line_num only after a row parses.
+            raise ValidationError(f"{p}:{reader.reader.line_num}: {exc}") from None
     series = []
     for model, pairs in sorted(by_model.items()):
         series.append(evaluation.LossSeries(

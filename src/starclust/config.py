@@ -11,7 +11,7 @@ from typing import Any
 
 import yaml
 
-from .errors import ValidationError
+from .errors import ValidationError, undecodable
 
 _STATISTICS = ("SQ", "R")
 _GRANULARITIES = ("year", "observation")
@@ -141,7 +141,11 @@ def load_config(path: str | Path) -> RunConfig:
     if not p.is_file():
         raise ValidationError(f"config file not found: {p}")
     try:
-        raw = yaml.safe_load(p.read_text(encoding="utf-8"))
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise undecodable(p) from None
+    try:
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ValidationError(f"config file {p} is not valid YAML: {exc}") from exc
     if raw is None:

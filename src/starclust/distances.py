@@ -15,7 +15,11 @@ from .panel import TemperaturePanel
 from .trends import TrendFit, panel_differences, sign_sequence
 
 METRICS = ("slope", "diff", "hamming")
-_ROW_BLOCK = 32  # rows of pairwise gaps formed at once in diff_distance
+# Rows of pairwise gaps formed at once in diff_distance. A block's temporary
+# holds _ROW_BLOCK x K x (T-1) doubles: 3.1 MB at K = 800, T = 122, which
+# stays in cache, where 32 rows (24.8 MB) did not. Measured best of 1, 2, 4,
+# 8 and 32 rows at K = 168 and K = 800.
+_ROW_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -65,14 +69,22 @@ def slope_distance(trends: Sequence[TrendFit], ids: Sequence[str]) -> DistanceMa
 def diff_distance(panel: TemperaturePanel) -> DistanceMatrix:
     """Euclidean distance between the first-difference series of two countries.
 
-    The pairwise gaps are formed one block of rows at a time, so the temporary
-    tensor holds _ROW_BLOCK x K x (T-1) values instead of K x K x (T-1).
+    Only the upper triangle is formed: each block of _ROW_BLOCK rows is
+    compared with itself and the later rows, and the block is mirrored into
+    the lower triangle. The temporary holds at most _ROW_BLOCK x K x (T-1)
+    values. (b - a)**2 equals (a - b)**2 exactly and the sum over years runs
+    in the same order for every pair, so the matrix is bit for bit the one a
+    whole K x K x (T-1) tensor gives, and exactly symmetric.
     """
     diffs = panel_differences(panel)
-    values = np.empty((diffs.shape[0], diffs.shape[0]))
-    for start in range(0, diffs.shape[0], _ROW_BLOCK):
-        gaps = diffs[start:start + _ROW_BLOCK, None, :] - diffs[None, :, :]
-        values[start:start + _ROW_BLOCK] = np.sqrt(np.einsum("ijt,ijt->ij", gaps, gaps))
+    k = diffs.shape[0]
+    values = np.empty((k, k))
+    for start in range(0, k, _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        gaps = diffs[start:stop, None, :] - diffs[None, start:, :]
+        block = np.sqrt(np.einsum("ijt,ijt->ij", gaps, gaps))
+        values[start:stop, start:] = block
+        values[start:, start:stop] = block.T
     np.fill_diagonal(values, 0.0)
     return DistanceMatrix(metric="diff", labels=panel.ids, values=values)
 

@@ -1,4 +1,7 @@
 """Exception types shared across the package."""
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class StarclustError(Exception):
@@ -11,3 +14,19 @@ class ValidationError(StarclustError):
 
 class NumericalError(StarclustError):
     """Numerical failure: non-finite values, degenerate systems that cannot be recovered."""
+
+
+def undecodable(path: str | Path) -> ValidationError:
+    """The error for a file that is not valid UTF-8, naming its first bad byte.
+
+    Readers decode in chunks, so the offset a `UnicodeDecodeError` carries is
+    not a file position; the file is decoded again here to find the line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ValidationError(f"{path}:{line}: not valid UTF-8 "
+                               f"(byte 0x{data[exc.start]:02x})")
+    return ValidationError(f"{path}: not valid UTF-8")

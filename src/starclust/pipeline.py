@@ -24,7 +24,7 @@ from .distances import (DistanceMatrix, diff_distance, sign_distance,
                         slope_distance)
 from .errors import ValidationError
 from .panel import AdjacencyList, TemperaturePanel
-from .trends import TrendFit, first_differences, fit_panel_trends
+from .trends import TrendFit, fit_panel_trends, panel_differences
 from .weights import (KINDS, WeightMatrix, cluster_restricted_weights,
                       contiguity_weights, distance_weights)
 
@@ -85,7 +85,7 @@ def scheme_features(result: SchemeResult, panel: TemperaturePanel) -> dict[str, 
     if result.scheme == "A":
         assert result.trends is not None
         return {cid: fit.slope for cid, fit in result.trends.items()}
-    return {cid: first_differences(panel.row(cid)) for cid in panel.ids}
+    return dict(zip(panel.ids, panel_differences(panel)))
 
 
 def _scheme_of_kind(kind: str) -> str:
@@ -170,15 +170,3 @@ def weight_builder(kinds: Sequence[str] = KINDS,
         return build_weights(panel, kinds=kinds, adjacency=adjacency, **params)
     return build
 
-
-def fixed_weight_builder(weights: Mapping[str, WeightMatrix]
-                         ) -> Callable[[TemperaturePanel], dict[str, WeightMatrix]]:
-    """Builder that reuses full-sample weight matrices for any training slice."""
-    def build(panel: TemperaturePanel) -> dict[str, WeightMatrix]:
-        for kind, matrix in weights.items():
-            if tuple(matrix.labels) != tuple(panel.ids):
-                raise ValidationError(
-                    f"fixed weights for {kind} do not match the panel id order"
-                )
-        return dict(weights)
-    return build

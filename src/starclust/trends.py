@@ -150,27 +150,10 @@ def fit_linear_trend(series: np.ndarray, alpha: float = 0.05) -> TrendFit:
                     significant=p_value < alpha)
 
 
-def slope_significance(fit: TrendFit, alpha: float) -> bool:
-    """True iff the slope differs from zero at two-sided level `alpha`."""
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    return fit.p_value < alpha
-
-
 def fit_panel_trends(panel: TemperaturePanel, alpha: float = 0.05) -> dict[str, TrendFit]:
     """Fit a linear trend for every country; keys follow the panel ordering."""
     return {cid: fit_linear_trend(panel.values[i], alpha=alpha)
             for i, cid in enumerate(panel.ids)}
-
-
-def first_differences(series: np.ndarray) -> np.ndarray:
-    """Year-over-year changes: values[t] = series[t+1] - series[t], length T - 1."""
-    y = np.asarray(series, dtype=float)
-    if y.ndim != 1:
-        raise ValidationError("series must be one-dimensional")
-    if y.shape[0] < 2:
-        raise ValidationError("first differences need at least 2 observations")
-    return y[1:] - y[:-1]
 
 
 def panel_differences(panel: TemperaturePanel) -> np.ndarray:

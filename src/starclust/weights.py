@@ -68,7 +68,7 @@ class WeightMatrix:
 def contiguity_weights(adj: AdjacencyList, panel: TemperaturePanel) -> WeightMatrix:
     """1/m to each of a country's m adjacent neighbours, zero row if none."""
     ids = panel.ids
-    index = {cid: i for i, cid in enumerate(ids)}
+    index = panel.id_index
     values = np.zeros((len(ids), len(ids)))
     isolated = []
     for cid in ids:
@@ -109,7 +109,7 @@ def _similarity(dist: DistanceMatrix, panel: TemperaturePanel,
     np.fill_diagonal(sim, 0.0)
 
     full = np.zeros((n, n))
-    pos = {cid: i for i, cid in enumerate(panel.ids)}
+    pos = panel.id_index
     rows = [pos[lab] for lab in dist.labels if lab in pos]
     if len(rows) != dist.size:
         unknown = sorted(set(dist.labels) - set(panel.ids))

@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: explicit normal equations, O(K^3)
-linkage re-scans over the raw distance matrix, brute-force distance loops,
-pure-Python forecast recursions, a bootstrap that materialises the full
-reps x periods index matrix, a row-by-row panel CSV reader, and a STAR fit
-that solves one country's equation at a time.
+linkage re-scans over the raw distance matrix, brute-force distance loops, a
+differenced-series distance that forms both triangles, pure-Python forecast
+recursions, a bootstrap that materialises the full reps x periods index
+matrix, a row-by-row panel CSV reader, and a STAR fit that solves one
+country's equation at a time.
 """
 from __future__ import annotations
 
@@ -68,6 +69,18 @@ def brute_diff_distance(values: np.ndarray) -> np.ndarray:
                 acc += (diffs[i, t] - diffs[j, t]) ** 2
             out[i, j] = acc ** 0.5
     return out
+
+
+def square_diff_distance(panel: TemperaturePanel) -> np.ndarray:
+    """`diff_distance` as the package had it before only the upper triangle was
+    formed (verbatim): every ordered pair, 32 rows of gaps at a time."""
+    diffs = panel_differences(panel)
+    values = np.empty((diffs.shape[0], diffs.shape[0]))
+    for start in range(0, diffs.shape[0], 32):
+        gaps = diffs[start:start + 32, None, :] - diffs[None, :, :]
+        values[start:start + 32] = np.sqrt(np.einsum("ijt,ijt->ij", gaps, gaps))
+    np.fill_diagonal(values, 0.0)
+    return values
 
 
 def brute_hamming_distance(values: np.ndarray) -> np.ndarray:

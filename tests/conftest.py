@@ -9,9 +9,11 @@ the files are absent:
 """
 from __future__ import annotations
 
+import csv
 import importlib.util
 import os
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -98,6 +100,32 @@ def make_panel(values: np.ndarray, first_year: int = 1990,
     return TemperaturePanel(countries=countries,
                             years=tuple(range(first_year, first_year + t)),
                             values=values)
+
+
+def write_panel(panel: TemperaturePanel, path: str | Path, fmt: str = "long") -> None:
+    """Write a panel to CSV, long or wide, with full precision (round-trips bit-exactly)."""
+    meta_names = [name for name in ("name", "zone", "area")
+                  if any(getattr(c, name) is not None for c in panel.countries)]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if fmt == "long":
+            writer.writerow(["country", "year", "temperature"] + meta_names)
+        else:
+            writer.writerow(["country"] + meta_names + [str(y) for y in panel.years])
+        for country, row in zip(panel.countries, panel.values):
+            meta = {"name": country.name, "zone": country.zone,
+                    "area": None if country.area is None else repr(country.area)}
+            extra = [meta[name] or "" for name in meta_names]
+            if fmt == "long":
+                for year, value in zip(panel.years, row):
+                    writer.writerow([country.id, year, repr(float(value))] + extra)
+            else:
+                writer.writerow([country.id] + extra + [repr(float(v)) for v in row])
+
+
+def fixed_builder(weights: dict) -> Callable[[TemperaturePanel], dict]:
+    """Weight builder that hands back the same matrices for any training slice."""
+    return lambda panel: dict(weights)
 
 
 def dyadic(rng: np.random.Generator, shape, low: float = -90.0,

@@ -487,6 +487,39 @@ class TestMalformedInputs:
                               "--out", str(out))
         self.assert_clean_exit_2(result, f"cannot create output directory {out}")
 
+    @pytest.mark.parametrize("target", ["panel", "zones", "adjacency", "losses", "config"])
+    def test_non_utf8_input(self, dataset, tmp_path, target):
+        if target == "losses":
+            valid = b"model,period,loss\n" + b"".join(
+                b"m%d,%d,0.5\n" % (i % 2, i // 2) for i in range(2000))
+        else:
+            valid = dataset[target].read_bytes()
+        # A Latin-1 byte on the last line, past the reader's first decoded chunk
+        # wherever the file is longer than one.
+        lines = valid.splitlines(keepends=True)
+        lines[-1] = b"\xe9" + lines[-1]
+        bad = tmp_path / f"bad_{target}"
+        bad.write_bytes(b"".join(lines))
+        out = str(tmp_path / "out")
+        argv = {"panel": ["trends", "--data", str(bad)],
+                "zones": ["trends", "--data", str(dataset["panel"]), "--zones", str(bad)],
+                "adjacency": ["weights", "--kind", "NN", "--data", str(dataset["panel"]),
+                              "--adjacency", str(bad)],
+                "losses": ["mcs", "--losses", str(bad)],
+                "config": ["trends", "--config", str(bad)]}[target]
+        result = self.run_cli(*argv, "--out", out)
+        self.assert_clean_exit_2(result, f"{bad}:{len(lines)}: not valid UTF-8 (byte 0xe9)")
+
+    @pytest.mark.parametrize("header, command", [
+        (b"country,year,temperature\nA,1901,", ["trends", "--data"]),
+        (b"model,period,loss\na,1,", ["mcs", "--losses"]),
+    ], ids=["panel", "losses"])
+    def test_field_over_csv_limit(self, tmp_path, header, command):
+        bad = tmp_path / "long_field.csv"
+        bad.write_bytes(header + b"1" * 131_073 + b"\n")
+        result = self.run_cli(*command, str(bad), "--out", str(tmp_path / "out"))
+        self.assert_clean_exit_2(result, f"{bad}:2: field larger than field limit (131072)")
+
 
 class TestImportFootprint:
     def test_evaluate_runs_without_scipy(self, dataset, tmp_path):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from starclust.distances import _ROW_BLOCK
 from starclust.trends import TrendFit, panel_differences
 
 from _oracles import (brute_diff_distance, brute_hamming_distance,
-                      brute_slope_distance)
+                      brute_slope_distance, square_diff_distance)
 from conftest import make_panel
 
 
@@ -118,6 +119,25 @@ class TestDiffDistance:
         whole = np.sqrt(np.einsum("ijt,ijt->ij", gaps, gaps))
         np.fill_diagonal(whole, 0.0)
         assert np.array_equal(values, whole)
+
+    @pytest.mark.parametrize("n_years", [2, 30, 121, 122])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 69, 168, 800])
+    def test_upper_triangle_bitwise_equal_to_square(self, k, n_years):
+        # K = 5, 7, 69 ... leave a partial last block.
+        rng = np.random.default_rng(k * 1000 + n_years)
+        panel = make_panel(rng.normal(15, 5, (k, n_years)))
+        assert np.array_equal(diff_distance(panel).values, square_diff_distance(panel))
+
+    def test_peak_allocation_at_k800(self):
+        # A whole-square 32-row block alone took 24.8 MB; the matrix is 5.1 MB.
+        panel = make_panel(np.random.default_rng(5).normal(15, 5, (800, 122)))
+        tracemalloc.start()
+        try:
+            diff_distance(panel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestHammingDistance:

@@ -11,8 +11,7 @@ from starclust import (LossSeries, McsReport, ValidationError, WeightMatrix,
                        in_sample_fn, loss_series, mcs, oos_experiment)
 from starclust.evaluation import (_REP_CHUNK, _boot_means, _start_chunks,
                                   write_report_csv, write_report_json)
-from starclust.pipeline import fixed_weight_builder
-from conftest import make_panel
+from conftest import fixed_builder, make_panel
 
 from _oracles import gather_boot_means, simulate_star
 
@@ -116,7 +115,7 @@ class TestOosExperiment:
         levels = simulate_star(n, t, c=0.0, phi=0.3, psi=0.2,
                                weights=ring(labels).values, seed=seed, sigma=0.5)
         panel = make_panel(levels, first_year=1980, ids=list(labels))
-        builder = fixed_weight_builder({"NN": ring(labels)})
+        builder = fixed_builder({"NN": ring(labels)})
         return panel, builder
 
     def test_scores_against_held_out_levels(self):
@@ -157,7 +156,7 @@ class TestOosExperiment:
             levels = simulate_star(8, 60, c=0.0, phi=0.35, psi=0.45,
                                    weights=true_w.values, seed=seed, sigma=0.5)
             panel = make_panel(levels, first_year=1950, ids=list(labels))
-            builder = fixed_weight_builder({"NN": true_w, "dC": wrong_w})
+            builder = fixed_builder({"NN": true_w, "dC": wrong_w})
             out = oos_experiment(panel, builder, origin_year=1999, horizon=8)
             if out.fn["NN"] < out.fn["dC"]:
                 wins += 1
@@ -165,7 +164,7 @@ class TestOosExperiment:
 
     def test_ranking_sorted(self):
         panel, _ = self.make_panel_and_builder()
-        builder = fixed_weight_builder({
+        builder = fixed_builder({
             "NN": ring(panel.ids),
             "dB": ring(panel.ids, kind="dB"),
         })

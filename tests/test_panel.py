@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import time
 
@@ -12,12 +13,12 @@ from hypothesis import strategies as st
 
 from starclust import (AdjacencyList, CountryMeta, TemperaturePanel,
                        ValidationError, attach_zones, load_adjacency,
-                       load_panel, split_panel, write_panel)
+                       load_panel, split_panel)
 from starclust.cli import main
 from starclust.panel import ZONES, detect_format
 
 from _oracles import load_panel_rows
-from conftest import make_panel
+from conftest import make_panel, write_panel
 
 
 def write_csv(path, text: str) -> str:
@@ -70,6 +71,15 @@ class TestPanelValidation:
     def test_unknown_country_lookup(self, toy_panel):
         with pytest.raises(ValidationError, match="unknown country id"):
             toy_panel.row("nope")
+        with pytest.raises(ValidationError, match="unknown country id 'nope'"):
+            toy_panel.index_of("nope")
+
+    def test_ids_and_index_built_once(self, toy_panel):
+        assert toy_panel.ids is toy_panel.ids
+        assert toy_panel.id_index is toy_panel.id_index
+        assert [toy_panel.index_of(cid) for cid in toy_panel.ids] == list(range(6))
+        with pytest.raises(TypeError):
+            toy_panel.id_index["C00"] = 3
 
     def test_year_outside_range(self, toy_panel):
         with pytest.raises(ValidationError, match="outside panel range"):
@@ -89,6 +99,34 @@ class TestFormatDetection:
     def test_garbage_header(self):
         with pytest.raises(ValidationError, match="cannot detect"):
             detect_format(["foo", "bar"])
+
+
+class TestReaderCollectorState:
+    """The CSV loaders run with the cyclic collector off and restore its state."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        try:
+            yield request.param
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_state_kept_after_read(self, tmp_path, collector):
+        load_panel(write_csv(tmp_path / "p.csv", "country,year,temperature\nA,2000,1.0\n"))
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("content", [
+        b"country,year,temperature\nA,2000,\xff\n",
+        b"country,year,temperature\nA,2000," + b"1" * 131_073 + b"\n",
+    ], ids=["not-utf8", "over-long-field"])
+    def test_state_kept_after_failed_read(self, tmp_path, collector, content):
+        path = tmp_path / "p.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match=r"p\.csv:2: "):
+            load_panel(path)
+        assert gc.isenabled() is collector
 
 
 class TestLoadLong:

@@ -4,8 +4,7 @@ import pytest
 
 from starclust import (DEFAULT_K, KINDS, SCHEMES, AdjacencyList, CutRule,
                        ValidationError, build_weights, compute_scheme,
-                       fixed_weight_builder, scheme_features, split_panel,
-                       weight_builder)
+                       scheme_features, split_panel, weight_builder)
 from conftest import make_panel
 
 
@@ -90,6 +89,14 @@ class TestComputeScheme:
         diff = feats["C03"]
         assert diff.shape == (grouped_panel.n_years - 1,)
         assert np.allclose(diff, np.diff(grouped_panel.row("C03")), atol=0)
+
+    @pytest.mark.parametrize("scheme", ["B", "C"])
+    def test_difference_features_bitwise_equal_to_row_differences(self, grouped_panel, scheme):
+        feats = scheme_features(compute_scheme(grouped_panel, scheme, k=3), grouped_panel)
+        assert list(feats) == list(grouped_panel.ids)
+        for cid, diff in feats.items():
+            row = grouped_panel.row(cid)
+            assert np.array_equal(diff, row[1:] - row[:-1])
 
 
 class TestBuildWeights:
@@ -189,17 +196,3 @@ class TestBuilders:
         assert reduced["dB"].labels == train.ids
         # Distances over 25 years differ from distances over 41 years.
         assert not np.allclose(full["dB"].values, reduced["dB"].values)
-
-    def test_fixed_builder_returns_same_weights(self, grouped_panel):
-        build = weight_builder(kinds=("dB",), rescale=True)
-        weights = build(grouped_panel)
-        fixed = fixed_weight_builder(weights)
-        again = fixed(grouped_panel)
-        assert again["dB"] is weights["dB"]
-
-    def test_fixed_builder_checks_labels(self, grouped_panel):
-        weights = weight_builder(kinds=("dB",), rescale=True)(grouped_panel)
-        other = make_panel(np.random.default_rng(0).random((3, 10)),
-                           ids=["x", "y", "z"])
-        with pytest.raises(ValidationError, match="do not match the panel"):
-            fixed_weight_builder(weights)(other)

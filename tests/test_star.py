@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from starclust import (KINDS, EquationFit, StarModel, ValidationError,
-                       WeightMatrix, build_weights, first_differences, fit_star,
+                       WeightMatrix, build_weights, fit_star,
                        fitted_levels, forecast)
 from starclust.panel import split_panel
 from starclust.star import write_coefficients_csv, write_level_csv
@@ -417,7 +417,7 @@ class TestForecast:
         # the forecast differences.
         path = np.hstack([out.origin_levels[:, None], out.levels])
         for i in range(4):
-            assert np.allclose(first_differences(path[i]), out.diffs[i], atol=1e-12)
+            assert np.allclose(np.diff(path[i]), out.diffs[i], atol=1e-12)
 
     def test_bad_horizon_rejected(self, ring_weights):
         panel = make_panel(np.random.default_rng(0).random((3, 10)),
