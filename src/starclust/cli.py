@@ -116,17 +116,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg.with_overrides(**overrides)
 
 
-def _load_inputs(cfg: RunConfig, need_adjacency: bool
-                 ) -> tuple[TemperaturePanel, AdjacencyList | None]:
+def _load_inputs(cfg: RunConfig) -> tuple[TemperaturePanel, AdjacencyList | None]:
+    """The panel with zones merged in, and the adjacency if one is configured.
+
+    Each command has already run `cfg.validate` for the files it needs.
+    """
     panel = load_panel(cfg.panel_path)
     if cfg.zones_path:
         panel = attach_zones(panel, cfg.zones_path)
-    adjacency = None
-    if cfg.adjacency_path:
-        adjacency = load_adjacency(cfg.adjacency_path, panel)
-    elif need_adjacency:
-        raise ValidationError("this command needs an adjacency file "
-                              "(--adjacency or data.adjacency in the config)")
+    adjacency = load_adjacency(cfg.adjacency_path, panel) if cfg.adjacency_path else None
     return panel, adjacency
 
 
@@ -154,7 +152,7 @@ def _cut_rule(args: argparse.Namespace, cfg: RunConfig, k: int) -> clustering.Cu
 def cmd_trends(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     cfg.validate()
-    panel, _ = _load_inputs(cfg, need_adjacency=False)
+    panel, _ = _load_inputs(cfg)
     out = _outdir(cfg)
     fits = trends.fit_panel_trends(panel, alpha=cfg.trend_alpha)
     trends.write_trend_table(fits, out / "trends.csv")
@@ -169,7 +167,7 @@ def cmd_trends(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     cfg.validate()
-    panel, _ = _load_inputs(cfg, need_adjacency=False)
+    panel, _ = _load_inputs(cfg)
     out = _outdir(cfg)
     scheme = args.scheme
     k = {"A": cfg.k_a, "B": cfg.k_b, "C": cfg.k_c}[scheme]
@@ -241,7 +239,7 @@ def _write_feature_csv(assign: clustering.ClusterAssignment, features: dict,
 def cmd_weights(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     cfg.validate(require_adjacency=args.kind == "NN")
-    panel, adjacency = _load_inputs(cfg, need_adjacency=args.kind == "NN")
+    panel, adjacency = _load_inputs(cfg)
     out = _outdir(cfg)
     matrix = _build_kind(cfg, panel, adjacency, args.kind)
     weights.write_weight_csv(matrix, out / f"weights_{args.kind}.csv")
@@ -269,7 +267,7 @@ def _build_kind(cfg: RunConfig, panel: TemperaturePanel,
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     cfg.validate(require_adjacency=args.kind == "NN")
-    panel, adjacency = _load_inputs(cfg, need_adjacency=args.kind == "NN")
+    panel, adjacency = _load_inputs(cfg)
     out = _outdir(cfg)
     matrix = _build_kind(cfg, panel, adjacency, args.kind)
     model = star.fit_star(panel, matrix)
@@ -291,20 +289,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_forecast(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     cfg.validate(require_adjacency=args.kind == "NN")
-    panel, adjacency = _load_inputs(cfg, need_adjacency=args.kind == "NN")
+    panel, adjacency = _load_inputs(cfg)
     out = _outdir(cfg)
     origin = args.origin if args.origin is not None else panel.years[-1]
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
     if origin == panel.years[-1]:
         train = panel
     else:
         train, _ = split_panel(panel, origin)
     matrix = _build_kind(cfg, train, adjacency, args.kind)
     model = star.fit_star(train, matrix)
-    fc = star.forecast(model, train, horizon)
+    fc = star.forecast(model, train, cfg.horizon)
     star.write_level_csv(fc.countries, fc.years, fc.levels,
                          out / f"forecast_{args.kind}.csv")
-    print(f"{args.kind}: forecast {horizon} years from origin {origin}")
+    print(f"{args.kind}: forecast {cfg.horizon} years from origin {origin}")
     print(f"wrote {out / f'forecast_{args.kind}.csv'}")
     return 0
 
@@ -320,7 +317,7 @@ def _run_oos(cfg: RunConfig, panel: TemperaturePanel,
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     cfg.validate(require_adjacency=True)
-    panel, adjacency = _load_inputs(cfg, need_adjacency=True)
+    panel, adjacency = _load_inputs(cfg)
     out = _outdir(cfg)
 
     full_weights = pipeline.build_weights(panel, kinds=weights.KINDS, adjacency=adjacency,
@@ -371,7 +368,7 @@ def cmd_mcs(args: argparse.Namespace) -> int:
     else:
         cfg.validate(require_adjacency=True)
         out = _outdir(cfg)
-        panel, adjacency = _load_inputs(cfg, need_adjacency=True)
+        panel, adjacency = _load_inputs(cfg)
         oos = _run_oos(cfg, panel, adjacency)
         losses = list(oos.losses.values())
     report = evaluation.mcs(losses, alpha=cfg.mcs_alpha, reps=cfg.mcs_reps,
@@ -392,7 +389,7 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
     if not p.is_file():
         raise ValidationError(f"losses file not found: {p}")
     by_model: dict[str, list[tuple[str, float]]] = {}
-    with p.open(newline="", encoding="utf-8") as fh:
+    with p.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             columns = ("model", "period", "loss")

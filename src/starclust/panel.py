@@ -2,13 +2,15 @@
 
 The panel is a dense N x T matrix of annual mean temperatures (degrees C)
 plus per-country metadata. Validation is strict: gaps, duplicates, and
-non-numeric cells are hard errors, never imputed.
+non-numeric cells are hard errors, never imputed. One loader validates both
+CSV layouts: a wide file is checked for its layout, then its cells are read
+as the rows of a long file. CSV inputs may start with a UTF-8 byte-order mark.
 """
 from __future__ import annotations
 
 import csv
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
 from itertools import compress
 from operator import itemgetter
@@ -150,7 +152,9 @@ class AdjacencyList:
         return self.neighbors.get(country_id, frozenset())
 
 
-def _parse_temperature(text: str, country: str, year: int | str) -> float:
+def _parse_temperature(text: str, country: str, year: int) -> float:
+    if not text:
+        raise ValidationError(f"missing observation for country {country!r}, year {year}")
     try:
         value = float(text)
     except ValueError:
@@ -189,7 +193,7 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             rows = list(reader)
@@ -210,7 +214,7 @@ def detect_format(header: list[str]) -> str:
     lowered = [h.lower() for h in header]
     if all(col in lowered for col in _LONG_HEADER):
         return "long"
-    year_like = [h for h in lowered if h.lstrip("-").isdigit()]
+    year_like = [h for h in lowered if h.removeprefix("-").isdecimal()]
     if lowered and lowered[0] == "country" and year_like:
         return "wide"
     raise ValidationError(
@@ -220,21 +224,56 @@ def detect_format(header: list[str]) -> str:
 
 
 @_collector_paused
-def load_panel(path: str | Path, fmt: str = "auto") -> TemperaturePanel:
+def load_panel(path: str | Path) -> TemperaturePanel:
     """Load and validate a temperature panel from CSV.
 
     Accepts the long layout (`country,year,temperature` plus optional
     `name`, `zone`, `area` columns) or the wide layout (one row per country
-    with year columns). `fmt` is 'auto', 'long', or 'wide'.
+    with year columns), told apart by `detect_format`. A wide file is checked
+    for its layout only, then validated as the long rows it holds.
     """
     header, rows = _read_rows(path)
-    if fmt == "auto":
-        fmt = detect_format(header)
-    if fmt == "long":
-        return _load_long(header, rows)
-    if fmt == "wide":
-        return _load_wide(header, rows)
-    raise ValidationError(f"unknown panel format {fmt!r}")
+    if detect_format(header) == "wide":
+        header, rows = _wide_as_long(header, rows)
+    return _load_long(header, rows)
+
+
+def _wide_as_long(header: list[str], rows: list[list[str]]
+                  ) -> tuple[list[str], list[list[str]]]:
+    """Check the wide layout and recast it as one long row per cell.
+
+    Checked here: year columns consecutive once sorted and within 64 bits,
+    rows as long as the header, no country row repeated. Cells and metadata
+    are left to `_load_long`, which sees `country,year,temperature,*meta`
+    rows in file order.
+    """
+    lowered = [h.lower() for h in header]
+    year_cols = sorted((int(h), i) for i, h in enumerate(lowered)
+                       if h.removeprefix("-").isdecimal())
+    years = [year for year, _ in year_cols]
+    for prev, cur in zip(years, years[1:]):
+        if cur != prev + 1:
+            raise ValidationError(f"wide panel year columns not consecutive: {prev} then {cur}")
+    for year in (years[0], years[-1]):
+        if not _YEAR_MIN <= year <= _YEAR_MAX:
+            raise ValidationError(f"wide panel year column {year} is out of range")
+    if not rows:
+        raise ValidationError("panel must have at least one country and one year")
+    meta_names = [name for name in _META_COLUMNS if name in lowered]
+    meta_idx = [lowered.index(name) for name in meta_names]
+    cells = [(str(year), i) for year, i in year_cols]
+    seen: set[str] = set()
+    long_rows: list[list[str]] = []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) < len(header):
+            raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
+        country = row[0].strip()
+        if country in seen:
+            raise ValidationError(f"duplicate country row for {country!r}")
+        seen.add(country)
+        meta = [row[m] for m in meta_idx]
+        long_rows.extend([row[0], year, row[i], *meta] for year, i in cells)
+    return [*_LONG_HEADER, *meta_names], long_rows
 
 
 def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
@@ -242,13 +281,13 @@ def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
 
     On valid input every check is an array operation. When one fails, the
     rows are re-read in file order so that the first fault is reported with
-    its line number, exactly as a row-by-row reader would report it.
+    its line number, exactly as a row-by-row reader would report it. The
+    header holds all of `_LONG_HEADER`, as `detect_format` found it or
+    `_wide_as_long` wrote it; a wide file's rows can fail only on cells and
+    metadata, whose messages name the country and year, not a line.
     """
     lowered = [h.lower() for h in header]
-    col = {name: lowered.index(name) for name in _LONG_HEADER if name in lowered}
-    missing = [name for name in _LONG_HEADER if name not in col]
-    if missing:
-        raise ValidationError(f"long panel header missing columns: {missing}")
+    col = {name: lowered.index(name) for name in _LONG_HEADER}
     meta_col = {name: lowered.index(name) for name in _META_COLUMNS if name in lowered}
     if not rows:
         raise ValidationError("long panel has a header but no observations")
@@ -375,58 +414,14 @@ def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int
     raise ValidationError(out_of_range or "long panel rows failed a check but no row is at fault")
 
 
-def _parse_area(text: str, country_id: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(f"non-numeric area {text!r} for country {country_id!r}") from None
-
-
 def _meta_from_strings(country_id: str, entry: dict[str, str]) -> CountryMeta:
-    area = _parse_area(entry["area"], country_id) if "area" in entry else None
+    try:
+        area = float(entry["area"]) if "area" in entry else None
+    except ValueError:
+        raise ValidationError(
+            f"non-numeric area {entry['area']!r} for country {country_id!r}") from None
     return CountryMeta(id=country_id, name=entry.get("name"),
                        zone=entry.get("zone"), area=area)
-
-
-def _load_wide(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
-    lowered = [h.lower() for h in header]
-    year_cols = [(i, int(h)) for i, h in enumerate(lowered) if h.lstrip("-").isdigit()]
-    if not year_cols:
-        raise ValidationError("wide panel has no year columns")
-    meta_col = {name: lowered.index(name) for name in _META_COLUMNS if name in lowered}
-    id_col = lowered.index("country")
-
-    years = [y for _, y in year_cols]
-    if years != sorted(years):
-        order = np.argsort(years)
-        year_cols = [year_cols[i] for i in order]
-        years = [y for _, y in year_cols]
-    for prev, cur in zip(years, years[1:]):
-        if cur != prev + 1:
-            raise ValidationError(f"wide panel year columns not consecutive: {prev} then {cur}")
-
-    seen: dict[str, int] = {}
-    records: list[tuple[CountryMeta, list[float]]] = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) < len(header):
-            raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
-        country = row[id_col].strip()
-        if country in seen:
-            raise ValidationError(f"duplicate country row for {country!r}")
-        seen[country] = lineno
-        series = []
-        for idx, year in year_cols:
-            text = row[idx].strip()
-            if not text:
-                raise ValidationError(f"missing observation for country {country!r}, year {year}")
-            series.append(_parse_temperature(text, country, year))
-        entry = {name: row[idx].strip() for name, idx in meta_col.items() if row[idx].strip()}
-        records.append((_meta_from_strings(country, entry), series))
-
-    records.sort(key=lambda rec: rec[0].id)
-    countries = tuple(rec[0] for rec in records)
-    values = np.array([rec[1] for rec in records], dtype=float)
-    return TemperaturePanel(countries=countries, years=tuple(years), values=values)
 
 
 @_collector_paused
@@ -434,31 +429,33 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
     """Return a copy of the panel with zones (and optional name/area) merged in.
 
     The file is a CSV with header `country,zone` plus optional `name`, `area`.
+    Every id must be in the panel; a country may repeat if its non-blank
+    values agree. Non-blank values replace the panel's own.
     """
     header, rows = _read_rows(path)
     lowered = [h.lower() for h in header]
     if "country" not in lowered or "zone" not in lowered:
         raise ValidationError("zone file header must contain `country` and `zone`")
-    cols = {name: lowered.index(name) for name in ("country", "zone", "name", "area")
-            if name in lowered}
+    cols = {name: lowered.index(name) for name in _META_COLUMNS if name in lowered}
+    id_col = lowered.index("country")
     table: dict[str, dict[str, str]] = {}
     for lineno, row in enumerate(rows, start=2):
         if len(row) < len(header):
             raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
-        country = row[cols["country"]].strip()
-        table[country] = {name: row[idx].strip() for name, idx in cols.items()
-                          if name != "country" and row[idx].strip()}
+        country = row[id_col].strip()
+        if country not in panel.id_index:
+            raise ValidationError(f"line {lineno}: unknown country id {country!r} in zone file")
+        entry = table.setdefault(country, {})
+        for name, idx in cols.items():
+            text = row[idx].strip()
+            if text and entry.setdefault(name, text) != text:
+                raise ValidationError(f"conflicting {name} for country {country!r}: "
+                                      f"{entry[name]!r} vs {text!r}")
     countries = []
     for c in panel.countries:
-        entry = table.get(c.id)
-        if entry is None:
-            countries.append(c)
-            continue
-        merged = {"name": entry.get("name", c.name), "zone": entry.get("zone", c.zone)}
-        area = entry.get("area")
-        countries.append(CountryMeta(
-            id=c.id, name=merged["name"], zone=merged["zone"],
-            area=_parse_area(area, c.id) if area is not None else c.area))
+        entry = table.get(c.id, {})
+        parsed = _meta_from_strings(c.id, entry)
+        countries.append(replace(c, **{name: getattr(parsed, name) for name in entry}))
     return TemperaturePanel(countries=tuple(countries), years=panel.years,
                             values=panel.values.copy())
 

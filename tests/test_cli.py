@@ -487,6 +487,17 @@ class TestMalformedInputs:
                               "--out", str(out))
         self.assert_clean_exit_2(result, f"cannot create output directory {out}")
 
+    @pytest.mark.parametrize("rows, message", [
+        ("C00,Europe\nC00,Asia\n", "conflicting zone for country 'C00': 'Europe' vs 'Asia'"),
+        ("C00,Europe\nZZ,Africa\n", "line 3: unknown country id 'ZZ' in zone file"),
+    ], ids=["conflict", "unknown-id"])
+    def test_contradictory_zones(self, dataset, tmp_path, rows, message):
+        zones = tmp_path / "zones.csv"
+        zones.write_text("country,zone\n" + rows, encoding="utf-8")
+        result = self.run_cli("cluster", "--scheme", "A", "--data", str(dataset["panel"]),
+                              "--zones", str(zones), "--out", str(tmp_path))
+        self.assert_clean_exit_2(result, message)
+
     @pytest.mark.parametrize("target", ["panel", "zones", "adjacency", "losses", "config"])
     def test_non_utf8_input(self, dataset, tmp_path, target):
         if target == "losses":
@@ -519,6 +530,35 @@ class TestMalformedInputs:
         bad.write_bytes(header + b"1" * 131_073 + b"\n")
         result = self.run_cli(*command, str(bad), "--out", str(tmp_path / "out"))
         self.assert_clean_exit_2(result, f"{bad}:2: field larger than field limit (131072)")
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheet exports write it, changes nothing."""
+
+    @pytest.mark.parametrize("target", ["panel", "zones", "adjacency", "losses"])
+    def test_same_outputs_with_and_without_mark(self, dataset, tmp_path, capsys, target):
+        outputs = {}
+        for mark in (b"", b"\xef\xbb\xbf"):
+            root = tmp_path / ("bom" if mark else "plain")
+            root.mkdir()
+            paths = {name: root / f"{name}.csv" for name in ("panel", "zones", "adjacency")}
+            for name, path in paths.items():
+                path.write_bytes(dataset[name].read_bytes())
+            paths["losses"] = root / "losses.csv"
+            paths["losses"].write_text(_losses_text(), encoding="utf-8")
+            paths[target].write_bytes(mark + paths[target].read_bytes())
+            argv = {"panel": ["trends", "--data", str(paths["panel"])],
+                    "zones": ["cluster", "--scheme", "A", "--k", "2", "--data",
+                              str(paths["panel"]), "--zones", str(paths["zones"])],
+                    "adjacency": ["weights", "--kind", "NN", "--data", str(paths["panel"]),
+                                  "--adjacency", str(paths["adjacency"])],
+                    "losses": ["mcs", "--losses", str(paths["losses"]), "--reps", "200"]}[target]
+            assert main([*argv, "--out", str(root / "out")]) == 0
+            outputs[mark] = {f.name: f.read_bytes() for f in (root / "out").iterdir()}
+        capsys.readouterr()
+        assert outputs[b""] == outputs[b"\xef\xbb\xbf"]
+        if target == "zones":
+            assert "contingency_A.csv" in outputs[b""]
 
 
 class TestImportFootprint:

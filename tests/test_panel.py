@@ -100,6 +100,17 @@ class TestFormatDetection:
         with pytest.raises(ValidationError, match="cannot detect"):
             detect_format(["foo", "bar"])
 
+    @pytest.mark.parametrize("cell", ["--5", "\u00b2", "-"])
+    def test_year_columns_are_decimal_integers(self, cell):
+        with pytest.raises(ValidationError, match="cannot detect"):
+            detect_format(["country", cell])
+        assert detect_format(["country", cell, "1901"]) == "wide"
+
+    def test_non_year_column_of_wide_panel_ignored(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "country,1901,--5\nA,1.0,x\n")
+        panel = load_panel(path)
+        assert panel.years == (1901,) and panel.values.tolist() == [[1.0]]
+
 
 class TestReaderCollectorState:
     """The CSV loaders run with the cyclic collector off and restore its state."""
@@ -156,6 +167,13 @@ class TestLoadLong:
         path = write_csv(tmp_path / "p.csv",
                          "country,year,temperature\nA,2000,warm\n")
         with pytest.raises(ValidationError, match="non-numeric temperature 'warm'"):
+            load_panel(path)
+
+    def test_blank_temperature_is_a_missing_observation(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv",
+                         "country,year,temperature\nA,2000,1.0\nA,2001, \n")
+        with pytest.raises(ValidationError,
+                           match="^missing observation for country 'A', year 2001$"):
             load_panel(path)
 
     def test_non_integer_year(self, tmp_path):
@@ -284,6 +302,55 @@ def _mutate(rng: np.random.Generator, header: list[str], rows: list[list[str]]) 
                 other[col["zone"]] = "Atlantis"
 
 
+def _wide_rows(rng: np.random.Generator, n: int, t: int,
+               meta: list[str]) -> tuple[list[str], list[list[str]]]:
+    """A valid wide panel: year and metadata columns shuffled after `country`,
+    rows shuffled, padded cells and ids that need quoting."""
+    columns = [*meta, *(str(1990 + j) for j in range(t))]
+    rng.shuffle(columns)
+    header = ["country", *columns]
+    formats = (repr, lambda v: f"{v:.4f}", lambda v: f"{v:.3e}", lambda v: f" {v!r} ")
+    rows = []
+    for i in range(n):
+        cell = {"country": f"C{i}" if rng.random() < 0.7 else f" C,{i}\t",
+                "name": _NAMES[i % len(_NAMES)] if rng.random() < 0.8 else "",
+                "zone": _ZONE_CHOICES[i % len(_ZONE_CHOICES)] if rng.random() < 0.8 else " ",
+                "area": repr(float(rng.integers(1, 10_000))) if rng.random() < 0.8 else ""}
+        for j in range(t):
+            cell[str(1990 + j)] = formats[rng.integers(len(formats))](rng.normal(15.0, 8.0))
+        rows.append([cell[h] for h in header])
+    rng.shuffle(rows)
+    return header, rows
+
+
+_WIDE_FAULTS = ("short row", "blank cell", "non-numeric cell", "non-finite cell",
+                "duplicate row", "bad zone", "bad area", "blank id")
+
+
+def _mutate_wide(rng: np.random.Generator, fault: str, header: list[str],
+                 rows: list[list[str]]) -> None:
+    """Apply one malformation of the named kind to a random row, in place."""
+    row = rows[int(rng.integers(len(rows)))]
+    year_cols = [i for i, h in enumerate(header) if h.isdigit()]
+    cell = year_cols[int(rng.integers(len(year_cols)))]
+    if fault == "short row":
+        del row[int(rng.integers(1, len(row))):]
+    elif fault == "blank cell":
+        row[cell] = ["", " ", "\t"][rng.integers(3)]
+    elif fault == "non-numeric cell":
+        row[cell] = ["warm", "1,5", "0x1p3", "--1"][rng.integers(4)]
+    elif fault == "non-finite cell":
+        row[cell] = ["nan", "inf", "-Infinity", "1e999"][rng.integers(4)]
+    elif fault == "duplicate row":
+        rows.insert(int(rng.integers(len(rows) + 1)), list(row))
+    elif fault == "bad zone":
+        row[header.index("zone")] = "Atlantis"
+    elif fault == "bad area":
+        row[header.index("area")] = ["large", "-5.0"][rng.integers(2)]
+    else:
+        row[0] = " "
+
+
 def _outcome(path, loader):
     try:
         return loader(path)
@@ -334,6 +401,21 @@ class TestLoaderParity:
         path = write_csv(tmp_path / "w.csv", "\n".join(lines) + "\n")
         self.assert_same_panel(load_panel(path), load_panel_rows(path))
 
+    @pytest.mark.parametrize("seed", range(200))
+    def test_malformed_wide_panels(self, tmp_path, seed):
+        rng = np.random.default_rng(2000 + seed)
+        fault = _WIDE_FAULTS[seed % len(_WIDE_FAULTS)]
+        meta = [name for name in ("name", "zone", "area")
+                if rng.random() < 0.5 or fault == f"bad {name}"]
+        header, rows = _wide_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 8)), meta)
+        _mutate_wide(rng, fault, header, rows)
+        path = _write_rows(tmp_path / "w.csv", rng, header, rows)
+        got, ref = _outcome(path, load_panel), _outcome(path, load_panel_rows)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            self.assert_same_panel(got, ref)
+
 
 class TestLoadWide:
     def test_basic(self, tmp_path):
@@ -359,6 +441,29 @@ class TestLoadWide:
         path = write_csv(tmp_path / "p.csv",
                          "country,2000\nA,1.0\nA,2.0\n")
         with pytest.raises(ValidationError, match="duplicate country row"):
+            load_panel(path)
+
+
+class TestWideAsLong:
+    """Faults the wide layout reports itself, before its cells are read as long rows."""
+
+    def test_header_only_file(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "country,2000,2001\n")
+        with pytest.raises(ValidationError,
+                           match="panel must have at least one country and one year"):
+            load_panel(path)
+
+    def test_year_column_outside_int64(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "country,9223372036854775807,9223372036854775808\n"
+                                             "A,1.0,2.0\n")
+        with pytest.raises(ValidationError,
+                           match="^wide panel year column 9223372036854775808 is out of range$"):
+            load_panel(path)
+
+    def test_short_row_before_bad_cell(self, tmp_path):
+        # Row lengths are checked for the whole file before any cell.
+        path = write_csv(tmp_path / "p.csv", "country,2000,2001\nA,warm,1.0\nB,1.0\n")
+        with pytest.raises(ValidationError, match="line 3: expected 3 columns, got 2"):
             load_panel(path)
 
 
@@ -433,6 +538,24 @@ class TestZones:
     def test_missing_columns_rejected(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "z.csv", "country,region\nC00,Europe\n")
         with pytest.raises(ValidationError, match="`country` and `zone`"):
+            attach_zones(toy_panel, path)
+
+    def test_repeated_rows_must_agree(self, toy_panel, tmp_path):
+        path = write_csv(tmp_path / "z.csv", "country,zone\nC00,Europe\nC00,Asia\n")
+        with pytest.raises(ValidationError,
+                           match="conflicting zone for country 'C00': 'Europe' vs 'Asia'"):
+            attach_zones(toy_panel, path)
+
+    def test_agreeing_repeats_and_blanks_merge(self, toy_panel, tmp_path):
+        path = write_csv(tmp_path / "z.csv", "country,zone,name,area\n"
+                                             "C00,Europe,,\nC00,Europe,Alpha,\nC00, ,,12.5\n")
+        merged = attach_zones(toy_panel, path).countries[0]
+        assert merged == CountryMeta(id="C00", name="Alpha", zone="Europe", area=12.5)
+
+    def test_unknown_id_rejected(self, toy_panel, tmp_path):
+        path = write_csv(tmp_path / "z.csv", "country,zone\nC00,Asia\nZZ,Africa\n")
+        with pytest.raises(ValidationError,
+                           match="line 3: unknown country id 'ZZ' in zone file"):
             attach_zones(toy_panel, path)
 
 
