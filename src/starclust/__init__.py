@@ -13,8 +13,8 @@ from .evaluation import (EvaluationReport, LossSeries, McsReport, OosResult,
                          mcs, oos_experiment)
 from .panel import (AdjacencyList, CountryMeta, TemperaturePanel, attach_zones,
                     load_adjacency, load_panel, split_panel)
-from .pipeline import (DEFAULT_K, SCHEMES, SchemeResult, build_weights,
-                       compute_scheme, scheme_features, weight_builder)
+from .pipeline import (SCHEMES, SchemeResult, build_weights, compute_scheme,
+                       scheme_features, weight_builder)
 from .star import (EquationFit, FittedPanel, ForecastPanel, StarModel, fit_star,
                    fitted_levels, forecast)
 from .trends import (TrendFit, fit_linear_trend, fit_panel_trends,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjacencyList", "ClusterAssignment", "ClusterStats", "ContingencyTable",
-    "CountryMeta", "CutRule", "DEFAULT_K", "Dendrogram", "DistanceMatrix",
+    "CountryMeta", "CutRule", "Dendrogram", "DistanceMatrix",
     "EquationFit", "EvaluationReport", "FittedPanel", "ForecastPanel", "KINDS",
     "LossSeries", "McsReport", "Merge", "NumericalError", "OosResult",
     "RunConfig", "SCHEMES", "SchemeResult", "StarModel", "StarclustError",

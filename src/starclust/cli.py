@@ -13,6 +13,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -77,55 +78,30 @@ def _base_parser() -> argparse.ArgumentParser:
                    help="last year used for estimation (default: panel end)")
     p.add_argument("--horizon", type=int, help="number of years ahead")
 
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="in-sample + out-of-sample table with MCS p-values")
-    _mcs_flags(p)
-    p.add_argument("--origin", dest="split_year", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--granularity", choices=("year", "observation"))
-
-    p = sub.add_parser("mcs", parents=[common],
-                       help="model confidence set over forecast losses")
-    _mcs_flags(p)
-    p.add_argument("--origin", dest="split_year", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--granularity", choices=("year", "observation"))
-    p.add_argument("--losses", help="CSV of model,period,loss to test directly")
+    evaluate = sub.add_parser("evaluate", parents=[common],
+                              help="in-sample + out-of-sample table with MCS p-values")
+    mcs = sub.add_parser("mcs", parents=[common],
+                         help="model confidence set over forecast losses")
+    for p in (evaluate, mcs):
+        p.add_argument("--mcs-alpha", dest="mcs_alpha", type=float)
+        p.add_argument("--reps", dest="mcs_reps", type=int)
+        p.add_argument("--block", dest="mcs_block", type=int)
+        p.add_argument("--statistic", dest="mcs_statistic", choices=("SQ", "R"))
+        p.add_argument("--origin", dest="split_year", type=int)
+        p.add_argument("--horizon", type=int)
+        p.add_argument("--granularity", choices=("year", "observation"))
+    mcs.add_argument("--losses", help="CSV of model,period,loss to test directly")
     return parser
 
 
-def _mcs_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mcs-alpha", dest="mcs_alpha", type=float)
-    p.add_argument("--reps", dest="mcs_reps", type=int)
-    p.add_argument("--block", dest="mcs_block", type=int)
-    p.add_argument("--statistic", dest="mcs_statistic", choices=("SQ", "R"))
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's values, overridden by every flag named after a field."""
     path = args.config or os.environ.get(CONFIG_ENV)
     cfg = load_config(path) if path else RunConfig()
-    overrides = {}
-    for name in ("panel_path", "adjacency_path", "zones_path", "output_dir",
-                 "seed", "trend_alpha", "min_cluster_size", "rescale_distances",
-                 "rescale_rho", "split_year", "horizon", "mcs_alpha", "mcs_reps",
-                 "mcs_block", "mcs_statistic", "granularity"):
-        if hasattr(args, name):
-            overrides[name] = getattr(args, name)
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     if getattr(args, "k", None) is not None:
         overrides[f"k_{args.scheme.lower()}"] = args.k
     return cfg.with_overrides(**overrides)
-
-
-def _load_inputs(cfg: RunConfig) -> tuple[TemperaturePanel, AdjacencyList | None]:
-    """The panel with zones merged in, and the adjacency if one is configured.
-
-    Each command has already run `cfg.validate` for the files it needs.
-    """
-    panel = load_panel(cfg.panel_path)
-    if cfg.zones_path:
-        panel = attach_zones(panel, cfg.zones_path)
-    adjacency = load_adjacency(cfg.adjacency_path, panel) if cfg.adjacency_path else None
-    return panel, adjacency
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -137,7 +113,8 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _cut_rule(args: argparse.Namespace, cfg: RunConfig, k: int) -> clustering.CutRule:
+def _cut_rule(args: argparse.Namespace, cfg: RunConfig) -> clustering.CutRule | None:
+    """The rule `--cut` names, or None for `compute_scheme`'s main-count cut."""
     if args.cut == "height":
         if args.height is None:
             raise ValidationError("--cut height needs --height")
@@ -145,15 +122,13 @@ def _cut_rule(args: argparse.Namespace, cfg: RunConfig, k: int) -> clustering.Cu
     if args.cut == "auto":
         return clustering.CutRule.auto(min_size=cfg.min_cluster_size)
     if args.cut == "count":
-        return clustering.CutRule.count(k, min_size=cfg.min_cluster_size)
-    return clustering.CutRule.main_count(k, min_size=cfg.min_cluster_size)
+        return clustering.CutRule.count(cfg.cluster_count(args.scheme),
+                                        min_size=cfg.min_cluster_size)
+    return None
 
 
-def cmd_trends(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate()
-    panel, _ = _load_inputs(cfg)
-    out = _outdir(cfg)
+def cmd_trends(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
+               adjacency: AdjacencyList | None, out: Path) -> int:
     fits = trends.fit_panel_trends(panel, alpha=cfg.trend_alpha)
     trends.write_trend_table(fits, out / "trends.csv")
     null_ids = sorted(cid for cid, fit in fits.items() if not fit.significant)
@@ -164,16 +139,10 @@ def cmd_trends(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate()
-    panel, _ = _load_inputs(cfg)
-    out = _outdir(cfg)
+def cmd_cluster(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
+                adjacency: AdjacencyList | None, out: Path) -> int:
     scheme = args.scheme
-    k = {"A": cfg.k_a, "B": cfg.k_b, "C": cfg.k_c}[scheme]
-    rule = _cut_rule(args, cfg, k)
-    result = pipeline.compute_scheme(panel, scheme, k=k, alpha=cfg.trend_alpha,
-                                     min_size=cfg.min_cluster_size, rule=rule)
+    result = pipeline.compute_scheme(panel, scheme, cfg, rule=_cut_rule(args, cfg))
     assign = result.assignment
 
     clustering.dendrogram_to_json(result.dendrogram, out / f"dendrogram_{scheme}.json")
@@ -192,9 +161,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 table = clustering.zone_cross_tab(assign, panel)
         else:
             other = "A" if scheme == "B" else "B"
-            other_result = pipeline.compute_scheme(
-                panel, other, k={"A": cfg.k_a, "B": cfg.k_b}[other],
-                alpha=cfg.trend_alpha, min_size=cfg.min_cluster_size)
+            other_result = pipeline.compute_scheme(panel, other, cfg)
             first, second = ((other_result.assignment, assign) if scheme == "B"
                              else (assign, other_result.assignment))
             table = clustering.cross_tab(first, second, panel)
@@ -219,7 +186,7 @@ def _write_summary_csv(stats: dict[int, clustering.ClusterStats], path: Path) ->
         for index in sorted(stats):
             s = stats[index]
             writer.writerow([s.cluster, s.n_countries, s.n_values, repr(s.mean),
-                             repr(s.sd), s.sd_convention, s.degenerate])
+                             repr(s.sd), "sample (ddof=1)", s.degenerate])
 
 
 def _write_feature_csv(assign: clustering.ClusterAssignment, features: dict,
@@ -236,11 +203,8 @@ def _write_feature_csv(assign: clustering.ClusterAssignment, features: dict,
                              repr(float(np.mean(value)))])
 
 
-def cmd_weights(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate(require_adjacency=args.kind == "NN")
-    panel, adjacency = _load_inputs(cfg)
-    out = _outdir(cfg)
+def cmd_weights(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
+                adjacency: AdjacencyList | None, out: Path) -> int:
     matrix = _build_kind(cfg, panel, adjacency, args.kind)
     weights.write_weight_csv(matrix, out / f"weights_{args.kind}.csv")
     weights.write_weight_meta(matrix, out / f"weights_{args.kind}.json")
@@ -250,25 +214,13 @@ def cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def _weight_params(cfg: RunConfig) -> dict:
-    """The keyword arguments that `pipeline.build_weights` takes from a run config."""
-    return {"include_null_in_dA": cfg.include_null_in_dA,
-            "rescale": cfg.rescale_distances, "rho": cfg.rescale_rho,
-            "alpha": cfg.trend_alpha, "min_size": cfg.min_cluster_size,
-            "k_by_scheme": {"A": cfg.k_a, "B": cfg.k_b, "C": cfg.k_c}}
-
-
 def _build_kind(cfg: RunConfig, panel: TemperaturePanel,
                 adjacency: AdjacencyList | None, kind: str) -> weights.WeightMatrix:
-    return pipeline.build_weights(panel, kinds=[kind], adjacency=adjacency,
-                                  **_weight_params(cfg))[kind]
+    return pipeline.build_weights(panel, cfg, [kind], adjacency)[kind]
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate(require_adjacency=args.kind == "NN")
-    panel, adjacency = _load_inputs(cfg)
-    out = _outdir(cfg)
+def cmd_fit(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
+            adjacency: AdjacencyList | None, out: Path) -> int:
     matrix = _build_kind(cfg, panel, adjacency, args.kind)
     model = star.fit_star(panel, matrix)
     fitted = star.fitted_levels(model, panel)
@@ -286,11 +238,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_forecast(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate(require_adjacency=args.kind == "NN")
-    panel, adjacency = _load_inputs(cfg)
-    out = _outdir(cfg)
+def cmd_forecast(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
+                 adjacency: AdjacencyList | None, out: Path) -> int:
     origin = args.origin if args.origin is not None else panel.years[-1]
     if origin == panel.years[-1]:
         train = panel
@@ -308,26 +257,23 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def _run_oos(cfg: RunConfig, panel: TemperaturePanel,
              adjacency: AdjacencyList) -> evaluation.OosResult:
-    builder = pipeline.weight_builder(kinds=weights.KINDS, adjacency=adjacency,
-                                      **_weight_params(cfg))
+    builder = pipeline.weight_builder(cfg, weights.KINDS, adjacency)
     return evaluation.oos_experiment(panel, builder, cfg.split_year, cfg.horizon,
                                      granularity=cfg.granularity)
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate(require_adjacency=True)
-    panel, adjacency = _load_inputs(cfg)
-    out = _outdir(cfg)
+def _mcs(cfg: RunConfig, losses: list[evaluation.LossSeries]) -> evaluation.McsReport:
+    return evaluation.mcs(losses, alpha=cfg.mcs_alpha, reps=cfg.mcs_reps,
+                          block=cfg.mcs_block, statistic=cfg.mcs_statistic,
+                          seed=cfg.seed)
 
-    full_weights = pipeline.build_weights(panel, kinds=weights.KINDS, adjacency=adjacency,
-                                          **_weight_params(cfg))
+
+def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
+                 adjacency: AdjacencyList | None, out: Path) -> int:
+    full_weights = pipeline.build_weights(panel, cfg, weights.KINDS, adjacency)
     in_sample = evaluation.in_sample_fn(panel, full_weights)
     oos = _run_oos(cfg, panel, adjacency)
-    report_mcs = evaluation.mcs(list(oos.losses.values()), alpha=cfg.mcs_alpha,
-                                reps=cfg.mcs_reps, block=cfg.mcs_block,
-                                statistic=cfg.mcs_statistic, seed=cfg.seed)
-    report = evaluation.build_report(in_sample, oos, report_mcs)
+    report = evaluation.build_report(in_sample, oos, _mcs(cfg, list(oos.losses.values())))
     evaluation.write_report_csv(report, out / "report.csv")
     evaluation.write_report_json(report, out / "report.json")
     _write_loss_plot_csv(panel, cfg, oos, out / "plot_losses.csv")
@@ -359,21 +305,13 @@ def _write_loss_plot_csv(panel: TemperaturePanel, cfg: RunConfig,
                 writer.writerow([kind, year, repr(float(value))])
 
 
-def cmd_mcs(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel | None,
+            adjacency: AdjacencyList | None, out: Path) -> int:
     if args.losses:
-        cfg.validate(require_panel=False)
-        out = _outdir(cfg)
         losses = _read_losses_csv(args.losses)
     else:
-        cfg.validate(require_adjacency=True)
-        out = _outdir(cfg)
-        panel, adjacency = _load_inputs(cfg)
-        oos = _run_oos(cfg, panel, adjacency)
-        losses = list(oos.losses.values())
-    report = evaluation.mcs(losses, alpha=cfg.mcs_alpha, reps=cfg.mcs_reps,
-                            block=cfg.mcs_block, statistic=cfg.mcs_statistic,
-                            seed=cfg.seed)
+        losses = list(_run_oos(cfg, panel, adjacency).losses.values())
+    report = _mcs(cfg, losses)
     payload_path = out / "mcs.json"
     evaluation.write_mcs_json(report, payload_path)
     print(f"{'model':<8} {'mcs_p':>7}")
@@ -430,10 +368,25 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _base_parser()
-    args = parser.parse_args(argv)
+    """Run one command after the steps every command shares: resolve and
+    validate the config, load the panel (with zones) and any adjacency, and
+    create the output directory. `mcs --losses` reads no panel."""
+    args = _base_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _resolve_config(args)
+        panel = adjacency = None
+        if getattr(args, "losses", None):
+            cfg.validate(require_panel=False)
+        else:
+            cfg.validate(require_adjacency=args.command in ("evaluate", "mcs")
+                         or getattr(args, "kind", None) == "NN")
+            panel = load_panel(cfg.panel_path)
+            if cfg.zones_path:
+                panel = attach_zones(panel, cfg.zones_path)
+            if cfg.adjacency_path:
+                adjacency = load_adjacency(cfg.adjacency_path, panel)
+        out = _outdir(cfg)
+        return _COMMANDS[args.command](args, cfg, panel, adjacency, out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -405,8 +405,6 @@ class ClusterStats:
     mean: float
     sd: float
     degenerate: bool  # fewer than two pooled values; sd reported as 0
-
-    sd_convention: str = field(default="sample (ddof=1)", repr=False)
 
 
 def cluster_summary(assign: ClusterAssignment,

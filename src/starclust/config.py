@@ -29,7 +29,6 @@ class RunConfig:
     k_b: int = 5
     k_c: int = 12
     min_cluster_size: int = 2
-    include_null_in_dA: bool = True
     rescale_distances: bool = False
     rescale_rho: float = 0.95
     split_year: int = 2000
@@ -39,6 +38,10 @@ class RunConfig:
     mcs_block: int = 2
     mcs_statistic: str = "SQ"
     granularity: str = "year"
+
+    def cluster_count(self, scheme: str) -> int:
+        """The configured number of main clusters for scheme A, B or C."""
+        return {"A": self.k_a, "B": self.k_b, "C": self.k_c}[scheme]
 
     def validate(self, require_panel: bool = True,
                  require_adjacency: bool = False) -> None:
@@ -57,9 +60,9 @@ class RunConfig:
                 raise ValidationError(f"{label} file not found: {path}")
         if not 0 < self.trend_alpha < 1:
             raise ValidationError(f"trend_alpha outside (0, 1): {self.trend_alpha}")
-        for name, k in (("A", self.k_a), ("B", self.k_b), ("C", self.k_c)):
-            if k < 1:
-                raise ValidationError(f"cluster count for scheme {name} must be >= 1")
+        for scheme in "ABC":
+            if self.cluster_count(scheme) < 1:
+                raise ValidationError(f"cluster count for scheme {scheme} must be >= 1")
         if self.min_cluster_size < 1:
             raise ValidationError("min_cluster_size must be >= 1")
         if not 0 < self.rescale_rho <= 1:
@@ -90,8 +93,7 @@ _SCHEMA = {
              "zones": ("zones_path", str)},
     "clusters": {"A": ("k_a", int), "B": ("k_b", int), "C": ("k_c", int),
                  "min_size": ("min_cluster_size", int)},
-    "weights": {"include_null_in_dA": ("include_null_in_dA", bool),
-                "rescale": ("rescale_distances", bool),
+    "weights": {"rescale": ("rescale_distances", bool),
                 "rho": ("rescale_rho", float)},
     "mcs": {"alpha": ("mcs_alpha", float), "reps": ("mcs_reps", int),
             "block": ("mcs_block", int), "statistic": ("mcs_statistic", str)},

@@ -189,7 +189,12 @@ def _collector_paused(loader: Callable) -> Callable:
     return paused
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], Callable[[int], int]]:
+    """The header, the non-blank data rows, and `line(i)`: data row i's physical line.
+
+    Only error messages need line numbers, so `line` reads the file again and
+    returns what `csv.reader`'s `line_num` gave for the row.
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"file not found: {path}")
@@ -206,7 +211,13 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     if not rows:
         raise ValidationError(f"empty file: {path}")
     header = [cell.strip() for cell in rows[0]]
-    return header, rows[1:]
+
+    def line(i: int) -> int:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            return [reader.line_num for row in reader if "".join(row).strip()][i + 1]
+
+    return header, rows[1:], line
 
 
 def detect_format(header: list[str]) -> str:
@@ -232,20 +243,20 @@ def load_panel(path: str | Path) -> TemperaturePanel:
     with year columns), told apart by `detect_format`. A wide file is checked
     for its layout only, then validated as the long rows it holds.
     """
-    header, rows = _read_rows(path)
+    header, rows, line = _read_rows(path)
     if detect_format(header) == "wide":
-        header, rows = _wide_as_long(header, rows)
-    return _load_long(header, rows)
+        header, rows, line = _wide_as_long(header, rows, line)
+    return _load_long(header, rows, line)
 
 
-def _wide_as_long(header: list[str], rows: list[list[str]]
-                  ) -> tuple[list[str], list[list[str]]]:
+def _wide_as_long(header: list[str], rows: list[list[str]], line: Callable[[int], int]
+                  ) -> tuple[list[str], list[list[str]], Callable[[int], int]]:
     """Check the wide layout and recast it as one long row per cell.
 
     Checked here: year columns consecutive once sorted and within 64 bits,
     rows as long as the header, no country row repeated. Cells and metadata
     are left to `_load_long`, which sees `country,year,temperature,*meta`
-    rows in file order.
+    rows in file order, each on the line of the wide row it came from.
     """
     lowered = [h.lower() for h in header]
     year_cols = sorted((int(h), i) for i, h in enumerate(lowered)
@@ -264,19 +275,20 @@ def _wide_as_long(header: list[str], rows: list[list[str]]
     cells = [(str(year), i) for year, i in year_cols]
     seen: set[str] = set()
     long_rows: list[list[str]] = []
-    for lineno, row in enumerate(rows, start=2):
+    for n, row in enumerate(rows):
         if len(row) < len(header):
-            raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
+            raise ValidationError(f"line {line(n)}: expected {len(header)} columns, got {len(row)}")
         country = row[0].strip()
         if country in seen:
             raise ValidationError(f"duplicate country row for {country!r}")
         seen.add(country)
         meta = [row[m] for m in meta_idx]
         long_rows.extend([row[0], year, row[i], *meta] for year, i in cells)
-    return [*_LONG_HEADER, *meta_names], long_rows
+    return [*_LONG_HEADER, *meta_names], long_rows, lambda n: line(n // len(cells))
 
 
-def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
+def _load_long(header: list[str], rows: list[list[str]],
+               line: Callable[[int], int]) -> TemperaturePanel:
     """Parse a long panel column-wise; any row-level fault defers to `_long_row_error`.
 
     On valid input every check is an array operation. When one fails, the
@@ -292,7 +304,7 @@ def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
     if not rows:
         raise ValidationError("long panel has a header but no observations")
     if min(map(len, rows)) < len(header):
-        _long_row_error(header, rows, col, meta_col)
+        _long_row_error(header, rows, col, meta_col, line)
 
     def column(idx: int) -> list[str]:
         return list(map(itemgetter(idx), rows))
@@ -302,12 +314,12 @@ def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
         years = np.array(column(col["year"]), dtype=np.int64)
         values = np.array(column(col["temperature"]), dtype=float)
     except (ValueError, OverflowError):
-        _long_row_error(header, rows, col, meta_col)
+        _long_row_error(header, rows, col, meta_col, line)
     if not np.isfinite(values).all():
-        _long_row_error(header, rows, col, meta_col)
+        _long_row_error(header, rows, col, meta_col, line)
     meta = _long_meta(countries, {name: column(idx) for name, idx in meta_col.items()})
     if meta is None:
-        _long_row_error(header, rows, col, meta_col)
+        _long_row_error(header, rows, col, meta_col, line)
 
     ids = [_detached(cid) for cid in sorted(set(countries))]
     code_of = {cid: code for code, cid in enumerate(ids)}
@@ -316,7 +328,7 @@ def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
     order = np.lexsort((years, codes))
     codes, years = codes[order], years[order]
     if ((codes[1:] == codes[:-1]) & (years[1:] == years[:-1])).any():
-        _long_row_error(header, rows, col, meta_col)
+        _long_row_error(header, rows, col, meta_col, line)
     first, last = int(years.min()), int(years.max())
     span = last - first + 1
     if len(ids) * span != len(rows):
@@ -373,7 +385,7 @@ def _gap_message(ids: list[str], codes: np.ndarray, years: np.ndarray,
 
 
 def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int],
-                    meta_col: dict[str, int]) -> NoReturn:
+                    meta_col: dict[str, int], line: Callable[[int], int]) -> NoReturn:
     """Re-read a long panel row by row and raise its first row-level fault.
 
     Reached only after a column-wise check failed. The one fault that no
@@ -383,19 +395,19 @@ def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int
     seen: set[tuple[str, int]] = set()
     meta: dict[str, dict[str, str]] = {}
     out_of_range: str | None = None
-    for lineno, row in enumerate(rows, start=2):
+    for i, row in enumerate(rows):
         if len(row) < len(header):
-            raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
+            raise ValidationError(f"line {line(i)}: expected {len(header)} columns, got {len(row)}")
         country = row[col["country"]].strip()
         year_text = row[col["year"]].strip()
         try:
             year = int(year_text)
         except ValueError:
             raise ValidationError(
-                f"line {lineno}: non-integer year {year_text!r} for country {country!r}"
+                f"line {line(i)}: non-integer year {year_text!r} for country {country!r}"
             ) from None
         if out_of_range is None and not _YEAR_MIN <= year <= _YEAR_MAX:
-            out_of_range = f"line {lineno}: year {year_text!r} for country {country!r} is out of range"
+            out_of_range = f"line {line(i)}: year {year_text!r} for country {country!r} is out of range"
         _parse_temperature(row[col["temperature"]].strip(), country, year)
         if (country, year) in seen:
             raise ValidationError(f"duplicate entry for country {country!r}, year {year}")
@@ -432,19 +444,19 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
     Every id must be in the panel; a country may repeat if its non-blank
     values agree. Non-blank values replace the panel's own.
     """
-    header, rows = _read_rows(path)
+    header, rows, line = _read_rows(path)
     lowered = [h.lower() for h in header]
     if "country" not in lowered or "zone" not in lowered:
         raise ValidationError("zone file header must contain `country` and `zone`")
     cols = {name: lowered.index(name) for name in _META_COLUMNS if name in lowered}
     id_col = lowered.index("country")
     table: dict[str, dict[str, str]] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for i, row in enumerate(rows):
         if len(row) < len(header):
-            raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
+            raise ValidationError(f"line {line(i)}: expected {len(header)} columns, got {len(row)}")
         country = row[id_col].strip()
         if country not in panel.id_index:
-            raise ValidationError(f"line {lineno}: unknown country id {country!r} in zone file")
+            raise ValidationError(f"line {line(i)}: unknown country id {country!r} in zone file")
         entry = table.setdefault(country, {})
         for name, idx in cols.items():
             text = row[idx].strip()
@@ -467,20 +479,20 @@ def load_adjacency(path: str | Path, panel: TemperaturePanel) -> AdjacencyList:
     Countries absent from the file get empty neighbor sets; unknown ids and
     self-edges are hard errors.
     """
-    header, rows = _read_rows(path)
+    header, rows, line = _read_rows(path)
     lowered = [h.lower() for h in header]
     if lowered[:2] != ["country_a", "country_b"]:
         raise ValidationError("adjacency header must be `country_a,country_b`")
     neighbors: dict[str, set[str]] = {i: set() for i in panel.ids}
-    for lineno, row in enumerate(rows, start=2):
+    for i, row in enumerate(rows):
         if len(row) < 2:
-            raise ValidationError(f"line {lineno}: adjacency row needs two country ids")
+            raise ValidationError(f"line {line(i)}: adjacency row needs two country ids")
         a, b = row[0].strip(), row[1].strip()
         for cid in (a, b):
             if cid not in panel.id_index:
-                raise ValidationError(f"line {lineno}: unknown country id {cid!r} in adjacency")
+                raise ValidationError(f"line {line(i)}: unknown country id {cid!r} in adjacency")
         if a == b:
-            raise ValidationError(f"line {lineno}: self-edge for country {a!r}")
+            raise ValidationError(f"line {line(i)}: self-edge for country {a!r}")
         neighbors[a].add(b)
         neighbors[b].add(a)
     return AdjacencyList(neighbors={k: frozenset(v) for k, v in neighbors.items()})

@@ -10,16 +10,18 @@ Three clustering schemes share one code path:
 Each scheme cuts the average-linkage dendrogram so that exactly k clusters of
 at least min_size countries remain; smaller components become idiosyncratic.
 Scheme A clusters are renumbered by mean slope, fastest warming first.
+Every recipe reads k, min_size, the trend alpha and rescaling from a `RunConfig`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .clustering import (ClusterAssignment, CutRule, Dendrogram, agglomerate,
                          cut, relabel_by_feature)
+from .config import RunConfig
 from .distances import (DistanceMatrix, diff_distance, sign_distance,
                         slope_distance)
 from .errors import ValidationError
@@ -29,7 +31,6 @@ from .weights import (KINDS, WeightMatrix, cluster_restricted_weights,
                       contiguity_weights, distance_weights)
 
 SCHEMES = ("A", "B", "C")
-DEFAULT_K = {"A": 4, "B": 5, "C": 12}
 
 
 @dataclass(frozen=True)
@@ -41,25 +42,23 @@ class SchemeResult:
     trends: dict[str, TrendFit] | None  # fitted for scheme A, None otherwise
 
 
-def compute_scheme(panel: TemperaturePanel, scheme: str, k: int | None = None,
-                   alpha: float = 0.05, min_size: int = 2,
+def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
                    rule: CutRule | None = None) -> SchemeResult:
-    """Cluster the panel under one scheme.
+    """Cluster the panel under one scheme with the run config's parameters.
 
-    The default cut searches for exactly k main clusters (k defaults to the
-    per-scheme reproduction value); pass an explicit CutRule to override.
+    Scheme A tests slopes at `cfg.trend_alpha`. The default cut searches for
+    exactly `cfg.cluster_count(scheme)` main clusters of at least
+    `cfg.min_cluster_size` countries; an explicit CutRule replaces it whole.
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if k is None:
-        k = DEFAULT_K[scheme]
     if rule is None:
-        rule = CutRule.main_count(k, min_size=min_size)
+        rule = CutRule.main_count(cfg.cluster_count(scheme), min_size=cfg.min_cluster_size)
 
     trends: dict[str, TrendFit] | None = None
     null_ids: frozenset[str] = frozenset()
     if scheme == "A":
-        trends = fit_panel_trends(panel, alpha=alpha)
+        trends = fit_panel_trends(panel, alpha=cfg.trend_alpha)
         null_ids = frozenset(cid for cid, fit in trends.items() if not fit.significant)
         kept = [cid for cid in panel.ids if cid not in null_ids]
         if len(kept) < 2:
@@ -92,56 +91,38 @@ def _scheme_of_kind(kind: str) -> str:
     return kind[-1]
 
 
-def build_weights(panel: TemperaturePanel, kinds: Sequence[str] = KINDS,
+def build_weights(panel: TemperaturePanel, cfg: RunConfig,
+                  kinds: Sequence[str] = KINDS,
                   adjacency: AdjacencyList | None = None,
-                  scheme_cache: dict[str, SchemeResult] | None = None,
-                  include_null_in_dA: bool = True,
-                  rescale: bool = False, rho: float = 0.95,
-                  alpha: float = 0.05, min_size: int = 2,
-                  k_by_scheme: Mapping[str, int] | None = None) -> dict[str, WeightMatrix]:
-    """Construct the requested weight matrices, reusing scheme computations.
+                  scheme_cache: dict[str, SchemeResult] | None = None) -> dict[str, WeightMatrix]:
+    """Construct the requested weight matrices of a run config, reusing scheme computations.
 
-    dA uses slope distances over every country by default (the six null-slope
-    countries still have estimated slopes); set include_null_in_dA=False to
-    restrict it to significant-trend countries, as in cA.
+    Clustered kinds cut their scheme as `compute_scheme` does, and distances
+    are rescaled as `cfg.rescale_distances` and `cfg.rescale_rho` say. dA uses
+    slope distances over every country: the null-slope countries still have
+    estimated slopes.
     """
     unknown = [kind for kind in kinds if kind not in KINDS]
     if unknown:
         raise ValidationError(f"unknown weight kinds {unknown}; expected among {KINDS}")
     cache = scheme_cache if scheme_cache is not None else {}
-    k_map = dict(DEFAULT_K)
-    if k_by_scheme:
-        k_map.update(k_by_scheme)
-    trend_cache: dict[str, TrendFit] = {}
+    rescale, rho = cfg.rescale_distances, cfg.rescale_rho
 
     def scheme_result(scheme: str) -> SchemeResult:
         if scheme not in cache:
-            cache[scheme] = compute_scheme(panel, scheme, k=k_map[scheme],
-                                           alpha=alpha, min_size=min_size)
+            cache[scheme] = compute_scheme(panel, scheme, cfg)
         return cache[scheme]
-
-    def panel_trends() -> dict[str, TrendFit]:
-        if "A" in cache and cache["A"].trends is not None:
-            return cache["A"].trends
-        if not trend_cache:
-            trend_cache.update(fit_panel_trends(panel, alpha=alpha))
-        return trend_cache
 
     def full_distance(scheme: str) -> DistanceMatrix:
         # Full-distance kinds need no dendrogram cut, only the metric itself;
-        # reuse a scheme result's matrix when clustering already ran.
-        if scheme in cache and scheme != "A":
+        # reuse a scheme result's trends or matrix when clustering already ran.
+        if scheme == "A":
+            fits = (cache["A"].trends if "A" in cache
+                    else fit_panel_trends(panel, alpha=cfg.trend_alpha))
+            return slope_distance([fits[cid] for cid in panel.ids], list(panel.ids))
+        if scheme in cache:
             return cache[scheme].distance
-        if scheme == "B":
-            return diff_distance(panel)
-        if scheme == "C":
-            return sign_distance(panel)
-        fits = panel_trends()
-        if include_null_in_dA:
-            ids = list(panel.ids)
-        else:
-            ids = [cid for cid in panel.ids if fits[cid].significant]
-        return slope_distance([fits[cid] for cid in ids], ids)
+        return diff_distance(panel) if scheme == "B" else sign_distance(panel)
 
     out: dict[str, WeightMatrix] = {}
     for kind in kinds:
@@ -151,22 +132,19 @@ def build_weights(panel: TemperaturePanel, kinds: Sequence[str] = KINDS,
             out[kind] = contiguity_weights(adjacency, panel)
         elif kind.startswith("c"):
             result = scheme_result(_scheme_of_kind(kind))
-            out[kind] = cluster_restricted_weights(result.distance,
-                                                   result.assignment, panel,
+            out[kind] = cluster_restricted_weights(result.distance, result.assignment, panel,
                                                    kind=kind, rescale=rescale, rho=rho)
         else:
-            dist = full_distance(_scheme_of_kind(kind))
-            out[kind] = distance_weights(dist, panel, kind=kind,
-                                         rescale=rescale, rho=rho)
+            out[kind] = distance_weights(full_distance(_scheme_of_kind(kind)), panel,
+                                         kind=kind, rescale=rescale, rho=rho)
     return out
 
 
-def weight_builder(kinds: Sequence[str] = KINDS,
-                   adjacency: AdjacencyList | None = None,
-                   **params) -> Callable[[TemperaturePanel], dict[str, WeightMatrix]]:
+def weight_builder(cfg: RunConfig, kinds: Sequence[str] = KINDS,
+                   adjacency: AdjacencyList | None = None
+                   ) -> Callable[[TemperaturePanel], dict[str, WeightMatrix]]:
     """Builder for the out-of-sample experiment: clusters, distances, and
     weights are re-estimated on whatever (training) panel it is handed."""
     def build(panel: TemperaturePanel) -> dict[str, WeightMatrix]:
-        return build_weights(panel, kinds=kinds, adjacency=adjacency, **params)
+        return build_weights(panel, cfg, kinds, adjacency)
     return build
-

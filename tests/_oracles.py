@@ -247,23 +247,28 @@ def gather_boot_means(matrix: np.ndarray, block: int, reps: int,
 
 
 # Row-by-row panel reader: `_read_rows`, `_load_long` and `_load_wide` as the
-# package had them before long panels were parsed column-wise (verbatim), and
-# `load_panel_rows` composing them as `starclust.panel.load_panel` does.
+# package had them before long panels were parsed column-wise (verbatim,
+# except that messages give each row's physical line, as `csv.reader`'s
+# `line_num` reports it), and `load_panel_rows` composing them as
+# `starclust.panel.load_panel` does.
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], list[int]]:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
+        numbered = [(reader.line_num, row) for row in reader
+                    if row and any(cell.strip() for cell in row)]
+    if not numbered:
         raise ValidationError(f"empty file: {path}")
+    lines = [line for line, _ in numbered[1:]]
+    rows = [row for _, row in numbered]
     header = [cell.strip() for cell in rows[0]]
-    return header, rows[1:]
+    return header, rows[1:], lines
 
 
-def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
+def _load_long(header: list[str], rows: list[list[str]], lines: list[int]) -> TemperaturePanel:
     lowered = [h.lower() for h in header]
     col = {name: lowered.index(name) for name in _LONG_HEADER if name in lowered}
     missing = [name for name in _LONG_HEADER if name not in col]
@@ -273,7 +278,7 @@ def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
 
     cells: dict[tuple[str, int], float] = {}
     meta: dict[str, dict[str, str]] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(lines, rows):
         if len(row) < len(header):
             raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
         country = row[col["country"]].strip()
@@ -317,7 +322,7 @@ def _load_long(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
     return TemperaturePanel(countries=countries, years=tuple(full_years), values=values)
 
 
-def _load_wide(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
+def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> TemperaturePanel:
     lowered = [h.lower() for h in header]
     year_cols = [(i, int(h)) for i, h in enumerate(lowered) if h.lstrip("-").isdigit()]
     if not year_cols:
@@ -336,7 +341,7 @@ def _load_wide(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
 
     seen: dict[str, int] = {}
     records: list[tuple[CountryMeta, list[float]]] = []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(lines, rows):
         if len(row) < len(header):
             raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
         country = row[id_col].strip()
@@ -359,12 +364,12 @@ def _load_wide(header: list[str], rows: list[list[str]]) -> TemperaturePanel:
 
 
 def load_panel_rows(path: str | Path, fmt: str = "auto") -> TemperaturePanel:
-    header, rows = _read_rows(path)
+    header, rows, lines = _read_rows(path)
     if fmt == "auto":
         fmt = detect_format(header)
     if fmt == "long":
-        return _load_long(header, rows)
-    return _load_wide(header, rows)
+        return _load_long(header, rows, lines)
+    return _load_wide(header, rows, lines)
 
 
 # Country-by-country STAR fit: `fit_star`, `_ols_with_fallback` and `_predict`

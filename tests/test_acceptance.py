@@ -21,7 +21,7 @@ from _oracles import (brute_diff_distance, brute_hamming_distance,
                       dendrogram_leafset_merges, ols_normal_equations,
                       simulate_star)
 
-from starclust import clustering, evaluation, pipeline, star, weights
+from starclust import RunConfig, clustering, evaluation, pipeline, star, weights
 from starclust.clustering import CutRule, agglomerate, cut, zone_cross_tab
 from starclust.distances import (DistanceMatrix, diff_distance, sign_distance,
                                  slope_distance)
@@ -62,14 +62,13 @@ def reproduction_run(panel, adjacency) -> dict:
     2000 origin over 22 years, and the MCS under five seeds."""
     t0 = time.perf_counter()
     scheme_cache: dict[str, object] = {}
-    k_by_scheme = {"A": 4, "B": 5, "C": 12}
+    cfg = RunConfig(k_a=4, k_b=5, k_c=12)
     matrices = pipeline.build_weights(
-        panel, kinds=weights.KINDS, adjacency=adjacency,
-        k_by_scheme=k_by_scheme, scheme_cache=scheme_cache)
+        panel, cfg, kinds=weights.KINDS, adjacency=adjacency,
+        scheme_cache=scheme_cache)
     in_sample = in_sample_fn(panel, matrices)
-    builder = pipeline.weight_builder(kinds=weights.KINDS,
-                                      adjacency=adjacency,
-                                      k_by_scheme=k_by_scheme)
+    builder = pipeline.weight_builder(cfg, kinds=weights.KINDS,
+                                      adjacency=adjacency)
     oos = oos_experiment(panel, builder, origin_year=2000, horizon=22)
     reports = [mcs(list(oos.losses.values()), alpha=0.01, reps=10_000,
                    block=2, seed=seed) for seed in range(5)]
@@ -311,8 +310,8 @@ class TestProperties:
             adjacency = AdjacencyList(neighbours)
             cache: dict[str, object] = {}
             built = pipeline.build_weights(
-                panel, kinds=weights.KINDS, adjacency=adjacency, rescale=True,
-                k_by_scheme={"A": 2, "B": 3, "C": 3}, scheme_cache=cache)
+                panel, RunConfig(k_a=2, k_b=3, k_c=3, rescale_distances=True),
+                kinds=weights.KINDS, adjacency=adjacency, scheme_cache=cache)
             for kind, matrix in built.items():
                 sums = matrix.values.sum(axis=1)
                 for idx, total in enumerate(sums):

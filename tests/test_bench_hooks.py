@@ -1,0 +1,49 @@
+"""The benchmark's tracer (bench/tracing.py) still finds every layer it wraps.
+
+The tracer replaces module attributes by name, and a name it cannot find is
+only listed as unhooked, so a refactor that renames or moves one of them
+would silently drop that layer from the per-layer metrics.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import starclust.cli
+from starclust import clustering, evaluation, pipeline
+
+MODULES = {"cli": starclust.cli, "clustering": clustering,
+           "evaluation": evaluation, "pipeline": pipeline}
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module of a class through sys.modules.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_hook_resolves(tracing):
+    missing = [f"{module}.{attr}" for module, attr, _ in tracing.HOOKS
+               if not callable(getattr(MODULES[module], attr, None))]
+    assert missing == []
+
+
+def test_hooked_replaces_and_restores_every_hook(tracing):
+    originals = {(module, attr): getattr(MODULES[module], attr)
+                 for module, attr, _ in tracing.HOOKS}
+    tracer = tracing.Tracer(run=0)
+    with tracing.hooked(tracer):
+        assert tracer.unhooked == []
+        assert [key for key, fn in originals.items()
+                if getattr(MODULES[key[0]], key[1]) is fn] == []
+    assert [key for key, fn in originals.items()
+            if getattr(MODULES[key[0]], key[1]) is not fn] == []

@@ -1,5 +1,7 @@
 """End-to-end command line checks, driving main() in-process."""
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,11 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starclust
+from starclust import RunConfig, cli
 from starclust.cli import main
+from starclust.config import _SCHEMA, _TOP_LEVEL
 
 
 def _write_dataset(root):
@@ -354,6 +359,18 @@ class TestMcs:
         payload = json.loads((tmp_path / "mcs.json").read_text())
         assert len(payload["eliminations"]) == 7
 
+    def test_bad_panel_reported_before_output_directory(self, dataset, tmp_path, capsys):
+        # Like every command, mcs loads its inputs before it creates --out.
+        panel = tmp_path / "panel.csv"
+        panel.write_text("country,year,temperature\n\nA,MMXX,1.0\n", encoding="utf-8")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n", encoding="utf-8")
+        rc = main(["mcs", "--data", str(panel), "--adjacency", str(dataset["adjacency"]),
+                   "--out", str(blocker / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "line 3: non-integer year 'MMXX' for country 'A'" in captured.err
+
     def test_losses_file_missing(self, tmp_path, capsys):
         rc = main(["mcs", "--losses", str(tmp_path / "none.csv"),
                    "--out", str(tmp_path)])
@@ -416,6 +433,16 @@ class TestConfigResolution:
         assert rc == 2
         assert "unknown config key 'workers'" in captured.err
 
+    def test_include_null_in_dA_key_is_unknown(self, dataset, tmp_path, capsys):
+        config = tmp_path / "knob.yaml"
+        config.write_text(dataset["config"].read_text().replace(
+            "weights:\n", "weights:\n  include_null_in_dA: false\n"))
+        rc = main(["evaluate", "--config", str(config), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "unknown config key weights.include_null_in_dA" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_data_flag_beats_config_file(self, dataset, tmp_path, capsys):
         rc = main(["trends", "--config", str(dataset["config"]),
                    "--data", str(tmp_path / "missing.csv"),
@@ -423,6 +450,76 @@ class TestConfigResolution:
         captured = capsys.readouterr()
         assert rc == 2
         assert "missing.csv" in captured.err
+
+
+# Flags that choose what a command does rather than a run parameter.
+CLI_ONLY = {"config", "scheme", "k", "cut", "height", "kind", "origin", "losses"}
+REQUIRED_FLAGS = {"cluster": ["--scheme", "A"], "weights": ["--kind", "NN"],
+                  "fit": ["--kind", "NN"], "forecast": ["--kind", "NN"]}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = cli._base_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _yaml_key(field: str) -> list[str]:
+    """The config file path (section, key) or (key,) that sets a RunConfig field."""
+    for key, (name, _) in _TOP_LEVEL.items():
+        if name == field:
+            return [key]
+    for section, keys in _SCHEMA.items():
+        for key, (name, _) in keys.items():
+            if name == field:
+                return [section, key]
+    raise AssertionError(f"no config key sets {field}")
+
+
+class TestFlagCoverage:
+    """Every flag either overrides the RunConfig field it is named after or is CLI-only."""
+
+    FIELDS = {field.name for field in dataclasses.fields(RunConfig)}
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_flag_is_a_field_or_cli_only(self, command):
+        for action in _subcommands()[command]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert action.dest in self.FIELDS | CLI_ONLY, (command, action.option_strings)
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_field_flag_beats_its_config_key(self, command, tmp_path):
+        parser = cli._base_parser()
+        checked = []
+        for action in _subcommands()[command]._actions:
+            if action.dest not in self.FIELDS:
+                continue
+            flag = action.option_strings[0]
+            if action.nargs == 0:       # a switch can only turn a field on
+                from_file, from_flag, argv = False, True, [flag]
+            elif action.choices:
+                from_file, from_flag = action.choices[-1], action.choices[0]
+                argv = [flag, from_flag]
+            elif action.type in (int, float):
+                from_file, from_flag = action.type(3), action.type(7)
+                argv = [flag, str(from_flag)]
+            else:
+                from_file, from_flag = "from-file", "from-flag"
+                argv = [flag, from_flag]
+            *sections, key = _yaml_key(action.dest)
+            document = {key: from_file}
+            for section in sections:
+                document = {section: document}
+            path = tmp_path / f"{action.dest}.yaml"
+            path.write_text(yaml.safe_dump(document), encoding="utf-8")
+            base = [command, *REQUIRED_FLAGS.get(command, []), "--config", str(path)]
+            file_only = cli._resolve_config(parser.parse_args(base))
+            assert getattr(file_only, action.dest) == from_file, flag
+            both = cli._resolve_config(parser.parse_args([*base, *argv]))
+            assert getattr(both, action.dest) == from_flag, flag
+            checked.append(action.dest)
+        assert {"panel_path", "output_dir", "seed"} <= set(checked)
 
 
 class TestMalformedInputs:

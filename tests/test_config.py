@@ -16,7 +16,6 @@ class TestDefaults:
         assert cfg.mcs_reps == 10_000
         assert cfg.mcs_block == 2
         assert cfg.mcs_statistic == "SQ"
-        assert cfg.include_null_in_dA is True
         assert cfg.rescale_distances is False
         assert cfg.granularity == "year"
 
@@ -94,7 +93,7 @@ class TestConfigFromDict:
         cfg = config_from_dict({
             "data": {"panel": "p.csv", "adjacency": "a.csv", "zones": "z.csv"},
             "clusters": {"A": 3, "B": 6, "C": 10, "min_size": 3},
-            "weights": {"rescale": True, "rho": 0.9, "include_null_in_dA": False},
+            "weights": {"rescale": True, "rho": 0.9},
             "mcs": {"alpha": 0.05, "reps": 2000, "block": 3, "statistic": "R"},
             "seed": 7,
             "horizon": 10,
@@ -105,7 +104,6 @@ class TestConfigFromDict:
         assert cfg.min_cluster_size == 3
         assert cfg.rescale_distances is True
         assert cfg.rescale_rho == 0.9
-        assert cfg.include_null_in_dA is False
         assert cfg.mcs_alpha == 0.05
         assert cfg.mcs_statistic == "R"
         assert cfg.seed == 7 and cfg.horizon == 10

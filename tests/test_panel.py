@@ -559,6 +559,44 @@ class TestZones:
             attach_zones(toy_panel, path)
 
 
+class TestPhysicalLineNumbers:
+    """Row faults name the line `csv.reader` read, counting blank lines."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("country,year,temperature\n\nA,MMXX,1.0\n",
+         "line 3: non-integer year 'MMXX' for country 'A'"),
+        ("\n\ncountry,year,temperature\nA,MMXX,1.0\n",
+         "line 4: non-integer year 'MMXX' for country 'A'"),
+        ("country,year,temperature\nA,2000,1.0\n \n,,\nA,2001\n",
+         "line 5: expected 3 columns, got 2"),
+        ("country,year,temperature\n\nA,99999999999999999999,1.0\n",
+         "line 3: year '99999999999999999999' for country 'A' is out of range"),
+        ('country,year,temperature,name\nA,2000,1.0,"two\nlines"\nA,MMXX,1.0,x\n',
+         "line 4: non-integer year 'MMXX' for country 'A'"),
+        ("\ufeffcountry,year,temperature\n\nA,MMXX,1.0\n",
+         "line 3: non-integer year 'MMXX' for country 'A'"),
+        ("country,2000,2001\n\nA,1.0,2.0\n\nB,1.0\n",
+         "line 5: expected 3 columns, got 2"),
+    ], ids=["long", "leading-blanks", "short-row", "year-range", "multiline-field",
+            "byte-order-mark", "wide"])
+    def test_panel(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "p.csv", text)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            load_panel(path)
+
+    def test_adjacency(self, toy_panel, tmp_path):
+        path = write_csv(tmp_path / "a.csv", "country_a,country_b\n\nC00,ZZ\n")
+        with pytest.raises(ValidationError,
+                           match="^line 3: unknown country id 'ZZ' in adjacency$"):
+            load_adjacency(path, toy_panel)
+
+    def test_zones(self, toy_panel, tmp_path):
+        path = write_csv(tmp_path / "z.csv", "country,zone\n\n\nZZ,Africa\n")
+        with pytest.raises(ValidationError,
+                           match="^line 4: unknown country id 'ZZ' in zone file$"):
+            attach_zones(toy_panel, path)
+
+
 class TestSplit:
     def test_split_year_boundaries(self, toy_panel):
         first, last = toy_panel.years[0], toy_panel.years[-1]

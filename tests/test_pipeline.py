@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from starclust import (DEFAULT_K, KINDS, SCHEMES, AdjacencyList, CutRule,
+from starclust import (KINDS, SCHEMES, AdjacencyList, CutRule, RunConfig,
                        ValidationError, build_weights, compute_scheme,
                        scheme_features, split_panel, weight_builder)
 from conftest import make_panel
@@ -20,6 +20,9 @@ def chain_adjacency(ids):
     return AdjacencyList(pairs)
 
 
+# k = 2/3/3 main clusters for schemes A/B/C, distances rescaled.
+CFG = RunConfig(k_a=2, k_b=3, k_c=3, rescale_distances=True)
+
 GROUPS = {
     1: ["C00", "C01", "C02"],   # fastest warming
     2: ["C03", "C04", "C05"],   # moderate warming
@@ -30,10 +33,11 @@ GROUPS = {
 class TestComputeScheme:
     def test_constants(self):
         assert SCHEMES == ("A", "B", "C")
-        assert DEFAULT_K == {"A": 4, "B": 5, "C": 12}
+        cfg = RunConfig()
+        assert [cfg.cluster_count(s) for s in SCHEMES] == [4, 5, 12]
 
     def test_scheme_a_excludes_null_and_orders_by_slope(self, grouped_panel):
-        res = compute_scheme(grouped_panel, "A", k=2)
+        res = compute_scheme(grouped_panel, "A", CFG)
         assign = res.assignment
         assert assign.null_excluded == frozenset(GROUPS[3])
         assert assign.members(1) == GROUPS[1]
@@ -45,7 +49,7 @@ class TestComputeScheme:
         assert mean1 > mean2
 
     def test_scheme_b_groups_by_dynamics(self, grouped_panel):
-        res = compute_scheme(grouped_panel, "B", k=3)
+        res = compute_scheme(grouped_panel, "B", CFG)
         assign = res.assignment
         assert res.trends is None
         assert assign.null_excluded == frozenset()
@@ -53,7 +57,7 @@ class TestComputeScheme:
         assert got == {frozenset(g) for g in GROUPS.values()}
 
     def test_scheme_c_sign_patterns(self, grouped_panel):
-        res = compute_scheme(grouped_panel, "C", k=3)
+        res = compute_scheme(grouped_panel, "C", CFG)
         assign = res.assignment
         assert res.distance.metric == "hamming"
         assert frozenset(assign.members(1)) == frozenset(GROUPS[1])
@@ -64,10 +68,10 @@ class TestComputeScheme:
 
     def test_unknown_scheme(self, grouped_panel):
         with pytest.raises(ValidationError, match="unknown scheme"):
-            compute_scheme(grouped_panel, "D")
+            compute_scheme(grouped_panel, "D", CFG)
 
     def test_explicit_rule_override(self, grouped_panel):
-        res = compute_scheme(grouped_panel, "B", rule=CutRule.count(1, min_size=1))
+        res = compute_scheme(grouped_panel, "B", CFG, rule=CutRule.count(1, min_size=1))
         assert res.assignment.n_clusters == 1
         assert len(res.assignment.members(1)) == 9
 
@@ -75,16 +79,16 @@ class TestComputeScheme:
         rng = np.random.default_rng(0)
         panel = make_panel(12.0 + rng.normal(0, 1, (3, 30)))
         with pytest.raises(ValidationError, match="fewer than 2"):
-            compute_scheme(panel, "A", k=1)
+            compute_scheme(panel, "A", RunConfig(k_a=1))
 
     def test_features_scheme_a_slopes(self, grouped_panel):
-        res = compute_scheme(grouped_panel, "A", k=2)
+        res = compute_scheme(grouped_panel, "A", CFG)
         feats = scheme_features(res, grouped_panel)
         assert set(feats) == set(grouped_panel.ids)
         assert feats["C00"] == pytest.approx(0.12, abs=0.01)
 
     def test_features_other_schemes_are_diffs(self, grouped_panel):
-        res = compute_scheme(grouped_panel, "B", k=3)
+        res = compute_scheme(grouped_panel, "B", CFG)
         feats = scheme_features(res, grouped_panel)
         diff = feats["C03"]
         assert diff.shape == (grouped_panel.n_years - 1,)
@@ -92,7 +96,7 @@ class TestComputeScheme:
 
     @pytest.mark.parametrize("scheme", ["B", "C"])
     def test_difference_features_bitwise_equal_to_row_differences(self, grouped_panel, scheme):
-        feats = scheme_features(compute_scheme(grouped_panel, scheme, k=3), grouped_panel)
+        feats = scheme_features(compute_scheme(grouped_panel, scheme, CFG), grouped_panel)
         assert list(feats) == list(grouped_panel.ids)
         for cid, diff in feats.items():
             row = grouped_panel.row(cid)
@@ -101,11 +105,7 @@ class TestComputeScheme:
 
 class TestBuildWeights:
     def build_all(self, panel, **kw):
-        adj = chain_adjacency(panel.ids)
-        params = dict(adjacency=adj, rescale=True,
-                      k_by_scheme={"A": 2, "B": 3, "C": 3})
-        params.update(kw)
-        return build_weights(panel, **params)
+        return build_weights(panel, CFG, adjacency=chain_adjacency(panel.ids), **kw)
 
     def test_all_kinds_produced(self, grouped_panel):
         out = self.build_all(grouped_panel)
@@ -145,29 +145,27 @@ class TestBuildWeights:
 
     def test_contiguity_requires_adjacency(self, grouped_panel):
         with pytest.raises(ValidationError, match="adjacency"):
-            build_weights(grouped_panel, kinds=("NN",))
+            build_weights(grouped_panel, CFG, kinds=("NN",))
 
     def test_unknown_kind(self, grouped_panel):
         with pytest.raises(ValidationError, match="unknown weight kinds"):
-            build_weights(grouped_panel, kinds=("NN", "zz"))
+            build_weights(grouped_panel, CFG, kinds=("NN", "zz"))
 
     def test_distance_kinds_skip_the_cut(self, grouped_panel):
         # k=7 main clusters cannot exist among 9 countries at min_size 2, so
         # the clustered kind fails, but the full-distance kind never cuts.
         adj = chain_adjacency(grouped_panel.ids)
+        cfg = RunConfig(k_b=7, rescale_distances=True)
         with pytest.raises(ValidationError, match="no dendrogram cut"):
-            build_weights(grouped_panel, kinds=("cB",), adjacency=adj,
-                          rescale=True, k_by_scheme={"B": 7})
-        out = build_weights(grouped_panel, kinds=("dB",), adjacency=adj,
-                            rescale=True, k_by_scheme={"B": 7})
+            build_weights(grouped_panel, cfg, kinds=("cB",), adjacency=adj)
+        out = build_weights(grouped_panel, cfg, kinds=("dB",), adjacency=adj)
         assert out["dB"].zero_rows() == ()
 
-    def test_include_null_in_dA_switch(self, grouped_panel):
+    def test_dA_keeps_null_countries(self, grouped_panel):
+        # The null-slope countries still have estimated slopes, so dA gives
+        # them weights where cA gives them zero rows.
         with_null = self.build_all(grouped_panel, kinds=("dA",))
         assert with_null["dA"].zero_rows() == ()
-        without = self.build_all(grouped_panel, kinds=("dA",),
-                                 include_null_in_dA=False)
-        assert set(without["dA"].zero_rows()) == set(GROUPS[3])
 
     def test_scheme_cache_reused(self, grouped_panel):
         cache = {}
@@ -183,13 +181,12 @@ class TestBuildWeights:
         # Max diff distance 12.4 exceeds the 9-country panel size.
         adj = chain_adjacency(grouped_panel.ids)
         with pytest.raises(ValidationError, match="exceeds panel size"):
-            build_weights(grouped_panel, kinds=("dB",), adjacency=adj,
-                          rescale=False)
+            build_weights(grouped_panel, RunConfig(), kinds=("dB",), adjacency=adj)
 
 
 class TestBuilders:
     def test_weight_builder_reestimates_on_slice(self, grouped_panel):
-        build = weight_builder(kinds=("dB",), rescale=True)
+        build = weight_builder(CFG, kinds=("dB",))
         full = build(grouped_panel)
         train, _ = split_panel(grouped_panel, 1975)
         reduced = build(train)

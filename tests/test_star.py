@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from starclust import (KINDS, EquationFit, StarModel, ValidationError,
+from starclust import (KINDS, EquationFit, RunConfig, StarModel, ValidationError,
                        WeightMatrix, build_weights, fit_star,
                        fitted_levels, forecast)
 from starclust.panel import split_panel
@@ -301,7 +301,7 @@ class TestLoopParity:
     def test_benchmark_panel_all_kinds(self, synthetic_panel, synthetic_adjacency):
         train, _ = split_panel(synthetic_panel, 2000)
         for panel in (synthetic_panel, train):
-            matrices = build_weights(panel, adjacency=synthetic_adjacency)
+            matrices = build_weights(panel, RunConfig(), adjacency=synthetic_adjacency)
             assert set(matrices) == set(KINDS)
             for kind, w in matrices.items():
                 assert_matches_loop(fit_star(panel, w), loop_fit_star(panel, w))
