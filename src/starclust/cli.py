@@ -20,8 +20,8 @@ import numpy as np
 
 from . import clustering, evaluation, pipeline, star, trends, weights
 from .config import RunConfig, load_config
-from .errors import NumericalError, StarclustError, ValidationError, undecodable
-from .panel import (AdjacencyList, TemperaturePanel, attach_zones,
+from .errors import NumericalError, StarclustError, ValidationError
+from .panel import (AdjacencyList, TemperaturePanel, _read_rows, attach_zones,
                     load_adjacency, load_panel, split_panel)
 
 CONFIG_ENV = "STARCLUST_CONFIG"
@@ -326,28 +326,22 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"losses file not found: {p}")
+    header, rows, line = _read_rows(p)
+    columns = ("model", "period", "loss")
+    if not set(columns) <= set(header):
+        raise ValidationError(f"losses file needs columns {sorted(columns)}")
+    at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
     by_model: dict[str, list[tuple[str, float]]] = {}
-    with p.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+    for i, row in enumerate(rows):
+        absent = [name for name in columns if at[name] >= len(row)]
+        if absent:
+            raise ValidationError(f"{p}:{line(i)}: missing {' and '.join(absent)}")
+        model, period, text = (row[at[name]] for name in columns)
         try:
-            columns = ("model", "period", "loss")
-            if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
-                raise ValidationError(f"losses file needs columns {sorted(columns)}")
-            for row in reader:
-                line = reader.line_num  # physical line: blank lines are skipped
-                absent = [name for name in columns if row[name] is None]
-                if absent:
-                    raise ValidationError(f"{p}:{line}: missing {' and '.join(absent)}")
-                try:
-                    value = float(row["loss"])
-                except ValueError as exc:
-                    raise ValidationError(f"{p}:{line}: bad loss {row['loss']!r}") from exc
-                by_model.setdefault(row["model"], []).append((row["period"], value))
-        except UnicodeDecodeError:
-            raise undecodable(p) from None
-        except csv.Error as exc:
-            # DictReader updates its own line_num only after a row parses.
-            raise ValidationError(f"{p}:{reader.reader.line_num}: {exc}") from None
+            value = float(text)
+        except ValueError as exc:
+            raise ValidationError(f"{p}:{line(i)}: bad loss {text!r}") from exc
+        by_model.setdefault(model, []).append((period, value))
     series = []
     for model, pairs in sorted(by_model.items()):
         series.append(evaluation.LossSeries(

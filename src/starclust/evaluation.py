@@ -2,10 +2,11 @@
 
 The MCS procedure studentizes pairwise mean loss differentials with a
 moving-block bootstrap variance, forms a semi-quadratic (or range) statistic,
-and eliminates the worst model while the equivalence test rejects. Bootstrap
-means are streamed from prefix sums and block starts drawn in fixed chunks of
-replications from a seeded generator, so reports are bit-identical across
-repeated calls and memory does not grow with reps x periods.
+and eliminates the worst model while the equivalence test rejects. Each round
+tests every pair of active models once. Bootstrap means are streamed from
+per-block window sums, with block starts drawn in fixed chunks of replications
+from a seeded generator, so reports are bit-identical across repeated calls
+and memory does not grow with reps x periods.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .panel import TemperaturePanel, split_panel
@@ -186,18 +188,19 @@ def _boot_means(matrix: np.ndarray, block: int, reps: int,
     A replicate concatenates ceil(n/block) blocks from drawn starts and keeps
     the first n periods, so its sum is the full blocks at every start but the
     last plus the last block cut to n - (ceil(n/block) - 1) * block periods.
-    Block sums are differences of prefix sums; per replicate, the full-block
-    starts are counted and the counts multiplied by the block-sum table, so
-    no reps x periods array is formed. Sample means come from the same prefix
-    sums, so with block == n every replicate equals the sample mean exactly.
+    Each block is summed from its own window, so its rounding error is bounded
+    by its own magnitude; per replicate, the full-block starts are counted and
+    the counts multiplied by the block-sum table, so no reps x periods array
+    is formed. Sample means are summed from the length-n window, so with
+    block == n every replicate equals the sample mean exactly.
     """
     n_models, n_periods = matrix.shape
     n_starts = n_periods - block + 1
     tail = n_periods - (math.ceil(n_periods / block) - 1) * block
-    prefix = np.zeros((n_models, n_periods + 1))
-    np.cumsum(matrix, axis=1, out=prefix[:, 1:])
-    full = prefix[:, block:] - prefix[:, :n_starts]           # models x starts
-    last = prefix[:, tail:tail + n_starts] - prefix[:, :n_starts]
+    windows = sliding_window_view(matrix, block, axis=1)  # models x starts x block
+    full = windows.sum(axis=2)
+    last = windows[:, :, :tail].sum(axis=2)
+    total = sliding_window_view(matrix, n_periods, axis=1).sum(axis=2)[:, 0]
     sums = np.empty((n_models, reps))
     done = 0
     for starts in _start_chunks(rng, n_periods, block, reps):
@@ -208,16 +211,7 @@ def _boot_means(matrix: np.ndarray, block: int, reps: int,
         counts = counts.reshape(rows, n_starts).astype(float)
         sums[:, done:done + rows] = full @ counts.T + last[:, starts[:, -1]]
         done += rows
-    return prefix[:, -1] / n_periods, sums / n_periods
-
-
-def _constant_differentials(matrix: np.ndarray) -> np.ndarray:
-    """models x models mask: L_i(t) - L_j(t) is the same double in every period."""
-    constant = np.empty((len(matrix), len(matrix)), dtype=bool)
-    for i, row in enumerate(matrix):
-        gaps = row - matrix
-        constant[i] = (gaps == gaps[:, :1]).all(axis=1)
-    return constant
+    return total / n_periods, sums / n_periods
 
 
 def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
@@ -235,9 +229,11 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
     country; whether blocks should span years for all countries together is
     an open question, and the ordering is kept as it is.
 
-    A pair whose loss differential L_i(t) - L_j(t) is the same double in every
-    period, or whose bootstrap variance is 0, is degenerate: it contributes 0
-    to every statistic and is listed in a RuntimeWarning.
+    A pair is degenerate when its bootstrap variance is 0 or its differential
+    d(t) = L_i(t) - L_j(t) is constant to within rounding of the losses,
+    max d - min d <= 2 eps max(L_i, L_j) over all periods: whatever rounding
+    leaves in the variance of such a pair is noise. A degenerate pair
+    contributes 0 to every statistic and is listed in a RuntimeWarning.
     """
     if not losses:
         raise ValidationError("the confidence set needs at least one model")
@@ -263,63 +259,51 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
         raise ValidationError(f"statistic must be 'SQ' or 'R', got {statistic!r}")
 
     matrix = np.vstack([ls.values for ls in losses])
-    # Resampled per-model means, computed once; pairwise differentials derive
-    # from them because d_ij(t) = L_i(t) - L_j(t).
-    full_means, boot_means = _boot_means(matrix, block, reps,
-                                         np.random.default_rng(seed))
-    # A constant differential has zero bootstrap variance in exact arithmetic,
-    # whatever rounding leaves in var; decide it from the losses themselves.
-    constant = _constant_differentials(matrix)
+    # Resampled per-model means, computed once and centred; pairwise
+    # differentials derive from them because d_ij(t) = L_i(t) - L_j(t).
+    full_means, centered = _boot_means(matrix, block, reps, np.random.default_rng(seed))
+    centered -= full_means[:, None]
+    rounding = 2 * np.finfo(float).eps * matrix.max(axis=1)  # losses are >= 0
 
-    active = list(range(len(ids)))
+    active = np.arange(len(ids))
     eliminations: list[tuple[str, float]] = []
     running_p = 0.0
-    degenerate_pairs: set[tuple[str, str]] = set()
+    degenerate_pairs: set[tuple[int, int]] = set()
 
     while len(active) > 1:
-        sub = np.array(active)
-        mu = full_means[sub]
-        centered = boot_means[sub] - mu[:, None]        # m x reps
-        dbar = mu[:, None] - mu[None, :]                # m x m
-        diff_boot = centered[:, None, :] - centered[None, :, :]
-        var = (diff_boot ** 2).mean(axis=2)             # m x m
-        valid = (var > 0) & ~constant[np.ix_(sub, sub)]  # diagonal is constant
-        for i in range(len(sub)):
-            for j in range(i + 1, len(sub)):
-                if not valid[i, j]:
-                    degenerate_pairs.add((ids[sub[i]], ids[sub[j]]))
-
+        # Each pair of active models once, the model listed first as a.
+        i, j = np.triu_indices(len(active), k=1)
+        a, b = active[i], active[j]
+        diff_boot = centered[a] - centered[b]  # pairs x reps
+        var = (diff_boot ** 2).mean(axis=1)
+        flat = np.ptp(matrix[a] - matrix[b], axis=1) <= np.maximum(rounding[a], rounding[b])
+        valid = (var > 0) & ~flat
+        degenerate_pairs.update(zip(a[~valid].tolist(), b[~valid].tolist()))
+        i, j, diff_boot, var = i[valid], j[valid], diff_boot[valid], var[valid]
         se = np.sqrt(var)
-        tstat = np.zeros_like(dbar)
-        np.divide(dbar, se, out=tstat, where=valid)
-        upper = np.triu(np.ones_like(valid), k=1) & valid
+        tstat = (full_means[active[i]] - full_means[active[j]]) / se
         if statistic == "SQ":
-            observed_stat = float((tstat[upper] ** 2).sum())
-            contrib = np.zeros_like(diff_boot)
-            np.divide(diff_boot ** 2, var[:, :, None], out=contrib,
-                      where=valid[:, :, None])
-            null_stats = contrib[np.triu_indices(len(sub), k=1)].sum(axis=0)
+            observed_stat = float((tstat ** 2).sum())
+            null_stats = (diff_boot ** 2 / var[:, None]).sum(axis=0)
         else:
-            observed_stat = float(np.abs(tstat[upper]).max(initial=0.0))
-            scaled = np.zeros_like(diff_boot)
-            np.divide(np.abs(diff_boot), se[:, :, None], out=scaled,
-                      where=valid[:, :, None])
-            null_stats = scaled.reshape(-1, reps).max(axis=0)
+            observed_stat = float(np.abs(tstat).max(initial=0.0))
+            null_stats = (np.abs(diff_boot) / se[:, None]).max(axis=0, initial=0.0)
 
         hits = int(np.sum(null_stats >= observed_stat))
-        round_p = (1 + hits) / (reps + 1)
-        running_p = max(running_p, round_p)
+        running_p = max(running_p, (1 + hits) / (reps + 1))
 
-        relative = np.where(valid, tstat, -np.inf).max(axis=1)
-        worst_local = int(np.argmax(relative))
-        if not np.isfinite(relative[worst_local]):
-            worst_local = 0  # all pairs degenerate; eliminate the first listed
-        eliminations.append((ids[sub[worst_local]], running_p))
-        active.pop(worst_local)
+        # A model's worst t against the others: t_ab for a, t_ba = -t_ab for b.
+        # With every pair degenerate all stay -inf and the first listed goes.
+        worst = np.full(len(active), -np.inf)
+        np.maximum.at(worst, i, tstat)
+        np.maximum.at(worst, j, -tstat)
+        out = int(np.argmax(worst))
+        eliminations.append((ids[active[out]], running_p))
+        active = np.delete(active, out)
 
     eliminations.append((ids[active[0]], 1.0))
     if degenerate_pairs:
-        listed = sorted(degenerate_pairs)[:5]
+        listed = sorted((ids[p], ids[q]) for p, q in degenerate_pairs)[:5]
         warnings.warn(f"zero bootstrap variance for model pairs {listed}; "
                       f"their statistic contribution was set to 0", RuntimeWarning)
 

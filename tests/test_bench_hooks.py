@@ -2,12 +2,14 @@
 
 The tracer replaces module attributes by name, and a name it cannot find is
 only listed as unhooked, so a refactor that renames or moves one of them
-would silently drop that layer from the per-layer metrics.
+would silently drop that layer from the per-layer metrics. The MCS counts
+are read from the call and its warning, which are checked here too.
 """
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import starclust.cli
@@ -47,3 +49,22 @@ def test_hooked_replaces_and_restores_every_hook(tracing):
                 if getattr(MODULES[key[0]], key[1]) is fn] == []
     assert [key for key, fn in originals.items()
             if getattr(MODULES[key[0]], key[1]) is not fn] == []
+
+
+def test_mcs_counts_read_from_a_traced_call(tracing):
+    # Two pairs, (a, b) and (c, d), whose differential is constant. The
+    # tracer counts degenerate pairs by parsing the RuntimeWarning mcs
+    # raises, so this pins the warning text the per-layer metrics rely on.
+    rng = np.random.default_rng(4)
+    base = np.round(rng.random(30) * 64) / 64
+    noisy = base + 3.0 + rng.normal(0, 0.05, 30) ** 2
+    values = {"a": base, "b": base + 0.5, "c": noisy, "d": noisy + 0.25}
+    losses = [evaluation.LossSeries(model=model, periods=tuple(range(30)), values=v)
+              for model, v in values.items()]
+    tracer = tracing.Tracer(run=0)
+    with tracing.hooked(tracer):
+        report = evaluation.mcs(losses, reps=200, seed=0)
+    assert len(report.eliminations) == 4
+    assert tracer.counts["evaluation.mcs_draws"] == 200 * 30
+    assert tracer.counts["evaluation.mcs_rounds"] == 3
+    assert tracer.counts["evaluation.mcs_degenerate_pairs"] == 2

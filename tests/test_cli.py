@@ -351,6 +351,25 @@ class TestMcs:
             '  "seed": 7,\n  "statistic": "SQ",\n  "survivors": [\n'
             '    "good"\n  ]\n}\n')
 
+    def test_losses_read_like_other_csv_inputs(self, losses_csv, tmp_path, capsys):
+        # Header cells are stripped and whitespace-only rows skipped, as in
+        # panel, zones and adjacency files; a later fault keeps its line.
+        lines = _losses_text().splitlines()
+        lines[0] = " model , period ,loss "
+        lines.insert(3, "  ,  ")
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outputs = []
+        for path in (losses_csv, spaced):
+            out = tmp_path / path.stem
+            assert main(["mcs", "--losses", str(path), "--reps", "200",
+                         "--out", str(out)]) == 0
+            outputs.append((out / "mcs.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        spaced.write_text("\n".join(lines) + "\nbad,2099,x\n", encoding="utf-8")
+        assert main(["mcs", "--losses", str(spaced), "--out", str(tmp_path)]) == 2
+        assert f"{spaced}:{len(lines) + 1}: bad loss 'x'" in capsys.readouterr().err
+
     def test_full_pipeline_without_losses_file(self, dataset, tmp_path, capsys):
         rc = run(["mcs"], dataset, tmp_path)
         captured = capsys.readouterr()

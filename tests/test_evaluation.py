@@ -278,11 +278,13 @@ class TestMcs:
         (np.full(22, 1 / 3), np.full(22, 2 / 3)),
         # Eighths, so a + 1 rounds exactly and a - b is -1.0 in every period.
         (np.arange(22) % 7 / 8, np.arange(22) % 7 / 8 + 1),
+        # Here a + 1 rounds, so a - b takes the two doubles -1 and -1 + 2**-53.
+        (np.random.default_rng(0).random(22), np.random.default_rng(0).random(22) + 1),
     ], ids=["0.1-0.3-n10", "0.1-0.3-n22", "0.1-0.3-n3696", "thirds-n22",
-            "shifted-by-one"])
+            "shifted-by-one", "shifted-by-one-ulp"])
     def test_constant_differential_is_degenerate(self, a, b):
         # Decided from the losses, not from whether rounding happens to leave
-        # the bootstrap variance at exactly 0.
+        # the bootstrap variance at exactly 0 or at rounding noise.
         with pytest.warns(RuntimeWarning,
                           match=r"zero bootstrap variance for model pairs \[\('a', 'b'\)\]"):
             report = mcs([loss("a", a), loss("b", b)], reps=200, seed=0)
@@ -352,14 +354,26 @@ class TestMcs:
                       survivors=("b",))
 
 
+MEANS_CASES = [(n, block, False) for n, block in [
+    (22, 1), (22, 2), (22, 3), (22, 22),
+    (23, 1), (23, 2), (23, 3), (23, 23),
+    (3696, 1), (3696, 2), (3696, 5), (3696, 3696),
+]] + [(3696, 2, True)]
+
+
 class TestStreamingBootstrap:
-    @pytest.mark.parametrize("n, block", [
-        (22, 1), (22, 2), (22, 3), (22, 22),
-        (23, 1), (23, 2), (23, 3), (23, 23),
-        (3696, 1), (3696, 2), (3696, 5), (3696, 3696),
-    ])
-    def test_means_match_gather_oracle(self, n, block):
-        matrix = np.random.default_rng(n + block).gamma(2.0, 1.0, (7, n))
+    @pytest.mark.parametrize("n, block, spike", MEANS_CASES,
+                             ids=[f"{n}-{block}" + "-spike" * spike
+                                  for n, block, spike in MEANS_CASES])
+    def test_means_match_gather_oracle(self, n, block, spike):
+        rng = np.random.default_rng(n + block)
+        if spike:
+            # One huge loss among tiny ones: a block sum taken from running
+            # totals of the whole series would carry the huge loss's rounding.
+            matrix = rng.gamma(2.0, 1e-3, (7, n))
+            matrix[0, 0] = 1e6
+        else:
+            matrix = rng.gamma(2.0, 1.0, (7, n))
         means, boot = _boot_means(matrix, block, 300, np.random.default_rng(1))
         expected = gather_boot_means(matrix, block, 300, np.random.default_rng(1))
         np.testing.assert_allclose(boot, expected, rtol=1e-12, atol=0)
@@ -387,15 +401,18 @@ class TestStreamingBootstrap:
         assert [list(pair) for pair in report.eliminations] == GOLDEN_MCS[key]
 
     def test_peak_memory_is_bounded(self):
-        losses = seven_model_losses(0, 3696)
-        tracemalloc.start()
-        try:
-            mcs(losses, reps=10_000, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # A reps x periods int64 index matrix alone would take 282 MiB.
-        assert peak < 64 * 2**20
+        # At 3,696 periods a reps x periods int64 index matrix alone would
+        # take 282 MiB. At 22 periods, rounds that formed models x models x
+        # reps tensors peaked at 12.3 MiB; testing each pair once needs ~6.
+        for n_periods, bound_mib in ((3696, 64), (22, 8)):
+            losses = seven_model_losses(0, n_periods)
+            tracemalloc.start()
+            try:
+                mcs(losses, reps=10_000, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * 2**20, n_periods
 
 
 class TestReports:
