@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration or validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import fields
@@ -22,7 +21,7 @@ from . import clustering, evaluation, pipeline, star, trends, weights
 from .config import RunConfig, load_config
 from .errors import NumericalError, StarclustError, ValidationError
 from .panel import (AdjacencyList, TemperaturePanel, _read_rows, attach_zones,
-                    load_adjacency, load_panel, split_panel)
+                    load_adjacency, load_panel, split_panel, write_csv)
 
 CONFIG_ENV = "STARCLUST_CONFIG"
 
@@ -179,28 +178,18 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePane
 
 
 def _write_summary_csv(stats: dict[int, clustering.ClusterStats], path: Path) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "n_countries", "n_values", "mean",
-                         "sd", "sd_convention", "degenerate"])
-        for index in sorted(stats):
-            s = stats[index]
-            writer.writerow([s.cluster, s.n_countries, s.n_values, repr(s.mean),
-                             repr(s.sd), "sample (ddof=1)", s.degenerate])
+    write_csv(path, ["cluster", "n_countries", "n_values", "mean",
+                     "sd", "sd_convention", "degenerate"],
+              ([s.cluster, s.n_countries, s.n_values, s.mean, s.sd, "sample (ddof=1)",
+                s.degenerate] for _, s in sorted(stats.items())))
 
 
 def _write_feature_csv(assign: clustering.ClusterAssignment, features: dict,
                        path: Path) -> None:
     """Tidy boxplot data: one row per country with its category and feature mean."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["country", "category", "value"])
-        for cid in sorted(assign.covered_ids()):
-            value = features.get(cid)
-            if value is None:
-                continue
-            writer.writerow([cid, assign.category_of(cid),
-                             repr(float(np.mean(value)))])
+    write_csv(path, ["country", "category", "value"],
+              ([cid, assign.category_of(cid), np.mean(features[cid])]
+               for cid in sorted(assign.covered_ids()) if cid in features))
 
 
 def cmd_weights(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
@@ -294,15 +283,12 @@ def _write_loss_plot_csv(panel: TemperaturePanel, cfg: RunConfig,
     _, test = split_panel(panel, cfg.split_year)
     years = list(test.years[:cfg.horizon])
     observed = test.values[:, :cfg.horizon]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "year", "loss"])
-        for kind in sorted(oos.forecasts):
-            fc = oos.forecasts[kind]
-            series = evaluation.loss_series(kind, observed, fc.levels, years,
-                                            granularity="year")
-            for year, value in zip(series.periods, series.values):
-                writer.writerow([kind, year, repr(float(value))])
+    rows = []
+    for kind, fc in sorted(oos.forecasts.items()):
+        series = evaluation.loss_series(kind, observed, fc.levels, years,
+                                        granularity="year")
+        rows.extend([kind, year, value] for year, value in zip(series.periods, series.values))
+    write_csv(path, ["model", "year", "loss"], rows)
 
 
 def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel | None,

@@ -14,8 +14,6 @@ rescan of the Lance-Williams distances at every step.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +23,7 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .errors import ValidationError
-from .panel import TemperaturePanel
+from .panel import TemperaturePanel, write_csv, write_json
 
 _ZONE_ORDER = ("Europe", "Asia", "Eurasia", "Africa", "North America",
                "Central America", "South America", "Oceania")
@@ -262,19 +260,21 @@ def cut(dendro: Dendrogram, rule: CutRule, scheme: str = "B",
                              resolved_components=m)
 
 
+def _gap_ratios(heights: np.ndarray) -> np.ndarray:
+    """Relative gap heights[j + 1] / heights[j] between consecutive merges:
+    inf from a zero height to a positive one, 1 between two zeros."""
+    low, high = heights[:-1], heights[1:]
+    ratios = np.where((low == 0) & (high > 0), np.inf, 1.0)
+    return np.divide(high, low, out=ratios, where=low > 0)
+
+
 def _auto_components(heights: np.ndarray, k: int) -> int:
     """Largest relative gap between consecutive merges among the last ceil(K/3)."""
-    n_merges = len(heights)
-    window = math.ceil(k / 3)
-    first = max(n_merges - window, 0)  # 0-based index of first merge in window
-    best_ratio, best_j = -np.inf, n_merges - 1
-    for j in range(first, n_merges - 1):  # ratio between merge j and j+1 (0-based)
-        low, high = heights[j], heights[j + 1]
-        ratio = np.inf if low == 0 and high > 0 else (high / low if low > 0 else 1.0)
-        if ratio >= best_ratio:  # ties resolve to the later (higher) cut
-            best_ratio, best_j = ratio, j
-    if not np.isfinite(best_ratio) and best_ratio < 0:
+    first = max(len(heights) - math.ceil(k / 3), 0)  # first merge in the window
+    ratios = _gap_ratios(heights)[first:]  # ratio j: between merges first+j, first+j+1
+    if ratios.size == 0:
         return 1
+    best_j = first + ratios.size - 1 - int(np.argmax(ratios[::-1]))  # ties: later cut
     return k - (best_j + 1)
 
 
@@ -302,12 +302,11 @@ def _main_count_components(dendro: Dendrogram, k_main: int, min_size: int) -> in
             f"no dendrogram cut produces exactly {k_main} clusters of size >= {min_size}"
         )
 
+    ratios = _gap_ratios(heights)
+
     def gap(m: int) -> float:
         applied = k - m  # number of merges kept
-        if applied == 0 or applied >= len(heights):
-            return np.inf
-        low, high = heights[applied - 1], heights[applied]
-        return np.inf if low == 0 and high > 0 else (high / low if low > 0 else 1.0)
+        return ratios[applied - 1] if 0 < applied < len(heights) else np.inf
 
     return min(candidates, key=lambda m: (-gap(m), m))
 
@@ -344,9 +343,6 @@ class ContingencyTable:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def row_margins(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
 
     def col_margins(self) -> np.ndarray:
         return self.counts.sum(axis=0)
@@ -434,17 +430,15 @@ def cluster_summary(assign: ClusterAssignment,
 
 
 def dendrogram_to_json(dendro: Dendrogram, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "leaves": list(dendro.leaf_labels),
         "merges": [{"left": m.left, "right": m.right,
                     "height": m.height, "size": m.size} for m in dendro.merges],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    })
 
 
 def assignment_to_json(assign: ClusterAssignment, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "scheme": assign.scheme,
         "labels": dict(sorted(assign.labels.items())),
         "idiosyncratic": sorted(assign.idiosyncratic),
@@ -452,17 +446,12 @@ def assignment_to_json(assign: ClusterAssignment, path: str | Path) -> None:
         "cut": {"kind": assign.cut.kind, "k": assign.cut.k,
                 "height": assign.cut.height_value, "min_size": assign.cut.min_size,
                 "resolved_components": assign.resolved_components},
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    })
 
 
-def write_contingency_csv(table: ContingencyTable, path: str | Path,
-                          row_name: str = "group", col_name: str = "group") -> None:
+def write_contingency_csv(table: ContingencyTable, path: str | Path) -> None:
     """CSV export with a trailing margin row and column."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{row_name}\\{col_name}"] + list(table.col_labels) + ["total"])
-        for label, row in zip(table.row_labels, table.counts):
-            writer.writerow([label] + [int(v) for v in row] + [int(row.sum())])
-        writer.writerow(["total"] + [int(v) for v in table.col_margins()] + [table.total])
+    counts = table.counts.tolist()
+    rows = [[label, *row, sum(row)] for label, row in zip(table.row_labels, counts)]
+    rows.append(["total", *table.col_margins().tolist(), table.total])
+    write_csv(path, ["group\\group", *table.col_labels, "total"], rows)

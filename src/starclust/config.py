@@ -58,6 +58,8 @@ class RunConfig:
                             ("zones", self.zones_path)):
             if path and not Path(path).is_file():
                 raise ValidationError(f"{label} file not found: {path}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.trend_alpha < 1:
             raise ValidationError(f"trend_alpha outside (0, 1): {self.trend_alpha}")
         for scheme in "ABC":

@@ -10,8 +10,6 @@ and memory does not grow with reps x periods.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .panel import TemperaturePanel, split_panel
+from .panel import TemperaturePanel, split_panel, write_csv, write_json
 from .star import ForecastPanel, fit_star, fitted_levels, forecast
 from .weights import WeightMatrix
 
@@ -58,10 +56,6 @@ class LossSeries:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 def loss_series(model: str, observed: np.ndarray, predicted: np.ndarray,
                 years: Sequence[int], countries: Sequence[str] | None = None,
@@ -86,16 +80,13 @@ def loss_series(model: str, observed: np.ndarray, predicted: np.ndarray,
 
 @dataclass(frozen=True)
 class OosResult:
-    """Out-of-sample experiment output: one row per model, ordered by loss."""
+    """Out-of-sample experiment output, keyed by model kind."""
 
     origin_year: int
     horizon: int
     fn: dict[str, float]
     losses: dict[str, LossSeries]
     forecasts: dict[str, ForecastPanel] = field(repr=False)
-
-    def ranking(self) -> list[tuple[str, float]]:
-        return sorted(self.fn.items(), key=lambda item: (item[1], item[0]))
 
 
 def oos_experiment(panel: TemperaturePanel,
@@ -341,16 +332,12 @@ def build_report(in_sample: Mapping[str, float], oos: OosResult,
 
 
 def write_report_csv(report: EvaluationReport, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "in_sample_fn", "out_of_sample_fn", "mcs_p"])
-        for row in report.rows():
-            writer.writerow([row["model"], repr(row["in_sample_fn"]),
-                             repr(row["out_of_sample_fn"]), repr(row["mcs_p"])])
+    header = ["model", "in_sample_fn", "out_of_sample_fn", "mcs_p"]
+    write_csv(path, header, ([row[name] for name in header] for row in report.rows()))
 
 
 def write_report_json(report: EvaluationReport, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "models": list(report.models),
         "in_sample_fn": {k: report.in_sample[k] for k in report.models},
         "out_of_sample_fn": {k: report.out_of_sample[k] for k in report.models},
@@ -363,15 +350,11 @@ def write_report_json(report: EvaluationReport, path: str | Path) -> None:
             "p_values": {m: p for m, p in report.mcs_report.eliminations},
             "survivors": list(report.mcs_report.survivors),
         },
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    })
 
 
 def write_mcs_json(report: McsReport, path: str | Path) -> None:
-    payload = {"statistic": report.statistic, "reps": report.reps,
-               "block": report.block, "seed": report.seed, "alpha": report.alpha,
-               "eliminations": [[m, p] for m, p in report.eliminations],
-               "survivors": list(report.survivors)}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    write_json(path, {"statistic": report.statistic, "reps": report.reps,
+                      "block": report.block, "seed": report.seed, "alpha": report.alpha,
+                      "eliminations": [[m, p] for m, p in report.eliminations],
+                      "survivors": list(report.survivors)})

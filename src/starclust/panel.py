@@ -1,22 +1,29 @@
-"""Country-by-year temperature panel: loading, validation, splitting, adjacency.
+"""Country-by-year temperature panel: loading, validation, splitting, adjacency,
+and the one CSV reader and result-file writers of the package.
 
 The panel is a dense N x T matrix of annual mean temperatures (degrees C)
 plus per-country metadata. Validation is strict: gaps, duplicates, and
 non-numeric cells are hard errors, never imputed. One loader validates both
 CSV layouts: a wide file is checked for its layout, then its cells are read
 as the rows of a long file. CSV inputs may start with a UTF-8 byte-order mark.
+
+Every result file is written by `write_csv` or `write_json`, which fix the
+output format: UTF-8; CSV in the csv module's default dialect (comma,
+minimal quoting, `\\r\\n` line ends) with floats as `repr(float(v))`; JSON with
+sorted keys, a 2-space indent and one final newline.
 """
 from __future__ import annotations
 
 import csv
 import gc
+import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, NoReturn
+from typing import Callable, Iterable, Mapping, NoReturn
 
 import numpy as np
 
@@ -114,15 +121,6 @@ class TemperaturePanel:
     def n_years(self) -> int:
         return len(self.years)
 
-    def row(self, country_id: str) -> np.ndarray:
-        return self.values[self.index_of(country_id)]
-
-    def index_of(self, country_id: str) -> int:
-        try:
-            return self.id_index[country_id]
-        except KeyError:
-            raise ValidationError(f"unknown country id {country_id!r}") from None
-
     def year_index(self, year: int) -> int:
         if year not in self.years:
             raise ValidationError(f"year {year} outside panel range {self.years[0]}..{self.years[-1]}")
@@ -218,6 +216,22 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], Callable[[
             return [reader.line_num for row in reader if "".join(row).strip()][i + 1]
 
     return header, rows[1:], line
+
+
+def write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:
+    """Write a result CSV: a float cell, numpy float64 included, as
+    `repr(float(v))`, None as an empty cell, any other cell as `str` gives it."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def write_json(path: str | Path, payload: Mapping) -> None:
+    """Write a result JSON: sorted keys, a 2-space indent, one final newline."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
 
 
 def detect_format(header: list[str]) -> str:

@@ -14,7 +14,6 @@ and integrate from the last observed level.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .panel import TemperaturePanel
+from .panel import TemperaturePanel, write_csv
 from .trends import panel_differences
 from .weights import WeightMatrix
 
@@ -241,22 +240,15 @@ def forecast(model: StarModel, panel: TemperaturePanel, horizon: int) -> Forecas
 
 
 def write_coefficients_csv(model: StarModel, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["country", "c", "phi", "psi", "sigma2", "dropped"])
-        for cid in model.weights.labels:
-            eq = model.equations[cid]
-            writer.writerow([cid, repr(eq.c), repr(eq.phi),
-                             "" if eq.psi is None else repr(eq.psi),
-                             repr(eq.sigma2), ";".join(eq.dropped)])
+    """One row per country in weight-label order; psi is empty where it is None."""
+    write_csv(path, ["country", "c", "phi", "psi", "sigma2", "dropped"],
+              ([eq.country, eq.c, eq.phi, eq.psi, eq.sigma2, ";".join(eq.dropped)]
+               for eq in model.equations.values()))
 
 
 def write_level_csv(countries: tuple[str, ...], years: tuple[int, ...],
                     levels: np.ndarray, path: str | Path) -> None:
     """Long-format CSV of a fitted or forecast level panel."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["country", "year", "temperature"])
-        for i, cid in enumerate(countries):
-            for j, year in enumerate(years):
-                writer.writerow([cid, year, repr(float(levels[i, j]))])
+    write_csv(path, ["country", "year", "temperature"],
+              ([cid, year, value] for cid, row in zip(countries, levels.tolist())
+               for year, value in zip(years, row)))

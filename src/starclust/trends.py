@@ -18,7 +18,6 @@ grows like eps * lgamma(df/2): about 1e-11 at df = 1e4 and 5e-10 at 1e6.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .panel import TemperaturePanel
+from .panel import TemperaturePanel, write_csv
 
 
 @dataclass(frozen=True)
@@ -174,9 +173,6 @@ def sign_sequence(diffs: np.ndarray) -> np.ndarray:
 
 def write_trend_table(trends: dict[str, TrendFit], path: str | Path) -> None:
     """CSV export: country,intercept,slope,se,t,p,significant."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["country", "intercept", "slope", "se", "t", "p", "significant"])
-        for cid, fit in trends.items():
-            writer.writerow([cid, repr(fit.intercept), repr(fit.slope), repr(fit.slope_se),
-                             repr(fit.t_stat), repr(fit.p_value), int(fit.significant)])
+    write_csv(path, ["country", "intercept", "slope", "se", "t", "p", "significant"],
+              ([cid, fit.intercept, fit.slope, fit.slope_se, fit.t_stat, fit.p_value,
+                int(fit.significant)] for cid, fit in trends.items()))

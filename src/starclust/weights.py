@@ -8,8 +8,6 @@ excluded, or alone in its cluster).
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +16,7 @@ import numpy as np
 from .clustering import ClusterAssignment
 from .distances import DistanceMatrix
 from .errors import ValidationError
-from .panel import AdjacencyList, TemperaturePanel
+from .panel import AdjacencyList, TemperaturePanel, write_csv, write_json
 
 KINDS = ("NN", "cA", "cB", "cC", "dA", "dB", "dC")
 
@@ -56,9 +54,6 @@ class WeightMatrix:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def row_of(self, country_id: str) -> np.ndarray:
-        return self.values[self.labels.index(country_id)]
 
     def zero_rows(self) -> tuple[str, ...]:
         sums = self.values.sum(axis=1)
@@ -159,17 +154,10 @@ def cluster_restricted_weights(dist: DistanceMatrix, assign: ClusterAssignment,
 
 
 def write_weight_csv(weights: WeightMatrix, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["country"] + list(weights.labels))
-        for lab, row in zip(weights.labels, weights.values):
-            writer.writerow([lab] + [repr(float(v)) for v in row])
+    write_csv(path, ["country", *weights.labels],
+              ([lab, *row] for lab, row in zip(weights.labels, weights.values.tolist())))
 
 
 def write_weight_meta(weights: WeightMatrix, path: str | Path) -> None:
-    payload = {"kind": weights.kind, "n": weights.size,
-               "zero_rows": list(weights.zero_rows())}
-    payload.update({k: v for k, v in sorted(weights.meta.items())
-                    if isinstance(v, (str, int, float, bool, list, type(None)))})
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    write_json(path, {"kind": weights.kind, "n": weights.size,
+                      "zero_rows": list(weights.zero_rows()), **weights.meta})

@@ -119,8 +119,8 @@ class TestReproduction:
             scheme_a = real_run["scheme_cache"]["A"]
             assign = scheme_a.assignment
             panel = real_run["panel"]
-            slopes = {cid: fit_linear_trend(panel.row(cid)).slope
-                      for cid in panel.ids}
+            slopes = {cid: fit_linear_trend(row).slope
+                      for cid, row in zip(panel.ids, panel.values)}
             for number, expected in enumerate(SLOPE_MEANS, start=1):
                 members = assign.members(number)
                 mean = float(np.mean([slopes[cid] for cid in members]))

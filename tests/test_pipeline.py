@@ -92,14 +92,14 @@ class TestComputeScheme:
         feats = scheme_features(res, grouped_panel)
         diff = feats["C03"]
         assert diff.shape == (grouped_panel.n_years - 1,)
-        assert np.allclose(diff, np.diff(grouped_panel.row("C03")), atol=0)
+        assert np.allclose(diff, np.diff(grouped_panel.values[grouped_panel.id_index["C03"]]), atol=0)
 
     @pytest.mark.parametrize("scheme", ["B", "C"])
     def test_difference_features_bitwise_equal_to_row_differences(self, grouped_panel, scheme):
         feats = scheme_features(compute_scheme(grouped_panel, scheme, CFG), grouped_panel)
         assert list(feats) == list(grouped_panel.ids)
         for cid, diff in feats.items():
-            row = grouped_panel.row(cid)
+            row = grouped_panel.values[grouped_panel.id_index[cid]]
             assert np.array_equal(diff, row[1:] - row[:-1])
 
 

@@ -179,7 +179,7 @@ class TestPanelTrends:
         fits = fit_panel_trends(toy_panel)
         assert set(fits) == set(toy_panel.ids)
         for cid, fit in fits.items():
-            direct = fit_linear_trend(toy_panel.row(cid))
+            direct = fit_linear_trend(toy_panel.values[toy_panel.id_index[cid]])
             assert fit.slope == direct.slope
 
     def test_csv_export(self, toy_panel, tmp_path):

@@ -18,6 +18,10 @@ def panel_of(n, t=8, seed=0, ids=None):
     return make_panel(rng.random((n, t)), ids=ids)
 
 
+def row_of(w, cid):
+    return w.values[w.labels.index(cid)]
+
+
 def distance_of(panel, values, metric="diff"):
     return DistanceMatrix(metric=metric, labels=panel.ids,
                           values=np.asarray(values, dtype=float))
@@ -36,7 +40,7 @@ class TestWeightMatrix:
         values = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         w = WeightMatrix(kind="NN", labels=("a", "b", "c"), values=values)
         assert w.zero_rows() == ("c",)
-        assert np.all(w.row_of("a") == [0.0, 0.5, 0.5])
+        assert np.all(row_of(w, "a") == [0.0, 0.5, 0.5])
 
     def test_bad_rows_rejected(self):
         values = np.array([[0.0, 0.4], [0.4, 0.0]])
@@ -72,8 +76,8 @@ class TestContiguityWeights:
                              "d": {"a"}, "e": {"a"}})
         w = contiguity_weights(adj, panel)
         # Four neighbours each get a quarter.
-        assert np.all(w.row_of("a") == [0.0, 0.25, 0.25, 0.25, 0.25])
-        assert np.all(w.row_of("b") == [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert np.all(row_of(w, "a") == [0.0, 0.25, 0.25, 0.25, 0.25])
+        assert np.all(row_of(w, "b") == [1.0, 0.0, 0.0, 0.0, 0.0])
         assert w.zero_rows() == ()
 
     def test_isolated_country_zero_row(self):
@@ -110,8 +114,8 @@ class TestDistanceWeights:
         d = np.array([[0, 0, 3], [0, 0, 3], [3, 3, 0]], dtype=float)
         w = distance_weights(distance_of(panel, d), panel, kind="dB")
         # Pre-normalization similarities for a: (3-0)/3=1 to b, (3-3)/3=0 to c.
-        assert w.row_of("a")[1] == 1.0
-        assert w.row_of("a")[2] == 0.0
+        assert row_of(w, "a")[1] == 1.0
+        assert row_of(w, "a")[2] == 0.0
 
     def test_closer_means_heavier(self):
         panel = panel_of(4, ids=["a", "b", "c", "d"])
@@ -120,7 +124,7 @@ class TestDistanceWeights:
                       [2, 1, 0, 1],
                       [3, 2, 1, 0]], dtype=float)
         w = distance_weights(distance_of(panel, d), panel, kind="dC")
-        row = w.row_of("a")
+        row = row_of(w, "a")
         assert row[1] > row[2] > row[3] > 0
 
     def test_sign_mismatch_share(self):
@@ -229,9 +233,9 @@ class TestClusterRestrictedWeights:
         w = cluster_restricted_weights(distance_of(panel, d), assign, panel, kind="cB")
         # Only one in-cluster partner: the normalized weight is 1 regardless
         # of the underlying distance.
-        assert w.row_of("a")[1] == 1.0
-        assert w.row_of("b")[0] == 1.0
-        assert w.row_of("c")[3] == 1.0
+        assert row_of(w, "a")[1] == 1.0
+        assert row_of(w, "b")[0] == 1.0
+        assert row_of(w, "c")[3] == 1.0
 
     def test_missing_distances_rejected(self):
         panel = panel_of(3, ids=["a", "b", "c"])
@@ -253,7 +257,7 @@ class TestClusterRestrictedWeights:
         dist = hamming_distance(signs, panel.ids)
         assign = assignment_of({"a": 1, "b": 1, "c": 2, "d": 2}, scheme="C")
         w = cluster_restricted_weights(dist, assign, panel, kind="cC")
-        assert w.row_of("a")[1] == 1.0
+        assert row_of(w, "a")[1] == 1.0
         assert np.all(w.values.sum(axis=1) == 1.0)
 
 
@@ -268,7 +272,7 @@ class TestExports:
         assert lines[0] == "country,a,b,c"
         cells = lines[1].split(",")
         assert cells[0] == "a"
-        assert float(cells[2]) == w.row_of("a")[1]
+        assert float(cells[2]) == row_of(w, "a")[1]
 
     def test_meta_json(self, tmp_path):
         panel = panel_of(3, ids=["a", "b", "c"])
