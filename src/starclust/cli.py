@@ -171,8 +171,8 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePane
 
     sizes = [len(assign.members(i)) for i in range(1, assign.n_clusters + 1)]
     print(f"scheme {scheme}: {assign.n_clusters} clusters (sizes {sizes}), "
-          f"{len(assign.idiosyncratic)} idiosyncratic, "
-          f"{len(assign.null_excluded)} excluded")
+          f"{len(assign.members(clustering.IDIOSYNCRATIC))} idiosyncratic, "
+          f"{len(assign.members(clustering.NULL))} excluded")
     print(f"wrote outputs under {out}")
     return 0
 
@@ -184,12 +184,14 @@ def _write_summary_csv(stats: dict[int, clustering.ClusterStats], path: Path) ->
                 s.degenerate] for _, s in sorted(stats.items())))
 
 
-def _write_feature_csv(assign: clustering.ClusterAssignment, features: dict,
+def _write_feature_csv(assign: clustering.ClusterAssignment, features: np.ndarray,
                        path: Path) -> None:
     """Tidy boxplot data: one row per country with its category and feature mean."""
+    names, index = assign.categories()
+    means = np.reshape(features, (len(assign.ids), -1)).mean(axis=1)
     write_csv(path, ["country", "category", "value"],
-              ([cid, assign.category_of(cid), np.mean(features[cid])]
-               for cid in sorted(assign.covered_ids()) if cid in features))
+              ([cid, names[i], value] for cid, i, value
+               in zip(assign.ids, index.tolist(), means.tolist())))
 
 
 def cmd_weights(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
@@ -265,7 +267,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
     report = evaluation.build_report(in_sample, oos, _mcs(cfg, list(oos.losses.values())))
     evaluation.write_report_csv(report, out / "report.csv")
     evaluation.write_report_json(report, out / "report.json")
-    _write_loss_plot_csv(panel, cfg, oos, out / "plot_losses.csv")
+    _write_loss_plot_csv(oos, out / "plot_losses.csv")
 
     print(f"{'model':<6} {'in_sample_fn':>13} {'oos_fn':>10} {'mcs_p':>7}")
     for row in report.rows():
@@ -277,18 +279,11 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
     return 0
 
 
-def _write_loss_plot_csv(panel: TemperaturePanel, cfg: RunConfig,
-                         oos: evaluation.OosResult, path: Path) -> None:
+def _write_loss_plot_csv(oos: evaluation.OosResult, path: Path) -> None:
     """Per-year loss decomposition for every model (stacked-area plot data)."""
-    _, test = split_panel(panel, cfg.split_year)
-    years = list(test.years[:cfg.horizon])
-    observed = test.values[:, :cfg.horizon]
-    rows = []
-    for kind, fc in sorted(oos.forecasts.items()):
-        series = evaluation.loss_series(kind, observed, fc.levels, years,
-                                        granularity="year")
-        rows.extend([kind, year, value] for year, value in zip(series.periods, series.values))
-    write_csv(path, ["model", "year", "loss"], rows)
+    write_csv(path, ["model", "year", "loss"],
+              ([kind, year, value] for kind, series in sorted(oos.year_losses.items())
+               for year, value in zip(series.periods, series.values)))
 
 
 def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel | None,

@@ -15,9 +15,10 @@ rescan of the Lance-Williams distances at every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Sequence
 
 import numpy as np
 
@@ -150,8 +151,9 @@ class CutRule:
             raise ValidationError(f"unknown cut rule kind {self.kind!r}")
         if self.kind in ("count", "main_count") and (self.k is None or self.k < 1):
             raise ValidationError(f"cut rule {self.kind!r} needs a positive k")
-        if self.kind == "height" and self.height_value is None:
-            raise ValidationError("height cut rule needs a height")
+        if self.kind == "height" and (self.height_value is None
+                                      or math.isnan(self.height_value)):
+            raise ValidationError(f"height cut rule needs a height, got {self.height_value}")
         if self.min_size < 1:
             raise ValidationError("min_size must be at least 1")
 
@@ -172,67 +174,59 @@ class CutRule:
         return cls(kind="auto", min_size=min_size)
 
 
-@dataclass(frozen=True)
+# Group codes besides the cluster numbers 1..k.
+IDIOSYNCRATIC = 0  # left in a component smaller than the cut's min_size
+NULL = -1          # not clustered at all (scheme A: a non-significant slope)
+
+
+@dataclass(frozen=True, eq=False)
 class ClusterAssignment:
-    """Flat partition: numbered clusters plus idiosyncratic and excluded units."""
+    """Flat partition: `codes[i]` is the cluster (1..k), IDIOSYNCRATIC or NULL
+    of `ids[i]`, with ids in panel order."""
 
     scheme: str
-    labels: dict[str, int]
-    idiosyncratic: frozenset[str]
-    null_excluded: frozenset[str]
+    ids: tuple[str, ...]
+    codes: np.ndarray
     cut: CutRule
     resolved_components: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", dict(self.labels))
-        object.__setattr__(self, "idiosyncratic", frozenset(self.idiosyncratic))
-        object.__setattr__(self, "null_excluded", frozenset(self.null_excluded))
-        overlap = (set(self.labels) & self.idiosyncratic) | \
-                  (set(self.labels) & self.null_excluded) | \
-                  (self.idiosyncratic & self.null_excluded)
-        if overlap:
-            raise ValidationError(f"ids assigned to multiple groups: {sorted(overlap)}")
-        indices = sorted(set(self.labels.values()))
-        if indices and indices != list(range(1, len(indices) + 1)):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        codes = np.array(self.codes, dtype=int)
+        if codes.shape != (len(self.ids),) or np.any(codes < NULL):
+            raise ValidationError(f"need one code >= {NULL} for each of {len(self.ids)} ids")
+        indices = sorted(set(codes[codes > 0].tolist()))
+        if indices != list(range(1, len(indices) + 1)):
             raise ValidationError(f"cluster indices must be contiguous 1..k, got {indices}")
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
 
     @property
     def n_clusters(self) -> int:
-        return max(self.labels.values(), default=0)
+        return int(self.codes.max(initial=0))
 
-    def members(self, index: int) -> list[str]:
-        return sorted(cid for cid, c in self.labels.items() if c == index)
+    def members(self, code: int) -> list[str]:
+        """Sorted ids of one group: a cluster number, IDIOSYNCRATIC or NULL."""
+        return sorted(compress(self.ids, (self.codes == code).tolist()))
 
-    def covered_ids(self) -> frozenset[str]:
-        return frozenset(self.labels) | self.idiosyncratic | self.null_excluded
-
-    def categories(self) -> list[tuple[str, frozenset[str]]]:
-        """Ordered nonempty categories: clusters 1..k, then idiosyncratic, then null."""
-        cats: list[tuple[str, frozenset[str]]] = []
-        for index in range(1, self.n_clusters + 1):
-            cats.append((str(index), frozenset(self.members(index))))
-        if self.idiosyncratic:
-            cats.append(("idiosyncratic", self.idiosyncratic))
-        if self.null_excluded:
-            cats.append(("null", self.null_excluded))
-        return cats
-
-    def category_of(self, country_id: str) -> str:
-        if country_id in self.labels:
-            return str(self.labels[country_id])
-        if country_id in self.idiosyncratic:
-            return "idiosyncratic"
-        if country_id in self.null_excluded:
-            return "null"
-        raise ValidationError(f"id {country_id!r} not covered by assignment")
+    def categories(self) -> tuple[list[str], np.ndarray]:
+        """Nonempty category names (clusters 1..k, then "idiosyncratic", then
+        "null") and each id's index among them."""
+        k = self.n_clusters
+        key = np.where(self.codes > 0, self.codes, k + 1 - self.codes)  # idio k+1, null k+2
+        present = np.flatnonzero(np.bincount(key))
+        names = [str(c) if c <= k else ("idiosyncratic", "null")[c - k - 1]
+                 for c in present.tolist()]
+        return names, np.searchsorted(present, key)
 
 
 def cut(dendro: Dendrogram, rule: CutRule, scheme: str = "B",
-        null_excluded: Iterable[str] = ()) -> ClusterAssignment:
-    """Flatten a dendrogram into a ClusterAssignment.
+        ids: Sequence[str] | None = None) -> ClusterAssignment:
+    """Flatten a dendrogram into a ClusterAssignment over `ids` (default: the leaves).
 
     Components smaller than `rule.min_size` become idiosyncratic; remaining
     clusters are renumbered 1..k by decreasing size (ties by smallest label).
+    Ids that are not leaves get NULL.
     """
     k = dendro.n_leaves
     heights = dendro.heights()
@@ -247,16 +241,17 @@ def cut(dendro: Dendrogram, rule: CutRule, scheme: str = "B",
 
     components = dendro.components_at(m)
     clusters = [c for c in components if len(c) >= rule.min_size]
-    single = [c for c in components if len(c) < rule.min_size]
     clusters.sort(key=lambda c: (-len(c), min(dendro.leaf_labels[i] for i in c)))
 
-    labels: dict[str, int] = {}
-    for index, comp in enumerate(clusters, start=1):
-        for leaf in comp:
-            labels[dendro.leaf_labels[leaf]] = index
-    idio = frozenset(dendro.leaf_labels[leaf] for comp in single for leaf in comp)
-    return ClusterAssignment(scheme=scheme, labels=labels, idiosyncratic=idio,
-                             null_excluded=frozenset(null_excluded), cut=rule,
+    leaf_codes = np.full(k, IDIOSYNCRATIC)
+    for code, comp in enumerate(clusters, start=1):
+        leaf_codes[comp] = code
+    ids = dendro.leaf_labels if ids is None else tuple(ids)
+    code_of = dict(zip(dendro.leaf_labels, leaf_codes.tolist()))
+    codes = [code_of.pop(cid, NULL) for cid in ids]
+    if code_of:
+        raise ValidationError(f"dendrogram leaves absent from ids: {sorted(code_of)[:5]}")
+    return ClusterAssignment(scheme=scheme, ids=ids, codes=codes, cut=rule,
                              resolved_components=m)
 
 
@@ -311,21 +306,21 @@ def _main_count_components(dendro: Dendrogram, k_main: int, min_size: int) -> in
     return min(candidates, key=lambda m: (-gap(m), m))
 
 
-def relabel_by_feature(assign: ClusterAssignment, features: Mapping[str, float],
-                       descending: bool = True) -> ClusterAssignment:
-    """Renumber clusters by mean feature value (e.g. slope), largest first."""
-    means = []
-    for index in range(1, assign.n_clusters + 1):
-        values = [features[cid] for cid in assign.members(index)]
-        means.append((index, float(np.mean(values))))
-    means.sort(key=lambda item: -item[1] if descending else item[1])
-    remap = {old: new for new, (old, _) in enumerate(means, start=1)}
-    return ClusterAssignment(scheme=assign.scheme,
-                             labels={cid: remap[c] for cid, c in assign.labels.items()},
-                             idiosyncratic=assign.idiosyncratic,
-                             null_excluded=assign.null_excluded,
-                             cut=assign.cut,
-                             resolved_components=assign.resolved_components)
+def _per_id(assign: ClusterAssignment, features: np.ndarray) -> np.ndarray:
+    features = np.asarray(features, dtype=float)
+    if len(features) != len(assign.ids):
+        raise ValidationError(f"{len(features)} feature rows for {len(assign.ids)} ids")
+    return features
+
+
+def relabel_by_feature(assign: ClusterAssignment, features: np.ndarray) -> ClusterAssignment:
+    """Renumber clusters by mean feature value (one per id, e.g. slope), largest first."""
+    features = _per_id(assign, features)
+    k = assign.n_clusters
+    means = np.array([np.mean(features[assign.codes == c]) for c in range(1, k + 1)])
+    rank = np.zeros(k + 1, dtype=int)
+    rank[np.argsort(-means, kind="stable") + 1] = np.arange(1, k + 1)
+    return replace(assign, codes=np.where(assign.codes > 0, rank[assign.codes], assign.codes))
 
 
 @dataclass(frozen=True)
@@ -348,49 +343,40 @@ class ContingencyTable:
         return self.counts.sum(axis=0)
 
 
+def _require_panel_ids(assign: ClusterAssignment, panel: TemperaturePanel,
+                       name: str = "") -> None:
+    if assign.ids != panel.ids:
+        raise ValidationError(f"{name}assignment does not cover the panel in its order")
+
+
+def _contingency(rows: Sequence[str], row_of: np.ndarray,
+                 cols: Sequence[str], col_of: np.ndarray) -> ContingencyTable:
+    """Count the ids falling in each (row, column) pair of category indices."""
+    counts = np.bincount(row_of * len(cols) + col_of, minlength=len(rows) * len(cols))
+    return ContingencyTable(row_labels=tuple(rows), col_labels=tuple(cols),
+                            counts=counts.reshape(len(rows), len(cols)))
+
+
 def cross_tab(a: ClusterAssignment, b: ClusterAssignment,
               panel: TemperaturePanel) -> ContingencyTable:
     """Country counts by (category of a, category of b) over the full panel."""
-    ids = frozenset(panel.ids)
-    for name, assign in (("first", a), ("second", b)):
-        if assign.covered_ids() != ids:
-            missing = sorted(ids - assign.covered_ids())[:5]
-            extra = sorted(assign.covered_ids() - ids)[:5]
-            raise ValidationError(
-                f"{name} assignment does not cover the panel "
-                f"(missing {missing}, extraneous {extra})"
-            )
-    rows = a.categories()
-    cols = b.categories()
-    col_index = {name: j for j, (name, _) in enumerate(cols)}
-    counts = np.zeros((len(rows), len(cols)), dtype=int)
-    for i, (_, members) in enumerate(rows):
-        for cid in members:
-            counts[i, col_index[b.category_of(cid)]] += 1
-    return ContingencyTable(row_labels=tuple(name for name, _ in rows),
-                            col_labels=tuple(name for name, _ in cols),
-                            counts=counts)
+    _require_panel_ids(a, panel, "first ")
+    _require_panel_ids(b, panel, "second ")
+    return _contingency(*a.categories(), *b.categories())
 
 
 def zone_cross_tab(assign: ClusterAssignment, panel: TemperaturePanel) -> ContingencyTable:
     """Country counts by (geographical zone, assignment category)."""
-    if assign.covered_ids() != frozenset(panel.ids):
-        raise ValidationError("assignment does not cover the panel")
+    _require_panel_ids(assign, panel)
     zones = panel.zones()
     missing = sorted(cid for cid, z in zones.items() if z is None)
     if missing:
         raise ValidationError(f"zone metadata missing for: {missing[:5]}"
                               + ("..." if len(missing) > 5 else ""))
-    present = [z for z in _ZONE_ORDER if z in set(zones.values())]
-    cols = assign.categories()
-    col_index = {name: j for j, (name, _) in enumerate(cols)}
-    counts = np.zeros((len(present), len(cols)), dtype=int)
-    row_index = {z: i for i, z in enumerate(present)}
-    for cid in panel.ids:
-        counts[row_index[zones[cid]], col_index[assign.category_of(cid)]] += 1
-    return ContingencyTable(row_labels=tuple(present),
-                            col_labels=tuple(name for name, _ in cols),
-                            counts=counts)
+    zone_of = np.array(list(zones.values()))
+    present = [z for z in _ZONE_ORDER if z in zone_of]
+    row_of = np.argmax(zone_of[:, None] == np.array(present)[None, :], axis=1)
+    return _contingency(present, row_of, *assign.categories())
 
 
 @dataclass(frozen=True)
@@ -404,25 +390,21 @@ class ClusterStats:
 
 
 def cluster_summary(assign: ClusterAssignment,
-                    features: Mapping[str, float | np.ndarray]) -> dict[int, ClusterStats]:
+                    features: np.ndarray) -> dict[int, ClusterStats]:
     """Per-cluster mean and sample SD of a feature, pooling vector features.
 
-    Scalar features contribute one value per country; vector features (e.g.
-    annual changes) pool every element of every member.
+    `features` has one row per id, in the assignment's order: a vector of
+    scalars (e.g. slopes) contributes one value per country, a matrix (e.g.
+    annual changes) pools every element of every member's row.
     """
+    features = _per_id(assign, features)
     out: dict[int, ClusterStats] = {}
     for index in range(1, assign.n_clusters + 1):
-        members = assign.members(index)
-        pooled: list[float] = []
-        for cid in members:
-            if cid not in features:
-                raise ValidationError(f"feature missing for clustered id {cid!r}")
-            value = features[cid]
-            pooled.extend(np.atleast_1d(np.asarray(value, dtype=float)).tolist())
-        values = np.array(pooled, dtype=float)
+        rows = features[assign.codes == index]
+        values = rows.ravel()
         degenerate = values.size < 2
         sd = 0.0 if degenerate else float(np.std(values, ddof=1))
-        out[index] = ClusterStats(cluster=index, n_countries=len(members),
+        out[index] = ClusterStats(cluster=index, n_countries=len(rows),
                                   n_values=int(values.size),
                                   mean=float(values.mean()), sd=sd,
                                   degenerate=degenerate)
@@ -440,9 +422,10 @@ def dendrogram_to_json(dendro: Dendrogram, path: str | Path) -> None:
 def assignment_to_json(assign: ClusterAssignment, path: str | Path) -> None:
     write_json(path, {
         "scheme": assign.scheme,
-        "labels": dict(sorted(assign.labels.items())),
-        "idiosyncratic": sorted(assign.idiosyncratic),
-        "null_excluded": sorted(assign.null_excluded),
+        "labels": {cid: code for cid, code in zip(assign.ids, assign.codes.tolist())
+                   if code > 0},
+        "idiosyncratic": assign.members(IDIOSYNCRATIC),
+        "null_excluded": assign.members(NULL),
         "cut": {"kind": assign.cut.kind, "k": assign.cut.k,
                 "height": assign.cut.height_value, "min_size": assign.cut.min_size,
                 "resolved_components": assign.resolved_components},

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .panel import TemperaturePanel, split_panel, write_csv, write_json
-from .star import ForecastPanel, fit_star, fitted_levels, forecast
+from .star import fit_star, fitted_levels, forecast
 from .weights import WeightMatrix
 
 _REP_CHUNK = 64  # bootstrap replications drawn and summed at once in mcs
@@ -80,13 +80,14 @@ def loss_series(model: str, observed: np.ndarray, predicted: np.ndarray,
 
 @dataclass(frozen=True)
 class OosResult:
-    """Out-of-sample experiment output, keyed by model kind."""
+    """Out-of-sample experiment output, keyed by model kind: `losses` at the
+    experiment's granularity, `year_losses` per year (the same objects at year)."""
 
     origin_year: int
     horizon: int
     fn: dict[str, float]
     losses: dict[str, LossSeries]
-    forecasts: dict[str, ForecastPanel] = field(repr=False)
+    year_losses: dict[str, LossSeries] = field(repr=False)
 
 
 def oos_experiment(panel: TemperaturePanel,
@@ -114,15 +115,16 @@ def oos_experiment(panel: TemperaturePanel,
 
     fn: dict[str, float] = {}
     losses: dict[str, LossSeries] = {}
-    forecasts: dict[str, ForecastPanel] = {}
+    year_losses: dict[str, LossSeries] = {}
     for kind, weights in weight_builder(train).items():
         fc = forecast(fit_star(train, weights), train, horizon)
         fn[kind] = frobenius_norm(test_values, fc.levels)
-        losses[kind] = loss_series(kind, test_values, fc.levels, test_years,
-                                   countries=test.ids, granularity=granularity)
-        forecasts[kind] = fc
+        year_losses[kind] = loss_series(kind, test_values, fc.levels, test_years)
+        losses[kind] = (year_losses[kind] if granularity == "year" else
+                        loss_series(kind, test_values, fc.levels, test_years,
+                                    countries=test.ids, granularity=granularity))
     return OosResult(origin_year=origin_year, horizon=horizon, fn=fn,
-                     losses=losses, forecasts=forecasts)
+                     losses=losses, year_losses=year_losses)
 
 
 def in_sample_fn(panel: TemperaturePanel,

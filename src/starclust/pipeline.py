@@ -56,11 +56,9 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
         rule = CutRule.main_count(cfg.cluster_count(scheme), min_size=cfg.min_cluster_size)
 
     trends: dict[str, TrendFit] | None = None
-    null_ids: frozenset[str] = frozenset()
     if scheme == "A":
         trends = fit_panel_trends(panel, alpha=cfg.trend_alpha)
-        null_ids = frozenset(cid for cid, fit in trends.items() if not fit.significant)
-        kept = [cid for cid in panel.ids if cid not in null_ids]
+        kept = [cid for cid, fit in trends.items() if fit.significant]
         if len(kept) < 2:
             raise ValidationError("fewer than 2 countries with significant trends")
         dist = slope_distance([trends[cid] for cid in kept], kept)
@@ -70,21 +68,21 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
         dist = sign_distance(panel)
 
     dendro = agglomerate(dist)
-    assignment = cut(dendro, rule, scheme=scheme, null_excluded=null_ids)
+    assignment = cut(dendro, rule, scheme=scheme, ids=panel.ids)
     if scheme == "A" and assignment.n_clusters > 0:
-        slopes = {cid: trends[cid].slope for cid in assignment.labels}
-        assignment = relabel_by_feature(assignment, slopes, descending=True)
+        slopes = np.array([fit.slope for fit in trends.values()])
+        assignment = relabel_by_feature(assignment, slopes)
     return SchemeResult(scheme=scheme, assignment=assignment, dendrogram=dendro,
                         distance=dist, trends=trends)
 
 
-def scheme_features(result: SchemeResult, panel: TemperaturePanel) -> dict[str, np.ndarray | float]:
-    """Per-country feature used for cluster summaries: slope under scheme A,
-    the first-difference series otherwise."""
+def scheme_features(result: SchemeResult, panel: TemperaturePanel) -> np.ndarray:
+    """Feature used for cluster summaries, one row per panel id: the N-vector
+    of slopes under scheme A, the N x (T-1) first differences otherwise."""
     if result.scheme == "A":
         assert result.trends is not None
-        return {cid: fit.slope for cid, fit in result.trends.items()}
-    return dict(zip(panel.ids, panel_differences(panel)))
+        return np.array([fit.slope for fit in result.trends.values()])
+    return panel_differences(panel)
 
 
 def _scheme_of_kind(kind: str) -> str:

@@ -187,9 +187,13 @@ def fit_star(panel: TemperaturePanel, weights: WeightMatrix) -> StarModel:
         raise NumericalError(f"non-finite coefficients for {cid}")
 
     c, phi, psi = coefs.T.copy()
-    resid = response - (c[:, None] + phi[:, None] * own_lag + psi[:, None] * spatial_lag)
     dof = n_rows - keep.sum(axis=1)
-    sigma2 = np.einsum("nm,nm->n", resid, resid) / np.where(dof > 0, dof, n_rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = response - (c[:, None] + phi[:, None] * own_lag + psi[:, None] * spatial_lag)
+        sigma2 = np.einsum("nm,nm->n", resid, resid) / np.where(dof > 0, dof, n_rows)
+    overflow = np.flatnonzero(~np.isfinite(sigma2))
+    if overflow.size:
+        raise NumericalError(f"non-finite residual variance for {panel.ids[overflow[0]]}")
     codes = (weighted & ~keep[:, 2]) + 2 * ~keep[:, 1]
     return StarModel(weights=weights, train_span=(panel.years[0], panel.years[-1]),
                      c=c, phi=phi, psi=psi, has_psi=keep[:, 2], sigma2=sigma2,

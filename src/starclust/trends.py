@@ -128,14 +128,18 @@ def fit_linear_trend(series: np.ndarray, alpha: float = 0.05) -> TrendFit:
     t = np.arange(1, n + 1, dtype=float)
     t_centered = t - t.mean()
     sxx = float(t_centered @ t_centered)
-    slope = float(t_centered @ (y - y.mean())) / sxx
-    intercept = float(y.mean() - slope * t.mean())
-
-    residuals = y - intercept - slope * t
-    ssr = float(residuals @ residuals)
+    # Overflow (values near the float range) is caught by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = float(t_centered @ (y - y.mean())) / sxx
+        intercept = float(y.mean() - slope * t.mean())
+        residuals = y - intercept - slope * t
+        ssr = float(residuals @ residuals)
     df = n - 2
     s2 = ssr / df
     slope_se = float(np.sqrt(s2 / sxx))
+    if not all(map(math.isfinite, (intercept, slope, slope_se))):
+        raise NumericalError(f"non-finite trend fit (intercept {intercept}, "
+                             f"slope {slope}, se {slope_se})")
 
     if slope_se > 0.0:
         t_stat = slope / slope_se
@@ -151,8 +155,13 @@ def fit_linear_trend(series: np.ndarray, alpha: float = 0.05) -> TrendFit:
 
 def fit_panel_trends(panel: TemperaturePanel, alpha: float = 0.05) -> dict[str, TrendFit]:
     """Fit a linear trend for every country; keys follow the panel ordering."""
-    return {cid: fit_linear_trend(panel.values[i], alpha=alpha)
-            for i, cid in enumerate(panel.ids)}
+    fits = {}
+    for cid, row in zip(panel.ids, panel.values):
+        try:
+            fits[cid] = fit_linear_trend(row, alpha=alpha)
+        except NumericalError as exc:
+            raise NumericalError(f"{cid}: {exc}") from None
+    return fits
 
 
 def panel_differences(panel: TemperaturePanel) -> np.ndarray:

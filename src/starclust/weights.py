@@ -9,6 +9,7 @@ excluded, or alone in its cluster).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -138,14 +139,14 @@ def cluster_restricted_weights(dist: DistanceMatrix, assign: ClusterAssignment,
 
     Idiosyncratic, excluded, and singleton-cluster units get zero rows.
     """
-    missing = sorted(set(assign.labels) - set(dist.labels))
+    if assign.ids != panel.ids:
+        raise ValidationError("assignment ids do not match the panel order")
+    codes = assign.codes
+    missing = sorted(set(compress(assign.ids, (codes > 0).tolist())) - set(dist.labels))
     if missing:
         raise ValidationError(f"no distances available for clustered ids: {missing[:5]}")
     sim, meta = _similarity(dist, panel, rescale, rho)
-    cluster_of = np.full(panel.n_countries, -1)
-    for i, cid in enumerate(panel.ids):
-        cluster_of[i] = assign.labels.get(cid, -1)
-    same = (cluster_of[:, None] == cluster_of[None, :]) & (cluster_of[:, None] >= 0)
+    same = (codes[:, None] == codes[None, :]) & (codes[:, None] > 0)
     sim = np.where(same, sim, 0.0)
     meta["restricted"] = True
     meta["scheme"] = assign.scheme

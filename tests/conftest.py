@@ -102,6 +102,23 @@ def make_panel(values: np.ndarray, first_year: int = 1990,
                             values=values)
 
 
+def assignment_of(mapping: dict[str, int], idio=(), null=(), scheme: str = "B",
+                  rule=None):
+    """Assignment over the sorted ids of `mapping` (id -> cluster), `idio` and `null`."""
+    from starclust import ClusterAssignment, CutRule
+    from starclust.clustering import IDIOSYNCRATIC, NULL
+    ids = sorted([*mapping, *idio, *null])
+    codes = [mapping.get(cid, IDIOSYNCRATIC if cid in idio else NULL) for cid in ids]
+    return ClusterAssignment(
+        scheme=scheme, ids=ids, codes=codes,
+        cut=rule or CutRule.count(max(mapping.values(), default=1)),
+        resolved_components=len(set(mapping.values())) + len(idio))
+
+
+def code_of(assign, cid: str) -> int:
+    return int(assign.codes[assign.ids.index(cid)])
+
+
 def write_panel(panel: TemperaturePanel, path: str | Path, fmt: str = "long") -> None:
     """Write a panel to CSV, long or wide, with full precision (round-trips bit-exactly)."""
     meta_names = [name for name in ("name", "zone", "area")

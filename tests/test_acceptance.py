@@ -111,7 +111,7 @@ class TestReproduction:
         with criterion("1a", "exactly these 6 countries non-significant at 5%: "
                              + ", ".join(sorted(NULL_COUNTRIES))):
             scheme_a = real_run["scheme_cache"]["A"]
-            assert set(scheme_a.assignment.null_excluded) == NULL_COUNTRIES
+            assert set(scheme_a.assignment.members(clustering.NULL)) == NULL_COUNTRIES
 
     def test_1b_scheme_a_slope_means(self, real_run):
         with criterion("1b", "scheme A slope means within 0.0015 of "
@@ -126,7 +126,7 @@ class TestReproduction:
                 mean = float(np.mean([slopes[cid] for cid in members]))
                 assert abs(mean - expected) <= 0.0015, (number, mean, expected)
             significant = [cid for cid in panel.ids
-                           if cid not in assign.null_excluded]
+                           if cid not in assign.members(clustering.NULL)]
             top = max(significant, key=lambda cid: slopes[cid])
             assert top == "Mongolia"
             assert abs(slopes[top] - 0.018) < 0.0005
@@ -321,10 +321,11 @@ class TestProperties:
             assert built["NN"].zero_rows() == (panel.ids[-1],)
             assert built["NN"].meta["isolated"] == [panel.ids[-1]]
             a_assign = cache["A"].assignment
-            assert set(built["cA"].zero_rows()) == set(a_assign.null_excluded)
+            assert set(built["cA"].zero_rows()) == set(a_assign.members(clustering.NULL))
             c_assign = cache["C"].assignment
             assert set(built["cC"].zero_rows()) == \
-                set(c_assign.idiosyncratic) | set(c_assign.null_excluded)
+                set(c_assign.members(clustering.IDIOSYNCRATIC)
+                    + c_assign.members(clustering.NULL))
             for kind in ("dA", "dB", "dC"):
                 assert built[kind].zero_rows() == ()
 

@@ -3,7 +3,9 @@
 The tracer replaces module attributes by name, and a name it cannot find is
 only listed as unhooked, so a refactor that renames or moves one of them
 would silently drop that layer from the per-layer metrics. The MCS counts
-are read from the call and its warning, which are checked here too.
+are read from the call and its warning, which are checked here too, and a
+traced evaluate and cluster run on the benchmark's tiny inputs executes
+every counter, which reads the records the layers return.
 """
 import importlib.util
 import sys
@@ -19,10 +21,12 @@ MODULES = {"cli": starclust.cli, "clustering": clustering,
            "evaluation": evaluation, "pipeline": pipeline}
 
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
 @pytest.fixture(scope="module")
 def tracing():
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolve the module of a class through sys.modules.
     sys.modules[spec.name] = module
@@ -31,6 +35,25 @@ def tracing():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def tiny_config(tmp_path_factory):
+    """The benchmark's self-test inputs and run config (bench/run.py, --tiny):
+    40 units over 1981-2010, k = 1/3/4, horizon 10, 200 replications."""
+    spec = importlib.util.spec_from_file_location("bench_gen_panel", BENCH / "gen_panel.py")
+    gen_panel = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_panel)
+    root = tmp_path_factory.mktemp("bench_tiny")
+    paths = gen_panel.write_inputs(gen_panel.generate(7, 40, 1981, 2010), root / "inputs")
+    config = root / "run.yaml"
+    config.write_text(
+        f"data:\n  panel: {paths['panel']}\n  adjacency: {paths['adjacency']}\n"
+        f"  zones: {paths['zones']}\n"
+        "clusters:\n  A: 1\n  B: 3\n  C: 4\nweights:\n  rescale: true\n"
+        "split_year: 2000\nhorizon: 10\n"
+        "mcs:\n  reps: 200\n  block: 2\n  statistic: SQ\n", encoding="utf-8")
+    return config
 
 
 def test_every_hook_resolves(tracing):
@@ -68,3 +91,20 @@ def test_mcs_counts_read_from_a_traced_call(tracing):
     assert tracer.counts["evaluation.mcs_draws"] == 200 * 30
     assert tracer.counts["evaluation.mcs_rounds"] == 3
     assert tracer.counts["evaluation.mcs_degenerate_pairs"] == 2
+
+
+def test_traced_runs_execute_every_counter(tracing, tiny_config, tmp_path, capsys):
+    metrics, counted = {}, set()
+    for argv in (["evaluate"], ["cluster", "--scheme", "C"]):
+        tracer = tracing.Tracer(run=0)
+        with tracing.hooked(tracer), tracer.span(f"cli.{argv[0]}"):
+            code = starclust.cli.main([*argv, "--config", str(tiny_config),
+                                       "--out", str(tmp_path / argv[0])])
+        assert code == 0
+        assert tracer.unhooked == []
+        metrics[argv[0]] = tracing.layer_metrics(tracer)
+        assert set(tracing.COUNTS) <= set(metrics[argv[0]])
+        counted |= set(tracer.counts)
+    assert counted == set(tracing.COUNTS) - {"trace.spans"}
+    assert metrics["evaluate"]["panel.cells"] == metrics["cluster"]["panel.cells"] == 40 * 30
+    assert metrics["evaluate"]["star.equations"] == 14 * 40

@@ -613,6 +613,32 @@ class TestMalformedInputs:
         assert "Traceback" not in result.stderr
         assert "non-finite differences for C04" in result.stderr
 
+    def test_nan_cut_height(self, dataset, tmp_path):
+        # A NaN height kept no merge, leaving every country idiosyncratic.
+        result = self.run_cli("cluster", "--scheme", "B", "--cut", "height",
+                              "--height", "nan", "--data", str(dataset["panel"]),
+                              "--out", str(tmp_path))
+        self.assert_clean_exit_2(result, "height cut rule needs a height, got nan")
+        assert not (tmp_path / "assignment_B.json").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (("trends",), "numerical error: C00: non-finite trend fit"),
+        (("fit", "--kind", "NN"), "numerical error: non-finite residual variance for C00"),
+    ], ids=["trends", "fit"])
+    def test_overflowing_squares_exit_3(self, dataset, tmp_path, command, message):
+        # Levels near 1e282 are finite, but their squared residuals overflow.
+        header, *rows = dataset["panel"].read_text(encoding="utf-8").splitlines()
+        scaled = [f"{cid},{year},{float(value) * 1e280!r}"
+                  for cid, year, value in (row.split(",") for row in rows)]
+        panel = tmp_path / "panel.csv"
+        panel.write_text("\n".join([header, *scaled]) + "\n", encoding="utf-8")
+        result = self.run_cli(*command, "--data", str(panel),
+                              "--adjacency", str(dataset["adjacency"]), "--out", str(tmp_path))
+        assert result.returncode == 3
+        assert result.stderr.startswith(message)
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        assert [path.name for path in tmp_path.iterdir()] == ["panel.csv"]
+
     def test_uncreatable_output_directory(self, dataset, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n", encoding="utf-8")

@@ -13,12 +13,12 @@ from starclust import (ClusterAssignment, ContingencyTable, CutRule, Dendrogram,
                        DistanceMatrix, Merge, ValidationError, agglomerate,
                        cluster_summary, cross_tab, cut, hamming_distance,
                        relabel_by_feature, zone_cross_tab)
-from starclust.clustering import (assignment_to_json, dendrogram_to_json,
-                                  write_contingency_csv)
+from starclust.clustering import (IDIOSYNCRATIC, NULL, assignment_to_json,
+                                  dendrogram_to_json, write_contingency_csv)
 
 from _oracles import (dendrogram_leafset_merges, lance_williams_linkage,
                       naive_linkage)
-from conftest import make_panel
+from conftest import assignment_of, code_of, make_panel
 
 
 def square(values, labels, metric="diff"):
@@ -304,8 +304,8 @@ class TestCutRules:
     def test_count_rule_all_singletons(self):
         dendro = agglomerate(self.grouped())
         assign = cut(dendro, CutRule.count(7))
-        assert assign.labels == {}
-        assert assign.idiosyncratic == frozenset(self.grouped().labels)
+        assert assign.n_clusters == 0
+        assert assign.members(IDIOSYNCRATIC) == sorted(self.grouped().labels)
         assert assign.resolved_components == 7
 
     def test_count_rule_single_cluster(self):
@@ -313,7 +313,7 @@ class TestCutRules:
         assign = cut(dendro, CutRule.count(1))
         assert assign.n_clusters == 1
         assert set(assign.members(1)) == set(self.grouped().labels)
-        assert assign.idiosyncratic == frozenset()
+        assert assign.members(IDIOSYNCRATIC) == []
 
     def test_height_rule(self):
         dendro = agglomerate(self.grouped())
@@ -321,9 +321,9 @@ class TestCutRules:
         assert above.n_clusters == 1 and len(above.members(1)) == 7
         mid = cut(dendro, CutRule.height(10.0))
         assert mid.n_clusters == 2
-        assert mid.idiosyncratic == frozenset({"x"})
+        assert mid.members(IDIOSYNCRATIC) == ["x"]
         below = cut(dendro, CutRule.height(0.5))
-        assert below.labels == {} and len(below.idiosyncratic) == 7
+        assert below.n_clusters == 0 and len(below.members(IDIOSYNCRATIC)) == 7
 
     def test_auto_rule_finds_the_gap(self):
         dendro = agglomerate(self.grouped())
@@ -349,7 +349,7 @@ class TestCutRules:
         assert assign.n_clusters == 2
         assert set(assign.members(1)) == {"a1", "a2", "a3"}
         assert set(assign.members(2)) == {"b1", "b2", "b3"}
-        assert assign.idiosyncratic == frozenset({"x"})
+        assert assign.members(IDIOSYNCRATIC) == ["x"]
         assert assign.resolved_components == 3
 
     def test_main_count_unreachable(self):
@@ -361,16 +361,23 @@ class TestCutRules:
         # Sizes 3 and 3 tie; the cluster holding the smallest label comes first.
         dendro = agglomerate(self.grouped())
         assign = cut(dendro, CutRule.main_count(2))
-        assert assign.labels["a1"] == 1
-        assert assign.labels["b1"] == 2
+        assert code_of(assign, "a1") == 1
+        assert code_of(assign, "b1") == 2
 
     def test_null_exclusions_pass_through(self):
         dendro = agglomerate(self.grouped())
-        assign = cut(dendro, CutRule.main_count(2), scheme="A",
-                     null_excluded=("zz",))
+        ids = (*self.grouped().labels, "zz")
+        assign = cut(dendro, CutRule.main_count(2), scheme="A", ids=ids)
         assert assign.scheme == "A"
-        assert assign.null_excluded == frozenset({"zz"})
-        assert assign.category_of("zz") == "null"
+        assert assign.ids == ids
+        assert assign.members(NULL) == ["zz"]
+        names, index = assign.categories()
+        assert names[index[-1]] == "null"
+
+    def test_leaves_must_be_among_ids(self):
+        dendro = agglomerate(self.grouped())
+        with pytest.raises(ValidationError, match="leaves absent from ids"):
+            cut(dendro, CutRule.main_count(2), ids=("a1", "a2"))
 
     def test_rule_validation(self):
         with pytest.raises(ValidationError, match="unknown cut rule"):
@@ -379,78 +386,75 @@ class TestCutRules:
             CutRule.count(0)
         with pytest.raises(ValidationError, match="needs a height"):
             CutRule(kind="height")
+        with pytest.raises(ValidationError, match="needs a height, got nan"):
+            CutRule.height(float("nan"))
         with pytest.raises(ValidationError, match="min_size"):
             CutRule.auto(min_size=0)
 
 
 class TestClusterAssignment:
     def make(self, **kw):
-        base = dict(scheme="B", labels={"a": 1, "b": 1, "c": 2, "d": 2},
-                    idiosyncratic=frozenset({"e"}),
-                    null_excluded=frozenset({"f"}),
+        base = dict(scheme="B", ids=("a", "b", "c", "d", "e", "f"),
+                    codes=(1, 1, 2, 2, IDIOSYNCRATIC, NULL),
                     cut=CutRule.main_count(2), resolved_components=3)
         base.update(kw)
         return ClusterAssignment(**base)
 
     def test_categories_ordered_and_nonempty(self):
         assign = self.make()
-        names = [name for name, _ in assign.categories()]
+        names, _ = assign.categories()
         assert names == ["1", "2", "idiosyncratic", "null"]
-        plain = self.make(idiosyncratic=frozenset(), null_excluded=frozenset())
-        assert [name for name, _ in plain.categories()] == ["1", "2"]
+        plain = self.make(ids=("a", "b", "c", "d"), codes=(1, 1, 2, 2))
+        assert plain.categories()[0] == ["1", "2"]
 
     def test_category_of(self):
-        assign = self.make()
-        assert assign.category_of("a") == "1"
-        assert assign.category_of("e") == "idiosyncratic"
-        assert assign.category_of("f") == "null"
-        with pytest.raises(ValidationError, match="not covered"):
-            assign.category_of("zz")
+        names, index = self.make(codes=(2, 1, NULL, 2, IDIOSYNCRATIC, 1)).categories()
+        assert [names[i] for i in index] == ["2", "1", "null", "2", "idiosyncratic", "1"]
+        assert names == ["1", "2", "idiosyncratic", "null"]
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValidationError, match="multiple groups"):
-            self.make(idiosyncratic=frozenset({"a"}))
-        with pytest.raises(ValidationError, match="multiple groups"):
-            self.make(null_excluded=frozenset({"e"}))
+    def test_codes_must_match_ids(self):
+        with pytest.raises(ValidationError, match="one code >= -1 for each of 6 ids"):
+            self.make(codes=(1, 1, 2, 2, 0))
+        with pytest.raises(ValidationError, match="one code >= -1 for each of 6 ids"):
+            self.make(codes=(1, 1, 2, 2, 0, -2))
 
     def test_indices_must_be_contiguous(self):
         with pytest.raises(ValidationError, match="contiguous"):
-            self.make(labels={"a": 1, "b": 3})
+            self.make(codes=(1, 3, 3, 0, 0, 0))
 
     def test_members_sorted(self):
-        assign = self.make(labels={"b": 1, "a": 1, "c": 2, "d": 2})
+        assign = self.make(ids=("b", "a", "c", "d"), codes=(1, 1, 2, 2))
         assert assign.members(1) == ["a", "b"]
+
+    def test_codes_read_only(self):
+        with pytest.raises(ValueError):
+            self.make().codes[0] = 2
 
 
 class TestRelabelByFeature:
     def test_descending_by_mean(self):
-        assign = ClusterAssignment(scheme="A", labels={"a": 1, "b": 1, "c": 2},
-                                   idiosyncratic=frozenset(),
-                                   null_excluded=frozenset(),
-                                   cut=CutRule.count(2), resolved_components=2)
-        features = {"a": 0.1, "b": 0.3, "c": 0.9}
-        out = relabel_by_feature(assign, features)
-        assert out.labels == {"c": 1, "a": 2, "b": 2}
-        ascending = relabel_by_feature(assign, features, descending=False)
-        assert ascending.labels == {"a": 1, "b": 1, "c": 2}
+        assign = assignment_of({"a": 1, "b": 1, "c": 2}, scheme="A")
+        out = relabel_by_feature(assign, np.array([0.1, 0.3, 0.9]))
+        assert out.codes.tolist() == [2, 2, 1]
+
+    def test_ties_keep_the_cut_order(self):
+        assign = assignment_of({"a": 1, "b": 2, "c": 3}, scheme="A")
+        out = relabel_by_feature(assign, np.array([0.5, 0.9, 0.5]))
+        assert out.codes.tolist() == [2, 1, 3]
 
     def test_untouched_metadata(self):
-        assign = ClusterAssignment(scheme="A", labels={"a": 1, "b": 2},
-                                   idiosyncratic=frozenset({"i"}),
-                                   null_excluded=frozenset({"n"}),
+        assign = ClusterAssignment(scheme="A", ids=("a", "b", "i", "n"),
+                                   codes=(1, 2, IDIOSYNCRATIC, NULL),
                                    cut=CutRule.count(3), resolved_components=4)
-        out = relabel_by_feature(assign, {"a": 0.0, "b": 1.0})
-        assert out.idiosyncratic == assign.idiosyncratic
-        assert out.null_excluded == assign.null_excluded
+        out = relabel_by_feature(assign, np.array([0.0, 1.0, 5.0, 9.0]))
+        assert out.members(IDIOSYNCRATIC) == ["i"]
+        assert out.members(NULL) == ["n"]
+        assert out.codes.tolist() == [2, 1, IDIOSYNCRATIC, NULL]
         assert out.resolved_components == 4
 
 
 def toy_assignment(scheme, mapping, idio=(), null=()):
-    return ClusterAssignment(scheme=scheme, labels=dict(mapping),
-                             idiosyncratic=frozenset(idio),
-                             null_excluded=frozenset(null),
-                             cut=CutRule.count(max(mapping.values(), default=1)),
-                             resolved_components=len(set(mapping.values())) + len(idio))
+    return assignment_of(mapping, idio=idio, null=null, scheme=scheme)
 
 
 class TestCrossTab:
@@ -486,6 +490,13 @@ class TestCrossTab:
         with pytest.raises(ValidationError, match="second assignment"):
             cross_tab(full, partial, panel)
 
+    def test_panel_order_enforced(self):
+        rng = np.random.default_rng(2)
+        panel = make_panel(rng.random((3, 8)), ids=["c", "b", "a"])
+        assign = toy_assignment("B", {"a": 1, "b": 1, "c": 1})
+        with pytest.raises(ValidationError, match="in its order"):
+            cross_tab(assign, assign, panel)
+
 
 class TestZoneCrossTab:
     def test_counts_and_zone_order(self):
@@ -511,7 +522,7 @@ class TestZoneCrossTab:
 class TestClusterSummary:
     def test_scalar_features(self):
         assign = toy_assignment("A", {"a": 1, "b": 1, "c": 2})
-        stats = cluster_summary(assign, {"a": 1.0, "b": 3.0, "c": 5.0})
+        stats = cluster_summary(assign, np.array([1.0, 3.0, 5.0]))
         assert stats[1].mean == 2.0
         assert stats[1].sd == pytest.approx(np.std([1.0, 3.0], ddof=1))
         assert stats[1].n_countries == 2 and stats[1].n_values == 2
@@ -519,18 +530,67 @@ class TestClusterSummary:
         assert stats[2].degenerate and stats[2].sd == 0.0 and stats[2].n_values == 1
 
     def test_vector_features_pooled(self):
-        assign = toy_assignment("B", {"a": 1, "b": 1})
-        feats = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0, 5.0])}
+        assign = toy_assignment("B", {"a": 1, "b": 1}, idio=("c",))
+        feats = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [9.0, 9.0, 9.0]])
         stats = cluster_summary(assign, feats)
+        assert list(stats) == [1]
         assert stats[1].n_countries == 2
-        assert stats[1].n_values == 5
-        assert stats[1].mean == 3.0
-        assert stats[1].sd == pytest.approx(np.std([1, 2, 3, 4, 5], ddof=1))
+        assert stats[1].n_values == 6
+        assert stats[1].mean == 3.5
+        assert stats[1].sd == pytest.approx(np.std([1, 2, 3, 4, 5, 6], ddof=1))
 
     def test_missing_feature(self):
         assign = toy_assignment("B", {"a": 1, "b": 1})
-        with pytest.raises(ValidationError, match="feature missing"):
-            cluster_summary(assign, {"a": 1.0})
+        with pytest.raises(ValidationError, match="1 feature rows for 2 ids"):
+            cluster_summary(assign, np.array([1.0]))
+
+
+class TestLoopParity:
+    """The array code over `codes` against per-country loops over the members."""
+
+    @staticmethod
+    def random_assignment(rng, ids):
+        k = int(rng.integers(1, 5))
+        codes = rng.integers(NULL, k + 1, size=len(ids))
+        codes[:k] = np.arange(1, k + 1)  # every cluster nonempty
+        rng.shuffle(codes)
+        return ClusterAssignment(scheme="B", ids=ids, codes=codes, cut=CutRule.count(k),
+                                 resolved_components=k)
+
+    @staticmethod
+    def category(assign, cid):
+        code = code_of(assign, cid)
+        return {IDIOSYNCRATIC: "idiosyncratic", NULL: "null"}.get(code, str(code))
+
+    def test_summary_relabel_and_cross_tab(self):
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            ids = [f"c{i:02d}" for i in range(int(rng.integers(5, 30)))]
+            a, b = self.random_assignment(rng, ids), self.random_assignment(rng, ids)
+            slopes = rng.normal(size=len(ids))
+            diffs = rng.normal(size=(len(ids), 3))
+            for features in (slopes, diffs):
+                by_id = dict(zip(ids, features))
+                stats = cluster_summary(a, features)
+                for c in range(1, a.n_clusters + 1):
+                    pooled = np.array([v for cid in a.members(c)
+                                       for v in np.atleast_1d(by_id[cid]).tolist()])
+                    assert (stats[c].n_values, stats[c].mean) == (pooled.size, pooled.mean())
+                    assert stats[c].sd == (np.std(pooled, ddof=1) if pooled.size > 1 else 0.0)
+
+            means = {c: np.mean([slopes[ids.index(cid)] for cid in a.members(c)])
+                     for c in range(1, a.n_clusters + 1)}
+            order = sorted(means, key=lambda c: -means[c])
+            relabeled = relabel_by_feature(a, slopes)
+            for cid in ids:
+                old = code_of(a, cid)
+                assert code_of(relabeled, cid) == (order.index(old) + 1 if old > 0 else old)
+
+            table = cross_tab(a, b, make_panel(rng.random((len(ids), 4)), ids=ids))
+            pairs = [(self.category(a, cid), self.category(b, cid)) for cid in ids]
+            assert [[pairs.count((r, c)) for c in table.col_labels]
+                    for r in table.row_labels] == table.counts.tolist()
+            assert table.total == len(ids)
 
 
 class TestExports:

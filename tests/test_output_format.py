@@ -11,19 +11,17 @@ import numpy as np
 import pytest
 
 import starclust
-from starclust import (ClusterAssignment, ClusterStats, ContingencyTable, CountryMeta,
-                       CutRule, Dendrogram, EvaluationReport, ForecastPanel, McsReport,
-                       OosResult, RunConfig, StarModel, TemperaturePanel, TrendFit,
-                       WeightMatrix, cli, clustering, evaluation, star, trends, weights)
+from starclust import (ClusterAssignment, ClusterStats, ContingencyTable, CutRule,
+                       Dendrogram, EvaluationReport, McsReport, OosResult, StarModel,
+                       TrendFit, WeightMatrix, cli, clustering, evaluation, star, trends,
+                       weights)
 from starclust.clustering import Merge
 
 INF = float("inf")
 
 
-def _assignment():
-    return ClusterAssignment(scheme="B", labels={"b": 1, "a": 1, "e": 2, "f": 2},
-                             idiosyncratic=frozenset({"c"}),
-                             null_excluded=frozenset({"d"}),
+def _assignment(ids=("a", "b", "c", "d", "e", "f"), codes=(1, 1, 0, -1, 2, 2)):
+    return ClusterAssignment(scheme="B", ids=ids, codes=codes,
                              cut=CutRule.height(1e-05), resolved_components=3)
 
 
@@ -121,26 +119,22 @@ def write_summary_csv(path):
 
 
 def write_feature_csv(path):
-    features = {"a": 0.1, "b": np.array([0.0, 1.0, 2.0]), "c": 1e-05,
-                "e": np.float64(0.3333333333333333), "f": -4}
-    cli._write_feature_csv(_assignment(), features, Path(path))
+    features = np.array([[0.1, 0.1], [0.0, 2.0], [1e-05, 1e-05],
+                         [0.3333333333333333, 0.3333333333333333], [-4, -4]])
+    cli._write_feature_csv(_assignment(("a", "b", "c", "e", "f"), (1, 1, 0, 2, 2)),
+                           features, Path(path))
 
 
 def write_loss_plot_csv(path):
-    panel = TemperaturePanel(countries=(CountryMeta(id="a"), CountryMeta(id="b")),
-                             years=(2000, 2001, 2002, 2003),
-                             values=np.array([[0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 0.5, 0.0]]))
+    observed = np.array([[1.0, 2.0], [0.5, 0.0]])
 
-    def forecast(levels):
-        levels = np.array(levels)
-        return ForecastPanel(countries=("a", "b"), years=(2002, 2003), levels=levels,
-                             diffs=np.zeros_like(levels), origin_year=2001,
-                             origin_levels=np.zeros(2))
+    def losses(kind, levels):
+        return evaluation.loss_series(kind, observed, np.array(levels), (2002, 2003))
 
     oos = OosResult(origin_year=2001, horizon=2, fn={}, losses={},
-                    forecasts={"dA": forecast([[1.1, 2.0], [0.5, 0.0]]),
-                               "NN": forecast([[0.0, 2.0], [0.5, 1.0]])})
-    cli._write_loss_plot_csv(panel, RunConfig(split_year=2001, horizon=2), oos, Path(path))
+                    year_losses={"dA": losses("dA", [[1.1, 2.0], [0.5, 0.0]]),
+                                 "NN": losses("NN", [[0.0, 2.0], [0.5, 1.0]])})
+    cli._write_loss_plot_csv(oos, Path(path))
 
 
 CASES = {

@@ -5,6 +5,7 @@ import pytest
 from starclust import (KINDS, SCHEMES, AdjacencyList, CutRule, RunConfig,
                        ValidationError, build_weights, compute_scheme,
                        scheme_features, split_panel, weight_builder)
+from starclust.clustering import IDIOSYNCRATIC, NULL
 from conftest import make_panel
 
 
@@ -39,7 +40,7 @@ class TestComputeScheme:
     def test_scheme_a_excludes_null_and_orders_by_slope(self, grouped_panel):
         res = compute_scheme(grouped_panel, "A", CFG)
         assign = res.assignment
-        assert assign.null_excluded == frozenset(GROUPS[3])
+        assert assign.members(NULL) == GROUPS[3]
         assert assign.members(1) == GROUPS[1]
         assert assign.members(2) == GROUPS[2]
         # Relabeling puts the fastest-warming cluster first.
@@ -52,7 +53,7 @@ class TestComputeScheme:
         res = compute_scheme(grouped_panel, "B", CFG)
         assign = res.assignment
         assert res.trends is None
-        assert assign.null_excluded == frozenset()
+        assert assign.members(NULL) == []
         got = {frozenset(assign.members(i)) for i in range(1, 4)}
         assert got == {frozenset(g) for g in GROUPS.values()}
 
@@ -64,7 +65,7 @@ class TestComputeScheme:
         assert frozenset(assign.members(2)) == frozenset(GROUPS[2])
         # Noise flips one change sign for C07 at a pattern boundary, so it
         # falls out of the third cluster as idiosyncratic.
-        assert set(assign.members(3)) | assign.idiosyncratic == set(GROUPS[3])
+        assert set(assign.members(3)) | set(assign.members(IDIOSYNCRATIC)) == set(GROUPS[3])
 
     def test_unknown_scheme(self, grouped_panel):
         with pytest.raises(ValidationError, match="unknown scheme"):
@@ -84,21 +85,21 @@ class TestComputeScheme:
     def test_features_scheme_a_slopes(self, grouped_panel):
         res = compute_scheme(grouped_panel, "A", CFG)
         feats = scheme_features(res, grouped_panel)
-        assert set(feats) == set(grouped_panel.ids)
-        assert feats["C00"] == pytest.approx(0.12, abs=0.01)
+        assert feats.shape == (grouped_panel.n_countries,)
+        assert feats[grouped_panel.id_index["C00"]] == pytest.approx(0.12, abs=0.01)
 
     def test_features_other_schemes_are_diffs(self, grouped_panel):
         res = compute_scheme(grouped_panel, "B", CFG)
         feats = scheme_features(res, grouped_panel)
-        diff = feats["C03"]
+        diff = feats[grouped_panel.id_index["C03"]]
         assert diff.shape == (grouped_panel.n_years - 1,)
         assert np.allclose(diff, np.diff(grouped_panel.values[grouped_panel.id_index["C03"]]), atol=0)
 
     @pytest.mark.parametrize("scheme", ["B", "C"])
     def test_difference_features_bitwise_equal_to_row_differences(self, grouped_panel, scheme):
         feats = scheme_features(compute_scheme(grouped_panel, scheme, CFG), grouped_panel)
-        assert list(feats) == list(grouped_panel.ids)
-        for cid, diff in feats.items():
+        assert len(feats) == grouped_panel.n_countries
+        for cid, diff in zip(grouped_panel.ids, feats):
             row = grouped_panel.values[grouped_panel.id_index[cid]]
             assert np.array_equal(diff, row[1:] - row[:-1])
 

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from starclust import (KINDS, EquationFit, RunConfig, StarModel, ValidationError,
-                       WeightMatrix, build_weights, fit_star,
+from starclust import (KINDS, EquationFit, NumericalError, RunConfig, StarModel,
+                       ValidationError, WeightMatrix, build_weights, fit_star,
                        fitted_levels, forecast)
 from starclust.panel import split_panel
 from starclust.star import write_coefficients_csv, write_level_csv
@@ -223,6 +223,15 @@ class TestFitStar:
         w = ring_weights(3, panel.ids)
         with pytest.raises(ValidationError, match="at least 4 years"):
             fit_star(panel, w)
+
+    def test_overflowing_residual_variance_named(self):
+        # Finite levels whose squared residuals overflow; no warning escapes.
+        rng = np.random.default_rng(0)
+        values = rng.random((3, 12))
+        values[1] *= 1e300
+        panel = make_panel(values, ids=["a", "b", "c"])
+        with pytest.raises(NumericalError, match="non-finite residual variance for b"):
+            fit_star(panel, zero_weights(panel.ids))
 
     def test_negative_sigma2_rejected(self):
         with pytest.raises(ValidationError, match="negative residual variance"):

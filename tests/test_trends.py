@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from starclust import (ValidationError, fit_linear_trend, fit_panel_trends,
-                       panel_differences, sign_sequence, student_t_sf2)
+from starclust import (NumericalError, ValidationError, fit_linear_trend,
+                       fit_panel_trends, panel_differences, sign_sequence,
+                       student_t_sf2)
 from starclust.trends import write_trend_table
 
 from _oracles import trend_stats
@@ -79,6 +80,13 @@ class TestFitLinearTrend:
         assert math.isclose(base.slope, shifted.slope, rel_tol=1e-10, abs_tol=1e-12)
         assert math.isclose(shifted.intercept, base.intercept + 7.0,
                             rel_tol=1e-10, abs_tol=1e-9)
+
+
+    def test_overflow_raises_without_warning(self):
+        # Finite values whose squared residuals overflow to inf.
+        series = np.array([1.0, 4.0, 2.0, 6.0, 3.0]) * 1e300
+        with pytest.raises(NumericalError, match="non-finite trend fit"):
+            fit_linear_trend(series)
 
 
 class TestStudentT:
@@ -181,6 +189,13 @@ class TestPanelTrends:
         for cid, fit in fits.items():
             direct = fit_linear_trend(toy_panel.values[toy_panel.id_index[cid]])
             assert fit.slope == direct.slope
+
+    def test_overflow_names_the_country(self, toy_panel):
+        values = toy_panel.values.copy()
+        values[2] *= 1e300
+        panel = make_panel(values)
+        with pytest.raises(NumericalError, match=f"{panel.ids[2]}: non-finite trend fit"):
+            fit_panel_trends(panel)
 
     def test_csv_export(self, toy_panel, tmp_path):
         fits = fit_panel_trends(toy_panel)

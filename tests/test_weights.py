@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from starclust import (AdjacencyList, ClusterAssignment, CutRule, DistanceMatrix,
-                       ValidationError, WeightMatrix, cluster_restricted_weights,
-                       contiguity_weights, distance_weights, hamming_distance)
+from starclust import (AdjacencyList, DistanceMatrix, ValidationError, WeightMatrix,
+                       cluster_restricted_weights, contiguity_weights,
+                       distance_weights, hamming_distance)
 from starclust.weights import write_weight_csv, write_weight_meta
-from conftest import make_panel
+from conftest import assignment_of, make_panel
 
 from _oracles import mask_and_normalize
 
@@ -25,14 +25,6 @@ def row_of(w, cid):
 def distance_of(panel, values, metric="diff"):
     return DistanceMatrix(metric=metric, labels=panel.ids,
                           values=np.asarray(values, dtype=float))
-
-
-def assignment_of(mapping, idio=(), null=(), scheme="B"):
-    return ClusterAssignment(scheme=scheme, labels=dict(mapping),
-                             idiosyncratic=frozenset(idio),
-                             null_excluded=frozenset(null),
-                             cut=CutRule.main_count(max(mapping.values(), default=1)),
-                             resolved_components=len(set(mapping.values())) + len(idio))
 
 
 class TestWeightMatrix:
@@ -244,6 +236,13 @@ class TestClusterRestrictedWeights:
         assign = assignment_of({"a": 1, "b": 1, "c": 1})
         with pytest.raises(ValidationError, match="no distances available"):
             cluster_restricted_weights(dist, assign, panel, kind="cA")
+
+    def test_assignment_must_follow_panel_order(self):
+        panel = panel_of(3, ids=["c", "b", "a"])
+        assign = assignment_of({"a": 1, "b": 1, "c": 1})
+        with pytest.raises(ValidationError, match="do not match the panel order"):
+            cluster_restricted_weights(distance_of(panel, np.zeros((3, 3))), assign,
+                                       panel, kind="cB")
 
     def test_hamming_restricted(self):
         values = np.array([
