@@ -102,8 +102,7 @@ def make_panel(values: np.ndarray, first_year: int = 1990,
                             values=values)
 
 
-def assignment_of(mapping: dict[str, int], idio=(), null=(), scheme: str = "B",
-                  rule=None):
+def assignment_of(mapping: dict[str, int], idio=(), null=(), scheme: str = "B"):
     """Assignment over the sorted ids of `mapping` (id -> cluster), `idio` and `null`."""
     from starclust import ClusterAssignment, CutRule
     from starclust.clustering import IDIOSYNCRATIC, NULL
@@ -111,7 +110,7 @@ def assignment_of(mapping: dict[str, int], idio=(), null=(), scheme: str = "B",
     codes = [mapping.get(cid, IDIOSYNCRATIC if cid in idio else NULL) for cid in ids]
     return ClusterAssignment(
         scheme=scheme, ids=ids, codes=codes,
-        cut=rule or CutRule.count(max(mapping.values(), default=1)),
+        cut=CutRule.count(max(mapping.values(), default=1)),
         resolved_components=len(set(mapping.values())) + len(idio))
 
 

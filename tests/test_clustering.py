@@ -453,15 +453,11 @@ class TestRelabelByFeature:
         assert out.resolved_components == 4
 
 
-def toy_assignment(scheme, mapping, idio=(), null=()):
-    return assignment_of(mapping, idio=idio, null=null, scheme=scheme)
-
-
 class TestCrossTab:
     def test_self_cross_is_diagonal(self):
         rng = np.random.default_rng(0)
         panel = make_panel(rng.random((5, 8)), ids=["a", "b", "c", "d", "e"])
-        assign = toy_assignment("B", {"a": 1, "b": 1, "c": 2, "d": 2}, idio=("e",))
+        assign = assignment_of({"a": 1, "b": 1, "c": 2, "d": 2}, idio=("e",), scheme="B")
         table = cross_tab(assign, assign, panel)
         assert table.row_labels == table.col_labels == ("1", "2", "idiosyncratic")
         assert np.array_equal(table.counts, np.diag([2, 2, 1]))
@@ -471,8 +467,8 @@ class TestCrossTab:
         rng = np.random.default_rng(1)
         ids = ["a", "b", "c", "d", "e", "f"]
         panel = make_panel(rng.random((6, 8)), ids=ids)
-        a = toy_assignment("A", {"a": 1, "b": 1, "c": 1, "d": 2, "e": 2}, null=("f",))
-        b = toy_assignment("B", {"a": 1, "b": 1, "d": 1, "c": 2, "e": 2, "f": 2})
+        a = assignment_of({"a": 1, "b": 1, "c": 1, "d": 2, "e": 2}, null=("f",), scheme="A")
+        b = assignment_of({"a": 1, "b": 1, "d": 1, "c": 2, "e": 2, "f": 2}, scheme="B")
         table = cross_tab(a, b, panel)
         assert table.row_labels == ("1", "2", "null")
         assert table.col_labels == ("1", "2")
@@ -483,8 +479,8 @@ class TestCrossTab:
     def test_coverage_enforced(self):
         rng = np.random.default_rng(2)
         panel = make_panel(rng.random((3, 8)), ids=["a", "b", "c"])
-        partial = toy_assignment("A", {"a": 1, "b": 1})
-        full = toy_assignment("B", {"a": 1, "b": 1, "c": 1})
+        partial = assignment_of({"a": 1, "b": 1}, scheme="A")
+        full = assignment_of({"a": 1, "b": 1, "c": 1}, scheme="B")
         with pytest.raises(ValidationError, match="first assignment"):
             cross_tab(partial, full, panel)
         with pytest.raises(ValidationError, match="second assignment"):
@@ -493,7 +489,7 @@ class TestCrossTab:
     def test_panel_order_enforced(self):
         rng = np.random.default_rng(2)
         panel = make_panel(rng.random((3, 8)), ids=["c", "b", "a"])
-        assign = toy_assignment("B", {"a": 1, "b": 1, "c": 1})
+        assign = assignment_of({"a": 1, "b": 1, "c": 1}, scheme="B")
         with pytest.raises(ValidationError, match="in its order"):
             cross_tab(assign, assign, panel)
 
@@ -504,7 +500,7 @@ class TestZoneCrossTab:
         ids = ["a", "b", "c", "d"]
         zones = ["Asia", "Europe", "Europe", "Africa"]
         panel = make_panel(rng.random((4, 8)), ids=ids, zones=zones)
-        assign = toy_assignment("A", {"a": 1, "b": 1, "c": 2}, idio=("d",))
+        assign = assignment_of({"a": 1, "b": 1, "c": 2}, idio=("d",), scheme="A")
         table = zone_cross_tab(assign, panel)
         # Canonical order puts Europe before Asia before Africa.
         assert table.row_labels == ("Europe", "Asia", "Africa")
@@ -514,14 +510,14 @@ class TestZoneCrossTab:
     def test_missing_zone_metadata(self):
         rng = np.random.default_rng(4)
         panel = make_panel(rng.random((2, 8)), ids=["a", "b"])
-        assign = toy_assignment("A", {"a": 1, "b": 1})
+        assign = assignment_of({"a": 1, "b": 1}, scheme="A")
         with pytest.raises(ValidationError, match="zone metadata missing"):
             zone_cross_tab(assign, panel)
 
 
 class TestClusterSummary:
     def test_scalar_features(self):
-        assign = toy_assignment("A", {"a": 1, "b": 1, "c": 2})
+        assign = assignment_of({"a": 1, "b": 1, "c": 2}, scheme="A")
         stats = cluster_summary(assign, np.array([1.0, 3.0, 5.0]))
         assert stats[1].mean == 2.0
         assert stats[1].sd == pytest.approx(np.std([1.0, 3.0], ddof=1))
@@ -530,7 +526,7 @@ class TestClusterSummary:
         assert stats[2].degenerate and stats[2].sd == 0.0 and stats[2].n_values == 1
 
     def test_vector_features_pooled(self):
-        assign = toy_assignment("B", {"a": 1, "b": 1}, idio=("c",))
+        assign = assignment_of({"a": 1, "b": 1}, idio=("c",), scheme="B")
         feats = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [9.0, 9.0, 9.0]])
         stats = cluster_summary(assign, feats)
         assert list(stats) == [1]
@@ -540,7 +536,7 @@ class TestClusterSummary:
         assert stats[1].sd == pytest.approx(np.std([1, 2, 3, 4, 5, 6], ddof=1))
 
     def test_missing_feature(self):
-        assign = toy_assignment("B", {"a": 1, "b": 1})
+        assign = assignment_of({"a": 1, "b": 1}, scheme="B")
         with pytest.raises(ValidationError, match="1 feature rows for 2 ids"):
             cluster_summary(assign, np.array([1.0]))
 
@@ -603,7 +599,7 @@ class TestExports:
         assert payload["merges"][0] == {"left": 1, "right": 2, "height": 1.0, "size": 2}
 
     def test_assignment_json(self, tmp_path):
-        assign = toy_assignment("A", {"a": 1, "b": 1}, idio=("c",), null=("d",))
+        assign = assignment_of({"a": 1, "b": 1}, idio=("c",), null=("d",), scheme="A")
         path = tmp_path / "assign.json"
         assignment_to_json(assign, path)
         payload = json.loads(path.read_text())
