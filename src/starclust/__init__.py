@@ -11,8 +11,8 @@ from .errors import NumericalError, StarclustError, ValidationError
 from .evaluation import (EvaluationReport, LossSeries, McsReport, OosResult,
                          build_report, frobenius_norm, in_sample_fn, loss_series,
                          mcs, oos_experiment)
-from .panel import (AdjacencyList, CountryMeta, TemperaturePanel, attach_zones,
-                    load_adjacency, load_panel, split_panel)
+from .panel import (TemperaturePanel, attach_zones, load_adjacency, load_panel,
+                    split_panel)
 from .pipeline import (SCHEMES, SchemeResult, build_weights, compute_scheme,
                        scheme_features, weight_builder)
 from .star import (EquationFit, FittedPanel, ForecastPanel, StarModel, fit_star,
@@ -25,8 +25,8 @@ from .weights import (KINDS, WeightMatrix, cluster_restricted_weights,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyList", "ClusterAssignment", "ClusterStats", "ContingencyTable",
-    "CountryMeta", "CutRule", "Dendrogram", "DistanceMatrix",
+    "ClusterAssignment", "ClusterStats", "ContingencyTable",
+    "CutRule", "Dendrogram", "DistanceMatrix",
     "EquationFit", "EvaluationReport", "FittedPanel", "ForecastPanel", "KINDS",
     "LossSeries", "McsReport", "Merge", "NumericalError", "OosResult",
     "RunConfig", "SCHEMES", "SchemeResult", "StarModel", "StarclustError",

@@ -20,8 +20,8 @@ import numpy as np
 from . import clustering, evaluation, pipeline, star, trends, weights
 from .config import RunConfig, load_config
 from .errors import NumericalError, StarclustError, ValidationError
-from .panel import (AdjacencyList, TemperaturePanel, _read_rows, attach_zones,
-                    load_adjacency, load_panel, split_panel, write_csv)
+from .panel import (TemperaturePanel, _read_rows, attach_zones, load_adjacency,
+                    load_panel, split_panel, write_csv)
 
 CONFIG_ENV = "STARCLUST_CONFIG"
 
@@ -127,7 +127,7 @@ def _cut_rule(args: argparse.Namespace, cfg: RunConfig) -> clustering.CutRule | 
 
 
 def cmd_trends(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
-               adjacency: AdjacencyList | None, out: Path) -> int:
+               adjacency: np.ndarray | None, out: Path) -> int:
     fits = trends.fit_panel_trends(panel, alpha=cfg.trend_alpha)
     trends.write_trend_table(fits, out / "trends.csv")
     null_ids = sorted(cid for cid, fit in fits.items() if not fit.significant)
@@ -139,15 +139,15 @@ def cmd_trends(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel
 
 
 def cmd_cluster(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
-                adjacency: AdjacencyList | None, out: Path) -> int:
+                adjacency: np.ndarray | None, out: Path) -> int:
     scheme = args.scheme
     result = pipeline.compute_scheme(panel, scheme, cfg, rule=_cut_rule(args, cfg))
     assign = result.assignment
 
-    clustering.dendrogram_to_json(result.dendrogram, out / f"dendrogram_{scheme}.json")
-    clustering.assignment_to_json(assign, out / f"assignment_{scheme}.json")
     features = pipeline.scheme_features(result, panel)
     stats = clustering.cluster_summary(assign, features)
+    clustering.dendrogram_to_json(result.dendrogram, out / f"dendrogram_{scheme}.json")
+    clustering.assignment_to_json(assign, out / f"assignment_{scheme}.json")
     _write_summary_csv(stats, out / f"summary_{scheme}.csv")
     _write_feature_csv(assign, features, out / f"plot_cluster_feature_{scheme}.csv")
 
@@ -156,7 +156,7 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePane
     table = None
     try:
         if scheme == "A":
-            if all(z is not None for z in panel.zones().values()):
+            if None not in panel.zones:
                 table = clustering.zone_cross_tab(assign, panel)
         else:
             other = "A" if scheme == "B" else "B"
@@ -164,7 +164,7 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePane
             first, second = ((other_result.assignment, assign) if scheme == "B"
                              else (assign, other_result.assignment))
             table = clustering.cross_tab(first, second, panel)
-    except ValidationError as exc:
+    except (ValidationError, NumericalError) as exc:
         print(f"note: skipped contingency table ({exc})")
     if table is not None:
         clustering.write_contingency_csv(table, out / f"contingency_{scheme}.csv")
@@ -195,7 +195,7 @@ def _write_feature_csv(assign: clustering.ClusterAssignment, features: np.ndarra
 
 
 def cmd_weights(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
-                adjacency: AdjacencyList | None, out: Path) -> int:
+                adjacency: np.ndarray | None, out: Path) -> int:
     matrix = _build_kind(cfg, panel, adjacency, args.kind)
     weights.write_weight_csv(matrix, out / f"weights_{args.kind}.csv")
     weights.write_weight_meta(matrix, out / f"weights_{args.kind}.json")
@@ -206,12 +206,12 @@ def cmd_weights(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePane
 
 
 def _build_kind(cfg: RunConfig, panel: TemperaturePanel,
-                adjacency: AdjacencyList | None, kind: str) -> weights.WeightMatrix:
+                adjacency: np.ndarray | None, kind: str) -> weights.WeightMatrix:
     return pipeline.build_weights(panel, cfg, [kind], adjacency)[kind]
 
 
 def cmd_fit(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
-            adjacency: AdjacencyList | None, out: Path) -> int:
+            adjacency: np.ndarray | None, out: Path) -> int:
     matrix = _build_kind(cfg, panel, adjacency, args.kind)
     model = star.fit_star(panel, matrix)
     fitted = star.fitted_levels(model, panel)
@@ -230,7 +230,7 @@ def cmd_fit(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
 
 
 def cmd_forecast(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
-                 adjacency: AdjacencyList | None, out: Path) -> int:
+                 adjacency: np.ndarray | None, out: Path) -> int:
     origin = args.origin if args.origin is not None else panel.years[-1]
     if origin == panel.years[-1]:
         train = panel
@@ -247,7 +247,7 @@ def cmd_forecast(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
 
 
 def _run_oos(cfg: RunConfig, panel: TemperaturePanel,
-             adjacency: AdjacencyList) -> evaluation.OosResult:
+             adjacency: np.ndarray) -> evaluation.OosResult:
     builder = pipeline.weight_builder(cfg, weights.KINDS, adjacency)
     return evaluation.oos_experiment(panel, builder, cfg.split_year, cfg.horizon,
                                      granularity=cfg.granularity)
@@ -260,7 +260,7 @@ def _mcs(cfg: RunConfig, losses: list[evaluation.LossSeries]) -> evaluation.McsR
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
-                 adjacency: AdjacencyList | None, out: Path) -> int:
+                 adjacency: np.ndarray | None, out: Path) -> int:
     full_weights = pipeline.build_weights(panel, cfg, weights.KINDS, adjacency)
     in_sample = evaluation.in_sample_fn(panel, full_weights)
     oos = _run_oos(cfg, panel, adjacency)
@@ -287,7 +287,7 @@ def _write_loss_plot_csv(oos: evaluation.OosResult, path: Path) -> None:
 
 
 def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel | None,
-            adjacency: AdjacencyList | None, out: Path) -> int:
+            adjacency: np.ndarray | None, out: Path) -> int:
     if args.losses:
         losses = _read_losses_csv(args.losses)
     else:

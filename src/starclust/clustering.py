@@ -23,11 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .distances import DistanceMatrix
-from .errors import ValidationError
-from .panel import TemperaturePanel, write_csv, write_json
-
-_ZONE_ORDER = ("Europe", "Asia", "Eurasia", "Africa", "North America",
-               "Central America", "South America", "Oceania")
+from .errors import NumericalError, ValidationError
+from .panel import ZONES, TemperaturePanel, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -368,13 +365,12 @@ def cross_tab(a: ClusterAssignment, b: ClusterAssignment,
 def zone_cross_tab(assign: ClusterAssignment, panel: TemperaturePanel) -> ContingencyTable:
     """Country counts by (geographical zone, assignment category)."""
     _require_panel_ids(assign, panel)
-    zones = panel.zones()
-    missing = sorted(cid for cid, z in zones.items() if z is None)
+    missing = sorted(cid for cid, z in zip(panel.ids, panel.zones) if z not in ZONES)
     if missing:
-        raise ValidationError(f"zone metadata missing for: {missing[:5]}"
+        raise ValidationError(f"zone metadata missing or unknown for: {missing[:5]}"
                               + ("..." if len(missing) > 5 else ""))
-    zone_of = np.array(list(zones.values()))
-    present = [z for z in _ZONE_ORDER if z in zone_of]
+    zone_of = np.array(panel.zones)
+    present = [z for z in ZONES if z in zone_of]
     row_of = np.argmax(zone_of[:, None] == np.array(present)[None, :], axis=1)
     return _contingency(present, row_of, *assign.categories())
 
@@ -395,7 +391,8 @@ def cluster_summary(assign: ClusterAssignment,
 
     `features` has one row per id, in the assignment's order: a vector of
     scalars (e.g. slopes) contributes one value per country, a matrix (e.g.
-    annual changes) pools every element of every member's row.
+    annual changes) pools every element of every member's row. A mean or
+    SD that overflows is a NumericalError.
     """
     features = _per_id(assign, features)
     out: dict[int, ClusterStats] = {}
@@ -403,10 +400,15 @@ def cluster_summary(assign: ClusterAssignment,
         rows = features[assign.codes == index]
         values = rows.ravel()
         degenerate = values.size < 2
-        sd = 0.0 if degenerate else float(np.std(values, ddof=1))
+        # Overflow (features near the float range) is caught by the check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(values.mean())
+            sd = 0.0 if degenerate else float(np.std(values, ddof=1))
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise NumericalError(f"non-finite summary of scheme {assign.scheme} cluster "
+                                 f"{index} (mean {mean}, sd {sd})")
         out[index] = ClusterStats(cluster=index, n_countries=len(rows),
-                                  n_values=int(values.size),
-                                  mean=float(values.mean()), sd=sd,
+                                  n_values=int(values.size), mean=mean, sd=sd,
                                   degenerate=degenerate)
     return out
 

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .panel import TemperaturePanel
 from .trends import TrendFit, panel_differences, sign_sequence
 
@@ -74,18 +74,25 @@ def diff_distance(panel: TemperaturePanel) -> DistanceMatrix:
     the lower triangle. The temporary holds at most _ROW_BLOCK x K x (T-1)
     values. (b - a)**2 equals (a - b)**2 exactly and the sum over years runs
     in the same order for every pair, so the matrix is bit for bit the one a
-    whole K x K x (T-1) tensor gives, and exactly symmetric.
+    whole K x K x (T-1) tensor gives, and exactly symmetric. A distance that
+    overflows is a NumericalError naming the country with the most of them.
     """
     diffs = panel_differences(panel)
     k = diffs.shape[0]
     values = np.empty((k, k))
-    for start in range(0, k, _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
-        gaps = diffs[start:stop, None, :] - diffs[None, start:, :]
-        block = np.sqrt(np.einsum("ijt,ijt->ij", gaps, gaps))
-        values[start:stop, start:] = block
-        values[start:, start:stop] = block.T
+    # Overflow (differences near the float range) is caught by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, k, _ROW_BLOCK):
+            stop = start + _ROW_BLOCK
+            gaps = diffs[start:stop, None, :] - diffs[None, start:, :]
+            block = np.sqrt(np.einsum("ijt,ijt->ij", gaps, gaps))
+            values[start:stop, start:] = block
+            values[start:, start:stop] = block.T
     np.fill_diagonal(values, 0.0)
+    overflows = ~np.isfinite(values)
+    if overflows.any():
+        worst = np.count_nonzero(overflows, axis=1).argmax()
+        raise NumericalError(f"non-finite difference distances for {panel.ids[worst]}")
     return DistanceMatrix(metric="diff", labels=panel.ids, values=values)
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .panel import TemperaturePanel, split_panel, write_csv, write_json
 from .star import fit_star, fitted_levels, forecast
 from .weights import WeightMatrix
@@ -227,6 +227,8 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
     max d - min d <= 2 eps max(L_i, L_j) over all periods: whatever rounding
     leaves in the variance of such a pair is noise. A degenerate pair
     contributes 0 to every statistic and is listed in a RuntimeWarning.
+    Losses so large that a bootstrap mean or a pair's bootstrap variance
+    overflows are a NumericalError naming the first such pair.
     """
     if not losses:
         raise ValidationError("the confidence set needs at least one model")
@@ -254,8 +256,11 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
     matrix = np.vstack([ls.values for ls in losses])
     # Resampled per-model means, computed once and centred; pairwise
     # differentials derive from them because d_ij(t) = L_i(t) - L_j(t).
-    full_means, centered = _boot_means(matrix, block, reps, np.random.default_rng(seed))
-    centered -= full_means[:, None]
+    # Overflow (losses near the float range) makes some pair's variance
+    # non-finite, which the loop below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        full_means, centered = _boot_means(matrix, block, reps, np.random.default_rng(seed))
+        centered -= full_means[:, None]
     rounding = 2 * np.finfo(float).eps * matrix.max(axis=1)  # losses are >= 0
 
     active = np.arange(len(ids))
@@ -267,9 +272,14 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
         # Each pair of active models once, the model listed first as a.
         i, j = np.triu_indices(len(active), k=1)
         a, b = active[i], active[j]
-        diff_boot = centered[a] - centered[b]  # pairs x reps
-        var = (diff_boot ** 2).mean(axis=1)
-        flat = np.ptp(matrix[a] - matrix[b], axis=1) <= np.maximum(rounding[a], rounding[b])
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff_boot = centered[a] - centered[b]  # pairs x reps
+            var = (diff_boot ** 2).mean(axis=1)
+            flat = np.ptp(matrix[a] - matrix[b], axis=1) <= np.maximum(rounding[a], rounding[b])
+        bad = np.flatnonzero(~np.isfinite(var))
+        if bad.size:
+            raise NumericalError("non-finite bootstrap variance for models "
+                                 f"{ids[a[bad[0]]]!r} and {ids[b[bad[0]]]!r}")
         valid = (var > 0) & ~flat
         degenerate_pairs.update(zip(a[~valid].tolist(), b[~valid].tolist()))
         i, j, diff_boot, var = i[valid], j[valid], diff_boot[valid], var[valid]

@@ -2,7 +2,8 @@
 and the one CSV reader and result-file writers of the package.
 
 The panel is a dense N x T matrix of annual mean temperatures (degrees C)
-plus per-country metadata. Validation is strict: gaps, duplicates, and
+plus each country's geographical zone; borders are a boolean N x N matrix in
+the same country order. Validation is strict: gaps, duplicates, and
 non-numeric cells are hard errors, never imputed. One loader validates both
 CSV layouts: a wide file is checked for its layout, then its cells are read
 as the rows of a long file. CSV inputs may start with a UTF-8 byte-order mark.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import compress
 from operator import itemgetter
@@ -29,11 +30,9 @@ import numpy as np
 
 from .errors import ValidationError, undecodable
 
-# Closed set of geographical zones used for cross-tabulations.
-ZONES = frozenset({
-    "Europe", "Asia", "Eurasia", "Africa",
-    "North America", "Central America", "South America", "Oceania",
-})
+# Closed set of geographical zones, in the order cross-tabulations list them.
+ZONES = ("Europe", "Asia", "Eurasia", "Africa",
+         "North America", "Central America", "South America", "Oceania")
 
 _LONG_HEADER = ("country", "year", "temperature")
 # Years are parsed as 64-bit integers.
@@ -42,55 +41,39 @@ _META_COLUMNS = ("name", "zone", "area")
 
 
 @dataclass(frozen=True)
-class CountryMeta:
-    """Identity and metadata for one spatial unit."""
-
-    id: str
-    name: str | None = None
-    zone: str | None = None
-    area: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("country id must be a non-empty string")
-        if self.zone is not None and self.zone not in ZONES:
-            raise ValidationError(
-                f"unknown zone {self.zone!r} for country {self.id!r}; "
-                f"expected one of {sorted(ZONES)}"
-            )
-        if self.area is not None and self.area < 0:
-            raise ValidationError(f"negative land area for country {self.id!r}")
-
-
-@dataclass(frozen=True)
 class TemperaturePanel:
     """Validated N x T panel of temperatures with a stable country ordering.
 
     Immutable after construction; the same country order is shared by every
-    downstream matrix (distances, weights, model equations). `ids` and
-    `id_index` are computed once, on first use.
+    downstream matrix (distances, weights, model equations). `zones[i]` is
+    country i's zone, or None; an empty `zones` means no zone is known.
+    `id_index` is computed once, on first use.
     """
 
-    countries: tuple[CountryMeta, ...]
+    ids: tuple[str, ...]
     years: tuple[int, ...]
     values: np.ndarray
+    zones: tuple[str | None, ...] = ()
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "countries", tuple(self.countries))
+        object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))
-        n, t = len(self.countries), len(self.years)
+        n, t = len(self.ids), len(self.years)
+        object.__setattr__(self, "zones", tuple(self.zones) or (None,) * n)
         if n == 0 or t == 0:
             raise ValidationError("panel must have at least one country and one year")
         if values.shape != (n, t):
             raise ValidationError(
                 f"values shape {values.shape} does not match {n} countries x {t} years"
             )
+        if len(self.zones) != n:
+            raise ValidationError(f"{len(self.zones)} zones for {n} countries")
         if not np.all(np.isfinite(values)):
             i, j = np.argwhere(~np.isfinite(values))[0]
             raise ValidationError(
-                f"non-finite temperature for country {self.countries[i].id!r}, "
+                f"non-finite temperature for country {self.ids[i]!r}, "
                 f"year {self.years[j]}"
             )
         for prev, cur in zip(self.years, self.years[1:]):
@@ -105,17 +88,13 @@ class TemperaturePanel:
         values.setflags(write=False)
 
     @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.countries)
-
-    @cached_property
     def id_index(self) -> Mapping[str, int]:
         """Row of each country id, read-only."""
         return MappingProxyType({cid: i for i, cid in enumerate(self.ids)})
 
     @property
     def n_countries(self) -> int:
-        return len(self.countries)
+        return len(self.ids)
 
     @property
     def n_years(self) -> int:
@@ -125,29 +104,6 @@ class TemperaturePanel:
         if year not in self.years:
             raise ValidationError(f"year {year} outside panel range {self.years[0]}..{self.years[-1]}")
         return self.years.index(year)
-
-    def zones(self) -> dict[str, str | None]:
-        return {c.id: c.zone for c in self.countries}
-
-
-@dataclass(frozen=True)
-class AdjacencyList:
-    """Symmetric, irreflexive neighbor sets keyed by country id."""
-
-    neighbors: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        fixed = {k: frozenset(v) for k, v in self.neighbors.items()}
-        object.__setattr__(self, "neighbors", fixed)
-        for i, nbrs in fixed.items():
-            if i in nbrs:
-                raise ValidationError(f"self-edge for country {i!r}")
-            for j in nbrs:
-                if i not in fixed.get(j, frozenset()):
-                    raise ValidationError(f"adjacency not symmetric: {i!r} -> {j!r}")
-
-    def of(self, country_id: str) -> frozenset[str]:
-        return self.neighbors.get(country_id, frozenset())
 
 
 def _parse_temperature(text: str, country: str, year: int) -> float:
@@ -349,9 +305,9 @@ def _load_long(header: list[str], rows: list[list[str]],
         raise ValidationError(_gap_message(ids, codes, years, first, last,
                                            len(ids) * span - len(rows)))
     # Without duplicates or gaps, (country, year) order is the grid's row-major order.
-    countries_meta = tuple(_meta_from_strings(cid, meta.get(cid, {})) for cid in ids)
-    return TemperaturePanel(countries=countries_meta, years=tuple(range(first, last + 1)),
-                            values=values[order].reshape(len(ids), span))
+    return TemperaturePanel(ids=ids, years=tuple(range(first, last + 1)),
+                            values=values[order].reshape(len(ids), span),
+                            zones=_zone_column(ids, meta))
 
 
 def _detached(text: str) -> str:
@@ -440,23 +396,41 @@ def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int
     raise ValidationError(out_of_range or "long panel rows failed a check but no row is at fault")
 
 
-def _meta_from_strings(country_id: str, entry: dict[str, str]) -> CountryMeta:
-    try:
-        area = float(entry["area"]) if "area" in entry else None
-    except ValueError:
-        raise ValidationError(
-            f"non-numeric area {entry['area']!r} for country {country_id!r}") from None
-    return CountryMeta(id=country_id, name=entry.get("name"),
-                       zone=entry.get("zone"), area=area)
+def _zone_column(ids: Iterable[str], meta: Mapping[str, Mapping[str, str]]
+                 ) -> tuple[str | None, ...]:
+    """Check each country's id and metadata in id order; keep only the zones.
+
+    Per country, in this order: the area must be numeric, the id non-empty,
+    the zone one of ZONES and the area not negative. `name` is not checked
+    and, like `area`, not kept.
+    """
+    zones = []
+    for cid in ids:
+        entry = meta.get(cid, {})
+        try:
+            area = float(entry["area"]) if "area" in entry else None
+        except ValueError:
+            raise ValidationError(
+                f"non-numeric area {entry['area']!r} for country {cid!r}") from None
+        if not cid:
+            raise ValidationError("country id must be a non-empty string")
+        zone = entry.get("zone")
+        if zone is not None and zone not in ZONES:
+            raise ValidationError(f"unknown zone {zone!r} for country {cid!r}; "
+                                  f"expected one of {sorted(ZONES)}")
+        if area is not None and area < 0:
+            raise ValidationError(f"negative land area for country {cid!r}")
+        zones.append(zone)
+    return tuple(zones)
 
 
-@_collector_paused
 def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
-    """Return a copy of the panel with zones (and optional name/area) merged in.
+    """Return a copy of the panel with the zones of a zones file merged in.
 
-    The file is a CSV with header `country,zone` plus optional `name`, `area`.
+    The file is a CSV with header `country,zone` plus optional `name`, `area`,
+    which are checked as the panel loader checks them and then dropped.
     Every id must be in the panel; a country may repeat if its non-blank
-    values agree. Non-blank values replace the panel's own.
+    values agree. A non-blank zone replaces the panel's own.
     """
     header, rows, line = _read_rows(path)
     lowered = [h.lower() for h in header]
@@ -477,39 +451,39 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
             if text and entry.setdefault(name, text) != text:
                 raise ValidationError(f"conflicting {name} for country {country!r}: "
                                       f"{entry[name]!r} vs {text!r}")
-    countries = []
-    for c in panel.countries:
-        entry = table.get(c.id, {})
-        parsed = _meta_from_strings(c.id, entry)
-        countries.append(replace(c, **{name: getattr(parsed, name) for name in entry}))
-    return TemperaturePanel(countries=tuple(countries), years=panel.years,
-                            values=panel.values.copy())
+    zones = _zone_column(panel.ids, table)
+    return TemperaturePanel(ids=panel.ids, years=panel.years, values=panel.values.copy(),
+                            zones=[new or old for new, old in zip(zones, panel.zones)])
 
 
-@_collector_paused
-def load_adjacency(path: str | Path, panel: TemperaturePanel) -> AdjacencyList:
+def load_adjacency(path: str | Path, panel: TemperaturePanel) -> np.ndarray:
     """Load an undirected edge list CSV (`country_a,country_b`) for the panel.
 
-    Countries absent from the file get empty neighbor sets; unknown ids and
-    self-edges are hard errors.
+    Returns the read-only, symmetric boolean N x N border matrix in panel
+    order; a country absent from the file has an all-False row. Unknown ids
+    and self-edges are hard errors, and a repeated edge is one border.
     """
     header, rows, line = _read_rows(path)
     lowered = [h.lower() for h in header]
     if lowered[:2] != ["country_a", "country_b"]:
         raise ValidationError("adjacency header must be `country_a,country_b`")
-    neighbors: dict[str, set[str]] = {i: set() for i in panel.ids}
+    index = panel.id_index
+    edges = []
     for i, row in enumerate(rows):
         if len(row) < 2:
             raise ValidationError(f"line {line(i)}: adjacency row needs two country ids")
         a, b = row[0].strip(), row[1].strip()
         for cid in (a, b):
-            if cid not in panel.id_index:
+            if cid not in index:
                 raise ValidationError(f"line {line(i)}: unknown country id {cid!r} in adjacency")
         if a == b:
             raise ValidationError(f"line {line(i)}: self-edge for country {a!r}")
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    return AdjacencyList(neighbors={k: frozenset(v) for k, v in neighbors.items()})
+        edges.append((index[a], index[b]))
+    a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    borders = np.zeros((panel.n_countries, panel.n_countries), dtype=bool)
+    borders[a, b] = borders[b, a] = True
+    borders.setflags(write=False)
+    return borders
 
 
 def split_panel(panel: TemperaturePanel, last_train_year: int) -> tuple[TemperaturePanel, TemperaturePanel]:
@@ -524,8 +498,8 @@ def split_panel(panel: TemperaturePanel, last_train_year: int) -> tuple[Temperat
             f"last_train_year {last_train_year} must be strictly inside {first}..{last}"
         )
     cut = panel.year_index(last_train_year) + 1
-    train = TemperaturePanel(countries=panel.countries, years=panel.years[:cut],
-                             values=panel.values[:, :cut].copy())
-    test = TemperaturePanel(countries=panel.countries, years=panel.years[cut:],
-                            values=panel.values[:, cut:].copy())
+    train = TemperaturePanel(ids=panel.ids, years=panel.years[:cut],
+                             values=panel.values[:, :cut].copy(), zones=panel.zones)
+    test = TemperaturePanel(ids=panel.ids, years=panel.years[cut:],
+                            values=panel.values[:, cut:].copy(), zones=panel.zones)
     return train, test

@@ -25,7 +25,7 @@ from .config import RunConfig
 from .distances import (DistanceMatrix, diff_distance, sign_distance,
                         slope_distance)
 from .errors import ValidationError
-from .panel import AdjacencyList, TemperaturePanel
+from .panel import TemperaturePanel
 from .trends import TrendFit, fit_panel_trends, panel_differences
 from .weights import (KINDS, WeightMatrix, cluster_restricted_weights,
                       contiguity_weights, distance_weights)
@@ -91,7 +91,7 @@ def _scheme_of_kind(kind: str) -> str:
 
 def build_weights(panel: TemperaturePanel, cfg: RunConfig,
                   kinds: Sequence[str] = KINDS,
-                  adjacency: AdjacencyList | None = None,
+                  adjacency: np.ndarray | None = None,
                   scheme_cache: dict[str, SchemeResult] | None = None) -> dict[str, WeightMatrix]:
     """Construct the requested weight matrices of a run config, reusing scheme computations.
 
@@ -139,7 +139,7 @@ def build_weights(panel: TemperaturePanel, cfg: RunConfig,
 
 
 def weight_builder(cfg: RunConfig, kinds: Sequence[str] = KINDS,
-                   adjacency: AdjacencyList | None = None
+                   adjacency: np.ndarray | None = None
                    ) -> Callable[[TemperaturePanel], dict[str, WeightMatrix]]:
     """Builder for the out-of-sample experiment: clusters, distances, and
     weights are re-estimated on whatever (training) panel it is handed."""

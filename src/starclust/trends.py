@@ -165,10 +165,14 @@ def fit_panel_trends(panel: TemperaturePanel, alpha: float = 0.05) -> dict[str, 
 
 
 def panel_differences(panel: TemperaturePanel) -> np.ndarray:
-    """N x (T-1) matrix of first differences, rows in panel country order."""
+    """N x (T-1) matrix of first differences, rows in panel country order.
+
+    A difference that overflows is inf, without a warning; callers check.
+    """
     if panel.n_years < 2:
         raise ValidationError("panel differences need at least 2 years")
-    return panel.values[:, 1:] - panel.values[:, :-1]
+    with np.errstate(over="ignore"):
+        return panel.values[:, 1:] - panel.values[:, :-1]
 
 
 def sign_sequence(diffs: np.ndarray) -> np.ndarray:

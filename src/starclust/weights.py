@@ -17,7 +17,7 @@ import numpy as np
 from .clustering import ClusterAssignment
 from .distances import DistanceMatrix
 from .errors import ValidationError
-from .panel import AdjacencyList, TemperaturePanel, write_csv, write_json
+from .panel import TemperaturePanel, write_csv, write_json
 
 KINDS = ("NN", "cA", "cB", "cC", "dA", "dB", "dC")
 
@@ -61,23 +61,16 @@ class WeightMatrix:
         return tuple(lab for lab, s in zip(self.labels, sums) if s == 0.0)
 
 
-def contiguity_weights(adj: AdjacencyList, panel: TemperaturePanel) -> WeightMatrix:
-    """1/m to each of a country's m adjacent neighbours, zero row if none."""
-    ids = panel.ids
-    index = panel.id_index
-    values = np.zeros((len(ids), len(ids)))
-    isolated = []
-    for cid in ids:
-        neighbors = sorted(adj.of(cid))
-        if not neighbors:
-            isolated.append(cid)
-            continue
-        share = 1.0 / len(neighbors)
-        for other in neighbors:
-            if other not in index:
-                raise ValidationError(f"adjacency references id {other!r} absent from panel")
-            values[index[cid], index[other]] = share
-    return WeightMatrix(kind="NN", labels=ids, values=values,
+def contiguity_weights(borders: np.ndarray, panel: TemperaturePanel) -> WeightMatrix:
+    """1/m to each of a country's m bordering countries, zero row if none.
+
+    `borders` is the boolean N x N matrix `load_adjacency` returns, in panel
+    order; the countries with no border are listed as isolated.
+    """
+    degree = borders.sum(axis=1)
+    values = borders / np.maximum(degree, 1)[:, None]
+    isolated = list(compress(panel.ids, (degree == 0).tolist()))
+    return WeightMatrix(kind="NN", labels=panel.ids, values=values,
                         meta={"source": "contiguity", "isolated": isolated})
 
 

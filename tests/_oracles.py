@@ -18,7 +18,7 @@ from scipy import stats
 
 from starclust.errors import NumericalError, ValidationError
 from starclust.panel import (_LONG_HEADER, _META_COLUMNS, TemperaturePanel,
-                             _meta_from_strings, _parse_temperature, detect_format)
+                             _parse_temperature, _zone_column, detect_format)
 from starclust.star import EquationFit
 from starclust.trends import panel_differences
 from starclust.weights import WeightMatrix
@@ -177,6 +177,26 @@ def mask_and_normalize(full_weights: np.ndarray, same_cluster: np.ndarray) -> np
     return out
 
 
+def contiguity_from_edges(path: str | Path, ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Contiguity weights read straight off an edge-list CSV, one cell at a time.
+
+    Each country's neighbour set is collected from the rows in both
+    directions; its row gives 1.0 / len(neighbours) to each neighbour.
+    Returns the matrix and the countries without a neighbour, in `ids` order.
+    """
+    neighbours: dict[str, set[str]] = {cid: set() for cid in ids}
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+        for a, b in list(csv.reader(fh))[1:]:
+            neighbours[a.strip()].add(b.strip())
+            neighbours[b.strip()].add(a.strip())
+    values = np.zeros((len(ids), len(ids)))
+    for i, cid in enumerate(ids):
+        for j, other in enumerate(ids):
+            if other in neighbours[cid]:
+                values[i, j] = 1.0 / len(neighbours[cid])
+    return values, [cid for cid in ids if not neighbours[cid]]
+
+
 def hand_forecast(c: np.ndarray, phi: np.ndarray, psi: np.ndarray,
                   weights: np.ndarray, last_diff: np.ndarray,
                   last_level: np.ndarray, horizon: int) -> np.ndarray:
@@ -318,8 +338,8 @@ def _load_long(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
         raise ValidationError(f"missing observations: {shown}{more}")
 
     values = np.array([[cells[(c, y)] for y in full_years] for c in ids], dtype=float)
-    countries = tuple(_meta_from_strings(c, meta.get(c, {})) for c in ids)
-    return TemperaturePanel(countries=countries, years=tuple(full_years), values=values)
+    return TemperaturePanel(ids=ids, years=tuple(full_years), values=values,
+                            zones=_zone_column(ids, meta))
 
 
 def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> TemperaturePanel:
@@ -340,7 +360,7 @@ def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
             raise ValidationError(f"wide panel year columns not consecutive: {prev} then {cur}")
 
     seen: dict[str, int] = {}
-    records: list[tuple[CountryMeta, list[float]]] = []
+    records: list[tuple[str, str | None, list[float]]] = []
     for lineno, row in zip(lines, rows):
         if len(row) < len(header):
             raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
@@ -355,12 +375,12 @@ def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
                 raise ValidationError(f"missing observation for country {country!r}, year {year}")
             series.append(_parse_temperature(text, country, year))
         entry = {name: row[idx].strip() for name, idx in meta_col.items() if row[idx].strip()}
-        records.append((_meta_from_strings(country, entry), series))
+        records.append((country, *_zone_column([country], {country: entry}), series))
 
-    records.sort(key=lambda rec: rec[0].id)
-    countries = tuple(rec[0] for rec in records)
-    values = np.array([rec[1] for rec in records], dtype=float)
-    return TemperaturePanel(countries=countries, years=tuple(years), values=values)
+    records.sort(key=lambda rec: rec[0])
+    values = np.array([rec[2] for rec in records], dtype=float)
+    return TemperaturePanel(ids=[rec[0] for rec in records], years=tuple(years),
+                            values=values, zones=[rec[1] for rec in records])
 
 
 def load_panel_rows(path: str | Path, fmt: str = "auto") -> TemperaturePanel:

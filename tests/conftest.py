@@ -18,8 +18,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from starclust import (AdjacencyList, TemperaturePanel, attach_zones,
-                       load_adjacency, load_panel)
+from starclust import TemperaturePanel, attach_zones, load_adjacency, load_panel
 
 DATA_ENV = "STARCLUST_DATA"
 ADJACENCY_ENV = "STARCLUST_ADJACENCY"
@@ -57,7 +56,7 @@ def real_panel() -> TemperaturePanel:
 
 
 @pytest.fixture(scope="session")
-def real_adjacency(real_panel: TemperaturePanel) -> AdjacencyList:
+def real_adjacency(real_panel: TemperaturePanel) -> np.ndarray:
     path = _env_path(ADJACENCY_ENV)
     if path is None:
         pytest.skip(f"adjacency not configured (set {ADJACENCY_ENV})")
@@ -83,7 +82,7 @@ def synthetic_panel(synthetic_inputs) -> TemperaturePanel:
 
 
 @pytest.fixture(scope="session")
-def synthetic_adjacency(synthetic_inputs, synthetic_panel) -> AdjacencyList:
+def synthetic_adjacency(synthetic_inputs, synthetic_panel) -> np.ndarray:
     return load_adjacency(synthetic_inputs["adjacency"], synthetic_panel)
 
 
@@ -94,12 +93,17 @@ def make_panel(values: np.ndarray, first_year: int = 1990,
     n, t = values.shape
     if ids is None:
         ids = [f"C{i:02d}" for i in range(n)]
-    from starclust import CountryMeta
-    countries = tuple(CountryMeta(id=cid, zone=None if zones is None else zones[i])
-                      for i, cid in enumerate(ids))
-    return TemperaturePanel(countries=countries,
-                            years=tuple(range(first_year, first_year + t)),
-                            values=values)
+    return TemperaturePanel(ids=ids, years=tuple(range(first_year, first_year + t)),
+                            values=values, zones=zones or ())
+
+
+def borders_of(ids, edges) -> np.ndarray:
+    """Symmetric boolean border matrix over `ids` from (id, id) edges."""
+    index = {cid: i for i, cid in enumerate(ids)}
+    borders = np.zeros((len(ids), len(ids)), dtype=bool)
+    for a, b in edges:
+        borders[index[a], index[b]] = borders[index[b], index[a]] = True
+    return borders
 
 
 def assignment_of(mapping: dict[str, int], idio=(), null=(), scheme: str = "B"):
@@ -120,23 +124,20 @@ def code_of(assign, cid: str) -> int:
 
 def write_panel(panel: TemperaturePanel, path: str | Path, fmt: str = "long") -> None:
     """Write a panel to CSV, long or wide, with full precision (round-trips bit-exactly)."""
-    meta_names = [name for name in ("name", "zone", "area")
-                  if any(getattr(c, name) is not None for c in panel.countries)]
+    meta_names = ["zone"] if any(z is not None for z in panel.zones) else []
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if fmt == "long":
             writer.writerow(["country", "year", "temperature"] + meta_names)
         else:
             writer.writerow(["country"] + meta_names + [str(y) for y in panel.years])
-        for country, row in zip(panel.countries, panel.values):
-            meta = {"name": country.name, "zone": country.zone,
-                    "area": None if country.area is None else repr(country.area)}
-            extra = [meta[name] or "" for name in meta_names]
+        for cid, zone, row in zip(panel.ids, panel.zones, panel.values):
+            extra = [zone or ""] if meta_names else []
             if fmt == "long":
                 for year, value in zip(panel.years, row):
-                    writer.writerow([country.id, year, repr(float(value))] + extra)
+                    writer.writerow([cid, year, repr(float(value))] + extra)
             else:
-                writer.writerow([country.id] + extra + [repr(float(v)) for v in row])
+                writer.writerow([cid] + extra + [repr(float(v)) for v in row])
 
 
 def fixed_builder(weights: dict) -> Callable[[TemperaturePanel], dict]:

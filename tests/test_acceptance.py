@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import make_panel, dyadic, requires_dataset, ZONES_ENV, _env_path
+from conftest import borders_of, make_panel, dyadic, requires_dataset, ZONES_ENV, _env_path
 from _oracles import (brute_diff_distance, brute_hamming_distance,
                       brute_slope_distance, naive_linkage,
                       dendrogram_leafset_merges, ols_normal_equations,
@@ -27,7 +27,6 @@ from starclust.distances import (DistanceMatrix, diff_distance, sign_distance,
                                  slope_distance)
 from starclust.evaluation import (LossSeries, frobenius_norm, in_sample_fn,
                                   loss_series, mcs, oos_experiment)
-from starclust.panel import AdjacencyList
 from starclust.star import fit_star, forecast
 from starclust.trends import fit_linear_trend
 
@@ -301,13 +300,7 @@ class TestProperties:
             rng = np.random.default_rng(3)
             panel = make_panel(_grouped_values(rng), first_year=1950)
             # Chain adjacency with the last country disconnected.
-            pairs = {panel.ids[i]: {panel.ids[i + 1]} for i in range(7)}
-            neighbours: dict[str, set] = {cid: set() for cid in panel.ids}
-            for a, members in pairs.items():
-                for b in members:
-                    neighbours[a].add(b)
-                    neighbours[b].add(a)
-            adjacency = AdjacencyList(neighbours)
+            adjacency = borders_of(panel.ids, zip(panel.ids[:7], panel.ids[1:8]))
             cache: dict[str, object] = {}
             built = pipeline.build_weights(
                 panel, RunConfig(k_a=2, k_b=3, k_c=3, rescale_distances=True),

@@ -157,6 +157,19 @@ class TestCluster:
         assert not (tmp_path / "contingency_B.csv").exists()
         assert (tmp_path / "assignment_B.json").is_file()
 
+    def test_companion_numerical_error_prints_note(self, dataset, tmp_path, capsys,
+                                                   monkeypatch):
+        # Scheme C's companion clusters B, whose distances here overflow.
+        def overflow(panel):
+            raise starclust.NumericalError("non-finite difference distances for C04")
+        monkeypatch.setattr(cli.pipeline, "diff_distance", overflow)
+        rc = main(["cluster", "--scheme", "C", "--k", "3",
+                   "--data", str(dataset["panel"]), "--out", str(tmp_path)])
+        assert rc == 0
+        assert ("note: skipped contingency table (non-finite difference distances for C04)"
+                in capsys.readouterr().out)
+        assert (tmp_path / "summary_C.csv").is_file()
+
     def test_scheme_c_cross_tabs_against_b(self, dataset, tmp_path):
         rc = run(["cluster", "--scheme", "C"], dataset, tmp_path)
         assert rc == 0
@@ -607,11 +620,15 @@ class TestMalformedInputs:
         panel.write_text(dataset["panel"].read_text(encoding="utf-8")
                          .replace("C04,1960,", "C04,1960,1.7e308,")
                          .replace("C04,1961,", "C04,1961,-1.7e308,"), encoding="utf-8")
-        result = self.run_cli("fit", "--kind", "NN", "--data", str(panel),
-                              "--adjacency", str(dataset["adjacency"]), "--out", str(tmp_path))
-        assert result.returncode == 3
-        assert "Traceback" not in result.stderr
-        assert "non-finite differences for C04" in result.stderr
+        for command, message in [
+                (("fit", "--kind", "NN"), "non-finite differences for C04"),
+                (("cluster", "--scheme", "B", "--k", "3"),
+                 "non-finite difference distances for C04")]:
+            result = self.run_cli(*command, "--data", str(panel), "--adjacency",
+                                  str(dataset["adjacency"]), "--out", str(tmp_path))
+            assert result.returncode == 3
+            assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+            assert message in result.stderr
 
     def test_nan_cut_height(self, dataset, tmp_path):
         # A NaN height kept no merge, leaving every country idiosyncratic.
@@ -624,9 +641,15 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("command, message", [
         (("trends",), "numerical error: C00: non-finite trend fit"),
         (("fit", "--kind", "NN"), "numerical error: non-finite residual variance for C00"),
-    ], ids=["trends", "fit"])
+        (("cluster", "--scheme", "C", "--k", "3"),
+         "numerical error: non-finite summary of scheme C cluster 1"),
+        (("cluster", "--scheme", "B", "--k", "3"),
+         "numerical error: non-finite difference distances for C00"),
+        (("weights", "--kind", "dB"), "numerical error: non-finite difference distances for C00"),
+    ], ids=["trends", "fit", "cluster-C", "cluster-B", "weights-dB"])
     def test_overflowing_squares_exit_3(self, dataset, tmp_path, command, message):
-        # Levels near 1e282 are finite, but their squared residuals overflow.
+        # Levels near 1e282 are finite, but their squared residuals and
+        # squared annual changes overflow.
         header, *rows = dataset["panel"].read_text(encoding="utf-8").splitlines()
         scaled = [f"{cid},{year},{float(value) * 1e280!r}"
                   for cid, year, value in (row.split(",") for row in rows)]
@@ -638,6 +661,17 @@ class TestMalformedInputs:
         assert result.stderr.startswith(message)
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
         assert [path.name for path in tmp_path.iterdir()] == ["panel.csv"]
+
+    def test_overflowing_losses_exit_3(self, tmp_path):
+        losses = tmp_path / "losses.csv"
+        losses.write_text("model,period,loss\na,1,1e308\na,2,0\nb,1,0\nb,2,1e308\n",
+                          encoding="utf-8")
+        result = self.run_cli("mcs", "--losses", str(losses), "--reps", "200",
+                              "--block", "1", "--out", str(tmp_path / "out"))
+        assert result.returncode == 3
+        assert result.stderr == ("numerical error: non-finite bootstrap variance "
+                                 "for models 'a' and 'b'\n")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_uncreatable_output_directory(self, dataset, tmp_path):
         blocker = tmp_path / "blocker"

@@ -514,6 +514,15 @@ class TestZoneCrossTab:
         with pytest.raises(ValidationError, match="zone metadata missing"):
             zone_cross_tab(assign, panel)
 
+    def test_unknown_zone_rejected(self):
+        # Only the loaders check zones; a panel built in code may hold any string.
+        rng = np.random.default_rng(4)
+        panel = make_panel(rng.random((2, 8)), ids=["a", "b"], zones=["Asia", "Atlantis"])
+        assign = assignment_of({"a": 1, "b": 1}, scheme="A")
+        with pytest.raises(ValidationError,
+                           match=r"^zone metadata missing or unknown for: \['b'\]$"):
+            zone_cross_tab(assign, panel)
+
 
 class TestClusterSummary:
     def test_scalar_features(self):

@@ -1,12 +1,13 @@
 """Loss accounting, out-of-sample experiments, and the model confidence set."""
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from starclust import (LossSeries, McsReport, ValidationError, WeightMatrix,
+from starclust import (LossSeries, McsReport, NumericalError, ValidationError, WeightMatrix,
                        build_report, fit_star, forecast, frobenius_norm,
                        in_sample_fn, loss_series, mcs, oos_experiment)
 from starclust.evaluation import (_REP_CHUNK, _boot_means, _start_chunks,
@@ -332,6 +333,20 @@ class TestMcs:
             mcs([a, b], reps=200, alpha=1.5)
         with pytest.raises(ValidationError, match="statistic"):
             mcs([a, b], reps=200, statistic="max")
+
+    @pytest.mark.parametrize("losses, pair", [
+        # A replicate that draws 1e308 twice sums to inf.
+        ({"a": [1e308, 0.0], "b": [0.0, 1e308]}, "'a' and 'b'"),
+        ({"a": [0.0, 0.0], "b": [1.0, 2.0], "c": [0.0, 1e308]}, "'a' and 'c'"),
+        # Means are finite, but differentials near 1e200 square to inf.
+        ({"a": [1e200, 0.0], "b": [0.0, 1e200]}, "'a' and 'b'"),
+    ], ids=["means", "means-third-model", "variance"])
+    def test_overflow_is_a_numerical_error(self, losses, pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match=f"^non-finite bootstrap variance for models {pair}$"):
+                mcs([loss(m, np.array(v)) for m, v in losses.items()], reps=200, block=1)
 
     def test_report_validation(self):
         with pytest.raises(ValidationError, match="non-decreasing"):

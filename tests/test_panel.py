@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starclust import (AdjacencyList, CountryMeta, TemperaturePanel,
-                       ValidationError, attach_zones, load_adjacency,
-                       load_panel, split_panel)
+from starclust import (TemperaturePanel, ValidationError, attach_zones,
+                       load_adjacency, load_panel, split_panel)
 from starclust.cli import main
 from starclust.panel import ZONES, detect_format
 
@@ -26,43 +25,94 @@ def write_csv(path, text: str) -> str:
     return str(path)
 
 
+def long_panel(tmp_path, meta: str, *rows: str) -> str:
+    """A two-year long panel whose rows each give `country,<meta values>`."""
+    lines = [f"country,year,temperature,{meta}"]
+    for row in rows:
+        cid, _, values = row.partition(",")
+        lines += [f"{cid},2000,1.0,{values}", f"{cid},2001,1.5,{values}"]
+    return write_csv(tmp_path / "p.csv", "\n".join(lines) + "\n")
+
+
 class TestCountryMeta:
-    def test_rejects_unknown_zone(self):
-        with pytest.raises(ValidationError, match="unknown zone"):
-            CountryMeta(id="X", zone="Atlantis")
+    """Country metadata is checked by the panel and zones loaders; only zones are kept."""
 
-    def test_rejects_negative_area(self):
-        with pytest.raises(ValidationError, match="negative land area"):
-            CountryMeta(id="X", area=-1.0)
+    def test_rejects_unknown_zone(self, toy_panel, tmp_path):
+        message = (r"^unknown zone 'Atlantis' for country 'C00'; expected one of "
+                   r"\['Africa', 'Asia', .*'South America'\]$")
+        with pytest.raises(ValidationError, match=message):
+            load_panel(long_panel(tmp_path, "zone", "C00,Atlantis"))
+        with pytest.raises(ValidationError, match=message):
+            attach_zones(toy_panel, write_csv(tmp_path / "z.csv", "country,zone\nC00,Atlantis\n"))
 
-    def test_accepts_all_eight_zones(self):
-        for zone in ("Europe", "Asia", "Eurasia", "Africa", "North America",
-                     "Central America", "South America", "Oceania"):
-            assert CountryMeta(id="X", zone=zone).zone == zone
+    def test_rejects_negative_area(self, toy_panel, tmp_path):
+        message = "^negative land area for country 'C01'$"
+        with pytest.raises(ValidationError, match=message):
+            load_panel(long_panel(tmp_path, "zone,area", "C00,Asia,3", "C01,Asia,-1.0"))
+        with pytest.raises(ValidationError, match=message):
+            attach_zones(toy_panel, write_csv(tmp_path / "z.csv",
+                                              "country,zone,area\nC01,Asia,-1.0\n"))
+
+    def test_rejects_non_numeric_area(self, toy_panel, tmp_path):
+        message = "^non-numeric area 'large' for country 'C00'$"
+        with pytest.raises(ValidationError, match=message):
+            load_panel(long_panel(tmp_path, "area", "C00,large"))
+        with pytest.raises(ValidationError, match=message):
+            attach_zones(toy_panel, write_csv(tmp_path / "z.csv",
+                                              "country,zone,area\nC00,Asia,large\n"))
+
+    def test_rejects_blank_id(self, tmp_path):
+        with pytest.raises(ValidationError, match="^country id must be a non-empty string$"):
+            load_panel(long_panel(tmp_path, "zone", " ,Asia", "B,Asia"))
+
+    def test_faults_reported_in_id_order(self, tmp_path):
+        # B is first in the file, but A is checked first. Within a country
+        # the area is parsed, then the zone checked, then the area's sign.
+        path = long_panel(tmp_path, "zone,area", "B,Mars,1", "A,Venus,x")
+        with pytest.raises(ValidationError, match="^non-numeric area 'x' for country 'A'$"):
+            load_panel(path)
+        path = long_panel(tmp_path, "zone,area", "B,Asia,x", "A,Venus,-2")
+        with pytest.raises(ValidationError, match="^unknown zone 'Venus' for country 'A'"):
+            load_panel(path)
+
+    def test_only_zones_are_kept(self, tmp_path):
+        panel = load_panel(long_panel(tmp_path, "name,zone,area", "A,Alpha,Asia,12.5", "B,,,"))
+        assert panel.zones == ("Asia", None)
+
+    def test_accepts_all_eight_zones(self, tmp_path):
+        zones = ("Europe", "Asia", "Eurasia", "Africa", "North America",
+                 "Central America", "South America", "Oceania")
+        rows = [f"C{i},{zone}" for i, zone in enumerate(zones)]
+        assert load_panel(long_panel(tmp_path, "zone", *rows)).zones == zones
 
 
 class TestPanelValidation:
     def test_non_consecutive_years_rejected(self):
         with pytest.raises(ValidationError, match="consecutive"):
-            TemperaturePanel(countries=(CountryMeta(id="A"),),
-                             years=(2000, 2002), values=np.zeros((1, 2)))
+            TemperaturePanel(ids=("A",), years=(2000, 2002), values=np.zeros((1, 2)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="shape"):
-            TemperaturePanel(countries=(CountryMeta(id="A"),),
-                             years=(2000, 2001), values=np.zeros((2, 2)))
+            TemperaturePanel(ids=("A",), years=(2000, 2001), values=np.zeros((2, 2)))
 
     def test_nan_rejected_with_location(self):
         values = np.zeros((1, 3))
         values[0, 1] = np.nan
         with pytest.raises(ValidationError, match="'A', year 2001"):
-            TemperaturePanel(countries=(CountryMeta(id="A"),),
-                             years=(2000, 2001, 2002), values=values)
+            TemperaturePanel(ids=("A",), years=(2000, 2001, 2002), values=values)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate country ids"):
-            TemperaturePanel(countries=(CountryMeta(id="A"), CountryMeta(id="A")),
-                             years=(2000,), values=np.zeros((2, 1)))
+            TemperaturePanel(ids=("A", "A"), years=(2000,), values=np.zeros((2, 1)))
+
+    def test_zone_column_length_checked(self):
+        with pytest.raises(ValidationError, match="^1 zones for 2 countries$"):
+            TemperaturePanel(ids=("A", "B"), years=(2000,), values=np.zeros((2, 1)),
+                             zones=("Asia",))
+
+    def test_zones_default_to_none(self):
+        panel = TemperaturePanel(ids=("A", "B"), years=(2000,), values=np.zeros((2, 1)))
+        assert panel.zones == (None, None)
 
     def test_values_are_read_only(self, toy_panel):
         with pytest.raises(ValueError):
@@ -107,7 +157,7 @@ class TestFormatDetection:
 
 
 class TestReaderCollectorState:
-    """The CSV loaders run with the cyclic collector off and restore its state."""
+    """The panel loader runs with the cyclic collector off and restores its state."""
 
     @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
     def collector(self, request):
@@ -181,7 +231,7 @@ class TestLoadLong:
                          "country,year,temperature,zone\n"
                          "A,2000,1.0,Europe\nA,2001,1.5,Europe\n")
         panel = load_panel(path)
-        assert panel.zones() == {"A": "Europe"}
+        assert panel.zones == ("Europe",)
 
     def test_conflicting_zone_rejected(self, tmp_path):
         path = write_csv(tmp_path / "p.csv",
@@ -359,7 +409,7 @@ class TestLoaderParity:
     def assert_same_panel(got: TemperaturePanel, ref: TemperaturePanel) -> None:
         assert got.ids == ref.ids
         assert got.years == ref.years
-        assert got.countries == ref.countries
+        assert got.zones == ref.zones
         assert got.values.shape == ref.values.shape
         assert np.array_equal(got.values.view(np.int64), ref.values.view(np.int64))
 
@@ -486,28 +536,46 @@ class TestWriteRoundTrip:
         panel = make_panel(np.ones((2, 2)), zones=["Europe", "Asia"])
         path = tmp_path / "p.csv"
         write_panel(panel, path, fmt="long")
-        assert load_panel(path).zones() == {"C00": "Europe", "C01": "Asia"}
+        assert load_panel(path).zones == ("Europe", "Asia")
 
 
 class TestAdjacency:
-    def test_symmetry_enforced(self):
-        with pytest.raises(ValidationError, match="not symmetric"):
-            AdjacencyList(neighbors={"A": frozenset({"B"}), "B": frozenset()})
+    def test_symmetry_enforced(self, toy_panel, tmp_path):
+        # Each edge is listed once, in either direction, or twice.
+        path = write_csv(tmp_path / "adj.csv",
+                         "country_a,country_b\nC00,C01\nC03,C02\nC04,C05\nC05,C04\n")
+        borders = load_adjacency(path, toy_panel)
+        assert np.array_equal(borders, borders.T)
+        assert borders.sum() == 6
 
-    def test_self_edge_rejected(self):
-        with pytest.raises(ValidationError, match="self-edge"):
-            AdjacencyList(neighbors={"A": frozenset({"A"})})
+    def test_self_edge_rejected(self, toy_panel, tmp_path):
+        path = write_csv(tmp_path / "adj.csv", "country_a,country_b\nC00,C01\nC02,C02\n")
+        with pytest.raises(ValidationError, match="^line 3: self-edge for country 'C02'$"):
+            load_adjacency(path, toy_panel)
 
     def test_load_from_csv(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "adj.csv",
                          "country_a,country_b\nC00,C01\nC01,C02\n")
-        adj = load_adjacency(path, toy_panel)
-        assert adj.of("C01") == frozenset({"C00", "C02"})
-        assert adj.of("C05") == frozenset()
+        borders = load_adjacency(path, toy_panel)
+        assert borders.dtype == bool and borders.shape == (6, 6)
+        assert borders[1].tolist() == [True, False, True, False, False, False]
+        assert not borders[5].any()
+        with pytest.raises(ValueError):
+            borders[5, 4] = True
+
+    def test_header_only_file_has_no_borders(self, toy_panel, tmp_path):
+        path = write_csv(tmp_path / "adj.csv", "country_a,country_b\n")
+        assert not load_adjacency(path, toy_panel).any()
+
+    def test_short_row_rejected(self, toy_panel, tmp_path):
+        path = write_csv(tmp_path / "adj.csv", "country_a,country_b\nC00\n")
+        with pytest.raises(ValidationError,
+                           match="^line 2: adjacency row needs two country ids$"):
+            load_adjacency(path, toy_panel)
 
     def test_unknown_id_rejected(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "adj.csv", "country_a,country_b\nC00,XX\n")
-        with pytest.raises(ValidationError, match="unknown country id 'XX'"):
+        with pytest.raises(ValidationError, match="^line 2: unknown country id 'XX' in adjacency$"):
             load_adjacency(path, toy_panel)
 
     def test_bad_header_rejected(self, toy_panel, tmp_path):
@@ -521,8 +589,10 @@ class TestZones:
         lines = ["country,zone"] + [f"C{i:02d},Europe" for i in range(6)]
         path = write_csv(tmp_path / "z.csv", "\n".join(lines) + "\n")
         merged = attach_zones(toy_panel, path)
-        assert all(z == "Europe" for z in merged.zones().values())
-        assert toy_panel.zones() == {cid: None for cid in toy_panel.ids}
+        assert merged.zones == ("Europe",) * 6
+        assert toy_panel.zones == (None,) * 6
+        assert merged.ids == toy_panel.ids
+        assert np.array_equal(merged.values, toy_panel.values)
 
     def test_bad_zone_value_rejected(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "z.csv", "country,zone\nC00,Mars\n")
@@ -543,8 +613,18 @@ class TestZones:
     def test_agreeing_repeats_and_blanks_merge(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "z.csv", "country,zone,name,area\n"
                                              "C00,Europe,,\nC00,Europe,Alpha,\nC00, ,,12.5\n")
-        merged = attach_zones(toy_panel, path).countries[0]
-        assert merged == CountryMeta(id="C00", name="Alpha", zone="Europe", area=12.5)
+        assert attach_zones(toy_panel, path).zones == ("Europe",) + (None,) * 5
+
+    def test_blank_zone_keeps_the_panels_own(self, tmp_path):
+        panel = load_panel(long_panel(tmp_path, "zone", "A,Asia", "B,Africa"))
+        path = write_csv(tmp_path / "z.csv", "country,zone\nA,\nB,Europe\n")
+        assert attach_zones(panel, path).zones == ("Asia", "Europe")
+
+    def test_conflicting_area_rejected(self, toy_panel, tmp_path):
+        path = write_csv(tmp_path / "z.csv", "country,zone,area\nC00,Asia,1\nC00,Asia,2\n")
+        with pytest.raises(ValidationError,
+                           match="^conflicting area for country 'C00': '1' vs '2'$"):
+            attach_zones(toy_panel, path)
 
     def test_unknown_id_rejected(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "z.csv", "country,zone\nC00,Asia\nZZ,Africa\n")

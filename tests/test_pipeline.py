@@ -2,23 +2,15 @@
 import numpy as np
 import pytest
 
-from starclust import (KINDS, SCHEMES, AdjacencyList, CutRule, RunConfig,
+from starclust import (KINDS, SCHEMES, CutRule, RunConfig,
                        ValidationError, build_weights, compute_scheme,
                        scheme_features, split_panel, weight_builder)
 from starclust.clustering import IDIOSYNCRATIC, NULL
-from conftest import make_panel
+from conftest import borders_of, make_panel
 
 
 def chain_adjacency(ids):
-    pairs = {}
-    for i, cid in enumerate(ids):
-        nbrs = set()
-        if i > 0:
-            nbrs.add(ids[i - 1])
-        if i < len(ids) - 1:
-            nbrs.add(ids[i + 1])
-        pairs[cid] = nbrs
-    return AdjacencyList(pairs)
+    return borders_of(ids, zip(ids, ids[1:]))
 
 
 # k = 2/3/3 main clusters for schemes A/B/C, distances rescaled.

@@ -4,13 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from starclust import (AdjacencyList, DistanceMatrix, ValidationError, WeightMatrix,
+from starclust import (DistanceMatrix, ValidationError, WeightMatrix,
                        cluster_restricted_weights, contiguity_weights,
-                       distance_weights, hamming_distance)
+                       distance_weights, hamming_distance, load_adjacency)
 from starclust.weights import write_weight_csv, write_weight_meta
-from conftest import assignment_of, make_panel
+from conftest import assignment_of, borders_of, make_panel
 
-from _oracles import mask_and_normalize
+from _oracles import contiguity_from_edges, mask_and_normalize
 
 
 def panel_of(n, t=8, seed=0, ids=None):
@@ -64,8 +64,7 @@ class TestContiguityWeights:
     def test_equal_shares(self):
         ids = ["a", "b", "c", "d", "e"]
         panel = panel_of(5, ids=ids)
-        adj = AdjacencyList({"a": {"b", "c", "d", "e"}, "b": {"a"}, "c": {"a"},
-                             "d": {"a"}, "e": {"a"}})
+        adj = borders_of(ids, [("a", "b"), ("a", "c"), ("a", "d"), ("a", "e")])
         w = contiguity_weights(adj, panel)
         # Four neighbours each get a quarter.
         assert np.all(row_of(w, "a") == [0.0, 0.25, 0.25, 0.25, 0.25])
@@ -73,17 +72,32 @@ class TestContiguityWeights:
         assert w.zero_rows() == ()
 
     def test_isolated_country_zero_row(self):
-        panel = panel_of(3, ids=["a", "b", "c"])
-        adj = AdjacencyList({"a": {"b"}, "b": {"a"}})
+        panel = panel_of(4, ids=["a", "b", "c", "d"])
+        adj = borders_of(panel.ids, [("b", "d")])
         w = contiguity_weights(adj, panel)
-        assert w.zero_rows() == ("c",)
-        assert w.meta["isolated"] == ["c"]
+        assert w.zero_rows() == ("a", "c")
+        assert w.meta["isolated"] == ["a", "c"]
 
-    def test_unknown_neighbor_rejected(self):
+    def test_unknown_neighbor_rejected(self, tmp_path):
+        # Ids are resolved when the edge list is read; a matrix of another
+        # size fails the weight matrix's own shape check.
         panel = panel_of(2, ids=["a", "b"])
-        adj = AdjacencyList({"a": {"zz"}, "zz": {"a"}})
-        with pytest.raises(ValidationError, match="absent from panel"):
-            contiguity_weights(adj, panel)
+        path = tmp_path / "adj.csv"
+        path.write_text("country_a,country_b\na,zz\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="unknown country id 'zz' in adjacency"):
+            load_adjacency(path, panel)
+        with pytest.raises(ValidationError, match="does not match 2 labels"):
+            contiguity_weights(np.ones((3, 3), dtype=bool), panel)
+
+    def test_matches_edge_list_oracle(self, synthetic_inputs, synthetic_panel):
+        borders = load_adjacency(synthetic_inputs["adjacency"], synthetic_panel)
+        w = contiguity_weights(borders, synthetic_panel)
+        values, isolated = contiguity_from_edges(synthetic_inputs["adjacency"],
+                                                 list(synthetic_panel.ids))
+        assert synthetic_panel.n_countries == 168
+        assert np.array_equal(w.values, values)
+        assert w.meta["isolated"] == isolated
+        assert 0 < len(isolated) < 168
 
 
 class TestDistanceWeights:
@@ -275,7 +289,7 @@ class TestExports:
 
     def test_meta_json(self, tmp_path):
         panel = panel_of(3, ids=["a", "b", "c"])
-        adj = AdjacencyList({"a": {"b"}, "b": {"a"}})
+        adj = borders_of(panel.ids, [("a", "b")])
         w = contiguity_weights(adj, panel)
         path = tmp_path / "w.json"
         write_weight_meta(w, path)
