@@ -1,6 +1,17 @@
 """Clustering of country temperature trajectories and space-time
 autoregressive forecasting with cluster-based spatial weights."""
 
+import os
+
+# Every BLAS product here is small (168 x 168 x 121 at the paper's size),
+# and after each call an idle OpenBLAS worker busy-waits on another core,
+# spending CPU time and saving no wall time. So BLAS runs on the calling
+# thread unless the caller chose a thread count. This takes effect only if
+# starclust is imported before numpy loads OpenBLAS, which the command line does.
+if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                           "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .clustering import (ClusterAssignment, ClusterStats, ContingencyTable,
                          CutRule, Dendrogram, Merge, agglomerate, cluster_summary,
                          cross_tab, cut, relabel_by_feature, zone_cross_tab)

@@ -146,10 +146,11 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePane
 
     features = pipeline.scheme_features(result, panel)
     stats = clustering.cluster_summary(assign, features)
+    means = _feature_means(assign, features)
     clustering.dendrogram_to_json(result.dendrogram, out / f"dendrogram_{scheme}.json")
     clustering.assignment_to_json(assign, out / f"assignment_{scheme}.json")
     _write_summary_csv(stats, out / f"summary_{scheme}.csv")
-    _write_feature_csv(assign, features, out / f"plot_cluster_feature_{scheme}.csv")
+    _write_feature_csv(assign, means, out / f"plot_cluster_feature_{scheme}.csv")
 
     # Companion cross-tab (zones for A, the neighbouring scheme for B/C) is
     # best-effort: its failure should not block the requested clustering.
@@ -184,11 +185,23 @@ def _write_summary_csv(stats: dict[int, clustering.ClusterStats], path: Path) ->
                 s.degenerate] for _, s in sorted(stats.items())))
 
 
-def _write_feature_csv(assign: clustering.ClusterAssignment, features: np.ndarray,
+def _feature_means(assign: clustering.ClusterAssignment, features: np.ndarray) -> np.ndarray:
+    """Each country's feature mean. `cluster_summary` checks only cluster
+    members, so a non-finite mean of any country is a NumericalError here."""
+    # Overflow (features near the float range) is caught by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.reshape(features, (len(assign.ids), -1)).mean(axis=1)
+    bad = ~np.isfinite(means)
+    if bad.any():
+        raise NumericalError(f"non-finite scheme {assign.scheme} feature mean for "
+                             f"{assign.ids[bad.argmax()]}")
+    return means
+
+
+def _write_feature_csv(assign: clustering.ClusterAssignment, means: np.ndarray,
                        path: Path) -> None:
     """Tidy boxplot data: one row per country with its category and feature mean."""
     names, index = assign.categories()
-    means = np.reshape(features, (len(assign.ids), -1)).mean(axis=1)
     write_csv(path, ["country", "category", "value"],
               ([cid, names[i], value] for cid, i, value
                in zip(assign.ids, index.tolist(), means.tolist())))

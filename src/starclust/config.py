@@ -9,8 +9,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from .errors import ValidationError, undecodable
 
 _STATISTICS = ("SQ", "R")
@@ -141,6 +139,8 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    import yaml  # imported here: a run without a config file never needs PyYAML
+
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"config file not found: {p}")

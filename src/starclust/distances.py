@@ -106,12 +106,13 @@ def hamming_distance(signs: Sequence[np.ndarray], ids: Sequence[str]) -> Distanc
     bits = np.asarray(signs, dtype=float)
     if np.any((bits != 0.0) & (bits != 1.0)):
         raise ValidationError("sign strings must hold only 0 and 1")
-    # Positions where i has 1 and j has 0, plus the reverse: integer counts,
-    # exact in float64 below 2**53, without a K x K x (T-1) tensor. einsum
-    # rather than matmul keeps BLAS worker threads asleep; on two cores their
-    # spin after the call slowed the linkage that follows.
-    values = np.einsum("it,jt->ij", bits, 1.0 - bits)
-    values += values.T.copy()
+    # Positions where i has 1 and j has 0, plus the reverse, without a
+    # K x K x (T-1) tensor. Every partial sum is an integer count at most T,
+    # exact in float64 below 2**53, so the product is the same in any
+    # summation order BLAS picks, and the sum with its transpose is exactly
+    # symmetric.
+    ones_then_zeros = bits @ (1.0 - bits).T
+    values = ones_then_zeros + ones_then_zeros.T
     return DistanceMatrix(metric="hamming", labels=tuple(ids), values=values)
 
 

@@ -623,12 +623,17 @@ class TestMalformedInputs:
         for command, message in [
                 (("fit", "--kind", "NN"), "non-finite differences for C04"),
                 (("cluster", "--scheme", "B", "--k", "3"),
-                 "non-finite difference distances for C04")]:
+                 "non-finite difference distances for C04"),
+                # Clusters of three merge at height 0, so every country,
+                # C04 too, is idiosyncratic and no cluster summary overflows.
+                (("cluster", "--scheme", "C", "--cut", "height", "--height", "0",
+                  "--min-size", "4"), "non-finite scheme C feature mean for C04")]:
             result = self.run_cli(*command, "--data", str(panel), "--adjacency",
                                   str(dataset["adjacency"]), "--out", str(tmp_path))
             assert result.returncode == 3
             assert "Traceback" not in result.stderr and "Warning" not in result.stderr
             assert message in result.stderr
+            assert [path.name for path in tmp_path.iterdir()] == ["panel.csv"]
 
     def test_nan_cut_height(self, dataset, tmp_path):
         # A NaN height kept no merge, leaving every country idiosyncratic.
@@ -755,7 +760,29 @@ class TestByteOrderMark:
             assert "contingency_A.csv" in outputs[b""]
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_is_openblas() -> bool:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 cannot return its build config
+        return False
+    return "openblas" in config["Build Dependencies"]["blas"]["name"].lower()
+
+
 class TestImportFootprint:
+    @staticmethod
+    def fresh_python(script, *args, **env_vars):
+        """Run `script` in a new interpreter whose environment sets no
+        STARCLUST_CONFIG and none of the BLAS thread variables beyond `env_vars`."""
+        env = {name: value for name, value in os.environ.items()
+               if name not in (*_BLAS_THREAD_VARS, "STARCLUST_CONFIG")}
+        env.update(env_vars, PYTHONPATH=str(Path(starclust.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True, env=env)
+
     def test_evaluate_runs_without_scipy(self, dataset, tmp_path):
         script = ("import sys\n"
                   "from starclust.cli import main\n"
@@ -763,14 +790,41 @@ class TestImportFootprint:
                   "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
                   "print('scipy modules:', loaded)\n"
                   "sys.exit(code if not loaded else 9)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(starclust.__file__).parents[1]))
-        env.pop("STARCLUST_CONFIG", None)
-        result = subprocess.run(
-            [sys.executable, "-c", script, "evaluate", "--config", str(dataset["config"]),
-             "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env)
+        result = self.fresh_python(script, "evaluate", "--config", str(dataset["config"]),
+                                   "--out", str(tmp_path))
         assert result.returncode == 0, result.stdout + result.stderr
         assert "scipy modules: []" in result.stdout
+
+    @pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "2"},
+                                        {"OMP_NUM_THREADS": "2"}],
+                             ids=["unset", "openblas-set", "omp-set"])
+    def test_blas_pinned_unless_caller_set_threads(self, caller):
+        script = ("import json, os\n"
+                  "import starclust.cli\n"
+                  f"print(json.dumps({{name: os.environ[name] for name in {_BLAS_THREAD_VARS!r}"
+                  " if name in os.environ}))\n")
+        result = self.fresh_python(script, **caller)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == (caller or {"OPENBLAS_NUM_THREADS": "1"})
+
+    def test_bare_import_skips_yaml(self):
+        result = self.fresh_python("import sys, starclust.cli\n"
+                                   "print('yaml' in sys.modules)\n")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+    @pytest.mark.skipif(not (sys.platform.startswith("linux") and _blas_is_openblas()),
+                        reason="needs Linux /proc and an OpenBLAS-linked numpy")
+    def test_evaluate_runs_on_one_thread(self, dataset, tmp_path):
+        script = ("import os, sys\n"
+                  "from starclust.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print('threads:', len(os.listdir('/proc/self/task')))\n"
+                  "sys.exit(code)\n")
+        result = self.fresh_python(script, "evaluate", "--config", str(dataset["config"]),
+                                   "--out", str(tmp_path))
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "threads: 1\n" in result.stdout
 
 
 _JUNK = ("", " ", "x", "nan", "inf", "-1", "0", "1e999", "99999999999999999999",

@@ -177,6 +177,19 @@ class TestHammingDistance:
         expected = (bits[:, None, :] != bits[None, :, :]).sum(axis=2).astype(float)
         assert np.array_equal(dist.values, expected)
 
+    @pytest.mark.parametrize("k, t", [(300, 121), (800, 121), (300, 2000)])
+    def test_blocked_product_matches_brute_oracle(self, k, t):
+        # Sizes at which BLAS blocks the product. The pure-Python oracle is
+        # too slow for every pair, so it checks all pairs among 24 countries
+        # spread over the row blocks; a per-row count checks the rest.
+        values = np.random.default_rng(k * t).normal(10, 1, (k, t + 1))
+        dist = sign_distance(make_panel(values))
+        rows = np.linspace(0, k - 1, 24).astype(int)
+        assert np.array_equal(dist.values[np.ix_(rows, rows)],
+                              brute_hamming_distance(values[rows]))
+        bits = np.diff(values, axis=1) > 0
+        assert np.array_equal(dist.values, [(row != bits).sum(axis=1) for row in bits])
+
     def test_non_binary_strings_rejected(self):
         with pytest.raises(ValidationError, match="only 0 and 1"):
             hamming_distance([np.array([1, 0, 2]), np.array([1, 1, 0])], ["a", "b"])

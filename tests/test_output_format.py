@@ -121,8 +121,8 @@ def write_summary_csv(path):
 def write_feature_csv(path):
     features = np.array([[0.1, 0.1], [0.0, 2.0], [1e-05, 1e-05],
                          [0.3333333333333333, 0.3333333333333333], [-4, -4]])
-    cli._write_feature_csv(_assignment(("a", "b", "c", "e", "f"), (1, 1, 0, 2, 2)),
-                           features, Path(path))
+    assign = _assignment(("a", "b", "c", "e", "f"), (1, 1, 0, 2, 2))
+    cli._write_feature_csv(assign, cli._feature_means(assign, features), Path(path))
 
 
 def write_loss_plot_csv(path):
