@@ -141,16 +141,8 @@ def cmd_trends(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel
 def cmd_cluster(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
                 adjacency: np.ndarray | None, out: Path) -> int:
     scheme = args.scheme
-    result = pipeline.compute_scheme(panel, scheme, cfg, rule=_cut_rule(args, cfg))
-    assign = result.assignment
-
-    features = pipeline.scheme_features(result, panel)
-    stats = clustering.cluster_summary(assign, features)
-    means = _feature_means(assign, features)
-    clustering.dendrogram_to_json(result.dendrogram, out / f"dendrogram_{scheme}.json")
-    clustering.assignment_to_json(assign, out / f"assignment_{scheme}.json")
-    _write_summary_csv(stats, out / f"summary_{scheme}.csv")
-    _write_feature_csv(assign, means, out / f"plot_cluster_feature_{scheme}.csv")
+    assign = _write_scheme(pipeline.compute_scheme(panel, scheme, cfg, rule=_cut_rule(args, cfg)),
+                           panel, out)
 
     # Companion cross-tab (zones for A, the neighbouring scheme for B/C) is
     # best-effort: its failure should not block the requested clustering.
@@ -160,10 +152,9 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePane
             if None not in panel.zones:
                 table = clustering.zone_cross_tab(assign, panel)
         else:
-            other = "A" if scheme == "B" else "B"
-            other_result = pipeline.compute_scheme(panel, other, cfg)
-            first, second = ((other_result.assignment, assign) if scheme == "B"
-                             else (assign, other_result.assignment))
+            other = pipeline.compute_scheme(panel, "A" if scheme == "B" else "B",
+                                            cfg).assignment
+            first, second = (other, assign) if scheme == "B" else (assign, other)
             table = clustering.cross_tab(first, second, panel)
     except (ValidationError, NumericalError) as exc:
         print(f"note: skipped contingency table ({exc})")
@@ -176,6 +167,25 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePane
           f"{len(assign.members(clustering.NULL))} excluded")
     print(f"wrote outputs under {out}")
     return 0
+
+
+def _write_scheme(result: pipeline.SchemeResult, panel: TemperaturePanel,
+                  out: Path) -> clustering.ClusterAssignment:
+    """Write one scheme's dendrogram, assignment, summary and feature files.
+
+    Only the assignment is returned, so the distance matrix, dendrogram and
+    features (5 MiB and more at K = 800) are freed before a companion scheme
+    is computed.
+    """
+    scheme, assign = result.scheme, result.assignment
+    features = pipeline.scheme_features(result, panel)
+    stats = clustering.cluster_summary(assign, features)
+    means = _feature_means(assign, features)
+    clustering.dendrogram_to_json(result.dendrogram, out / f"dendrogram_{scheme}.json")
+    clustering.assignment_to_json(assign, out / f"assignment_{scheme}.json")
+    _write_summary_csv(stats, out / f"summary_{scheme}.csv")
+    _write_feature_csv(assign, means, out / f"plot_cluster_feature_{scheme}.csv")
+    return assign
 
 
 def _write_summary_csv(stats: dict[int, clustering.ClusterStats], path: Path) -> None:

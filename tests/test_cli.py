@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,21 @@ class TestCluster:
     def test_scheme_c_cross_tabs_against_b(self, dataset, tmp_path):
         rc = run(["cluster", "--scheme", "C"], dataset, tmp_path)
         assert rc == 0
+        assert (tmp_path / "contingency_C.csv").is_file()
+
+    def test_requested_scheme_freed_before_companion(self, dataset, tmp_path, monkeypatch):
+        # Its distance matrix and dendrogram are written, then let go, so the
+        # two schemes' K x K matrices are never held at once.
+        compute, results, alive = cli.pipeline.compute_scheme, [], []
+
+        def tracked(*args, **kwargs):
+            alive.append([ref() is not None for ref in results])
+            result = compute(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+        monkeypatch.setattr(cli.pipeline, "compute_scheme", tracked)
+        assert run(["cluster", "--scheme", "C"], dataset, tmp_path) == 0
+        assert alive == [[], [False]]
         assert (tmp_path / "contingency_C.csv").is_file()
 
     def test_k_flag_overrides_config(self, dataset, tmp_path, capsys):

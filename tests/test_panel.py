@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from starclust import (TemperaturePanel, ValidationError, attach_zones,
                        load_adjacency, load_panel, split_panel)
+from starclust import panel as panel_module
 from starclust.cli import main
 from starclust.panel import ZONES, detect_format
 
@@ -405,6 +407,19 @@ def _outcome(path, loader):
 class TestLoaderParity:
     """The column-wise loader against the row-by-row reference in _oracles."""
 
+    @pytest.fixture
+    def reads(self, monkeypatch) -> list:
+        """The paths `load_panel` opened: once for a valid panel, which loads
+        without the whole-file reload that reports a fault."""
+        opened = []
+        chunks = panel_module._csv_chunks
+
+        def counted(path):
+            opened.append(path)
+            return chunks(path)
+        monkeypatch.setattr(panel_module, "_csv_chunks", counted)
+        return opened
+
     @staticmethod
     def assert_same_panel(got: TemperaturePanel, ref: TemperaturePanel) -> None:
         assert got.ids == ref.ids
@@ -414,11 +429,12 @@ class TestLoaderParity:
         assert np.array_equal(got.values.view(np.int64), ref.values.view(np.int64))
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_valid_long_panels(self, tmp_path, seed):
+    def test_valid_long_panels(self, tmp_path, seed, reads):
         rng = np.random.default_rng(seed)
         header, rows = _long_rows(rng, int(rng.integers(1, 7)), int(rng.integers(1, 9)))
         path = _write_rows(tmp_path / "p.csv", rng, header, rows)
         self.assert_same_panel(load_panel(path), load_panel_rows(path))
+        assert len(reads) == 1
 
     @pytest.mark.parametrize("seed", range(200))
     def test_malformed_long_panels(self, tmp_path, seed):
@@ -434,7 +450,7 @@ class TestLoaderParity:
             self.assert_same_panel(got, ref)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_valid_wide_panels(self, tmp_path, seed):
+    def test_valid_wide_panels(self, tmp_path, seed, reads):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 7))
         panel = make_panel(rng.normal(15.0, 8.0, (n, int(rng.integers(1, 9)))),
@@ -444,6 +460,7 @@ class TestLoaderParity:
         lines.insert(1 + int(rng.integers(len(lines))), " ,\t, ")
         path = write_csv(tmp_path / "w.csv", "\n".join(lines) + "\n")
         self.assert_same_panel(load_panel(path), load_panel_rows(path))
+        assert len(reads) == 1
 
     @pytest.mark.parametrize("seed", range(200))
     def test_malformed_wide_panels(self, tmp_path, seed):
@@ -459,6 +476,79 @@ class TestLoaderParity:
             assert got == ref
         else:
             self.assert_same_panel(got, ref)
+
+
+class TestLoaderParityInSmallChunks(TestLoaderParity):
+    """The same panels read 1, 2 and 5 rows at a time, so that ids, metadata,
+    repeats and faults fall on both sides of chunk boundaries."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 5], ids=lambda n: f"chunk{n}")
+    def row_chunk(self, request, monkeypatch):
+        monkeypatch.setattr(panel_module, "_ROW_CHUNK", request.param)
+
+
+class TestChunkBoundaries:
+    """Faults in different chunks are reported as a whole-file read reports them."""
+
+    @pytest.fixture(autouse=True)
+    def row_chunk(self, monkeypatch):
+        monkeypatch.setattr(panel_module, "_ROW_CHUNK", 2)
+
+    # Rows past the reader's first 8 KiB block are read only after the fault.
+    @pytest.mark.parametrize("n_rows", [2, 10_000], ids=["near", "past-the-read-buffer"])
+    @pytest.mark.parametrize("bad_row", ["A,2001,1.5", "A,2001,x", "A,2001"],
+                             ids=["no-fault", "bad-cell", "short-row"])
+    @pytest.mark.parametrize("last_row, message", [
+        (b"C,2000,\xff\xfe", r"not valid UTF-8 \(byte 0xff\)"),
+        (b"C,2000," + b"1" * 131_073, r"field larger than field limit \(131072\)"),
+    ], ids=["not-utf8", "over-long-field"])
+    def test_read_error_beats_an_earlier_row_fault(self, tmp_path, n_rows, bad_row,
+                                                   last_row, message):
+        lines = ["country,year,temperature", "A,2000,1.0", bad_row,
+                 *(f"B,{2000 + i},1.0" for i in range(n_rows))]
+        path = tmp_path / "p.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode() + last_row + b"\n")
+        with pytest.raises(ValidationError, match=rf"p\.csv:{len(lines) + 1}: {message}$"):
+            load_panel(path)
+
+    def test_conflicting_zones_in_different_chunks(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "country,year,temperature,zone\n"
+                         "A,2000,1.0,Europe\nB,2000,2.0,Asia\nB,2001,2.5,Asia\n"
+                         "A,2001,1.5,Asia\n")
+        with pytest.raises(ValidationError,
+                           match="^conflicting zone for country 'A': 'Europe' vs 'Asia'$"):
+            load_panel(path)
+
+    def test_repeated_cell_in_a_later_chunk(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "country,year,temperature\n"
+                         "A,2000,1.0\nA,2001,1.5\nB,2000,2.0\nB,2001,2.5\nA,2000,1.0\n")
+        with pytest.raises(ValidationError,
+                           match="^duplicate entry for country 'A', year 2000$"):
+            load_panel(path)
+
+    def test_repeated_wide_row_before_an_earlier_bad_cell(self, tmp_path):
+        # The wide layout is checked for the whole file before any cell.
+        path = write_csv(tmp_path / "p.csv", "country,2000,2001\n"
+                         "A,1.0,1.5\nB,warm,2.5\nC,1.0,1.5\nA,1.0,1.5\n")
+        with pytest.raises(ValidationError, match="^duplicate country row for 'A'$"):
+            load_panel(path)
+
+
+class TestLoaderMemory:
+    def test_peak_memory_is_bounded(self, tmp_path):
+        # 97,600 long rows. Read whole, as lists of strings, the file peaked
+        # at 30.3 MiB; read in chunks, at 4.7 MiB, most of it the arrays.
+        rng = np.random.default_rng(0)
+        path = tmp_path / "p.csv"
+        write_panel(make_panel(rng.normal(15.0, 8.0, (800, 122)), first_year=1901), path)
+        tracemalloc.start()
+        try:
+            panel = load_panel(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert panel.values.shape == (800, 122)
+        assert peak < 8 * 2**20
 
 
 class TestLoadWide:
