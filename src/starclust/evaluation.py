@@ -2,11 +2,15 @@
 
 The MCS procedure studentizes pairwise mean loss differentials with a
 moving-block bootstrap variance, forms a semi-quadratic (or range) statistic,
-and eliminates the worst model while the equivalence test rejects. Each round
-tests every pair of active models once. Bootstrap means are streamed from
-per-block window sums, with block starts drawn in fixed chunks of replications
-from a seeded generator, so reports are bit-identical across repeated calls
-and memory does not grow with reps x periods.
+and eliminates the worst model while the equivalence test rejects. Each
+pair's variance and standardized bootstrap terms are formed once per call,
+before the first round; each round reduces those of the pairs whose models
+are both still active. Bootstrap means are streamed from per-block window sums,
+with block starts drawn in fixed chunks of replications from a seeded
+generator, so reports are bit-identical across repeated calls and memory
+does not grow with reps x periods. The chunk size also fixes the rounding
+of each chunk's count-times-block-sum product, so changing it moves the
+bootstrap means in their last bits: outputs must then be pinned again.
 """
 from __future__ import annotations
 
@@ -24,7 +28,11 @@ from .panel import TemperaturePanel, split_panel, write_csv, write_json
 from .star import fit_star, fitted_levels, forecast
 from .weights import WeightMatrix
 
-_REP_CHUNK = 64  # bootstrap replications drawn and summed at once in mcs
+# Bootstrap replications drawn and summed at once in mcs. The size sets the
+# shape of each count-times-block-sum product and so its rounding: another
+# size gives other last bits in the bootstrap means, and outputs must then be
+# pinned again.
+_REP_CHUNK = 64
 
 
 def frobenius_norm(observed: np.ndarray, predicted: np.ndarray) -> float:
@@ -59,8 +67,13 @@ class LossSeries:
 
 def loss_series(model: str, observed: np.ndarray, predicted: np.ndarray,
                 years: Sequence[int], countries: Sequence[str] | None = None,
-                granularity: str = "year") -> LossSeries:
-    """Decompose a Frobenius norm into per-year (default) or per-observation losses."""
+                granularity: str = "year", periods: tuple | None = None) -> LossSeries:
+    """Decompose a Frobenius norm into per-year (default) or per-observation losses.
+
+    Per observation, the periods are (year, country) pairs, year-major;
+    `periods` passes that tuple when a caller has already built it, so that
+    models scored on one span share it.
+    """
     obs = np.asarray(observed, dtype=float)
     pred = np.asarray(predicted, dtype=float)
     if obs.shape != pred.shape:
@@ -73,7 +86,8 @@ def loss_series(model: str, observed: np.ndarray, predicted: np.ndarray,
     if granularity == "observation":
         if countries is None or len(countries) != obs.shape[0]:
             raise ValidationError("per-observation losses need country labels")
-        periods = tuple((year, cid) for year in years for cid in countries)
+        if periods is None:
+            periods = tuple((year, cid) for year in years for cid in countries)
         return LossSeries(model=model, periods=periods, values=sq.T.reshape(-1))
     raise ValidationError(f"unknown granularity {granularity!r}")
 
@@ -116,13 +130,18 @@ def oos_experiment(panel: TemperaturePanel,
     fn: dict[str, float] = {}
     losses: dict[str, LossSeries] = {}
     year_losses: dict[str, LossSeries] = {}
+    periods = None  # the first model's per-observation periods, shared by the rest
     for kind, weights in weight_builder(train).items():
         fc = forecast(fit_star(train, weights), train, horizon)
         fn[kind] = frobenius_norm(test_values, fc.levels)
         year_losses[kind] = loss_series(kind, test_values, fc.levels, test_years)
-        losses[kind] = (year_losses[kind] if granularity == "year" else
-                        loss_series(kind, test_values, fc.levels, test_years,
-                                    countries=test.ids, granularity=granularity))
+        if granularity == "year":
+            losses[kind] = year_losses[kind]
+            continue
+        losses[kind] = loss_series(kind, test_values, fc.levels, test_years,
+                                   countries=test.ids, granularity=granularity,
+                                   periods=periods)
+        periods = losses[kind].periods
     return OosResult(origin_year=origin_year, horizon=horizon, fn=fn,
                      losses=losses, year_losses=year_losses)
 
@@ -195,15 +214,21 @@ def _boot_means(matrix: np.ndarray, block: int, reps: int,
     last = windows[:, :, :tail].sum(axis=2)
     total = sliding_window_view(matrix, n_periods, axis=1).sum(axis=2)[:, 0]
     sums = np.empty((n_models, reps))
+    offsets = (np.arange(_REP_CHUNK) * n_starts)[:, None]
+    ones = np.ones(_REP_CHUNK * math.ceil(n_periods / block))
     done = 0
     for starts in _start_chunks(rng, n_periods, block, reps):
         rows = len(starts)
-        # Offset each row's starts so one bincount counts every row at once.
-        keys = starts[:, :-1] + (np.arange(rows) * n_starts)[:, None]
-        counts = np.bincount(keys.ravel(), minlength=rows * n_starts)
-        counts = counts.reshape(rows, n_starts).astype(float)
-        sums[:, done:done + rows] = full @ counts.T + last[:, starts[:, -1]]
+        tails = starts[:, -1].copy()
+        # Offset each row's starts so one bincount counts every row at once,
+        # as floats, then take each row's last start back out: it is cut short.
+        starts += offsets[:rows]
+        counts = np.bincount(starts.ravel(), weights=ones[:starts.size],
+                             minlength=rows * n_starts)
+        counts[starts[:, -1]] -= 1.0
+        sums[:, done:done + rows] = full @ counts.reshape(rows, n_starts).T + last[:, tails]
         done += rows
+        del starts, counts  # before the next chunk is drawn and counted
     return total / n_periods, sums / n_periods
 
 
@@ -257,54 +282,66 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
     # Resampled per-model means, computed once and centred; pairwise
     # differentials derive from them because d_ij(t) = L_i(t) - L_j(t).
     # Overflow (losses near the float range) makes some pair's variance
-    # non-finite, which the loop below reports.
+    # non-finite, which is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         full_means, centered = _boot_means(matrix, block, reps, np.random.default_rng(seed))
         centered -= full_means[:, None]
     rounding = 2 * np.finfo(float).eps * matrix.max(axis=1)  # losses are >= 0
 
-    active = np.arange(len(ids))
+    # Every pair of models once, the model listed first as a, in the order in
+    # which each round reads its active pairs. A pair's variance, t-statistic
+    # and standardized bootstrap terms are the same in every round.
+    a, b = np.triu_indices(len(ids), k=1)
+    terms = np.empty((len(a), reps))  # pairs x reps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (p, q) in enumerate(zip(a, b)):
+            np.subtract(centered[p], centered[q], out=terms[k])
+        # SQ needs the differentials only squared, so squares overwrite them.
+        var = np.square(terms, out=terms if statistic == "SQ" else None).mean(axis=1)
+        flat = np.ptp(matrix[a] - matrix[b], axis=1) <= np.maximum(rounding[a], rounding[b])
+    del centered
+    bad = np.flatnonzero(~np.isfinite(var))
+    if bad.size:
+        raise NumericalError("non-finite bootstrap variance for models "
+                             f"{ids[a[bad[0]]]!r} and {ids[b[bad[0]]]!r}")
+    valid = (var > 0) & ~flat
+    degenerate_pairs = set(zip(a[~valid].tolist(), b[~valid].tolist()))
+    se = np.sqrt(var, where=valid, out=np.ones_like(var))  # 1 where no round reads it
+    tstat = (full_means[a] - full_means[b]) / se
+    # Null-statistic terms, in place: d^2 / var for SQ, |d| / se for R.
+    if statistic == "SQ":
+        np.divide(terms, var[:, None], out=terms, where=valid[:, None])
+    else:
+        np.divide(np.abs(terms, out=terms), se[:, None], out=terms)
+
+    alive = np.ones(len(ids), dtype=bool)
     eliminations: list[tuple[str, float]] = []
     running_p = 0.0
-    degenerate_pairs: set[tuple[int, int]] = set()
-
-    while len(active) > 1:
-        # Each pair of active models once, the model listed first as a.
-        i, j = np.triu_indices(len(active), k=1)
-        a, b = active[i], active[j]
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff_boot = centered[a] - centered[b]  # pairs x reps
-            var = (diff_boot ** 2).mean(axis=1)
-            flat = np.ptp(matrix[a] - matrix[b], axis=1) <= np.maximum(rounding[a], rounding[b])
-        bad = np.flatnonzero(~np.isfinite(var))
-        if bad.size:
-            raise NumericalError("non-finite bootstrap variance for models "
-                                 f"{ids[a[bad[0]]]!r} and {ids[b[bad[0]]]!r}")
-        valid = (var > 0) & ~flat
-        degenerate_pairs.update(zip(a[~valid].tolist(), b[~valid].tolist()))
-        i, j, diff_boot, var = i[valid], j[valid], diff_boot[valid], var[valid]
-        se = np.sqrt(var)
-        tstat = (full_means[active[i]] - full_means[active[j]]) / se
+    for _ in range(len(ids) - 1):
+        # Masked reductions add the live rows in pair order, as summing a
+        # copy of just those rows would, so the null statistics keep their bits.
+        live = alive[a] & alive[b] & valid
         if statistic == "SQ":
-            observed_stat = float((tstat ** 2).sum())
-            null_stats = (diff_boot ** 2 / var[:, None]).sum(axis=0)
+            observed_stat = float((tstat[live] ** 2).sum())
+            null_stats = terms.sum(axis=0, where=live[:, None])
         else:
-            observed_stat = float(np.abs(tstat).max(initial=0.0))
-            null_stats = (np.abs(diff_boot) / se[:, None]).max(axis=0, initial=0.0)
+            observed_stat = float(np.abs(tstat[live]).max(initial=0.0))
+            null_stats = terms.max(axis=0, where=live[:, None], initial=0.0)
 
         hits = int(np.sum(null_stats >= observed_stat))
         running_p = max(running_p, (1 + hits) / (reps + 1))
 
         # A model's worst t against the others: t_ab for a, t_ba = -t_ab for b.
         # With every pair degenerate all stay -inf and the first listed goes.
-        worst = np.full(len(active), -np.inf)
-        np.maximum.at(worst, i, tstat)
-        np.maximum.at(worst, j, -tstat)
-        out = int(np.argmax(worst))
-        eliminations.append((ids[active[out]], running_p))
-        active = np.delete(active, out)
+        worst = np.full(len(ids), -np.inf)
+        np.maximum.at(worst, a[live], tstat[live])
+        np.maximum.at(worst, b[live], -tstat[live])
+        active = np.flatnonzero(alive)
+        out = active[int(np.argmax(worst[active]))]
+        eliminations.append((ids[out], running_p))
+        alive[out] = False
 
-    eliminations.append((ids[active[0]], 1.0))
+    eliminations.append((ids[int(np.flatnonzero(alive)[0])], 1.0))
     if degenerate_pairs:
         listed = sorted((ids[p], ids[q]) for p, q in degenerate_pairs)[:5]
         warnings.warn(f"zero bootstrap variance for model pairs {listed}; "

@@ -299,10 +299,15 @@ def _wide_as_long(header: list[str], chunks: _Chunks) -> tuple[list[str], _Chunk
 
 def _wide_rows_as_long(width: int, chunks: _Chunks, cells: list[tuple[str, int]],
                        meta_idx: list[int]) -> _Chunks:
-    """Recast each chunk of wide rows as long rows; the repeat check spans chunks."""
+    """Recast each chunk of wide rows as long rows; the repeat check spans chunks.
+
+    A chunk's rows all pass the wide checks before any is recast. Its long
+    rows are then yielded about `_ROW_CHUNK` at a time, whole wide rows per
+    batch, so they never take much more memory than a chunk of a long file.
+    """
     seen: set[str] = set()
+    per_batch = max(1, _ROW_CHUNK // len(cells))
     for rows, line in chunks:
-        long_rows: list[list[str]] = []
         for n, row in enumerate(rows):
             if len(row) < width:
                 raise ValidationError(f"line {line(n)}: expected {width} columns, got {len(row)}")
@@ -310,9 +315,12 @@ def _wide_rows_as_long(width: int, chunks: _Chunks, cells: list[tuple[str, int]]
             if country in seen:
                 raise ValidationError(f"duplicate country row for {country!r}")
             seen.add(country)
-            meta = [row[m] for m in meta_idx]
-            long_rows.extend([row[0], year, row[i], *meta] for year, i in cells)
-        yield long_rows, lambda n, line=line: line(n // len(cells))
+        for first in range(0, len(rows), per_batch):
+            long_rows: list[list[str]] = []
+            for row in rows[first:first + per_batch]:
+                meta = [row[m] for m in meta_idx]
+                long_rows.extend([row[0], year, row[i], *meta] for year, i in cells)
+            yield long_rows, lambda n, first=first, line=line: line(first + n // len(cells))
     if not seen:
         raise ValidationError("panel must have at least one country and one year")
 

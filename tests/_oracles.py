@@ -4,19 +4,24 @@ Everything here is deliberately naive: explicit normal equations, O(K^3)
 linkage re-scans over the raw distance matrix, brute-force distance loops, a
 differenced-series distance that forms both triangles, pure-Python forecast
 recursions, a bootstrap that materialises the full reps x periods index
-matrix, a row-by-row panel CSV reader, and a STAR fit that solves one
+matrix, a model confidence set that rebuilds every pair's bootstrap terms
+in each round, a row-by-row panel CSV reader, and a STAR fit that solves one
 country's equation at a time.
 """
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats
 
 from starclust.errors import NumericalError, ValidationError
+from starclust.evaluation import LossSeries, McsReport, _start_chunks
 from starclust.panel import (_LONG_HEADER, _META_COLUMNS, TemperaturePanel,
                              _parse_temperature, _zone_column, detect_format)
 from starclust.star import EquationFit
@@ -264,6 +269,127 @@ def gather_boot_means(matrix: np.ndarray, block: int, reps: int,
         sel = idx[start:start + chunk]
         boot_means[:, start:start + chunk] = matrix[:, sel].mean(axis=2)
     return boot_means
+
+
+# The moving-block bootstrap and the model confidence set as the package had
+# them before each pair's terms were formed once per call (verbatim, but for
+# names and docstrings): exact oracles for bootstrap sums and reports.
+
+def dense_boot_means(matrix: np.ndarray, block: int, reps: int,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """`starclust.evaluation._boot_means` as it was before it counted block
+    starts as floats in place: an int64 key copy, int64 counts and a float
+    copy of the counts per chunk."""
+    n_models, n_periods = matrix.shape
+    n_starts = n_periods - block + 1
+    tail = n_periods - (math.ceil(n_periods / block) - 1) * block
+    windows = sliding_window_view(matrix, block, axis=1)  # models x starts x block
+    full = windows.sum(axis=2)
+    last = windows[:, :, :tail].sum(axis=2)
+    total = sliding_window_view(matrix, n_periods, axis=1).sum(axis=2)[:, 0]
+    sums = np.empty((n_models, reps))
+    done = 0
+    for starts in _start_chunks(rng, n_periods, block, reps):
+        rows = len(starts)
+        # Offset each row's starts so one bincount counts every row at once.
+        keys = starts[:, :-1] + (np.arange(rows) * n_starts)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=rows * n_starts)
+        counts = counts.reshape(rows, n_starts).astype(float)
+        sums[:, done:done + rows] = full @ counts.T + last[:, starts[:, -1]]
+        done += rows
+    return total / n_periods, sums / n_periods
+
+
+def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
+                       reps: int = 10_000, block: int = 2, statistic: str = "SQ",
+                       seed: int = 0) -> McsReport:
+    """`starclust.mcs` as it was before each pair's terms were formed once per
+    call: every round rebuilds its active pairs' bootstrap differentials,
+    squares and valid-row copies."""
+    if not losses:
+        raise ValidationError("the confidence set needs at least one model")
+    if len(losses) == 1:
+        # One candidate has nothing to be tested against; it survives trivially.
+        return McsReport(statistic=statistic, reps=reps, block=block, seed=seed,
+                         alpha=alpha, eliminations=((losses[0].model, 1.0),),
+                         survivors=(losses[0].model,))
+    ids = [ls.model for ls in losses]
+    if len(set(ids)) != len(ids):
+        raise ValidationError("duplicate model ids in loss list")
+    periods = losses[0].periods
+    if any(ls.periods != periods for ls in losses[1:]):
+        raise ValidationError("loss series must share the same evaluation periods")
+    n_periods = len(periods)
+    if reps < 100:
+        raise ValidationError(f"need at least 100 bootstrap replications, got {reps}")
+    if not 1 <= block <= n_periods:
+        raise ValidationError(f"block length {block} outside [1, {n_periods}]")
+    if not 0 < alpha < 1:
+        raise ValidationError(f"alpha must be inside (0, 1), got {alpha}")
+    if statistic not in ("SQ", "R"):
+        raise ValidationError(f"statistic must be 'SQ' or 'R', got {statistic!r}")
+
+    matrix = np.vstack([ls.values for ls in losses])
+    # Resampled per-model means, computed once and centred; pairwise
+    # differentials derive from them because d_ij(t) = L_i(t) - L_j(t).
+    # Overflow (losses near the float range) makes some pair's variance
+    # non-finite, which the loop below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        full_means, centered = dense_boot_means(matrix, block, reps, np.random.default_rng(seed))
+        centered -= full_means[:, None]
+    rounding = 2 * np.finfo(float).eps * matrix.max(axis=1)  # losses are >= 0
+
+    active = np.arange(len(ids))
+    eliminations: list[tuple[str, float]] = []
+    running_p = 0.0
+    degenerate_pairs: set[tuple[int, int]] = set()
+
+    while len(active) > 1:
+        # Each pair of active models once, the model listed first as a.
+        i, j = np.triu_indices(len(active), k=1)
+        a, b = active[i], active[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff_boot = centered[a] - centered[b]  # pairs x reps
+            var = (diff_boot ** 2).mean(axis=1)
+            flat = np.ptp(matrix[a] - matrix[b], axis=1) <= np.maximum(rounding[a], rounding[b])
+        bad = np.flatnonzero(~np.isfinite(var))
+        if bad.size:
+            raise NumericalError("non-finite bootstrap variance for models "
+                                 f"{ids[a[bad[0]]]!r} and {ids[b[bad[0]]]!r}")
+        valid = (var > 0) & ~flat
+        degenerate_pairs.update(zip(a[~valid].tolist(), b[~valid].tolist()))
+        i, j, diff_boot, var = i[valid], j[valid], diff_boot[valid], var[valid]
+        se = np.sqrt(var)
+        tstat = (full_means[active[i]] - full_means[active[j]]) / se
+        if statistic == "SQ":
+            observed_stat = float((tstat ** 2).sum())
+            null_stats = (diff_boot ** 2 / var[:, None]).sum(axis=0)
+        else:
+            observed_stat = float(np.abs(tstat).max(initial=0.0))
+            null_stats = (np.abs(diff_boot) / se[:, None]).max(axis=0, initial=0.0)
+
+        hits = int(np.sum(null_stats >= observed_stat))
+        running_p = max(running_p, (1 + hits) / (reps + 1))
+
+        # A model's worst t against the others: t_ab for a, t_ba = -t_ab for b.
+        # With every pair degenerate all stay -inf and the first listed goes.
+        worst = np.full(len(active), -np.inf)
+        np.maximum.at(worst, i, tstat)
+        np.maximum.at(worst, j, -tstat)
+        out = int(np.argmax(worst))
+        eliminations.append((ids[active[out]], running_p))
+        active = np.delete(active, out)
+
+    eliminations.append((ids[active[0]], 1.0))
+    if degenerate_pairs:
+        listed = sorted((ids[p], ids[q]) for p, q in degenerate_pairs)[:5]
+        warnings.warn(f"zero bootstrap variance for model pairs {listed}; "
+                      f"their statistic contribution was set to 0", RuntimeWarning)
+
+    survivors = tuple(model for model, p in eliminations if p >= alpha)
+    return McsReport(statistic=statistic, reps=reps, block=block, seed=seed,
+                     alpha=alpha, eliminations=tuple(eliminations),
+                     survivors=survivors)
 
 
 # Row-by-row panel reader: `_read_rows`, `_load_long` and `_load_wide` as the

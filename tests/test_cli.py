@@ -829,6 +829,22 @@ class TestImportFootprint:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
 
+    @pytest.mark.parametrize("argv, loaded", [
+        ((), False), (("cluster", "--scheme", "C"), False), (("evaluate",), True),
+    ], ids=["bare-import", "cluster-C", "evaluate"])
+    def test_numpy_random_loaded_only_for_the_bootstrap(self, dataset, tmp_path, argv, loaded):
+        # Importing numpy.random costs ~17 ms and ~6 MiB of peak RSS in a fresh
+        # interpreter; only the MCS bootstrap draws from it.
+        script = ("import sys\n"
+                  "from starclust.cli import main\n"
+                  "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+                  "print('numpy.random' in sys.modules)\n"
+                  "sys.exit(code)\n")
+        args = (*argv, "--config", str(dataset["config"]), "--out", str(tmp_path)) if argv else ()
+        result = self.fresh_python(script, *args)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.splitlines()[-1] == str(loaded)
+
     @pytest.mark.skipif(not (sys.platform.startswith("linux") and _blas_is_openblas()),
                         reason="needs Linux /proc and an OpenBLAS-linked numpy")
     def test_evaluate_runs_on_one_thread(self, dataset, tmp_path):

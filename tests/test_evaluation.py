@@ -14,7 +14,7 @@ from starclust.evaluation import (_REP_CHUNK, _boot_means, _start_chunks,
                                   write_report_csv, write_report_json)
 from conftest import fixed_builder, make_panel
 
-from _oracles import gather_boot_means, simulate_star
+from _oracles import dense_boot_means, gather_boot_means, round_by_round_mcs, simulate_star
 
 # Eliminations recorded from the index-matrix implementation mcs replaced.
 GOLDEN_MCS = json.loads((Path(__file__).parent / "data" / "mcs_golden.json")
@@ -132,6 +132,20 @@ class TestOosExperiment:
         fc = forecast(fit_star(train, ring(panel.ids)), train, 5)
         assert out.fn["NN"] == pytest.approx(
             frobenius_norm(test.values[:, :5], fc.levels), abs=1e-12)
+
+    def test_observation_losses_share_one_period_tuple(self):
+        panel, _ = self.make_panel_and_builder()
+        labels = panel.ids
+        builder = fixed_builder({"NN": ring(labels), "dC": ring(labels, kind="dC")})
+        out = oos_experiment(panel, builder, origin_year=1999, horizon=5,
+                             granularity="observation")
+        first, second = out.losses["NN"], out.losses["dC"]
+        assert first.periods is second.periods
+        assert first.periods == tuple((year, cid) for year in range(2000, 2005)
+                                      for cid in labels)
+        for kind, series in out.losses.items():
+            np.testing.assert_allclose(series.values.reshape(5, -1).sum(axis=1),
+                                       out.year_losses[kind].values, rtol=1e-12, atol=0)
 
     def test_bad_horizon(self):
         panel, builder = self.make_panel_and_builder()
@@ -384,6 +398,22 @@ class TestStreamingBootstrap:
         np.testing.assert_allclose(boot, expected, rtol=1e-12, atol=0)
         np.testing.assert_allclose(means, matrix.mean(axis=1), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n, block, spike", MEANS_CASES,
+                             ids=[f"{n}-{block}" + "-spike" * spike
+                                  for n, block, spike in MEANS_CASES])
+    def test_sums_equal_dense_kernel(self, n, block, spike):
+        # Counting starts as floats in place must not move one bit of any sum.
+        rng = np.random.default_rng(n + block)
+        matrix = rng.gamma(2.0, 1e-3 if spike else 1.0, (7, n))
+        if spike:
+            matrix[0, 0] = 1e6
+        for reps in (300, _REP_CHUNK, 130):
+            means, boot = _boot_means(matrix, block, reps, np.random.default_rng(1))
+            expected_means, expected = dense_boot_means(matrix, block, reps,
+                                                        np.random.default_rng(1))
+            assert np.array_equal(boot, expected)
+            assert np.array_equal(means, expected_means)
+
     def test_block_spanning_the_sample_redraws_the_mean_exactly(self):
         matrix = np.random.default_rng(5).random((3, 500))
         means, boot = _boot_means(matrix, 500, 100, np.random.default_rng(0))
@@ -408,8 +438,9 @@ class TestStreamingBootstrap:
     def test_peak_memory_is_bounded(self):
         # At 3,696 periods a reps x periods int64 index matrix alone would
         # take 282 MiB. At 22 periods, rounds that formed models x models x
-        # reps tensors peaked at 12.3 MiB; testing each pair once needs ~6.
-        for n_periods, bound_mib in ((3696, 64), (22, 8)):
+        # reps tensors peaked at 12.3 MiB, rebuilding each active pair's
+        # terms every round at 5.35; forming them once per call takes 2.15.
+        for n_periods, bound_mib in ((3696, 64), (22, 3)):
             losses = seven_model_losses(0, n_periods)
             tracemalloc.start()
             try:
@@ -418,6 +449,70 @@ class TestStreamingBootstrap:
             finally:
                 tracemalloc.stop()
             assert peak < bound_mib * 2**20, n_periods
+
+
+def mcs_outcome(fn, losses, **kwargs):
+    """An MCS call's report, or ("error", message) when it raises, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report = fn(losses, **kwargs)
+        except NumericalError as exc:
+            report = ("error", str(exc))
+    return report, [(w.category, str(w.message)) for w in caught]
+
+
+def mixed_losses(seed, n_periods):
+    """Six models: `twin` duplicates `base` (zero variance), `shift` adds a
+    dyadic constant to it (a flat differential), `ulp-twin` is `ulp` moved
+    by rounding alone (flat to within rounding), and `noisy` is informative."""
+    rng = np.random.default_rng(seed)
+    base = np.round(rng.gamma(2.0, 1.0, n_periods) * 64) / 64
+    values = {"base": base, "twin": base.copy(), "shift": base + 0.25,
+              "ulp": rng.random(n_periods) + 1,
+              "noisy": base + rng.gamma(2.0, 1.5, n_periods)}
+    values["ulp-twin"] = values["ulp"] - 1 + 1
+    return [loss(model, v, periods=range(n_periods)) for model, v in values.items()]
+
+
+MCS_ORACLE_CASES = [
+    *[(f"seven-{n}-{seed}-b{block}", seven_model_losses(seed, n), block)
+      for n, seed, block in [(22, 0, 2), (22, 5, 1), (23, 7, 3), (60, 11, 2),
+                             (200, 3, 5), (3696, 2, 2), (40, 9, 40)]],
+    *[(f"mixed-{n}-{seed}", mixed_losses(seed, n), 2)
+      for n, seed in [(22, 0), (30, 1), (300, 2)]],
+    ("all-flat", [loss(m, np.arange(22) % 7 / 8 + k) for k, m in enumerate("abcd")], 2),
+    ("pair-only", [loss("a", np.full(10, 0.1)), loss("b", np.full(10, 0.3))], 2),
+    ("overflow-means", [loss("a", np.array([1e308, 0.0])),
+                        loss("b", np.array([0.0, 1e308]))], 1),
+    ("overflow-third", [loss("a", np.array([0.0, 0.0])), loss("b", np.array([1.0, 2.0])),
+                        loss("c", np.array([0.0, 1e308]))], 1),
+    ("overflow-variance", [loss("a", np.array([1e200, 0.0])),
+                           loss("b", np.array([0.0, 1e200]))], 1),
+]
+
+
+class TestMcsMatchesRoundByRound:
+    @pytest.mark.parametrize("statistic", ["SQ", "R"])
+    @pytest.mark.parametrize("losses, block", [case[1:] for case in MCS_ORACLE_CASES],
+                             ids=[case[0] for case in MCS_ORACLE_CASES])
+    def test_same_report_warnings_and_errors(self, losses, block, statistic):
+        kwargs = dict(reps=700, block=block, statistic=statistic, seed=4, alpha=0.05)
+        got = mcs_outcome(mcs, losses, **kwargs)
+        assert got == mcs_outcome(round_by_round_mcs, losses, **kwargs)
+
+    def test_cases_cover_degenerate_pairs_and_errors(self):
+        outcomes = {name: mcs_outcome(mcs, losses, reps=700, block=block, seed=4)
+                    for name, losses, block in MCS_ORACLE_CASES}
+        assert [name for name, (report, _) in outcomes.items()
+                if not isinstance(report, McsReport)] == [
+            "overflow-means", "overflow-third", "overflow-variance"]
+        warned = {name for name, (_, caught) in outcomes.items() if caught}
+        assert warned == {"seven-40-9-b40", "mixed-22-0", "mixed-30-1", "mixed-300-2",
+                          "all-flat", "pair-only"}
+        # Mixed cases keep informative pairs beside the degenerate ones.
+        assert all(len(outcomes[name][0].survivors) < 6
+                   for name in ("mixed-22-0", "mixed-30-1", "mixed-300-2"))
 
 
 class TestReports:

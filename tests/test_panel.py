@@ -550,6 +550,27 @@ class TestLoaderMemory:
         assert panel.values.shape == (800, 122)
         assert peak < 8 * 2**20
 
+    def test_wide_load_stays_near_its_long_twin(self, tmp_path):
+        # The same 800 x 122 panel written wide is one chunk of 800 rows.
+        # Recast as long rows all at once it peaked 15.1 MiB above the long
+        # file; recast about a chunk of long rows at a time, 4.9 MiB above,
+        # which is the wide rows themselves.
+        rng = np.random.default_rng(0)
+        panel = make_panel(rng.normal(15.0, 8.0, (800, 122)), first_year=1901)
+        peaks, loaded = {}, {}
+        for fmt in ("long", "wide"):
+            path = tmp_path / f"{fmt}.csv"
+            write_panel(panel, path, fmt=fmt)
+            tracemalloc.start()
+            try:
+                loaded[fmt] = load_panel(path)
+                _, peaks[fmt] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert loaded["wide"].ids == loaded["long"].ids
+        assert np.array_equal(loaded["wide"].values, loaded["long"].values)
+        assert peaks["wide"] < peaks["long"] + 6 * 2**20
+
 
 class TestLoadWide:
     def test_basic(self, tmp_path):
