@@ -173,9 +173,9 @@ def _write_scheme(result: pipeline.SchemeResult, panel: TemperaturePanel,
                   out: Path) -> clustering.ClusterAssignment:
     """Write one scheme's dendrogram, assignment, summary and feature files.
 
-    Only the assignment is returned, so the distance matrix, dendrogram and
-    features (5 MiB and more at K = 800) are freed before a companion scheme
-    is computed.
+    Only the assignment is returned, so the dendrogram and features are
+    freed before a companion scheme is computed. The distance matrix (5 MiB
+    at K = 800) was linked in place and is already gone.
     """
     scheme, assign = result.scheme, result.assignment
     features = pipeline.scheme_features(result, panel)
@@ -284,8 +284,10 @@ def _mcs(cfg: RunConfig, losses: list[evaluation.LossSeries]) -> evaluation.McsR
 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
                  adjacency: np.ndarray | None, out: Path) -> int:
-    full_weights = pipeline.build_weights(panel, cfg, weights.KINDS, adjacency)
-    in_sample = evaluation.in_sample_fn(panel, full_weights)
+    # The full-sample weights (7 N x N matrices) are freed once their norms
+    # are known, before the out-of-sample run builds its own.
+    in_sample = evaluation.in_sample_fn(
+        panel, pipeline.build_weights(panel, cfg, weights.KINDS, adjacency))
     oos = _run_oos(cfg, panel, adjacency)
     report = evaluation.build_report(in_sample, oos, _mcs(cfg, list(oos.losses.values())))
     evaluation.write_report_csv(report, out / "report.csv")

@@ -8,9 +8,10 @@ to the input ordering even on integer-valued (Hamming) matrices.
 
 Linkage caches each row's nearest neighbour (the generic algorithm of
 Muellner 2011, arXiv:1109.2378), so a merge costs O(K) plus a rescan of the
-rows it invalidates: O(K^2) time for K items in the typical case, with a
-K x K working matrix. Heights and tie-breaks are exactly those of a full
-rescan of the Lance-Williams distances at every step.
+rows it invalidates: O(K^2) time for K items in the typical case. It works
+on one K x K matrix: a copy of the distances, or the distances themselves
+when the caller gives them up. Heights and tie-breaks are exactly those of a
+full rescan of the Lance-Williams distances at every step.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ class Dendrogram:
         return sorted(members.values(), key=lambda leaves: min(leaves))
 
 
-def agglomerate(dist: DistanceMatrix) -> Dendrogram:
+def agglomerate(dist: DistanceMatrix, consume: bool = False) -> Dendrogram:
     """Build the average-linkage (UPGMA) merge sequence for a distance matrix.
 
     Inter-cluster distances are maintained with the Lance-Williams update
@@ -80,15 +81,24 @@ def agglomerate(dist: DistanceMatrix) -> Dendrogram:
     Each live row caches its nearest neighbour, the first minimum of the row.
     A merge recomputes only the merged row and the rows whose neighbour was
     one of the pair; every other row compares its cache with the new column.
+
+    With `consume`, a matrix whose labels are already sorted is linked in
+    place and its values are overwritten: the caller gives `dist` up and must
+    not read it again. Otherwise, or when the labels need reordering, the
+    linkage works on a copy.
     """
     k = dist.size
     if k < 2:
         raise ValidationError(f"clustering needs at least 2 items, got {k}")
-    if not np.all(np.isfinite(dist.values)):
-        raise ValidationError("distance matrix contains non-finite entries")
 
     order = sorted(range(k), key=dist.labels.__getitem__)
-    work = dist.values[np.ix_(order, order)]
+    if order != list(range(k)):
+        work = dist.values[np.ix_(order, order)]
+    elif consume and dist.values.base is None:
+        work = dist.values
+        work.setflags(write=True)
+    else:
+        work = dist.values.copy()
     np.fill_diagonal(work, np.inf)
     node_of = order
     sizes = [1] * k

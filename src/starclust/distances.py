@@ -1,7 +1,9 @@
 """The three dissimilarity matrices: warming-rate gap, variation gap, sign mismatch.
 
 All matrices are exactly symmetric with a zero diagonal. Hamming distances are
-integer counts widened to float in the shared matrix type.
+integer counts widened to float in the shared matrix type. Each matrix is
+formed in its own output array and checked without a K x K temporary, so
+building one holds a single 8K^2-byte matrix.
 """
 from __future__ import annotations
 
@@ -15,11 +17,13 @@ from .panel import TemperaturePanel
 from .trends import TrendFit, panel_differences, sign_sequence
 
 METRICS = ("slope", "diff", "hamming")
-# Rows of pairwise gaps formed at once in diff_distance. A block's temporary
-# holds _ROW_BLOCK x K x (T-1) doubles: 3.1 MB at K = 800, T = 122, which
-# stays in cache, where 32 rows (24.8 MB) did not. Measured best of 1, 2, 4,
-# 8 and 32 rows at K = 168 and K = 800.
-_ROW_BLOCK = 4
+# Rows of pairwise gaps formed at once in diff_distance, in one reused
+# buffer of _ROW_BLOCK x K x (T-1) doubles: 0.77 MB at K = 800, T = 122.
+# Blocks of 1, 2, 4, 8 and 16 rows give bit-identical sums, and 1 or 2 rows
+# were the fastest at K = 168 and K = 800.
+_ROW_BLOCK = 1
+# Rows compared at once in the symmetry check (a _SYMMETRY_BLOCK x K bool).
+_SYMMETRY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -41,14 +45,18 @@ class DistanceMatrix:
             raise ValidationError(f"distance matrix shape {values.shape} does not match {k} labels")
         if len(set(self.labels)) != k:
             raise ValidationError("distance labels must be unique")
-        if not np.all(np.isfinite(values)):
+        # min() and max() carry NaN, so neither check needs a K x K temporary.
+        low, high = (values.min(), values.max()) if k else (0.0, 0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValidationError("distance matrix contains non-finite entries")
-        if np.any(values < 0):
+        if low < 0:
             raise ValidationError("distance matrix contains negative entries")
         if np.any(np.diagonal(values) != 0.0):
             raise ValidationError("distance matrix diagonal must be exactly zero")
-        if not np.array_equal(values, values.T):
-            raise ValidationError("distance matrix must be exactly symmetric")
+        for start in range(0, k, _SYMMETRY_BLOCK):
+            stop = start + _SYMMETRY_BLOCK
+            if not np.array_equal(values[start:stop, start:], values[start:, start:stop].T):
+                raise ValidationError("distance matrix must be exactly symmetric")
         values.setflags(write=False)
 
     @property
@@ -61,7 +69,8 @@ def slope_distance(trends: Sequence[TrendFit], ids: Sequence[str]) -> DistanceMa
     if len(trends) != len(ids):
         raise ValidationError("one trend fit per id is required")
     slopes = np.array([fit.slope for fit in trends], dtype=float)
-    values = np.abs(slopes[:, None] - slopes[None, :])
+    values = np.subtract.outer(slopes, slopes)
+    np.abs(values, out=values)
     np.fill_diagonal(values, 0.0)
     return DistanceMatrix(metric="slope", labels=tuple(ids), values=values)
 
@@ -71,27 +80,30 @@ def diff_distance(panel: TemperaturePanel) -> DistanceMatrix:
 
     Only the upper triangle is formed: each block of _ROW_BLOCK rows is
     compared with itself and the later rows, and the block is mirrored into
-    the lower triangle. The temporary holds at most _ROW_BLOCK x K x (T-1)
-    values. (b - a)**2 equals (a - b)**2 exactly and the sum over years runs
-    in the same order for every pair, so the matrix is bit for bit the one a
-    whole K x K x (T-1) tensor gives, and exactly symmetric. A distance that
-    overflows is a NumericalError naming the country with the most of them.
+    the lower triangle. The gaps go to one buffer of _ROW_BLOCK x K x (T-1)
+    values, reused by every block. (b - a)**2 equals (a - b)**2 exactly and
+    the sum over years runs in the same order for every pair, so the matrix
+    is bit for bit the one a whole K x K x (T-1) tensor gives, and exactly
+    symmetric. A distance that overflows is a NumericalError naming the
+    country with the most of them.
     """
     diffs = panel_differences(panel)
     k = diffs.shape[0]
     values = np.empty((k, k))
+    buffer = np.empty((min(_ROW_BLOCK, k), k, diffs.shape[1]))
     # Overflow (differences near the float range) is caught by the check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, k, _ROW_BLOCK):
-            stop = start + _ROW_BLOCK
-            gaps = diffs[start:stop, None, :] - diffs[None, start:, :]
-            block = np.sqrt(np.einsum("ijt,ijt->ij", gaps, gaps))
+            stop = min(start + _ROW_BLOCK, k)
+            gaps = np.subtract(diffs[start:stop, None, :], diffs[None, start:, :],
+                               out=buffer[:stop - start, :k - start])
+            block = np.einsum("ijt,ijt->ij", gaps, gaps)
+            np.sqrt(block, out=block)
             values[start:stop, start:] = block
             values[start:, start:stop] = block.T
     np.fill_diagonal(values, 0.0)
-    overflows = ~np.isfinite(values)
-    if overflows.any():
-        worst = np.count_nonzero(overflows, axis=1).argmax()
+    if k and not np.isfinite(values.max()):
+        worst = np.count_nonzero(~np.isfinite(values), axis=1).argmax()
         raise NumericalError(f"non-finite difference distances for {panel.ids[worst]}")
     return DistanceMatrix(metric="diff", labels=panel.ids, values=values)
 
@@ -103,16 +115,20 @@ def hamming_distance(signs: Sequence[np.ndarray], ids: Sequence[str]) -> Distanc
     lengths = {len(s) for s in signs}
     if len(lengths) > 1:
         raise ValidationError(f"sign strings have mixed lengths: {sorted(lengths)}")
-    bits = np.asarray(signs, dtype=float)
+    bits = np.array(signs, dtype=float, ndmin=2)
     if np.any((bits != 0.0) & (bits != 1.0)):
         raise ValidationError("sign strings must hold only 0 and 1")
-    # Positions where i has 1 and j has 0, plus the reverse, without a
-    # K x K x (T-1) tensor. Every partial sum is an integer count at most T,
-    # exact in float64 below 2**53, so the product is the same in any
-    # summation order BLAS picks, and the sum with its transpose is exactly
-    # symmetric.
-    ones_then_zeros = bits @ (1.0 - bits).T
-    values = ones_then_zeros + ones_then_zeros.T
+    # Mismatches n1_i + n1_j - 2 (B B')_ij, from the ones each string holds
+    # and the ones two strings share, formed in place in the product's output.
+    # Every partial sum and every term is an integer count at most 2T, exact
+    # in float64 below 2**53, so the product is the same in any summation
+    # order BLAS picks, the matrix is exactly symmetric, and it equals the
+    # count of positions where i has 1 and j has 0, plus the reverse.
+    ones = bits.sum(axis=1)
+    values = bits @ bits.T
+    values *= -2.0
+    values += ones[:, None]
+    values += ones[None, :]
     return DistanceMatrix(metric="hamming", labels=tuple(ids), values=values)
 
 

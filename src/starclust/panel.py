@@ -41,7 +41,9 @@ _LONG_HEADER = ("country", "year", "temperature")
 # Years are parsed as 64-bit integers.
 _YEAR_MIN, _YEAR_MAX = -2**63, 2**63 - 1
 _META_COLUMNS = ("name", "zone", "area")
-_ROW_CHUNK = 1024  # non-blank CSV rows read and parsed at once
+# Long-format rows read and parsed at once; a wider file's chunks hold about
+# as many cells, _ROW_CHUNK * len(_LONG_HEADER), in fewer rows.
+_ROW_CHUNK = 1024
 
 # Chunks of data rows, each with `line(i)`: the physical line of its row i.
 _Chunks = Iterator[tuple[list[list[str]], Callable[[int], int]]]
@@ -151,11 +153,13 @@ def _collector_paused(loader: Callable) -> Callable:
 
 
 def _csv_chunks(path: Path) -> Iterator[list[list[str]]]:
-    """The file's non-blank rows, header included, `_ROW_CHUNK` at a time.
+    """The file's non-blank rows, header included, about a chunk of cells at a time.
 
-    A row is blank when all its cells are empty or whitespace. An undecodable
-    byte or a malformed row raises ValidationError once the reader reaches
-    it, after the chunks before it were yielded.
+    A chunk holds `_ROW_CHUNK` rows as wide as the long header, and fewer of
+    a wider header's rows: a wide panel row holds a cell per year. A row is
+    blank when all its cells are empty or whitespace. An undecodable byte or
+    a malformed row raises ValidationError once the reader reaches it, after
+    the chunks before it were yielded.
     """
     if not path.exists():
         raise ValidationError(f"file not found: {path}")
@@ -163,16 +167,24 @@ def _csv_chunks(path: Path) -> Iterator[list[list[str]]]:
         reader = csv.reader(fh)
         rows, texts = tee(reader)
         rows = compress(rows, map(str.strip, map("".join, texts)))
-        while True:
+
+        def take(n: int) -> list[list[str]]:
             try:
-                chunk = list(islice(rows, _ROW_CHUNK))
+                return list(islice(rows, n))
             except UnicodeDecodeError:
                 raise undecodable(path) from None
             except csv.Error as exc:
                 raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
-            if not chunk:
-                return
+
+        chunk = take(1)
+        if not chunk:
+            return
+        width = max(len(chunk[0]), len(_LONG_HEADER))
+        size = max(1, _ROW_CHUNK * len(_LONG_HEADER) // width)
+        chunk += take(size - 1)
+        while chunk:
             yield chunk
+            chunk = take(size)
 
 
 def _data_line(path: Path, i: int) -> int:
@@ -236,7 +248,7 @@ def load_panel(path: str | Path) -> TemperaturePanel:
     with year columns), told apart by `detect_format`. A wide file is checked
     for its layout only, then validated as the long rows it holds.
 
-    The file is parsed `_ROW_CHUNK` rows at a time. A fault found mid-stream
+    The file is parsed a chunk of `_csv_chunks` at a time. A fault found mid-stream
     need not be the one a whole-file read reports first: an undecodable byte
     further on, or a wide file's repeated country row, comes before a bad
     cell. So a file that fails a check is loaded again as one chunk, where
@@ -301,12 +313,11 @@ def _wide_rows_as_long(width: int, chunks: _Chunks, cells: list[tuple[str, int]]
                        meta_idx: list[int]) -> _Chunks:
     """Recast each chunk of wide rows as long rows; the repeat check spans chunks.
 
-    A chunk's rows all pass the wide checks before any is recast. Its long
-    rows are then yielded about `_ROW_CHUNK` at a time, whole wide rows per
-    batch, so they never take much more memory than a chunk of a long file.
+    A chunk's rows all pass the wide checks before any is recast. A chunk
+    holds about as many cells as a long file's chunk, so its long rows take
+    about as much memory as a long chunk's rows.
     """
     seen: set[str] = set()
-    per_batch = max(1, _ROW_CHUNK // len(cells))
     for rows, line in chunks:
         for n, row in enumerate(rows):
             if len(row) < width:
@@ -315,12 +326,11 @@ def _wide_rows_as_long(width: int, chunks: _Chunks, cells: list[tuple[str, int]]
             if country in seen:
                 raise ValidationError(f"duplicate country row for {country!r}")
             seen.add(country)
-        for first in range(0, len(rows), per_batch):
-            long_rows: list[list[str]] = []
-            for row in rows[first:first + per_batch]:
-                meta = [row[m] for m in meta_idx]
-                long_rows.extend([row[0], year, row[i], *meta] for year, i in cells)
-            yield long_rows, lambda n, first=first, line=line: line(first + n // len(cells))
+        long_rows: list[list[str]] = []
+        for row in rows:
+            meta = [row[m] for m in meta_idx]
+            long_rows.extend([row[0], year, row[i], *meta] for year, i in cells)
+        yield long_rows, lambda n, line=line: line(n // len(cells))
     if not seen:
         raise ValidationError("panel must have at least one country and one year")
 

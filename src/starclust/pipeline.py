@@ -11,6 +11,12 @@ Each scheme cuts the average-linkage dendrogram so that exactly k clusters of
 at least min_size countries remain; smaller components become idiosyncratic.
 Scheme A clusters are renumbered by mean slope, fastest warming first.
 Every recipe reads k, min_size, the trend alpha and rescaling from a `RunConfig`.
+
+Ownership of distance matrices: `compute_scheme` links in place a matrix it
+computed itself, which nobody else sees, so clustering one scheme holds one
+K x K matrix. It links a copy of a matrix its caller passes in and keeps.
+`build_weights` holds the scheme B and C matrices that its weights need and
+lends them to `compute_scheme` that way. A scheme result keeps no distances.
 """
 from __future__ import annotations
 
@@ -38,17 +44,19 @@ class SchemeResult:
     scheme: str
     assignment: ClusterAssignment
     dendrogram: Dendrogram
-    distance: DistanceMatrix
     trends: dict[str, TrendFit] | None  # fitted for scheme A, None otherwise
 
 
 def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
-                   rule: CutRule | None = None) -> SchemeResult:
+                   rule: CutRule | None = None,
+                   distance: DistanceMatrix | None = None) -> SchemeResult:
     """Cluster the panel under one scheme with the run config's parameters.
 
     Scheme A tests slopes at `cfg.trend_alpha`. The default cut searches for
     exactly `cfg.cluster_count(scheme)` main clusters of at least
     `cfg.min_cluster_size` countries; an explicit CutRule replaces it whole.
+    A scheme B or C `distance` the caller already holds is linked as a copy
+    and left unchanged; without it, the matrix is computed and linked in place.
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -58,22 +66,29 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
     trends: dict[str, TrendFit] | None = None
     if scheme == "A":
         trends = fit_panel_trends(panel, alpha=cfg.trend_alpha)
-        kept = [cid for cid, fit in trends.items() if fit.significant]
-        if len(kept) < 2:
-            raise ValidationError("fewer than 2 countries with significant trends")
-        dist = slope_distance([trends[cid] for cid in kept], kept)
+        dist = _significant_slope_distance(trends)
+    elif distance is not None:
+        dist = distance
     elif scheme == "B":
         dist = diff_distance(panel)
     else:
         dist = sign_distance(panel)
 
-    dendro = agglomerate(dist)
+    dendro = agglomerate(dist, consume=dist is not distance)
     assignment = cut(dendro, rule, scheme=scheme, ids=panel.ids)
     if scheme == "A" and assignment.n_clusters > 0:
         slopes = np.array([fit.slope for fit in trends.values()])
         assignment = relabel_by_feature(assignment, slopes)
     return SchemeResult(scheme=scheme, assignment=assignment, dendrogram=dendro,
-                        distance=dist, trends=trends)
+                        trends=trends)
+
+
+def _significant_slope_distance(trends: dict[str, TrendFit]) -> DistanceMatrix:
+    """Scheme A's slope distances over the countries with significant slopes."""
+    kept = [cid for cid, fit in trends.items() if fit.significant]
+    if len(kept) < 2:
+        raise ValidationError("fewer than 2 countries with significant trends")
+    return slope_distance([trends[cid] for cid in kept], kept)
 
 
 def scheme_features(result: SchemeResult, panel: TemperaturePanel) -> np.ndarray:
@@ -96,44 +111,55 @@ def build_weights(panel: TemperaturePanel, cfg: RunConfig,
     """Construct the requested weight matrices of a run config, reusing scheme computations.
 
     Clustered kinds cut their scheme as `compute_scheme` does, and distances
-    are rescaled as `cfg.rescale_distances` and `cfg.rescale_rho` say. dA uses
-    slope distances over every country: the null-slope countries still have
-    estimated slopes.
+    are rescaled as `cfg.rescale_distances` and `cfg.rescale_rho` say. cA
+    uses the slope distances among the significant-slope countries that
+    scheme A clustered, recomputed from its trends; dA uses slope distances
+    over every country: the null-slope countries still have estimated slopes.
+    Scheme B and C matrices are computed once and shared by the clustering
+    and both weight kinds.
     """
     unknown = [kind for kind in kinds if kind not in KINDS]
     if unknown:
         raise ValidationError(f"unknown weight kinds {unknown}; expected among {KINDS}")
     cache = scheme_cache if scheme_cache is not None else {}
+    distances: dict[str, DistanceMatrix] = {}
     rescale, rho = cfg.rescale_distances, cfg.rescale_rho
+
+    def distance(scheme: str) -> DistanceMatrix:
+        if scheme not in distances:
+            distances[scheme] = diff_distance(panel) if scheme == "B" else sign_distance(panel)
+        return distances[scheme]
 
     def scheme_result(scheme: str) -> SchemeResult:
         if scheme not in cache:
-            cache[scheme] = compute_scheme(panel, scheme, cfg)
+            cache[scheme] = compute_scheme(
+                panel, scheme, cfg, distance=None if scheme == "A" else distance(scheme))
         return cache[scheme]
 
     def full_distance(scheme: str) -> DistanceMatrix:
         # Full-distance kinds need no dendrogram cut, only the metric itself;
-        # reuse a scheme result's trends or matrix when clustering already ran.
-        if scheme == "A":
-            fits = (cache["A"].trends if "A" in cache
-                    else fit_panel_trends(panel, alpha=cfg.trend_alpha))
-            return slope_distance([fits[cid] for cid in panel.ids], list(panel.ids))
-        if scheme in cache:
-            return cache[scheme].distance
-        return diff_distance(panel) if scheme == "B" else sign_distance(panel)
+        # reuse scheme A's trends when clustering already ran.
+        if scheme != "A":
+            return distance(scheme)
+        fits = (cache["A"].trends if "A" in cache
+                else fit_panel_trends(panel, alpha=cfg.trend_alpha))
+        return slope_distance([fits[cid] for cid in panel.ids], list(panel.ids))
 
     out: dict[str, WeightMatrix] = {}
     for kind in kinds:
+        scheme = _scheme_of_kind(kind)
         if kind == "NN":
             if adjacency is None:
                 raise ValidationError("contiguity weights need an adjacency list")
             out[kind] = contiguity_weights(adjacency, panel)
         elif kind.startswith("c"):
-            result = scheme_result(_scheme_of_kind(kind))
-            out[kind] = cluster_restricted_weights(result.distance, result.assignment, panel,
+            result = scheme_result(scheme)
+            dist = (_significant_slope_distance(result.trends) if scheme == "A"
+                    else distance(scheme))
+            out[kind] = cluster_restricted_weights(dist, result.assignment, panel,
                                                    kind=kind, rescale=rescale, rho=rho)
         else:
-            out[kind] = distance_weights(full_distance(_scheme_of_kind(kind)), panel,
+            out[kind] = distance_weights(full_distance(scheme), panel,
                                          kind=kind, rescale=rescale, rho=rho)
     return out
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: explicit normal equations, O(K^3)
 linkage re-scans over the raw distance matrix, brute-force distance loops, a
-differenced-series distance that forms both triangles, pure-Python forecast
+differenced-series distance that forms both triangles, slope and Hamming
+distances through whole K x K temporaries, a linkage that always works on a
+reordered copy of its matrix, pure-Python forecast
 recursions, a bootstrap that materialises the full reps x periods index
 matrix, a model confidence set that rebuilds every pair's bootstrap terms
 in each round, a row-by-row panel CSV reader, and a STAR fit that solves one
@@ -20,6 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats
 
+from starclust.clustering import Dendrogram, Merge
+from starclust.distances import DistanceMatrix
 from starclust.errors import NumericalError, ValidationError
 from starclust.evaluation import LossSeries, McsReport, _start_chunks
 from starclust.panel import (_LONG_HEADER, _META_COLUMNS, TemperaturePanel,
@@ -98,6 +102,89 @@ def brute_hamming_distance(values: np.ndarray) -> np.ndarray:
         for j in range(n):
             out[i, j] = sum(1 for a, b in zip(signs[i], signs[j]) if a != b)
     return out
+
+
+def broadcast_slope_distance(trends, ids: Sequence[str]) -> DistanceMatrix:
+    """`slope_distance` as the package had it before it subtracted into its
+    output (verbatim): |b_i - b_j| through two K x K matrices."""
+    if len(trends) != len(ids):
+        raise ValidationError("one trend fit per id is required")
+    slopes = np.array([fit.slope for fit in trends], dtype=float)
+    values = np.abs(slopes[:, None] - slopes[None, :])
+    np.fill_diagonal(values, 0.0)
+    return DistanceMatrix(metric="slope", labels=tuple(ids), values=values)
+
+
+def two_product_hamming_distance(signs: Sequence[np.ndarray],
+                                 ids: Sequence[str]) -> DistanceMatrix:
+    """`hamming_distance` as the package had it before it formed the counts in
+    place (verbatim): the ones-then-zeros product plus its transpose."""
+    if len(signs) != len(ids):
+        raise ValidationError("one sign string per id is required")
+    lengths = {len(s) for s in signs}
+    if len(lengths) > 1:
+        raise ValidationError(f"sign strings have mixed lengths: {sorted(lengths)}")
+    bits = np.asarray(signs, dtype=float)
+    if np.any((bits != 0.0) & (bits != 1.0)):
+        raise ValidationError("sign strings must hold only 0 and 1")
+    # Positions where i has 1 and j has 0, plus the reverse, without a
+    # K x K x (T-1) tensor. Every partial sum is an integer count at most T,
+    # exact in float64 below 2**53, so the product is the same in any
+    # summation order BLAS picks, and the sum with its transpose is exactly
+    # symmetric.
+    ones_then_zeros = bits @ (1.0 - bits).T
+    values = ones_then_zeros + ones_then_zeros.T
+    return DistanceMatrix(metric="hamming", labels=tuple(ids), values=values)
+
+
+def copying_agglomerate(dist: DistanceMatrix) -> Dendrogram:
+    """`agglomerate` as the package had it before it could link in place
+    (verbatim): always on a sorted-label copy of the matrix."""
+    k = dist.size
+    if k < 2:
+        raise ValidationError(f"clustering needs at least 2 items, got {k}")
+    if not np.all(np.isfinite(dist.values)):
+        raise ValidationError("distance matrix contains non-finite entries")
+
+    order = sorted(range(k), key=dist.labels.__getitem__)
+    work = dist.values[np.ix_(order, order)]
+    np.fill_diagonal(work, np.inf)
+    node_of = order
+    sizes = [1] * k
+    nearest = work.argmin(axis=1)
+    nearest_d = work[np.arange(k), nearest]
+    merges: list[Merge] = []
+
+    for step in range(k - 1):
+        # The first row holding the smallest cached distance owns the
+        # smallest key, and its neighbour is a higher row.
+        i = int(nearest_d.argmin())
+        j = int(nearest[i])
+        new_size = sizes[i] + sizes[j]
+        merges.append(Merge(left=node_of[i], right=node_of[j],
+                            height=float(nearest_d[i]), size=new_size))
+
+        # Dead and diagonal entries are inf and stay inf through the update.
+        merged_row = (sizes[i] * work[i] + sizes[j] * work[j]) / new_size
+        work[i, :] = merged_row
+        work[:, i] = merged_row
+        work[j, :] = np.inf
+        work[:, j] = np.inf
+        node_of[i] = k + step
+        sizes[i] = new_size
+
+        stale = (nearest == i) | (nearest == j)
+        stale[i], stale[j] = True, False
+        nearest[j], nearest_d[j] = -1, np.inf
+        closer = (merged_row < nearest_d) | ((merged_row == nearest_d) & (i < nearest))
+        nearest[closer] = i
+        nearest_d[closer] = merged_row[closer]
+        rows = np.flatnonzero(stale)
+        best = work[rows].argmin(axis=1)
+        nearest[rows] = best
+        nearest_d[rows] = work[rows, best]
+
+    return Dendrogram(leaf_labels=dist.labels, merges=tuple(merges))
 
 
 def naive_linkage(values: np.ndarray, labels: list[str]) -> list[tuple[frozenset, frozenset, float]]:

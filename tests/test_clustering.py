@@ -16,8 +16,8 @@ from starclust import (ClusterAssignment, ContingencyTable, CutRule, Dendrogram,
 from starclust.clustering import (IDIOSYNCRATIC, NULL, assignment_to_json,
                                   dendrogram_to_json, write_contingency_csv)
 
-from _oracles import (dendrogram_leafset_merges, lance_williams_linkage,
-                      naive_linkage)
+from _oracles import (copying_agglomerate, dendrogram_leafset_merges,
+                      lance_williams_linkage, naive_linkage)
 from conftest import assignment_of, code_of, make_panel
 
 
@@ -187,6 +187,61 @@ class TestAgglomerate:
         other = agglomerate(permuted)
         assert np.array_equal(base.heights(), other.heights())
         assert label_merges(base) == label_merges(other)
+
+
+class TestLinkageInPlace:
+    """`agglomerate(dist, consume=True)` against the earlier linkage, which
+    always worked on a reordered copy of the matrix."""
+
+    @staticmethod
+    def sorted_copy(dist):
+        order = sorted(range(dist.size), key=dist.labels.__getitem__)
+        return DistanceMatrix(metric=dist.metric,
+                              labels=tuple(dist.labels[i] for i in order),
+                              values=dist.values[np.ix_(order, order)])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tie_heavy_hamming_linked_in_place(self, seed):
+        rng = np.random.default_rng(seed)
+        dist = self.sorted_copy(sign_string_distance(rng, int(rng.integers(2, 300)),
+                                                     int(rng.integers(1, 12))))
+        expected = copying_agglomerate(dist)
+        original = dist.values.copy()
+        assert agglomerate(dist, consume=True) == expected
+        # The sorted matrix was the working matrix, so its values are gone.
+        assert not np.array_equal(dist.values, original)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_matrix_linked_in_place(self, seed):
+        dist = random_distance(np.random.default_rng(seed), 60)
+        expected = copying_agglomerate(dist)
+        assert agglomerate(dist, consume=True) == expected
+
+    @pytest.mark.parametrize("consume", [False, True])
+    def test_reverse_sorted_labels_fall_back_to_a_copy(self, consume):
+        rng = np.random.default_rng(4)
+        bits = rng.integers(0, 2, (40, 6)).astype(np.uint8)
+        dist = hamming_distance(list(bits), [f"L{i:02d}" for i in reversed(range(40))])
+        original = dist.values.copy()
+        assert agglomerate(dist, consume=consume) == copying_agglomerate(dist)
+        assert np.array_equal(dist.values, original)
+        assert not dist.values.flags.writeable
+
+    def test_borrowed_view_is_copied(self):
+        # A matrix that is a view of the caller's array is never linked in place.
+        raw = random_distance(np.random.default_rng(1), 9).values.copy()
+        dist = DistanceMatrix(metric="diff", labels=[f"L{i}" for i in range(9)],
+                              values=raw[:, :])
+        expected = copying_agglomerate(dist)
+        assert agglomerate(dist, consume=True) == expected
+        assert np.array_equal(dist.values, raw)
+
+    def test_unconsumed_matrix_unchanged(self):
+        dist = random_distance(np.random.default_rng(2), 30)
+        original = dist.values.copy()
+        assert agglomerate(dist) == copying_agglomerate(dist)
+        assert np.array_equal(dist.values, original)
+        assert not dist.values.flags.writeable
 
 
 class TestLinkageAtTiesAndScale:

@@ -15,8 +15,9 @@ from starclust import (DistanceMatrix, ValidationError, diff_distance,
 from starclust.distances import _ROW_BLOCK
 from starclust.trends import TrendFit, panel_differences
 
-from _oracles import (brute_diff_distance, brute_hamming_distance,
-                      brute_slope_distance, square_diff_distance)
+from _oracles import (broadcast_slope_distance, brute_diff_distance,
+                      brute_hamming_distance, brute_slope_distance,
+                      square_diff_distance, two_product_hamming_distance)
 from conftest import make_panel
 
 
@@ -44,6 +45,39 @@ class TestDistanceMatrixType:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValidationError, match="metric"):
             DistanceMatrix(metric="cosine", labels=("a",), values=np.zeros((1, 1)))
+
+    # Each case breaks several checks at once; the message is the first of
+    # non-finite, negative, diagonal, symmetric that fails.
+    @pytest.mark.parametrize("values, message", [
+        ([[np.nan, 1.0], [1.0, 0.0]], "contains non-finite entries"),
+        ([[0.0, -np.inf], [1.0, 0.0]], "contains non-finite entries"),
+        ([[0.0, np.inf], [-1.0, 0.0]], "contains non-finite entries"),
+        ([[0.0, -1.0], [2.0, 0.0]], "contains negative entries"),
+        ([[1.0, -1.0], [-1.0, 0.0]], "contains negative entries"),
+        ([[1.0, 1.0], [2.0, 0.0]], "diagonal must be exactly zero"),
+    ], ids=["nan-on-diagonal", "minus-inf", "plus-inf-and-negative",
+            "asymmetric-and-negative", "negative-and-diagonal", "diagonal-and-asymmetric"])
+    def test_first_failing_check_names_the_fault(self, values, message):
+        with pytest.raises(ValidationError, match=f"^distance matrix {message}$"):
+            DistanceMatrix(metric="slope", labels=("a", "b"), values=np.array(values))
+
+    @pytest.mark.parametrize("k", [3, 64, 65, 130])
+    def test_asymmetry_found_in_any_row_block(self, k):
+        # Symmetry is compared a block of rows at a time; put the one
+        # mismatched pair in the last block.
+        values = np.ones((k, k)) - np.eye(k)
+        values[k - 1, k - 2] = 2.0
+        with pytest.raises(ValidationError, match="exactly symmetric"):
+            DistanceMatrix(metric="diff", labels=[f"c{i}" for i in range(k)], values=values)
+
+    def test_empty_matrix_accepted(self):
+        assert DistanceMatrix(metric="slope", labels=(), values=np.zeros((0, 0))).size == 0
+
+    def test_checked_matrix_is_read_only_and_not_copied(self):
+        values = np.array([[0.0, 1.0], [1.0, 0.0]])
+        dist = DistanceMatrix(metric="diff", labels=("a", "b"), values=values)
+        assert dist.values is values
+        assert not dist.values.flags.writeable
 
 
 class TestSlopeDistance:
@@ -213,3 +247,61 @@ class TestSlopeSubsetLabels:
         dist = slope_distance([fits[c] for c in kept], kept)
         assert dist.labels == tuple(kept)
         assert dist.size == 4
+
+
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit: np.array_equal, and the same sign on every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestInPlaceDistancesMatchOracles:
+    """The in-place slope and Hamming matrices against the package's earlier
+    code, which formed them through whole K x K temporaries."""
+
+    @pytest.mark.parametrize("t", [1, 2, 17, 121])
+    @pytest.mark.parametrize("k", [1, 2, 3, 69, 400])
+    def test_hamming_on_random_strings(self, k, t):
+        rng = np.random.default_rng(k * 1000 + t)
+        bits = rng.integers(0, 2, (k, t)).astype(np.uint8)
+        bits[::5] = 0  # all-0 rows
+        bits[1::7] = 1  # all-1 rows
+        ids = [f"c{i}" for i in range(k)]
+        got = hamming_distance(list(bits), ids)
+        assert bitwise_equal(got.values, two_product_hamming_distance(list(bits), ids).values)
+
+    @pytest.mark.parametrize("fill", [0, 1])
+    def test_hamming_on_constant_strings(self, fill):
+        bits = [np.full(121, fill, dtype=np.uint8)] * 4
+        ids = ["a", "b", "c", "d"]
+        got = hamming_distance(bits, ids).values
+        assert bitwise_equal(got, two_product_hamming_distance(bits, ids).values)
+        assert bitwise_equal(got, np.zeros((4, 4)))
+
+    def test_hamming_from_panel_signs(self, toy_panel):
+        bits = list(sign_sequence(panel_differences(toy_panel)))
+        assert bitwise_equal(sign_distance(toy_panel).values,
+                             two_product_hamming_distance(bits, toy_panel.ids).values)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 69, 400])
+    def test_slope_on_random_slopes(self, k):
+        rng = np.random.default_rng(k)
+        fits = [trend_with_slope(b) for b in rng.normal(0, 0.02, k)]
+        ids = [f"c{i}" for i in range(k)]
+        assert bitwise_equal(slope_distance(fits, ids).values,
+                             broadcast_slope_distance(fits, ids).values)
+
+    def test_slope_with_gaps_near_overflow(self):
+        # Gaps up to 1.6e308, just below the float range, and signed zeros.
+        slopes = [8e307, -8e307, 1e307, -0.0, 0.0, 5e-324, -5e-324]
+        fits = [trend_with_slope(b) for b in slopes]
+        ids = [f"c{i}" for i in range(len(slopes))]
+        got = slope_distance(fits, ids).values
+        assert bitwise_equal(got, broadcast_slope_distance(fits, ids).values)
+        assert got[0, 1] == 1.6e308
+
+    def test_slope_gap_past_overflow_rejected_alike(self):
+        fits = [trend_with_slope(b) for b in (1e308, -1e308)]
+        with np.errstate(over="ignore"):
+            for build in (slope_distance, broadcast_slope_distance):
+                with pytest.raises(ValidationError, match="non-finite entries"):
+                    build(fits, ["a", "b"])

@@ -1,11 +1,15 @@
 """Scheme computation and weight assembly over a shared panel."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from starclust import (KINDS, SCHEMES, CutRule, RunConfig,
                        ValidationError, build_weights, compute_scheme,
                        scheme_features, split_panel, weight_builder)
-from starclust.clustering import IDIOSYNCRATIC, NULL
+from starclust import pipeline
+from starclust.clustering import IDIOSYNCRATIC, NULL, agglomerate
+from starclust.distances import diff_distance, sign_distance
 from conftest import borders_of, make_panel
 
 
@@ -52,7 +56,7 @@ class TestComputeScheme:
     def test_scheme_c_sign_patterns(self, grouped_panel):
         res = compute_scheme(grouped_panel, "C", CFG)
         assign = res.assignment
-        assert res.distance.metric == "hamming"
+        assert res.dendrogram == agglomerate(sign_distance(grouped_panel))
         assert frozenset(assign.members(1)) == frozenset(GROUPS[1])
         assert frozenset(assign.members(2)) == frozenset(GROUPS[2])
         # Noise flips one change sign for C07 at a pattern boundary, so it
@@ -94,6 +98,63 @@ class TestComputeScheme:
         for cid, diff in zip(grouped_panel.ids, feats):
             row = grouped_panel.values[grouped_panel.id_index[cid]]
             assert np.array_equal(diff, row[1:] - row[:-1])
+
+
+class TestDistanceOwnership:
+    """A matrix the caller keeps is linked as a copy; one a scheme computes
+    itself is linked in place, so a scheme holds one K x K matrix."""
+
+    @pytest.mark.parametrize("scheme, build", [("B", diff_distance), ("C", sign_distance)])
+    def test_passed_distance_left_unchanged(self, grouped_panel, scheme, build):
+        dist = build(grouped_panel)
+        original = dist.values.copy()
+        res = compute_scheme(grouped_panel, scheme, CFG, distance=dist)
+        assert np.array_equal(dist.values.view(np.int64), original.view(np.int64))
+        assert not dist.values.flags.writeable
+        own = compute_scheme(grouped_panel, scheme, CFG)
+        assert res.dendrogram == own.dendrogram
+        assert np.array_equal(res.assignment.codes, own.assignment.codes)
+
+    def test_build_weights_lends_its_matrices_unchanged(self, grouped_panel, monkeypatch):
+        # Every B and C matrix build_weights computes is passed to the
+        # clustering, then read again by both weight kinds of its scheme.
+        built, lent = [], []
+        for name in ("diff_distance", "sign_distance"):
+            def record(panel, build=getattr(pipeline, name)):
+                built.append(build(panel))
+                return built[-1]
+            monkeypatch.setattr(pipeline, name, record)
+        compute = pipeline.compute_scheme
+
+        def spy(*args, **kwargs):
+            lent.append(kwargs.get("distance"))
+            return compute(*args, **kwargs)
+        monkeypatch.setattr(pipeline, "compute_scheme", spy)
+        build_weights(grouped_panel, CFG, adjacency=chain_adjacency(grouped_panel.ids))
+        assert [d.metric for d in built] == ["diff", "hamming"]
+        assert lent == [None, *built]
+        for dist, fresh in zip(built, (diff_distance(grouped_panel),
+                                       sign_distance(grouped_panel))):
+            assert np.array_equal(dist.values.view(np.int64), fresh.values.view(np.int64))
+            assert not dist.values.flags.writeable
+
+    @pytest.mark.parametrize("scheme", ["B", "C"])
+    def test_scheme_peak_allocation_is_one_matrix(self, scheme):
+        # K = 400 countries over 30 years: the 8 K^2-byte matrix is 1.22 MiB,
+        # the differences and the reused gap row 0.09 MiB each. Linked in
+        # place, each scheme peaked at 1.27 times the matrix (B) and 1.24
+        # times (C); with the matrix, its sorted copy and its temporaries,
+        # at 2.1 and 2.3 times.
+        k = 400
+        panel = make_panel(np.random.default_rng(7).normal(15, 5, (k, 30)),
+                           ids=[f"C{i:03d}" for i in range(k)])
+        tracemalloc.start()
+        try:
+            compute_scheme(panel, scheme, CFG, rule=CutRule.count(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 8 * k * k
 
 
 class TestBuildWeights:
