@@ -26,8 +26,7 @@ from .panel import (TemperaturePanel, attach_zones, load_adjacency, load_panel,
                     split_panel)
 from .pipeline import (SCHEMES, SchemeResult, build_weights, compute_scheme,
                        scheme_features, weight_builder)
-from .star import (EquationFit, FittedPanel, ForecastPanel, StarModel, fit_star,
-                   fitted_levels, forecast)
+from .star import EquationFit, StarModel, fit_star, fitted_levels, forecast
 from .trends import (TrendFit, fit_linear_trend, fit_panel_trends,
                      panel_differences, sign_sequence, student_t_sf2)
 from .weights import (KINDS, WeightMatrix, cluster_restricted_weights,
@@ -38,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusterAssignment", "ClusterStats", "ContingencyTable",
     "CutRule", "Dendrogram", "DistanceMatrix",
-    "EquationFit", "EvaluationReport", "FittedPanel", "ForecastPanel", "KINDS",
+    "EquationFit", "EvaluationReport", "KINDS",
     "LossSeries", "McsReport", "Merge", "NumericalError", "OosResult",
     "RunConfig", "SCHEMES", "SchemeResult", "StarModel", "StarclustError",
     "TemperaturePanel", "TrendFit", "ValidationError", "WeightMatrix",

@@ -239,11 +239,10 @@ def cmd_fit(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
     model = star.fit_star(panel, matrix)
     fitted = star.fitted_levels(model, panel)
     star.write_coefficients_csv(model, out / f"coefficients_{args.kind}.csv")
-    star.write_level_csv(fitted.countries, fitted.years, fitted.levels,
-                         out / f"fitted_{args.kind}.csv")
-    fn = evaluation.frobenius_norm(panel.values[:, 2:], fitted.levels)
+    star.write_level_csv(panel.ids, panel.years[2:], fitted, out / f"fitted_{args.kind}.csv")
+    fn = evaluation.frobenius_norm(panel.values[:, 2:], fitted)
     print(f"{args.kind}: in-sample Frobenius norm {fn:.1f} "
-          f"over {fitted.years[0]}-{fitted.years[-1]}")
+          f"over {panel.years[2]}-{panel.years[-1]}")
     flagged = model.nonstationary_countries()
     if flagged:
         print(f"note: |phi|+|psi| >= 1 for {len(flagged)} countries "
@@ -261,8 +260,8 @@ def cmd_forecast(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
         train, _ = split_panel(panel, origin)
     matrix = _build_kind(cfg, train, adjacency, args.kind)
     model = star.fit_star(train, matrix)
-    fc = star.forecast(model, train, cfg.horizon)
-    star.write_level_csv(fc.countries, fc.years, fc.levels,
+    years = tuple(range(origin + 1, origin + cfg.horizon + 1))
+    star.write_level_csv(train.ids, years, star.forecast(model, train, cfg.horizon),
                          out / f"forecast_{args.kind}.csv")
     print(f"{args.kind}: forecast {cfg.horizon} years from origin {origin}")
     print(f"wrote {out / f'forecast_{args.kind}.csv'}")

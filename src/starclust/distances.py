@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .panel import TemperaturePanel
-from .trends import TrendFit, panel_differences, sign_sequence
+from .trends import panel_differences, sign_sequence
 
 METRICS = ("slope", "diff", "hamming")
 # Rows of pairwise gaps formed at once in diff_distance, in one reused
@@ -64,11 +64,11 @@ class DistanceMatrix:
         return len(self.labels)
 
 
-def slope_distance(trends: Sequence[TrendFit], ids: Sequence[str]) -> DistanceMatrix:
+def slope_distance(slopes: np.ndarray, ids: Sequence[str]) -> DistanceMatrix:
     """Absolute slope gap |b_i - b_j| between estimated warming rates."""
-    if len(trends) != len(ids):
-        raise ValidationError("one trend fit per id is required")
-    slopes = np.array([fit.slope for fit in trends], dtype=float)
+    if len(slopes) != len(ids):
+        raise ValidationError("one slope per id is required")
+    slopes = np.asarray(slopes, dtype=float)
     values = np.subtract.outer(slopes, slopes)
     np.abs(values, out=values)
     np.fill_diagonal(values, 0.0)
@@ -108,14 +108,16 @@ def diff_distance(panel: TemperaturePanel) -> DistanceMatrix:
     return DistanceMatrix(metric="diff", labels=panel.ids, values=values)
 
 
-def hamming_distance(signs: Sequence[np.ndarray], ids: Sequence[str]) -> DistanceMatrix:
-    """Number of differing positions between equal-length binary sign strings."""
+def hamming_distance(signs: Sequence[np.ndarray] | np.ndarray,
+                     ids: Sequence[str]) -> DistanceMatrix:
+    """Number of differing positions between equal-length binary sign strings,
+    given as a sequence or as the rows of an N x T array."""
     if len(signs) != len(ids):
         raise ValidationError("one sign string per id is required")
     lengths = {len(s) for s in signs}
     if len(lengths) > 1:
         raise ValidationError(f"sign strings have mixed lengths: {sorted(lengths)}")
-    bits = np.array(signs, dtype=float, ndmin=2)
+    bits = np.array(signs, dtype=float).reshape(len(ids), max(lengths, default=0))
     if np.any((bits != 0.0) & (bits != 1.0)):
         raise ValidationError("sign strings must hold only 0 and 1")
     # Mismatches n1_i + n1_j - 2 (B B')_ij, from the ones each string holds
@@ -135,4 +137,4 @@ def hamming_distance(signs: Sequence[np.ndarray], ids: Sequence[str]) -> Distanc
 def sign_distance(panel: TemperaturePanel) -> DistanceMatrix:
     """Hamming distance over the panel's change-sign strings."""
     bits = sign_sequence(panel_differences(panel))
-    return hamming_distance(list(bits), panel.ids)
+    return hamming_distance(bits, panel.ids)

@@ -132,13 +132,13 @@ def oos_experiment(panel: TemperaturePanel,
     year_losses: dict[str, LossSeries] = {}
     periods = None  # the first model's per-observation periods, shared by the rest
     for kind, weights in weight_builder(train).items():
-        fc = forecast(fit_star(train, weights), train, horizon)
-        fn[kind] = frobenius_norm(test_values, fc.levels)
-        year_losses[kind] = loss_series(kind, test_values, fc.levels, test_years)
+        levels = forecast(fit_star(train, weights), train, horizon)
+        fn[kind] = frobenius_norm(test_values, levels)
+        year_losses[kind] = loss_series(kind, test_values, levels, test_years)
         if granularity == "year":
             losses[kind] = year_losses[kind]
             continue
-        losses[kind] = loss_series(kind, test_values, fc.levels, test_years,
+        losses[kind] = loss_series(kind, test_values, levels, test_years,
                                    countries=test.ids, granularity=granularity,
                                    periods=periods)
         periods = losses[kind].periods
@@ -152,9 +152,7 @@ def in_sample_fn(panel: TemperaturePanel,
     out: dict[str, float] = {}
     observed = panel.values[:, 2:]
     for kind, weights in weight_map.items():
-        model = fit_star(panel, weights)
-        fitted = fitted_levels(model, panel)
-        out[kind] = frobenius_norm(observed, fitted.levels)
+        out[kind] = frobenius_norm(observed, fitted_levels(fit_star(panel, weights), panel))
     return out
 
 

@@ -21,18 +21,19 @@ lends them to `compute_scheme` that way. A scheme result keeps no distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .clustering import (ClusterAssignment, CutRule, Dendrogram, agglomerate,
+from .clustering import (NULL, ClusterAssignment, CutRule, Dendrogram, agglomerate,
                          cut, relabel_by_feature)
 from .config import RunConfig
 from .distances import (DistanceMatrix, diff_distance, sign_distance,
                         slope_distance)
 from .errors import ValidationError
 from .panel import TemperaturePanel
-from .trends import TrendFit, fit_panel_trends, panel_differences
+from .trends import fit_panel_trends, panel_differences
 from .weights import (KINDS, WeightMatrix, cluster_restricted_weights,
                       contiguity_weights, distance_weights)
 
@@ -44,7 +45,7 @@ class SchemeResult:
     scheme: str
     assignment: ClusterAssignment
     dendrogram: Dendrogram
-    trends: dict[str, TrendFit] | None  # fitted for scheme A, None otherwise
+    slopes: np.ndarray | None  # scheme A's N slopes in panel order, None otherwise
 
 
 def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
@@ -63,10 +64,10 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
     if rule is None:
         rule = CutRule.main_count(cfg.cluster_count(scheme), min_size=cfg.min_cluster_size)
 
-    trends: dict[str, TrendFit] | None = None
+    slopes = None
     if scheme == "A":
-        trends = fit_panel_trends(panel, alpha=cfg.trend_alpha)
-        dist = _significant_slope_distance(trends)
+        slopes, significant = _panel_slopes(panel, cfg)
+        dist = _significant_slope_distance(slopes, significant, panel)
     elif distance is not None:
         dist = distance
     elif scheme == "B":
@@ -77,26 +78,33 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
     dendro = agglomerate(dist, consume=dist is not distance)
     assignment = cut(dendro, rule, scheme=scheme, ids=panel.ids)
     if scheme == "A" and assignment.n_clusters > 0:
-        slopes = np.array([fit.slope for fit in trends.values()])
         assignment = relabel_by_feature(assignment, slopes)
     return SchemeResult(scheme=scheme, assignment=assignment, dendrogram=dendro,
-                        trends=trends)
+                        slopes=slopes)
 
 
-def _significant_slope_distance(trends: dict[str, TrendFit]) -> DistanceMatrix:
+def _panel_slopes(panel: TemperaturePanel, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Scheme A's trend slopes in panel order and the mask of significant ones."""
+    fits = fit_panel_trends(panel, alpha=cfg.trend_alpha).values()
+    return (np.array([fit.slope for fit in fits], dtype=float),
+            np.array([fit.significant for fit in fits], dtype=bool))
+
+
+def _significant_slope_distance(slopes: np.ndarray, significant: np.ndarray,
+                                panel: TemperaturePanel) -> DistanceMatrix:
     """Scheme A's slope distances over the countries with significant slopes."""
-    kept = [cid for cid, fit in trends.items() if fit.significant]
-    if len(kept) < 2:
+    if np.count_nonzero(significant) < 2:
         raise ValidationError("fewer than 2 countries with significant trends")
-    return slope_distance([trends[cid] for cid in kept], kept)
+    return slope_distance(slopes[significant],
+                          tuple(compress(panel.ids, significant.tolist())))
 
 
 def scheme_features(result: SchemeResult, panel: TemperaturePanel) -> np.ndarray:
     """Feature used for cluster summaries, one row per panel id: the N-vector
     of slopes under scheme A, the N x (T-1) first differences otherwise."""
     if result.scheme == "A":
-        assert result.trends is not None
-        return np.array([fit.slope for fit in result.trends.values()])
+        assert result.slopes is not None
+        return result.slopes
     return panel_differences(panel)
 
 
@@ -113,7 +121,7 @@ def build_weights(panel: TemperaturePanel, cfg: RunConfig,
     Clustered kinds cut their scheme as `compute_scheme` does, and distances
     are rescaled as `cfg.rescale_distances` and `cfg.rescale_rho` say. cA
     uses the slope distances among the significant-slope countries that
-    scheme A clustered, recomputed from its trends; dA uses slope distances
+    scheme A clustered, taken from its slopes; dA uses slope distances
     over every country: the null-slope countries still have estimated slopes.
     Scheme B and C matrices are computed once and shared by the clustering
     and both weight kinds.
@@ -138,12 +146,11 @@ def build_weights(panel: TemperaturePanel, cfg: RunConfig,
 
     def full_distance(scheme: str) -> DistanceMatrix:
         # Full-distance kinds need no dendrogram cut, only the metric itself;
-        # reuse scheme A's trends when clustering already ran.
+        # reuse scheme A's slopes when clustering already ran.
         if scheme != "A":
             return distance(scheme)
-        fits = (cache["A"].trends if "A" in cache
-                else fit_panel_trends(panel, alpha=cfg.trend_alpha))
-        return slope_distance([fits[cid] for cid in panel.ids], list(panel.ids))
+        slopes = cache["A"].slopes if "A" in cache else _panel_slopes(panel, cfg)[0]
+        return slope_distance(slopes, panel.ids)
 
     out: dict[str, WeightMatrix] = {}
     for kind in kinds:
@@ -154,8 +161,9 @@ def build_weights(panel: TemperaturePanel, cfg: RunConfig,
             out[kind] = contiguity_weights(adjacency, panel)
         elif kind.startswith("c"):
             result = scheme_result(scheme)
-            dist = (_significant_slope_distance(result.trends) if scheme == "A"
-                    else distance(scheme))
+            dist = (_significant_slope_distance(result.slopes,
+                                                result.assignment.codes != NULL, panel)
+                    if scheme == "A" else distance(scheme))
             out[kind] = cluster_restricted_weights(dist, result.assignment, panel,
                                                    kind=kind, rescale=rescale, rho=rho)
         else:

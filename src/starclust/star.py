@@ -14,7 +14,7 @@ and integrate from the last observed level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
@@ -84,44 +84,6 @@ class StarModel:
         """Countries whose difference equation has |phi| + |psi| >= 1."""
         flagged = np.abs(self.phi) + np.abs(self.psi) >= 1.0
         return tuple(sorted(compress(self.weights.labels, flagged.tolist())))
-
-
-@dataclass(frozen=True)
-class FittedPanel:
-    """One-step in-sample predictions: levels and the differences behind them.
-
-    Levels span the panel years except the first two (one lost to
-    differencing, one to the autoregressive lag).
-    """
-
-    countries: tuple[str, ...]
-    years: tuple[int, ...]
-    levels: np.ndarray
-    diffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        shape = (len(self.countries), len(self.years))
-        if self.levels.shape != shape or self.diffs.shape != shape:
-            raise ValidationError("fitted panel arrays do not match countries x years")
-
-
-@dataclass(frozen=True)
-class ForecastPanel:
-    """Iterated forecasts: levels are origin level + cumulative forecast diffs."""
-
-    countries: tuple[str, ...]
-    years: tuple[int, ...]
-    levels: np.ndarray
-    diffs: np.ndarray
-    origin_year: int
-    origin_levels: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        shape = (len(self.countries), len(self.years))
-        if self.levels.shape != shape or self.diffs.shape != shape:
-            raise ValidationError("forecast panel arrays do not match countries x years")
-        if self.years and self.years[0] != self.origin_year + 1:
-            raise ValidationError("forecast years must start right after the origin")
 
 
 def _spatial_lags(weights: WeightMatrix, diffs: np.ndarray) -> np.ndarray:
@@ -200,26 +162,27 @@ def fit_star(panel: TemperaturePanel, weights: WeightMatrix) -> StarModel:
                      dropped=tuple(_DROPPED[code] for code in codes.tolist()))
 
 
-def fitted_levels(model: StarModel, panel: TemperaturePanel) -> FittedPanel:
-    """One-step in-sample fits: y_hat_{i,t} = y_{i,t-1} + x_hat_{i,t}, t = 3..T."""
+def fitted_levels(model: StarModel, panel: TemperaturePanel) -> np.ndarray:
+    """One-step in-sample fits: y_hat_{i,t} = y_{i,t-1} + x_hat_{i,t}, t = 3..T.
+
+    Returns the N x (T-2) level array for `panel.years[2:]`, rows in panel
+    order: one year is lost to differencing and one to the lag.
+    """
     if tuple(model.weights.labels) != tuple(panel.ids):
         raise ValidationError("model weight labels must match panel id order")
     diffs = panel_differences(panel)
     spatial = _spatial_lags(model.weights, diffs)
     c, phi, psi = model.c, model.phi, model.psi
     pred_diffs = c[:, None] + phi[:, None] * diffs[:, :-1] + psi[:, None] * spatial[:, :-1]
-    prev_levels = panel.values[:, 1:-1]
-    return FittedPanel(countries=panel.ids,
-                       years=tuple(panel.years[2:]),
-                       levels=prev_levels + pred_diffs,
-                       diffs=pred_diffs)
+    return panel.values[:, 1:-1] + pred_diffs
 
 
-def forecast(model: StarModel, panel: TemperaturePanel, horizon: int) -> ForecastPanel:
+def forecast(model: StarModel, panel: TemperaturePanel, horizon: int) -> np.ndarray:
     """Iterate the difference equations h = 1..horizon steps past the panel end.
 
     Forecast differences feed back into both the temporal and the spatial lag;
-    levels integrate the differences from the last observed level.
+    levels integrate the differences from the last observed level. Returns
+    the N x horizon level array for the years after `panel.years[-1]`.
     """
     if horizon < 1:
         raise ValidationError(f"forecast horizon must be at least 1, got {horizon}")
@@ -232,15 +195,7 @@ def forecast(model: StarModel, panel: TemperaturePanel, horizon: int) -> Forecas
     for _ in range(horizon):
         current = c + phi * current + psi * (weights @ current)
         steps.append(current)
-    diffs = np.column_stack(steps)
-    levels = panel.values[:, -1][:, None] + np.cumsum(diffs, axis=1)
-    origin = panel.years[-1]
-    return ForecastPanel(countries=panel.ids,
-                         years=tuple(origin + h for h in range(1, horizon + 1)),
-                         levels=levels,
-                         diffs=diffs,
-                         origin_year=origin,
-                         origin_levels=panel.values[:, -1].copy())
+    return panel.values[:, -1][:, None] + np.cumsum(np.column_stack(steps), axis=1)
 
 
 def write_coefficients_csv(model: StarModel, path: str | Path) -> None:

@@ -24,6 +24,9 @@ KINDS = ("NN", "cA", "cB", "cC", "dA", "dB", "dC")
 
 @dataclass(frozen=True)
 class WeightMatrix:
+    """Row-stochastic or zero-row weights; a float64 `values` array is kept,
+    not copied, and made read-only."""
+
     kind: str
     labels: tuple[str, ...]
     values: np.ndarray
@@ -37,9 +40,11 @@ class WeightMatrix:
         n = len(self.labels)
         if values.shape != (n, n):
             raise ValidationError(f"weight matrix shape {values.shape} does not match {n} labels")
-        if not np.all(np.isfinite(values)):
+        # min() and max() carry NaN, so neither check needs an N x N temporary.
+        low, high = (values.min(), values.max()) if n else (0.0, 0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValidationError("weight matrix contains non-finite entries")
-        if np.any(values < 0):
+        if low < 0:
             raise ValidationError("weight matrix contains negative entries")
         if np.any(np.diagonal(values) != 0):
             raise ValidationError("weight matrix diagonal must be zero")
@@ -48,8 +53,7 @@ class WeightMatrix:
         if np.any(bad):
             where = [self.labels[i] for i in np.nonzero(bad)[0][:5]]
             raise ValidationError(f"rows neither stochastic nor zero: {where}")
-        values = values.copy()
-        values.flags.writeable = False
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -80,40 +84,47 @@ def _similarity(dist: DistanceMatrix, panel: TemperaturePanel,
 
     N is the panel country count. Ids missing from the distance matrix get
     zero rows and columns. Distances above N are an error unless rescaling is
-    enabled, which maps the maximum distance to N * rho.
+    enabled, which maps the maximum distance to N * rho. The result is one
+    new array, embedded into a fresh N x N only when the distance labels
+    are not the panel ids.
     """
     n = panel.n_countries
-    d = dist.values.astype(float)
+    d = dist.values
     dmax = float(d.max()) if d.size else 0.0
-    scale_applied = False
-    if rescale and dmax > 0:
-        d = d * (n * rho / dmax)
-        scale_applied = True
-    elif dmax > n:
+    scale_applied = bool(rescale and dmax > 0)
+    if not scale_applied and dmax > n:
         raise ValidationError(
             f"distance {dmax} exceeds panel size {n}; enable rescaling (rescale=True) "
             f"to map the maximum distance to N*rho"
         )
-    sim = (n - d) / n
+    # In place, the same float64 operations in the same order as (n - d) / n.
+    sim = d * (n * rho / dmax) if scale_applied else d.copy()
+    np.subtract(n, sim, out=sim)
+    np.divide(sim, n, out=sim)
     np.fill_diagonal(sim, 0.0)
 
-    full = np.zeros((n, n))
-    pos = panel.id_index
-    rows = [pos[lab] for lab in dist.labels if lab in pos]
-    if len(rows) != dist.size:
-        unknown = sorted(set(dist.labels) - set(panel.ids))
-        raise ValidationError(f"distance labels absent from panel: {unknown[:5]}")
-    idx = np.array(rows)
-    full[np.ix_(idx, idx)] = sim
+    if dist.labels != panel.ids:
+        pos = panel.id_index
+        rows = [pos[lab] for lab in dist.labels if lab in pos]
+        if len(rows) != dist.size:
+            unknown = sorted(set(dist.labels) - set(panel.ids))
+            raise ValidationError(f"distance labels absent from panel: {unknown[:5]}")
+        idx = np.array(rows)
+        full = np.zeros((n, n))
+        full[np.ix_(idx, idx)] = sim
+        sim = full
     meta = {"metric": dist.metric, "rescaled": scale_applied,
             "rho": rho if scale_applied else None, "max_distance": dmax}
-    return full, meta
+    return sim, meta
 
 
 def _normalize_rows(sim: np.ndarray) -> np.ndarray:
+    """Divide each row of `sim` in place by its sum; rows not summing above 0 become 0."""
     sums = sim.sum(axis=1, keepdims=True)
-    out = np.divide(sim, sums, out=np.zeros_like(sim), where=sums > 0)
-    return out
+    positive = sums > 0
+    np.divide(sim, sums, out=sim, where=positive)
+    sim[~positive[:, 0]] = 0.0
+    return sim
 
 
 def distance_weights(dist: DistanceMatrix, panel: TemperaturePanel, kind: str,
@@ -139,8 +150,7 @@ def cluster_restricted_weights(dist: DistanceMatrix, assign: ClusterAssignment,
     if missing:
         raise ValidationError(f"no distances available for clustered ids: {missing[:5]}")
     sim, meta = _similarity(dist, panel, rescale, rho)
-    same = (codes[:, None] == codes[None, :]) & (codes[:, None] > 0)
-    sim = np.where(same, sim, 0.0)
+    sim[(codes[:, None] != codes[None, :]) | (codes[:, None] <= 0)] = 0.0
     meta["restricted"] = True
     meta["scheme"] = assign.scheme
     return WeightMatrix(kind=kind, labels=panel.ids,

@@ -104,12 +104,13 @@ def brute_hamming_distance(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def broadcast_slope_distance(trends, ids: Sequence[str]) -> DistanceMatrix:
+def broadcast_slope_distance(slopes: np.ndarray, ids: Sequence[str]) -> DistanceMatrix:
     """`slope_distance` as the package had it before it subtracted into its
-    output (verbatim): |b_i - b_j| through two K x K matrices."""
-    if len(trends) != len(ids):
-        raise ValidationError("one trend fit per id is required")
-    slopes = np.array([fit.slope for fit in trends], dtype=float)
+    output (verbatim, but taking the slope array): |b_i - b_j| through two
+    K x K matrices."""
+    if len(slopes) != len(ids):
+        raise ValidationError("one slope per id is required")
+    slopes = np.asarray(slopes, dtype=float)
     values = np.abs(slopes[:, None] - slopes[None, :])
     np.fill_diagonal(values, 0.0)
     return DistanceMatrix(metric="slope", labels=tuple(ids), values=values)

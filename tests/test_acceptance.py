@@ -244,7 +244,7 @@ class TestOracleEquivalence:
                 values = rng.normal(10.0, 3.0, (n, t))
                 panel = make_panel(values, first_year=1950)
                 trends = [fit_linear_trend(values[i]) for i in range(n)]
-                slope_m = slope_distance(trends, panel.ids)
+                slope_m = slope_distance(np.array([f.slope for f in trends]), panel.ids)
                 assert np.allclose(
                     slope_m.values,
                     brute_slope_distance([f.slope for f in trends]),

@@ -256,11 +256,14 @@ class TestFit:
         captured = capsys.readouterr()
         assert rc == 0
         assert "in-sample Frobenius norm" in captured.out
+        assert "over 1952-1990" in captured.out
         header = (tmp_path / "coefficients_dB.csv").read_text().splitlines()[0]
         assert header == "country,c,phi,psi,sigma2,dropped"
         fitted = (tmp_path / "fitted_dB.csv").read_text().splitlines()
         assert fitted[0] == "country,year,temperature"
         assert len(fitted) == 1 + 9 * (41 - 2)
+        # The panel's years but the first two (differencing and the lag).
+        assert {int(r.split(",")[1]) for r in fitted[1:]} == set(range(1952, 1991))
 
 
 class TestForecast:

@@ -13,17 +13,12 @@ from starclust import (DistanceMatrix, ValidationError, diff_distance,
                        fit_panel_trends, hamming_distance, sign_distance,
                        sign_sequence, slope_distance)
 from starclust.distances import _ROW_BLOCK
-from starclust.trends import TrendFit, panel_differences
+from starclust.trends import panel_differences
 
 from _oracles import (broadcast_slope_distance, brute_diff_distance,
                       brute_hamming_distance, brute_slope_distance,
                       square_diff_distance, two_product_hamming_distance)
 from conftest import make_panel
-
-
-def trend_with_slope(b: float) -> TrendFit:
-    return TrendFit(intercept=0.0, slope=b, slope_se=1.0, t_stat=b,
-                    p_value=0.5, significant=False)
 
 
 class TestDistanceMatrixType:
@@ -82,27 +77,25 @@ class TestDistanceMatrixType:
 
 class TestSlopeDistance:
     def test_top_cluster_mean_gap(self):
-        dist = slope_distance([trend_with_slope(0.016), trend_with_slope(0.012)],
-                              ["a", "b"])
+        dist = slope_distance(np.array([0.016, 0.012]), ["a", "b"])
         assert math.isclose(dist.values[0, 1], 0.004, abs_tol=1e-15)
 
     def test_equal_slopes_zero(self):
-        dist = slope_distance([trend_with_slope(0.01)] * 2, ["a", "b"])
+        dist = slope_distance(np.array([0.01, 0.01]), ["a", "b"])
         assert dist.values[0, 1] == 0.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
-        slopes = rng.normal(0, 0.02, 9).tolist()
-        dist = slope_distance([trend_with_slope(b) for b in slopes],
-                              [f"c{i}" for i in range(9)])
-        assert np.allclose(dist.values, brute_slope_distance(slopes), atol=1e-15)
+        slopes = rng.normal(0, 0.02, 9)
+        dist = slope_distance(slopes, [f"c{i}" for i in range(9)])
+        assert np.allclose(dist.values, brute_slope_distance(slopes.tolist()), atol=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False),
                     min_size=3, max_size=8))
     def test_triangle_inequality_and_symmetry(self, slopes):
         ids = [f"c{i}" for i in range(len(slopes))]
-        dist = slope_distance([trend_with_slope(b) for b in slopes], ids)
+        dist = slope_distance(np.array(slopes), ids)
         values = dist.values
         assert np.array_equal(values, values.T)
         n = len(slopes)
@@ -233,6 +226,11 @@ class TestHammingDistance:
         assert np.array_equal(values, np.round(values))
         assert values.max() <= toy_panel.n_years - 1
 
+    def test_no_strings_give_the_empty_matrix(self):
+        for dist in (hamming_distance([], []), slope_distance(np.array([]), [])):
+            assert dist.values.shape == (0, 0)
+            assert dist.labels == ()
+
     def test_built_from_sign_sequences(self, toy_panel):
         diffs = panel_differences(toy_panel)
         signs = [sign_sequence(diffs[i]) for i in range(toy_panel.n_countries)]
@@ -244,7 +242,7 @@ class TestSlopeSubsetLabels:
     def test_subset_matrix_carries_its_own_labels(self, toy_panel):
         fits = fit_panel_trends(toy_panel)
         kept = list(toy_panel.ids)[:4]
-        dist = slope_distance([fits[c] for c in kept], kept)
+        dist = slope_distance(np.array([fits[c].slope for c in kept]), kept)
         assert dist.labels == tuple(kept)
         assert dist.size == 4
 
@@ -285,23 +283,22 @@ class TestInPlaceDistancesMatchOracles:
     @pytest.mark.parametrize("k", [1, 2, 3, 69, 400])
     def test_slope_on_random_slopes(self, k):
         rng = np.random.default_rng(k)
-        fits = [trend_with_slope(b) for b in rng.normal(0, 0.02, k)]
+        slopes = rng.normal(0, 0.02, k)
         ids = [f"c{i}" for i in range(k)]
-        assert bitwise_equal(slope_distance(fits, ids).values,
-                             broadcast_slope_distance(fits, ids).values)
+        assert bitwise_equal(slope_distance(slopes, ids).values,
+                             broadcast_slope_distance(slopes, ids).values)
 
     def test_slope_with_gaps_near_overflow(self):
         # Gaps up to 1.6e308, just below the float range, and signed zeros.
-        slopes = [8e307, -8e307, 1e307, -0.0, 0.0, 5e-324, -5e-324]
-        fits = [trend_with_slope(b) for b in slopes]
+        slopes = np.array([8e307, -8e307, 1e307, -0.0, 0.0, 5e-324, -5e-324])
         ids = [f"c{i}" for i in range(len(slopes))]
-        got = slope_distance(fits, ids).values
-        assert bitwise_equal(got, broadcast_slope_distance(fits, ids).values)
+        got = slope_distance(slopes, ids).values
+        assert bitwise_equal(got, broadcast_slope_distance(slopes, ids).values)
         assert got[0, 1] == 1.6e308
 
     def test_slope_gap_past_overflow_rejected_alike(self):
-        fits = [trend_with_slope(b) for b in (1e308, -1e308)]
+        slopes = np.array([1e308, -1e308])
         with np.errstate(over="ignore"):
             for build in (slope_distance, broadcast_slope_distance):
                 with pytest.raises(ValidationError, match="non-finite entries"):
-                    build(fits, ["a", "b"])
+                    build(slopes, ["a", "b"])

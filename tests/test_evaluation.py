@@ -131,7 +131,7 @@ class TestOosExperiment:
         train, test = split_panel(panel, 1999)
         fc = forecast(fit_star(train, ring(panel.ids)), train, 5)
         assert out.fn["NN"] == pytest.approx(
-            frobenius_norm(test.values[:, :5], fc.levels), abs=1e-12)
+            frobenius_norm(test.values[:, :5], fc), abs=1e-12)
 
     def test_observation_losses_share_one_period_tuple(self):
         panel, _ = self.make_panel_and_builder()
@@ -189,7 +189,7 @@ class TestInSampleFn:
         model = fit_star(panel, ring(labels))
         fitted = fitted_levels(model, panel)
         assert res["NN"] == pytest.approx(
-            frobenius_norm(panel.values[:, 2:], fitted.levels), abs=1e-12)
+            frobenius_norm(panel.values[:, 2:], fitted), abs=1e-12)
 
 
 class TestMcs:

@@ -6,7 +6,8 @@ import pytest
 
 from starclust import (KINDS, SCHEMES, CutRule, RunConfig,
                        ValidationError, build_weights, compute_scheme,
-                       scheme_features, split_panel, weight_builder)
+                       fit_panel_trends, scheme_features, split_panel,
+                       weight_builder)
 from starclust import pipeline
 from starclust.clustering import IDIOSYNCRATIC, NULL, agglomerate
 from starclust.distances import diff_distance, sign_distance
@@ -40,15 +41,16 @@ class TestComputeScheme:
         assert assign.members(1) == GROUPS[1]
         assert assign.members(2) == GROUPS[2]
         # Relabeling puts the fastest-warming cluster first.
-        slopes = {cid: fit.slope for cid, fit in res.trends.items()}
-        mean1 = np.mean([slopes[c] for c in assign.members(1)])
-        mean2 = np.mean([slopes[c] for c in assign.members(2)])
+        fits = fit_panel_trends(grouped_panel, alpha=CFG.trend_alpha)
+        assert res.slopes.tolist() == [fits[cid].slope for cid in grouped_panel.ids]
+        mean1 = res.slopes[assign.codes == 1].mean()
+        mean2 = res.slopes[assign.codes == 2].mean()
         assert mean1 > mean2
 
     def test_scheme_b_groups_by_dynamics(self, grouped_panel):
         res = compute_scheme(grouped_panel, "B", CFG)
         assign = res.assignment
-        assert res.trends is None
+        assert res.slopes is None
         assert assign.members(NULL) == []
         got = {frozenset(assign.members(i)) for i in range(1, 4)}
         assert got == {frozenset(g) for g in GROUPS.values()}
@@ -160,6 +162,25 @@ class TestDistanceOwnership:
 class TestBuildWeights:
     def build_all(self, panel, **kw):
         return build_weights(panel, CFG, adjacency=chain_adjacency(panel.ids), **kw)
+
+    @pytest.mark.parametrize("kind, bound", [("dB", 2.2), ("cB", 2.5)])
+    def test_weight_peak_allocation(self, kind, bound):
+        # K = 400 countries over 30 years, in units of the 8 K^2-byte matrix.
+        # Each weight matrix is formed in one buffer beside its distance
+        # matrix: dB peaked at 2.06 times the matrix, and cB at 2.33 with
+        # its same-cluster mask. Through N x N temporaries (a copy of the
+        # distances, the rescaled and similarity matrices, the embedding and
+        # the normalized rows) they peaked at 4.11 and 4.20 times.
+        k = 400
+        panel = make_panel(np.random.default_rng(7).normal(15, 5, (k, 30)),
+                           ids=[f"C{i:03d}" for i in range(k)])
+        tracemalloc.start()
+        try:
+            build_weights(panel, CFG, (kind,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 8 * k * k
 
     def test_all_kinds_produced(self, grouped_panel):
         out = self.build_all(grouped_panel)

@@ -88,10 +88,11 @@ class TestFitStar:
         w = ring_weights(n, labels)
         panel = make_panel(rng.normal(8, 3, (n, t)), ids=list(labels))
         model = fit_star(panel, w)
-        fit = fitted_levels(model, panel)
         diffs = np.diff(panel.values, axis=1)
         spatial = w.values @ diffs
-        resid = diffs[:, 1:] - fit.diffs
+        # y_t - (y_{t-1} + x_hat_t) = x_t - x_hat_t: level residuals are the
+        # residuals of the difference equation.
+        resid = panel.values[:, 2:] - fitted_levels(model, panel)
         for i in range(n):
             assert resid[i].sum() == pytest.approx(0.0, abs=1e-8)
             assert resid[i] @ diffs[i, :-1] == pytest.approx(0.0, abs=1e-7)
@@ -136,8 +137,7 @@ class TestFitStar:
             assert eq.phi == pytest.approx(0.5, abs=1e-6)
             assert eq.psi == pytest.approx(0.2, abs=1e-6)
             assert eq.sigma2 < 1e-12
-        fit = fitted_levels(model, panel)
-        assert np.allclose(fit.levels, panel.values[:, 2:], atol=1e-8)
+        assert np.allclose(fitted_levels(model, panel), panel.values[:, 2:], atol=1e-8)
 
     def test_constant_spatial_lag_dropped(self):
         # Equal weights over units with identical series make the spatial lag
@@ -349,14 +349,18 @@ class TestFittedLevels:
         w = ring_weights(n, labels)
         model = fit_star(panel, w)
         fit = fitted_levels(model, panel)
-        assert fit.years == panel.years[2:]
-        assert np.allclose(fit.levels, panel.values[:, 1:-1] + fit.diffs, atol=0)
+        diffs = np.diff(panel.values, axis=1)
+        spatial = w.values @ diffs
+        pred_diffs = (model.c[:, None] + model.phi[:, None] * diffs[:, :-1]
+                      + model.psi[:, None] * spatial[:, :-1])
+        assert fit.shape == (n, t - 2)
+        assert np.allclose(fit, panel.values[:, 1:-1] + pred_diffs, atol=0)
 
     def test_spans_t_minus_2_years(self, ring_weights):
         panel = make_panel(np.random.default_rng(1).random((3, 10)),
                            ids=["a", "b", "c"])
         fit = fitted_levels(fit_star(panel, zero_weights(panel.ids)), panel)
-        assert len(fit.years) == 8
+        assert fit.shape == (3, 8)
 
 
 class TestForecast:
@@ -371,10 +375,8 @@ class TestForecast:
         c, phi, psi = model.c, model.phi, model.psi
         last_diff = panel.values[:, -1] - panel.values[:, -2]
         step = c + phi * last_diff + psi * (w.values @ last_diff)
-        assert np.allclose(out.diffs[:, 0], step, atol=1e-14)
-        assert np.allclose(out.levels[:, 0], panel.values[:, -1] + step, atol=1e-14)
-        assert out.years == (panel.years[-1] + 1,)
-        assert out.origin_year == panel.years[-1]
+        assert out.shape == (n, 1)
+        assert np.allclose(out[:, 0], panel.values[:, -1] + step, atol=1e-14)
 
     def test_matches_hand_iteration(self, ring_weights):
         rng = np.random.default_rng(12)
@@ -388,7 +390,7 @@ class TestForecast:
         want = hand_forecast(c, phi, psi, w.values,
                              panel.values[:, -1] - panel.values[:, -2],
                              panel.values[:, -1], horizon)
-        assert np.allclose(out.levels, want, atol=1e-12)
+        assert np.allclose(out, want, atol=1e-12)
 
     def test_zero_psi_equals_scalar_ar1(self):
         rng = np.random.default_rng(13)
@@ -402,7 +404,7 @@ class TestForecast:
             want = scalar_ar1_forecast(eq.c, eq.phi,
                                        panel.values[i, -1] - panel.values[i, -2],
                                        panel.values[i, -1], horizon)
-            assert np.allclose(out.levels[i], want, atol=1e-12)
+            assert np.allclose(out[i], want, atol=1e-12)
 
     def test_all_zero_coefficients_flat_forecast(self, ring_weights):
         labels = ("a", "b", "c")
@@ -412,21 +414,30 @@ class TestForecast:
                            ids=list(labels))
         out = forecast(model, panel, horizon=4)
         # Zero dynamics: every forecast difference is zero, levels stay put.
-        assert np.all(out.diffs == 0.0)
-        assert np.allclose(out.levels, panel.values[:, -1][:, None], atol=0)
+        path = np.hstack([panel.values[:, -1:], out])
+        assert np.all(np.diff(path, axis=1) == 0.0)
+        assert np.allclose(out, panel.values[:, -1][:, None], atol=0)
 
     def test_diff_level_consistency(self, ring_weights):
         rng = np.random.default_rng(14)
         panel = make_panel(rng.normal(0, 1, (4, 15)), ids=["a", "b", "c", "d"])
         w = ring_weights(4, panel.ids)
-        out = forecast(fit_star(panel, w), panel, horizon=7)
-        rebuilt = panel.values[:, -1][:, None] + np.cumsum(out.diffs, axis=1)
-        assert np.allclose(out.levels, rebuilt, atol=0)
+        model = fit_star(panel, w)
+        out = forecast(model, panel, horizon=7)
+        # The recursion's differences, from the last observed difference.
+        current = panel.values[:, -1] - panel.values[:, -2]
+        steps = []
+        for _ in range(7):
+            current = model.c + model.phi * current + model.psi * (w.values @ current)
+            steps.append(current)
+        diffs = np.column_stack(steps)
+        rebuilt = panel.values[:, -1][:, None] + np.cumsum(diffs, axis=1)
+        assert np.allclose(out, rebuilt, atol=0)
         # Differencing the extended path (origin level + forecasts) recovers
         # the forecast differences.
-        path = np.hstack([out.origin_levels[:, None], out.levels])
+        path = np.hstack([panel.values[:, -1:], out])
         for i in range(4):
-            assert np.allclose(np.diff(path[i]), out.diffs[i], atol=1e-12)
+            assert np.allclose(np.diff(path[i]), diffs[i], atol=1e-12)
 
     def test_bad_horizon_rejected(self, ring_weights):
         panel = make_panel(np.random.default_rng(0).random((3, 10)),

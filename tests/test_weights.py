@@ -53,11 +53,24 @@ class TestWeightMatrix:
         with pytest.raises(ValidationError, match="unknown weight kind"):
             WeightMatrix(kind="xx", labels=("a",), values=np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reported_before_negative(self, bad):
+        values = np.array([[0.0, 1.5, -0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        values[2, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            WeightMatrix(kind="NN", labels=("a", "b", "c"), values=values)
+
     def test_values_read_only(self):
         w = WeightMatrix(kind="NN", labels=("a", "b"),
                          values=np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             w.values[0, 1] = 0.3
+
+    def test_takes_ownership_of_a_float_array(self):
+        values = np.array([[0.0, 1.0], [1.0, 0.0]])
+        w = WeightMatrix(kind="NN", labels=("a", "b"), values=values)
+        assert w.values is values
+        assert not values.flags.writeable
 
 
 class TestContiguityWeights:
