@@ -17,11 +17,6 @@ from .panel import TemperaturePanel
 from .trends import panel_differences, sign_sequence
 
 METRICS = ("slope", "diff", "hamming")
-# Rows of pairwise gaps formed at once in diff_distance, in one reused
-# buffer of _ROW_BLOCK x K x (T-1) doubles: 0.77 MB at K = 800, T = 122.
-# Blocks of 1, 2, 4, 8 and 16 rows give bit-identical sums, and 1 or 2 rows
-# were the fastest at K = 168 and K = 800.
-_ROW_BLOCK = 1
 # Rows compared at once in the symmetry check (a _SYMMETRY_BLOCK x K bool).
 _SYMMETRY_BLOCK = 64
 
@@ -78,29 +73,27 @@ def slope_distance(slopes: np.ndarray, ids: Sequence[str]) -> DistanceMatrix:
 def diff_distance(panel: TemperaturePanel) -> DistanceMatrix:
     """Euclidean distance between the first-difference series of two countries.
 
-    Only the upper triangle is formed: each block of _ROW_BLOCK rows is
-    compared with itself and the later rows, and the block is mirrored into
-    the lower triangle. The gaps go to one buffer of _ROW_BLOCK x K x (T-1)
-    values, reused by every block. (b - a)**2 equals (a - b)**2 exactly and
-    the sum over years runs in the same order for every pair, so the matrix
-    is bit for bit the one a whole K x K x (T-1) tensor gives, and exactly
-    symmetric. A distance that overflows is a NumericalError naming the
-    country with the most of them.
+    Only the upper triangle is formed: each row is compared with itself and
+    the later rows, and the row is mirrored into the lower triangle. The gaps
+    go to one buffer of K x (T-1) values, reused by every row: 0.77 MB at
+    K = 800, T = 122. (b - a)**2 equals (a - b)**2 exactly and the sum over
+    years runs in the same order for every pair, so the matrix is bit for
+    bit the one a whole K x K x (T-1) tensor gives, and exactly symmetric.
+    A distance that overflows is a NumericalError naming the country with
+    the most of them.
     """
     diffs = panel_differences(panel)
     k = diffs.shape[0]
     values = np.empty((k, k))
-    buffer = np.empty((min(_ROW_BLOCK, k), k, diffs.shape[1]))
+    buffer = np.empty((k, diffs.shape[1]))
     # Overflow (differences near the float range) is caught by the check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, k, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, k)
-            gaps = np.subtract(diffs[start:stop, None, :], diffs[None, start:, :],
-                               out=buffer[:stop - start, :k - start])
-            block = np.einsum("ijt,ijt->ij", gaps, gaps)
-            np.sqrt(block, out=block)
-            values[start:stop, start:] = block
-            values[start:, start:stop] = block.T
+        for row in range(k):
+            gaps = np.subtract(diffs[row], diffs[row:], out=buffer[:k - row])
+            line = np.einsum("jt,jt->j", gaps, gaps)
+            np.sqrt(line, out=line)
+            values[row, row:] = line
+            values[row:, row] = line
     np.fill_diagonal(values, 0.0)
     if k and not np.isfinite(values.max()):
         worst = np.count_nonzero(~np.isfinite(values), axis=1).argmax()

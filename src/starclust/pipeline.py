@@ -67,13 +67,9 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
     slopes = None
     if scheme == "A":
         slopes, significant = _panel_slopes(panel, cfg)
-        dist = _significant_slope_distance(slopes, significant, panel)
-    elif distance is not None:
-        dist = distance
-    elif scheme == "B":
-        dist = diff_distance(panel)
+        dist = _scheme_distance(panel, scheme, slopes, significant)
     else:
-        dist = sign_distance(panel)
+        dist = _scheme_distance(panel, scheme) if distance is None else distance
 
     dendro = agglomerate(dist, consume=dist is not distance)
     assignment = cut(dendro, rule, scheme=scheme, ids=panel.ids)
@@ -90,13 +86,21 @@ def _panel_slopes(panel: TemperaturePanel, cfg: RunConfig) -> tuple[np.ndarray, 
             np.array([fit.significant for fit in fits], dtype=bool))
 
 
-def _significant_slope_distance(slopes: np.ndarray, significant: np.ndarray,
-                                panel: TemperaturePanel) -> DistanceMatrix:
-    """Scheme A's slope distances over the countries with significant slopes."""
-    if np.count_nonzero(significant) < 2:
+def _scheme_distance(panel: TemperaturePanel, scheme: str,
+                     slopes: np.ndarray | None = None,
+                     keep: np.ndarray | None = None) -> DistanceMatrix:
+    """The distance matrix of one scheme: difference gaps (B), sign
+    mismatches (C), or scheme A's slope gaps over the countries `keep`
+    marks, every country when it is None."""
+    if scheme == "B":
+        return diff_distance(panel)
+    if scheme == "C":
+        return sign_distance(panel)
+    if keep is None:
+        return slope_distance(slopes, panel.ids)
+    if np.count_nonzero(keep) < 2:
         raise ValidationError("fewer than 2 countries with significant trends")
-    return slope_distance(slopes[significant],
-                          tuple(compress(panel.ids, significant.tolist())))
+    return slope_distance(slopes[keep], tuple(compress(panel.ids, keep.tolist())))
 
 
 def scheme_features(result: SchemeResult, panel: TemperaturePanel) -> np.ndarray:
@@ -108,67 +112,53 @@ def scheme_features(result: SchemeResult, panel: TemperaturePanel) -> np.ndarray
     return panel_differences(panel)
 
 
-def _scheme_of_kind(kind: str) -> str:
-    return kind[-1]
-
-
 def build_weights(panel: TemperaturePanel, cfg: RunConfig,
                   kinds: Sequence[str] = KINDS,
-                  adjacency: np.ndarray | None = None,
-                  scheme_cache: dict[str, SchemeResult] | None = None) -> dict[str, WeightMatrix]:
-    """Construct the requested weight matrices of a run config, reusing scheme computations.
+                  adjacency: np.ndarray | None = None) -> dict[str, WeightMatrix]:
+    """Construct the requested weight matrices of a run config, keyed in `kinds` order.
 
     Clustered kinds cut their scheme as `compute_scheme` does, and distances
     are rescaled as `cfg.rescale_distances` and `cfg.rescale_rho` say. cA
     uses the slope distances among the significant-slope countries that
     scheme A clustered, taken from its slopes; dA uses slope distances
     over every country: the null-slope countries still have estimated slopes.
-    Scheme B and C matrices are computed once and shared by the clustering
-    and both weight kinds.
+    Each scheme is clustered at most once, and scheme B and C matrices are
+    computed once and shared by the clustering and both weight kinds.
     """
     unknown = [kind for kind in kinds if kind not in KINDS]
     if unknown:
         raise ValidationError(f"unknown weight kinds {unknown}; expected among {KINDS}")
-    cache = scheme_cache if scheme_cache is not None else {}
-    distances: dict[str, DistanceMatrix] = {}
     rescale, rho = cfg.rescale_distances, cfg.rescale_rho
-
-    def distance(scheme: str) -> DistanceMatrix:
-        if scheme not in distances:
-            distances[scheme] = diff_distance(panel) if scheme == "B" else sign_distance(panel)
-        return distances[scheme]
-
-    def scheme_result(scheme: str) -> SchemeResult:
-        if scheme not in cache:
-            cache[scheme] = compute_scheme(
-                panel, scheme, cfg, distance=None if scheme == "A" else distance(scheme))
-        return cache[scheme]
-
-    def full_distance(scheme: str) -> DistanceMatrix:
-        # Full-distance kinds need no dendrogram cut, only the metric itself;
-        # reuse scheme A's slopes when clustering already ran.
-        if scheme != "A":
-            return distance(scheme)
-        slopes = cache["A"].slopes if "A" in cache else _panel_slopes(panel, cfg)[0]
-        return slope_distance(slopes, panel.ids)
-
+    distances: dict[str, DistanceMatrix] = {}
+    results: dict[str, SchemeResult] = {}
     out: dict[str, WeightMatrix] = {}
     for kind in kinds:
-        scheme = _scheme_of_kind(kind)
+        scheme, clustered = kind[-1], kind[0] == "c"
         if kind == "NN":
             if adjacency is None:
                 raise ValidationError("contiguity weights need an adjacency list")
             out[kind] = contiguity_weights(adjacency, panel)
-        elif kind.startswith("c"):
-            result = scheme_result(scheme)
-            dist = (_significant_slope_distance(result.slopes,
-                                                result.assignment.codes != NULL, panel)
-                    if scheme == "A" else distance(scheme))
+            continue
+        if scheme != "A" and scheme not in distances:
+            distances[scheme] = _scheme_distance(panel, scheme)
+        if clustered and scheme not in results:
+            results[scheme] = compute_scheme(panel, scheme, cfg,
+                                             distance=distances.get(scheme))
+        result = results.get(scheme)
+        if scheme != "A":
+            dist = distances[scheme]
+        elif clustered:
+            dist = _scheme_distance(panel, scheme, result.slopes,
+                                    result.assignment.codes != NULL)
+        else:
+            # dA needs no cut; it reuses scheme A's slopes when clustering ran.
+            slopes = _panel_slopes(panel, cfg)[0] if result is None else result.slopes
+            dist = _scheme_distance(panel, scheme, slopes)
+        if clustered:
             out[kind] = cluster_restricted_weights(dist, result.assignment, panel,
                                                    kind=kind, rescale=rescale, rho=rho)
         else:
-            out[kind] = distance_weights(full_distance(scheme), panel,
-                                         kind=kind, rescale=rescale, rho=rho)
+            out[kind] = distance_weights(dist, panel, kind=kind, rescale=rescale, rho=rho)
     return out
 
 

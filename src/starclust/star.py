@@ -56,7 +56,6 @@ class StarModel:
     """
 
     weights: WeightMatrix
-    train_span: tuple[int, int]
     c: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
@@ -157,9 +156,8 @@ def fit_star(panel: TemperaturePanel, weights: WeightMatrix) -> StarModel:
     if overflow.size:
         raise NumericalError(f"non-finite residual variance for {panel.ids[overflow[0]]}")
     codes = (weighted & ~keep[:, 2]) + 2 * ~keep[:, 1]
-    return StarModel(weights=weights, train_span=(panel.years[0], panel.years[-1]),
-                     c=c, phi=phi, psi=psi, has_psi=keep[:, 2], sigma2=sigma2,
-                     dropped=tuple(_DROPPED[code] for code in codes.tolist()))
+    return StarModel(weights=weights, c=c, phi=phi, psi=psi, has_psi=keep[:, 2],
+                     sigma2=sigma2, dropped=tuple(_DROPPED[code] for code in codes.tolist()))
 
 
 def fitted_levels(model: StarModel, panel: TemperaturePanel) -> np.ndarray:

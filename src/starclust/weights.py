@@ -84,9 +84,10 @@ def _similarity(dist: DistanceMatrix, panel: TemperaturePanel,
 
     N is the panel country count. Ids missing from the distance matrix get
     zero rows and columns. Distances above N are an error unless rescaling is
-    enabled, which maps the maximum distance to N * rho. The result is one
-    new array, embedded into a fresh N x N only when the distance labels
-    are not the panel ids.
+    enabled, which maps the maximum distance to N * rho. With rho = 1 that
+    product can round just above N, so similarities are clamped at 0. The
+    result is one new array, embedded into a fresh N x N only when the
+    distance labels are not the panel ids.
     """
     n = panel.n_countries
     d = dist.values
@@ -100,6 +101,7 @@ def _similarity(dist: DistanceMatrix, panel: TemperaturePanel,
     # In place, the same float64 operations in the same order as (n - d) / n.
     sim = d * (n * rho / dmax) if scale_applied else d.copy()
     np.subtract(n, sim, out=sim)
+    np.maximum(sim, 0.0, out=sim)
     np.divide(sim, n, out=sim)
     np.fill_diagonal(sim, 0.0)
 

@@ -60,11 +60,10 @@ def reproduction_run(panel, adjacency) -> dict:
     """The paper's full run: weights, in-sample FN, out-of-sample FN from a
     2000 origin over 22 years, and the MCS under five seeds."""
     t0 = time.perf_counter()
-    scheme_cache: dict[str, object] = {}
     cfg = RunConfig(k_a=4, k_b=5, k_c=12)
     matrices = pipeline.build_weights(
-        panel, cfg, kinds=weights.KINDS, adjacency=adjacency,
-        scheme_cache=scheme_cache)
+        panel, cfg, kinds=weights.KINDS, adjacency=adjacency)
+    scheme_a = pipeline.compute_scheme(panel, "A", cfg)
     in_sample = in_sample_fn(panel, matrices)
     builder = pipeline.weight_builder(cfg, kinds=weights.KINDS,
                                       adjacency=adjacency)
@@ -72,7 +71,7 @@ def reproduction_run(panel, adjacency) -> dict:
     reports = [mcs(list(oos.losses.values()), alpha=0.01, reps=10_000,
                    block=2, seed=seed) for seed in range(5)]
     elapsed = time.perf_counter() - t0
-    return {"panel": panel, "scheme_cache": scheme_cache,
+    return {"panel": panel, "scheme_a": scheme_a,
             "in_sample": in_sample, "oos": oos, "mcs_reports": reports,
             "elapsed": elapsed}
 
@@ -99,7 +98,7 @@ class TestReproductionRunExecutes:
             assert len(pvals) == 7
             assert all(a <= b for a, b in zip(pvals, pvals[1:]))
             assert pvals[-1] == 1.0
-        table = zone_cross_tab(run["scheme_cache"]["A"].assignment,
+        table = zone_cross_tab(run["scheme_a"].assignment,
                                synthetic_panel)
         assert table.col_margins().sum() == synthetic_panel.n_countries
 
@@ -109,13 +108,13 @@ class TestReproduction:
     def test_1a_null_countries(self, real_run):
         with criterion("1a", "exactly these 6 countries non-significant at 5%: "
                              + ", ".join(sorted(NULL_COUNTRIES))):
-            scheme_a = real_run["scheme_cache"]["A"]
+            scheme_a = real_run["scheme_a"]
             assert set(scheme_a.assignment.members(clustering.NULL)) == NULL_COUNTRIES
 
     def test_1b_scheme_a_slope_means(self, real_run):
         with criterion("1b", "scheme A slope means within 0.0015 of "
                              f"{SLOPE_MEANS}; max slope 0.018 at Mongolia"):
-            scheme_a = real_run["scheme_cache"]["A"]
+            scheme_a = real_run["scheme_a"]
             assign = scheme_a.assignment
             panel = real_run["panel"]
             slopes = {cid: fit_linear_trend(row).slope
@@ -135,7 +134,7 @@ class TestReproduction:
             panel = real_run["panel"]
             if _env_path(ZONES_ENV) is None:
                 pytest.skip(f"zone metadata not configured (set {ZONES_ENV})")
-            scheme_a = real_run["scheme_cache"]["A"]
+            scheme_a = real_run["scheme_a"]
             table = zone_cross_tab(scheme_a.assignment, panel)
             assert tuple(table.col_margins()) == ZONE_MARGINS
 
@@ -301,10 +300,9 @@ class TestProperties:
             panel = make_panel(_grouped_values(rng), first_year=1950)
             # Chain adjacency with the last country disconnected.
             adjacency = borders_of(panel.ids, zip(panel.ids[:7], panel.ids[1:8]))
-            cache: dict[str, object] = {}
-            built = pipeline.build_weights(
-                panel, RunConfig(k_a=2, k_b=3, k_c=3, rescale_distances=True),
-                kinds=weights.KINDS, adjacency=adjacency, scheme_cache=cache)
+            cfg = RunConfig(k_a=2, k_b=3, k_c=3, rescale_distances=True)
+            built = pipeline.build_weights(panel, cfg, kinds=weights.KINDS,
+                                           adjacency=adjacency)
             for kind, matrix in built.items():
                 sums = matrix.values.sum(axis=1)
                 for idx, total in enumerate(sums):
@@ -313,9 +311,9 @@ class TestProperties:
                         (kind, matrix.labels[idx], total)
             assert built["NN"].zero_rows() == (panel.ids[-1],)
             assert built["NN"].meta["isolated"] == [panel.ids[-1]]
-            a_assign = cache["A"].assignment
+            a_assign = pipeline.compute_scheme(panel, "A", cfg).assignment
             assert set(built["cA"].zero_rows()) == set(a_assign.members(clustering.NULL))
-            c_assign = cache["C"].assignment
+            c_assign = pipeline.compute_scheme(panel, "C", cfg).assignment
             assert set(built["cC"].zero_rows()) == \
                 set(c_assign.members(clustering.IDIOSYNCRATIC)
                     + c_assign.members(clustering.NULL))

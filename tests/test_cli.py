@@ -705,6 +705,18 @@ class TestMalformedInputs:
                               "--out", str(out))
         self.assert_clean_exit_2(result, f"cannot create output directory {out}")
 
+    @pytest.mark.parametrize("command, blocked", [
+        (("trends",), "trends.csv"),
+        (("weights", "--kind", "dC", "--rescale"), "weights_dC.json"),
+    ], ids=["csv", "json"])
+    def test_unwritable_output_file(self, dataset, tmp_path, command, blocked):
+        # An output file's path is taken by a directory.
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        result = self.run_cli(*command, "--data", str(dataset["panel"]), "--out", str(out))
+        self.assert_clean_exit_2(
+            result, f"cannot write output file {out / blocked}: Is a directory")
+
     @pytest.mark.parametrize("rows, message", [
         ("C00,Europe\nC00,Asia\n", "conflicting zone for country 'C00': 'Europe' vs 'Asia'"),
         ("C00,Europe\nZZ,Africa\n", "line 3: unknown country id 'ZZ' in zone file"),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from starclust import (DistanceMatrix, ValidationError, diff_distance,
                        fit_panel_trends, hamming_distance, sign_distance,
                        sign_sequence, slope_distance)
-from starclust.distances import _ROW_BLOCK
 from starclust.trends import panel_differences
 
 from _oracles import (broadcast_slope_distance, brute_diff_distance,
@@ -134,8 +133,8 @@ class TestDiffDistance:
         assert np.array_equal(values, values.T)
 
     def test_row_blocks_match_whole_tensor_and_brute_force(self):
-        # A partial last block: K is not a multiple of the block size.
-        k = 2 * _ROW_BLOCK + 5
+        # Each row meets a shorter tail of later rows in the reused gap buffer.
+        k = 7
         rng = np.random.default_rng(9)
         panel = make_panel(rng.normal(10, 4, (k, 16)))
         values = diff_distance(panel).values
@@ -150,7 +149,7 @@ class TestDiffDistance:
     @pytest.mark.parametrize("n_years", [2, 30, 121, 122])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 69, 168, 800])
     def test_upper_triangle_bitwise_equal_to_square(self, k, n_years):
-        # K = 5, 7, 69 ... leave a partial last block.
+        # 32-row blocks of the oracle leave a partial last block at K = 69 and 800.
         rng = np.random.default_rng(k * 1000 + n_years)
         panel = make_panel(rng.normal(15, 5, (k, n_years)))
         assert np.array_equal(diff_distance(panel).values, square_diff_distance(panel))

@@ -2,11 +2,11 @@
 
 Each seed's paper-sized inputs come from the benchmark's generator
 (bench/gen_panel.py). `evaluate`, `trends`, `cluster` A/B/C and `fit --kind
-dC` run on them, on the same panel rows in shuffled order, and on every
-temperature times 2. The outputs must obey the relations that the arithmetic
-makes exact:
+dC` run on them, on the same panel rows in shuffled order, on the same
+cells written in the wide layout, and on every temperature times 2. The
+outputs must obey the relations that the arithmetic makes exact:
 
-- shuffled rows: every output file is byte-identical;
+- shuffled rows and the wide layout: every output file is byte-identical;
 - doubled temperatures (exact in binary): the trend intercept, slope and SE
   are exactly doubled with t and p unchanged; every merge of every
   dendrogram is kept, with heights exactly doubled for schemes A and B and
@@ -62,20 +62,27 @@ def _run_variant(root: Path, inputs: dict, panel_lines: list[str]) -> Path:
 
 @pytest.fixture(scope="module", params=SEEDS, ids=lambda seed: f"seed{seed}")
 def runs(request, tmp_path_factory) -> dict[str, Path]:
-    """Output directories of the base, shuffled and doubled runs."""
+    """Output directories of the base, shuffled, wide and doubled runs."""
     root = tmp_path_factory.mktemp(f"metamorphic{request.param}")
     gen_panel = _gen_panel()
     inputs = gen_panel.write_inputs(gen_panel.generate(request.param, 168),
                                     root / "inputs")
     header, *rows = inputs["panel"].read_text(encoding="utf-8").splitlines(keepends=True)
     order = np.random.default_rng(request.param).permutation(len(rows))
-    doubled = []
-    for row in rows:
-        cid, year, value = row.rstrip("\n").split(",")
-        doubled.append(f"{cid},{year},{2 * float(value)!r}\n")
+    cells = [row.rstrip("\n").split(",") for row in rows]
+    doubled = [f"{cid},{year},{2 * float(value)!r}\n" for cid, year, value in cells]
+    # The same cell texts, one row per country and one column per year.
+    years = sorted({year for _, year, _ in cells}, key=int)
+    by_country: dict[str, dict[str, str]] = {}
+    for cid, year, value in cells:
+        by_country.setdefault(cid, {})[year] = value
+    wide = [",".join(["country", *years]) + "\n",
+            *(",".join([cid, *map(values.__getitem__, years)]) + "\n"
+              for cid, values in by_country.items())]
     return {"base": _run_variant(root / "base", inputs, [header, *rows]),
             "shuffled": _run_variant(root / "shuffled", inputs,
                                      [header, *(rows[i] for i in order)]),
+            "wide": _run_variant(root / "wide", inputs, wide),
             "doubled": _run_variant(root / "doubled", inputs, [header, *doubled])}
 
 
@@ -91,6 +98,12 @@ def test_shuffled_rows_change_no_output_byte(runs):
     base = _files(runs["base"])
     assert len(base) == 21
     assert _files(runs["shuffled"]) == base
+
+
+def test_wide_layout_changes_no_output_byte(runs):
+    base = _files(runs["base"])
+    assert len(base) == 21
+    assert _files(runs["wide"]) == base
 
 
 def test_doubled_temperatures_double_trends(runs):

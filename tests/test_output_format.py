@@ -82,8 +82,7 @@ def write_weight_meta(path):
 
 
 def write_coefficients_csv(path):
-    model = StarModel(weights=_weights(), train_span=(1901, 2000),
-                      c=np.array([0.1, 1e-05, -2.0]),
+    model = StarModel(weights=_weights(), c=np.array([0.1, 1e-05, -2.0]),
                       phi=np.array([0.3333333333333333, 0.0, 0.5]),
                       psi=np.array([0.25, 0.0, 0.0]),
                       has_psi=np.array([True, False, False]),

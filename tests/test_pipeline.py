@@ -242,15 +242,24 @@ class TestBuildWeights:
         with_null = self.build_all(grouped_panel, kinds=("dA",))
         assert with_null["dA"].zero_rows() == ()
 
-    def test_scheme_cache_reused(self, grouped_panel):
-        cache = {}
-        first = self.build_all(grouped_panel, kinds=("cB",), scheme_cache=cache)
-        assert set(cache) == {"B"}
-        marker = cache["B"]
-        second = self.build_all(grouped_panel, kinds=("cB", "dB"),
-                                scheme_cache=cache)
-        assert cache["B"] is marker
-        assert np.array_equal(first["cB"].values, second["cB"].values)
+    @pytest.mark.parametrize("kinds, calls", [
+        (KINDS, {"fit_panel_trends": 1, "diff_distance": 1, "sign_distance": 1,
+                 "compute_scheme": 3}),
+        (("cB", "cB"), {"fit_panel_trends": 0, "diff_distance": 1, "sign_distance": 0,
+                        "compute_scheme": 1}),
+    ], ids=["all-kinds", "repeated-cB"])
+    def test_each_step_runs_once(self, grouped_panel, monkeypatch, kinds, calls):
+        # Trends, the B and C matrices and each scheme's clustering are
+        # computed once per call and shared by every kind that needs them.
+        counts = dict.fromkeys(calls, 0)
+        for name in calls:
+            def counted(*args, fn=getattr(pipeline, name), name=name, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+        out = self.build_all(grouped_panel, kinds=kinds)
+        assert counts == calls
+        assert tuple(out) == tuple(dict.fromkeys(kinds))
 
     def test_rescale_required_for_wide_distances(self, grouped_panel):
         # Max diff distance 12.4 exceeds the 9-country panel size.

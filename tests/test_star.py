@@ -238,11 +238,11 @@ class TestFitStar:
             EquationFit(country="a", c=0.0, phi=0.1, psi=None, sigma2=-1.0)
 
 
-def model_from(weights, c, phi, psi, train_span=(1990, 2000)):
+def model_from(weights, c, phi, psi):
     """StarModel from per-country coefficient lists; a psi of None is absent."""
     n = len(psi)
-    return StarModel(weights=weights, train_span=train_span,
-                     c=np.asarray(c, dtype=float), phi=np.asarray(phi, dtype=float),
+    return StarModel(weights=weights, c=np.asarray(c, dtype=float),
+                     phi=np.asarray(phi, dtype=float),
                      psi=np.array([0.0 if p is None else p for p in psi]),
                      has_psi=np.array([p is not None for p in psi]),
                      sigma2=np.ones(n), dropped=((),) * n)
@@ -409,7 +409,7 @@ class TestForecast:
     def test_all_zero_coefficients_flat_forecast(self, ring_weights):
         labels = ("a", "b", "c")
         w = ring_weights(3, labels)
-        model = model_from(w, [0.0] * 3, [0.0] * 3, [0.0] * 3, train_span=(1990, 1999))
+        model = model_from(w, [0.0] * 3, [0.0] * 3, [0.0] * 3)
         panel = make_panel(np.random.default_rng(2).random((3, 10)),
                            ids=list(labels))
         out = forecast(model, panel, horizon=4)

@@ -13,6 +13,13 @@ from conftest import assignment_of, borders_of, make_panel
 from _oracles import contiguity_from_edges, mask_and_normalize
 
 
+# Rescaled with rho = 1, the largest distance 317.03698298 maps to
+# 317.03698298 * (3 / 317.03698298), which rounds to just above N = 3.
+ROUNDS_ABOVE_N = np.array([[0.0, 317.03698298, 100.0],
+                           [317.03698298, 0.0, 200.0],
+                           [100.0, 200.0, 0.0]])
+
+
 def panel_of(n, t=8, seed=0, ids=None):
     rng = np.random.default_rng(seed)
     return make_panel(rng.random((n, t)), ids=ids)
@@ -184,6 +191,16 @@ class TestDistanceWeights:
         expect = sim / sim.sum(axis=1, keepdims=True)
         assert np.allclose(w.values, expect, atol=1e-15)
 
+    def test_rescale_at_rho_one_rounding_above_n(self):
+        # 317.03698298 * (3 / 317.03698298) rounds above 3, so the farthest
+        # pair's similarity would be a tiny negative; it is clamped to 0.
+        panel = panel_of(3, ids=["a", "b", "c"])
+        w = distance_weights(distance_of(panel, ROUNDS_ABOVE_N), panel,
+                             kind="dB", rescale=True, rho=1.0)
+        assert w.values[0, 1] == w.values[1, 0] == 0.0
+        assert w.values[0, 2] == w.values[1, 2] == 1.0
+        assert np.all(w.values >= 0.0)
+
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         panel = panel_of(12)
@@ -270,6 +287,14 @@ class TestClusterRestrictedWeights:
         with pytest.raises(ValidationError, match="do not match the panel order"):
             cluster_restricted_weights(distance_of(panel, np.zeros((3, 3))), assign,
                                        panel, kind="cB")
+
+    def test_rescale_at_rho_one_rounding_above_n(self):
+        panel = panel_of(3, ids=["a", "b", "c"])
+        assign = assignment_of({"a": 1, "b": 1, "c": 1})
+        w = cluster_restricted_weights(distance_of(panel, ROUNDS_ABOVE_N), assign, panel,
+                                       kind="cB", rescale=True, rho=1.0)
+        assert w.values[0, 1] == w.values[1, 0] == 0.0
+        assert np.all(w.values >= 0.0)
 
     def test_hamming_restricted(self):
         values = np.array([
