@@ -27,8 +27,8 @@ from .panel import (TemperaturePanel, attach_zones, load_adjacency, load_panel,
 from .pipeline import (SCHEMES, SchemeResult, build_weights, compute_scheme,
                        scheme_features, weight_builder)
 from .star import EquationFit, StarModel, fit_star, fitted_levels, forecast
-from .trends import (TrendFit, fit_linear_trend, fit_panel_trends,
-                     panel_differences, sign_sequence, student_t_sf2)
+from .trends import (TrendFit, fit_panel_trends, panel_differences,
+                     sign_sequence, student_t_sf2)
 from .weights import (KINDS, WeightMatrix, cluster_restricted_weights,
                       contiguity_weights, distance_weights)
 
@@ -44,7 +44,7 @@ __all__ = [
     "agglomerate", "attach_zones", "build_report", "build_weights",
     "cluster_restricted_weights", "cluster_summary", "compute_scheme",
     "config_from_dict", "contiguity_weights", "cross_tab", "cut",
-    "diff_distance", "distance_weights", "fit_linear_trend",
+    "diff_distance", "distance_weights",
     "fit_panel_trends", "fit_star", "fitted_levels", "forecast",
     "frobenius_norm", "hamming_distance", "in_sample_fn", "load_adjacency",
     "load_config", "load_panel", "loss_series", "mcs", "oos_experiment",

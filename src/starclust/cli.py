@@ -20,8 +20,8 @@ import numpy as np
 from . import clustering, evaluation, pipeline, star, trends, weights
 from .config import RunConfig, load_config
 from .errors import NumericalError, StarclustError, ValidationError
-from .panel import (TemperaturePanel, _read_rows, attach_zones, load_adjacency,
-                    load_panel, split_panel, write_csv)
+from .panel import (TemperaturePanel, _column_index, _read_rows, attach_zones,
+                    load_adjacency, load_panel, split_panel, write_csv)
 
 CONFIG_ENV = "STARCLUST_CONFIG"
 
@@ -335,7 +335,7 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
     columns = ("model", "period", "loss")
     if not set(columns) <= set(header):
         raise ValidationError(f"losses file needs columns {sorted(columns)}")
-    at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+    at = _column_index(header, columns, "losses file")
     by_model: dict[str, list[tuple[str, float]]] = {}
     for i, row in enumerate(rows):
         absent = [name for name in columns if at[name] >= len(row)]

@@ -341,9 +341,10 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
 
     eliminations.append((ids[int(np.flatnonzero(alive)[0])], 1.0))
     if degenerate_pairs:
-        listed = sorted((ids[p], ids[q]) for p, q in degenerate_pairs)[:5]
-        warnings.warn(f"zero bootstrap variance for model pairs {listed}; "
-                      f"their statistic contribution was set to 0", RuntimeWarning)
+        listed = sorted((ids[p], ids[q]) for p, q in degenerate_pairs)
+        warnings.warn(f"zero bootstrap variance or constant loss differential for "
+                      f"model pairs {listed}; their statistic contribution was set to 0",
+                      RuntimeWarning)
 
     survivors = tuple(model for model, p in eliminations if p >= alpha)
     return McsReport(statistic=statistic, reps=reps, block=block, seed=seed,

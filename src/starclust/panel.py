@@ -237,6 +237,18 @@ def _unwritable(path: str | Path, exc: OSError) -> ValidationError:
     return ValidationError(f"cannot write output file {path}: {exc.strerror}")
 
 
+def _column_index(header: list[str], names: Iterable[str], source: str) -> dict[str, int]:
+    """The column of each of `names` that the header holds. A name it holds
+    twice is a ValidationError naming the column: either could be meant."""
+    index = {}
+    for name in names:
+        if header.count(name) > 1:
+            raise ValidationError(f"{source} header repeats column {name!r}")
+        if name in header:
+            index[name] = header.index(name)
+    return index
+
+
 def detect_format(header: list[str]) -> str:
     """Classify a CSV header as 'long' or 'wide'."""
     lowered = [h.lower() for h in header]
@@ -305,6 +317,7 @@ def _wide_as_long(header: list[str], chunks: _Chunks) -> tuple[list[str], _Chunk
     rows in file order, each on the line of the wide row it came from.
     """
     lowered = [h.lower() for h in header]
+    _column_index(lowered, ["country"], "panel")
     year_cols = sorted((int(h), i) for i, h in enumerate(lowered)
                        if h.removeprefix("-").isdecimal())
     years = [year for year, _ in year_cols]
@@ -314,11 +327,10 @@ def _wide_as_long(header: list[str], chunks: _Chunks) -> tuple[list[str], _Chunk
     for year in (years[0], years[-1]):
         if not _YEAR_MIN <= year <= _YEAR_MAX:
             raise ValidationError(f"wide panel year column {year} is out of range")
-    meta_names = [name for name in _META_COLUMNS if name in lowered]
-    meta_idx = [lowered.index(name) for name in meta_names]
+    meta_col = _column_index(lowered, _META_COLUMNS, "panel")
     cells = [(str(year), i) for year, i in year_cols]
-    return ([*_LONG_HEADER, *meta_names],
-            _wide_rows_as_long(len(header), chunks, cells, meta_idx))
+    return ([*_LONG_HEADER, *meta_col],
+            _wide_rows_as_long(len(header), chunks, cells, list(meta_col.values())))
 
 
 def _wide_rows_as_long(width: int, chunks: _Chunks, cells: list[tuple[str, int]],
@@ -359,8 +371,8 @@ def _load_long(header: list[str], chunks: _Chunks) -> TemperaturePanel:
     metadata, whose messages name the country and year, not a line.
     """
     lowered = [h.lower() for h in header]
-    col = {name: lowered.index(name) for name in _LONG_HEADER}
-    meta_col = {name: lowered.index(name) for name in _META_COLUMNS if name in lowered}
+    col = _column_index(lowered, _LONG_HEADER, "panel")
+    meta_col = _column_index(lowered, _META_COLUMNS, "panel")
     code_of: dict[str, int] = {}  # country id -> code, in the order ids first appear
     meta: dict[str, dict[str, str]] = {}
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -462,6 +474,18 @@ def _gap_message(ids: list[str], codes: np.ndarray, years: np.ndarray,
     return f"missing observations: {', '.join(shown)}{more}"
 
 
+def _add_row_meta(meta: dict[str, dict[str, str]], country: str, row: list[str],
+                  cols: Mapping[str, int]) -> None:
+    """Add one row's non-blank metadata to `meta[country]`; a value that
+    differs from the country's earlier one is a ValidationError."""
+    entry = meta.setdefault(country, {})
+    for name, idx in cols.items():
+        text = row[idx].strip()
+        if text and entry.setdefault(name, text) != text:
+            raise ValidationError(f"conflicting {name} for country {country!r}: "
+                                  f"{entry[name]!r} vs {text!r}")
+
+
 def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int],
                     meta_col: dict[str, int], line: Callable[[int], int]) -> NoReturn:
     """Re-read a long panel row by row and raise its first row-level fault.
@@ -490,17 +514,7 @@ def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int
         if (country, year) in seen:
             raise ValidationError(f"duplicate entry for country {country!r}, year {year}")
         seen.add((country, year))
-        entry = meta.setdefault(country, {})
-        for name, idx in meta_col.items():
-            text = row[idx].strip()
-            if not text:
-                continue
-            if name in entry and entry[name] != text:
-                raise ValidationError(
-                    f"conflicting {name} for country {country!r}: "
-                    f"{entry[name]!r} vs {text!r}"
-                )
-            entry[name] = text
+        _add_row_meta(meta, country, row, meta_col)
     raise ValidationError(out_of_range or "long panel rows failed a check but no row is at fault")
 
 
@@ -544,8 +558,8 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
     lowered = [h.lower() for h in header]
     if "country" not in lowered or "zone" not in lowered:
         raise ValidationError("zone file header must contain `country` and `zone`")
-    cols = {name: lowered.index(name) for name in _META_COLUMNS if name in lowered}
-    id_col = lowered.index("country")
+    cols = _column_index(lowered, ["country", *_META_COLUMNS], "zone file")
+    id_col = cols.pop("country")
     table: dict[str, dict[str, str]] = {}
     for i, row in enumerate(rows):
         if len(row) < len(header):
@@ -553,12 +567,7 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
         country = row[id_col].strip()
         if country not in panel.id_index:
             raise ValidationError(f"line {line(i)}: unknown country id {country!r} in zone file")
-        entry = table.setdefault(country, {})
-        for name, idx in cols.items():
-            text = row[idx].strip()
-            if text and entry.setdefault(name, text) != text:
-                raise ValidationError(f"conflicting {name} for country {country!r}: "
-                                      f"{entry[name]!r} vs {text!r}")
+        _add_row_meta(table, country, row, cols)
     zones = _zone_column(panel.ids, table)
     # Sharing panel.values instead raised wide-k800 cluster peak RSS 42.6 -> 43.2 MiB.
     return TemperaturePanel(ids=panel.ids, years=panel.years, values=panel.values.copy(),
@@ -576,6 +585,7 @@ def load_adjacency(path: str | Path, panel: TemperaturePanel) -> np.ndarray:
     lowered = [h.lower() for h in header]
     if lowered[:2] != ["country_a", "country_b"]:
         raise ValidationError("adjacency header must be `country_a,country_b`")
+    _column_index(lowered, ["country_a", "country_b"], "adjacency")
     index = panel.id_index
     edges = []
     for i, row in enumerate(rows):

@@ -1,8 +1,12 @@
-"""Per-country series transformations: linear trend, differences, sign strings.
+"""Panel series transformations: linear trends, differences, sign strings.
 
-The trend regressor is the 1-based year index, not the calendar year; the
-slope is identical either way and the intercept follows the index convention.
-Significance uses classical homoskedastic OLS standard errors.
+Every country's linear trend is fitted in one array pass over the N x T
+panel, by the closed-form OLS slope and intercept. The trend regressor is the
+1-based year index, not the calendar year; the slope is identical either way
+and the intercept follows the index convention. Significance uses classical
+homoskedastic OLS standard errors; only the p-value is computed a country at
+a time, because the continued fraction below needs a different number of
+terms for each.
 
 Two-sided p-values are the regularized incomplete beta I_x(df/2, 1/2) with
 x = df / (df + t^2), evaluated here without scipy: the front factor comes
@@ -101,67 +105,51 @@ def student_t_sf2(t_stat: float, df: int) -> float:
     return _incomplete_beta(df / 2.0, 0.5, df / (df + tt), tt / (df + tt))
 
 
-def fit_linear_trend(series: np.ndarray, alpha: float = 0.05) -> TrendFit:
-    """Fit temperature = intercept + slope * t + noise with t = 1..T.
+def fit_panel_trends(panel: TemperaturePanel, alpha: float = 0.05) -> dict[str, TrendFit]:
+    """Fit temperature = intercept + slope * t + noise, t = 1..T, for every country.
 
-    Parameters
-    ----------
-    series : array of length T >= 3
-        Annual temperatures for one country.
-    alpha : float
-        Two-sided significance level used to set the `significant` flag.
-
-    Returns
-    -------
-    TrendFit with classical OLS slope standard error and a two-sided p-value
-    from Student's t on T - 2 degrees of freedom.
+    Returns each country's TrendFit, keys in panel order, with the classical
+    OLS slope standard error and a two-sided p-value from Student's t on
+    T - 2 degrees of freedom; `alpha` is the two-sided level of the
+    `significant` flag. A fit does not depend on the panel's other rows.
     """
-    y = np.asarray(series, dtype=float)
-    if y.ndim != 1:
-        raise ValidationError("series must be one-dimensional")
-    n = y.shape[0]
+    n = panel.n_years
     if n < 3:
         raise ValidationError(f"trend fit needs at least 3 observations, got {n}")
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
 
+    y = panel.values
     t = np.arange(1, n + 1, dtype=float)
     t_centered = t - t.mean()
     sxx = float(t_centered @ t_centered)
-    # Overflow (values near the float range) is caught by the check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = float(t_centered @ (y - y.mean())) / sxx
-        intercept = float(y.mean() - slope * t.mean())
-        residuals = y - intercept - slope * t
-        ssr = float(residuals @ residuals)
     df = n - 2
-    s2 = ssr / df
-    slope_se = float(np.sqrt(s2 / sxx))
-    if not all(map(math.isfinite, (intercept, slope, slope_se))):
-        raise NumericalError(f"non-finite trend fit (intercept {intercept}, "
-                             f"slope {slope}, se {slope_se})")
-
-    if slope_se > 0.0:
+    # Each row's products are one dot product of the batched matmul, as a fit
+    # of that row alone forms them; a matrix-vector product `y @ t` sums in
+    # another order and moves slopes in the last bit. Overflow (values near
+    # the float range) is caught by the check below.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = y.mean(axis=1)
+        slope = np.matmul((y - mean[:, None])[:, None, :], t_centered[:, None])[:, 0, 0] / sxx
+        intercept = mean - slope * t.mean()
+        residuals = (y - intercept[:, None] - slope[:, None] * t)[:, None, :]
+        ssr = np.matmul(residuals, residuals.transpose(0, 2, 1))[:, 0, 0]
+        slope_se = np.sqrt(ssr / df / sxx)
         t_stat = slope / slope_se
-        p_value = student_t_sf2(t_stat, df)
-    else:
-        # Noiseless line: infinite evidence unless the slope itself is zero.
-        t_stat = float(np.inf) * np.sign(slope) if slope != 0.0 else 0.0
-        p_value = 0.0 if slope != 0.0 else 1.0
-    return TrendFit(intercept=intercept, slope=slope, slope_se=slope_se,
-                    t_stat=float(t_stat), p_value=p_value,
-                    significant=p_value < alpha)
+    bad = ~(np.isfinite(intercept) & np.isfinite(slope) & np.isfinite(slope_se))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(f"{panel.ids[i]}: non-finite trend fit (intercept "
+                             f"{float(intercept[i])}, slope {float(slope[i])}, "
+                             f"se {float(slope_se[i])})")
 
-
-def fit_panel_trends(panel: TemperaturePanel, alpha: float = 0.05) -> dict[str, TrendFit]:
-    """Fit a linear trend for every country; keys follow the panel ordering."""
-    fits = {}
-    for cid, row in zip(panel.ids, panel.values):
-        try:
-            fits[cid] = fit_linear_trend(row, alpha=alpha)
-        except NumericalError as exc:
-            raise NumericalError(f"{cid}: {exc}") from None
-    return fits
+    # A noiseless line (se 0) has t = +-inf, or 0 / 0 when it is flat, whose
+    # t is 0; student_t_sf2 gives p 0 at t = +-inf and 1 at t = 0.
+    t_stat[np.isnan(t_stat)] = 0.0
+    p_values = [student_t_sf2(t, df) for t in t_stat.tolist()]
+    return {cid: TrendFit(*fit, p_value=p, significant=p < alpha)
+            for cid, *fit, p in zip(panel.ids, intercept.tolist(), slope.tolist(),
+                                    slope_se.tolist(), t_stat.tolist(), p_values)}
 
 
 def panel_differences(panel: TemperaturePanel) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately naive: explicit normal equations, O(K^3)
+Everything here is deliberately naive: explicit normal equations, a trend
+fit that fits one country at a time, O(K^3)
 linkage re-scans over the raw distance matrix, brute-force distance loops, a
 differenced-series distance that forms both triangles, slope and Hamming
 distances through whole K x K temporaries, a linkage that always works on a
@@ -29,7 +30,7 @@ from starclust.evaluation import LossSeries, McsReport, _start_chunks
 from starclust.panel import (_LONG_HEADER, _META_COLUMNS, TemperaturePanel,
                              _parse_temperature, _zone_column, detect_format)
 from starclust.star import EquationFit
-from starclust.trends import panel_differences
+from starclust.trends import TrendFit, panel_differences, student_t_sf2
 from starclust.weights import WeightMatrix
 
 
@@ -55,6 +56,73 @@ def trend_stats(series: np.ndarray) -> dict:
     p = 2 * stats.t.sf(abs(tstat), n - 2)
     return {"intercept": float(intercept), "slope": float(slope), "se": se,
             "t": float(tstat), "p": float(p)}
+
+
+# Per-series trend fit: `fit_linear_trend` and the loop that called it, as
+# `starclust.trends.fit_panel_trends` was before it fitted every row in
+# one array pass (verbatim, the loop renamed).
+
+def fit_linear_trend(series: np.ndarray, alpha: float = 0.05) -> TrendFit:
+    """Fit temperature = intercept + slope * t + noise with t = 1..T.
+
+    Parameters
+    ----------
+    series : array of length T >= 3
+        Annual temperatures for one country.
+    alpha : float
+        Two-sided significance level used to set the `significant` flag.
+
+    Returns
+    -------
+    TrendFit with classical OLS slope standard error and a two-sided p-value
+    from Student's t on T - 2 degrees of freedom.
+    """
+    y = np.asarray(series, dtype=float)
+    if y.ndim != 1:
+        raise ValidationError("series must be one-dimensional")
+    n = y.shape[0]
+    if n < 3:
+        raise ValidationError(f"trend fit needs at least 3 observations, got {n}")
+    if not (0.0 < alpha < 1.0):
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+
+    t = np.arange(1, n + 1, dtype=float)
+    t_centered = t - t.mean()
+    sxx = float(t_centered @ t_centered)
+    # Overflow (values near the float range) is caught by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = float(t_centered @ (y - y.mean())) / sxx
+        intercept = float(y.mean() - slope * t.mean())
+        residuals = y - intercept - slope * t
+        ssr = float(residuals @ residuals)
+    df = n - 2
+    s2 = ssr / df
+    slope_se = float(np.sqrt(s2 / sxx))
+    if not all(map(math.isfinite, (intercept, slope, slope_se))):
+        raise NumericalError(f"non-finite trend fit (intercept {intercept}, "
+                             f"slope {slope}, se {slope_se})")
+
+    if slope_se > 0.0:
+        t_stat = slope / slope_se
+        p_value = student_t_sf2(t_stat, df)
+    else:
+        # Noiseless line: infinite evidence unless the slope itself is zero.
+        t_stat = float(np.inf) * np.sign(slope) if slope != 0.0 else 0.0
+        p_value = 0.0 if slope != 0.0 else 1.0
+    return TrendFit(intercept=intercept, slope=slope, slope_se=slope_se,
+                    t_stat=float(t_stat), p_value=p_value,
+                    significant=p_value < alpha)
+
+
+def loop_fit_panel_trends(panel: TemperaturePanel, alpha: float = 0.05) -> dict[str, TrendFit]:
+    """Fit a linear trend for every country; keys follow the panel ordering."""
+    fits = {}
+    for cid, row in zip(panel.ids, panel.values):
+        try:
+            fits[cid] = fit_linear_trend(row, alpha=alpha)
+        except NumericalError as exc:
+            raise NumericalError(f"{cid}: {exc}") from None
+    return fits
 
 
 def brute_slope_distance(slopes: list[float]) -> np.ndarray:
@@ -393,7 +461,8 @@ def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
                        seed: int = 0) -> McsReport:
     """`starclust.mcs` as it was before each pair's terms were formed once per
     call: every round rebuilds its active pairs' bootstrap differentials,
-    squares and valid-row copies."""
+    squares and valid-row copies. Its warning lists every degenerate pair, as
+    the package's does."""
     if not losses:
         raise ValidationError("the confidence set needs at least one model")
     if len(losses) == 1:
@@ -470,9 +539,10 @@ def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
 
     eliminations.append((ids[active[0]], 1.0))
     if degenerate_pairs:
-        listed = sorted((ids[p], ids[q]) for p, q in degenerate_pairs)[:5]
-        warnings.warn(f"zero bootstrap variance for model pairs {listed}; "
-                      f"their statistic contribution was set to 0", RuntimeWarning)
+        listed = sorted((ids[p], ids[q]) for p, q in degenerate_pairs)
+        warnings.warn(f"zero bootstrap variance or constant loss differential for "
+                      f"model pairs {listed}; their statistic contribution was set to 0",
+                      RuntimeWarning)
 
     survivors = tuple(model for model, p in eliminations if p >= alpha)
     return McsReport(statistic=statistic, reps=reps, block=block, seed=seed,

@@ -28,7 +28,7 @@ from starclust.distances import (DistanceMatrix, diff_distance, sign_distance,
 from starclust.evaluation import (LossSeries, frobenius_norm, in_sample_fn,
                                   loss_series, mcs, oos_experiment)
 from starclust.star import fit_star, forecast
-from starclust.trends import fit_linear_trend
+from starclust.trends import fit_panel_trends
 
 
 @contextmanager
@@ -117,8 +117,7 @@ class TestReproduction:
             scheme_a = real_run["scheme_a"]
             assign = scheme_a.assignment
             panel = real_run["panel"]
-            slopes = {cid: fit_linear_trend(row).slope
-                      for cid, row in zip(panel.ids, panel.values)}
+            slopes = {cid: fit.slope for cid, fit in fit_panel_trends(panel).items()}
             for number, expected in enumerate(SLOPE_MEANS, start=1):
                 members = assign.members(number)
                 mean = float(np.mean([slopes[cid] for cid in members]))
@@ -183,7 +182,7 @@ class TestOracleEquivalence:
             for _ in range(100):
                 t = int(rng.integers(10, 60))
                 series = rng.normal(10.0, 2.0, t) + rng.normal(0, 0.1) * np.arange(t)
-                fit = fit_linear_trend(series)
+                fit, = fit_panel_trends(make_panel(series[None, :])).values()
                 design = np.column_stack([np.ones(t),
                                           np.arange(1, t + 1, dtype=float)])
                 ref = ols_normal_equations(design, series)
@@ -242,11 +241,11 @@ class TestOracleEquivalence:
                 t = int(rng.integers(8, 30))
                 values = rng.normal(10.0, 3.0, (n, t))
                 panel = make_panel(values, first_year=1950)
-                trends = [fit_linear_trend(values[i]) for i in range(n)]
-                slope_m = slope_distance(np.array([f.slope for f in trends]), panel.ids)
+                slopes = [fit.slope for fit in fit_panel_trends(panel).values()]
+                slope_m = slope_distance(np.array(slopes), panel.ids)
                 assert np.allclose(
                     slope_m.values,
-                    brute_slope_distance([f.slope for f in trends]),
+                    brute_slope_distance(slopes),
                     rtol=0.0, atol=1e-12)
                 diff_m = diff_distance(panel)
                 assert np.allclose(diff_m.values, brute_diff_distance(values),

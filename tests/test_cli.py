@@ -791,6 +791,57 @@ class TestByteOrderMark:
             assert "contingency_A.csv" in outputs[b""]
 
 
+class TestRepeatedColumn:
+    """A column that a reader uses, named twice in the header, exits 2: either
+    column could be the one meant. A repeated column no reader uses is allowed."""
+
+    @staticmethod
+    def run_with_column_repeated(dataset, root, target, column):
+        texts = {name: dataset[name].read_text(encoding="utf-8")
+                 for name in ("panel", "zones", "adjacency")}
+        texts["losses"] = _losses_text()
+        by_country: dict[str, list[str]] = {}
+        for row in texts["panel"].splitlines()[1:]:
+            cid, year, value = row.split(",")
+            by_country.setdefault(cid, []).append(value)
+        years = [row.split(",")[1] for row in texts["panel"].splitlines()[1:]
+                 if row.startswith("C00,")]
+        texts["wide"] = "\n".join([",".join(["country", *years]),
+                                   *(",".join([cid, *values])
+                                     for cid, values in by_country.items())]) + "\n"
+        # Each row repeats the cell of the column named `column`, or of the
+        # first column when the header has none.
+        header, *rows = texts[target].splitlines()
+        names = header.split(",")
+        at = names.index(column) if column in names else 0
+        texts[target] = "\n".join([f"{header},{column}",
+                                   *(f"{row},{row.split(',')[at]}" for row in rows)]) + "\n"
+        paths = {name: root / f"{name}.csv" for name in texts}
+        for name, path in paths.items():
+            path.write_text(texts[name], encoding="utf-8")
+        panel = ["--data", str(paths["wide" if target == "wide" else "panel"])]
+        argv = {"panel": ["trends", *panel], "wide": ["trends", *panel],
+                "zones": ["cluster", "--scheme", "A", "--k", "2", *panel,
+                          "--zones", str(paths["zones"])],
+                "adjacency": ["weights", "--kind", "NN", *panel,
+                              "--adjacency", str(paths["adjacency"])],
+                "losses": ["mcs", "--losses", str(paths["losses"]), "--reps", "200"]}[target]
+        return main([*argv, "--out", str(root / "out")])
+
+    @pytest.mark.parametrize("target, column", [
+        ("panel", "temperature"), ("wide", "country"),
+        ("zones", "zone"), ("adjacency", "country_b"), ("losses", "loss")])
+    def test_used_column_exits_2_naming_it(self, dataset, tmp_path, capsys, target, column):
+        assert self.run_with_column_repeated(dataset, tmp_path, target, column) == 2
+        captured = capsys.readouterr()
+        assert f"header repeats column {column!r}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_unused_column_may_repeat(self, dataset, tmp_path, capsys):
+        assert self.run_with_column_repeated(dataset, tmp_path, "panel", "note") == 0
+        capsys.readouterr()
+
+
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                      "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -291,11 +291,23 @@ class TestMcs:
         # Decided from the losses, not from whether rounding happens to leave
         # the bootstrap variance at exactly 0 or at rounding noise.
         with pytest.warns(RuntimeWarning,
-                          match=r"zero bootstrap variance for model pairs \[\('a', 'b'\)\]"):
+                          match=r"zero bootstrap variance or constant loss differential "
+                          r"for model pairs \[\('a', 'b'\)\]"):
             report = mcs([loss("a", a), loss("b", b)], reps=200, seed=0)
         # The only pair contributes 0 to the observed and every null statistic,
         # so no round rejects and both models keep p = 1.
         assert report.eliminations == (("a", 1.0), ("b", 1.0))
+
+    def test_warning_lists_every_degenerate_pair(self):
+        # Every pair of four models a quarter apart has a constant differential.
+        base = np.random.default_rng(6).random(22)
+        losses = [loss(m, base + shift) for m, shift in zip("abcd", (0, 0.25, 0.5, 0.75))]
+        with pytest.warns(RuntimeWarning) as caught:
+            mcs(losses, reps=200, seed=0)
+        pairs = [(p, q) for i, p in enumerate("abcd") for q in "abcd"[i + 1:]]
+        assert [str(w.message) for w in caught] == [
+            f"zero bootstrap variance or constant loss differential for model pairs "
+            f"{pairs}; their statistic contribution was set to 0"]
 
     def test_block_spanning_the_sample_is_degenerate(self):
         # With block == n every replicate redraws the sample itself, so the

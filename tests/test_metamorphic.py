@@ -3,10 +3,15 @@
 Each seed's paper-sized inputs come from the benchmark's generator
 (bench/gen_panel.py). `evaluate`, `trends`, `cluster` A/B/C and `fit --kind
 dC` run on them, on the same panel rows in shuffled order, on the same
-cells written in the wide layout, and on every temperature times 2. The
+cells written in the wide layout, on the long panel's columns reordered, on
+every id renamed by an order-preserving map (`u0000` -> `w0000`, in the
+panel, zones and adjacency files), and on every temperature times 2. The
 outputs must obey the relations that the arithmetic makes exact:
 
-- shuffled rows and the wide layout: every output file is byte-identical;
+- shuffled rows, the wide layout and reordered columns: every output file is
+  byte-identical;
+- renamed ids: every output file is byte-identical once the ids are mapped
+  back, and no file holds an old id;
 - doubled temperatures (exact in binary): the trend intercept, slope and SE
   are exactly doubled with t and p unchanged; every merge of every
   dendrogram is kept, with heights exactly doubled for schemes A and B and
@@ -18,6 +23,7 @@ constant column of the design does not scale, so no relation is checked on them.
 """
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -62,15 +68,20 @@ def _run_variant(root: Path, inputs: dict, panel_lines: list[str]) -> Path:
 
 @pytest.fixture(scope="module", params=SEEDS, ids=lambda seed: f"seed{seed}")
 def runs(request, tmp_path_factory) -> dict[str, Path]:
-    """Output directories of the base, shuffled, wide and doubled runs."""
+    """Output directories of the base run and of each variant's run."""
     root = tmp_path_factory.mktemp(f"metamorphic{request.param}")
     gen_panel = _gen_panel()
-    inputs = gen_panel.write_inputs(gen_panel.generate(request.param, 168),
-                                    root / "inputs")
+    data = gen_panel.generate(request.param, 168)
+    inputs = gen_panel.write_inputs(data, root / "inputs")
+    # Every id starts with "u", so swapping it for "w" keeps the ids in order.
+    renamed = gen_panel.write_inputs({**data, "ids": [f"w{cid[1:]}" for cid in data["ids"]]},
+                                     root / "renamed_inputs")
     header, *rows = inputs["panel"].read_text(encoding="utf-8").splitlines(keepends=True)
     order = np.random.default_rng(request.param).permutation(len(rows))
     cells = [row.rstrip("\n").split(",") for row in rows]
     doubled = [f"{cid},{year},{2 * float(value)!r}\n" for cid, year, value in cells]
+    reordered = ["temperature,country,year\n",
+                 *(f"{value},{cid},{year}\n" for cid, year, value in cells)]
     # The same cell texts, one row per country and one column per year.
     years = sorted({year for _, year, _ in cells}, key=int)
     by_country: dict[str, dict[str, str]] = {}
@@ -83,6 +94,10 @@ def runs(request, tmp_path_factory) -> dict[str, Path]:
             "shuffled": _run_variant(root / "shuffled", inputs,
                                      [header, *(rows[i] for i in order)]),
             "wide": _run_variant(root / "wide", inputs, wide),
+            "reordered": _run_variant(root / "reordered", inputs, reordered),
+            "renamed": _run_variant(root / "renamed", renamed,
+                                    renamed["panel"].read_text(encoding="utf-8")
+                                    .splitlines(keepends=True)),
             "doubled": _run_variant(root / "doubled", inputs, [header, *doubled])}
 
 
@@ -104,6 +119,22 @@ def test_wide_layout_changes_no_output_byte(runs):
     base = _files(runs["base"])
     assert len(base) == 21
     assert _files(runs["wide"]) == base
+
+
+def test_reordered_columns_change_no_output_byte(runs):
+    base = _files(runs["base"])
+    assert len(base) == 21
+    assert _files(runs["reordered"]) == base
+
+
+def test_order_preserving_renaming_changes_only_ids(runs):
+    base = _files(runs["base"])
+    renamed = _files(runs["renamed"])
+    assert len(base) == 21
+    assert renamed.keys() == base.keys()
+    for name, data in renamed.items():
+        assert re.search(rb"\bu\d{4}\b", data) is None, name
+        assert re.sub(rb"\bw(\d{4})\b", rb"u\1", data) == base[name], name
 
 
 def test_doubled_temperatures_double_trends(runs):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from starclust import (NumericalError, ValidationError, fit_linear_trend,
+from starclust import (NumericalError, TemperaturePanel, TrendFit, ValidationError,
                        fit_panel_trends, panel_differences, sign_sequence,
                        student_t_sf2)
 from starclust.trends import write_trend_table
 
-from _oracles import trend_stats
+from _oracles import loop_fit_panel_trends, trend_stats
 from conftest import dyadic, make_panel
 
 finite_series = st.lists(
@@ -23,10 +23,16 @@ finite_series = st.lists(
 ).map(np.array)
 
 
+def row_trend(series) -> TrendFit:
+    """The trend fit of a one-country panel holding `series`."""
+    panel = make_panel(np.asarray(series, dtype=float)[None, :])
+    return fit_panel_trends(panel)[panel.ids[0]]
+
+
 class TestFitLinearTrend:
     def test_noiseless_line_recovered(self):
         t = np.arange(1, 12)
-        fit = fit_linear_trend(10 + 0.5 * t)
+        fit = row_trend(10 + 0.5 * t)
         assert math.isclose(fit.slope, 0.5, abs_tol=1e-12)
         assert math.isclose(fit.intercept, 10.0, abs_tol=1e-10)
         assert fit.slope_se <= 1e-12
@@ -35,13 +41,13 @@ class TestFitLinearTrend:
 
     def test_too_short_series_rejected(self):
         with pytest.raises(ValidationError, match="at least 3"):
-            fit_linear_trend(np.array([1.0, 2.0]))
+            row_trend(np.array([1.0, 2.0]))
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             series = rng.normal(10, 3, rng.integers(5, 80))
-            fit = fit_linear_trend(series)
+            fit = row_trend(series)
             ref = trend_stats(series)
             assert math.isclose(fit.slope, ref["slope"], abs_tol=1e-10)
             assert math.isclose(fit.intercept, ref["intercept"], abs_tol=1e-10)
@@ -52,20 +58,19 @@ class TestFitLinearTrend:
     @settings(max_examples=60, deadline=None)
     @given(finite_series)
     def test_trendfit_invariants(self, series):
-        fit = fit_linear_trend(series)
+        fit = row_trend(series)
         assert 0.0 <= fit.p_value <= 1.0
         if fit.slope_se > 0:
             assert math.isclose(fit.t_stat, fit.slope / fit.slope_se, rel_tol=1e-12)
 
     def test_se_positive_with_residual_variance(self):
-        series = np.array([1.0, 4.0, 2.0, 6.0, 3.0])
-        fit = fit_linear_trend(series)
+        fit = row_trend(np.array([1.0, 4.0, 2.0, 6.0, 3.0]))
         assert fit.slope_se > 0
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(5)
         series = rng.normal(0, 1, 60)
-        fit = fit_linear_trend(series)
+        fit = row_trend(series)
         t = np.arange(1, 61)
         resid = series - fit.intercept - fit.slope * t
         scale = np.linalg.norm(resid) * np.linalg.norm(t - t.mean()) + 1e-30
@@ -75,8 +80,7 @@ class TestFitLinearTrend:
     def test_constant_shift_moves_only_intercept(self):
         rng = np.random.default_rng(2)
         series = dyadic(rng, 24, low=-20, high=20)
-        base = fit_linear_trend(series)
-        shifted = fit_linear_trend(series + 7.0)
+        base, shifted = fit_panel_trends(make_panel([series, series + 7.0])).values()
         assert math.isclose(base.slope, shifted.slope, rel_tol=1e-10, abs_tol=1e-12)
         assert math.isclose(shifted.intercept, base.intercept + 7.0,
                             rel_tol=1e-10, abs_tol=1e-9)
@@ -86,7 +90,76 @@ class TestFitLinearTrend:
         # Finite values whose squared residuals overflow to inf.
         series = np.array([1.0, 4.0, 2.0, 6.0, 3.0]) * 1e300
         with pytest.raises(NumericalError, match="non-finite trend fit"):
-            fit_linear_trend(series)
+            row_trend(series)
+
+
+def oracle_outcome(fit, panel: TemperaturePanel, alpha: float = 0.05):
+    """The fits, or the type and text of the error, that `fit` gives."""
+    try:
+        return fit(panel, alpha=alpha)
+    except (NumericalError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMatchesPerSeriesLoop:
+    """Every field, and every error text, equals the per-series loop's exactly."""
+
+    @pytest.mark.parametrize("t", [3, 4, 130])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_panels(self, seed, t):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 200))
+        values = rng.normal(10, 3, (k, t)) + rng.normal(0, 0.05, (k, 1)) * np.arange(t)
+        if seed % 2:
+            values = np.round(values, 4)  # four decimals, as the CSV inputs hold
+        panel = make_panel(values, ids=[f"C{i:03d}" for i in range(k)])
+        for alpha in (0.05, 0.5):
+            got = fit_panel_trends(panel, alpha=alpha)
+            assert list(got.items()) == list(loop_fit_panel_trends(panel, alpha=alpha).items())
+
+    @pytest.mark.parametrize("t", [3, 4, 130])
+    def test_noiseless_and_flat_rows(self, t):
+        steps = np.arange(t, dtype=float)
+        values = np.array([2.0 + 0.25 * steps, 7.5 - 0.125 * steps, np.full(t, 5.0),
+                           np.zeros(t), -3.0 + 1e-3 * steps, 0.1 * steps,
+                           np.random.default_rng(t).normal(10, 1, t)])
+        panel = make_panel(values)
+        got = fit_panel_trends(panel)
+        assert list(got.items()) == list(loop_fit_panel_trends(panel).items())
+        # Exact lines: t is +-inf with p 0; flat rows: t 0 with p 1.
+        assert [fit.p_value for fit in got.values()][:4] == [0.0, 0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("scale", [1e150, 1e153, 1e200, 1e300, 1e307])
+    def test_values_near_overflow(self, scale):
+        rng = np.random.default_rng(8)
+        values = rng.normal(0, 1, (5, 12))
+        values[3] *= scale
+        values[1] = np.where(np.arange(12) % 2, 1.7e308, -1.7e308)
+        for rows in (values[[0, 2, 4]], values[[0, 3]], values):
+            panel = make_panel(rows)
+            want = oracle_outcome(loop_fit_panel_trends, panel)
+            got = oracle_outcome(fit_panel_trends, panel)
+            if isinstance(want, dict):
+                assert list(got.items()) == list(want.items())
+            else:
+                assert got == want
+
+    def test_overflow_texts_name_the_first_country(self):
+        values = np.random.default_rng(1).normal(10, 1, (6, 9))
+        values[4] *= 1e300
+        values[2] *= 1e300
+        panel = make_panel(values)
+        want = oracle_outcome(loop_fit_panel_trends, panel)
+        assert want[0] is NumericalError and want[1].startswith("C02: non-finite trend fit")
+        assert oracle_outcome(fit_panel_trends, panel) == want
+
+    @pytest.mark.parametrize("t, alpha", [(2, 0.05), (1, 0.05), (5, 0.0), (5, 1.0),
+                                          (5, -0.5), (5, float("nan"))])
+    def test_validation_texts(self, t, alpha):
+        panel = make_panel(np.ones((2, t)))
+        want = oracle_outcome(loop_fit_panel_trends, panel, alpha)
+        assert want[0] is ValidationError
+        assert oracle_outcome(fit_panel_trends, panel, alpha) == want
 
 
 class TestStudentT:
@@ -125,17 +198,16 @@ class TestStudentT:
 
 class TestSignificance:
     def test_noiseless_line_significant(self):
-        fit = fit_linear_trend(1.0 + 0.25 * np.arange(1, 20))
+        fit = row_trend(1.0 + 0.25 * np.arange(1, 20))
         assert fit.significant
 
     def test_false_positive_rate_close_to_level(self):
         # white noise has no trend, so the 5% test should reject ~5% of the time
         rng = np.random.default_rng(99)
         reps, n = 10_000, 122
-        rejections = 0
-        for _ in range(reps):
-            if fit_linear_trend(rng.normal(0, 1, n)).significant:
-                rejections += 1
+        fits = fit_panel_trends(make_panel(rng.normal(0, 1, (reps, n)),
+                                           ids=[f"C{i:05d}" for i in range(reps)]))
+        rejections = sum(fit.significant for fit in fits.values())
         assert abs(rejections / reps - 0.05) < 0.01
 
 
@@ -185,10 +257,9 @@ class TestSignSequence:
 class TestPanelTrends:
     def test_one_fit_per_country(self, toy_panel):
         fits = fit_panel_trends(toy_panel)
-        assert set(fits) == set(toy_panel.ids)
+        assert list(fits) == list(toy_panel.ids)
         for cid, fit in fits.items():
-            direct = fit_linear_trend(toy_panel.values[toy_panel.id_index[cid]])
-            assert fit.slope == direct.slope
+            assert fit == row_trend(toy_panel.values[toy_panel.id_index[cid]])
 
     def test_overflow_names_the_country(self, toy_panel):
         values = toy_panel.values.copy()
