@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration or validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import fields
@@ -88,7 +89,9 @@ def _base_parser() -> argparse.ArgumentParser:
         p.add_argument("--statistic", dest="mcs_statistic", choices=("SQ", "R"))
         p.add_argument("--origin", dest="split_year", type=int)
         p.add_argument("--horizon", type=int)
-        p.add_argument("--granularity", choices=("year", "observation"))
+        p.add_argument("--granularity", choices=("year", "observation"),
+                       help="MCS loss periods; both resample whole years and "
+                            "give the same output")
     mcs.add_argument("--losses", help="CSV of model,period,loss to test directly")
     return parser
 
@@ -103,12 +106,33 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg.with_overrides(**overrides)
 
 
-def _outdir(cfg: RunConfig) -> Path:
+# Every file each command may write under --out, formatted with its flags.
+_OUTPUTS = {
+    "trends": ("trends.csv",),
+    "cluster": ("dendrogram_{scheme}.json", "assignment_{scheme}.json",
+                "summary_{scheme}.csv", "plot_cluster_feature_{scheme}.csv",
+                "contingency_{scheme}.csv"),
+    "weights": ("weights_{kind}.csv", "weights_{kind}.json"),
+    "fit": ("coefficients_{kind}.csv", "fitted_{kind}.csv"),
+    "forecast": ("forecast_{kind}.csv",),
+    "evaluate": ("report.csv", "report.json", "plot_losses.csv"),
+    "mcs": ("mcs.json",),
+}
+
+
+def _outdir(cfg: RunConfig, args: argparse.Namespace) -> Path:
+    """Create the output directory and check that the command can write each
+    of its files there, so that a blocked path fails before any is written."""
     out = Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out}: {exc.strerror}") from None
+    for name in _OUTPUTS[args.command]:
+        path = out / name.format_map(vars(args))
+        if path.is_dir():
+            raise ValidationError(f"cannot write output file {path}: "
+                                  f"{os.strerror(errno.EISDIR)}")
     return out
 
 
@@ -271,8 +295,7 @@ def cmd_forecast(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
 def _run_oos(cfg: RunConfig, panel: TemperaturePanel,
              adjacency: np.ndarray) -> evaluation.OosResult:
     builder = pipeline.weight_builder(cfg, weights.KINDS, adjacency)
-    return evaluation.oos_experiment(panel, builder, cfg.split_year, cfg.horizon,
-                                     granularity=cfg.granularity)
+    return evaluation.oos_experiment(panel, builder, cfg.split_year, cfg.horizon)
 
 
 def _mcs(cfg: RunConfig, losses: list[evaluation.LossSeries]) -> evaluation.McsReport:
@@ -306,7 +329,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
 def _write_loss_plot_csv(oos: evaluation.OosResult, path: Path) -> None:
     """Per-year loss decomposition for every model (stacked-area plot data)."""
     write_csv(path, ["model", "year", "loss"],
-              ([kind, year, value] for kind, series in sorted(oos.year_losses.items())
+              ([kind, year, value] for kind, series in sorted(oos.losses.items())
                for year, value in zip(series.periods, series.values)))
 
 
@@ -369,7 +392,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """Run one command after the steps every command shares: resolve and
     validate the config, load the panel (with zones) and any adjacency, and
-    create the output directory. `mcs --losses` reads no panel."""
+    create the output directory, with every output path checked. `mcs
+    --losses` reads no panel."""
     args = _base_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
@@ -384,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
                 panel = attach_zones(panel, cfg.zones_path)
             if cfg.adjacency_path:
                 adjacency = load_adjacency(cfg.adjacency_path, panel)
-        out = _outdir(cfg)
+        out = _outdir(cfg, args)
         return _COMMANDS[args.command](args, cfg, panel, adjacency, out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

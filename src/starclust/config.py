@@ -17,6 +17,13 @@ _GRANULARITIES = ("year", "observation")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, read from YAML (`config_from_dict`) and flags.
+
+    `granularity` ("year" or "observation") is still read and validated, but
+    it changes no output: the observation-level MCS resamples whole years,
+    which gives the per-year report exactly (see `evaluation.mcs`).
+    """
+
     panel_path: str | None = None
     adjacency_path: str | None = None
     zones_path: str | None = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -47,8 +47,9 @@ def frobenius_norm(observed: np.ndarray, predicted: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LossSeries:
-    """Per-period losses for one model; periods are evaluation years (or
-    (year, country) pairs under per-observation granularity)."""
+    """Per-period losses for one model. The experiment's periods are its
+    evaluation years, each loss summed over every country; `mcs --losses`
+    may name any periods."""
 
     model: str
     periods: tuple
@@ -66,48 +67,31 @@ class LossSeries:
 
 
 def loss_series(model: str, observed: np.ndarray, predicted: np.ndarray,
-                years: Sequence[int], countries: Sequence[str] | None = None,
-                granularity: str = "year", periods: tuple | None = None) -> LossSeries:
-    """Decompose a Frobenius norm into per-year (default) or per-observation losses.
-
-    Per observation, the periods are (year, country) pairs, year-major;
-    `periods` passes that tuple when a caller has already built it, so that
-    models scored on one span share it.
-    """
+                years: Sequence[int]) -> LossSeries:
+    """Decompose a Frobenius norm into per-year losses, summed over countries."""
     obs = np.asarray(observed, dtype=float)
     pred = np.asarray(predicted, dtype=float)
     if obs.shape != pred.shape:
         raise ValidationError(f"shape mismatch: observed {obs.shape}, predicted {pred.shape}")
     if obs.shape[1] != len(years):
         raise ValidationError("year labels do not match the evaluation span")
-    sq = (obs - pred) ** 2
-    if granularity == "year":
-        return LossSeries(model=model, periods=tuple(years), values=sq.sum(axis=0))
-    if granularity == "observation":
-        if countries is None or len(countries) != obs.shape[0]:
-            raise ValidationError("per-observation losses need country labels")
-        if periods is None:
-            periods = tuple((year, cid) for year in years for cid in countries)
-        return LossSeries(model=model, periods=periods, values=sq.T.reshape(-1))
-    raise ValidationError(f"unknown granularity {granularity!r}")
+    return LossSeries(model=model, periods=tuple(years), values=((obs - pred) ** 2).sum(axis=0))
 
 
 @dataclass(frozen=True)
 class OosResult:
-    """Out-of-sample experiment output, keyed by model kind: `losses` at the
-    experiment's granularity, `year_losses` per year (the same objects at year)."""
+    """Out-of-sample experiment output, keyed by model kind: each model's
+    Frobenius norm and its per-year losses."""
 
     origin_year: int
     horizon: int
     fn: dict[str, float]
     losses: dict[str, LossSeries]
-    year_losses: dict[str, LossSeries] = field(repr=False)
 
 
 def oos_experiment(panel: TemperaturePanel,
                    weight_builder: Callable[[TemperaturePanel], Mapping[str, WeightMatrix]],
-                   origin_year: int, horizon: int,
-                   granularity: str = "year") -> OosResult:
+                   origin_year: int, horizon: int) -> OosResult:
     """Fit every model on data through origin_year, forecast the next
     `horizon` years, and score each forecast against the held-out levels.
 
@@ -129,21 +113,11 @@ def oos_experiment(panel: TemperaturePanel,
 
     fn: dict[str, float] = {}
     losses: dict[str, LossSeries] = {}
-    year_losses: dict[str, LossSeries] = {}
-    periods = None  # the first model's per-observation periods, shared by the rest
     for kind, weights in weight_builder(train).items():
         levels = forecast(fit_star(train, weights), train, horizon)
         fn[kind] = frobenius_norm(test_values, levels)
-        year_losses[kind] = loss_series(kind, test_values, levels, test_years)
-        if granularity == "year":
-            losses[kind] = year_losses[kind]
-            continue
-        losses[kind] = loss_series(kind, test_values, levels, test_years,
-                                   countries=test.ids, granularity=granularity,
-                                   periods=periods)
-        periods = losses[kind].periods
-    return OosResult(origin_year=origin_year, horizon=horizon, fn=fn,
-                     losses=losses, year_losses=year_losses)
+        losses[kind] = loss_series(kind, test_values, levels, test_years)
+    return OosResult(origin_year=origin_year, horizon=horizon, fn=fn, losses=losses)
 
 
 def in_sample_fn(panel: TemperaturePanel,
@@ -239,11 +213,14 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
     Round p-values use add-one smoothing, (1 + hits)/(reps + 1), so they are
     strictly positive and alpha -> 0 retains everything.
 
-    Blocks run over the periods in their given order. Per-observation losses
-    are ordered year-major over (year, country), so there a block of length 2
-    mostly pairs two countries in the same year rather than two years of one
-    country; whether blocks should span years for all countries together is
-    an open question, and the ordering is kept as it is.
+    Blocks run over the periods in their given order, so on the experiment's
+    per-year losses they are blocks of `block` whole years, every country's
+    losses for a year kept together (Kunsch 1989; Hansen, Lunde & Nason
+    2011). A bootstrap of the year-major (year, country) losses in blocks of
+    `block * N` observations that start at year boundaries draws the same
+    starts, and its means are these means divided by N. Every statistic
+    below is unchanged when all losses are scaled by one factor, so the
+    per-year losses give the per-observation report too.
 
     A pair is degenerate when its bootstrap variance is 0 or its differential
     d(t) = L_i(t) - L_j(t) is constant to within rounding of the losses,

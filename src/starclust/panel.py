@@ -311,17 +311,20 @@ def _numbered(chunks: Iterable[list[list[str]]], line: Callable[[int], int]) -> 
 def _wide_as_long(header: list[str], chunks: _Chunks) -> tuple[list[str], _Chunks]:
     """Check the wide layout and recast it as one long row per cell.
 
-    Checked here: year columns consecutive once sorted and within 64 bits,
-    rows as long as the header, no country row repeated. Cells and metadata
-    are left to `_load_long`, which sees `country,year,temperature,*meta`
-    rows in file order, each on the line of the wide row it came from.
+    Checked here: year columns named once, consecutive once sorted and
+    within 64 bits, rows as long as the header, no country row repeated.
+    Cells and metadata are left to `_load_long`, which sees
+    `country,year,temperature,*meta` rows in file order, each on the line of
+    the wide row it came from.
     """
     lowered = [h.lower() for h in header]
     _column_index(lowered, ["country"], "panel")
     year_cols = sorted((int(h), i) for i, h in enumerate(lowered)
                        if h.removeprefix("-").isdecimal())
     years = [year for year, _ in year_cols]
-    for prev, cur in zip(years, years[1:]):
+    for (prev, _), (cur, i) in zip(year_cols, year_cols[1:]):
+        if cur == prev:
+            raise ValidationError(f"panel header repeats column {lowered[i]!r}")
         if cur != prev + 1:
             raise ValidationError(f"wide panel year columns not consecutive: {prev} then {cur}")
     for year in (years[0], years[-1]):

@@ -7,8 +7,9 @@ differenced-series distance that forms both triangles, slope and Hamming
 distances through whole K x K temporaries, a linkage that always works on a
 reordered copy of its matrix, pure-Python forecast
 recursions, a bootstrap that materialises the full reps x periods index
-matrix, a model confidence set that rebuilds every pair's bootstrap terms
-in each round, a row-by-row panel CSV reader, and a STAR fit that solves one
+matrix, one that resamples year-major observations in whole-year blocks, a
+model confidence set that rebuilds every pair's bootstrap terms in each
+round, a row-by-row panel CSV reader, and a STAR fit that solves one
 country's equation at a time.
 """
 from __future__ import annotations
@@ -427,6 +428,25 @@ def gather_boot_means(matrix: np.ndarray, block: int, reps: int,
     return boot_means
 
 
+def year_block_boot_means(matrix: np.ndarray, n_countries: int, block: int,
+                          reps: int, rng: np.random.Generator) -> np.ndarray:
+    """Bootstrap means (models x reps) of year-major observation losses
+    (models x H*N, every country of a year together) resampled in blocks of
+    `block` whole years: each block is `block * N` observations starting at
+    a year boundary, the starts drawn as the year bootstrap draws them, and
+    the last block cut to the years left."""
+    n_years = matrix.shape[1] // n_countries
+    assert n_years * n_countries == matrix.shape[1]
+    starts = rng.integers(0, n_years - block + 1,
+                          size=(reps, math.ceil(n_years / block)))
+    span = np.arange(block * n_countries)
+    means = np.empty((matrix.shape[0], reps))
+    for r in range(reps):
+        idx = (starts[r, :, None] * n_countries + span).reshape(-1)[:matrix.shape[1]]
+        means[:, r] = matrix[:, idx].sum(axis=1) / matrix.shape[1]
+    return means
+
+
 # The moving-block bootstrap and the model confidence set as the package had
 # them before each pair's terms were formed once per call (verbatim, but for
 # names and docstrings): exact oracles for bootstrap sums and reports.
@@ -639,7 +659,9 @@ def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
         order = np.argsort(years)
         year_cols = [year_cols[i] for i in order]
         years = [y for _, y in year_cols]
-    for prev, cur in zip(years, years[1:]):
+    for (_, prev), (i, cur) in zip(year_cols, year_cols[1:]):
+        if cur == prev:
+            raise ValidationError(f"panel header repeats column {lowered[i]!r}")
         if cur != prev + 1:
             raise ValidationError(f"wide panel year columns not consecutive: {prev} then {cur}")
 

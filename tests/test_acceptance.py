@@ -330,13 +330,12 @@ class TestProperties:
                 predicted = observed + rng.normal(0.0, 1.0, (n, t))
                 years = list(range(2000, 2000 + t))
                 total = frobenius_norm(observed, predicted)
-                for granularity in ("year", "observation"):
-                    series = loss_series("m", observed, predicted, years,
-                                         granularity=granularity,
-                                         countries=list(make_panel(
-                                             observed).ids))
-                    assert float(series.values.sum()) == \
-                        pytest.approx(total, abs=1e-9)
+                series = loss_series("m", observed, predicted, years)
+                assert float(series.values.sum()) == pytest.approx(total, abs=1e-9)
+                # Each year's loss is that year's (year, country) losses summed.
+                cells = ((observed - predicted) ** 2).T
+                np.testing.assert_allclose(series.values, cells.sum(axis=1),
+                                           rtol=1e-12, atol=0)
                 assert frobenius_norm(observed, observed) == 0.0
 
     def test_3c_mcs_dominance(self):

@@ -2,6 +2,7 @@
 import argparse
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -573,6 +574,23 @@ class TestFlagCoverage:
         assert {"panel_path", "output_dir", "seed"} <= set(checked)
 
 
+class TestOutputNames:
+    @pytest.mark.parametrize("argv", [
+        ["trends"], ["cluster", "--scheme", "A", "--zones", "ZONES"],
+        ["cluster", "--scheme", "B"], ["cluster", "--scheme", "C"],
+        ["weights", "--kind", "dB"], ["fit", "--kind", "NN"],
+        ["forecast", "--kind", "cA", "--origin", "1985"], ["evaluate"], ["mcs"]],
+        ids=lambda argv: "-".join(argv[:3:2]))
+    def test_every_written_file_is_checked(self, dataset, tmp_path, capsys, argv):
+        argv = [str(dataset["zones"]) if arg == "ZONES" else arg for arg in argv]
+        assert run(argv, dataset, tmp_path) == 0
+        capsys.readouterr()
+        args = cli._base_parser().parse_args([*argv, "--out", str(tmp_path)])
+        checked = {name.format_map(vars(args)) for name in cli._OUTPUTS[argv[0]]}
+        written = {path.name for path in tmp_path.iterdir()}
+        assert written and written <= checked
+
+
 class TestMalformedInputs:
     """Bad files and paths end in exit 2 with a message, never a traceback."""
 
@@ -697,6 +715,24 @@ class TestMalformedInputs:
                                  "for models 'a' and 'b'\n")
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_block_longer_than_horizon_at_observation_granularity(self, tmp_path):
+        # Observation-level blocks are whole years, so the bound is the
+        # horizon. The benchmark generator's panel spans 1901-2022.
+        spec = importlib.util.spec_from_file_location(
+            "cli_gen_panel", Path(__file__).resolve().parent.parent / "bench" / "gen_panel.py")
+        gen_panel = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_panel)
+        paths = gen_panel.write_inputs(gen_panel.generate(7, 40), tmp_path / "inputs")
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            f"data:\n  panel: {paths['panel']}\n  adjacency: {paths['adjacency']}\n"
+            "clusters:\n  A: 1\n  B: 3\n  C: 4\nweights:\n  rescale: true\n"
+            "split_year: 2000\nhorizon: 22\ngranularity: observation\n"
+            "mcs:\n  reps: 200\n  block: 23\n", encoding="utf-8")
+        result = self.run_cli("mcs", "--config", str(config), "--out", str(tmp_path / "out"))
+        self.assert_clean_exit_2(result, "block length 23 outside [1, 22]")
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_uncreatable_output_directory(self, dataset, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n", encoding="utf-8")
@@ -708,14 +744,19 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("command, blocked", [
         (("trends",), "trends.csv"),
         (("weights", "--kind", "dC", "--rescale"), "weights_dC.json"),
-    ], ids=["csv", "json"])
+        (("cluster", "--scheme", "B"), "summary_B.csv"),
+        (("evaluate",), "plot_losses.csv"),
+    ], ids=["csv", "json", "cluster", "evaluate"])
     def test_unwritable_output_file(self, dataset, tmp_path, command, blocked):
-        # An output file's path is taken by a directory.
+        # An output file's path is taken by a directory. Every path is
+        # checked before the first write, so no file is written, although
+        # the blocked file is not the command's first.
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
-        result = self.run_cli(*command, "--data", str(dataset["panel"]), "--out", str(out))
+        result = self.run_cli(*command, "--config", str(dataset["config"]), "--out", str(out))
         self.assert_clean_exit_2(
             result, f"cannot write output file {out / blocked}: Is a directory")
+        assert [path.name for path in out.iterdir()] == [blocked]
 
     @pytest.mark.parametrize("rows, message", [
         ("C00,Europe\nC00,Asia\n", "conflicting zone for country 'C00': 'Europe' vs 'Asia'"),
@@ -829,7 +870,7 @@ class TestRepeatedColumn:
         return main([*argv, "--out", str(root / "out")])
 
     @pytest.mark.parametrize("target, column", [
-        ("panel", "temperature"), ("wide", "country"),
+        ("panel", "temperature"), ("wide", "country"), ("wide", "1990"),
         ("zones", "zone"), ("adjacency", "country_b"), ("losses", "loss")])
     def test_used_column_exits_2_naming_it(self, dataset, tmp_path, capsys, target, column):
         assert self.run_with_column_repeated(dataset, tmp_path, target, column) == 2

@@ -14,7 +14,8 @@ from starclust.evaluation import (_REP_CHUNK, _boot_means, _start_chunks,
                                   write_report_csv, write_report_json)
 from conftest import fixed_builder, make_panel
 
-from _oracles import dense_boot_means, gather_boot_means, round_by_round_mcs, simulate_star
+from _oracles import (dense_boot_means, gather_boot_means, round_by_round_mcs,
+                      simulate_star, year_block_boot_means)
 
 # Eliminations recorded from the index-matrix implementation mcs replaced.
 GOLDEN_MCS = json.loads((Path(__file__).parent / "data" / "mcs_golden.json")
@@ -80,28 +81,23 @@ class TestLossSeries:
         assert len(series.values) == 7
         assert series.values.sum() == pytest.approx(frobenius_norm(obs, pred), abs=1e-9)
 
-    def test_total_matches_frobenius_by_observation(self):
+    def test_year_loss_sums_every_country(self):
         rng = np.random.default_rng(2)
         obs = rng.normal(size=(4, 6))
         pred = rng.normal(size=(4, 6))
-        ids = ["a", "b", "c", "d"]
-        series = loss_series("m", obs, pred, years=range(2001, 2007),
-                             countries=ids, granularity="observation")
-        assert len(series.values) == 24
-        assert series.values.sum() == pytest.approx(frobenius_norm(obs, pred), abs=1e-9)
-        # Periods iterate years slowest so a block holds one year's countries.
-        assert series.periods[0] == (2001, "a")
-        assert series.periods[4] == (2002, "a")
+        series = loss_series("m", obs, pred, years=range(2001, 2007))
+        assert series.periods == tuple(range(2001, 2007))
+        for t in range(6):
+            assert series.values[t] == pytest.approx(
+                sum((obs[i, t] - pred[i, t]) ** 2 for i in range(4)), rel=1e-14)
 
-    def test_observation_needs_countries(self):
-        with pytest.raises(ValidationError, match="country labels"):
-            loss_series("m", np.zeros((2, 3)), np.zeros((2, 3)),
-                        years=range(3), granularity="observation")
+    def test_year_labels_must_match_the_span(self):
+        with pytest.raises(ValidationError, match="year labels"):
+            loss_series("m", np.zeros((2, 3)), np.zeros((2, 3)), years=range(4))
 
-    def test_unknown_granularity(self):
-        with pytest.raises(ValidationError, match="granularity"):
-            loss_series("m", np.zeros((2, 3)), np.zeros((2, 3)),
-                        years=range(3), granularity="daily")
+    def test_shape_mismatch(self):
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            loss_series("m", np.zeros((2, 3)), np.zeros((3, 3)), years=range(3))
 
     def test_losses_validated(self):
         with pytest.raises(ValidationError, match="finite and non-negative"):
@@ -133,19 +129,16 @@ class TestOosExperiment:
         assert out.fn["NN"] == pytest.approx(
             frobenius_norm(test.values[:, :5], fc), abs=1e-12)
 
-    def test_observation_losses_share_one_period_tuple(self):
+    def test_every_model_is_scored_per_year(self):
         panel, _ = self.make_panel_and_builder()
         labels = panel.ids
         builder = fixed_builder({"NN": ring(labels), "dC": ring(labels, kind="dC")})
-        out = oos_experiment(panel, builder, origin_year=1999, horizon=5,
-                             granularity="observation")
-        first, second = out.losses["NN"], out.losses["dC"]
-        assert first.periods is second.periods
-        assert first.periods == tuple((year, cid) for year in range(2000, 2005)
-                                      for cid in labels)
+        out = oos_experiment(panel, builder, origin_year=1999, horizon=5)
+        assert list(out.losses) == ["NN", "dC"]
         for kind, series in out.losses.items():
-            np.testing.assert_allclose(series.values.reshape(5, -1).sum(axis=1),
-                                       out.year_losses[kind].values, rtol=1e-12, atol=0)
+            assert series.model == kind
+            assert series.periods == tuple(range(2000, 2005))
+            assert out.fn[kind] == pytest.approx(series.values.sum(), rel=1e-12)
 
     def test_bad_horizon(self):
         panel, builder = self.make_panel_and_builder()
@@ -461,6 +454,41 @@ class TestStreamingBootstrap:
             finally:
                 tracemalloc.stop()
             assert peak < bound_mib * 2**20, n_periods
+
+
+class TestYearBlockBootstrap:
+    """Resampling year-major (year, country) losses in blocks of whole years
+    is the year bootstrap scaled by 1/N, and a common scale leaves the MCS
+    report as it is: so the year losses give the per-observation report."""
+
+    @pytest.mark.parametrize("n_countries", [1, 3, 17])
+    @pytest.mark.parametrize("n_years", [2, 5, 22])
+    @pytest.mark.parametrize("block", ["1", "2", "H"])
+    def test_means_are_year_means_over_n(self, n_countries, n_years, block):
+        block = n_years if block == "H" else int(block)
+        rng = np.random.default_rng(100 * n_countries + n_years)
+        cells = rng.gamma(2.0, 1.0, (7, n_years, n_countries))  # models x years x countries
+        years = cells.sum(axis=2)
+        _, boot = _boot_means(years, block, 300, np.random.default_rng(6))
+        expected = year_block_boot_means(cells.reshape(7, -1), n_countries, block, 300,
+                                         np.random.default_rng(6))
+        np.testing.assert_allclose(boot / n_countries, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("statistic", ["SQ", "R"])
+    @pytest.mark.parametrize("n_countries", [3, 17, 168])
+    def test_common_scale_keeps_the_report(self, n_countries, statistic):
+        # Seven informative models plus a twin (zero variance) and a shifted
+        # copy (a flat differential) of the first.
+        losses = seven_model_losses(n_countries, 22)
+        base = np.round(losses[0].values * 64) / 64
+        losses[0] = loss("m0", base, periods=range(22))
+        losses += [loss("twin", base.copy(), periods=range(22)),
+                   loss("shift", base + 0.25, periods=range(22))]
+        scaled = [LossSeries(ls.model, ls.periods, ls.values / n_countries) for ls in losses]
+        kwargs = dict(reps=1000, block=2, statistic=statistic, seed=n_countries, alpha=0.05)
+        report, caught = mcs_outcome(mcs, losses, **kwargs)
+        assert len(caught) == 1 and "('m0', 'shift')" in caught[0][1]
+        assert mcs_outcome(mcs, scaled, **kwargs) == (report, caught)
 
 
 def mcs_outcome(fn, losses, **kwargs):

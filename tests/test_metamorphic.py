@@ -19,7 +19,15 @@ outputs must obey the relations that the arithmetic makes exact:
   the MCS p-values are identical.
 
 STAR coefficients and Frobenius norms scale only to rounding, because the
-constant column of the design does not scale, so no relation is checked on them.
+constant column of the design does not scale. For doubled temperatures the
+scheme-dC intercepts c are doubled, phi and psi unchanged (the weights are
+scale-free) and sigma2 multiplied by 4, and every in-sample and
+out-of-sample Frobenius norm is multiplied by 4, each within STAR_RTOL of
+the largest value of its column.
+
+`evaluate` and `mcs` also run with `--granularity year` and `observation`:
+the observation-level MCS resamples whole years, so the two write the same
+bytes.
 """
 import importlib.util
 import json
@@ -38,6 +46,12 @@ COMMANDS = (["evaluate"], ["trends"], ["cluster", "--scheme", "A"],
             ["cluster", "--scheme", "B"], ["cluster", "--scheme", "C"],
             ["fit", "--kind", "dC"])
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+# Error of a doubled-temperature STAR output against its predicted value,
+# relative to the largest predicted value of its column (its model's norm for
+# a Frobenius norm). Measured once on seeds 11 and 23: at most 4.8e-15 (c),
+# 1.9e-15 (phi), 1.0e-15 (psi), 2.8e-16 (sigma2 and the norms); the bound is
+# ten times the largest.
+STAR_RTOL = 5e-14
 
 
 def _gen_panel():
@@ -49,6 +63,14 @@ def _gen_panel():
 
 
 def _run_variant(root: Path, inputs: dict, panel_lines: list[str]) -> Path:
+    config = _write_config(root, inputs, panel_lines)
+    out = root / "out"
+    for command in COMMANDS:
+        assert main([*command, "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+def _write_config(root: Path, inputs: dict, panel_lines: list[str]) -> Path:
     root.mkdir()
     panel = root / "panel.csv"
     panel.write_text("".join(panel_lines), encoding="utf-8")
@@ -60,10 +82,7 @@ def _run_variant(root: Path, inputs: dict, panel_lines: list[str]) -> Path:
         "weights:\n  rescale: true\n"
         "split_year: 2000\nhorizon: 22\n"
         "mcs:\n  reps: 2000\n  block: 2\n  statistic: SQ\n", encoding="utf-8")
-    out = root / "out"
-    for command in COMMANDS:
-        assert main([*command, "--config", str(config), "--out", str(out)]) == 0
-    return out
+    return config
 
 
 @pytest.fixture(scope="module", params=SEEDS, ids=lambda seed: f"seed{seed}")
@@ -90,7 +109,14 @@ def runs(request, tmp_path_factory) -> dict[str, Path]:
     wide = [",".join(["country", *years]) + "\n",
             *(",".join([cid, *map(values.__getitem__, years)]) + "\n"
               for cid, values in by_country.items())]
-    return {"base": _run_variant(root / "base", inputs, [header, *rows]),
+    config = _write_config(root / "granularity", inputs, [header, *rows])
+    for granularity in ("year", "observation"):
+        for command in ("evaluate", "mcs"):
+            assert main([command, "--granularity", granularity, "--config", str(config),
+                         "--out", str(root / "granularity" / granularity)]) == 0
+    return {"year": root / "granularity" / "year",
+            "observation": root / "granularity" / "observation",
+            "base": _run_variant(root / "base", inputs, [header, *rows]),
             "shuffled": _run_variant(root / "shuffled", inputs,
                                      [header, *(rows[i] for i in order)]),
             "wide": _run_variant(root / "wide", inputs, wide),
@@ -173,3 +199,39 @@ def test_doubled_temperatures_keep_mcs(runs):
     base = json.loads((runs["base"] / "report.json").read_text(encoding="utf-8"))
     doubled = json.loads((runs["doubled"] / "report.json").read_text(encoding="utf-8"))
     assert doubled["mcs"] == base["mcs"]
+
+
+def _star_error(got: list[float], want: list[float]) -> float:
+    """Largest error of `got` against `want`, relative to the largest |want|."""
+    want_arr = np.array(want)
+    return float(np.abs(np.array(got) - want_arr).max() / np.abs(want_arr).max())
+
+
+def test_doubled_temperatures_scale_star_coefficients(runs):
+    base = _csv(runs["base"] / "coefficients_dC.csv")
+    doubled = _csv(runs["doubled"] / "coefficients_dC.csv")
+    assert doubled[0] == base[0] == ["country", "c", "phi", "psi", "sigma2", "dropped"]
+    assert len(doubled) == len(base) == 169
+    assert [row[0] for row in doubled] == [row[0] for row in base]
+    assert [row[5] for row in doubled] == [row[5] for row in base]
+    for column, factor in ((1, 2.0), (2, 1.0), (3, 1.0), (4, 4.0)):
+        assert all(row[column] for row in base[1:]), column
+        got = [float(row[column]) for row in doubled[1:]]
+        want = [factor * float(row[column]) for row in base[1:]]
+        assert _star_error(got, want) <= STAR_RTOL, base[0][column]
+
+
+def test_doubled_temperatures_quadruple_norms(runs):
+    base = json.loads((runs["base"] / "report.json").read_text(encoding="utf-8"))
+    doubled = json.loads((runs["doubled"] / "report.json").read_text(encoding="utf-8"))
+    for key in ("in_sample_fn", "out_of_sample_fn"):
+        assert doubled[key].keys() == base[key].keys()
+        assert len(base[key]) == 7
+        for model, value in base[key].items():
+            assert _star_error([doubled[key][model]], [4 * value]) <= STAR_RTOL, (key, model)
+
+
+def test_granularity_changes_no_output_byte(runs):
+    year = _files(runs["year"])
+    assert sorted(year) == ["mcs.json", "plot_losses.csv", "report.csv", "report.json"]
+    assert _files(runs["observation"]) == year

@@ -130,9 +130,9 @@ def write_loss_plot_csv(path):
     def losses(kind, levels):
         return evaluation.loss_series(kind, observed, np.array(levels), (2002, 2003))
 
-    oos = OosResult(origin_year=2001, horizon=2, fn={}, losses={},
-                    year_losses={"dA": losses("dA", [[1.1, 2.0], [0.5, 0.0]]),
-                                 "NN": losses("NN", [[0.0, 2.0], [0.5, 1.0]])})
+    oos = OosResult(origin_year=2001, horizon=2, fn={},
+                    losses={"dA": losses("dA", [[1.1, 2.0], [0.5, 0.0]]),
+                            "NN": losses("NN", [[0.0, 2.0], [0.5, 1.0]])})
     cli._write_loss_plot_csv(oos, Path(path))
 
 
