@@ -306,11 +306,13 @@ def _mcs(cfg: RunConfig, losses: list[evaluation.LossSeries]) -> evaluation.McsR
 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
                  adjacency: np.ndarray | None, out: Path) -> int:
-    # The full-sample weights (7 N x N matrices) are freed once their norms
-    # are known, before the out-of-sample run builds its own.
+    # The out-of-sample run goes first, so that its horizon and origin checks
+    # fail before any clustering. Its training-slice weights are freed before
+    # the full-sample weights (7 N x N matrices) are built, and those once
+    # their norms are known.
+    oos = _run_oos(cfg, panel, adjacency)
     in_sample = evaluation.in_sample_fn(
         panel, pipeline.build_weights(panel, cfg, weights.KINDS, adjacency))
-    oos = _run_oos(cfg, panel, adjacency)
     report = evaluation.build_report(in_sample, oos, _mcs(cfg, list(oos.losses.values())))
     evaluation.write_report_csv(report, out / "report.csv")
     evaluation.write_report_json(report, out / "report.json")
@@ -359,23 +361,28 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
     if not set(columns) <= set(header):
         raise ValidationError(f"losses file needs columns {sorted(columns)}")
     at = _column_index(header, columns, "losses file")
-    by_model: dict[str, list[tuple[str, float]]] = {}
+    by_model: dict[str, dict[str, float]] = {}  # model -> period -> loss, in file order
     for i, row in enumerate(rows):
         absent = [name for name in columns if at[name] >= len(row)]
         if absent:
             raise ValidationError(f"{p}:{line(i)}: missing {' and '.join(absent)}")
         model, period, text = (row[at[name]] for name in columns)
+        blank = [name for name, cell in (("model", model), ("period", period))
+                 if not cell.strip()]
+        if blank:
+            raise ValidationError(f"{p}:{line(i)}: blank {' and '.join(blank)}")
         try:
             value = float(text)
         except ValueError as exc:
             raise ValidationError(f"{p}:{line(i)}: bad loss {text!r}") from exc
-        by_model.setdefault(model, []).append((period, value))
-    series = []
-    for model, pairs in sorted(by_model.items()):
-        series.append(evaluation.LossSeries(
-            model=model, periods=tuple(period for period, _ in pairs),
-            values=np.array([v for _, v in pairs])))
-    return series
+        periods = by_model.setdefault(model, {})
+        if period in periods:
+            raise ValidationError(f"{p}:{line(i)}: duplicate entry for model {model!r}, "
+                                  f"period {period!r}")
+        periods[period] = value
+    return [evaluation.LossSeries(model=model, periods=tuple(periods),
+                                  values=np.array(list(periods.values())))
+            for model, periods in sorted(by_model.items())]
 
 
 _COMMANDS = {
@@ -393,7 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command after the steps every command shares: resolve and
     validate the config, load the panel (with zones) and any adjacency, and
     create the output directory, with every output path checked. `mcs
-    --losses` reads no panel."""
+    --losses` reads no panel; otherwise `evaluate` and `mcs` check their
+    block length against the horizon before the panel is read."""
     args = _base_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
@@ -403,6 +411,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             cfg.validate(require_adjacency=args.command in ("evaluate", "mcs")
                          or getattr(args, "kind", None) == "NN")
+            if args.command in ("evaluate", "mcs") and cfg.mcs_block > cfg.horizon:
+                # The MCS resamples the horizon's years, as `evaluation.mcs` checks.
+                raise ValidationError(f"block length {cfg.mcs_block} outside "
+                                      f"[1, {cfg.horizon}]")
             panel = load_panel(cfg.panel_path)
             if cfg.zones_path:
                 panel = attach_zones(panel, cfg.zones_path)

@@ -22,7 +22,7 @@ import gc
 import json
 from contextlib import closing
 from dataclasses import dataclass
-from functools import cached_property, partial, wraps
+from functools import cached_property, partial
 from itertools import chain, compress, islice, tee
 from operator import itemgetter
 from pathlib import Path
@@ -44,9 +44,6 @@ _META_COLUMNS = ("name", "zone", "area")
 # Long-format rows read and parsed at once; a wider file's chunks hold about
 # as many cells, _ROW_CHUNK * len(_LONG_HEADER), in fewer rows.
 _ROW_CHUNK = 1024
-
-# Chunks of data rows, each with `line(i)`: the physical line of its row i.
-_Chunks = Iterator[tuple[list[list[str]], Callable[[int], int]]]
 
 
 @dataclass(frozen=True)
@@ -129,27 +126,6 @@ def _parse_temperature(text: str, country: str, year: int) -> float:
             f"non-finite temperature {text!r} for country {country!r}, year {year}"
         )
     return value
-
-
-def _collector_paused(loader: Callable) -> Callable:
-    """Run a CSV loader with the cyclic garbage collector off.
-
-    `_csv_chunks` makes one new list of strings per row. The lists hold no
-    reference cycle, but the collector tracks each one, and the allocations
-    set off its passes, some over every object the imports left: 5-17 ms,
-    or 8-18%, of `load_panel` on a 97,600-row panel in a fresh interpreter.
-    The collector's state is restored however the loader ends.
-    """
-    @wraps(loader)
-    def paused(*args, **kwargs):
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            return loader(*args, **kwargs)
-        finally:
-            if collecting:
-                gc.enable()
-    return paused
 
 
 def _csv_chunks(path: Path) -> Iterator[list[list[str]]]:
@@ -263,7 +239,6 @@ def detect_format(header: list[str]) -> str:
     )
 
 
-@_collector_paused
 def load_panel(path: str | Path) -> TemperaturePanel:
     """Load and validate a temperature panel from CSV.
 
@@ -272,50 +247,59 @@ def load_panel(path: str | Path) -> TemperaturePanel:
     with year columns), told apart by `detect_format`. A wide file is checked
     for its layout only, then validated as the long rows it holds.
 
-    The file is parsed a chunk of `_csv_chunks` at a time. A fault found mid-stream
-    need not be the one a whole-file read reports first: an undecodable byte
-    further on, or a wide file's repeated country row, comes before a bad
-    cell. So a file that fails a check is loaded again as one chunk, where
-    every check runs in the order of a whole-file read.
+    The file is parsed a chunk of `_csv_chunks` at a time, and a fault found
+    there is not reported: in a whole-file read an undecodable byte further
+    on, or a wide file's repeated country row, comes before a bad cell. So a
+    file that fails a check is loaded again as one chunk, where every check
+    runs in the order of a whole-file read. Only that pass reports.
+
+    The cyclic garbage collector is off while loading. `_csv_chunks` makes
+    one new list of strings per row. The lists hold no reference cycle, but
+    the collector tracks each one, and the allocations set off its passes,
+    some over every object the imports left: 5-17 ms, or 8-18%, of a
+    97,600-row load in a fresh interpreter. Its state is restored however
+    the load ends.
     """
     path = Path(path)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        with closing(_csv_chunks(path)) as chunks:
-            return _parse_panel(path, chunks)
-    except ValidationError:
-        pass
-    return _parse_panel(path, iter([list(chain.from_iterable(_csv_chunks(path)))]))
+        try:
+            with closing(_csv_chunks(path)) as chunks:
+                return _parse_panel(path, chunks)
+        except ValidationError:
+            pass
+        return _parse_panel(path, iter([list(chain.from_iterable(_csv_chunks(path)))]))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _parse_panel(path: Path, chunks: Iterator[list[list[str]]]) -> TemperaturePanel:
-    """Parse a panel from chunks of a CSV file's non-blank rows, header first."""
+    """Parse a panel from chunks of a CSV file's non-blank rows, header first.
+
+    A message gives `line` a row's position in its chunk: in a one-chunk
+    pass, the row's data-row number."""
     first = next(chunks, [])
     if not first:
         raise ValidationError(f"empty file: {path}")
     header = [cell.strip() for cell in first.pop(0)]
-    numbered = _numbered(chain([first], chunks), partial(_data_line, path))
+    rows = chain([first], chunks)
     del first
+    line = partial(_data_line, path)
     if detect_format(header) == "wide":
-        header, numbered = _wide_as_long(header, numbered)
-    return _load_long(header, numbered)
+        header, rows = _wide_as_long(header, rows, line)
+    return _load_long(header, rows, line)
 
 
-def _numbered(chunks: Iterable[list[list[str]]], line: Callable[[int], int]) -> _Chunks:
-    """Pair each chunk of data rows with the line numbers of its rows."""
-    start = 0
-    for rows in chunks:
-        yield rows, lambda i, start=start: line(start + i)
-        start += len(rows)
-
-
-def _wide_as_long(header: list[str], chunks: _Chunks) -> tuple[list[str], _Chunks]:
+def _wide_as_long(header: list[str], chunks: Iterator[list[list[str]]],
+                  line: Callable[[int], int]) -> tuple[list[str], Iterator[list[list[str]]]]:
     """Check the wide layout and recast it as one long row per cell.
 
     Checked here: year columns named once, consecutive once sorted and
     within 64 bits, rows as long as the header, no country row repeated.
     Cells and metadata are left to `_load_long`, which sees
-    `country,year,temperature,*meta` rows in file order, each on the line of
-    the wide row it came from.
+    `country,year,temperature,*meta` rows in file order.
     """
     lowered = [h.lower() for h in header]
     _column_index(lowered, ["country"], "panel")
@@ -333,11 +317,12 @@ def _wide_as_long(header: list[str], chunks: _Chunks) -> tuple[list[str], _Chunk
     meta_col = _column_index(lowered, _META_COLUMNS, "panel")
     cells = [(str(year), i) for year, i in year_cols]
     return ([*_LONG_HEADER, *meta_col],
-            _wide_rows_as_long(len(header), chunks, cells, list(meta_col.values())))
+            _wide_rows_as_long(len(header), chunks, cells, list(meta_col.values()), line))
 
 
-def _wide_rows_as_long(width: int, chunks: _Chunks, cells: list[tuple[str, int]],
-                       meta_idx: list[int]) -> _Chunks:
+def _wide_rows_as_long(width: int, chunks: Iterator[list[list[str]]],
+                       cells: list[tuple[str, int]], meta_idx: list[int],
+                       line: Callable[[int], int]) -> Iterator[list[list[str]]]:
     """Recast each chunk of wide rows as long rows; the repeat check spans chunks.
 
     A chunk's rows all pass the wide checks before any is recast. A chunk
@@ -345,7 +330,7 @@ def _wide_rows_as_long(width: int, chunks: _Chunks, cells: list[tuple[str, int]]
     about as much memory as a long chunk's rows.
     """
     seen: set[str] = set()
-    for rows, line in chunks:
+    for rows in chunks:
         for n, row in enumerate(rows):
             if len(row) < width:
                 raise ValidationError(f"line {line(n)}: expected {width} columns, got {len(row)}")
@@ -357,12 +342,13 @@ def _wide_rows_as_long(width: int, chunks: _Chunks, cells: list[tuple[str, int]]
         for row in rows:
             meta = [row[m] for m in meta_idx]
             long_rows.extend([row[0], year, row[i], *meta] for year, i in cells)
-        yield long_rows, lambda n, line=line: line(n // len(cells))
+        yield long_rows
     if not seen:
         raise ValidationError("panel must have at least one country and one year")
 
 
-def _load_long(header: list[str], chunks: _Chunks) -> TemperaturePanel:
+def _load_long(header: list[str], chunks: Iterator[list[list[str]]],
+               line: Callable[[int], int]) -> TemperaturePanel:
     """Parse a long panel column-wise; any row-level fault defers to `_long_row_error`.
 
     On valid input every check is an array operation, and between chunks only
@@ -386,7 +372,7 @@ def _load_long(header: list[str], chunks: _Chunks) -> TemperaturePanel:
     def column(idx: int) -> list[str]:
         return list(map(itemgetter(idx), rows))
 
-    for rows, line in chunks:
+    for rows in chunks:
         if not rows:
             continue
         if min(map(len, rows)) < len(header):

@@ -17,6 +17,8 @@ import pytest
 import starclust.cli
 from starclust import clustering, evaluation, pipeline
 
+from _golden import tiny_inputs
+
 MODULES = {"cli": starclust.cli, "clustering": clustering,
            "evaluation": evaluation, "pipeline": pipeline}
 
@@ -41,19 +43,7 @@ def tracing():
 def tiny_config(tmp_path_factory):
     """The benchmark's self-test inputs and run config (bench/run.py, --tiny):
     40 units over 1981-2010, k = 1/3/4, horizon 10, 200 replications."""
-    spec = importlib.util.spec_from_file_location("bench_gen_panel", BENCH / "gen_panel.py")
-    gen_panel = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen_panel)
-    root = tmp_path_factory.mktemp("bench_tiny")
-    paths = gen_panel.write_inputs(gen_panel.generate(7, 40, 1981, 2010), root / "inputs")
-    config = root / "run.yaml"
-    config.write_text(
-        f"data:\n  panel: {paths['panel']}\n  adjacency: {paths['adjacency']}\n"
-        f"  zones: {paths['zones']}\n"
-        "clusters:\n  A: 1\n  B: 3\n  C: 4\nweights:\n  rescale: true\n"
-        "split_year: 2000\nhorizon: 10\n"
-        "mcs:\n  reps: 200\n  block: 2\n  statistic: SQ\n", encoding="utf-8")
-    return config
+    return tiny_inputs(tmp_path_factory.mktemp("bench_tiny"))
 
 
 def test_every_hook_resolves(tracing):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starclust
-from starclust import RunConfig, cli
+from starclust import RunConfig, cli, pipeline
 from starclust.cli import main
 from starclust.config import _SCHEMA, _TOP_LEVEL
 
@@ -98,6 +98,18 @@ def dataset(tmp_path_factory):
 def run(args, dataset, out, *extra):
     argv = [*args, "--config", str(dataset["config"]), "--out", str(out), *extra]
     return main(argv)
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """The names of `cli.load_panel` and `pipeline.build_weights` in call order."""
+    called = []
+    for module, name in ((cli, "load_panel"), (pipeline, "build_weights")):
+        def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
+            called.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return called
 
 
 class TestTrends:
@@ -339,6 +351,24 @@ class TestEvaluate:
         assert rc == 2
         assert "runs past the panel end 1990" in captured.err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--horizon", "30"), "origin 1980 + horizon 30 runs past the panel end 1990"),
+        (("--origin", "2030"), "origin 2030 + horizon 5 runs past the panel end 1990"),
+        (("--origin", "1900"), "last_train_year 1900 must be strictly inside 1950..1990"),
+    ], ids=["horizon", "late-origin", "early-origin"])
+    def test_split_checked_before_clustering(self, dataset, tmp_path, capsys, calls,
+                                             flags, message):
+        assert run(["evaluate", *flags], dataset, tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert calls == ["load_panel"]
+
+    @pytest.mark.parametrize("command", ["evaluate", "mcs"])
+    def test_block_checked_before_panel_is_read(self, dataset, tmp_path, capsys, calls,
+                                                command):
+        assert run([command, "--block", "6"], dataset, tmp_path) == 2
+        assert "error: block length 6 outside [1, 5]" in capsys.readouterr().err
+        assert calls == []
+
 
 def _losses_text():
     """Dominance setup: one model's losses sit a unit above the other's."""
@@ -437,6 +467,28 @@ class TestMcs:
         captured = capsys.readouterr()
         assert rc == 2
         assert f"{path}:2: bad loss 'oops'" in captured.err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("a,1,1.0\na,1,2.0\na,2,1.5\nb,1,1.0\nb,1,1.2\nb,2,0.5\n",
+         ":3: duplicate entry for model 'a', period '1'"),
+        ("a,1,1.0\n ,2,1.5\n", ":3: blank model"),
+        ("a,1,1.0\na,\t,1.5\n", ":3: blank period"),
+        ("a,1,1.0\n,,1.5\n", ":3: blank model and period"),
+    ], ids=["duplicate", "blank-model", "blank-period", "both-blank"])
+    def test_losses_rows_outside_the_contract(self, tmp_path, capsys, rows, message):
+        # One row per model and period, each named by a non-blank cell.
+        path = tmp_path / "losses.csv"
+        path.write_text("model,period,loss\n" + rows, encoding="utf-8")
+        assert main(["mcs", "--losses", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {path}{message}\n" == capsys.readouterr().err
+
+    def test_losses_cells_compared_as_written(self, tmp_path, capsys):
+        # " 1" and "1" are two periods, so each model has one row per period.
+        path = tmp_path / "losses.csv"
+        path.write_text("model,period,loss\na,1,1.0\na, 1,2.0\nb,1,1.5\nb, 1,0.5\n",
+                        encoding="utf-8")
+        assert main(["mcs", "--losses", str(path), "--reps", "200", "--block", "1",
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_losses_row_shorter_than_header(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
@@ -731,7 +783,7 @@ class TestMalformedInputs:
             "mcs:\n  reps: 200\n  block: 23\n", encoding="utf-8")
         result = self.run_cli("mcs", "--config", str(config), "--out", str(tmp_path / "out"))
         self.assert_clean_exit_2(result, "block length 23 outside [1, 22]")
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not any((tmp_path / "out").glob("*"))
 
     def test_uncreatable_output_directory(self, dataset, tmp_path):
         blocker = tmp_path / "blocker"

@@ -409,8 +409,8 @@ class TestLoaderParity:
 
     @pytest.fixture
     def reads(self, monkeypatch) -> list:
-        """The paths `load_panel` opened: once for a valid panel, which loads
-        without the whole-file reload that reports a fault."""
+        """The paths `load_panel` opened: once for a valid panel, and twice for
+        a malformed one, whose fault only the whole-file reload reports."""
         opened = []
         chunks = panel_module._csv_chunks
 
@@ -437,7 +437,7 @@ class TestLoaderParity:
         assert len(reads) == 1
 
     @pytest.mark.parametrize("seed", range(200))
-    def test_malformed_long_panels(self, tmp_path, seed):
+    def test_malformed_long_panels(self, tmp_path, seed, reads):
         rng = np.random.default_rng(1000 + seed)
         header, rows = _long_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 8)))
         for _ in range(int(rng.integers(1, 4))):
@@ -446,8 +446,10 @@ class TestLoaderParity:
         got, ref = _outcome(path, load_panel), _outcome(path, load_panel_rows)
         if isinstance(ref, str):
             assert got == ref
+            assert len(reads) == 2
         else:
             self.assert_same_panel(got, ref)
+            assert len(reads) == 1
 
     @pytest.mark.parametrize("seed", range(10))
     def test_valid_wide_panels(self, tmp_path, seed, reads):
@@ -463,7 +465,7 @@ class TestLoaderParity:
         assert len(reads) == 1
 
     @pytest.mark.parametrize("seed", range(200))
-    def test_malformed_wide_panels(self, tmp_path, seed):
+    def test_malformed_wide_panels(self, tmp_path, seed, reads):
         rng = np.random.default_rng(2000 + seed)
         fault = _WIDE_FAULTS[seed % len(_WIDE_FAULTS)]
         meta = [name for name in ("name", "zone", "area")
@@ -474,8 +476,10 @@ class TestLoaderParity:
         got, ref = _outcome(path, load_panel), _outcome(path, load_panel_rows)
         if isinstance(ref, str):
             assert got == ref
+            assert len(reads) == 2
         else:
             self.assert_same_panel(got, ref)
+            assert len(reads) == 1
 
 
 class TestLoaderParityInSmallChunks(TestLoaderParity):
