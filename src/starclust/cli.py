@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration or validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import sys
@@ -120,11 +121,13 @@ _OUTPUTS = {
 }
 
 
-def _outdir(cfg: RunConfig, args: argparse.Namespace) -> Path:
-    """Create the output directory and check that the command can write each
-    of its files there, so that a blocked path fails before any is written."""
+def _outdir(cfg: RunConfig, args: argparse.Namespace, created: list[Path]) -> Path:
+    """Create the output directory, listing in `created` every directory that
+    did not exist before, deepest first, and check that the command can write
+    each of its files there, so that a blocked path fails before any is written."""
     out = Path(cfg.output_dir)
     try:
+        created.extend(path for path in (out, *out.parents) if not path.exists())
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out}: {exc.strerror}") from None
@@ -356,7 +359,7 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"losses file not found: {p}")
-    header, rows, line = _read_rows(p)
+    header, rows, where = _read_rows(p)
     columns = ("model", "period", "loss")
     if not set(columns) <= set(header):
         raise ValidationError(f"losses file needs columns {sorted(columns)}")
@@ -365,19 +368,19 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
     for i, row in enumerate(rows):
         absent = [name for name in columns if at[name] >= len(row)]
         if absent:
-            raise ValidationError(f"{p}:{line(i)}: missing {' and '.join(absent)}")
+            raise ValidationError(f"{where(i)}: missing {' and '.join(absent)}")
         model, period, text = (row[at[name]] for name in columns)
         blank = [name for name, cell in (("model", model), ("period", period))
                  if not cell.strip()]
         if blank:
-            raise ValidationError(f"{p}:{line(i)}: blank {' and '.join(blank)}")
+            raise ValidationError(f"{where(i)}: blank {' and '.join(blank)}")
         try:
             value = float(text)
         except ValueError as exc:
-            raise ValidationError(f"{p}:{line(i)}: bad loss {text!r}") from exc
+            raise ValidationError(f"{where(i)}: bad loss {text!r}") from exc
         periods = by_model.setdefault(model, {})
         if period in periods:
-            raise ValidationError(f"{p}:{line(i)}: duplicate entry for model {model!r}, "
+            raise ValidationError(f"{where(i)}: duplicate entry for model {model!r}, "
                                   f"period {period!r}")
         periods[period] = value
     return [evaluation.LossSeries(model=model, periods=tuple(periods),
@@ -401,8 +404,10 @@ def main(argv: list[str] | None = None) -> int:
     validate the config, load the panel (with zones) and any adjacency, and
     create the output directory, with every output path checked. `mcs
     --losses` reads no panel; otherwise `evaluate` and `mcs` check their
-    block length against the horizon before the panel is read."""
+    block length against the horizon before the panel is read. A run that
+    fails removes each directory it created that is still empty."""
     args = _base_parser().parse_args(argv)
+    created: list[Path] = []
     try:
         cfg = _resolve_config(args)
         panel = adjacency = None
@@ -420,17 +425,18 @@ def main(argv: list[str] | None = None) -> int:
                 panel = attach_zones(panel, cfg.zones_path)
             if cfg.adjacency_path:
                 adjacency = load_adjacency(cfg.adjacency_path, panel)
-        out = _outdir(cfg, args)
+        out = _outdir(cfg, args, created)
         return _COMMANDS[args.command](args, cfg, panel, adjacency, out)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except StarclustError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    for path in created:  # deepest first; one that holds anything stays
+        with contextlib.suppress(OSError):
+            path.rmdir()
+    return code
 
 
 if __name__ == "__main__":

@@ -229,14 +229,12 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
     contributes 0 to every statistic and is listed in a RuntimeWarning.
     Losses so large that a bootstrap mean or a pair's bootstrap variance
     overflows are a NumericalError naming the first such pair.
+
+    A single model takes the same path, checks included: it has no pairs, so
+    no round runs and it is returned with p = 1.
     """
     if not losses:
         raise ValidationError("the confidence set needs at least one model")
-    if len(losses) == 1:
-        # One candidate has nothing to be tested against; it survives trivially.
-        return McsReport(statistic=statistic, reps=reps, block=block, seed=seed,
-                         alpha=alpha, eliminations=((losses[0].model, 1.0),),
-                         survivors=(losses[0].model,))
     ids = [ls.model for ls in losses]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate model ids in loss list")
@@ -280,14 +278,16 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
         raise NumericalError("non-finite bootstrap variance for models "
                              f"{ids[a[bad[0]]]!r} and {ids[b[bad[0]]]!r}")
     valid = (var > 0) & ~flat
-    degenerate_pairs = set(zip(a[~valid].tolist(), b[~valid].tolist()))
     se = np.sqrt(var, where=valid, out=np.ones_like(var))  # 1 where no round reads it
     tstat = (full_means[a] - full_means[b]) / se
-    # Null-statistic terms, in place: d^2 / var for SQ, |d| / se for R.
+    # Null terms in place and observed terms, reduced over pairs by the
+    # statistic's ufunc: d^2 / var and t^2 added for SQ, |d| / se and |t| maxed for R.
     if statistic == "SQ":
         np.divide(terms, var[:, None], out=terms, where=valid[:, None])
+        observed, reduce = tstat ** 2, np.add
     else:
         np.divide(np.abs(terms, out=terms), se[:, None], out=terms)
+        observed, reduce = np.abs(tstat), np.maximum
 
     alive = np.ones(len(ids), dtype=bool)
     eliminations: list[tuple[str, float]] = []
@@ -296,12 +296,8 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
         # Masked reductions add the live rows in pair order, as summing a
         # copy of just those rows would, so the null statistics keep their bits.
         live = alive[a] & alive[b] & valid
-        if statistic == "SQ":
-            observed_stat = float((tstat[live] ** 2).sum())
-            null_stats = terms.sum(axis=0, where=live[:, None])
-        else:
-            observed_stat = float(np.abs(tstat[live]).max(initial=0.0))
-            null_stats = terms.max(axis=0, where=live[:, None], initial=0.0)
+        observed_stat = float(reduce.reduce(observed[live], initial=0.0))
+        null_stats = reduce.reduce(terms, axis=0, where=live[:, None], initial=0.0)
 
         hits = int(np.sum(null_stats >= observed_stat))
         running_p = max(running_p, (1 + hits) / (reps + 1))
@@ -317,8 +313,8 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
         alive[out] = False
 
     eliminations.append((ids[int(np.flatnonzero(alive)[0])], 1.0))
-    if degenerate_pairs:
-        listed = sorted((ids[p], ids[q]) for p, q in degenerate_pairs)
+    listed = sorted((ids[p], ids[q]) for p, q in zip(a[~valid], b[~valid]))
+    if listed:
         warnings.warn(f"zero bootstrap variance or constant loss differential for "
                       f"model pairs {listed}; their statistic contribution was set to 0",
                       RuntimeWarning)

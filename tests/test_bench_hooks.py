@@ -7,6 +7,7 @@ are read from the call and its warning, which are checked here too, and a
 traced evaluate and cluster run on the benchmark's tiny inputs executes
 every counter, which reads the records the layers return.
 """
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -37,6 +38,23 @@ def tracing():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """bench/run.py, imported with bench/ on sys.path for its own imports only."""
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    before = set(sys.modules)
+    sys.modules[spec.name] = module
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    yield module
+    for name in {spec.name, "gen_panel", "tracing"} - before:  # run.py's own imports
+        del sys.modules[name]
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +116,15 @@ def test_traced_runs_execute_every_counter(tracing, tiny_config, tmp_path, capsy
     assert counted == set(tracing.COUNTS) - {"trace.spans"}
     assert metrics["evaluate"]["panel.cells"] == metrics["cluster"]["panel.cells"] == 40 * 30
     assert metrics["evaluate"]["star.equations"] == 14 * 40
+
+
+def test_benchmark_argv_and_config_resolve(bench_run, tmp_path):
+    # A flag or config key the benchmark passes that the CLI no longer takes
+    # fails here, not as a failed run of every benchmark workload.
+    for name, workload in bench_run.WORKLOADS.items():
+        workload = dataclasses.replace(workload, **bench_run.TINY)
+        inputs = bench_run.prepare(workload, 7, tmp_path / name)
+        argv = bench_run.cli_args(workload, inputs["config"], tmp_path / name / "out")
+        args = starclust.cli._base_parser().parse_args(argv)
+        assert args.command == workload.command
+        starclust.cli._resolve_config(args).validate(require_adjacency=True)

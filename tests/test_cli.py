@@ -498,6 +498,15 @@ class TestMcs:
         assert rc == 2
         assert f"{path}:4: missing loss" in captured.err
 
+    def test_single_model_block_checked(self, tmp_path, capsys):
+        # One model is checked like many: its block must fit its 10 periods.
+        path = tmp_path / "losses.csv"
+        path.write_text("model,period,loss\n" + "".join(f"only,{t},{t / 10}\n" for t in range(10)),
+                        encoding="utf-8")
+        rc = main(["mcs", "--losses", str(path), "--block", "50", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: block length 50 outside [1, 10]\n"
+
     def test_losses_needs_columns(self, tmp_path, capsys):
         path = tmp_path / "cols.csv"
         path.write_text("model,year,value\ngood,2000,1.0\n")
@@ -676,7 +685,7 @@ class TestMalformedInputs:
         zones.write_text("country,zone,area\nC00,Europe\n", encoding="utf-8")
         result = self.run_cli("trends", "--data", str(dataset["panel"]),
                               "--zones", str(zones), "--out", str(tmp_path))
-        self.assert_clean_exit_2(result, "line 2: expected 3 columns, got 2")
+        self.assert_clean_exit_2(result, f"{zones}:2: expected 3 columns, got 2")
 
     def test_short_losses_row(self, tmp_path):
         losses = tmp_path / "losses.csv"
@@ -765,7 +774,7 @@ class TestMalformedInputs:
         assert result.returncode == 3
         assert result.stderr == ("numerical error: non-finite bootstrap variance "
                                  "for models 'a' and 'b'\n")
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_block_longer_than_horizon_at_observation_granularity(self, tmp_path):
         # Observation-level blocks are whole years, so the bound is the
@@ -784,6 +793,33 @@ class TestMalformedInputs:
         result = self.run_cli("mcs", "--config", str(config), "--out", str(tmp_path / "out"))
         self.assert_clean_exit_2(result, "block length 23 outside [1, 22]")
         assert not any((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--horizon", "30"], "origin 1980 + horizon 30 runs past the panel end 1990"),
+        (["cluster", "--scheme", "B", "--cut", "height"], "--cut height needs --height"),
+        (["forecast", "--kind", "dC", "--origin", "1850"],
+         "last_train_year 1850 must be strictly inside 1950..1990"),
+        (["cluster", "--scheme", "B", "--k", "150"],
+         "no dendrogram cut produces exactly 150 clusters of size >= 2"),
+        (["mcs", "--losses", "{losses}", "--block", "50"], "block length 50 outside [1, 10]"),
+    ], ids=["evaluate-horizon", "cut-height", "forecast-origin", "cluster-k", "mcs-block"])
+    @pytest.mark.parametrize("out", ["out", "a/b"])
+    def test_failed_run_removes_the_output_directory_it_made(self, dataset, tmp_path, capsys,
+                                                              argv, message, out):
+        losses = tmp_path / "losses.csv"
+        losses.write_text("model,period,loss\n" + "".join(
+            f"{m},{t},{t / 10 + i}\n" for i, m in enumerate("ab") for t in range(10)),
+            encoding="utf-8")
+        argv = [arg.format(losses=losses) for arg in argv]
+        assert run(argv, dataset, tmp_path / out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["losses.csv"]
+
+    def test_failed_run_keeps_an_output_directory_that_existed(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["evaluate", "--horizon", "30"], dataset, out) == 2
+        assert out.is_dir() and list(out.iterdir()) == []
 
     def test_uncreatable_output_directory(self, dataset, tmp_path):
         blocker = tmp_path / "blocker"
@@ -812,14 +848,14 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("rows, message", [
         ("C00,Europe\nC00,Asia\n", "conflicting zone for country 'C00': 'Europe' vs 'Asia'"),
-        ("C00,Europe\nZZ,Africa\n", "line 3: unknown country id 'ZZ' in zone file"),
+        ("C00,Europe\nZZ,Africa\n", "{zones}:3: unknown country id 'ZZ' in zone file"),
     ], ids=["conflict", "unknown-id"])
     def test_contradictory_zones(self, dataset, tmp_path, rows, message):
         zones = tmp_path / "zones.csv"
         zones.write_text("country,zone\n" + rows, encoding="utf-8")
         result = self.run_cli("cluster", "--scheme", "A", "--data", str(dataset["panel"]),
                               "--zones", str(zones), "--out", str(tmp_path))
-        self.assert_clean_exit_2(result, message)
+        self.assert_clean_exit_2(result, message.format(zones=zones))
 
     @pytest.mark.parametrize("target", ["panel", "zones", "adjacency", "losses", "config"])
     def test_non_utf8_input(self, dataset, tmp_path, target):

@@ -1,5 +1,6 @@
 """Loss accounting, out-of-sample experiments, and the model confidence set."""
 import json
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -332,9 +333,26 @@ class TestMcs:
         assert [m for m, _ in report.eliminations] == ["worst", "mid", "best"]
 
     def test_single_model_survives_trivially(self):
-        report = mcs([loss("only", np.ones(5))], reps=300, seed=1)
-        assert report.eliminations == (("only", 1.0),)
-        assert report.survivors == ("only",)
+        # One model has no pair, so no round runs and no pair is degenerate.
+        for statistic in ("SQ", "R"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = mcs([loss("only", np.ones(5))], reps=300, statistic=statistic, seed=1)
+            assert report.eliminations == (("only", 1.0),)
+            assert report.survivors == ("only",)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"block": 9}, "block length 9 outside [1, 5]"),
+        ({"reps": 99}, "need at least 100 bootstrap replications, got 99"),
+        ({"alpha": 0.0}, "alpha must be inside (0, 1), got 0.0"),
+        ({"alpha": 1.5}, "alpha must be inside (0, 1), got 1.5"),
+        ({"statistic": "max"}, "statistic must be 'SQ' or 'R', got 'max'"),
+    ], ids=["block", "reps", "alpha-0", "alpha-1.5", "statistic"])
+    def test_single_model_checked_like_two(self, kwargs, message):
+        a, b = loss("a", np.ones(5)), loss("b", np.zeros(5))
+        for losses in ([a], [a, b]):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                mcs(losses, **{"reps": 200, **kwargs})
 
     def test_validation(self):
         a, b = loss("a", np.ones(5)), loss("b", np.zeros(5))

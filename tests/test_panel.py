@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import re
 import time
 import tracemalloc
 
@@ -666,7 +667,8 @@ class TestAdjacency:
 
     def test_self_edge_rejected(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "adj.csv", "country_a,country_b\nC00,C01\nC02,C02\n")
-        with pytest.raises(ValidationError, match="^line 3: self-edge for country 'C02'$"):
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(path)}:3: self-edge for country 'C02'$"):
             load_adjacency(path, toy_panel)
 
     def test_load_from_csv(self, toy_panel, tmp_path):
@@ -686,12 +688,13 @@ class TestAdjacency:
     def test_short_row_rejected(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "adj.csv", "country_a,country_b\nC00\n")
         with pytest.raises(ValidationError,
-                           match="^line 2: adjacency row needs two country ids$"):
+                           match=f"^{re.escape(path)}:2: adjacency row needs two country ids$"):
             load_adjacency(path, toy_panel)
 
     def test_unknown_id_rejected(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "adj.csv", "country_a,country_b\nC00,XX\n")
-        with pytest.raises(ValidationError, match="^line 2: unknown country id 'XX' in adjacency$"):
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(path)}:2: unknown country id 'XX' in adjacency$"):
             load_adjacency(path, toy_panel)
 
     def test_bad_header_rejected(self, toy_panel, tmp_path):
@@ -745,7 +748,7 @@ class TestZones:
     def test_unknown_id_rejected(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "z.csv", "country,zone\nC00,Asia\nZZ,Africa\n")
         with pytest.raises(ValidationError,
-                           match="line 3: unknown country id 'ZZ' in zone file"):
+                           match=f"^{re.escape(path)}:3: unknown country id 'ZZ' in zone file$"):
             attach_zones(toy_panel, path)
 
 
@@ -777,13 +780,13 @@ class TestPhysicalLineNumbers:
     def test_adjacency(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "a.csv", "country_a,country_b\n\nC00,ZZ\n")
         with pytest.raises(ValidationError,
-                           match="^line 3: unknown country id 'ZZ' in adjacency$"):
+                           match=f"^{re.escape(path)}:3: unknown country id 'ZZ' in adjacency$"):
             load_adjacency(path, toy_panel)
 
     def test_zones(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "z.csv", "country,zone\n\n\nZZ,Africa\n")
         with pytest.raises(ValidationError,
-                           match="^line 4: unknown country id 'ZZ' in zone file$"):
+                           match=f"^{re.escape(path)}:4: unknown country id 'ZZ' in zone file$"):
             attach_zones(toy_panel, path)
 
 
