@@ -287,8 +287,8 @@ def cmd_forecast(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
         train, _ = split_panel(panel, origin)
     matrix = _build_kind(cfg, train, adjacency, args.kind)
     model = star.fit_star(train, matrix)
-    years = tuple(range(origin + 1, origin + cfg.horizon + 1))
-    star.write_level_csv(train.ids, years, star.forecast(model, train, cfg.horizon),
+    levels = star.forecast(model, train, cfg.horizon)
+    star.write_level_csv(train.ids, range(origin + 1, origin + cfg.horizon + 1), levels,
                          out / f"forecast_{args.kind}.csv")
     print(f"{args.kind}: forecast {cfg.horizon} years from origin {origin}")
     print(f"wrote {out / f'forecast_{args.kind}.csv'}")
@@ -405,7 +405,8 @@ def main(argv: list[str] | None = None) -> int:
     create the output directory, with every output path checked. `mcs
     --losses` reads no panel; otherwise `evaluate` and `mcs` check their
     block length against the horizon before the panel is read. A run that
-    fails removes each directory it created that is still empty."""
+    fails, an allocation numpy refuses included, removes each directory it
+    created that is still empty."""
     args = _base_parser().parse_args(argv)
     created: list[Path] = []
     try:
@@ -432,6 +433,10 @@ def main(argv: list[str] | None = None) -> int:
         code = 3
     except StarclustError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {str(exc) or 'an allocation was refused'}",
+              file=sys.stderr)
         code = 2
     for path in created:  # deepest first; one that holds anything stays
         with contextlib.suppress(OSError):

@@ -6,12 +6,13 @@ labels sort lexicographically first wins, where a cluster's representative is
 its smallest member label. Label-based tie-breaking makes partitions invariant
 to the input ordering even on integer-valued (Hamming) matrices.
 
-Linkage caches each row's nearest neighbour (the generic algorithm of
-Muellner 2011, arXiv:1109.2378), so a merge costs O(K) plus a rescan of the
-rows it invalidates: O(K^2) time for K items in the typical case. It works
-on one K x K matrix: a copy of the distances, or the distances themselves
-when the caller gives them up. Heights and tie-breaks are exactly those of a
-full rescan of the Lance-Williams distances at every step.
+Linkage keeps one lower bound per row on the row's smallest distance, the
+generic algorithm of Muellner 2011 (arXiv:1109.2378) in its lower-bound
+form: a step rescans only the row with the smallest bound, and a merge costs
+O(K). That is O(K^2) time for K items in the typical case. It works on one
+K x K matrix: a copy of the distances, or the distances themselves when the
+caller gives them up. Heights and tie-breaks are exactly those of a full
+rescan of the Lance-Williams distances at every step.
 """
 from __future__ import annotations
 
@@ -78,9 +79,20 @@ def agglomerate(dist: DistanceMatrix, consume: bool = False) -> Dendrogram:
     Rows are held in sorted-label order and a merge keeps the lower row, so a
     cluster's row is the rank of its representative label and the tie key
     (height, smaller label, larger label) is (height, lower row, higher row).
-    Each live row caches its nearest neighbour, the first minimum of the row.
-    A merge recomputes only the merged row and the rows whose neighbour was
-    one of the pair; every other row compares its cache with the new column.
+
+    Each live row r keeps a bound with bound[r] <= min(work[r]). A step
+    rescans the first row holding the smallest bound. When the row's first
+    minimum equals its bound, no row holds a smaller distance, and no lower
+    row holds an equal one, since its bound would be that distance and come
+    first; the minimum's column is then a higher row, whose own row holds the
+    same distance. So that pair owns the smallest key and is merged.
+    Otherwise the bound rises to the row's minimum and the step looks again.
+
+    A merge lowers no distance in exact arithmetic: the Lance-Williams mean
+    lies between its two inputs. In floating point it can round below both,
+    (1 * 0.7 + 2 * 0.7) / 3 < 0.7, so every bound is lowered to its entry of
+    the merged row, and the merged row's bound is its minimum. A dead row's
+    bound is inf. Bounds that a merge left too low cost a rescan later.
 
     With `consume`, a matrix whose labels are already sorted is linked in
     place and its values are overwritten: the caller gives `dist` up and must
@@ -102,38 +114,33 @@ def agglomerate(dist: DistanceMatrix, consume: bool = False) -> Dendrogram:
     np.fill_diagonal(work, np.inf)
     node_of = order
     sizes = [1] * k
-    nearest = work.argmin(axis=1)
-    nearest_d = work[np.arange(k), nearest]
+    bound = work.min(axis=1)
     merges: list[Merge] = []
 
     for step in range(k - 1):
-        # The first row holding the smallest cached distance owns the
-        # smallest key, and its neighbour is a higher row.
-        i = int(nearest_d.argmin())
-        j = int(nearest[i])
+        while True:
+            i = int(bound.argmin())
+            row = work[i]
+            j = int(row.argmin())
+            height = row[j]
+            if height == bound[i]:
+                break
+            bound[i] = height
         new_size = sizes[i] + sizes[j]
         merges.append(Merge(left=node_of[i], right=node_of[j],
-                            height=float(nearest_d[i]), size=new_size))
+                            height=float(height), size=new_size))
 
         # Dead and diagonal entries are inf and stay inf through the update.
-        merged_row = (sizes[i] * work[i] + sizes[j] * work[j]) / new_size
+        merged_row = (sizes[i] * row + sizes[j] * work[j]) / new_size
         work[i, :] = merged_row
         work[:, i] = merged_row
         work[j, :] = np.inf
         work[:, j] = np.inf
         node_of[i] = k + step
         sizes[i] = new_size
-
-        stale = (nearest == i) | (nearest == j)
-        stale[i], stale[j] = True, False
-        nearest[j], nearest_d[j] = -1, np.inf
-        closer = (merged_row < nearest_d) | ((merged_row == nearest_d) & (i < nearest))
-        nearest[closer] = i
-        nearest_d[closer] = merged_row[closer]
-        rows = np.flatnonzero(stale)
-        best = work[rows].argmin(axis=1)
-        nearest[rows] = best
-        nearest_d[rows] = work[rows, best]
+        np.minimum(bound, merged_row, out=bound)
+        bound[i] = merged_row.min()
+        bound[j] = np.inf
 
     return Dendrogram(leaf_labels=dist.labels, merges=tuple(merges))
 

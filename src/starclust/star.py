@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -180,7 +181,9 @@ def forecast(model: StarModel, panel: TemperaturePanel, horizon: int) -> np.ndar
 
     Forecast differences feed back into both the temporal and the spatial lag;
     levels integrate the differences from the last observed level. Returns
-    the N x horizon level array for the years after `panel.years[-1]`.
+    the N x horizon level array for the years after `panel.years[-1]`. The
+    steps fill that array, which then holds their running sums: one
+    allocation, so an impossible horizon fails at once with MemoryError.
     """
     if horizon < 1:
         raise ValidationError(f"forecast horizon must be at least 1, got {horizon}")
@@ -189,11 +192,13 @@ def forecast(model: StarModel, panel: TemperaturePanel, horizon: int) -> np.ndar
     c, phi, psi = model.c, model.phi, model.psi
     weights = model.weights.values
     current = panel_differences(panel)[:, -1]
-    steps = []
-    for _ in range(horizon):
+    levels = np.empty((panel.n_countries, horizon))
+    for step in range(horizon):
         current = c + phi * current + psi * (weights @ current)
-        steps.append(current)
-    return panel.values[:, -1][:, None] + np.cumsum(np.column_stack(steps), axis=1)
+        levels[:, step] = current
+    np.cumsum(levels, axis=1, out=levels)
+    levels += panel.values[:, -1][:, None]
+    return levels
 
 
 def write_coefficients_csv(model: StarModel, path: str | Path) -> None:
@@ -203,7 +208,7 @@ def write_coefficients_csv(model: StarModel, path: str | Path) -> None:
                for eq in model.equations.values()))
 
 
-def write_level_csv(countries: tuple[str, ...], years: tuple[int, ...],
+def write_level_csv(countries: tuple[str, ...], years: Sequence[int],
                     levels: np.ndarray, path: str | Path) -> None:
     """Long-format CSV of a fitted or forecast level panel."""
     write_csv(path, ["country", "year", "temperature"],

@@ -4,8 +4,9 @@ Everything here is deliberately naive: explicit normal equations, a trend
 fit that fits one country at a time, O(K^3)
 linkage re-scans over the raw distance matrix, brute-force distance loops, a
 differenced-series distance that forms both triangles, slope and Hamming
-distances through whole K x K temporaries, a linkage that always works on a
-reordered copy of its matrix, pure-Python forecast
+distances through whole K x K temporaries, a linkage that caches each row's
+nearest neighbour and always works on a reordered copy of its matrix,
+pure-Python forecast
 recursions, a bootstrap that materialises the full reps x periods index
 matrix, one that resamples year-major observations in whole-year blocks, a
 model confidence set that rebuilds every pair's bootstrap terms in each
@@ -209,7 +210,10 @@ def two_product_hamming_distance(signs: Sequence[np.ndarray],
 
 def copying_agglomerate(dist: DistanceMatrix) -> Dendrogram:
     """`agglomerate` as the package had it before it could link in place
-    (verbatim): always on a sorted-label copy of the matrix."""
+    or kept lower bounds (verbatim): always on a sorted-label copy of the
+    matrix, caching each row's nearest neighbour, its first minimum. A merge
+    recomputes the merged row and the rows whose neighbour was one of the
+    pair; every other row compares its cache with the new column."""
     k = dist.size
     if k < 2:
         raise ValidationError(f"clustering needs at least 2 items, got {k}")

@@ -279,7 +279,33 @@ class TestFit:
         assert {int(r.split(",")[1]) for r in fitted[1:]} == set(range(1952, 1991))
 
 
+@pytest.fixture()
+def refused_allocations(monkeypatch):
+    """`np.empty` refuses any array over 4 GiB, with the message numpy gives
+    when the system refuses it, and never tries: under overcommit a real
+    attempt can succeed and the process is killed when it touches the pages."""
+    empty = np.empty
+
+    def guarded(shape, dtype=float, *args, **kwargs):
+        dims = tuple(shape) if np.iterable(shape) else (shape,)
+        size = int(np.prod(dims, dtype=object)) * np.dtype(dtype).itemsize
+        if size > 2**32:
+            raise MemoryError(f"Unable to allocate {size / 2**30:.3g} GiB for an array "
+                              f"with shape {dims} and data type {np.dtype(dtype)}")
+        return empty(shape, dtype, *args, **kwargs)
+    monkeypatch.setattr(np, "empty", guarded)
+
+
 class TestForecast:
+    def test_impossible_horizon_fails_at_one_allocation(self, dataset, tmp_path, capsys,
+                                                        refused_allocations):
+        out = tmp_path / "out"
+        assert run(["forecast", "--kind", "dB", "--horizon", "100000000"], dataset, out) == 2
+        assert capsys.readouterr().err == (
+            "error: not enough memory: Unable to allocate 6.71 GiB for an array "
+            "with shape (9, 100000000) and data type float64\n")
+        assert not out.exists()
+
     def test_default_origin_is_panel_end(self, dataset, tmp_path, capsys):
         rc = run(["forecast", "--kind", "dB", "--horizon", "3"],
                  dataset, tmp_path)
@@ -814,6 +840,22 @@ class TestMalformedInputs:
         assert run(argv, dataset, tmp_path / out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["losses.csv"]
+
+    def test_refused_allocation_is_a_clean_failure(self, dataset, tmp_path, capsys,
+                                                   refused_allocations):
+        out = tmp_path / "a" / "b"
+        assert run(["evaluate", "--reps", "100000000000"], dataset, out) == 2
+        assert capsys.readouterr().err == (
+            "error: not enough memory: Unable to allocate 5.22e+03 GiB for an array "
+            "with shape (7, 100000000000) and data type float64\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bare_memory_error_is_named(self, dataset, tmp_path, capsys, monkeypatch):
+        def refused(path):
+            raise MemoryError
+        monkeypatch.setattr(cli, "load_panel", refused)
+        assert run(["trends"], dataset, tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: not enough memory: an allocation was refused\n"
 
     def test_failed_run_keeps_an_output_directory_that_existed(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"

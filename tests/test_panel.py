@@ -410,15 +410,16 @@ class TestLoaderParity:
 
     @pytest.fixture
     def reads(self, monkeypatch) -> list:
-        """The paths `load_panel` opened: once for a valid panel, and twice for
-        a malformed one, whose fault only the whole-file reload reports."""
+        """The paths `load_panel` opened to read: once for a valid panel, and
+        twice for a malformed one, whose fault only the whole-file reload
+        reports. Opens that look up a line number for a message are not reads."""
         opened = []
-        chunks = panel_module._csv_chunks
+        open_csv = panel_module._open_csv
 
         def counted(path):
             opened.append(path)
-            return chunks(path)
-        monkeypatch.setattr(panel_module, "_csv_chunks", counted)
+            return open_csv(path)
+        monkeypatch.setattr(panel_module, "_open_csv", counted)
         return opened
 
     @staticmethod
@@ -490,6 +491,113 @@ class TestLoaderParityInSmallChunks(TestLoaderParity):
     @pytest.fixture(autouse=True, params=[1, 2, 5], ids=lambda n: f"chunk{n}")
     def row_chunk(self, request, monkeypatch):
         monkeypatch.setattr(panel_module, "_ROW_CHUNK", request.param)
+
+
+def _rows_text(n_countries: int, n_years: int, meta: str = "", **rows: str) -> str:
+    """A long panel, header first: countries A0.. over years from 2000, each
+    temperature a plain decimal, and `meta` appended to the header and every
+    row. `rows` replaces data rows by index, e.g. `{"3": "A0,2003,warm"}`."""
+    lines = ["country,year,temperature" + meta]
+    lines += [f"A{i},{2000 + j},{i + j / 8}{meta and ',Asia'}"
+              for i in range(n_countries) for j in range(n_years)]
+    for index, line in rows.items():
+        lines[1 + int(index)] = line
+    return "".join(line + "\n" for line in lines)
+
+
+_HEADER = "country,year,temperature\n"
+_TWO = "A,2000,1.0\nA,2001,1.5\nB,2000,2.0\nB,2001,2.5\n"
+
+# Files the csv module and np.loadtxt could split or convert differently.
+_TOKENIZER_CASES = {
+    "quoted-id": _HEADER + '"A",2000,1.0\nA,2001,1.5\n',
+    "quote-after-first-chunk": _rows_text(9, 128, **{"1030": 'A8,2006,"1.75"'}),
+    "cr-line-ends": _HEADER.replace("\n", "\r") + _TWO.replace("\n", "\r"),
+    "crlf-line-ends": _HEADER.replace("\n", "\r\n") + _TWO.replace("\n", "\r\n"),
+    "no-final-line-end": _HEADER + _TWO.rstrip("\n"),
+    "whitespace-only-lines": _HEADER + " \t \n" + _TWO + "   \r\n",
+    "comma-only-lines": _HEADER + ",,\n" + _TWO + " , ,\t\n,\n",
+    "longer-rows": _HEADER + "A,2000,1.0,x\nA,2001,1.5,y,z\n",
+    "all-rows-longer": _HEADER + "A,2000,1.0,x\nA,2001,1.5,y\n",
+    "shorter-row": _HEADER + "A,2000,1.0\nA,2001\n",
+    "shorter-than-header": "country,year,temperature,note\nA,2000,1.0\nA,2001,1.5\n",
+    "year-underscore": _HEADER + "A,1_901,1.0\nA,1902,1.5\n",
+    "year-fullwidth": _HEADER + "A,\uff11\uff19\uff10\uff11,1.0\nA,1902,1.5\n",
+    "year-plus": _HEADER + "A,+1901,1.0\nA, 1902 ,1.5\n",
+    "year-float": _HEADER + "A,1901.0,1.0\nA,1902,1.5\n",
+    "temperature-padded": _HEADER + "A,2000, 5.25 \nA,2001,\t1.5\n",
+    "temperature-inf": _HEADER + "A,2000,inf\nA,2001,1.5\n",
+    "temperature-nan": _HEADER + "A,2000,nan\nA,2001,1.5\n",
+    "temperature-underscore": _HEADER + "A,2000,1_0.5\nA,2001,1.5\n",
+    "zones-conflict-across-chunks": _rows_text(9, 128, ",zone", **{"1100": "A8,2076,1.0,Europe"}),
+    "bad-row-after-1024": _rows_text(9, 128, **{"1100": "A8,2076,warm"}),
+    "missing-row-after-1024": _rows_text(9, 128, **{"1100": ""}),
+    "exactly-1024-rows": _rows_text(8, 128),
+    "blank-lines-fill-a-chunk": _rows_text(8, 128) + "\n" * 1024 + "\r\n" * 3,
+    "comma-lines-fill-a-chunk": _rows_text(8, 128) + ",,\n" * 1100,
+}
+
+
+class TestTokenizerParity:
+    """np.loadtxt reads a long file's lines in the first pass; the csv module
+    reads everything else. Each file gives the row-by-row reader's panel or
+    message, and the outcome of a load that never calls np.loadtxt."""
+
+    reads = TestLoaderParity.reads
+
+    @pytest.fixture
+    def csv_only(self, monkeypatch):
+        """`load_panel` with every data line read by the csv module."""
+        chunks = panel_module._csv_chunks
+
+        def load(path):
+            with monkeypatch.context() as patch:
+                patch.setattr(panel_module, "_csv_chunks", lambda path, lines=False: chunks(path))
+                return _outcome(path, load_panel)
+        return load
+
+    @staticmethod
+    def assert_same_outcome(got, want):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            TestLoaderParity.assert_same_panel(got, want)
+
+    @pytest.mark.parametrize("name", _TOKENIZER_CASES)
+    def test_file(self, tmp_path, name, reads, csv_only):
+        path = tmp_path / "p.csv"
+        path.write_bytes(_TOKENIZER_CASES[name].encode())
+        got, ref = _outcome(path, load_panel), _outcome(path, load_panel_rows)
+        self.assert_same_outcome(got, ref)
+        assert len(reads) == (2 if isinstance(ref, str) else 1)
+        self.assert_same_outcome(csv_only(path), ref)
+
+    @pytest.mark.parametrize("cell", ["7\x1c", "\x1f7", "7\x00"])
+    def test_characters_only_loadtxt_takes_for_whitespace(self, tmp_path, cell, csv_only):
+        # np.loadtxt reads "7\x1c" as 7.0, where float() and int() refuse it.
+        for line in (f"C,2000,{cell}", f"C,{cell},1.0", f"C{cell},2000,1.0"):
+            path = tmp_path / "p.csv"
+            path.write_text(_HEADER + line + "\nC,2001,1.0\n" + _TWO, encoding="utf-8")
+            self.assert_same_outcome(_outcome(path, load_panel), csv_only(path))
+
+    def test_field_over_the_csv_limit(self, tmp_path, csv_only):
+        path = tmp_path / "p.csv"
+        path.write_text(_HEADER + "A" * 131_073 + ",2000,1.0\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"p\.csv:2: field larger than field limit"):
+            load_panel(path)
+        assert csv_only(path) == _outcome(path, load_panel)
+
+    def test_loadtxt_reads_a_plain_long_file(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return loadtxt(*args, **kwargs)
+        monkeypatch.setattr(np, "loadtxt", counted)
+        path = write_csv(tmp_path / "p.csv", _rows_text(9, 128))
+        assert load_panel(path).values.shape == (9, 128)
+        assert calls == [1024, 128]
 
 
 class TestChunkBoundaries:
