@@ -21,14 +21,14 @@ from __future__ import annotations
 import csv
 import gc
 import json
-from contextlib import closing
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, compress, islice, tee
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, TextIO
 
 import numpy as np
 
@@ -132,20 +132,28 @@ def _parse_temperature(text: str, country: str, year: int) -> float:
     return value
 
 
-class _Lines(list):
-    """A chunk of a long file's raw, non-blank lines that `_load_long` can give
-    to np.loadtxt: they hold no quote, no `_CSV_ONLY` character and no line
-    longer than the csv module's field size limit."""
+class _Columns(NamedTuple):
+    """A chunk of a long panel's rows by column, cells unstripped: country
+    cells, years, temperatures, and metadata cells by name. `fault()` raises
+    the chunk's first row-level fault."""
+    countries: list[str]
+    years: np.ndarray
+    values: np.ndarray
+    meta: dict[str, list[str]]
+    fault: Callable[[], NoReturn]
 
 
 def _open_csv(path: Path) -> TextIO:
     """Open a CSV input as the csv module reads it: line ends kept, and a
     byte-order mark dropped."""
+    if not path.exists():
+        raise ValidationError(f"file not found: {path}")
     return path.open(newline="", encoding="utf-8-sig")
 
 
-def _row_reader(path: Path, lines: Iterable[str]) -> Callable[[int], list[list[str]]]:
-    """`take(n)`: the next n non-blank rows the csv module reads from `lines`.
+def _row_reader(path: Path, lines: Iterable[str]) -> Callable[[int | None], list[list[str]]]:
+    """`take(n)`: the next n non-blank rows the csv module reads from `lines`,
+    or all of them when n is None.
 
     A row is blank when all its cells are empty or whitespace. An undecodable
     byte or a malformed row raises ValidationError once the reader reaches it.
@@ -155,7 +163,7 @@ def _row_reader(path: Path, lines: Iterable[str]) -> Callable[[int], list[list[s
     rows, texts = tee(reader)
     rows = compress(rows, map(str.strip, map("".join, texts)))
 
-    def take(n: int) -> list[list[str]]:
+    def take(n: int | None) -> list[list[str]]:
         try:
             return list(islice(rows, n))
         except UnicodeDecodeError:
@@ -165,59 +173,29 @@ def _row_reader(path: Path, lines: Iterable[str]) -> Callable[[int], list[list[s
     return take
 
 
-def _csv_chunks(path: Path, lines: bool = False) -> Iterator[list[list[str]] | _Lines]:
-    """The file's non-blank rows about a chunk of cells at a time: the header
-    alone, then the data rows.
+def _csv_rows(path: Path) -> list[list[str]]:
+    """A CSV file's non-blank rows, header first."""
+    with _open_csv(path) as fh:
+        return _row_reader(path, fh)(None)
+
+
+def _csv_chunks(path: Path, fh: Iterator[str]) -> Iterator[list[list[str]]]:
+    """The non-blank rows of `fh`, an open CSV file, about a chunk of cells at
+    a time: the header alone, then the data rows.
 
     A chunk holds `_ROW_CHUNK` rows as wide as the long header, and fewer of
     a wider header's rows: a wide panel row holds a cell per year. An
     undecodable byte or a malformed row raises ValidationError once the
-    reader reaches it, after the chunks before it were yielded.
-
-    With `lines`, a long file's data comes `_ROW_CHUNK` lines at a time, as
-    `_Lines` where it can: a chunk holding a `_CSV_ONLY` character or a line
-    past the field size limit comes as its rows, and so does the rest of the
-    file from the first chunk holding a quote, which may open a cell that
-    spans lines.
+    reader reaches it, after the chunks before it were yielded. No line past
+    the header is read before the data rows are asked for.
     """
-    if not path.exists():
-        raise ValidationError(f"file not found: {path}")
-    with _open_csv(path) as fh:
-        take = _row_reader(path, fh)
-        chunk = take(1)
-        if not chunk:
-            return
-        header = [cell.strip() for cell in chunk[0]]
-        yield chunk
-        if lines and detect_format(header) == "long":
-            yield from _line_chunks(path, fh)
-            return
-        width = max(len(header), len(_LONG_HEADER))
-        yield from iter(partial(take, max(1, _ROW_CHUNK * len(_LONG_HEADER) // width)), [])
-
-
-def _line_chunks(path: Path, fh: Iterator[str]) -> Iterator[list[list[str]] | _Lines]:
-    """The rest of a long file `_ROW_CHUNK` lines at a time, as `_csv_chunks`
-    gives them with `lines`."""
-    limit = csv.field_size_limit()
-    while True:
-        try:
-            chunk = list(islice(fh, _ROW_CHUNK))
-        except UnicodeDecodeError:
-            raise undecodable(path) from None
-        if not chunk:
-            return
-        text = "".join(chunk)
-        if '"' in text:
-            yield from iter(partial(_row_reader(path, chain(chunk, fh)), _ROW_CHUNK), [])
-            return
-        if (any(map(text.__contains__, _CSV_ONLY))
-                or (len(text) > limit and max(map(len, chunk)) > limit)):
-            yield _row_reader(path, chunk)(len(chunk))
-        else:
-            chunk = _Lines(filter(str.strip, chunk))
-            if chunk:
-                yield chunk
+    take = _row_reader(path, fh)
+    chunk = take(1)
+    if not chunk:
+        return
+    width = max(len(chunk[0]), len(_LONG_HEADER))
+    yield chunk
+    yield from iter(partial(take, max(1, _ROW_CHUNK * len(_LONG_HEADER) // width)), [])
 
 
 def _data_line(path: Path, i: int) -> int:
@@ -237,7 +215,7 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], Callable[[
     """The header, the non-blank data rows, and `where(i)`: `<file>:<line>`
     for data row i's physical line, the prefix of a message about that row."""
     path = Path(path)
-    rows = list(chain.from_iterable(_csv_chunks(path)))
+    rows = _csv_rows(path)
     if not rows:
         raise ValidationError(f"empty file: {path}")
     return [cell.strip() for cell in rows[0]], rows[1:], lambda i: f"{path}:{_data_line(path, i)}"
@@ -305,18 +283,17 @@ def load_panel(path: str | Path) -> TemperaturePanel:
     with year columns), told apart by `detect_format`. A wide file is checked
     for its layout only, then validated as the long rows it holds.
 
-    The file is parsed a chunk of `_csv_chunks` at a time, and a fault found
-    there is not reported: in a whole-file read an undecodable byte further
-    on, or a wide file's repeated country row, comes before a bad cell. So a
-    file that fails a check is loaded again as one chunk, where every check
-    runs in the order of a whole-file read. Only that pass reports.
+    The file is parsed a chunk at a time, and a fault found there is not
+    reported: in a whole-file read an undecodable byte further on, or a wide
+    file's repeated country row, comes before a bad cell. So a file that
+    fails a check is loaded again as one chunk, where every check runs in the
+    order of a whole-file read. Only that pass reports.
 
     The csv module reads every header, every wide file, and the whole of the
-    reporting pass. In the first pass, np.loadtxt tokenizes and converts a
-    long file's data lines: the benchmark's 97,600-row file loads in 48 ms
-    instead of 151 (2-vCPU VM). A chunk np.loadtxt cannot read, or must not
-    (see `_csv_chunks`), goes to the csv module, so both tokenizers give the
-    same panel or the same message.
+    reporting pass. In the first pass np.loadtxt tokenizes and converts a
+    long file's data lines, where it reads them as the csv module does (see
+    `_line_columns`): the benchmark's 97,600-row file loads in 48 ms instead
+    of 151 (2-vCPU VM). Both tokenizers give the same panel or message.
 
     The cyclic garbage collector is off while loading. The csv module makes
     one new list of strings per row. The lists hold no reference cycle, but
@@ -330,21 +307,24 @@ def load_panel(path: str | Path) -> TemperaturePanel:
     gc.disable()
     try:
         try:
-            with closing(_csv_chunks(path, lines=True)) as chunks:
-                return _parse_panel(path, chunks)
+            with _open_csv(path) as fh:
+                return _parse_panel(path, _csv_chunks(path, fh), fh)
         except ValidationError:
             pass
-        return _parse_panel(path, iter([list(chain.from_iterable(_csv_chunks(path)))]))
+        return _parse_panel(path, iter([_csv_rows(path)]))
     finally:
         if collecting:
             gc.enable()
 
 
-def _parse_panel(path: Path, chunks: Iterator[list[list[str]] | _Lines]) -> TemperaturePanel:
+def _parse_panel(path: Path, chunks: Iterator[list[list[str]]],
+                 lines: Iterator[str] | None = None) -> TemperaturePanel:
     """Parse a panel from chunks of a CSV file's non-blank rows, header first.
 
-    A message gives `line` a row's position in its chunk: in a one-chunk
-    pass, the row's data-row number."""
+    With `lines`, the open file the chunks come from, a long file's data is
+    read from its lines by `_line_columns` instead. A message gives `line` a
+    row's position in its chunk: in a one-chunk pass, the row's data-row
+    number."""
     first = next(chunks, [])
     if not first:
         raise ValidationError(f"empty file: {path}")
@@ -352,9 +332,17 @@ def _parse_panel(path: Path, chunks: Iterator[list[list[str]] | _Lines]) -> Temp
     rows = chain([first], chunks)
     del first
     line = partial(_data_line, path)
-    if detect_format(header) == "wide":
+    wide = detect_format(header) == "wide"
+    if wide:
         header, rows = _wide_as_long(header, rows, line)
-    return _load_long(header, rows, line)
+    # The header holds all of `_LONG_HEADER`, as `detect_format` found it or
+    # `_wide_as_long` wrote it.
+    lowered = [h.lower() for h in header]
+    col = _column_index(lowered, _LONG_HEADER, "panel")
+    meta_col = _column_index(lowered, _META_COLUMNS, "panel")
+    if lines is None or wide:
+        return _load_long(_row_columns(header, rows, col, meta_col, line))
+    return _load_long(_line_columns(path, lines, header, col, meta_col, line))
 
 
 def _wide_as_long(header: list[str], chunks: Iterator[list[list[str]]],
@@ -363,8 +351,8 @@ def _wide_as_long(header: list[str], chunks: Iterator[list[list[str]]],
 
     Checked here: year columns named once, consecutive once sorted and
     within 64 bits, rows as long as the header, no country row repeated.
-    Cells and metadata are left to `_load_long`, which sees
-    `country,year,temperature,*meta` rows in file order.
+    Cells and metadata are left to `_row_columns` and `_load_long`, which
+    see `country,year,temperature,*meta` rows in file order.
     """
     lowered = [h.lower() for h in header]
     _column_index(lowered, ["country"], "panel")
@@ -412,47 +400,29 @@ def _wide_rows_as_long(width: int, chunks: Iterator[list[list[str]]],
         raise ValidationError("panel must have at least one country and one year")
 
 
-def _load_long(header: list[str], chunks: Iterator[list[list[str]] | _Lines],
-               line: Callable[[int], int]) -> TemperaturePanel:
-    """Parse a long panel column-wise; any row-level fault defers to `_long_row_error`.
+def _load_long(chunks: Iterator[_Columns]) -> TemperaturePanel:
+    """Check and assemble a long panel column-wise; any row-level fault
+    defers to the chunk's `fault()`.
 
     On valid input every check is an array operation, and between chunks only
-    arrays, ids and metadata are kept. When a check fails, the rows at hand
-    are re-read in file order so that the first fault is reported with its
-    line number, exactly as a row-by-row reader would report it. The header
-    holds all of `_LONG_HEADER`, as `detect_format` found it or
-    `_wide_as_long` wrote it; a wide file's rows can fail only on cells and
-    metadata, whose messages name the country and year, not a line.
+    arrays, ids and metadata are kept. A wide file's rows can fail only on
+    cells and metadata, whose messages name the country and year, not a line.
     """
-    lowered = [h.lower() for h in header]
-    col = _column_index(lowered, _LONG_HEADER, "panel")
-    meta_col = _column_index(lowered, _META_COLUMNS, "panel")
-    tokenize = _line_tokenizer(len(header), col, meta_col)
     code_of: dict[str, int] = {}  # country id -> code, in the order ids first appear
     meta: dict[str, dict[str, str]] = {}
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def fault() -> NoReturn:
-        _long_row_error(header, _line_rows(rows) if isinstance(rows, _Lines) else rows,
-                        col, meta_col, line)
-
-    for rows in chunks:
-        if not rows:
-            continue
-        columns = _long_columns(rows, tokenize, len(header), col, meta_col)
-        if columns is None:
-            fault()
-        countries, years, values, texts = columns
-        if not countries:  # `_Lines` whose rows were all blank
-            continue
-        if not np.isfinite(values).all():
-            fault()
-        if not _merge_meta(meta, countries, texts):
-            fault()
-        code = {raw: code_of.setdefault(_detached(raw.strip()), len(code_of))
-                for raw in set(countries)}
-        parts.append((np.fromiter(map(code.__getitem__, countries), dtype=np.int64,
-                                  count=len(countries)), years, values))
+    for chunk in chunks:
+        if not np.isfinite(chunk.values).all() or not _merge_meta(meta, chunk.countries,
+                                                                   chunk.meta):
+            chunk.fault()
+        code = {}  # country cell -> code
+        for raw in set(chunk.countries):
+            cid = raw.strip()
+            if cid not in code_of:
+                code_of[_detached(cid)] = len(code_of)
+            code[raw] = code_of[cid]
+        parts.append((np.fromiter(map(code.__getitem__, chunk.countries), dtype=np.int64,
+                                  count=len(chunk.countries)), chunk.years, chunk.values))
     if not parts:
         raise ValidationError("long panel has a header but no observations")
 
@@ -465,9 +435,9 @@ def _load_long(header: list[str], chunks: Iterator[list[list[str]] | _Lines],
     order = np.lexsort((years, codes))
     codes, years = codes[order], years[order]
     if ((codes[1:] == codes[:-1]) & (years[1:] == years[:-1])).any():
-        # The last chunk's rows: the whole file when loaded as one chunk, and
-        # otherwise `load_panel` loads it again as one.
-        fault()
+        # The last chunk's fault: the whole file's when loaded as one chunk,
+        # and otherwise `load_panel` loads it again as one.
+        chunk.fault()
     first, last = int(years.min()), int(years.max())
     span = last - first + 1
     if len(ids) * span != len(codes):
@@ -479,56 +449,89 @@ def _load_long(header: list[str], chunks: Iterator[list[list[str]] | _Lines],
                             zones=_zone_column(ids, meta))
 
 
-def _line_tokenizer(width: int, col: Mapping[str, int], meta_col: Mapping[str, int]
-                    ) -> Callable[[_Lines], dict[int, np.ndarray]]:
-    """np.loadtxt over `_Lines`: the columns `col` and `meta_col` name, by
-    index, years as int64, temperatures as float64 and other cells as their
-    text. The header's last column is read too, so a row shorter than the
-    header fails to tokenize, as it fails `_long_columns`."""
-    usecols = sorted({*col.values(), *meta_col.values(), width - 1})
+def _row_columns(header: list[str], chunks: Iterable[list[list[str]]], col: dict[str, int],
+                 meta_col: dict[str, int], line: Callable[[int], int]) -> Iterator[_Columns]:
+    """Chunks of csv rows by column. A chunk's fault is the first that
+    `_long_row_error` finds in its rows, in file order and with its line
+    number, as a row-by-row reader reports it; a row shorter than the header,
+    or a year or temperature that does not convert, raises it at once."""
+    for rows in chunks:
+        if not rows:
+            continue
+        fault = partial(_long_row_error, header, rows, col, meta_col, line)
+        if min(map(len, rows)) < len(header):
+            fault()
+
+        def column(idx: int) -> list[str]:
+            return list(map(itemgetter(idx), rows))
+        try:
+            years = np.array(column(col["year"]), dtype=np.int64)
+            values = np.array(column(col["temperature"]), dtype=float)
+        except (ValueError, OverflowError):
+            fault()
+        yield _Columns(column(col["country"]), years, values,
+                       {name: column(idx) for name, idx in meta_col.items()}, fault)
+
+
+def _line_columns(path: Path, fh: Iterator[str], header: list[str], col: dict[str, int],
+                  meta_col: dict[str, int], line: Callable[[int], int]) -> Iterator[_Columns]:
+    """The rest of an open long file, `_ROW_CHUNK` lines at a time, by column.
+
+    np.loadtxt reads a chunk's non-blank lines, the header's last column
+    included, so that a row shorter than the header fails it. Its chunks'
+    faults are not reported: this is `load_panel`'s first pass, and the
+    whole-file pass finds them again. `_row_columns` reads a chunk
+    np.loadtxt fails or warns on (an older numpy reads a year "1901.5" as
+    1901 with a DeprecationWarning), one it could read otherwise than the csv
+    module (a `_CSV_ONLY` character, a line past the csv field size limit),
+    and from the first chunk holding a quote, which may open a cell that
+    spans lines, the rest of the file.
+    """
+    usecols = sorted({*col.values(), *meta_col.values(), len(header) - 1})
     kinds = {col["year"]: np.int64, col["temperature"]: np.float64}
     dtype = [(str(i), kinds.get(i, object)) for i in usecols]
-
-    def tokenize(lines: _Lines) -> dict[int, np.ndarray]:
-        return dict(zip(usecols, np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype,
-                                            usecols=usecols, unpack=True, ndmin=1)))
-    return tokenize
-
-
-def _long_columns(rows: list[list[str]] | _Lines, tokenize: Callable[[_Lines], dict[int, np.ndarray]],
-                  width: int, col: Mapping[str, int], meta_col: Mapping[str, int]
-                  ) -> tuple[list[str], np.ndarray, np.ndarray, dict[str, list[str]]] | None:
-    """A chunk's unstripped country cells, years, temperatures and metadata
-    cells by name; None when a row is shorter than the header or a year or
-    temperature does not convert. `_Lines` go to np.loadtxt, and to the csv
-    module when np.loadtxt fails on them."""
-    if isinstance(rows, _Lines):
+    limit = csv.field_size_limit()
+    while True:
         try:
-            cells = tokenize(rows)
-        except ValueError:
-            rows = _line_rows(rows)
-        else:
-            # Copies, so that the kept arrays do not hold the ids alive.
-            return (cells[col["country"]].tolist(), cells[col["year"]].copy(),
-                    cells[col["temperature"]].copy(),
-                    {name: cells[idx].tolist() for name, idx in meta_col.items()})
-    if min(map(len, rows), default=width) < width:
-        return None
+            lines = list(islice(fh, _ROW_CHUNK))
+        except UnicodeDecodeError:
+            raise undecodable(path) from None
+        if not lines:
+            return
+        text = "".join(lines)
+        if '"' in text:
+            rest = iter(partial(_row_reader(path, chain(lines, fh)), _ROW_CHUNK), [])
+            yield from _row_columns(header, rest, col, meta_col, line)
+            return
+        plain = not (any(map(text.__contains__, _CSV_ONLY))
+                     or len(text) > limit and max(map(len, lines)) > limit)
+        nonblank = list(filter(str.strip, lines))  # np.loadtxt warns on no lines at all
+        cells = _loadtxt(nonblank, usecols, dtype) if plain and nonblank else None
+        if cells is None:
+            yield from _row_columns(header, [_row_reader(path, lines)(None)], col, meta_col, line)
+            continue
+        # Copies, so that the kept arrays do not hold the ids alive.
+        yield _Columns(cells[col["country"]].tolist(), cells[col["year"]].copy(),
+                       cells[col["temperature"]].copy(),
+                       {name: cells[idx].tolist() for name, idx in meta_col.items()},
+                       _unreported)
 
-    def column(idx: int) -> list[str]:
-        return list(map(itemgetter(idx), rows))
+
+def _unreported() -> NoReturn:
+    raise ValidationError("a first-pass fault, which the whole-file pass reports")
+
+
+def _loadtxt(lines: list[str], usecols: list[int], dtype: list[tuple[str, type]]
+             ) -> dict[int, np.ndarray] | None:
+    """np.loadtxt's columns of comma-separated `lines` by index; None when it
+    fails or warns."""
     try:
-        years = np.array(column(col["year"]), dtype=np.int64)
-        values = np.array(column(col["temperature"]), dtype=float)
-    except (ValueError, OverflowError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return dict(zip(usecols, np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype,
+                                                usecols=usecols, unpack=True, ndmin=1)))
+    except (ValueError, Warning):
         return None
-    return (column(col["country"]), years, values,
-            {name: column(idx) for name, idx in meta_col.items()})
-
-
-def _line_rows(lines: _Lines) -> list[list[str]]:
-    """The non-blank rows the csv module reads from `_Lines`, which it cannot fail on."""
-    return [row for row in csv.reader(lines) if "".join(row).strip()]
 
 
 def _detached(text: str) -> str:
