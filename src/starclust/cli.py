@@ -312,7 +312,9 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
     # The out-of-sample run goes first, so that its horizon and origin checks
     # fail before any clustering. Its training-slice weights are freed before
     # the full-sample weights (7 N x N matrices) are built, and those once
-    # their norms are known.
+    # their norms are known. The MCS runs last: it is where `evaluate`
+    # reaches its peak memory (the bootstrap means, models x reps), and run
+    # before the in-sample fits it sets that peak higher.
     oos = _run_oos(cfg, panel, adjacency)
     in_sample = evaluation.in_sample_fn(
         panel, pipeline.build_weights(panel, cfg, weights.KINDS, adjacency))

@@ -2,15 +2,18 @@
 
 The MCS procedure studentizes pairwise mean loss differentials with a
 moving-block bootstrap variance, forms a semi-quadratic (or range) statistic,
-and eliminates the worst model while the equivalence test rejects. Each
-pair's variance and standardized bootstrap terms are formed once per call,
-before the first round; each round reduces those of the pairs whose models
-are both still active. Bootstrap means are streamed from per-block window sums,
-with block starts drawn in fixed chunks of replications from a seeded
-generator, so reports are bit-identical across repeated calls and memory
-does not grow with reps x periods. The chunk size also fixes the rounding
-of each chunk's count-times-block-sum product, so changing it moves the
-bootstrap means in their last bits: outputs must then be pinned again.
+and eliminates the worst model while the equivalence test rejects. The
+bootstrap means are the only models x reps array; a pair's bootstrap
+differential is rebuilt from them in one reps-long row whenever it is read,
+once for its variance and once in each round that keeps both its models,
+and folded into a reps-long accumulator of null statistics. So the MCS holds
+models x reps plus two rows, never pairs x reps. Bootstrap means are
+streamed from per-block window sums, with block starts drawn in fixed chunks
+of replications from a seeded generator, so reports are bit-identical across
+repeated calls and memory does not grow with reps x periods. The chunk size
+also fixes the rounding of each chunk's count-times-block-sum product, so
+changing it moves the bootstrap means in their last bits: outputs must then
+be pinned again.
 """
 from __future__ import annotations
 
@@ -201,7 +204,8 @@ def _boot_means(matrix: np.ndarray, block: int, reps: int,
         sums[:, done:done + rows] = full @ counts.reshape(rows, n_starts).T + last[:, tails]
         done += rows
         del starts, counts  # before the next chunk is drawn and counted
-    return total / n_periods, sums / n_periods
+    sums /= n_periods  # in place: no second models x reps array
+    return total / n_periods, sums
 
 
 def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
@@ -262,17 +266,18 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
     rounding = 2 * np.finfo(float).eps * matrix.max(axis=1)  # losses are >= 0
 
     # Every pair of models once, the model listed first as a, in the order in
-    # which each round reads its active pairs. A pair's variance, t-statistic
-    # and standardized bootstrap terms are the same in every round.
+    # which each round reads its active pairs. A pair's differential d is
+    # rebuilt in `row` whenever it is read; its variance, the pairwise-summed
+    # mean of d^2, and its t-statistic are the same in every round.
     a, b = np.triu_indices(len(ids), k=1)
-    terms = np.empty((len(a), reps))  # pairs x reps
+    pairs = list(zip(a.tolist(), b.tolist()))
+    row = np.empty(reps)
+    var = np.empty(len(pairs))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (p, q) in enumerate(zip(a, b)):
-            np.subtract(centered[p], centered[q], out=terms[k])
-        # SQ needs the differentials only squared, so squares overwrite them.
-        var = np.square(terms, out=terms if statistic == "SQ" else None).mean(axis=1)
+        for k, (p, q) in enumerate(pairs):
+            np.subtract(centered[p], centered[q], out=row)
+            var[k] = np.square(row, out=row).mean()
         flat = np.ptp(matrix[a] - matrix[b], axis=1) <= np.maximum(rounding[a], rounding[b])
-    del centered
     bad = np.flatnonzero(~np.isfinite(var))
     if bad.size:
         raise NumericalError("non-finite bootstrap variance for models "
@@ -280,24 +285,29 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
     valid = (var > 0) & ~flat
     se = np.sqrt(var, where=valid, out=np.ones_like(var))  # 1 where no round reads it
     tstat = (full_means[a] - full_means[b]) / se
-    # Null terms in place and observed terms, reduced over pairs by the
-    # statistic's ufunc: d^2 / var and t^2 added for SQ, |d| / se and |t| maxed for R.
+    # Null terms d^2 / var, added for SQ, or |d| / se, maxed for R; the
+    # observed terms t^2 or |t| are reduced by the same ufunc.
     if statistic == "SQ":
-        np.divide(terms, var[:, None], out=terms, where=valid[:, None])
-        observed, reduce = tstat ** 2, np.add
+        observed, reduce, term, scale = tstat ** 2, np.add, np.square, var
     else:
-        np.divide(np.abs(terms, out=terms), se[:, None], out=terms)
-        observed, reduce = np.abs(tstat), np.maximum
+        observed, reduce, term, scale = np.abs(tstat), np.maximum, np.abs, se
 
     alive = np.ones(len(ids), dtype=bool)
     eliminations: list[tuple[str, float]] = []
     running_p = 0.0
+    null_stats = np.empty(reps)
     for _ in range(len(ids) - 1):
-        # Masked reductions add the live rows in pair order, as summing a
-        # copy of just those rows would, so the null statistics keep their bits.
         live = alive[a] & alive[b] & valid
         observed_stat = float(reduce.reduce(observed[live], initial=0.0))
-        null_stats = reduce.reduce(terms, axis=0, where=live[:, None], initial=0.0)
+        # The live pairs' terms are folded into 0.0 one at a time, in pair
+        # order: the order in which an axis-0 reduction over their stacked
+        # rows takes them, so the null statistics keep that reduction's bits.
+        null_stats.fill(0.0)
+        for k in np.flatnonzero(live).tolist():
+            p, q = pairs[k]
+            np.subtract(centered[p], centered[q], out=row)
+            np.divide(term(row, out=row), scale[k], out=row)
+            reduce(null_stats, row, out=null_stats)
 
         hits = int(np.sum(null_stats >= observed_stat))
         running_p = max(running_p, (1 + hits) / (reps + 1))

@@ -16,6 +16,7 @@ country's equation at a time.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -577,8 +578,9 @@ def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
 # Row-by-row panel reader: `_read_rows`, `_load_long` and `_load_wide` as the
 # package had them before long panels were parsed column-wise (verbatim,
 # except that messages give each row's physical line, as `csv.reader`'s
-# `line_num` reports it), and `load_panel_rows` composing them as
-# `starclust.panel.load_panel` does.
+# `line_num` reports it, that both loaders report a year outside 64 bits,
+# and that `_load_long` lists gaps without forming the full year span), and
+# `load_panel_rows` composing them as `starclust.panel.load_panel` does.
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], list[int]]:
     path = Path(path)
@@ -606,6 +608,7 @@ def _load_long(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
 
     cells: dict[tuple[str, int], float] = {}
     meta: dict[str, dict[str, str]] = {}
+    out_of_range: str | None = None
     for lineno, row in zip(lines, rows):
         if len(row) < len(header):
             raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
@@ -617,6 +620,8 @@ def _load_long(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
             raise ValidationError(
                 f"line {lineno}: non-integer year {year_text!r} for country {country!r}"
             ) from None
+        if out_of_range is None and not -2**63 <= year < 2**63:
+            out_of_range = f"line {lineno}: year {year_text!r} for country {country!r} is out of range"
         value = _parse_temperature(row[col["temperature"]].strip(), country, year)
         if (country, year) in cells:
             raise ValidationError(f"duplicate entry for country {country!r}, year {year}")
@@ -633,17 +638,29 @@ def _load_long(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
                 )
             entry[name] = text
 
+    if out_of_range:
+        # A year that does not fit in 64 bits is reported once every row has
+        # passed its other checks.
+        raise ValidationError(out_of_range)
     if not cells:
         raise ValidationError("long panel has a header but no observations")
     ids = sorted({country for country, _ in cells})
-    years = sorted({year for _, year in cells})
-    full_years = list(range(years[0], years[-1] + 1))
-    gaps = [(country, year) for country in ids for year in full_years
-            if (country, year) not in cells]
-    if gaps:
-        shown = ", ".join(f"{c}/{y}" for c, y in gaps[:10])
-        more = "" if len(gaps) <= 10 else f" (+{len(gaps) - 10} more)"
+    first = min(year for _, year in cells)
+    last = max(year for _, year in cells)
+    n_missing = len(ids) * (last - first + 1) - len(cells)
+    if n_missing:
+        # Lazy ranges between each country's sorted years, so a far-off year
+        # lists its first gaps without forming the whole span.
+        present: dict[str, list[int]] = {}
+        for country, year in sorted(cells):
+            present.setdefault(country, []).append(year)
+        gaps = (f"{country}/{year}" for country in ids
+                for lo, hi in itertools.pairwise([first - 1, *present[country], last + 1])
+                for year in range(lo + 1, hi))
+        shown = ", ".join(itertools.islice(gaps, 10))
+        more = "" if n_missing <= 10 else f" (+{n_missing - 10} more)"
         raise ValidationError(f"missing observations: {shown}{more}")
+    full_years = list(range(first, last + 1))
 
     values = np.array([[cells[(c, y)] for y in full_years] for c in ids], dtype=float)
     return TemperaturePanel(ids=ids, years=tuple(full_years), values=values,
@@ -668,6 +685,9 @@ def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
             raise ValidationError(f"panel header repeats column {lowered[i]!r}")
         if cur != prev + 1:
             raise ValidationError(f"wide panel year columns not consecutive: {prev} then {cur}")
+    for year in (years[0], years[-1]):
+        if not -2**63 <= year < 2**63:
+            raise ValidationError(f"wide panel year column {year} is out of range")
 
     seen: dict[str, int] = {}
     records: list[tuple[str, str | None, list[float]]] = []

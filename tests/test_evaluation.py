@@ -460,18 +460,22 @@ class TestStreamingBootstrap:
 
     def test_peak_memory_is_bounded(self):
         # At 3,696 periods a reps x periods int64 index matrix alone would
-        # take 282 MiB. At 22 periods, rounds that formed models x models x
-        # reps tensors peaked at 12.3 MiB, rebuilding each active pair's
-        # terms every round at 5.35; forming them once per call takes 2.15.
-        for n_periods, bound_mib in ((3696, 64), (22, 3)):
+        # take 282 MiB. At 22 periods and 10,000 reps, earlier designs peaked
+        # at 12.3 MiB (models x models x reps tensors in each round), 5.35
+        # (each round copying its active pairs' terms) and 2.15 (a pairs x
+        # reps array formed once per call; 21.4 at 100,000 reps). Streaming
+        # each pair's differential through one row leaves the 7 x reps
+        # bootstrap means and two rows: 0.77 MiB, and 7.0 at 100,000 reps.
+        for n_periods, reps, bound_mib in ((3696, 10_000, 64), (22, 10_000, 1),
+                                           (22, 100_000, 8)):
             losses = seven_model_losses(0, n_periods)
             tracemalloc.start()
             try:
-                mcs(losses, reps=10_000, seed=0)
+                mcs(losses, reps=reps, seed=0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < bound_mib * 2**20, n_periods
+            assert peak < bound_mib * 2**20, (n_periods, reps)
 
 
 class TestYearBlockBootstrap:
@@ -533,6 +537,13 @@ def mixed_losses(seed, n_periods):
     return [loss(model, v, periods=range(n_periods)) for model, v in values.items()]
 
 
+def twin_losses(seed, n_periods):
+    """Six informative models and a twin of the first: one degenerate pair
+    beside twenty that the rounds read."""
+    losses = seven_model_losses(seed, n_periods)[:6]
+    return [*losses, LossSeries("twin", losses[0].periods, losses[0].values)]
+
+
 MCS_ORACLE_CASES = [
     *[(f"seven-{n}-{seed}-b{block}", seven_model_losses(seed, n), block)
       for n, seed, block in [(22, 0, 2), (22, 5, 1), (23, 7, 3), (60, 11, 2),
@@ -547,15 +558,20 @@ MCS_ORACLE_CASES = [
                         loss("c", np.array([0.0, 1e308]))], 1),
     ("overflow-variance", [loss("a", np.array([1e200, 0.0])),
                            loss("b", np.array([0.0, 1e200]))], 1),
+    ("seven-twin-22-13", twin_losses(13, 22), 2),
 ]
+# Each case at 700 replications and at 10,007, the paper's size, whose last
+# _REP_CHUNK chunk is cut short; a 700-rep run keeps its case's id.
+MCS_ORACLE_RUNS = [(losses, block, reps, name if reps == 700 else f"{name}-reps{reps}")
+                   for reps in (700, 10_007) for name, losses, block in MCS_ORACLE_CASES]
 
 
 class TestMcsMatchesRoundByRound:
     @pytest.mark.parametrize("statistic", ["SQ", "R"])
-    @pytest.mark.parametrize("losses, block", [case[1:] for case in MCS_ORACLE_CASES],
-                             ids=[case[0] for case in MCS_ORACLE_CASES])
-    def test_same_report_warnings_and_errors(self, losses, block, statistic):
-        kwargs = dict(reps=700, block=block, statistic=statistic, seed=4, alpha=0.05)
+    @pytest.mark.parametrize("losses, block, reps", [run[:3] for run in MCS_ORACLE_RUNS],
+                             ids=[run[3] for run in MCS_ORACLE_RUNS])
+    def test_same_report_warnings_and_errors(self, losses, block, reps, statistic):
+        kwargs = dict(reps=reps, block=block, statistic=statistic, seed=4, alpha=0.05)
         got = mcs_outcome(mcs, losses, **kwargs)
         assert got == mcs_outcome(round_by_round_mcs, losses, **kwargs)
 
@@ -567,10 +583,12 @@ class TestMcsMatchesRoundByRound:
             "overflow-means", "overflow-third", "overflow-variance"]
         warned = {name for name, (_, caught) in outcomes.items() if caught}
         assert warned == {"seven-40-9-b40", "mixed-22-0", "mixed-30-1", "mixed-300-2",
-                          "all-flat", "pair-only"}
+                          "all-flat", "pair-only", "seven-twin-22-13"}
+        assert "[('m0', 'twin')]" in outcomes["seven-twin-22-13"][1][0][1]
         # Mixed cases keep informative pairs beside the degenerate ones.
         assert all(len(outcomes[name][0].survivors) < 6
-                   for name in ("mixed-22-0", "mixed-30-1", "mixed-300-2"))
+                   for name in ("mixed-22-0", "mixed-30-1", "mixed-300-2",
+                                "seven-twin-22-13"))
 
 
 class TestReports:

@@ -526,6 +526,11 @@ _TOKENIZER_CASES = {
     "year-fullwidth": _HEADER + "A,\uff11\uff19\uff10\uff11,1.0\nA,1902,1.5\n",
     "year-plus": _HEADER + "A,+1901,1.0\nA, 1902 ,1.5\n",
     "year-float": _HEADER + "A,1901.0,1.0\nA,1902,1.5\n",
+    # A year far from the others leaves gaps by the billion; one past int64 is
+    # out of range.
+    "year-far-off": _HEADER + "A,2000,1.0\nA,99999999999,1.5\nB,2000,2.0\nB,2001,2.5\n",
+    "year-past-int64": _HEADER + "A,2000,1.0\nA,99999999999999999999,1.5\nB,2000,2.0\n",
+    "wide-year-past-int64": "country,99999999999999999999\nA,1.0\nB,2.0\n",
     "temperature-padded": _HEADER + "A,2000, 5.25 \nA,2001,\t1.5\n",
     "temperature-inf": _HEADER + "A,2000,inf\nA,2001,1.5\n",
     "temperature-nan": _HEADER + "A,2000,nan\nA,2001,1.5\n",
