@@ -13,7 +13,7 @@ if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THR
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .clustering import (ClusterAssignment, ClusterStats, ContingencyTable,
-                         CutRule, Dendrogram, Merge, agglomerate, cluster_summary,
+                         Dendrogram, Merge, agglomerate, cluster_summary,
                          cross_tab, cut, relabel_by_feature, zone_cross_tab)
 from .config import RunConfig, config_from_dict, load_config
 from .distances import (DistanceMatrix, diff_distance, hamming_distance,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClusterAssignment", "ClusterStats", "ContingencyTable",
-    "CutRule", "Dendrogram", "DistanceMatrix",
+    "Dendrogram", "DistanceMatrix",
     "EquationFit", "EvaluationReport", "KINDS",
     "LossSeries", "McsReport", "Merge", "NumericalError", "OosResult",
     "RunConfig", "SCHEMES", "SchemeResult", "StarModel", "StarclustError",

@@ -56,9 +56,6 @@ def _base_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="target number of main clusters")
     p.add_argument("--min-size", dest="min_cluster_size", type=int,
                    help="smallest non-idiosyncratic cluster")
-    p.add_argument("--cut", choices=("main_count", "count", "height", "auto"),
-                   default="main_count", help="dendrogram cut rule")
-    p.add_argument("--height", type=float, help="cut height for --cut height")
 
     p = sub.add_parser("weights", parents=[common],
                        help="build one spatial weight matrix")
@@ -139,20 +136,6 @@ def _outdir(cfg: RunConfig, args: argparse.Namespace, created: list[Path]) -> Pa
     return out
 
 
-def _cut_rule(args: argparse.Namespace, cfg: RunConfig) -> clustering.CutRule | None:
-    """The rule `--cut` names, or None for `compute_scheme`'s main-count cut."""
-    if args.cut == "height":
-        if args.height is None:
-            raise ValidationError("--cut height needs --height")
-        return clustering.CutRule.height(args.height, min_size=cfg.min_cluster_size)
-    if args.cut == "auto":
-        return clustering.CutRule.auto(min_size=cfg.min_cluster_size)
-    if args.cut == "count":
-        return clustering.CutRule.count(cfg.cluster_count(args.scheme),
-                                        min_size=cfg.min_cluster_size)
-    return None
-
-
 def cmd_trends(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
                adjacency: np.ndarray | None, out: Path) -> int:
     fits = trends.fit_panel_trends(panel, alpha=cfg.trend_alpha)
@@ -168,8 +151,7 @@ def cmd_trends(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel
 def cmd_cluster(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
                 adjacency: np.ndarray | None, out: Path) -> int:
     scheme = args.scheme
-    assign = _write_scheme(pipeline.compute_scheme(panel, scheme, cfg, rule=_cut_rule(args, cfg)),
-                           panel, out)
+    assign = _write_scheme(pipeline.compute_scheme(panel, scheme, cfg), panel, out)
 
     # Companion cross-tab (zones for A, the neighbouring scheme for B/C) is
     # best-effort: its failure should not block the requested clustering.

@@ -145,49 +145,6 @@ def agglomerate(dist: DistanceMatrix, consume: bool = False) -> Dendrogram:
     return Dendrogram(leaf_labels=dist.labels, merges=tuple(merges))
 
 
-@dataclass(frozen=True)
-class CutRule:
-    """How to flatten a dendrogram.
-
-    kind 'count' cuts into exactly k components; 'main_count' searches for the
-    cut yielding exactly k clusters of size >= min_size (smaller components
-    become idiosyncratic); 'height' keeps merges at or below a height;
-    'auto' cuts at the largest relative gap among the last ceil(K/3) merges.
-    """
-
-    kind: str
-    k: int | None = None
-    height_value: float | None = None
-    min_size: int = 2
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("count", "main_count", "height", "auto"):
-            raise ValidationError(f"unknown cut rule kind {self.kind!r}")
-        if self.kind in ("count", "main_count") and (self.k is None or self.k < 1):
-            raise ValidationError(f"cut rule {self.kind!r} needs a positive k")
-        if self.kind == "height" and (self.height_value is None
-                                      or math.isnan(self.height_value)):
-            raise ValidationError(f"height cut rule needs a height, got {self.height_value}")
-        if self.min_size < 1:
-            raise ValidationError("min_size must be at least 1")
-
-    @classmethod
-    def count(cls, k: int, min_size: int = 2) -> "CutRule":
-        return cls(kind="count", k=k, min_size=min_size)
-
-    @classmethod
-    def main_count(cls, k: int, min_size: int = 2) -> "CutRule":
-        return cls(kind="main_count", k=k, min_size=min_size)
-
-    @classmethod
-    def height(cls, h: float, min_size: int = 2) -> "CutRule":
-        return cls(kind="height", height_value=h, min_size=min_size)
-
-    @classmethod
-    def auto(cls, min_size: int = 2) -> "CutRule":
-        return cls(kind="auto", min_size=min_size)
-
-
 # Group codes besides the cluster numbers 1..k.
 IDIOSYNCRATIC = 0  # left in a component smaller than the cut's min_size
 NULL = -1          # not clustered at all (scheme A: a non-significant slope)
@@ -201,7 +158,7 @@ class ClusterAssignment:
     scheme: str
     ids: tuple[str, ...]
     codes: np.ndarray
-    cut: CutRule
+    min_size: int
     resolved_components: int
 
     def __post_init__(self) -> None:
@@ -234,30 +191,24 @@ class ClusterAssignment:
         return names, np.searchsorted(present, key)
 
 
-def cut(dendro: Dendrogram, rule: CutRule, scheme: str = "B",
+def cut(dendro: Dendrogram, k: int, min_size: int = 2, scheme: str = "B",
         ids: Sequence[str] | None = None) -> ClusterAssignment:
-    """Flatten a dendrogram into a ClusterAssignment over `ids` (default: the leaves).
+    """Flatten a dendrogram into exactly `k` clusters of at least `min_size`
+    leaves, as a ClusterAssignment over `ids` (default: the leaves).
 
-    Components smaller than `rule.min_size` become idiosyncratic; remaining
-    clusters are renumbered 1..k by decreasing size (ties by smallest label).
-    Ids that are not leaves get NULL.
+    Smaller components become idiosyncratic; the clusters are renumbered 1..k
+    by decreasing size (ties by smallest label). Ids that are not leaves get NULL.
     """
-    k = dendro.n_leaves
-    heights = dendro.heights()
-    if rule.kind == "count":
-        m = int(rule.k)  # validated > 0; components_at checks the upper bound
-    elif rule.kind == "height":
-        m = k - int(np.sum(heights <= rule.height_value))
-    elif rule.kind == "auto":
-        m = _auto_components(heights, k)
-    else:
-        m = _main_count_components(dendro, int(rule.k), rule.min_size)
-
+    if k < 1:
+        raise ValidationError(f"cut needs a positive k, got {k}")
+    if min_size < 1:
+        raise ValidationError("min_size must be at least 1")
+    m = _main_count_components(dendro, k, min_size)
     components = dendro.components_at(m)
-    clusters = [c for c in components if len(c) >= rule.min_size]
+    clusters = [c for c in components if len(c) >= min_size]
     clusters.sort(key=lambda c: (-len(c), min(dendro.leaf_labels[i] for i in c)))
 
-    leaf_codes = np.full(k, IDIOSYNCRATIC)
+    leaf_codes = np.full(dendro.n_leaves, IDIOSYNCRATIC)
     for code, comp in enumerate(clusters, start=1):
         leaf_codes[comp] = code
     ids = dendro.leaf_labels if ids is None else tuple(ids)
@@ -265,7 +216,7 @@ def cut(dendro: Dendrogram, rule: CutRule, scheme: str = "B",
     codes = [code_of.pop(cid, NULL) for cid in ids]
     if code_of:
         raise ValidationError(f"dendrogram leaves absent from ids: {sorted(code_of)[:5]}")
-    return ClusterAssignment(scheme=scheme, ids=ids, codes=codes, cut=rule,
+    return ClusterAssignment(scheme=scheme, ids=ids, codes=codes, min_size=min_size,
                              resolved_components=m)
 
 
@@ -275,16 +226,6 @@ def _gap_ratios(heights: np.ndarray) -> np.ndarray:
     low, high = heights[:-1], heights[1:]
     ratios = np.where((low == 0) & (high > 0), np.inf, 1.0)
     return np.divide(high, low, out=ratios, where=low > 0)
-
-
-def _auto_components(heights: np.ndarray, k: int) -> int:
-    """Largest relative gap between consecutive merges among the last ceil(K/3)."""
-    first = max(len(heights) - math.ceil(k / 3), 0)  # first merge in the window
-    ratios = _gap_ratios(heights)[first:]  # ratio j: between merges first+j, first+j+1
-    if ratios.size == 0:
-        return 1
-    best_j = first + ratios.size - 1 - int(np.argmax(ratios[::-1]))  # ties: later cut
-    return k - (best_j + 1)
 
 
 def _main_count_components(dendro: Dendrogram, k_main: int, min_size: int) -> int:
@@ -445,8 +386,8 @@ def assignment_to_json(assign: ClusterAssignment, path: str | Path) -> None:
                    if code > 0},
         "idiosyncratic": assign.members(IDIOSYNCRATIC),
         "null_excluded": assign.members(NULL),
-        "cut": {"kind": assign.cut.kind, "k": assign.cut.k,
-                "height": assign.cut.height_value, "min_size": assign.cut.min_size,
+        "cut": {"kind": "main_count", "k": assign.n_clusters, "height": None,
+                "min_size": assign.min_size,
                 "resolved_components": assign.resolved_components},
     })
 

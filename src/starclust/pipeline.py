@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clustering import (NULL, ClusterAssignment, CutRule, Dendrogram, agglomerate,
-                         cut, relabel_by_feature)
+from .clustering import (NULL, ClusterAssignment, Dendrogram, agglomerate, cut,
+                         relabel_by_feature)
 from .config import RunConfig
 from .distances import (DistanceMatrix, diff_distance, sign_distance,
                         slope_distance)
@@ -49,20 +49,17 @@ class SchemeResult:
 
 
 def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
-                   rule: CutRule | None = None,
                    distance: DistanceMatrix | None = None) -> SchemeResult:
     """Cluster the panel under one scheme with the run config's parameters.
 
-    Scheme A tests slopes at `cfg.trend_alpha`. The default cut searches for
+    Scheme A tests slopes at `cfg.trend_alpha`. The cut searches for
     exactly `cfg.cluster_count(scheme)` main clusters of at least
-    `cfg.min_cluster_size` countries; an explicit CutRule replaces it whole.
+    `cfg.min_cluster_size` countries.
     A scheme B or C `distance` the caller already holds is linked as a copy
     and left unchanged; without it, the matrix is computed and linked in place.
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if rule is None:
-        rule = CutRule.main_count(cfg.cluster_count(scheme), min_size=cfg.min_cluster_size)
 
     slopes = None
     if scheme == "A":
@@ -72,7 +69,8 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
         dist = _scheme_distance(panel, scheme) if distance is None else distance
 
     dendro = agglomerate(dist, consume=dist is not distance)
-    assignment = cut(dendro, rule, scheme=scheme, ids=panel.ids)
+    assignment = cut(dendro, cfg.cluster_count(scheme), cfg.min_cluster_size,
+                     scheme=scheme, ids=panel.ids)
     if scheme == "A" and assignment.n_clusters > 0:
         assignment = relabel_by_feature(assignment, slopes)
     return SchemeResult(scheme=scheme, assignment=assignment, dendrogram=dendro,

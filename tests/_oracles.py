@@ -669,7 +669,7 @@ def _load_long(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
 
 def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> TemperaturePanel:
     lowered = [h.lower() for h in header]
-    year_cols = [(i, int(h)) for i, h in enumerate(lowered) if h.lstrip("-").isdigit()]
+    year_cols = [(i, int(h)) for i, h in enumerate(lowered) if h.removeprefix("-").isdecimal()]
     if not year_cols:
         raise ValidationError("wide panel has no year columns")
     meta_col = {name: lowered.index(name) for name in _META_COLUMNS if name in lowered}

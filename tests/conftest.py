@@ -108,13 +108,12 @@ def borders_of(ids, edges) -> np.ndarray:
 
 def assignment_of(mapping: dict[str, int], idio=(), null=(), scheme: str = "B"):
     """Assignment over the sorted ids of `mapping` (id -> cluster), `idio` and `null`."""
-    from starclust import ClusterAssignment, CutRule
+    from starclust import ClusterAssignment
     from starclust.clustering import IDIOSYNCRATIC, NULL
     ids = sorted([*mapping, *idio, *null])
     codes = [mapping.get(cid, IDIOSYNCRATIC if cid in idio else NULL) for cid in ids]
     return ClusterAssignment(
-        scheme=scheme, ids=ids, codes=codes,
-        cut=CutRule.count(max(mapping.values(), default=1)),
+        scheme=scheme, ids=ids, codes=codes, min_size=2,
         resolved_components=len(set(mapping.values())) + len(idio))
 
 

@@ -22,7 +22,7 @@ from _oracles import (brute_diff_distance, brute_hamming_distance,
                       simulate_star)
 
 from starclust import RunConfig, clustering, evaluation, pipeline, star, weights
-from starclust.clustering import CutRule, agglomerate, cut, zone_cross_tab
+from starclust.clustering import agglomerate, zone_cross_tab
 from starclust.distances import (DistanceMatrix, diff_distance, sign_distance,
                                  slope_distance)
 from starclust.evaluation import (LossSeries, frobenius_norm, in_sample_fn,

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -209,20 +210,6 @@ class TestCluster:
         captured = capsys.readouterr()
         assert rc == 0
         assert "scheme B: 2 clusters" in captured.out
-
-    def test_height_cut(self, dataset, tmp_path, capsys):
-        rc = run(["cluster", "--scheme", "B", "--cut", "height",
-                  "--height", "1e6"], dataset, tmp_path, "--min-size", "1")
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "scheme B: 1 clusters" in captured.out
-
-    def test_height_cut_needs_height_flag(self, dataset, tmp_path, capsys):
-        rc = run(["cluster", "--scheme", "B", "--cut", "height"],
-                 dataset, tmp_path)
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "--cut height needs --height" in captured.err
 
     def test_unknown_scheme_rejected_by_parser(self, dataset, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -592,7 +579,7 @@ class TestConfigResolution:
 
 
 # Flags that choose what a command does rather than a run parameter.
-CLI_ONLY = {"config", "scheme", "k", "cut", "height", "kind", "origin", "losses"}
+CLI_ONLY = {"config", "scheme", "k", "kind", "origin", "losses"}
 REQUIRED_FLAGS = {"cluster": ["--scheme", "A"], "weights": ["--kind", "NN"],
                   "fit": ["--kind", "NN"], "forecast": ["--kind", "NN"]}
 
@@ -659,6 +646,14 @@ class TestFlagCoverage:
             assert getattr(both, action.dest) == from_flag, flag
             checked.append(action.dest)
         assert {"panel_path", "output_dir", "seed"} <= set(checked)
+
+    def test_every_readme_flag_exists(self):
+        # pip's flag in the install instructions is not a starclust option.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+        options = {flag for parser in _subcommands().values()
+                   for action in parser._actions for flag in action.option_strings}
+        assert named and named <= options, sorted(named - options)
 
 
 class TestOutputNames:
@@ -738,34 +733,39 @@ class TestMalformedInputs:
         self.assert_clean_exit_2(result, "seed must be >= 0, got -3")
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("flags", [("--cut", "height"), ("--height", "0")])
+    def test_removed_cut_flags_exit_2(self, tmp_path, flags):
+        result = self.run_cli("cluster", "--scheme", "B", *flags, "--out", str(tmp_path))
+        self.assert_clean_exit_2(result, f"unrecognized arguments: {' '.join(flags)}")
+        assert result.stderr.startswith("usage: starclust ")
+        assert not any(tmp_path.iterdir())
+
     def test_overflowing_differences_exit_3(self, dataset, tmp_path):
-        # Finite levels whose first difference overflows to inf.
+        # Finite levels whose first difference overflows to inf. C04's other
+        # years repeat with period 3, a sign pattern no other country shares.
+        def c04(row):
+            cid, year, value = row.split(",")
+            if cid != "C04":
+                return row
+            level = {"1960": "1.7e308", "1961": "-1.7e308"}.get(
+                year, repr(20.0 + (int(year) % 3) * 0.5))
+            return f"{cid},{year},{level}"
         panel = tmp_path / "panel.csv"
-        panel.write_text(dataset["panel"].read_text(encoding="utf-8")
-                         .replace("C04,1960,", "C04,1960,1.7e308,")
-                         .replace("C04,1961,", "C04,1961,-1.7e308,"), encoding="utf-8")
+        panel.write_text("\n".join(map(c04, dataset["panel"].read_text(encoding="utf-8")
+                                        .splitlines())) + "\n", encoding="utf-8")
         for command, message in [
                 (("fit", "--kind", "NN"), "non-finite differences for C04"),
                 (("cluster", "--scheme", "B", "--k", "3"),
                  "non-finite difference distances for C04"),
-                # Clusters of three merge at height 0, so every country,
-                # C04 too, is idiosyncratic and no cluster summary overflows.
-                (("cluster", "--scheme", "C", "--cut", "height", "--height", "0",
-                  "--min-size", "4"), "non-finite scheme C feature mean for C04")]:
+                # C04 is left idiosyncratic, so no cluster summary overflows.
+                (("cluster", "--scheme", "C", "--k", "3", "--min-size", "2"),
+                 "non-finite scheme C feature mean for C04")]:
             result = self.run_cli(*command, "--data", str(panel), "--adjacency",
                                   str(dataset["adjacency"]), "--out", str(tmp_path))
             assert result.returncode == 3
             assert "Traceback" not in result.stderr and "Warning" not in result.stderr
             assert message in result.stderr
             assert [path.name for path in tmp_path.iterdir()] == ["panel.csv"]
-
-    def test_nan_cut_height(self, dataset, tmp_path):
-        # A NaN height kept no merge, leaving every country idiosyncratic.
-        result = self.run_cli("cluster", "--scheme", "B", "--cut", "height",
-                              "--height", "nan", "--data", str(dataset["panel"]),
-                              "--out", str(tmp_path))
-        self.assert_clean_exit_2(result, "height cut rule needs a height, got nan")
-        assert not (tmp_path / "assignment_B.json").exists()
 
     @pytest.mark.parametrize("command, message", [
         (("trends",), "numerical error: C00: non-finite trend fit"),
@@ -822,13 +822,12 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("argv, message", [
         (["evaluate", "--horizon", "30"], "origin 1980 + horizon 30 runs past the panel end 1990"),
-        (["cluster", "--scheme", "B", "--cut", "height"], "--cut height needs --height"),
         (["forecast", "--kind", "dC", "--origin", "1850"],
          "last_train_year 1850 must be strictly inside 1950..1990"),
         (["cluster", "--scheme", "B", "--k", "150"],
          "no dendrogram cut produces exactly 150 clusters of size >= 2"),
         (["mcs", "--losses", "{losses}", "--block", "50"], "block length 50 outside [1, 10]"),
-    ], ids=["evaluate-horizon", "cut-height", "forecast-origin", "cluster-k", "mcs-block"])
+    ], ids=["evaluate-horizon", "forecast-origin", "cluster-k", "mcs-block"])
     @pytest.mark.parametrize("out", ["out", "a/b"])
     def test_failed_run_removes_the_output_directory_it_made(self, dataset, tmp_path, capsys,
                                                               argv, message, out):

@@ -1,4 +1,4 @@
-"""Agglomeration order, cut rules, assignments, and cross-tabulations."""
+"""Agglomeration order, the dendrogram cut, assignments, and cross-tabulations."""
 import json
 
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
-from starclust import (ClusterAssignment, ContingencyTable, CutRule, Dendrogram,
+from starclust import (ClusterAssignment, ContingencyTable, Dendrogram,
                        DistanceMatrix, Merge, ValidationError, agglomerate,
                        cluster_summary, cross_tab, cut, hamming_distance,
                        relabel_by_feature, zone_cross_tab)
@@ -332,16 +332,6 @@ class TestDendrogram:
                     assert any(set(comp) <= parent for parent in big)
 
 
-def chain_dendrogram(heights, prefix="x"):
-    """Caterpillar tree: leaf i joins the growing cluster at heights[i - 1]."""
-    k = len(heights) + 1
-    labels = tuple(f"{prefix}{i}" for i in range(k))
-    merges = [Merge(0, 1, float(heights[0]), 2)]
-    for step in range(1, k - 1):
-        merges.append(Merge(k + step - 1, step + 1, float(heights[step]), step + 2))
-    return Dendrogram(leaf_labels=labels, merges=tuple(merges))
-
-
 class TestCutRules:
     def grouped(self):
         # Two tight triples far apart plus one outlier.
@@ -356,51 +346,18 @@ class TestCutRules:
         values[6, 6] = 0.0
         return square(values, labels)
 
-    def test_count_rule_all_singletons(self):
-        dendro = agglomerate(self.grouped())
-        assign = cut(dendro, CutRule.count(7))
-        assert assign.n_clusters == 0
-        assert assign.members(IDIOSYNCRATIC) == sorted(self.grouped().labels)
-        assert assign.resolved_components == 7
-
     def test_count_rule_single_cluster(self):
+        # With min_size 1 the only qualifying cut has exactly k components.
         dendro = agglomerate(self.grouped())
-        assign = cut(dendro, CutRule.count(1))
+        assign = cut(dendro, 1, min_size=1)
         assert assign.n_clusters == 1
         assert set(assign.members(1)) == set(self.grouped().labels)
         assert assign.members(IDIOSYNCRATIC) == []
-
-    def test_height_rule(self):
-        dendro = agglomerate(self.grouped())
-        above = cut(dendro, CutRule.height(1e6))
-        assert above.n_clusters == 1 and len(above.members(1)) == 7
-        mid = cut(dendro, CutRule.height(10.0))
-        assert mid.n_clusters == 2
-        assert mid.members(IDIOSYNCRATIC) == ["x"]
-        below = cut(dendro, CutRule.height(0.5))
-        assert below.n_clusters == 0 and len(below.members(IDIOSYNCRATIC)) == 7
-
-    def test_auto_rule_finds_the_gap(self):
-        dendro = agglomerate(self.grouped())
-        assign = cut(dendro, CutRule.auto(min_size=1))
-        # The dominant relative gap separates {a*, b*} from the outlier
-        # joining last, or the two triples, depending on the tail window;
-        # either way every returned cluster is one of the designed groups.
-        for index in range(1, assign.n_clusters + 1):
-            members = set(assign.members(index))
-            assert members in ({"a1", "a2", "a3"}, {"b1", "b2", "b3"},
-                               {"a1", "a2", "a3", "b1", "b2", "b3"}, {"x"})
-
-    def test_auto_tie_resolves_to_later_cut(self):
-        # Ratios between consecutive heights are all 2: the tie goes to the
-        # later merge, i.e. the coarsest partition in the window.
-        dendro = chain_dendrogram([1, 2, 4, 8, 16, 32])
-        assign = cut(dendro, CutRule.auto(min_size=1))
-        assert assign.resolved_components == 2
+        assert assign.resolved_components == 1
 
     def test_main_count_rule(self):
         dendro = agglomerate(self.grouped())
-        assign = cut(dendro, CutRule.main_count(2))
+        assign = cut(dendro, 2)
         assert assign.n_clusters == 2
         assert set(assign.members(1)) == {"a1", "a2", "a3"}
         assert set(assign.members(2)) == {"b1", "b2", "b3"}
@@ -410,19 +367,19 @@ class TestCutRules:
     def test_main_count_unreachable(self):
         dendro = agglomerate(self.grouped())
         with pytest.raises(ValidationError, match="no dendrogram cut produces exactly 5"):
-            cut(dendro, CutRule.main_count(5))
+            cut(dendro, 5)
 
     def test_clusters_numbered_by_size_then_label(self):
         # Sizes 3 and 3 tie; the cluster holding the smallest label comes first.
         dendro = agglomerate(self.grouped())
-        assign = cut(dendro, CutRule.main_count(2))
+        assign = cut(dendro, 2)
         assert code_of(assign, "a1") == 1
         assert code_of(assign, "b1") == 2
 
     def test_null_exclusions_pass_through(self):
         dendro = agglomerate(self.grouped())
         ids = (*self.grouped().labels, "zz")
-        assign = cut(dendro, CutRule.main_count(2), scheme="A", ids=ids)
+        assign = cut(dendro, 2, scheme="A", ids=ids)
         assert assign.scheme == "A"
         assert assign.ids == ids
         assert assign.members(NULL) == ["zz"]
@@ -432,26 +389,21 @@ class TestCutRules:
     def test_leaves_must_be_among_ids(self):
         dendro = agglomerate(self.grouped())
         with pytest.raises(ValidationError, match="leaves absent from ids"):
-            cut(dendro, CutRule.main_count(2), ids=("a1", "a2"))
+            cut(dendro, 2, ids=("a1", "a2"))
 
     def test_rule_validation(self):
-        with pytest.raises(ValidationError, match="unknown cut rule"):
-            CutRule(kind="magic")
+        dendro = agglomerate(self.grouped())
         with pytest.raises(ValidationError, match="positive k"):
-            CutRule.count(0)
-        with pytest.raises(ValidationError, match="needs a height"):
-            CutRule(kind="height")
-        with pytest.raises(ValidationError, match="needs a height, got nan"):
-            CutRule.height(float("nan"))
+            cut(dendro, 0)
         with pytest.raises(ValidationError, match="min_size"):
-            CutRule.auto(min_size=0)
+            cut(dendro, 2, min_size=0)
 
 
 class TestClusterAssignment:
     def make(self, **kw):
         base = dict(scheme="B", ids=("a", "b", "c", "d", "e", "f"),
                     codes=(1, 1, 2, 2, IDIOSYNCRATIC, NULL),
-                    cut=CutRule.main_count(2), resolved_components=3)
+                    min_size=2, resolved_components=3)
         base.update(kw)
         return ClusterAssignment(**base)
 
@@ -500,7 +452,7 @@ class TestRelabelByFeature:
     def test_untouched_metadata(self):
         assign = ClusterAssignment(scheme="A", ids=("a", "b", "i", "n"),
                                    codes=(1, 2, IDIOSYNCRATIC, NULL),
-                                   cut=CutRule.count(3), resolved_components=4)
+                                   min_size=2, resolved_components=4)
         out = relabel_by_feature(assign, np.array([0.0, 1.0, 5.0, 9.0]))
         assert out.members(IDIOSYNCRATIC) == ["i"]
         assert out.members(NULL) == ["n"]
@@ -614,7 +566,7 @@ class TestLoopParity:
         codes = rng.integers(NULL, k + 1, size=len(ids))
         codes[:k] = np.arange(1, k + 1)  # every cluster nonempty
         rng.shuffle(codes)
-        return ClusterAssignment(scheme="B", ids=ids, codes=codes, cut=CutRule.count(k),
+        return ClusterAssignment(scheme="B", ids=ids, codes=codes, min_size=2,
                                  resolved_components=k)
 
     @staticmethod
@@ -670,7 +622,8 @@ class TestExports:
         assert payload["labels"] == {"a": 1, "b": 1}
         assert payload["idiosyncratic"] == ["c"]
         assert payload["null_excluded"] == ["d"]
-        assert payload["cut"]["kind"] == "count"
+        assert payload["cut"] == {"kind": "main_count", "k": 1, "height": None,
+                                  "min_size": 2, "resolved_components": 2}
 
     def test_contingency_csv_margins(self, tmp_path):
         table = ContingencyTable(row_labels=("r1", "r2"), col_labels=("c1", "c2"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import starclust
-from starclust import (ClusterAssignment, ClusterStats, ContingencyTable, CutRule,
+from starclust import (ClusterAssignment, ClusterStats, ContingencyTable,
                        Dendrogram, EvaluationReport, McsReport, OosResult, StarModel,
                        TrendFit, WeightMatrix, cli, clustering, evaluation, star, trends,
                        weights)
@@ -22,7 +22,7 @@ INF = float("inf")
 
 def _assignment(ids=("a", "b", "c", "d", "e", "f"), codes=(1, 1, 0, -1, 2, 2)):
     return ClusterAssignment(scheme="B", ids=ids, codes=codes,
-                             cut=CutRule.height(1e-05), resolved_components=3)
+                             min_size=2, resolved_components=3)
 
 
 def _weights():
@@ -148,8 +148,8 @@ CASES = {
         b'      "height": 0.3333333333333333,\n      "left": 2,\n'
         b'      "right": 3,\n      "size": 3\n    }\n  ]\n}\n')),
     "assignment_to_json": (assignment_to_json, (
-        b'{\n  "cut": {\n    "height": 1e-05,\n    "k": null,\n'
-        b'    "kind": "height",\n    "min_size": 2,\n'
+        b'{\n  "cut": {\n    "height": null,\n    "k": 2,\n'
+        b'    "kind": "main_count",\n    "min_size": 2,\n'
         b'    "resolved_components": 3\n  },\n  "idiosyncratic": [\n'
         b'    "c"\n  ],\n  "labels": {\n    "a": 1,\n    "b": 1,\n'
         b'    "e": 2,\n    "f": 2\n  },\n  "null_excluded": [\n    "d"\n'

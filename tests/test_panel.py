@@ -531,6 +531,8 @@ _TOKENIZER_CASES = {
     "year-far-off": _HEADER + "A,2000,1.0\nA,99999999999,1.5\nB,2000,2.0\nB,2001,2.5\n",
     "year-past-int64": _HEADER + "A,2000,1.0\nA,99999999999999999999,1.5\nB,2000,2.0\n",
     "wide-year-past-int64": "country,99999999999999999999\nA,1.0\nB,2.0\n",
+    # "\u00b2".isdigit() holds but int() refuses it; it is not a year column.
+    "wide-superscript-column": "country,2000,2001,\u00b2\nA,1.0,1.5,x\nB,2.0,2.5,y\n",
     "temperature-padded": _HEADER + "A,2000, 5.25 \nA,2001,\t1.5\n",
     "temperature-inf": _HEADER + "A,2000,inf\nA,2001,1.5\n",
     "temperature-nan": _HEADER + "A,2000,nan\nA,2001,1.5\n",

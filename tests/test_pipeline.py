@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from starclust import (KINDS, SCHEMES, CutRule, RunConfig,
+from starclust import (KINDS, SCHEMES, RunConfig,
                        ValidationError, build_weights, compute_scheme,
                        fit_panel_trends, scheme_features, split_panel,
                        weight_builder)
@@ -70,7 +70,9 @@ class TestComputeScheme:
             compute_scheme(grouped_panel, "D", CFG)
 
     def test_explicit_rule_override(self, grouped_panel):
-        res = compute_scheme(grouped_panel, "B", CFG, rule=CutRule.count(1, min_size=1))
+        # With min_size 1 the only qualifying cut has exactly k components.
+        cfg = CFG.with_overrides(k_b=1, min_cluster_size=1)
+        res = compute_scheme(grouped_panel, "B", cfg)
         assert res.assignment.n_clusters == 1
         assert len(res.assignment.members(1)) == 9
 
@@ -152,7 +154,7 @@ class TestDistanceOwnership:
                            ids=[f"C{i:03d}" for i in range(k)])
         tracemalloc.start()
         try:
-            compute_scheme(panel, scheme, CFG, rule=CutRule.count(5))
+            compute_scheme(panel, scheme, CFG.with_overrides(k_b=5, k_c=5, min_cluster_size=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
