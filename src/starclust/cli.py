@@ -60,10 +60,8 @@ def _base_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", parents=[common],
                        help="build one spatial weight matrix")
     p.add_argument("--kind", required=True, choices=weights.KINDS)
-    p.add_argument("--rescale", action="store_true", default=None,
-                   dest="rescale_distances",
-                   help="map the maximum distance to N*rho")
-    p.add_argument("--rho", dest="rescale_rho", type=float)
+    p.add_argument("--rescale", action="store_true", default=None, dest="rescale_distances",
+                   help="map the maximum distance to 0.95*N")
 
     p = sub.add_parser("fit", parents=[common],
                        help="fit one STAR model on the full panel")

@@ -35,7 +35,6 @@ class RunConfig:
     k_c: int = 12
     min_cluster_size: int = 2
     rescale_distances: bool = False
-    rescale_rho: float = 0.95
     split_year: int = 2000
     horizon: int = 22
     mcs_alpha: float = 0.01
@@ -55,10 +54,8 @@ class RunConfig:
                 raise ValidationError("no panel data file configured")
             if not Path(self.panel_path).is_file():
                 raise ValidationError(f"panel file not found: {self.panel_path}")
-        if require_adjacency:
-            if not self.adjacency_path:
-                raise ValidationError("no adjacency file configured "
-                                      "(needed for contiguity weights)")
+        if require_adjacency and not self.adjacency_path:
+            raise ValidationError("no adjacency file configured (needed for contiguity weights)")
         for label, path in (("adjacency", self.adjacency_path),
                             ("zones", self.zones_path)):
             if path and not Path(path).is_file():
@@ -72,8 +69,6 @@ class RunConfig:
                 raise ValidationError(f"cluster count for scheme {scheme} must be >= 1")
         if self.min_cluster_size < 1:
             raise ValidationError("min_cluster_size must be >= 1")
-        if not 0 < self.rescale_rho <= 1:
-            raise ValidationError(f"rescale_rho outside (0, 1]: {self.rescale_rho}")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if not 0 < self.mcs_alpha < 1:
@@ -100,8 +95,7 @@ _SCHEMA = {
              "zones": ("zones_path", str)},
     "clusters": {"A": ("k_a", int), "B": ("k_b", int), "C": ("k_c", int),
                  "min_size": ("min_cluster_size", int)},
-    "weights": {"rescale": ("rescale_distances", bool),
-                "rho": ("rescale_rho", float)},
+    "weights": {"rescale": ("rescale_distances", bool)},
     "mcs": {"alpha": ("mcs_alpha", float), "reps": ("mcs_reps", int),
             "block": ("mcs_block", int), "statistic": ("mcs_statistic", str)},
 }
@@ -115,12 +109,8 @@ _TOP_LEVEL = {
 def _coerce(value: Any, target: type, where: str) -> Any:
     if target is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
-    if target is int and isinstance(value, bool):
-        raise ValidationError(f"{where}: expected {target.__name__}, got bool")
-    if not isinstance(value, target):
-        raise ValidationError(
-            f"{where}: expected {target.__name__}, got {type(value).__name__}"
-        )
+    if not isinstance(value, target) or (target is int and isinstance(value, bool)):
+        raise ValidationError(f"{where}: expected {target.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -155,10 +145,21 @@ def load_config(path: str | Path) -> RunConfig:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise undecodable(p) from None
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            # PyYAML keeps the last of two equal keys; here a repeat is an error.
+            seen = set()
+            for key, _ in node.value:
+                if isinstance(key, yaml.ScalarNode):
+                    if (key.tag, key.value) in seen:
+                        raise ValidationError(f"{p}:{key.start_mark.line + 1}: "
+                                              f"config key {key.value!r} repeated")
+                    seen.add((key.tag, key.value))
+            return super().construct_mapping(node, deep)
+
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ValidationError(f"config file {p} is not valid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
-    return config_from_dict(raw)
+    return config_from_dict({} if raw is None else raw)

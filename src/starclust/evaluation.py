@@ -208,6 +208,19 @@ def _boot_means(matrix: np.ndarray, block: int, reps: int,
     return total / n_periods, sums
 
 
+def _null_statistics(live: np.ndarray, pairs: list[tuple[int, int]], centered: np.ndarray,
+                     term: np.ufunc, scale: np.ndarray, reduce: np.ufunc,
+                     row: np.ndarray, out: np.ndarray) -> None:
+    """One round's null statistics: the live pairs' terms term(d) / scale folded into `out`
+    from 0.0 in pair order, d rebuilt in `row`, so with an axis-0 reduction's bits."""
+    out.fill(0.0)
+    for k in np.flatnonzero(live).tolist():
+        p, q = pairs[k]
+        np.subtract(centered[p], centered[q], out=row)
+        np.divide(term(row, out=row), scale[k], out=row)
+        reduce(out, row, out=out)
+
+
 def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
         block: int = 2, statistic: str = "SQ", seed: int = 0) -> McsReport:
     """Model confidence set over equal-length loss series.
@@ -299,16 +312,7 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
     for _ in range(len(ids) - 1):
         live = alive[a] & alive[b] & valid
         observed_stat = float(reduce.reduce(observed[live], initial=0.0))
-        # The live pairs' terms are folded into 0.0 one at a time, in pair
-        # order: the order in which an axis-0 reduction over their stacked
-        # rows takes them, so the null statistics keep that reduction's bits.
-        null_stats.fill(0.0)
-        for k in np.flatnonzero(live).tolist():
-            p, q = pairs[k]
-            np.subtract(centered[p], centered[q], out=row)
-            np.divide(term(row, out=row), scale[k], out=row)
-            reduce(null_stats, row, out=null_stats)
-
+        _null_statistics(live, pairs, centered, term, scale, reduce, row, null_stats)
         hits = int(np.sum(null_stats >= observed_stat))
         running_p = max(running_p, (1 + hits) / (reps + 1))
 

@@ -212,13 +212,14 @@ def _data_line(path: Path, i: int) -> int:
 
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], Callable[[int], str]]:
-    """The header, the non-blank data rows, and `where(i)`: `<file>:<line>`
-    for data row i's physical line, the prefix of a message about that row."""
+    """The header, stripped and lower-cased, the non-blank data rows, and `where(i)`:
+    `<file>:<line>` for data row i's physical line, the prefix of a message about it."""
     path = Path(path)
     rows = _csv_rows(path)
     if not rows:
         raise ValidationError(f"empty file: {path}")
-    return [cell.strip() for cell in rows[0]], rows[1:], lambda i: f"{path}:{_data_line(path, i)}"
+    return ([cell.strip().lower() for cell in rows[0]], rows[1:],
+            lambda i: f"{path}:{_data_line(path, i)}")
 
 
 def write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:
@@ -663,10 +664,9 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
     values agree. A non-blank zone replaces the panel's own.
     """
     header, rows, where = _read_rows(path)
-    lowered = [h.lower() for h in header]
-    if "country" not in lowered or "zone" not in lowered:
+    if "country" not in header or "zone" not in header:
         raise ValidationError("zone file header must contain `country` and `zone`")
-    cols = _column_index(lowered, ["country", *_META_COLUMNS], "zone file")
+    cols = _column_index(header, ["country", *_META_COLUMNS], "zone file")
     id_col = cols.pop("country")
     table: dict[str, dict[str, str]] = {}
     for i, row in enumerate(rows):
@@ -690,10 +690,9 @@ def load_adjacency(path: str | Path, panel: TemperaturePanel) -> np.ndarray:
     and self-edges are hard errors, and a repeated edge is one border.
     """
     header, rows, where = _read_rows(path)
-    lowered = [h.lower() for h in header]
-    if lowered[:2] != ["country_a", "country_b"]:
+    if header[:2] != ["country_a", "country_b"]:
         raise ValidationError("adjacency header must be `country_a,country_b`")
-    _column_index(lowered, ["country_a", "country_b"], "adjacency")
+    _column_index(header, ["country_a", "country_b"], "adjacency")
     index = panel.id_index
     edges = []
     for i, row in enumerate(rows):

@@ -116,7 +116,7 @@ def build_weights(panel: TemperaturePanel, cfg: RunConfig,
     """Construct the requested weight matrices of a run config, keyed in `kinds` order.
 
     Clustered kinds cut their scheme as `compute_scheme` does, and distances
-    are rescaled as `cfg.rescale_distances` and `cfg.rescale_rho` say. cA
+    are rescaled when `cfg.rescale_distances` is set. cA
     uses the slope distances among the significant-slope countries that
     scheme A clustered, taken from its slopes; dA uses slope distances
     over every country: the null-slope countries still have estimated slopes.
@@ -126,7 +126,6 @@ def build_weights(panel: TemperaturePanel, cfg: RunConfig,
     unknown = [kind for kind in kinds if kind not in KINDS]
     if unknown:
         raise ValidationError(f"unknown weight kinds {unknown}; expected among {KINDS}")
-    rescale, rho = cfg.rescale_distances, cfg.rescale_rho
     distances: dict[str, DistanceMatrix] = {}
     results: dict[str, SchemeResult] = {}
     out: dict[str, WeightMatrix] = {}
@@ -153,10 +152,10 @@ def build_weights(panel: TemperaturePanel, cfg: RunConfig,
             slopes = _panel_slopes(panel, cfg)[0] if result is None else result.slopes
             dist = _scheme_distance(panel, scheme, slopes)
         if clustered:
-            out[kind] = cluster_restricted_weights(dist, result.assignment, panel,
-                                                   kind=kind, rescale=rescale, rho=rho)
+            out[kind] = cluster_restricted_weights(dist, result.assignment, panel, kind=kind,
+                                                   rescale=cfg.rescale_distances)
         else:
-            out[kind] = distance_weights(dist, panel, kind=kind, rescale=rescale, rho=rho)
+            out[kind] = distance_weights(dist, panel, kind=kind, rescale=cfg.rescale_distances)
     return out
 
 

@@ -16,10 +16,11 @@ import numpy as np
 
 from .clustering import ClusterAssignment
 from .distances import DistanceMatrix
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .panel import TemperaturePanel, write_csv, write_json
 
 KINDS = ("NN", "cA", "cB", "cC", "dA", "dB", "dC")
+_RHO = 0.95  # rescaling maps the largest distance to _RHO * N ("rho" in weights_*.json)
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,7 @@ class WeightMatrix:
         return len(self.labels)
 
     def zero_rows(self) -> tuple[str, ...]:
-        sums = self.values.sum(axis=1)
-        return tuple(lab for lab, s in zip(self.labels, sums) if s == 0.0)
+        return tuple(compress(self.labels, (self.values.sum(axis=1) == 0.0).tolist()))
 
 
 def contiguity_weights(borders: np.ndarray, panel: TemperaturePanel) -> WeightMatrix:
@@ -79,29 +79,28 @@ def contiguity_weights(borders: np.ndarray, panel: TemperaturePanel) -> WeightMa
 
 
 def _similarity(dist: DistanceMatrix, panel: TemperaturePanel,
-                rescale: bool, rho: float) -> tuple[np.ndarray, dict]:
+                rescale: bool) -> tuple[np.ndarray, dict]:
     """Unnormalized similarities (N - d_ij)/N embedded in full panel order.
 
     N is the panel country count. Ids missing from the distance matrix get
     zero rows and columns. Distances above N are an error unless rescaling is
-    enabled, which maps the maximum distance to N * rho. With rho = 1 that
-    product can round just above N, so similarities are clamped at 0. The
-    result is one new array, embedded into a fresh N x N only when the
-    distance labels are not the panel ids.
+    enabled, which maps the maximum distance to _RHO * N, so no similarity is
+    below 1 - _RHO. The result is one new array, embedded into a fresh N x N
+    only when the distance labels are not the panel ids.
     """
     n = panel.n_countries
     d = dist.values
     dmax = float(d.max()) if d.size else 0.0
     scale_applied = bool(rescale and dmax > 0)
     if not scale_applied and dmax > n:
-        raise ValidationError(
-            f"distance {dmax} exceeds panel size {n}; enable rescaling (rescale=True) "
-            f"to map the maximum distance to N*rho"
-        )
-    # In place, the same float64 operations in the same order as (n - d) / n.
-    sim = d * (n * rho / dmax) if scale_applied else d.copy()
+        raise ValidationError(f"distance {dmax} exceeds panel size {n}; enable rescaling "
+                              f"(weights.rescale or --rescale) to map it to {_RHO}*N")
+    scale = n * _RHO / dmax if scale_applied else 1.0
+    if np.isinf(scale):
+        raise NumericalError(f"largest distance {dmax} too small to rescale")
+    # In place, the float64 operations of (n - d) / n in order; d * 1.0 copies d.
+    sim = d * scale
     np.subtract(n, sim, out=sim)
-    np.maximum(sim, 0.0, out=sim)
     np.divide(sim, n, out=sim)
     np.fill_diagonal(sim, 0.0)
 
@@ -111,12 +110,11 @@ def _similarity(dist: DistanceMatrix, panel: TemperaturePanel,
         if len(rows) != dist.size:
             unknown = sorted(set(dist.labels) - set(panel.ids))
             raise ValidationError(f"distance labels absent from panel: {unknown[:5]}")
-        idx = np.array(rows)
         full = np.zeros((n, n))
-        full[np.ix_(idx, idx)] = sim
+        full[np.ix_(rows, rows)] = sim
         sim = full
     meta = {"metric": dist.metric, "rescaled": scale_applied,
-            "rho": rho if scale_applied else None, "max_distance": dmax}
+            "rho": _RHO if scale_applied else None, "max_distance": dmax}
     return sim, meta
 
 
@@ -130,9 +128,9 @@ def _normalize_rows(sim: np.ndarray) -> np.ndarray:
 
 
 def distance_weights(dist: DistanceMatrix, panel: TemperaturePanel, kind: str,
-                     rescale: bool = False, rho: float = 0.95) -> WeightMatrix:
+                     rescale: bool = False) -> WeightMatrix:
     """Full-panel distance-based weights: (N - d_ij)/N, then row normalization."""
-    sim, meta = _similarity(dist, panel, rescale, rho)
+    sim, meta = _similarity(dist, panel, rescale)
     meta["restricted"] = False
     return WeightMatrix(kind=kind, labels=panel.ids,
                         values=_normalize_rows(sim), meta=meta)
@@ -140,7 +138,7 @@ def distance_weights(dist: DistanceMatrix, panel: TemperaturePanel, kind: str,
 
 def cluster_restricted_weights(dist: DistanceMatrix, assign: ClusterAssignment,
                                panel: TemperaturePanel, kind: str,
-                               rescale: bool = False, rho: float = 0.95) -> WeightMatrix:
+                               rescale: bool = False) -> WeightMatrix:
     """Distance-based weights keeping only same-cluster pairs.
 
     Idiosyncratic, excluded, and singleton-cluster units get zero rows.
@@ -151,7 +149,7 @@ def cluster_restricted_weights(dist: DistanceMatrix, assign: ClusterAssignment,
     missing = sorted(set(compress(assign.ids, (codes > 0).tolist())) - set(dist.labels))
     if missing:
         raise ValidationError(f"no distances available for clustered ids: {missing[:5]}")
-    sim, meta = _similarity(dist, panel, rescale, rho)
+    sim, meta = _similarity(dist, panel, rescale)
     sim[(codes[:, None] != codes[None, :]) | (codes[:, None] <= 0)] = 0.0
     meta["restricted"] = True
     meta["scheme"] = assign.scheme

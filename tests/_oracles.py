@@ -344,6 +344,25 @@ def mask_and_normalize(full_weights: np.ndarray, same_cluster: np.ndarray) -> np
     return out
 
 
+def clamped_weights(values: np.ndarray, rows: Sequence[int], n: int, rescale: bool,
+                    codes: np.ndarray | None = None) -> np.ndarray:
+    """Distance weights as the package formed them while the rescaled share
+    of N could be 1: similarities (n - d)/n, with the largest distance mapped
+    to 0.95 n under rescaling, clamped at 0, embedded at the panel `rows` of
+    the distance labels, kept for same-cluster pairs when `codes` (panel
+    order) are given, then row-normalized."""
+    dmax = values.max() if values.size else 0.0
+    sim = values * (n * 0.95 / dmax) if rescale and dmax > 0 else values.copy()
+    sim = np.maximum(n - sim, 0.0) / n
+    np.fill_diagonal(sim, 0.0)
+    full = np.zeros((n, n))
+    full[np.ix_(rows, rows)] = sim
+    if codes is not None:
+        full[(codes[:, None] != codes[None, :]) | (codes[:, None] <= 0)] = 0.0
+    sums = full.sum(axis=1, keepdims=True)
+    return np.divide(full, sums, out=np.zeros_like(full), where=sums > 0)
+
+
 def contiguity_from_edges(path: str | Path, ids: list[str]) -> tuple[np.ndarray, list[str]]:
     """Contiguity weights read straight off an edge-list CSV, one cell at a time.
 
@@ -483,11 +502,12 @@ def dense_boot_means(matrix: np.ndarray, block: int, reps: int,
 
 def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
                        reps: int = 10_000, block: int = 2, statistic: str = "SQ",
-                       seed: int = 0) -> McsReport:
+                       seed: int = 0, rounds: list | None = None) -> McsReport:
     """`starclust.mcs` as it was before each pair's terms were formed once per
     call: every round rebuilds its active pairs' bootstrap differentials,
     squares and valid-row copies. Its warning lists every degenerate pair, as
-    the package's does."""
+    the package's does. Each round's null statistics (one per replication)
+    are appended to `rounds` when it is given."""
     if not losses:
         raise ValidationError("the confidence set needs at least one model")
     if len(losses) == 1:
@@ -549,6 +569,8 @@ def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
         else:
             observed_stat = float(np.abs(tstat).max(initial=0.0))
             null_stats = (np.abs(diff_boot) / se[:, None]).max(axis=0, initial=0.0)
+        if rounds is not None:
+            rounds.append(null_stats)
 
         hits = int(np.sum(null_stats >= observed_stat))
         running_p = max(running_p, (1 + hits) / (reps + 1))

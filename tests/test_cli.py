@@ -446,6 +446,24 @@ class TestMcs:
         assert main(["mcs", "--losses", str(spaced), "--out", str(tmp_path)]) == 2
         assert f"{spaced}:{len(lines) + 1}: bad loss 'x'" in capsys.readouterr().err
 
+    def test_losses_header_in_any_case(self, tmp_path, capsys):
+        # Header names match in any case, as in panel, zones and adjacency
+        # files; one name given twice in two cases is a repeated column.
+        lines = _losses_text().splitlines()
+        cased = tmp_path / "cased.csv"
+        outputs = []
+        for i, header in enumerate(("model,period,loss", "Model,PERIOD,Loss")):
+            cased.write_text("\n".join([header, *lines[1:]]) + "\n", encoding="utf-8")
+            out = tmp_path / f"out{i}"
+            assert main(["mcs", "--losses", str(cased), "--reps", "200",
+                         "--out", str(out)]) == 0
+            outputs.append((out / "mcs.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        cased.write_text("\n".join(["Model,period,loss,model", *lines[1:]]) + "\n",
+                         encoding="utf-8")
+        assert main(["mcs", "--losses", str(cased), "--out", str(tmp_path / "repeat")]) == 2
+        assert "losses file header repeats column 'model'" in capsys.readouterr().err
+
     def test_full_pipeline_without_losses_file(self, dataset, tmp_path, capsys):
         rc = run(["mcs"], dataset, tmp_path)
         captured = capsys.readouterr()
@@ -733,12 +751,37 @@ class TestMalformedInputs:
         self.assert_clean_exit_2(result, "seed must be >= 0, got -3")
         assert not (tmp_path / "report.csv").exists()
 
-    @pytest.mark.parametrize("flags", [("--cut", "height"), ("--height", "0")])
+    # Each removed flag after the command that took it: cluster's cut rule
+    # flags and weights' rescaling share.
+    @pytest.mark.parametrize("flags", [
+        (("cluster", "--scheme", "B"), ("--cut", "height")),
+        (("cluster", "--scheme", "B"), ("--height", "0")),
+        (("weights", "--kind", "dB", "--rescale"), ("--rho", "0.9"))])
     def test_removed_cut_flags_exit_2(self, tmp_path, flags):
-        result = self.run_cli("cluster", "--scheme", "B", *flags, "--out", str(tmp_path))
-        self.assert_clean_exit_2(result, f"unrecognized arguments: {' '.join(flags)}")
+        command, removed = flags
+        result = self.run_cli(*command, *removed, "--out", str(tmp_path))
+        self.assert_clean_exit_2(result, f"unrecognized arguments: {' '.join(removed)}")
         assert result.stderr.startswith("usage: starclust ")
         assert not any(tmp_path.iterdir())
+
+    def test_removed_rho_key_exits_2(self, dataset, tmp_path):
+        # Rescaling maps the largest distance to 0.95 N; no key sets another share.
+        config = tmp_path / "run.yaml"
+        config.write_text("weights:\n  rescale: true\n  rho: 0.9\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = self.run_cli("weights", "--kind", "dB", "--config", str(config),
+                              "--data", str(dataset["panel"]), "--out", str(out))
+        self.assert_clean_exit_2(result, "unknown config key weights.rho")
+        assert not out.exists()
+
+    def test_repeated_config_key_exits_2(self, dataset, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("mcs:\n  reps: 100\nmcs:\n  reps: 300\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = self.run_cli("trends", "--config", str(config),
+                              "--data", str(dataset["panel"]), "--out", str(out))
+        self.assert_clean_exit_2(result, f"{config}:3: config key 'mcs' repeated")
+        assert not out.exists()
 
     def test_overflowing_differences_exit_3(self, dataset, tmp_path):
         # Finite levels whose first difference overflows to inf. C04's other

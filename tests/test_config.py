@@ -54,8 +54,6 @@ class TestValidation:
         ("k_a", 0, "scheme A"),
         ("k_c", -1, "scheme C"),
         ("min_cluster_size", 0, "min_cluster_size"),
-        ("rescale_rho", 0.0, "rescale_rho"),
-        ("rescale_rho", 1.5, "rescale_rho"),
         ("horizon", 0, "horizon"),
         ("mcs_alpha", 0.0, "mcs_alpha"),
         ("mcs_reps", 50, "mcs_reps"),
@@ -93,7 +91,7 @@ class TestConfigFromDict:
         cfg = config_from_dict({
             "data": {"panel": "p.csv", "adjacency": "a.csv", "zones": "z.csv"},
             "clusters": {"A": 3, "B": 6, "C": 10, "min_size": 3},
-            "weights": {"rescale": True, "rho": 0.9},
+            "weights": {"rescale": True},
             "mcs": {"alpha": 0.05, "reps": 2000, "block": 3, "statistic": "R"},
             "seed": 7,
             "horizon": 10,
@@ -103,7 +101,6 @@ class TestConfigFromDict:
         assert (cfg.k_a, cfg.k_b, cfg.k_c) == (3, 6, 10)
         assert cfg.min_cluster_size == 3
         assert cfg.rescale_distances is True
-        assert cfg.rescale_rho == 0.9
         assert cfg.mcs_alpha == 0.05
         assert cfg.mcs_statistic == "R"
         assert cfg.seed == 7 and cfg.horizon == 10
@@ -165,3 +162,22 @@ class TestLoadConfig:
         path.write_text("data: [unclosed\n")
         with pytest.raises(ValidationError, match="not valid YAML"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("seed: 1\nhorizon: 5\nseed: 2\n", 3, "'seed'"),
+        ("mcs: {reps: 100}\nmcs: {reps: 300}\n", 2, "'mcs'"),
+        ("mcs:\n  reps: 100\n  block: 3\n  reps: 300\n", 4, "'reps'"),
+    ], ids=["top-level", "section", "nested"])
+    def test_repeated_key_rejected(self, tmp_path, text, line, key):
+        # PyYAML alone keeps the last value; a repeat names its key and line.
+        path = tmp_path / "run.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == f"{path}:{line}: config key {key} repeated"
+
+    def test_merge_key_still_merges(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("mcs:\n  <<: {reps: 200, block: 3}\n  block: 4\n", encoding="utf-8")
+        cfg = load_config(path)
+        assert (cfg.mcs_reps, cfg.mcs_block) == (200, 4)

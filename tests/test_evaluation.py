@@ -11,6 +11,7 @@ import pytest
 from starclust import (LossSeries, McsReport, NumericalError, ValidationError, WeightMatrix,
                        build_report, fit_star, forecast, frobenius_norm,
                        in_sample_fn, loss_series, mcs, oos_experiment)
+from starclust import evaluation
 from starclust.evaluation import (_REP_CHUNK, _boot_means, _start_chunks,
                                   write_report_csv, write_report_json)
 from conftest import fixed_builder, make_panel
@@ -574,6 +575,26 @@ class TestMcsMatchesRoundByRound:
         kwargs = dict(reps=reps, block=block, statistic=statistic, seed=4, alpha=0.05)
         got = mcs_outcome(mcs, losses, **kwargs)
         assert got == mcs_outcome(round_by_round_mcs, losses, **kwargs)
+
+    @pytest.mark.parametrize("statistic", ["SQ", "R"])
+    @pytest.mark.parametrize("losses, block", [case[1:] for case in MCS_ORACLE_CASES],
+                             ids=[case[0] for case in MCS_ORACLE_CASES])
+    def test_same_null_statistics_each_round(self, monkeypatch, losses, block, statistic):
+        # Summed in another pair order, the SQ statistics differ in their
+        # last bits, which the reports alone need not show.
+        fold, folded = evaluation._null_statistics, []
+
+        def recording(*args):
+            fold(*args)
+            folded.append(args[-1].copy())  # the null statistics it folded
+
+        monkeypatch.setattr(evaluation, "_null_statistics", recording)
+        kwargs = dict(reps=700, block=block, statistic=statistic, seed=4, alpha=0.05)
+        mcs_outcome(mcs, losses, **kwargs)
+        expected = []
+        mcs_outcome(round_by_round_mcs, losses, rounds=expected, **kwargs)
+        assert len(folded) == len(expected)
+        assert [stats.tobytes() for stats in folded] == [stats.tobytes() for stats in expected]
 
     def test_cases_cover_degenerate_pairs_and_errors(self):
         outcomes = {name: mcs_outcome(mcs, losses, reps=700, block=block, seed=4)

@@ -4,20 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from starclust import (DistanceMatrix, ValidationError, WeightMatrix,
-                       cluster_restricted_weights, contiguity_weights,
+from starclust import (ClusterAssignment, DistanceMatrix, NumericalError, ValidationError,
+                       WeightMatrix, cluster_restricted_weights, contiguity_weights,
                        distance_weights, hamming_distance, load_adjacency)
-from starclust.weights import write_weight_csv, write_weight_meta
+from starclust.weights import _similarity, write_weight_csv, write_weight_meta
 from conftest import assignment_of, borders_of, make_panel
 
-from _oracles import contiguity_from_edges, mask_and_normalize
-
-
-# Rescaled with rho = 1, the largest distance 317.03698298 maps to
-# 317.03698298 * (3 / 317.03698298), which rounds to just above N = 3.
-ROUNDS_ABOVE_N = np.array([[0.0, 317.03698298, 100.0],
-                           [317.03698298, 0.0, 200.0],
-                           [100.0, 200.0, 0.0]])
+from _oracles import clamped_weights, contiguity_from_edges, mask_and_normalize
 
 
 def panel_of(n, t=8, seed=0, ids=None):
@@ -182,24 +175,22 @@ class TestDistanceWeights:
         d[0, 2] = d[2, 0] = 25.0
         d[1, 2] = d[2, 1] = 25.0
         w = distance_weights(distance_of(panel, d, metric="hamming"), panel,
-                             kind="dC", rescale=True, rho=0.95)
+                             kind="dC", rescale=True)
         assert w.meta["rescaled"] is True and w.meta["rho"] == 0.95
-        # Max distance maps to N*rho: similarity (N - N*rho)/N = 0.05.
+        # Max distance maps to 0.95 N: similarity (N - 0.95 N)/N = 0.05.
         scaled = d * (3 * 0.95 / 50.0)
         sim = (3.0 - scaled) / 3.0
         np.fill_diagonal(sim, 0.0)
         expect = sim / sim.sum(axis=1, keepdims=True)
         assert np.allclose(w.values, expect, atol=1e-15)
 
-    def test_rescale_at_rho_one_rounding_above_n(self):
-        # 317.03698298 * (3 / 317.03698298) rounds above 3, so the farthest
-        # pair's similarity would be a tiny negative; it is clamped to 0.
+    def test_rescale_too_small_distance_is_numerical_error(self):
+        # 0.95 * 3 / 1e-310 overflows, so no share of N can be formed.
         panel = panel_of(3, ids=["a", "b", "c"])
-        w = distance_weights(distance_of(panel, ROUNDS_ABOVE_N), panel,
-                             kind="dB", rescale=True, rho=1.0)
-        assert w.values[0, 1] == w.values[1, 0] == 0.0
-        assert w.values[0, 2] == w.values[1, 2] == 1.0
-        assert np.all(w.values >= 0.0)
+        d = np.full((3, 3), 1e-310)
+        np.fill_diagonal(d, 0.0)
+        with pytest.raises(NumericalError, match="too small to rescale"):
+            distance_weights(distance_of(panel, d), panel, kind="dB", rescale=True)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -288,14 +279,6 @@ class TestClusterRestrictedWeights:
             cluster_restricted_weights(distance_of(panel, np.zeros((3, 3))), assign,
                                        panel, kind="cB")
 
-    def test_rescale_at_rho_one_rounding_above_n(self):
-        panel = panel_of(3, ids=["a", "b", "c"])
-        assign = assignment_of({"a": 1, "b": 1, "c": 1})
-        w = cluster_restricted_weights(distance_of(panel, ROUNDS_ABOVE_N), assign, panel,
-                                       kind="cB", rescale=True, rho=1.0)
-        assert w.values[0, 1] == w.values[1, 0] == 0.0
-        assert np.all(w.values >= 0.0)
-
     def test_hamming_restricted(self):
         values = np.array([
             [1, 1, 0, 1],
@@ -310,6 +293,60 @@ class TestClusterRestrictedWeights:
         w = cluster_restricted_weights(dist, assign, panel, kind="cC")
         assert row_of(w, "a")[1] == 1.0
         assert np.all(w.values.sum(axis=1) == 1.0)
+
+
+def similarity_case(seed, kind, rescale):
+    """A panel of K = 2..40 countries, up to two of them without distances,
+    their distance matrix and random cluster codes. Unscaled, the largest
+    distance is N exactly; rescaled, it spans 1e-300 to 1e300, or is 0 in
+    the boundary case."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 41))
+    n = k + int(rng.integers(0, 3))
+    ids = [f"u{i:02d}" for i in range(n)]
+    if kind == "random":
+        upper = rng.random((k, k))
+    elif kind == "tied":
+        upper = rng.integers(0, 4, (k, k)).astype(float)
+    else:
+        upper = np.zeros((k, k)) if rescale else np.ones((k, k))
+    values = np.triu(upper, 1)
+    values += values.T
+    if values.max() > 0:
+        # x / dmax * target keeps the largest distance at the target exactly.
+        target = 10.0 ** rng.uniform(-300, 300) if rescale else float(n)
+        values = values / values.max() * target
+    # Odd seeds take distance labels in another order than the panel's.
+    rows = rng.permutation(n)[:k] if seed % 2 else np.arange(k)
+    codes = np.full(n, -1)
+    codes[rows] = rng.integers(0, 4, k)
+    # Renumber the clusters drawn as 1..m, as ClusterAssignment requires.
+    codes[codes > 0] = np.unique(codes[codes > 0], return_inverse=True)[1] + 1
+    panel = panel_of(n, ids=ids)
+    dist = DistanceMatrix(metric="diff", labels=[ids[r] for r in rows], values=values)
+    return panel, dist, rows, codes
+
+
+class TestNoNegativeSimilarity:
+    """Unscaled, no distance exceeds N; rescaled, the largest maps to 0.95 N.
+    Either way every similarity is >= 0, so a clamp at 0 changes no bit."""
+
+    @pytest.mark.parametrize("rescale", [False, True], ids=["unscaled", "rescaled"])
+    @pytest.mark.parametrize("kind", ["random", "tied", "boundary"])
+    def test_similarities_nonnegative_and_weights_match_clamped(self, kind, rescale):
+        for seed in range(40):
+            panel, dist, rows, codes = similarity_case(seed, kind, rescale)
+            n = panel.n_countries
+            sim, _ = _similarity(dist, panel, rescale)
+            assert sim.min() >= 0.0, seed
+            w = distance_weights(dist, panel, kind="dB", rescale=rescale)
+            assert w.values.tobytes() == clamped_weights(
+                dist.values, rows, n, rescale).tobytes(), seed
+            assign = ClusterAssignment(scheme="B", ids=panel.ids, codes=codes, min_size=2,
+                                       resolved_components=0)
+            w = cluster_restricted_weights(dist, assign, panel, kind="cB", rescale=rescale)
+            assert w.values.tobytes() == clamped_weights(
+                dist.values, rows, n, rescale, codes).tobytes(), seed
 
 
 class TestExports:
