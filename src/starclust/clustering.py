@@ -278,7 +278,7 @@ def relabel_by_feature(assign: ClusterAssignment, features: np.ndarray) -> Clust
     return replace(assign, codes=np.where(assign.codes > 0, rank[assign.codes], assign.codes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContingencyTable:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]

@@ -21,7 +21,7 @@ METRICS = ("slope", "diff", "hamming")
 _SYMMETRY_BLOCK = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Symmetric nonnegative dissimilarities over an ordered label subset."""
 

@@ -48,7 +48,7 @@ def frobenius_norm(observed: np.ndarray, predicted: np.ndarray) -> float:
     return float(np.sum(err * err))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossSeries:
     """Per-period losses for one model. The experiment's periods are its
     evaluation years, each loss summed over every country; `mcs --losses`

@@ -3,13 +3,15 @@ and the one CSV reader and result-file writers of the package.
 
 The panel is a dense N x T matrix of annual mean temperatures (degrees C)
 plus each country's geographical zone; borders are a boolean N x N matrix in
-the same country order. Validation is strict: gaps, duplicates, and
-non-numeric cells are hard errors, never imputed. One loader validates both
-CSV layouts: a wide file is checked for its layout, then its cells are read
-as the rows of a long file. Panels are read a chunk of rows at a time, so
-loading memory does not grow with panel length; np.loadtxt tokenizes a long
-file's lines where it reads them as the csv module does (see `load_panel`).
-CSV inputs may start with a UTF-8 byte-order mark.
+the same country order. A panel CSV holds temperatures only: zones, with a
+country's optional name and area, come from a zones file (`attach_zones`).
+Validation is strict: gaps, duplicates, and non-numeric cells are hard
+errors, never imputed. One loader validates both CSV layouts: a wide file is
+checked for its layout, then its cells are read as the rows of a long file.
+Panels are read a chunk of rows at a time, so loading memory does not grow
+with panel length; np.loadtxt tokenizes a long file's lines where it reads
+them as the csv module does (see `load_panel`). CSV inputs may start with a
+UTF-8 byte-order mark.
 
 Every result file is written by `write_csv` or `write_json`, which fix the
 output format: UTF-8; CSV in the csv module's default dialect (comma,
@@ -50,7 +52,7 @@ _ROW_CHUNK = 1024
 _CSV_ONLY = "\0\x1c\x1d\x1e\x1f"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemperaturePanel:
     """Validated N x T panel of temperatures with a stable country ordering.
 
@@ -133,13 +135,11 @@ def _parse_temperature(text: str, country: str, year: int) -> float:
 
 
 class _Columns(NamedTuple):
-    """A chunk of a long panel's rows by column, cells unstripped: country
-    cells, years, temperatures, and metadata cells by name. `fault()` raises
-    the chunk's first row-level fault."""
+    """A chunk of a long panel's rows by column: country cells, unstripped,
+    years and temperatures. `fault()` raises the chunk's first row-level fault."""
     countries: list[str]
     years: np.ndarray
     values: np.ndarray
-    meta: dict[str, list[str]]
     fault: Callable[[], NoReturn]
 
 
@@ -279,10 +279,11 @@ def detect_format(header: list[str]) -> str:
 def load_panel(path: str | Path) -> TemperaturePanel:
     """Load and validate a temperature panel from CSV.
 
-    Accepts the long layout (`country,year,temperature` plus optional
-    `name`, `zone`, `area` columns) or the wide layout (one row per country
-    with year columns), told apart by `detect_format`. A wide file is checked
-    for its layout only, then validated as the long rows it holds.
+    Accepts the long layout (`country,year,temperature`) or the wide layout
+    (one row per country with year columns), told apart by `detect_format`.
+    A wide file is checked for its layout only, then validated as the long
+    rows it holds. A `name`, `zone` or `area` column is a ValidationError:
+    the panel holds temperatures only, and zones come from `attach_zones`.
 
     The file is parsed a chunk at a time, and a fault found there is not
     reported: in a whole-file read an undecodable byte further on, or a wide
@@ -334,16 +335,18 @@ def _parse_panel(path: Path, chunks: Iterator[list[list[str]]],
     del first
     line = partial(_data_line, path)
     wide = detect_format(header) == "wide"
+    for name in header:
+        if name.lower() in _META_COLUMNS:
+            raise ValidationError(f"panel column {name!r} is not read: a country's "
+                                  "name, zone and area belong in the zones file")
     if wide:
         header, rows = _wide_as_long(header, rows, line)
     # The header holds all of `_LONG_HEADER`, as `detect_format` found it or
     # `_wide_as_long` wrote it.
-    lowered = [h.lower() for h in header]
-    col = _column_index(lowered, _LONG_HEADER, "panel")
-    meta_col = _column_index(lowered, _META_COLUMNS, "panel")
+    col = _column_index([h.lower() for h in header], _LONG_HEADER, "panel")
     if lines is None or wide:
-        return _load_long(_row_columns(header, rows, col, meta_col, line))
-    return _load_long(_line_columns(path, lines, header, col, meta_col, line))
+        return _load_long(_row_columns(header, rows, col, line))
+    return _load_long(_line_columns(path, lines, header, col, line))
 
 
 def _wide_as_long(header: list[str], chunks: Iterator[list[list[str]]],
@@ -352,8 +355,8 @@ def _wide_as_long(header: list[str], chunks: Iterator[list[list[str]]],
 
     Checked here: year columns named once, consecutive once sorted and
     within 64 bits, rows as long as the header, no country row repeated.
-    Cells and metadata are left to `_row_columns` and `_load_long`, which
-    see `country,year,temperature,*meta` rows in file order.
+    Cells are left to `_row_columns` and `_load_long`, which see
+    `country,year,temperature` rows in file order.
     """
     lowered = [h.lower() for h in header]
     _column_index(lowered, ["country"], "panel")
@@ -368,14 +371,12 @@ def _wide_as_long(header: list[str], chunks: Iterator[list[list[str]]],
     for year in (years[0], years[-1]):
         if not _YEAR_MIN <= year <= _YEAR_MAX:
             raise ValidationError(f"wide panel year column {year} is out of range")
-    meta_col = _column_index(lowered, _META_COLUMNS, "panel")
     cells = [(str(year), i) for year, i in year_cols]
-    return ([*_LONG_HEADER, *meta_col],
-            _wide_rows_as_long(len(header), chunks, cells, list(meta_col.values()), line))
+    return list(_LONG_HEADER), _wide_rows_as_long(len(header), chunks, cells, line)
 
 
 def _wide_rows_as_long(width: int, chunks: Iterator[list[list[str]]],
-                       cells: list[tuple[str, int]], meta_idx: list[int],
+                       cells: list[tuple[str, int]],
                        line: Callable[[int], int]) -> Iterator[list[list[str]]]:
     """Recast each chunk of wide rows as long rows; the repeat check spans chunks.
 
@@ -392,11 +393,7 @@ def _wide_rows_as_long(width: int, chunks: Iterator[list[list[str]]],
             if country in seen:
                 raise ValidationError(f"duplicate country row for {country!r}")
             seen.add(country)
-        long_rows: list[list[str]] = []
-        for row in rows:
-            meta = [row[m] for m in meta_idx]
-            long_rows.extend([row[0], year, row[i], *meta] for year, i in cells)
-        yield long_rows
+        yield [[row[0], year, row[i]] for row in rows for year, i in cells]
     if not seen:
         raise ValidationError("panel must have at least one country and one year")
 
@@ -406,15 +403,13 @@ def _load_long(chunks: Iterator[_Columns]) -> TemperaturePanel:
     defers to the chunk's `fault()`.
 
     On valid input every check is an array operation, and between chunks only
-    arrays, ids and metadata are kept. A wide file's rows can fail only on
-    cells and metadata, whose messages name the country and year, not a line.
+    arrays and ids are kept. A wide file's rows can fail only on cells, whose
+    messages name the country and year, not a line.
     """
     code_of: dict[str, int] = {}  # country id -> code, in the order ids first appear
-    meta: dict[str, dict[str, str]] = {}
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for chunk in chunks:
-        if not np.isfinite(chunk.values).all() or not _merge_meta(meta, chunk.countries,
-                                                                   chunk.meta):
+        if not np.isfinite(chunk.values).all():
             chunk.fault()
         code = {}  # country cell -> code
         for raw in set(chunk.countries):
@@ -444,14 +439,15 @@ def _load_long(chunks: Iterator[_Columns]) -> TemperaturePanel:
     if len(ids) * span != len(codes):
         raise ValidationError(_gap_message(ids, codes, years, first, last,
                                            len(ids) * span - len(codes)))
+    if not ids[0]:  # ids are stripped and sorted, so a blank one comes first
+        raise ValidationError("country id must be a non-empty string")
     # Without duplicates or gaps, (country, year) order is the grid's row-major order.
     return TemperaturePanel(ids=ids, years=tuple(range(first, last + 1)),
-                            values=values[order].reshape(len(ids), span),
-                            zones=_zone_column(ids, meta))
+                            values=values[order].reshape(len(ids), span))
 
 
 def _row_columns(header: list[str], chunks: Iterable[list[list[str]]], col: dict[str, int],
-                 meta_col: dict[str, int], line: Callable[[int], int]) -> Iterator[_Columns]:
+                 line: Callable[[int], int]) -> Iterator[_Columns]:
     """Chunks of csv rows by column. A chunk's fault is the first that
     `_long_row_error` finds in its rows, in file order and with its line
     number, as a row-by-row reader reports it; a row shorter than the header,
@@ -459,7 +455,7 @@ def _row_columns(header: list[str], chunks: Iterable[list[list[str]]], col: dict
     for rows in chunks:
         if not rows:
             continue
-        fault = partial(_long_row_error, header, rows, col, meta_col, line)
+        fault = partial(_long_row_error, header, rows, col, line)
         if min(map(len, rows)) < len(header):
             fault()
 
@@ -470,12 +466,11 @@ def _row_columns(header: list[str], chunks: Iterable[list[list[str]]], col: dict
             values = np.array(column(col["temperature"]), dtype=float)
         except (ValueError, OverflowError):
             fault()
-        yield _Columns(column(col["country"]), years, values,
-                       {name: column(idx) for name, idx in meta_col.items()}, fault)
+        yield _Columns(column(col["country"]), years, values, fault)
 
 
 def _line_columns(path: Path, fh: Iterator[str], header: list[str], col: dict[str, int],
-                  meta_col: dict[str, int], line: Callable[[int], int]) -> Iterator[_Columns]:
+                  line: Callable[[int], int]) -> Iterator[_Columns]:
     """The rest of an open long file, `_ROW_CHUNK` lines at a time, by column.
 
     np.loadtxt reads a chunk's non-blank lines, the header's last column
@@ -488,7 +483,7 @@ def _line_columns(path: Path, fh: Iterator[str], header: list[str], col: dict[st
     and from the first chunk holding a quote, which may open a cell that
     spans lines, the rest of the file.
     """
-    usecols = sorted({*col.values(), *meta_col.values(), len(header) - 1})
+    usecols = sorted({*col.values(), len(header) - 1})
     kinds = {col["year"]: np.int64, col["temperature"]: np.float64}
     dtype = [(str(i), kinds.get(i, object)) for i in usecols]
     limit = csv.field_size_limit()
@@ -502,20 +497,18 @@ def _line_columns(path: Path, fh: Iterator[str], header: list[str], col: dict[st
         text = "".join(lines)
         if '"' in text:
             rest = iter(partial(_row_reader(path, chain(lines, fh)), _ROW_CHUNK), [])
-            yield from _row_columns(header, rest, col, meta_col, line)
+            yield from _row_columns(header, rest, col, line)
             return
         plain = not (any(map(text.__contains__, _CSV_ONLY))
                      or len(text) > limit and max(map(len, lines)) > limit)
         nonblank = list(filter(str.strip, lines))  # np.loadtxt warns on no lines at all
         cells = _loadtxt(nonblank, usecols, dtype) if plain and nonblank else None
         if cells is None:
-            yield from _row_columns(header, [_row_reader(path, lines)(None)], col, meta_col, line)
+            yield from _row_columns(header, [_row_reader(path, lines)(None)], col, line)
             continue
         # Copies, so that the kept arrays do not hold the ids alive.
         yield _Columns(cells[col["country"]].tolist(), cells[col["year"]].copy(),
-                       cells[col["temperature"]].copy(),
-                       {name: cells[idx].tolist() for name, idx in meta_col.items()},
-                       _unreported)
+                       cells[col["temperature"]].copy(), _unreported)
 
 
 def _unreported() -> NoReturn:
@@ -545,19 +538,6 @@ def _detached(text: str) -> str:
     rows at a time, and every chunk holds ids.
     """
     return text.encode().decode()
-
-
-def _merge_meta(meta: dict[str, dict[str, str]], countries: list[str],
-                texts: dict[str, list[str]]) -> bool:
-    """Add each country's non-blank metadata to `meta`; False if some
-    country's values conflict. Countries and cells are stripped here."""
-    for name, column in texts.items():
-        for country, text in set(zip(countries, column)):
-            text = text.strip()
-            if text and meta.setdefault(country.strip(), {}).setdefault(
-                    name, _detached(text)) != text:
-                return False
-    return True
 
 
 def _gap_message(ids: list[str], codes: np.ndarray, years: np.ndarray,
@@ -596,7 +576,7 @@ def _add_row_meta(meta: dict[str, dict[str, str]], country: str, row: list[str],
 
 
 def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int],
-                    meta_col: dict[str, int], line: Callable[[int], int]) -> NoReturn:
+                    line: Callable[[int], int]) -> NoReturn:
     """Re-read a long panel row by row and raise its first row-level fault.
 
     Reached only after a column-wise check failed. The one fault that no
@@ -604,7 +584,6 @@ def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int
     not fit in 64 bits; it is raised once every row has passed.
     """
     seen: set[tuple[str, int]] = set()
-    meta: dict[str, dict[str, str]] = {}
     out_of_range: str | None = None
     for i, row in enumerate(rows):
         if len(row) < len(header):
@@ -623,7 +602,6 @@ def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int
         if (country, year) in seen:
             raise ValidationError(f"duplicate entry for country {country!r}, year {year}")
         seen.add((country, year))
-        _add_row_meta(meta, country, row, meta_col)
     raise ValidationError(out_of_range or "long panel rows failed a check but no row is at fault")
 
 
@@ -659,7 +637,7 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
     """Return a copy of the panel with the zones of a zones file merged in.
 
     The file is a CSV with header `country,zone` plus optional `name`, `area`,
-    which are checked as the panel loader checks them and then dropped.
+    which are checked by `_zone_column` and then dropped.
     Every id must be in the panel; a country may repeat if its non-blank
     values agree. A non-blank zone replaces the panel's own.
     """

@@ -40,7 +40,7 @@ from .weights import (KINDS, WeightMatrix, cluster_restricted_weights,
 SCHEMES = ("A", "B", "C")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeResult:
     scheme: str
     assignment: ClusterAssignment

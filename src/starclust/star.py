@@ -48,7 +48,7 @@ class EquationFit:
 _DROPPED = ((), ("spatial",), ("temporal",), ("spatial", "temporal"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StarModel:
     """Coefficient arrays in weight-label order.
 

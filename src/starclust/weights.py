@@ -23,7 +23,7 @@ KINDS = ("NN", "cA", "cB", "cC", "dA", "dB", "dC")
 _RHO = 0.95  # rescaling maps the largest distance to _RHO * N ("rho" in weights_*.json)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Row-stochastic or zero-row weights; a float64 `values` array is kept,
     not copied, and made read-only."""
@@ -31,7 +31,7 @@ class WeightMatrix:
     kind: str
     labels: tuple[str, ...]
     values: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:

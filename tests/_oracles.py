@@ -30,8 +30,7 @@ from starclust.clustering import Dendrogram, Merge
 from starclust.distances import DistanceMatrix
 from starclust.errors import NumericalError, ValidationError
 from starclust.evaluation import LossSeries, McsReport, _start_chunks
-from starclust.panel import (_LONG_HEADER, _META_COLUMNS, TemperaturePanel,
-                             _parse_temperature, _zone_column, detect_format)
+from starclust.panel import _LONG_HEADER, TemperaturePanel, _parse_temperature, detect_format
 from starclust.star import EquationFit
 from starclust.trends import TrendFit, panel_differences, student_t_sf2
 from starclust.weights import WeightMatrix
@@ -601,8 +600,10 @@ def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
 # package had them before long panels were parsed column-wise (verbatim,
 # except that messages give each row's physical line, as `csv.reader`'s
 # `line_num` reports it, that both loaders report a year outside 64 bits,
-# and that `_load_long` lists gaps without forming the full year span), and
-# `load_panel_rows` composing them as `starclust.panel.load_panel` does.
+# that `_load_long` lists gaps without forming the full year span, and that
+# neither reads a country's name, zone or area), and `load_panel_rows`
+# composing them as `starclust.panel.load_panel` does, which refuses a
+# header naming one of those.
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], list[int]]:
     path = Path(path)
@@ -626,10 +627,8 @@ def _load_long(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
     missing = [name for name in _LONG_HEADER if name not in col]
     if missing:
         raise ValidationError(f"long panel header missing columns: {missing}")
-    meta_col = {name: lowered.index(name) for name in _META_COLUMNS if name in lowered}
 
     cells: dict[tuple[str, int], float] = {}
-    meta: dict[str, dict[str, str]] = {}
     out_of_range: str | None = None
     for lineno, row in zip(lines, rows):
         if len(row) < len(header):
@@ -648,17 +647,6 @@ def _load_long(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
         if (country, year) in cells:
             raise ValidationError(f"duplicate entry for country {country!r}, year {year}")
         cells[(country, year)] = value
-        entry = meta.setdefault(country, {})
-        for name, idx in meta_col.items():
-            text = row[idx].strip()
-            if not text:
-                continue
-            if name in entry and entry[name] != text:
-                raise ValidationError(
-                    f"conflicting {name} for country {country!r}: "
-                    f"{entry[name]!r} vs {text!r}"
-                )
-            entry[name] = text
 
     if out_of_range:
         # A year that does not fit in 64 bits is reported once every row has
@@ -684,9 +672,11 @@ def _load_long(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
         raise ValidationError(f"missing observations: {shown}{more}")
     full_years = list(range(first, last + 1))
 
+    if "" in ids:
+        raise ValidationError("country id must be a non-empty string")
+
     values = np.array([[cells[(c, y)] for y in full_years] for c in ids], dtype=float)
-    return TemperaturePanel(ids=ids, years=tuple(full_years), values=values,
-                            zones=_zone_column(ids, meta))
+    return TemperaturePanel(ids=ids, years=tuple(full_years), values=values)
 
 
 def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> TemperaturePanel:
@@ -694,7 +684,6 @@ def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
     year_cols = [(i, int(h)) for i, h in enumerate(lowered) if h.removeprefix("-").isdecimal()]
     if not year_cols:
         raise ValidationError("wide panel has no year columns")
-    meta_col = {name: lowered.index(name) for name in _META_COLUMNS if name in lowered}
     id_col = lowered.index("country")
 
     years = [y for _, y in year_cols]
@@ -712,7 +701,7 @@ def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
             raise ValidationError(f"wide panel year column {year} is out of range")
 
     seen: dict[str, int] = {}
-    records: list[tuple[str, str | None, list[float]]] = []
+    records: list[tuple[str, list[float]]] = []
     for lineno, row in zip(lines, rows):
         if len(row) < len(header):
             raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
@@ -726,19 +715,24 @@ def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
             if not text:
                 raise ValidationError(f"missing observation for country {country!r}, year {year}")
             series.append(_parse_temperature(text, country, year))
-        entry = {name: row[idx].strip() for name, idx in meta_col.items() if row[idx].strip()}
-        records.append((country, *_zone_column([country], {country: entry}), series))
+        if not country:
+            raise ValidationError("country id must be a non-empty string")
+        records.append((country, series))
 
     records.sort(key=lambda rec: rec[0])
-    values = np.array([rec[2] for rec in records], dtype=float)
+    values = np.array([rec[1] for rec in records], dtype=float)
     return TemperaturePanel(ids=[rec[0] for rec in records], years=tuple(years),
-                            values=values, zones=[rec[1] for rec in records])
+                            values=values)
 
 
 def load_panel_rows(path: str | Path, fmt: str = "auto") -> TemperaturePanel:
     header, rows, lines = _read_rows(path)
     if fmt == "auto":
         fmt = detect_format(header)
+    for name in header:
+        if name.lower() in ("name", "zone", "area"):
+            raise ValidationError(f"panel column {name!r} is not read: a country's "
+                                  "name, zone and area belong in the zones file")
     if fmt == "long":
         return _load_long(header, rows, lines)
     return _load_wide(header, rows, lines)

@@ -122,21 +122,20 @@ def code_of(assign, cid: str) -> int:
 
 
 def write_panel(panel: TemperaturePanel, path: str | Path, fmt: str = "long") -> None:
-    """Write a panel to CSV, long or wide, with full precision (round-trips bit-exactly)."""
-    meta_names = ["zone"] if any(z is not None for z in panel.zones) else []
+    """Write a panel's temperatures to CSV, long or wide, with full precision
+    (round-trips bit-exactly). Zones are not written: they belong in a zones file."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if fmt == "long":
-            writer.writerow(["country", "year", "temperature"] + meta_names)
+            writer.writerow(["country", "year", "temperature"])
         else:
-            writer.writerow(["country"] + meta_names + [str(y) for y in panel.years])
-        for cid, zone, row in zip(panel.ids, panel.zones, panel.values):
-            extra = [zone or ""] if meta_names else []
+            writer.writerow(["country"] + [str(y) for y in panel.years])
+        for cid, row in zip(panel.ids, panel.values):
             if fmt == "long":
                 for year, value in zip(panel.years, row):
-                    writer.writerow([cid, year, repr(float(value))] + extra)
+                    writer.writerow([cid, year, repr(float(value))])
             else:
-                writer.writerow([cid] + extra + [repr(float(v)) for v in row])
+                writer.writerow([cid] + [repr(float(v)) for v in row])
 
 
 def fixed_builder(weights: dict) -> Callable[[TemperaturePanel], dict]:

@@ -1138,6 +1138,55 @@ class TestImportFootprint:
         assert "threads: 1\n" in result.stdout
 
 
+class TestExitTeardown:
+    """A command freezes the collector at exit, so the interpreter's final
+    collections skip the objects the run left."""
+
+    fresh_python = staticmethod(TestImportFootprint.fresh_python)
+
+    def test_bare_import_registers_no_exit_hook(self):
+        result = self.fresh_python("import atexit\n"
+                                   "before = atexit._ncallbacks()\n"
+                                   "import starclust.cli\n"
+                                   "print(atexit._ncallbacks() - before)\n")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\n"
+
+    def test_two_runs_freeze_once_at_exit(self, dataset, tmp_path):
+        # The report is registered first, so it runs after every later hook.
+        script = ("import atexit, gc, sys\n"
+                  "calls = []\n"
+                  "freeze = gc.freeze\n"
+                  "def counted():\n"
+                  "    calls.append(1)\n"
+                  "    freeze()\n"
+                  "gc.freeze = counted\n"
+                  "atexit.register(lambda: print('freezes:', len(calls), gc.get_freeze_count() > 0,\n"
+                  "                              file=sys.stderr))\n"
+                  "from starclust.cli import main\n"
+                  "sys.exit(max(main(sys.argv[1:]), main(sys.argv[1:])))\n")
+        result = self.fresh_python(script, "trends", "--data", str(dataset["panel"]),
+                                   "--out", str(tmp_path))
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stderr == "freezes: 1 True\n"
+        wrote = f"wrote {tmp_path / 'trends.csv'}\n"
+        assert result.stdout.count(wrote) == 2 and result.stdout.endswith(wrote)
+
+    def test_failing_command_exits_2_and_writes_nothing(self, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("country,year,temperature,zone\nA,2000,1.0,Asia\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = self.fresh_python("import sys\n"
+                                   "from starclust.cli import main\n"
+                                   "sys.exit(main(sys.argv[1:]))\n",
+                                   "trends", "--data", str(panel), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr == ("error: panel column 'zone' is not read: a country's name, "
+                                 "zone and area belong in the zones file\n")
+        assert result.stdout == ""
+        assert not out.exists()
+
+
 _JUNK = ("", " ", "x", "nan", "inf", "-1", "0", "1e999", "99999999999999999999",
          "1901.5", '"', "Atlantis", "Europe", "C00", "C99", "true", "[1, 2",
          "{a: 1}", "- 3", ": :", "\t", "SQ", "observation", "0.5", "1e-300", ",,,")

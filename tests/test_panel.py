@@ -18,7 +18,7 @@ from starclust import (TemperaturePanel, ValidationError, attach_zones,
                        load_adjacency, load_panel, split_panel)
 from starclust import panel as panel_module
 from starclust.cli import main
-from starclust.panel import ZONES, detect_format
+from starclust.panel import detect_format
 
 from _oracles import load_panel_rows
 from conftest import make_panel, write_panel
@@ -29,65 +29,77 @@ def write_csv(path, text: str) -> str:
     return str(path)
 
 
-def long_panel(tmp_path, meta: str, *rows: str) -> str:
-    """A two-year long panel whose rows each give `country,<meta values>`."""
-    lines = [f"country,year,temperature,{meta}"]
-    for row in rows:
-        cid, _, values = row.partition(",")
-        lines += [f"{cid},2000,1.0,{values}", f"{cid},2001,1.5,{values}"]
-    return write_csv(tmp_path / "p.csv", "\n".join(lines) + "\n")
+def zones_file(tmp_path, text: str) -> str:
+    return write_csv(tmp_path / "z.csv", text)
 
 
 class TestCountryMeta:
-    """Country metadata is checked by the panel and zones loaders; only zones are kept."""
+    """Country metadata is read from the zones file and checked there; only
+    zones are kept. A panel CSV holds temperatures only."""
 
     def test_rejects_unknown_zone(self, toy_panel, tmp_path):
         message = (r"^unknown zone 'Atlantis' for country 'C00'; expected one of "
                    r"\['Africa', 'Asia', .*'South America'\]$")
         with pytest.raises(ValidationError, match=message):
-            load_panel(long_panel(tmp_path, "zone", "C00,Atlantis"))
-        with pytest.raises(ValidationError, match=message):
-            attach_zones(toy_panel, write_csv(tmp_path / "z.csv", "country,zone\nC00,Atlantis\n"))
+            attach_zones(toy_panel, zones_file(tmp_path, "country,zone\nC00,Atlantis\n"))
 
     def test_rejects_negative_area(self, toy_panel, tmp_path):
-        message = "^negative land area for country 'C01'$"
-        with pytest.raises(ValidationError, match=message):
-            load_panel(long_panel(tmp_path, "zone,area", "C00,Asia,3", "C01,Asia,-1.0"))
-        with pytest.raises(ValidationError, match=message):
-            attach_zones(toy_panel, write_csv(tmp_path / "z.csv",
-                                              "country,zone,area\nC01,Asia,-1.0\n"))
+        with pytest.raises(ValidationError, match="^negative land area for country 'C01'$"):
+            attach_zones(toy_panel, zones_file(tmp_path, "country,zone,area\n"
+                                                         "C00,Asia,3\nC01,Asia,-1.0\n"))
 
     def test_rejects_non_numeric_area(self, toy_panel, tmp_path):
-        message = "^non-numeric area 'large' for country 'C00'$"
-        with pytest.raises(ValidationError, match=message):
-            load_panel(long_panel(tmp_path, "area", "C00,large"))
-        with pytest.raises(ValidationError, match=message):
-            attach_zones(toy_panel, write_csv(tmp_path / "z.csv",
-                                              "country,zone,area\nC00,Asia,large\n"))
+        with pytest.raises(ValidationError, match="^non-numeric area 'large' for country 'C00'$"):
+            attach_zones(toy_panel, zones_file(tmp_path, "country,zone,area\nC00,Asia,large\n"))
 
     def test_rejects_blank_id(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "country,year,temperature\n"
+                         " ,2000,1.0\n ,2001,1.5\nB,2000,1.0\nB,2001,1.5\n")
         with pytest.raises(ValidationError, match="^country id must be a non-empty string$"):
-            load_panel(long_panel(tmp_path, "zone", " ,Asia", "B,Asia"))
+            load_panel(path)
 
-    def test_faults_reported_in_id_order(self, tmp_path):
-        # B is first in the file, but A is checked first. Within a country
+    def test_faults_reported_in_id_order(self, toy_panel, tmp_path):
+        # C01 is first in the file, but C00 is checked first. Within a country
         # the area is parsed, then the zone checked, then the area's sign.
-        path = long_panel(tmp_path, "zone,area", "B,Mars,1", "A,Venus,x")
-        with pytest.raises(ValidationError, match="^non-numeric area 'x' for country 'A'$"):
-            load_panel(path)
-        path = long_panel(tmp_path, "zone,area", "B,Asia,x", "A,Venus,-2")
-        with pytest.raises(ValidationError, match="^unknown zone 'Venus' for country 'A'"):
-            load_panel(path)
-
-    def test_only_zones_are_kept(self, tmp_path):
-        panel = load_panel(long_panel(tmp_path, "name,zone,area", "A,Alpha,Asia,12.5", "B,,,"))
-        assert panel.zones == ("Asia", None)
+        path = zones_file(tmp_path, "country,zone,area\nC01,Mars,1\nC00,Venus,x\n")
+        with pytest.raises(ValidationError, match="^non-numeric area 'x' for country 'C00'$"):
+            attach_zones(toy_panel, path)
+        path = zones_file(tmp_path, "country,zone,area\nC01,Asia,x\nC00,Venus,-2\n")
+        with pytest.raises(ValidationError, match="^unknown zone 'Venus' for country 'C00'"):
+            attach_zones(toy_panel, path)
 
     def test_accepts_all_eight_zones(self, tmp_path):
         zones = ("Europe", "Asia", "Eurasia", "Africa", "North America",
                  "Central America", "South America", "Oceania")
-        rows = [f"C{i},{zone}" for i, zone in enumerate(zones)]
-        assert load_panel(long_panel(tmp_path, "zone", *rows)).zones == zones
+        rows = [f"C{i:02d},{zone}\n" for i, zone in enumerate(zones)]
+        panel = make_panel(np.ones((len(zones), 2)))
+        assert attach_zones(panel, zones_file(tmp_path, "country,zone\n" + "".join(rows))
+                            ).zones == zones
+
+
+class TestCountryMetaColumns:
+    """A panel holds temperatures only: a name, zone or area column, in any
+    case, exits 2 before a tokenizer reads a data line."""
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    @pytest.mark.parametrize("layout", ["long", "wide"])
+    @pytest.mark.parametrize("column", ["name", "zone", "area", "NAME", "ZONE", "AREA"])
+    def test_rejected_by_trends(self, tmp_path, capsys, column, layout, quote):
+        cid = f"{quote}A{quote}"
+        if layout == "long":
+            text = (f"country,year,temperature,{column}\n"
+                    f"{cid},2000,1.0,Asia\n{cid},2001,1.5,Asia\n")
+        else:
+            text = f"country,{column},2000,2001\n{cid},Asia,1.0,1.5\n"
+        out = tmp_path / "out"
+        code = main(["trends", "--data", write_csv(tmp_path / "p.csv", text),
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: panel column {column!r} is not read: a country's "
+                                "name, zone and area belong in the zones file\n")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestPanelValidation:
@@ -230,20 +242,6 @@ class TestLoadLong:
         with pytest.raises(ValidationError, match="non-integer year"):
             load_panel(path)
 
-    def test_zone_column_parsed(self, tmp_path):
-        path = write_csv(tmp_path / "p.csv",
-                         "country,year,temperature,zone\n"
-                         "A,2000,1.0,Europe\nA,2001,1.5,Europe\n")
-        panel = load_panel(path)
-        assert panel.zones == ("Europe",)
-
-    def test_conflicting_zone_rejected(self, tmp_path):
-        path = write_csv(tmp_path / "p.csv",
-                         "country,year,temperature,zone\n"
-                         "A,2000,1.0,Europe\nA,2001,1.5,Asia\n")
-        with pytest.raises(ValidationError, match="conflicting zone"):
-            load_panel(path)
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="file not found"):
             load_panel(tmp_path / "absent.csv")
@@ -271,33 +269,21 @@ class TestLoadLong:
             load_panel(path)
 
 
-_NAMES = ("Alpha", "Beta land", "Gamma, Republic of", "Delta")
-_ZONE_CHOICES = sorted(ZONES)
-
-
 def _long_rows(rng: np.random.Generator, n: int, t: int) -> tuple[list[str], list[list[str]]]:
-    """A valid long panel with shuffled columns and rows, padded cells,
-    ids that need quoting and optional name/zone/area columns."""
+    """A valid long panel with shuffled columns and rows, padded cells and
+    ids that need quoting."""
     ids = [f"C{i}" if rng.random() < 0.7 else f"C,{i}" for i in range(n)]
-    meta = [name for name in ("name", "zone", "area") if rng.random() < 0.5]
-    header = ["country", "year", "temperature", *meta]
+    header = ["country", "year", "temperature"]
     rng.shuffle(header)
     values = rng.normal(15.0, 8.0, (n, t))
     values[rng.random((n, t)) < 0.1] = -0.0
     formats = (repr, lambda v: f"{v:.4f}", lambda v: f"{v:.3e}", lambda v: f" {v!r} ")
     rows = []
     for i, cid in enumerate(ids):
-        name = _NAMES[i % len(_NAMES)]
-        zone = _ZONE_CHOICES[i % len(_ZONE_CHOICES)]
-        area = repr(float(rng.integers(1, 10_000)))
         for j in range(t):
             cell = {"country": cid if rng.random() < 0.8 else f"  {cid}\t",
                     "year": str(1990 + j) if rng.random() < 0.8 else f" +{1990 + j} ",
-                    "temperature": formats[rng.integers(len(formats))](float(values[i, j])),
-                    # blank metadata cells are skipped, repeated ones must agree
-                    "name": name if rng.random() < 0.8 else "",
-                    "zone": zone if rng.random() < 0.8 else " ",
-                    "area": area if rng.random() < 0.8 else ""}
+                    "temperature": formats[rng.integers(len(formats))](float(values[i, j]))}
             rows.append([cell[h] for h in header])
     order = rng.permutation(len(rows))
     return header, [rows[k] for k in order]
@@ -322,7 +308,7 @@ def _mutate(rng: np.random.Generator, header: list[str], rows: list[list[str]]) 
     if len(row) < len(header):
         return
     col = {name: header.index(name) for name in header}
-    kind = rng.integers(10)
+    kind = rng.integers(8)
     if kind == 0:
         del row[int(rng.integers(1, len(row) + 1)) - 1:]
     elif kind == 1:
@@ -337,33 +323,20 @@ def _mutate(rng: np.random.Generator, header: list[str], rows: list[list[str]]) 
         del rows[k]
     elif kind == 6:
         row[col["year"]] = "2" + row[col["year"]].strip()
-    elif kind == 7:
-        meta = [name for name in ("name", "zone", "area") if name in col]
-        if meta:
-            row[col[meta[rng.integers(len(meta))]]] = "Oceania"
-    elif kind == 8:
+    else:
         row[col["country"]] = " "
-    elif "zone" in col:
-        # consistent but unknown: rejected only once the rows have passed
-        for other in rows:
-            if len(other) == len(header) and other[col["country"]] == row[col["country"]]:
-                other[col["zone"]] = "Atlantis"
 
 
-def _wide_rows(rng: np.random.Generator, n: int, t: int,
-               meta: list[str]) -> tuple[list[str], list[list[str]]]:
-    """A valid wide panel: year and metadata columns shuffled after `country`,
-    rows shuffled, padded cells and ids that need quoting."""
-    columns = [*meta, *(str(1990 + j) for j in range(t))]
+def _wide_rows(rng: np.random.Generator, n: int, t: int) -> tuple[list[str], list[list[str]]]:
+    """A valid wide panel: year columns shuffled after `country`, rows
+    shuffled, padded cells and ids that need quoting."""
+    columns = [str(1990 + j) for j in range(t)]
     rng.shuffle(columns)
     header = ["country", *columns]
     formats = (repr, lambda v: f"{v:.4f}", lambda v: f"{v:.3e}", lambda v: f" {v!r} ")
     rows = []
     for i in range(n):
-        cell = {"country": f"C{i}" if rng.random() < 0.7 else f" C,{i}\t",
-                "name": _NAMES[i % len(_NAMES)] if rng.random() < 0.8 else "",
-                "zone": _ZONE_CHOICES[i % len(_ZONE_CHOICES)] if rng.random() < 0.8 else " ",
-                "area": repr(float(rng.integers(1, 10_000))) if rng.random() < 0.8 else ""}
+        cell = {"country": f"C{i}" if rng.random() < 0.7 else f" C,{i}\t"}
         for j in range(t):
             cell[str(1990 + j)] = formats[rng.integers(len(formats))](rng.normal(15.0, 8.0))
         rows.append([cell[h] for h in header])
@@ -372,7 +345,7 @@ def _wide_rows(rng: np.random.Generator, n: int, t: int,
 
 
 _WIDE_FAULTS = ("short row", "blank cell", "non-numeric cell", "non-finite cell",
-                "duplicate row", "bad zone", "bad area", "blank id")
+                "duplicate row", "blank id")
 
 
 def _mutate_wide(rng: np.random.Generator, fault: str, header: list[str],
@@ -391,10 +364,6 @@ def _mutate_wide(rng: np.random.Generator, fault: str, header: list[str],
         row[cell] = ["nan", "inf", "-Infinity", "1e999"][rng.integers(4)]
     elif fault == "duplicate row":
         rows.insert(int(rng.integers(len(rows) + 1)), list(row))
-    elif fault == "bad zone":
-        row[header.index("zone")] = "Atlantis"
-    elif fault == "bad area":
-        row[header.index("area")] = ["large", "-5.0"][rng.integers(2)]
     else:
         row[0] = " "
 
@@ -427,7 +396,7 @@ class TestLoaderParity:
     def assert_same_panel(got: TemperaturePanel, ref: TemperaturePanel) -> None:
         assert got.ids == ref.ids
         assert got.years == ref.years
-        assert got.zones == ref.zones
+        assert got.zones == ref.zones == (None,) * len(ref.ids)
         assert got.values.shape == ref.values.shape
         assert np.array_equal(got.values.view(np.int64), ref.values.view(np.int64))
 
@@ -457,9 +426,8 @@ class TestLoaderParity:
     @pytest.mark.parametrize("seed", range(10))
     def test_valid_wide_panels(self, tmp_path, seed, reads):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 7))
-        panel = make_panel(rng.normal(15.0, 8.0, (n, int(rng.integers(1, 9)))),
-                           zones=[_ZONE_CHOICES[i % len(_ZONE_CHOICES)] for i in range(n)])
+        panel = make_panel(rng.normal(15.0, 8.0, (int(rng.integers(1, 7)),
+                                                   int(rng.integers(1, 9)))))
         write_panel(panel, tmp_path / "w.csv", fmt="wide")
         lines = (tmp_path / "w.csv").read_text(encoding="utf-8").splitlines()
         lines.insert(1 + int(rng.integers(len(lines))), " ,\t, ")
@@ -471,9 +439,7 @@ class TestLoaderParity:
     def test_malformed_wide_panels(self, tmp_path, seed, reads):
         rng = np.random.default_rng(2000 + seed)
         fault = _WIDE_FAULTS[seed % len(_WIDE_FAULTS)]
-        meta = [name for name in ("name", "zone", "area")
-                if rng.random() < 0.5 or fault == f"bad {name}"]
-        header, rows = _wide_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 8)), meta)
+        header, rows = _wide_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 8)))
         _mutate_wide(rng, fault, header, rows)
         path = _write_rows(tmp_path / "w.csv", rng, header, rows)
         got, ref = _outcome(path, load_panel), _outcome(path, load_panel_rows)
@@ -486,8 +452,8 @@ class TestLoaderParity:
 
 
 class TestLoaderParityInSmallChunks(TestLoaderParity):
-    """The same panels read 1, 2 and 5 rows at a time, so that ids, metadata,
-    repeats and faults fall on both sides of chunk boundaries."""
+    """The same panels read 1, 2 and 5 rows at a time, so that ids, repeats
+    and faults fall on both sides of chunk boundaries."""
 
     @pytest.fixture(autouse=True, params=[1, 2, 5], ids=lambda n: f"chunk{n}")
     def row_chunk(self, request, monkeypatch):
@@ -656,14 +622,6 @@ class TestChunkBoundaries:
         with pytest.raises(ValidationError, match=rf"p\.csv:{len(lines) + 1}: {message}$"):
             load_panel(path)
 
-    def test_conflicting_zones_in_different_chunks(self, tmp_path):
-        path = write_csv(tmp_path / "p.csv", "country,year,temperature,zone\n"
-                         "A,2000,1.0,Europe\nB,2000,2.0,Asia\nB,2001,2.5,Asia\n"
-                         "A,2001,1.5,Asia\n")
-        with pytest.raises(ValidationError,
-                           match="^conflicting zone for country 'A': 'Europe' vs 'Asia'$"):
-            load_panel(path)
-
     def test_repeated_cell_in_a_later_chunk(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "country,year,temperature\n"
                          "A,2000,1.0\nA,2001,1.5\nB,2000,2.0\nB,2001,2.5\nA,2000,1.0\n")
@@ -789,12 +747,6 @@ class TestWriteRoundTrip:
         loaded = load_panel(path)
         assert np.array_equal(loaded.values, toy_panel.values)
 
-    def test_metadata_round_trip(self, tmp_path):
-        panel = make_panel(np.ones((2, 2)), zones=["Europe", "Asia"])
-        path = tmp_path / "p.csv"
-        write_panel(panel, path, fmt="long")
-        assert load_panel(path).zones == ("Europe", "Asia")
-
 
 class TestAdjacency:
     def test_symmetry_enforced(self, toy_panel, tmp_path):
@@ -875,7 +827,7 @@ class TestZones:
         assert attach_zones(toy_panel, path).zones == ("Europe",) + (None,) * 5
 
     def test_blank_zone_keeps_the_panels_own(self, tmp_path):
-        panel = load_panel(long_panel(tmp_path, "zone", "A,Asia", "B,Africa"))
+        panel = make_panel(np.ones((2, 2)), ids=["A", "B"], zones=["Asia", "Africa"])
         path = write_csv(tmp_path / "z.csv", "country,zone\nA,\nB,Europe\n")
         assert attach_zones(panel, path).zones == ("Asia", "Europe")
 
@@ -904,7 +856,7 @@ class TestPhysicalLineNumbers:
          "line 5: expected 3 columns, got 2"),
         ("country,year,temperature\n\nA,99999999999999999999,1.0\n",
          "line 3: year '99999999999999999999' for country 'A' is out of range"),
-        ('country,year,temperature,name\nA,2000,1.0,"two\nlines"\nA,MMXX,1.0,x\n',
+        ('country,year,temperature,note\nA,2000,1.0,"two\nlines"\nA,MMXX,1.0,x\n',
          "line 4: non-integer year 'MMXX' for country 'A'"),
         ("\ufeffcountry,year,temperature\n\nA,MMXX,1.0\n",
          "line 3: non-integer year 'MMXX' for country 'A'"),

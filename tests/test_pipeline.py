@@ -6,11 +6,12 @@ import pytest
 
 from starclust import (KINDS, SCHEMES, RunConfig,
                        ValidationError, build_weights, compute_scheme,
-                       fit_panel_trends, scheme_features, split_panel,
+                       fit_panel_trends, fit_star, scheme_features, split_panel,
                        weight_builder)
 from starclust import pipeline
-from starclust.clustering import IDIOSYNCRATIC, NULL, agglomerate
+from starclust.clustering import IDIOSYNCRATIC, NULL, agglomerate, cross_tab
 from starclust.distances import diff_distance, sign_distance
+from starclust.evaluation import loss_series
 from conftest import borders_of, make_panel
 
 
@@ -279,3 +280,30 @@ class TestBuilders:
         assert reduced["dB"].labels == train.ids
         # Distances over 25 years differ from distances over 41 years.
         assert not np.allclose(full["dB"].values, reduced["dB"].values)
+
+
+def _nn(panel):
+    return build_weights(panel, CFG, ["NN"], chain_adjacency(panel.ids))["NN"]
+
+
+# A fresh record of each kind that holds an array, built from a panel.
+_ARRAY_RECORDS = {
+    "TemperaturePanel": lambda p: make_panel(p.values, first_year=p.years[0]),
+    "DistanceMatrix": diff_distance,
+    "WeightMatrix": _nn,
+    "StarModel": lambda p: fit_star(p, _nn(p)),
+    "LossSeries": lambda p: loss_series("NN", p.values, np.zeros_like(p.values), p.years),
+    "ContingencyTable": lambda p: cross_tab(compute_scheme(p, "A", CFG).assignment,
+                                            compute_scheme(p, "B", CFG).assignment, p),
+    "SchemeResult": lambda p: compute_scheme(p, "A", CFG),
+}
+
+
+@pytest.mark.parametrize("build", _ARRAY_RECORDS.values(), ids=_ARRAY_RECORDS)
+def test_records_holding_arrays_compare_and_hash_by_identity(grouped_panel, build):
+    # Compared field by field, two equal records raise on their arrays'
+    # elementwise `==`, and hashing one raises on its unhashable array.
+    record, twin = build(grouped_panel), build(grouped_panel)
+    assert record == record
+    assert record != twin
+    assert len({record, twin, record}) == 2
