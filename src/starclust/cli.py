@@ -17,6 +17,7 @@ import gc
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,9 @@ CONFIG_ENV = "STARCLUST_CONFIG"
 
 
 def _base_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # Flags are spelled in full: argparse would otherwise take an abbreviation,
+    # or a typo of one flag, as a flag that shares its prefix.
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", help="YAML run configuration "
                         f"(default: ${CONFIG_ENV} if set)")
     common.add_argument("--data", dest="panel_path", help="panel CSV (long or wide)")
@@ -44,42 +47,37 @@ def _base_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starclust",
         description="Cluster country temperature series and evaluate STAR forecasts.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
-    p = sub.add_parser("trends", parents=[common],
-                       help="fit per-country linear trends")
+    p = add_parser("trends", help="fit per-country linear trends")
     p.add_argument("--alpha", dest="trend_alpha", type=float,
                    help="significance level for slopes")
 
-    p = sub.add_parser("cluster", parents=[common],
-                       help="cluster countries under one scheme")
+    p = add_parser("cluster", help="cluster countries under one scheme")
     p.add_argument("--scheme", required=True, choices=pipeline.SCHEMES)
     p.add_argument("--k", type=int, help="target number of main clusters")
     p.add_argument("--min-size", dest="min_cluster_size", type=int,
                    help="smallest non-idiosyncratic cluster")
 
-    p = sub.add_parser("weights", parents=[common],
-                       help="build one spatial weight matrix")
+    p = add_parser("weights", help="build one spatial weight matrix")
     p.add_argument("--kind", required=True, choices=weights.KINDS)
     p.add_argument("--rescale", action="store_true", default=None, dest="rescale_distances",
                    help="map the maximum distance to 0.95*N")
 
-    p = sub.add_parser("fit", parents=[common],
-                       help="fit one STAR model on the full panel")
+    p = add_parser("fit", help="fit one STAR model on the full panel")
     p.add_argument("--kind", required=True, choices=weights.KINDS)
 
-    p = sub.add_parser("forecast", parents=[common],
-                       help="iterated level forecasts from one model")
+    p = add_parser("forecast", help="iterated level forecasts from one model")
     p.add_argument("--kind", required=True, choices=weights.KINDS)
     p.add_argument("--origin", type=int,
                    help="last year used for estimation (default: panel end)")
     p.add_argument("--horizon", type=int, help="number of years ahead")
 
-    evaluate = sub.add_parser("evaluate", parents=[common],
-                              help="in-sample + out-of-sample table with MCS p-values")
-    mcs = sub.add_parser("mcs", parents=[common],
-                         help="model confidence set over forecast losses")
+    evaluate = add_parser("evaluate", help="in-sample + out-of-sample table with MCS p-values")
+    mcs = add_parser("mcs", help="model confidence set over forecast losses")
     for p in (evaluate, mcs):
         p.add_argument("--mcs-alpha", dest="mcs_alpha", type=float)
         p.add_argument("--reps", dest="mcs_reps", type=int)

@@ -58,7 +58,9 @@ class TemperaturePanel:
 
     Immutable after construction; the same country order is shared by every
     downstream matrix (distances, weights, model equations). `zones[i]` is
-    country i's zone, or None; an empty `zones` means no zone is known.
+    country i's zone, or None; an empty `zones` means no zone is known. A
+    loaded panel knows none: its zones come only from a zones file, and
+    `attach_zones` replaces whatever zones a panel built in code holds.
     `id_index` is computed once, on first use.
     """
 
@@ -563,18 +565,6 @@ def _gap_message(ids: list[str], codes: np.ndarray, years: np.ndarray,
     return f"missing observations: {', '.join(shown)}{more}"
 
 
-def _add_row_meta(meta: dict[str, dict[str, str]], country: str, row: list[str],
-                  cols: Mapping[str, int]) -> None:
-    """Add one row's non-blank metadata to `meta[country]`; a value that
-    differs from the country's earlier one is a ValidationError."""
-    entry = meta.setdefault(country, {})
-    for name, idx in cols.items():
-        text = row[idx].strip()
-        if text and entry.setdefault(name, text) != text:
-            raise ValidationError(f"conflicting {name} for country {country!r}: "
-                                  f"{entry[name]!r} vs {text!r}")
-
-
 def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int],
                     line: Callable[[int], int]) -> NoReturn:
     """Re-read a long panel row by row and raise its first row-level fault.
@@ -605,41 +595,16 @@ def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int
     raise ValidationError(out_of_range or "long panel rows failed a check but no row is at fault")
 
 
-def _zone_column(ids: Iterable[str], meta: Mapping[str, Mapping[str, str]]
-                 ) -> tuple[str | None, ...]:
-    """Check each country's id and metadata in id order; keep only the zones.
-
-    Per country, in this order: the area must be numeric, the id non-empty,
-    the zone one of ZONES and the area not negative. `name` is not checked
-    and, like `area`, not kept.
-    """
-    zones = []
-    for cid in ids:
-        entry = meta.get(cid, {})
-        try:
-            area = float(entry["area"]) if "area" in entry else None
-        except ValueError:
-            raise ValidationError(
-                f"non-numeric area {entry['area']!r} for country {cid!r}") from None
-        if not cid:
-            raise ValidationError("country id must be a non-empty string")
-        zone = entry.get("zone")
-        if zone is not None and zone not in ZONES:
-            raise ValidationError(f"unknown zone {zone!r} for country {cid!r}; "
-                                  f"expected one of {sorted(ZONES)}")
-        if area is not None and area < 0:
-            raise ValidationError(f"negative land area for country {cid!r}")
-        zones.append(zone)
-    return tuple(zones)
-
-
 def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
-    """Return a copy of the panel with the zones of a zones file merged in.
+    """Return a copy of the panel whose zones are those of a zones file.
 
-    The file is a CSV with header `country,zone` plus optional `name`, `area`,
-    which are checked by `_zone_column` and then dropped.
-    Every id must be in the panel; a country may repeat if its non-blank
-    values agree. A non-blank zone replaces the panel's own.
+    The file is a CSV with header `country,zone` plus optional `name`, `area`.
+    Row by row, in file order: each row is as wide as the header, its id is in
+    the panel, and its non-blank values agree with the country's earlier ones.
+    Then country by country, in panel order: the area is numeric, the zone one
+    of ZONES and the area not negative. `name` and `area` are not kept. The
+    copy holds exactly the file's zones, None where the file gives none: any
+    zones the panel held are replaced.
     """
     header, rows, where = _read_rows(path)
     if "country" not in header or "zone" not in header:
@@ -653,11 +618,30 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
         country = row[id_col].strip()
         if country not in panel.id_index:
             raise ValidationError(f"{where(i)}: unknown country id {country!r} in zone file")
-        _add_row_meta(table, country, row, cols)
-    zones = _zone_column(panel.ids, table)
+        entry = table.setdefault(country, {})
+        for name, idx in cols.items():
+            text = row[idx].strip()
+            if text and entry.setdefault(name, text) != text:
+                raise ValidationError(f"conflicting {name} for country {country!r}: "
+                                      f"{entry[name]!r} vs {text!r}")
+    zones = []
+    for cid in panel.ids:
+        entry = table.get(cid, {})
+        try:
+            area = float(entry.get("area", 0))
+        except ValueError:
+            raise ValidationError(
+                f"non-numeric area {entry['area']!r} for country {cid!r}") from None
+        zone = entry.get("zone")
+        if zone is not None and zone not in ZONES:
+            raise ValidationError(f"unknown zone {zone!r} for country {cid!r}; "
+                                  f"expected one of {sorted(ZONES)}")
+        if area < 0:
+            raise ValidationError(f"negative land area for country {cid!r}")
+        zones.append(zone)
     # Sharing panel.values instead raised wide-k800 cluster peak RSS 42.6 -> 43.2 MiB.
     return TemperaturePanel(ids=panel.ids, years=panel.years, values=panel.values.copy(),
-                            zones=[new or old for new, old in zip(zones, panel.zones)])
+                            zones=zones)
 
 
 def load_adjacency(path: str | Path, panel: TemperaturePanel) -> np.ndarray:

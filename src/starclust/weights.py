@@ -71,10 +71,8 @@ def contiguity_weights(borders: np.ndarray, panel: TemperaturePanel) -> WeightMa
     `borders` is the boolean N x N matrix `load_adjacency` returns, in panel
     order; the countries with no border are listed as isolated.
     """
-    degree = borders.sum(axis=1)
-    values = borders / np.maximum(degree, 1)[:, None]
-    isolated = list(compress(panel.ids, (degree == 0).tolist()))
-    return WeightMatrix(kind="NN", labels=panel.ids, values=values,
+    isolated = list(compress(panel.ids, (~borders.any(axis=1)).tolist()))
+    return WeightMatrix(kind="NN", labels=panel.ids, values=_normalize_rows(borders.astype(float)),
                         meta={"source": "contiguity", "isolated": isolated})
 
 

@@ -600,10 +600,11 @@ def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
 # package had them before long panels were parsed column-wise (verbatim,
 # except that messages give each row's physical line, as `csv.reader`'s
 # `line_num` reports it, that both loaders report a year outside 64 bits,
-# that `_load_long` lists gaps without forming the full year span, and that
-# neither reads a country's name, zone or area), and `load_panel_rows`
-# composing them as `starclust.panel.load_panel` does, which refuses a
-# header naming one of those.
+# that `_load_long` lists gaps without forming the full year span, that
+# `_load_wide` checks every row's width and repeat before any cell and a blank
+# id last, and that neither reads a country's name, zone or area), and
+# `load_panel_rows` composing them as `starclust.panel.load_panel` does, which
+# refuses a header naming one of those.
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], list[int]]:
     path = Path(path)
@@ -700,24 +701,26 @@ def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
         if not -2**63 <= year < 2**63:
             raise ValidationError(f"wide panel year column {year} is out of range")
 
-    seen: dict[str, int] = {}
-    records: list[tuple[str, list[float]]] = []
+    seen: set[str] = set()
     for lineno, row in zip(lines, rows):
         if len(row) < len(header):
             raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
         country = row[id_col].strip()
         if country in seen:
             raise ValidationError(f"duplicate country row for {country!r}")
-        seen[country] = lineno
+        seen.add(country)
+    records: list[tuple[str, list[float]]] = []
+    for row in rows:
+        country = row[id_col].strip()
         series = []
         for idx, year in year_cols:
             text = row[idx].strip()
             if not text:
                 raise ValidationError(f"missing observation for country {country!r}, year {year}")
             series.append(_parse_temperature(text, country, year))
-        if not country:
-            raise ValidationError("country id must be a non-empty string")
         records.append((country, series))
+    if "" in seen:
+        raise ValidationError("country id must be a non-empty string")
 
     records.sort(key=lambda rec: rec[0])
     values = np.array([rec[1] for rec in records], dtype=float)

@@ -764,6 +764,19 @@ class TestMalformedInputs:
         assert result.stderr.startswith("usage: starclust ")
         assert not any(tmp_path.iterdir())
 
+    # Each would run as another flag if argparse took abbreviations: `--kin`
+    # and `--k` as weights' `--kind`, `--gran` as evaluate's `--granularity`.
+    @pytest.mark.parametrize("argv", [
+        ("weights", "--kind", "dB", "--kin", "dC"),
+        ("weights", "--kind", "cB", "--k", "cC"),
+        ("evaluate", "--gran", "year")], ids=["kin", "k", "gran"])
+    def test_abbreviated_flag_exits_2(self, dataset, tmp_path, argv):
+        out = tmp_path / "out"
+        result = self.run_cli(*argv, "--data", str(dataset["panel"]),
+                              "--adjacency", str(dataset["adjacency"]), "--out", str(out))
+        self.assert_clean_exit_2(result, f"unrecognized arguments: {' '.join(argv[-2:])}")
+        assert not out.exists()
+
     def test_removed_rho_key_exits_2(self, dataset, tmp_path):
         # Rescaling maps the largest distance to 0.95 N; no key sets another share.
         config = tmp_path / "run.yaml"

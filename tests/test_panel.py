@@ -598,6 +598,34 @@ class TestTokenizerParity:
         assert calls == [1024, 128]
 
 
+# Wide files with two faults, and the one reported: every row's width and
+# repeat are checked before any cell, and a blank id last.
+_WIDE_TWO_FAULTS = {
+    "blank-id-then-bad-cell": ("country,2000,2001\n ,1.0,1.5\nB,warm,1.5\n",
+                               "non-numeric temperature 'warm' for country 'B', year 2000"),
+    "bad-cell-then-short-row": ("country,2000,2001\nA,warm,1.5\nB,1.0\n",
+                                "line 3: expected 3 columns, got 2"),
+    "bad-cell-then-repeat": ("country,2000,2001\nA,warm,1.5\nA,1.0,2.0\n",
+                             "duplicate country row for 'A'"),
+}
+
+
+class TestWideFaultOrder:
+    """The loader, a load that never calls np.loadtxt and the row-by-row
+    reader report the same one of a wide file's two faults."""
+
+    csv_only = TestTokenizerParity.csv_only
+
+    @pytest.mark.parametrize("name", _WIDE_TWO_FAULTS)
+    def test_file(self, tmp_path, name, csv_only):
+        text, message = _WIDE_TWO_FAULTS[name]
+        path = write_csv(tmp_path / "w.csv", text)
+        want = f"ValidationError: {message}"
+        assert _outcome(path, load_panel) == want
+        assert csv_only(path) == want
+        assert _outcome(path, load_panel_rows) == want
+
+
 class TestChunkBoundaries:
     """Faults in different chunks are reported as a whole-file read reports them."""
 
@@ -826,10 +854,13 @@ class TestZones:
                                              "C00,Europe,,\nC00,Europe,Alpha,\nC00, ,,12.5\n")
         assert attach_zones(toy_panel, path).zones == ("Europe",) + (None,) * 5
 
-    def test_blank_zone_keeps_the_panels_own(self, tmp_path):
-        panel = make_panel(np.ones((2, 2)), ids=["A", "B"], zones=["Asia", "Africa"])
+    def test_file_zones_replace_the_panels_own(self, tmp_path):
+        panel = make_panel(np.ones((3, 2)), ids=["A", "B", "C"],
+                           zones=["Asia", "Africa", "Oceania"])
         path = write_csv(tmp_path / "z.csv", "country,zone\nA,\nB,Europe\n")
-        assert attach_zones(panel, path).zones == ("Asia", "Europe")
+        merged = attach_zones(panel, path)
+        assert merged.zones == (None, "Europe", None)
+        assert panel.zones == ("Asia", "Africa", "Oceania")
 
     def test_conflicting_area_rejected(self, toy_panel, tmp_path):
         path = write_csv(tmp_path / "z.csv", "country,zone,area\nC00,Asia,1\nC00,Asia,2\n")
