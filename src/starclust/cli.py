@@ -275,33 +275,12 @@ def cmd_forecast(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
     return 0
 
 
-def _run_oos(cfg: RunConfig, panel: TemperaturePanel,
-             adjacency: np.ndarray) -> evaluation.OosResult:
-    builder = pipeline.weight_builder(cfg, weights.KINDS, adjacency)
-    return evaluation.oos_experiment(panel, builder, cfg.split_year, cfg.horizon)
-
-
-def _mcs(cfg: RunConfig, losses: list[evaluation.LossSeries]) -> evaluation.McsReport:
-    return evaluation.mcs(losses, alpha=cfg.mcs_alpha, reps=cfg.mcs_reps,
-                          block=cfg.mcs_block, statistic=cfg.mcs_statistic,
-                          seed=cfg.seed)
-
-
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
                  adjacency: np.ndarray | None, out: Path) -> int:
-    # The out-of-sample run goes first, so that its horizon and origin checks
-    # fail before any clustering. Its training-slice weights are freed before
-    # the full-sample weights (7 N x N matrices) are built, and those once
-    # their norms are known. The MCS runs last: it is where `evaluate`
-    # reaches its peak memory (the bootstrap means, models x reps), and run
-    # before the in-sample fits it sets that peak higher.
-    oos = _run_oos(cfg, panel, adjacency)
-    in_sample = evaluation.in_sample_fn(
-        panel, pipeline.build_weights(panel, cfg, weights.KINDS, adjacency))
-    report = evaluation.build_report(in_sample, oos, _mcs(cfg, list(oos.losses.values())))
+    report = pipeline.evaluate(panel, cfg, adjacency)
     evaluation.write_report_csv(report, out / "report.csv")
     evaluation.write_report_json(report, out / "report.json")
-    _write_loss_plot_csv(oos, out / "plot_losses.csv")
+    _write_loss_plot_csv(report, out / "plot_losses.csv")
 
     print(f"{'model':<6} {'in_sample_fn':>13} {'oos_fn':>10} {'mcs_p':>7}")
     for row in report.rows():
@@ -313,10 +292,10 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
     return 0
 
 
-def _write_loss_plot_csv(oos: evaluation.OosResult, path: Path) -> None:
+def _write_loss_plot_csv(report: evaluation.EvaluationReport, path: Path) -> None:
     """Per-year loss decomposition for every model (stacked-area plot data)."""
     write_csv(path, ["model", "year", "loss"],
-              ([kind, year, value] for kind, series in sorted(oos.losses.items())
+              ([kind, year, value] for kind, series in sorted(report.oos.losses.items())
                for year, value in zip(series.periods, series.values)))
 
 
@@ -325,8 +304,8 @@ def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel | 
     if args.losses:
         losses = _read_losses_csv(args.losses)
     else:
-        losses = list(_run_oos(cfg, panel, adjacency).losses.values())
-    report = _mcs(cfg, losses)
+        losses = list(pipeline.out_of_sample(panel, cfg, adjacency).losses.values())
+    report = pipeline.confidence_set(losses, cfg)
     payload_path = out / "mcs.json"
     evaluation.write_mcs_json(report, payload_path)
     print(f"{'model':<8} {'mcs_p':>7}")

@@ -86,8 +86,6 @@ class OosResult:
     """Out-of-sample experiment output, keyed by model kind: each model's
     Frobenius norm and its per-year losses."""
 
-    origin_year: int
-    horizon: int
     fn: dict[str, float]
     losses: dict[str, LossSeries]
 
@@ -120,7 +118,7 @@ def oos_experiment(panel: TemperaturePanel,
         levels = forecast(fit_star(train, weights), train, horizon)
         fn[kind] = frobenius_norm(test_values, levels)
         losses[kind] = loss_series(kind, test_values, levels, test_years)
-    return OosResult(origin_year=origin_year, horizon=horizon, fn=fn, losses=losses)
+    return OosResult(fn=fn, losses=losses)
 
 
 def in_sample_fn(panel: TemperaturePanel,
@@ -341,18 +339,19 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Table-shaped summary: models ordered by the MCS elimination sequence."""
+    """Table-shaped summary: models ordered by the MCS elimination sequence,
+    with the out-of-sample result whose losses the MCS tested."""
 
     models: tuple[str, ...]
     in_sample: dict[str, float]
-    out_of_sample: dict[str, float]
+    oos: OosResult
     mcs_report: McsReport
 
     def rows(self) -> list[dict]:
         p = self.mcs_report.p_values()
         return [{"model": m,
                  "in_sample_fn": self.in_sample[m],
-                 "out_of_sample_fn": self.out_of_sample[m],
+                 "out_of_sample_fn": self.oos.fn[m],
                  "mcs_p": p[m]} for m in self.models]
 
 
@@ -362,8 +361,8 @@ def build_report(in_sample: Mapping[str, float], oos: OosResult,
     missing = set(order) - set(in_sample) | set(order) - set(oos.fn)
     if missing:
         raise ValidationError(f"report is missing results for {sorted(missing)}")
-    return EvaluationReport(models=order, in_sample=dict(in_sample),
-                            out_of_sample=dict(oos.fn), mcs_report=mcs_report)
+    return EvaluationReport(models=order, in_sample=dict(in_sample), oos=oos,
+                            mcs_report=mcs_report)
 
 
 def write_report_csv(report: EvaluationReport, path: str | Path) -> None:
@@ -375,7 +374,7 @@ def write_report_json(report: EvaluationReport, path: str | Path) -> None:
     write_json(path, {
         "models": list(report.models),
         "in_sample_fn": {k: report.in_sample[k] for k in report.models},
-        "out_of_sample_fn": {k: report.out_of_sample[k] for k in report.models},
+        "out_of_sample_fn": {k: report.oos.fn[k] for k in report.models},
         "mcs": {
             "statistic": report.mcs_report.statistic,
             "reps": report.mcs_report.reps,

@@ -1,4 +1,5 @@
-"""End-to-end recipes: panel -> trends -> clusters -> weight matrices.
+"""End-to-end recipes: panel -> trends -> clusters -> weight matrices, and
+the paper's evaluation run over the seven weight kinds.
 
 Three clustering schemes share one code path:
 
@@ -17,6 +18,12 @@ computed itself, which nobody else sees, so clustering one scheme holds one
 K x K matrix. It links a copy of a matrix its caller passes in and keeps.
 `build_weights` holds the scheme B and C matrices that its weights need and
 lends them to `compute_scheme` that way. A scheme result keeps no distances.
+
+`evaluate` is the paper's run, used by the `evaluate` and `mcs` commands and
+the acceptance gate alike. It reaches the evaluation stages as attributes of
+the `evaluation` module, and `build_weights` and `weight_builder` through
+this module's globals, both looked up at call time, so a caller that
+replaces one of them (a tracer, a test) sees every call.
 """
 from __future__ import annotations
 
@@ -26,6 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import evaluation
 from .clustering import (NULL, ClusterAssignment, Dendrogram, agglomerate, cut,
                          relabel_by_feature)
 from .config import RunConfig
@@ -167,3 +175,39 @@ def weight_builder(cfg: RunConfig, kinds: Sequence[str] = KINDS,
     def build(panel: TemperaturePanel) -> dict[str, WeightMatrix]:
         return build_weights(panel, cfg, kinds, adjacency)
     return build
+
+
+def out_of_sample(panel: TemperaturePanel, cfg: RunConfig,
+                  adjacency: np.ndarray | None = None) -> evaluation.OosResult:
+    """Every kind fitted through `cfg.split_year` and scored over the next
+    `cfg.horizon` years, with clusters and weights re-estimated on the
+    training slice."""
+    builder = weight_builder(cfg, KINDS, adjacency)
+    return evaluation.oos_experiment(panel, builder, cfg.split_year, cfg.horizon)
+
+
+def confidence_set(losses: Sequence[evaluation.LossSeries],
+                   cfg: RunConfig) -> evaluation.McsReport:
+    """The MCS over `losses` with the run config's alpha, replications,
+    block length, statistic and seed."""
+    return evaluation.mcs(losses, alpha=cfg.mcs_alpha, reps=cfg.mcs_reps,
+                          block=cfg.mcs_block, statistic=cfg.mcs_statistic,
+                          seed=cfg.seed)
+
+
+def evaluate(panel: TemperaturePanel, cfg: RunConfig,
+             adjacency: np.ndarray | None = None) -> evaluation.EvaluationReport:
+    """The paper's run: in-sample and out-of-sample norms of every kind and
+    the MCS over the out-of-sample losses, in one report.
+
+    The out-of-sample run goes first, so that its horizon and origin checks
+    fail before any clustering. Its training-slice weights are freed before
+    the full-sample weights (7 N x N matrices) are built, and those once
+    their norms are known. The MCS runs last: it is where the run reaches
+    its peak memory (the bootstrap means, models x reps), and run before the
+    in-sample fits it sets that peak higher. The report holds no weights.
+    """
+    oos = out_of_sample(panel, cfg, adjacency)
+    in_sample = evaluation.in_sample_fn(panel, build_weights(panel, cfg, KINDS, adjacency))
+    return evaluation.build_report(in_sample, oos,
+                                   confidence_set(list(oos.losses.values()), cfg))

@@ -97,6 +97,17 @@ def make_panel(values: np.ndarray, first_year: int = 1990,
                             values=values, zones=zones or ())
 
 
+def generated_panel(seed: int, k: int) -> TemperaturePanel:
+    """The benchmark generator's panel (bench/gen_panel.py) of k units over
+    1901-2022, at full precision: not rounded through its CSV."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen_panel.py"
+    spec = importlib.util.spec_from_file_location("gen_panel", path)
+    gen_panel = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_panel)
+    data = gen_panel.generate(seed, k)
+    return make_panel(data["values"], first_year=int(data["years"][0]), ids=data["ids"])
+
+
 def borders_of(ids, edges) -> np.ndarray:
     """Symmetric boolean border matrix over `ids` from (id, id) edges."""
     index = {cid: i for i, cid in enumerate(ids)}

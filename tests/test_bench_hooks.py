@@ -102,7 +102,7 @@ def test_mcs_counts_read_from_a_traced_call(tracing):
 
 
 def test_traced_runs_execute_every_counter(tracing, tiny_config, tmp_path, capsys):
-    metrics, counted = {}, set()
+    metrics, counted, spans = {}, set(), {}
     for argv in (["evaluate"], ["cluster", "--scheme", "C"]):
         tracer = tracing.Tracer(run=0)
         with tracing.hooked(tracer), tracer.span(f"cli.{argv[0]}"):
@@ -113,7 +113,13 @@ def test_traced_runs_execute_every_counter(tracing, tiny_config, tmp_path, capsy
         metrics[argv[0]] = tracing.layer_metrics(tracer)
         assert set(tracing.COUNTS) <= set(metrics[argv[0]])
         counted |= set(tracer.counts)
+        spans[argv[0]] = {span.name for span in tracer.spans}
     assert counted == set(tracing.COUNTS) - {"trace.spans"}
+    # A caller that binds a hooked function by name, not through its module
+    # at call time, would run it untraced: its layer would have no span.
+    assert {"evaluation.oos", "evaluation.in_sample", "evaluation.mcs",
+            "evaluation.report", "pipeline.builder", "weights.build", "star.fit",
+            "star.fitted", "star.forecast", "evaluation.loss_series"} <= spans["evaluate"]
     assert metrics["evaluate"]["panel.cells"] == metrics["cluster"]["panel.cells"] == 40 * 30
     assert metrics["evaluate"]["star.equations"] == 14 * 40
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starclust
-from starclust import RunConfig, cli, pipeline
+from starclust import RunConfig, cli, evaluation, pipeline
 from starclust.cli import main
 from starclust.config import _SCHEMA, _TOP_LEVEL
 
@@ -356,6 +356,28 @@ class TestEvaluate:
             (out_b / "report.json").read_bytes()
         assert (out_a / "report.csv").read_bytes() == \
             (out_b / "report.csv").read_bytes()
+
+    def test_stages_run_in_order(self, dataset, tmp_path, monkeypatch):
+        # The out-of-sample run, its training-slice weights built and freed
+        # inside it, comes before the full-sample weights; the MCS, which
+        # sets the peak memory, comes after the in-sample fits.
+        events, weight_ends = [], []
+        for module, name in ((evaluation, "oos_experiment"), (pipeline, "build_weights"),
+                             (evaluation, "in_sample_fn"), (evaluation, "mcs"),
+                             (evaluation, "build_report")):
+            def recorded(*args, _call=getattr(module, name), _name=name, **kwargs):
+                if _name == "build_weights":
+                    weight_ends.append(args[0].years[-1])
+                events.append(_name)
+                result = _call(*args, **kwargs)
+                events.append(f"/{_name}")
+                return result
+            monkeypatch.setattr(module, name, recorded)
+        assert run(["evaluate"], dataset, tmp_path) == 0
+        assert events == ["oos_experiment", "build_weights", "/build_weights", "/oos_experiment",
+                          "build_weights", "/build_weights", "in_sample_fn", "/in_sample_fn",
+                          "mcs", "/mcs", "build_report", "/build_report"]
+        assert weight_ends == [1980, 1990]  # the training slice, then the full sample
 
     def test_split_past_panel_end(self, dataset, tmp_path, capsys):
         rc = run(["evaluate", "--origin", "1988", "--horizon", "10"],

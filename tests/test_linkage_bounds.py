@@ -1,8 +1,5 @@
 """The lower-bound linkage against the cached-nearest-neighbour loop it
 replaced, merge for merge and bit for bit."""
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -11,7 +8,7 @@ from starclust.config import RunConfig
 from starclust.pipeline import _panel_slopes, _scheme_distance
 
 from _oracles import copying_agglomerate
-from conftest import make_panel
+from conftest import generated_panel
 
 
 def merge_keys(dendro):
@@ -85,19 +82,10 @@ def test_merged_row_rounding_below_the_merge_height():
         (1, 2, 2, (0.1).hex()), (0, 4, 3, (0.7).hex()), (5, 3, 4, below.hex())]
 
 
-def _generated_panel(seed, k):
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen_panel.py"
-    spec = importlib.util.spec_from_file_location("gen_panel", path)
-    gen_panel = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen_panel)
-    data = gen_panel.generate(seed, k)
-    return make_panel(data["values"], first_year=int(data["years"][0]), ids=data["ids"])
-
-
 @pytest.mark.parametrize("k", [168, 400, 800])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_generated_scheme_matrices(seed, k):
-    panel = _generated_panel(seed, k)
+    panel = generated_panel(seed, k)
     slopes, significant = _panel_slopes(panel, RunConfig())
     assert_same_merges(_scheme_distance(panel, "A", slopes, significant))
     for scheme in ("B", "C"):

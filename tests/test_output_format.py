@@ -40,11 +40,11 @@ def _mcs_report():
                      survivors=("cA", "dA"))
 
 
-def _report():
+def _report(oos=OosResult(fn={"NN": 2.5, "dA": 0.3333333333333333, "cA": 0.0},
+                          losses={})):
     return EvaluationReport(models=("NN", "cA", "dA"),
                             in_sample={"dA": 0.1, "NN": 1e-05, "cA": INF},
-                            out_of_sample={"NN": 2.5, "dA": 0.3333333333333333, "cA": 0.0},
-                            mcs_report=_mcs_report())
+                            oos=oos, mcs_report=_mcs_report())
 
 
 def write_trend_table(path):
@@ -130,10 +130,9 @@ def write_loss_plot_csv(path):
     def losses(kind, levels):
         return evaluation.loss_series(kind, observed, np.array(levels), (2002, 2003))
 
-    oos = OosResult(origin_year=2001, horizon=2, fn={},
-                    losses={"dA": losses("dA", [[1.1, 2.0], [0.5, 0.0]]),
-                            "NN": losses("NN", [[0.0, 2.0], [0.5, 1.0]])})
-    cli._write_loss_plot_csv(oos, Path(path))
+    oos = OosResult(fn={}, losses={"dA": losses("dA", [[1.1, 2.0], [0.5, 0.0]]),
+                                   "NN": losses("NN", [[0.0, 2.0], [0.5, 1.0]])})
+    cli._write_loss_plot_csv(_report(oos), Path(path))
 
 
 CASES = {

@@ -12,7 +12,7 @@ from starclust import pipeline
 from starclust.clustering import IDIOSYNCRATIC, NULL, agglomerate, cross_tab
 from starclust.distances import diff_distance, sign_distance
 from starclust.evaluation import loss_series
-from conftest import borders_of, make_panel
+from conftest import borders_of, generated_panel, make_panel
 
 
 def chain_adjacency(ids):
@@ -269,6 +269,21 @@ class TestBuildWeights:
         adj = chain_adjacency(grouped_panel.ids)
         with pytest.raises(ValidationError, match="exceeds panel size"):
             build_weights(grouped_panel, RunConfig(), kinds=("dB",), adjacency=adj)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_unscaled_slope_weights_are_uniform(self, seed):
+        # Without rescaling, scheme A's slope gaps (at most d_max, about 0.025
+        # here) are tiny beside N = 168, so every similarity (N - d)/N is
+        # within d_max/N of 1 and dA is the uniform matrix 1/(N - 1) off the
+        # diagonal: each (N - 1) w_ij is within d_max/(N - d_max) of 1. That
+        # is 1.5e-4 on these panels; rescaled, dA is 1.49 off uniform.
+        panel = generated_panel(seed, 168)
+        n = panel.n_countries
+        weights = build_weights(panel, RunConfig(rescale_distances=False), ["dA"])["dA"]
+        slopes = [fit.slope for fit in fit_panel_trends(panel).values()]
+        d_max = max(slopes) - min(slopes)
+        off_diagonal = weights.values[~np.eye(n, dtype=bool)]
+        assert np.abs((n - 1) * off_diagonal - 1).max() <= d_max / (n - d_max) + 1e-12
 
 
 class TestBuilders:
