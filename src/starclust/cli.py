@@ -59,8 +59,6 @@ def _base_parser() -> argparse.ArgumentParser:
     p = add_parser("cluster", help="cluster countries under one scheme")
     p.add_argument("--scheme", required=True, choices=pipeline.SCHEMES)
     p.add_argument("--k", type=int, help="target number of main clusters")
-    p.add_argument("--min-size", dest="min_cluster_size", type=int,
-                   help="smallest non-idiosyncratic cluster")
 
     p = add_parser("weights", help="build one spatial weight matrix")
     p.add_argument("--kind", required=True, choices=weights.KINDS)

@@ -146,7 +146,7 @@ def agglomerate(dist: DistanceMatrix, consume: bool = False) -> Dendrogram:
 
 
 # Group codes besides the cluster numbers 1..k.
-IDIOSYNCRATIC = 0  # left in a component smaller than the cut's min_size
+IDIOSYNCRATIC = 0  # left as a singleton by the cut
 NULL = -1          # not clustered at all (scheme A: a non-significant slope)
 
 
@@ -158,7 +158,6 @@ class ClusterAssignment:
     scheme: str
     ids: tuple[str, ...]
     codes: np.ndarray
-    min_size: int
     resolved_components: int
 
     def __post_init__(self) -> None:
@@ -191,21 +190,18 @@ class ClusterAssignment:
         return names, np.searchsorted(present, key)
 
 
-def cut(dendro: Dendrogram, k: int, min_size: int = 2, scheme: str = "B",
+def cut(dendro: Dendrogram, k: int, scheme: str = "B",
         ids: Sequence[str] | None = None) -> ClusterAssignment:
-    """Flatten a dendrogram into exactly `k` clusters of at least `min_size`
-    leaves, as a ClusterAssignment over `ids` (default: the leaves).
+    """Flatten a dendrogram into exactly `k` clusters of at least two leaves,
+    as a ClusterAssignment over `ids` (default: the leaves).
 
-    Smaller components become idiosyncratic; the clusters are renumbered 1..k
-    by decreasing size (ties by smallest label). Ids that are not leaves get NULL.
+    Singletons become idiosyncratic; the clusters are renumbered 1..k by
+    decreasing size (ties by smallest label). Ids that are not leaves get NULL.
     """
     if k < 1:
         raise ValidationError(f"cut needs a positive k, got {k}")
-    if min_size < 1:
-        raise ValidationError("min_size must be at least 1")
-    m = _main_count_components(dendro, k, min_size)
-    components = dendro.components_at(m)
-    clusters = [c for c in components if len(c) >= min_size]
+    m = _main_count_components(dendro, k)
+    clusters = [c for c in dendro.components_at(m) if len(c) > 1]
     clusters.sort(key=lambda c: (-len(c), min(dendro.leaf_labels[i] for i in c)))
 
     leaf_codes = np.full(dendro.n_leaves, IDIOSYNCRATIC)
@@ -216,8 +212,7 @@ def cut(dendro: Dendrogram, k: int, min_size: int = 2, scheme: str = "B",
     codes = [code_of.pop(cid, NULL) for cid in ids]
     if code_of:
         raise ValidationError(f"dendrogram leaves absent from ids: {sorted(code_of)[:5]}")
-    return ClusterAssignment(scheme=scheme, ids=ids, codes=codes, min_size=min_size,
-                             resolved_components=m)
+    return ClusterAssignment(scheme=scheme, ids=ids, codes=codes, resolved_components=m)
 
 
 def _gap_ratios(heights: np.ndarray) -> np.ndarray:
@@ -228,28 +223,26 @@ def _gap_ratios(heights: np.ndarray) -> np.ndarray:
     return np.divide(high, low, out=ratios, where=low > 0)
 
 
-def _main_count_components(dendro: Dendrogram, k_main: int, min_size: int) -> int:
-    """Component count m whose cut yields exactly k_main clusters of size >= min_size.
+def _main_count_components(dendro: Dendrogram, k_main: int) -> int:
+    """Component count m whose cut yields exactly k_main clusters of size >= 2.
 
-    Among all qualifying m, prefer the cut sitting at the largest relative
-    height gap (the most natural place to cut the tree), ties to the coarsest.
+    A cluster is a merged node (id >= K), so each merge adds one cluster and
+    absorbs those among its two children. Among all qualifying m, prefer the
+    cut sitting at the largest relative height gap (the most natural place to
+    cut the tree), ties to the coarsest.
     """
     k = dendro.n_leaves
     heights = dendro.heights()
-    sizes: dict[int, int] = {i: 1 for i in range(k)}
-    big = sum(1 for s in sizes.values() if s >= min_size)
+    big = 0
     big_by_m = {k: big}
     for step, merge in enumerate(dendro.merges):
-        sa = sizes.pop(merge.left)
-        sb = sizes.pop(merge.right)
-        sizes[k + step] = sa + sb
-        big += (sa + sb >= min_size) - (sa >= min_size) - (sb >= min_size)
+        big += 1 - (merge.left >= k) - (merge.right >= k)
         big_by_m[k - step - 1] = big
 
     candidates = [m for m in range(1, k + 1) if big_by_m[m] == k_main]
     if not candidates:
         raise ValidationError(
-            f"no dendrogram cut produces exactly {k_main} clusters of size >= {min_size}"
+            f"no dendrogram cut produces exactly {k_main} clusters of size >= 2"
         )
 
     ratios = _gap_ratios(heights)
@@ -387,7 +380,7 @@ def assignment_to_json(assign: ClusterAssignment, path: str | Path) -> None:
         "idiosyncratic": assign.members(IDIOSYNCRATIC),
         "null_excluded": assign.members(NULL),
         "cut": {"kind": "main_count", "k": assign.n_clusters, "height": None,
-                "min_size": assign.min_size,
+                "min_size": 2,
                 "resolved_components": assign.resolved_components},
     })
 

@@ -33,7 +33,6 @@ class RunConfig:
     k_a: int = 4
     k_b: int = 5
     k_c: int = 12
-    min_cluster_size: int = 2
     rescale_distances: bool = False
     split_year: int = 2000
     horizon: int = 22
@@ -67,8 +66,6 @@ class RunConfig:
         for scheme in "ABC":
             if self.cluster_count(scheme) < 1:
                 raise ValidationError(f"cluster count for scheme {scheme} must be >= 1")
-        if self.min_cluster_size < 1:
-            raise ValidationError("min_cluster_size must be >= 1")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if not 0 < self.mcs_alpha < 1:
@@ -93,8 +90,7 @@ class RunConfig:
 _SCHEMA = {
     "data": {"panel": ("panel_path", str), "adjacency": ("adjacency_path", str),
              "zones": ("zones_path", str)},
-    "clusters": {"A": ("k_a", int), "B": ("k_b", int), "C": ("k_c", int),
-                 "min_size": ("min_cluster_size", int)},
+    "clusters": {"A": ("k_a", int), "B": ("k_b", int), "C": ("k_c", int)},
     "weights": {"rescale": ("rescale_distances", bool)},
     "mcs": {"alpha": ("mcs_alpha", float), "reps": ("mcs_reps", int),
             "block": ("mcs_block", int), "statistic": ("mcs_statistic", str)},

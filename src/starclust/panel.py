@@ -296,8 +296,9 @@ def load_panel(path: str | Path) -> TemperaturePanel:
     The csv module reads every header, every wide file, and the whole of the
     reporting pass. In the first pass np.loadtxt tokenizes and converts a
     long file's data lines, where it reads them as the csv module does (see
-    `_line_columns`): the benchmark's 97,600-row file loads in 48 ms instead
-    of 151 (2-vCPU VM). Both tokenizers give the same panel or message.
+    `_line_columns`): the benchmark's 97,600-row file loads in 47 ms instead
+    of 96 (fastest of 9 loads, 2-vCPU VM). Both tokenizers give the same
+    panel or message.
 
     The cyclic garbage collector is off while loading. The csv module makes
     one new list of strings per row. The lists hold no reference cycle, but

@@ -9,9 +9,9 @@ Three clustering schemes share one code path:
   C: Hamming distance between signs of the annual changes.
 
 Each scheme cuts the average-linkage dendrogram so that exactly k clusters of
-at least min_size countries remain; smaller components become idiosyncratic.
+at least two countries remain; the countries left alone become idiosyncratic.
 Scheme A clusters are renumbered by mean slope, fastest warming first.
-Every recipe reads k, min_size, the trend alpha and rescaling from a `RunConfig`.
+Every recipe reads k, the trend alpha and rescaling from a `RunConfig`.
 
 Ownership of distance matrices: `compute_scheme` links in place a matrix it
 computed itself, which nobody else sees, so clustering one scheme holds one
@@ -61,8 +61,8 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
     """Cluster the panel under one scheme with the run config's parameters.
 
     Scheme A tests slopes at `cfg.trend_alpha`. The cut searches for
-    exactly `cfg.cluster_count(scheme)` main clusters of at least
-    `cfg.min_cluster_size` countries.
+    exactly `cfg.cluster_count(scheme)` main clusters of at least two
+    countries.
     A scheme B or C `distance` the caller already holds is linked as a copy
     and left unchanged; without it, the matrix is computed and linked in place.
     """
@@ -77,9 +77,8 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
         dist = _scheme_distance(panel, scheme) if distance is None else distance
 
     dendro = agglomerate(dist, consume=dist is not distance)
-    assignment = cut(dendro, cfg.cluster_count(scheme), cfg.min_cluster_size,
-                     scheme=scheme, ids=panel.ids)
-    if scheme == "A" and assignment.n_clusters > 0:
+    assignment = cut(dendro, cfg.cluster_count(scheme), scheme=scheme, ids=panel.ids)
+    if scheme == "A":
         assignment = relabel_by_feature(assignment, slopes)
     return SchemeResult(scheme=scheme, assignment=assignment, dendrogram=dendro,
                         slopes=slopes)

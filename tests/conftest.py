@@ -124,7 +124,7 @@ def assignment_of(mapping: dict[str, int], idio=(), null=(), scheme: str = "B"):
     ids = sorted([*mapping, *idio, *null])
     codes = [mapping.get(cid, IDIOSYNCRATIC if cid in idio else NULL) for cid in ids]
     return ClusterAssignment(
-        scheme=scheme, ids=ids, codes=codes, min_size=2,
+        scheme=scheme, ids=ids, codes=codes,
         resolved_components=len(set(mapping.values())) + len(idio))
 
 

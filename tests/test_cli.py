@@ -774,11 +774,12 @@ class TestMalformedInputs:
         assert not (tmp_path / "report.csv").exists()
 
     # Each removed flag after the command that took it: cluster's cut rule
-    # flags and weights' rescaling share.
+    # flags and smallest cluster size, and weights' rescaling share.
     @pytest.mark.parametrize("flags", [
         (("cluster", "--scheme", "B"), ("--cut", "height")),
         (("cluster", "--scheme", "B"), ("--height", "0")),
-        (("weights", "--kind", "dB", "--rescale"), ("--rho", "0.9"))])
+        (("weights", "--kind", "dB", "--rescale"), ("--rho", "0.9")),
+        (("cluster", "--scheme", "B"), ("--min-size", "2"))])
     def test_removed_cut_flags_exit_2(self, tmp_path, flags):
         command, removed = flags
         result = self.run_cli(*command, *removed, "--out", str(tmp_path))
@@ -799,14 +800,18 @@ class TestMalformedInputs:
         self.assert_clean_exit_2(result, f"unrecognized arguments: {' '.join(argv[-2:])}")
         assert not out.exists()
 
-    def test_removed_rho_key_exits_2(self, dataset, tmp_path):
-        # Rescaling maps the largest distance to 0.95 N; no key sets another share.
+    # Rescaling maps the largest distance to 0.95 N and a cluster holds at
+    # least two countries; no key sets another share or size.
+    @pytest.mark.parametrize("section, key, value", [
+        ("weights", "rho", "0.9"), ("clusters", "min_size", "2")],
+        ids=["weights.rho", "clusters.min_size"])
+    def test_removed_config_key_exits_2(self, dataset, tmp_path, section, key, value):
         config = tmp_path / "run.yaml"
-        config.write_text("weights:\n  rescale: true\n  rho: 0.9\n", encoding="utf-8")
+        config.write_text(f"{section}:\n  {key}: {value}\n", encoding="utf-8")
         out = tmp_path / "out"
         result = self.run_cli("weights", "--kind", "dB", "--config", str(config),
                               "--data", str(dataset["panel"]), "--out", str(out))
-        self.assert_clean_exit_2(result, "unknown config key weights.rho")
+        self.assert_clean_exit_2(result, f"unknown config key {section}.{key}")
         assert not out.exists()
 
     def test_repeated_config_key_exits_2(self, dataset, tmp_path):
@@ -836,7 +841,7 @@ class TestMalformedInputs:
                 (("cluster", "--scheme", "B", "--k", "3"),
                  "non-finite difference distances for C04"),
                 # C04 is left idiosyncratic, so no cluster summary overflows.
-                (("cluster", "--scheme", "C", "--k", "3", "--min-size", "2"),
+                (("cluster", "--scheme", "C", "--k", "3"),
                  "non-finite scheme C feature mean for C04")]:
             result = self.run_cli(*command, "--data", str(panel), "--adjacency",
                                   str(dataset["adjacency"]), "--out", str(tmp_path))

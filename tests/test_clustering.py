@@ -347,9 +347,10 @@ class TestCutRules:
         return square(values, labels)
 
     def test_count_rule_single_cluster(self):
-        # With min_size 1 the only qualifying cut has exactly k components.
+        # k = 1 resolves to the root: its gap is infinite, and ties go to
+        # the coarsest cut.
         dendro = agglomerate(self.grouped())
-        assign = cut(dendro, 1, min_size=1)
+        assign = cut(dendro, 1)
         assert assign.n_clusters == 1
         assert set(assign.members(1)) == set(self.grouped().labels)
         assert assign.members(IDIOSYNCRATIC) == []
@@ -395,15 +396,12 @@ class TestCutRules:
         dendro = agglomerate(self.grouped())
         with pytest.raises(ValidationError, match="positive k"):
             cut(dendro, 0)
-        with pytest.raises(ValidationError, match="min_size"):
-            cut(dendro, 2, min_size=0)
 
 
 class TestClusterAssignment:
     def make(self, **kw):
         base = dict(scheme="B", ids=("a", "b", "c", "d", "e", "f"),
-                    codes=(1, 1, 2, 2, IDIOSYNCRATIC, NULL),
-                    min_size=2, resolved_components=3)
+                    codes=(1, 1, 2, 2, IDIOSYNCRATIC, NULL), resolved_components=3)
         base.update(kw)
         return ClusterAssignment(**base)
 
@@ -451,8 +449,7 @@ class TestRelabelByFeature:
 
     def test_untouched_metadata(self):
         assign = ClusterAssignment(scheme="A", ids=("a", "b", "i", "n"),
-                                   codes=(1, 2, IDIOSYNCRATIC, NULL),
-                                   min_size=2, resolved_components=4)
+                                   codes=(1, 2, IDIOSYNCRATIC, NULL), resolved_components=4)
         out = relabel_by_feature(assign, np.array([0.0, 1.0, 5.0, 9.0]))
         assert out.members(IDIOSYNCRATIC) == ["i"]
         assert out.members(NULL) == ["n"]
@@ -566,8 +563,7 @@ class TestLoopParity:
         codes = rng.integers(NULL, k + 1, size=len(ids))
         codes[:k] = np.arange(1, k + 1)  # every cluster nonempty
         rng.shuffle(codes)
-        return ClusterAssignment(scheme="B", ids=ids, codes=codes, min_size=2,
-                                 resolved_components=k)
+        return ClusterAssignment(scheme="B", ids=ids, codes=codes, resolved_components=k)
 
     @staticmethod
     def category(assign, cid):

@@ -9,7 +9,6 @@ class TestDefaults:
         cfg = RunConfig()
         assert cfg.trend_alpha == 0.05
         assert (cfg.k_a, cfg.k_b, cfg.k_c) == (4, 5, 12)
-        assert cfg.min_cluster_size == 2
         assert cfg.split_year == 2000
         assert cfg.horizon == 22
         assert cfg.mcs_alpha == 0.01
@@ -53,7 +52,6 @@ class TestValidation:
         ("trend_alpha", 1.0, "trend_alpha"),
         ("k_a", 0, "scheme A"),
         ("k_c", -1, "scheme C"),
-        ("min_cluster_size", 0, "min_cluster_size"),
         ("horizon", 0, "horizon"),
         ("mcs_alpha", 0.0, "mcs_alpha"),
         ("mcs_reps", 50, "mcs_reps"),
@@ -90,7 +88,7 @@ class TestConfigFromDict:
     def test_nested_sections(self):
         cfg = config_from_dict({
             "data": {"panel": "p.csv", "adjacency": "a.csv", "zones": "z.csv"},
-            "clusters": {"A": 3, "B": 6, "C": 10, "min_size": 3},
+            "clusters": {"A": 3, "B": 6, "C": 10},
             "weights": {"rescale": True},
             "mcs": {"alpha": 0.05, "reps": 2000, "block": 3, "statistic": "R"},
             "seed": 7,
@@ -99,7 +97,6 @@ class TestConfigFromDict:
         assert cfg.panel_path == "p.csv"
         assert cfg.adjacency_path == "a.csv"
         assert (cfg.k_a, cfg.k_b, cfg.k_c) == (3, 6, 10)
-        assert cfg.min_cluster_size == 3
         assert cfg.rescale_distances is True
         assert cfg.mcs_alpha == 0.05
         assert cfg.mcs_statistic == "R"

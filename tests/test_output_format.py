@@ -21,8 +21,7 @@ INF = float("inf")
 
 
 def _assignment(ids=("a", "b", "c", "d", "e", "f"), codes=(1, 1, 0, -1, 2, 2)):
-    return ClusterAssignment(scheme="B", ids=ids, codes=codes,
-                             min_size=2, resolved_components=3)
+    return ClusterAssignment(scheme="B", ids=ids, codes=codes, resolved_components=3)
 
 
 def _weights():

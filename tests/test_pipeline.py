@@ -71,8 +71,9 @@ class TestComputeScheme:
             compute_scheme(grouped_panel, "D", CFG)
 
     def test_explicit_rule_override(self, grouped_panel):
-        # With min_size 1 the only qualifying cut has exactly k components.
-        cfg = CFG.with_overrides(k_b=1, min_cluster_size=1)
+        # k = 1 resolves to the root: its gap is infinite, and ties go to
+        # the coarsest cut.
+        cfg = CFG.with_overrides(k_b=1)
         res = compute_scheme(grouped_panel, "B", cfg)
         assert res.assignment.n_clusters == 1
         assert len(res.assignment.members(1)) == 9
@@ -155,7 +156,7 @@ class TestDistanceOwnership:
                            ids=[f"C{i:03d}" for i in range(k)])
         tracemalloc.start()
         try:
-            compute_scheme(panel, scheme, CFG.with_overrides(k_b=5, k_c=5, min_cluster_size=1))
+            compute_scheme(panel, scheme, CFG.with_overrides(k_b=5, k_c=5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -230,8 +231,8 @@ class TestBuildWeights:
             build_weights(grouped_panel, CFG, kinds=("NN", "zz"))
 
     def test_distance_kinds_skip_the_cut(self, grouped_panel):
-        # k=7 main clusters cannot exist among 9 countries at min_size 2, so
-        # the clustered kind fails, but the full-distance kind never cuts.
+        # 9 countries hold at most 4 clusters of two or more, so k=7 fails
+        # for the clustered kind, but the full-distance kind never cuts.
         adj = chain_adjacency(grouped_panel.ids)
         cfg = RunConfig(k_b=7, rescale_distances=True)
         with pytest.raises(ValidationError, match="no dendrogram cut"):

@@ -342,7 +342,7 @@ class TestNoNegativeSimilarity:
             w = distance_weights(dist, panel, kind="dB", rescale=rescale)
             assert w.values.tobytes() == clamped_weights(
                 dist.values, rows, n, rescale).tobytes(), seed
-            assign = ClusterAssignment(scheme="B", ids=panel.ids, codes=codes, min_size=2,
+            assign = ClusterAssignment(scheme="B", ids=panel.ids, codes=codes,
                                        resolved_components=0)
             w = cluster_restricted_weights(dist, assign, panel, kind="cB", rescale=rescale)
             assert w.values.tobytes() == clamped_weights(
