@@ -1,9 +1,11 @@
 """Command-line pipeline: trends, clustering, weights, STAR fits, forecasts,
 and the full evaluation table.
 
-Configuration comes from a YAML file (--config flag or the STARCLUST_CONFIG
-environment variable); every flag overrides its config key. Outputs are
-deterministic: a fixed seed and config produce byte-identical files.
+Configuration comes from the YAML file named by --config; every flag
+overrides its config key. The significance levels are the paper's, 5% for
+slopes and 1% for the MCS, and every written p-value carries any other.
+Outputs are deterministic: a fixed seed and config produce byte-identical
+files.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 numerical failure.
 """
@@ -28,15 +30,12 @@ from .errors import NumericalError, StarclustError, ValidationError
 from .panel import (TemperaturePanel, _column_index, _read_rows, attach_zones,
                     load_adjacency, load_panel, split_panel, write_csv)
 
-CONFIG_ENV = "STARCLUST_CONFIG"
-
 
 def _base_parser() -> argparse.ArgumentParser:
     # Flags are spelled in full: argparse would otherwise take an abbreviation,
     # or a typo of one flag, as a flag that shares its prefix.
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--config", help="YAML run configuration "
-                        f"(default: ${CONFIG_ENV} if set)")
+    common.add_argument("--config", help="YAML run configuration")
     common.add_argument("--data", dest="panel_path", help="panel CSV (long or wide)")
     common.add_argument("--adjacency", dest="adjacency_path",
                         help="country adjacency CSV")
@@ -52,9 +51,7 @@ def _base_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     add_parser = partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
-    p = add_parser("trends", help="fit per-country linear trends")
-    p.add_argument("--alpha", dest="trend_alpha", type=float,
-                   help="significance level for slopes")
+    add_parser("trends", help="fit per-country linear trends")
 
     p = add_parser("cluster", help="cluster countries under one scheme")
     p.add_argument("--scheme", required=True, choices=pipeline.SCHEMES)
@@ -77,7 +74,6 @@ def _base_parser() -> argparse.ArgumentParser:
     evaluate = add_parser("evaluate", help="in-sample + out-of-sample table with MCS p-values")
     mcs = add_parser("mcs", help="model confidence set over forecast losses")
     for p in (evaluate, mcs):
-        p.add_argument("--mcs-alpha", dest="mcs_alpha", type=float)
         p.add_argument("--reps", dest="mcs_reps", type=int)
         p.add_argument("--block", dest="mcs_block", type=int)
         p.add_argument("--statistic", dest="mcs_statistic", choices=("SQ", "R"))
@@ -92,8 +88,7 @@ def _base_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """The config file's values, overridden by every flag named after a field."""
-    path = args.config or os.environ.get(CONFIG_ENV)
-    cfg = load_config(path) if path else RunConfig()
+    cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     if getattr(args, "k", None) is not None:
         overrides[f"k_{args.scheme.lower()}"] = args.k
@@ -134,11 +129,11 @@ def _outdir(cfg: RunConfig, args: argparse.Namespace, created: list[Path]) -> Pa
 
 def cmd_trends(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
                adjacency: np.ndarray | None, out: Path) -> int:
-    fits = trends.fit_panel_trends(panel, alpha=cfg.trend_alpha)
+    fits = trends.fit_panel_trends(panel)
     trends.write_trend_table(fits, out / "trends.csv")
     null_ids = sorted(cid for cid, fit in fits.items() if not fit.significant)
     print(f"fitted {len(fits)} linear trends over {panel.years[0]}-{panel.years[-1]}")
-    print(f"non-significant slopes at alpha={cfg.trend_alpha}: {len(null_ids)}"
+    print(f"non-significant slopes at alpha={trends.ALPHA}: {len(null_ids)}"
           + (f" ({', '.join(null_ids)})" if null_ids else ""))
     print(f"wrote {out / 'trends.csv'}")
     return 0
@@ -284,7 +279,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
     for row in report.rows():
         print(f"{row['model']:<6} {row['in_sample_fn']:>13.1f} "
               f"{row['out_of_sample_fn']:>10.1f} {row['mcs_p']:>7.3f}")
-    print(f"MCS survivors at alpha={cfg.mcs_alpha}: "
+    print(f"MCS survivors at alpha={report.mcs_report.alpha}: "
           f"{', '.join(report.mcs_report.survivors)}")
     print(f"wrote report.csv, report.json, plot_losses.csv under {out}")
     return 0
@@ -309,7 +304,7 @@ def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel | 
     print(f"{'model':<8} {'mcs_p':>7}")
     for model, p in report.eliminations:
         print(f"{model:<8} {p:>7.3f}")
-    print(f"survivors at alpha={cfg.mcs_alpha}: {', '.join(report.survivors)}")
+    print(f"survivors at alpha={report.alpha}: {', '.join(report.survivors)}")
     print(f"wrote {payload_path}")
     return 0
 

@@ -29,14 +29,12 @@ class RunConfig:
     zones_path: str | None = None
     output_dir: str = "out"
     seed: int = 0
-    trend_alpha: float = 0.05
     k_a: int = 4
     k_b: int = 5
     k_c: int = 12
     rescale_distances: bool = False
     split_year: int = 2000
     horizon: int = 22
-    mcs_alpha: float = 0.01
     mcs_reps: int = 10_000
     mcs_block: int = 2
     mcs_statistic: str = "SQ"
@@ -61,15 +59,11 @@ class RunConfig:
                 raise ValidationError(f"{label} file not found: {path}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.trend_alpha < 1:
-            raise ValidationError(f"trend_alpha outside (0, 1): {self.trend_alpha}")
         for scheme in "ABC":
             if self.cluster_count(scheme) < 1:
                 raise ValidationError(f"cluster count for scheme {scheme} must be >= 1")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0 < self.mcs_alpha < 1:
-            raise ValidationError(f"mcs_alpha outside (0, 1): {self.mcs_alpha}")
         if self.mcs_reps < 100:
             raise ValidationError(f"mcs_reps must be >= 100, got {self.mcs_reps}")
         if self.mcs_block < 1:
@@ -92,19 +86,17 @@ _SCHEMA = {
              "zones": ("zones_path", str)},
     "clusters": {"A": ("k_a", int), "B": ("k_b", int), "C": ("k_c", int)},
     "weights": {"rescale": ("rescale_distances", bool)},
-    "mcs": {"alpha": ("mcs_alpha", float), "reps": ("mcs_reps", int),
-            "block": ("mcs_block", int), "statistic": ("mcs_statistic", str)},
+    "mcs": {"reps": ("mcs_reps", int), "block": ("mcs_block", int),
+            "statistic": ("mcs_statistic", str)},
 }
 _TOP_LEVEL = {
     "output_dir": ("output_dir", str), "seed": ("seed", int),
-    "trend_alpha": ("trend_alpha", float), "split_year": ("split_year", int),
-    "horizon": ("horizon", int), "granularity": ("granularity", str),
+    "split_year": ("split_year", int), "horizon": ("horizon", int),
+    "granularity": ("granularity", str),
 }
 
 
 def _coerce(value: Any, target: type, where: str) -> Any:
-    if target is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
     if not isinstance(value, target) or (target is int and isinstance(value, bool)):
         raise ValidationError(f"{where}: expected {target.__name__}, got {type(value).__name__}")
     return value

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 
 class StarclustError(Exception):
     """Base class for all package-specific errors."""
@@ -30,3 +32,13 @@ def undecodable(path: str | Path) -> ValidationError:
         return ValidationError(f"{path}:{line}: not valid UTF-8 "
                                f"(byte 0x{data[exc.start]:02x})")
     return ValidationError(f"{path}: not valid UTF-8")
+
+
+def allocate(shape: tuple[int, ...]) -> np.ndarray:
+    """`np.empty(shape)`, whose refusal is always a MemoryError: numpy raises
+    ValueError instead for a shape past the address space, before it takes
+    any memory."""
+    try:
+        return np.empty(shape)
+    except ValueError as exc:
+        raise MemoryError(f"Unable to allocate an array with shape {shape}: {exc}") from None

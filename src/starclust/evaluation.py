@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, allocate
 from .panel import TemperaturePanel, split_panel, write_csv, write_json
 from .star import fit_star, fitted_levels, forecast
 from .weights import WeightMatrix
@@ -186,7 +186,7 @@ def _boot_means(matrix: np.ndarray, block: int, reps: int,
     full = windows.sum(axis=2)
     last = windows[:, :, :tail].sum(axis=2)
     total = sliding_window_view(matrix, n_periods, axis=1).sum(axis=2)[:, 0]
-    sums = np.empty((n_models, reps))
+    sums = allocate((n_models, reps))
     offsets = (np.arange(_REP_CHUNK) * n_starts)[:, None]
     ones = np.ones(_REP_CHUNK * math.ceil(n_periods / block))
     done = 0

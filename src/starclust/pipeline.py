@@ -11,7 +11,8 @@ Three clustering schemes share one code path:
 Each scheme cuts the average-linkage dendrogram so that exactly k clusters of
 at least two countries remain; the countries left alone become idiosyncratic.
 Scheme A clusters are renumbered by mean slope, fastest warming first.
-Every recipe reads k, the trend alpha and rescaling from a `RunConfig`.
+Every recipe reads k and rescaling from a `RunConfig`; slopes are tested at
+the paper's fixed 5% level.
 
 Ownership of distance matrices: `compute_scheme` links in place a matrix it
 computed itself, which nobody else sees, so clustering one scheme holds one
@@ -60,9 +61,9 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
                    distance: DistanceMatrix | None = None) -> SchemeResult:
     """Cluster the panel under one scheme with the run config's parameters.
 
-    Scheme A tests slopes at `cfg.trend_alpha`. The cut searches for
-    exactly `cfg.cluster_count(scheme)` main clusters of at least two
-    countries.
+    Scheme A tests slopes at the paper's 5% level, `trends.ALPHA`. The cut
+    searches for exactly `cfg.cluster_count(scheme)` main clusters of at
+    least two countries.
     A scheme B or C `distance` the caller already holds is linked as a copy
     and left unchanged; without it, the matrix is computed and linked in place.
     """
@@ -71,7 +72,7 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
 
     slopes = None
     if scheme == "A":
-        slopes, significant = _panel_slopes(panel, cfg)
+        slopes, significant = _panel_slopes(panel)
         dist = _scheme_distance(panel, scheme, slopes, significant)
     else:
         dist = _scheme_distance(panel, scheme) if distance is None else distance
@@ -84,9 +85,9 @@ def compute_scheme(panel: TemperaturePanel, scheme: str, cfg: RunConfig,
                         slopes=slopes)
 
 
-def _panel_slopes(panel: TemperaturePanel, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+def _panel_slopes(panel: TemperaturePanel) -> tuple[np.ndarray, np.ndarray]:
     """Scheme A's trend slopes in panel order and the mask of significant ones."""
-    fits = fit_panel_trends(panel, alpha=cfg.trend_alpha).values()
+    fits = fit_panel_trends(panel).values()
     return (np.array([fit.slope for fit in fits], dtype=float),
             np.array([fit.significant for fit in fits], dtype=bool))
 
@@ -156,7 +157,7 @@ def build_weights(panel: TemperaturePanel, cfg: RunConfig,
                                     result.assignment.codes != NULL)
         else:
             # dA needs no cut; it reuses scheme A's slopes when clustering ran.
-            slopes = _panel_slopes(panel, cfg)[0] if result is None else result.slopes
+            slopes = _panel_slopes(panel)[0] if result is None else result.slopes
             dist = _scheme_distance(panel, scheme, slopes)
         if clustered:
             out[kind] = cluster_restricted_weights(dist, result.assignment, panel, kind=kind,
@@ -187,11 +188,10 @@ def out_of_sample(panel: TemperaturePanel, cfg: RunConfig,
 
 def confidence_set(losses: Sequence[evaluation.LossSeries],
                    cfg: RunConfig) -> evaluation.McsReport:
-    """The MCS over `losses` with the run config's alpha, replications,
-    block length, statistic and seed."""
-    return evaluation.mcs(losses, alpha=cfg.mcs_alpha, reps=cfg.mcs_reps,
-                          block=cfg.mcs_block, statistic=cfg.mcs_statistic,
-                          seed=cfg.seed)
+    """The MCS over `losses` at the paper's 1% level, with the run config's
+    replications, block length, statistic and seed."""
+    return evaluation.mcs(losses, reps=cfg.mcs_reps, block=cfg.mcs_block,
+                          statistic=cfg.mcs_statistic, seed=cfg.seed)
 
 
 def evaluate(panel: TemperaturePanel, cfg: RunConfig,

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, allocate
 from .panel import TemperaturePanel, write_csv
 from .trends import panel_differences
 from .weights import WeightMatrix
@@ -183,7 +183,8 @@ def forecast(model: StarModel, panel: TemperaturePanel, horizon: int) -> np.ndar
     levels integrate the differences from the last observed level. Returns
     the N x horizon level array for the years after `panel.years[-1]`. The
     steps fill that array, which then holds their running sums: one
-    allocation, so an impossible horizon fails at once with MemoryError.
+    allocation, so an impossible horizon, one past the address space
+    included, fails at once with MemoryError.
     """
     if horizon < 1:
         raise ValidationError(f"forecast horizon must be at least 1, got {horizon}")
@@ -192,7 +193,7 @@ def forecast(model: StarModel, panel: TemperaturePanel, horizon: int) -> np.ndar
     c, phi, psi = model.c, model.phi, model.psi
     weights = model.weights.values
     current = panel_differences(panel)[:, -1]
-    levels = np.empty((panel.n_countries, horizon))
+    levels = allocate((panel.n_countries, horizon))
     for step in range(horizon):
         current = c + phi * current + psi * (weights @ current)
         levels[:, step] = current

@@ -105,7 +105,10 @@ def student_t_sf2(t_stat: float, df: int) -> float:
     return _incomplete_beta(df / 2.0, 0.5, df / (df + tt), tt / (df + tt))
 
 
-def fit_panel_trends(panel: TemperaturePanel, alpha: float = 0.05) -> dict[str, TrendFit]:
+ALPHA = 0.05  # the paper's level: a slope with p >= 5% is "null"
+
+
+def fit_panel_trends(panel: TemperaturePanel, alpha: float = ALPHA) -> dict[str, TrendFit]:
     """Fit temperature = intercept + slope * t + noise, t = 1..T, for every country.
 
     Returns each country's TrendFit, keys in panel order, with the classical

@@ -572,21 +572,24 @@ class TestMcs:
 class TestConfigResolution:
     def test_env_var_supplies_config(self, dataset, tmp_path, monkeypatch,
                                      capsys):
+        # STARCLUST_CONFIG supplies no config: only --config names one.
         monkeypatch.setenv("STARCLUST_CONFIG", str(dataset["config"]))
-        rc = main(["trends", "--out", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert (tmp_path / "trends.csv").is_file()
+        out = tmp_path / "out"
+        assert main(["trends", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no panel data file configured\n"
+        assert not out.exists()
 
     def test_config_flag_beats_env_var(self, dataset, tmp_path, monkeypatch,
                                        capsys):
+        # With STARCLUST_CONFIG naming a broken config, --config alone decides.
         bad = tmp_path / "bad.yaml"
         bad.write_text("data:\n  panel: /nonexistent/panel.csv\n")
-        monkeypatch.setenv("STARCLUST_CONFIG", str(dataset["config"]))
-        rc = main(["trends", "--config", str(bad), "--out", str(tmp_path)])
+        monkeypatch.setenv("STARCLUST_CONFIG", str(bad))
+        rc = main(["trends", "--config", str(dataset["config"]),
+                   "--out", str(tmp_path)])
         captured = capsys.readouterr()
-        assert rc == 2
-        assert "panel file not found: /nonexistent/panel.csv" in captured.err
+        assert rc == 0, captured.err
+        assert (tmp_path / "trends.csv").is_file()
 
     def test_workers_flag_and_key_are_unknown(self, dataset, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -667,8 +670,8 @@ class TestFlagCoverage:
             elif action.choices:
                 from_file, from_flag = action.choices[-1], action.choices[0]
                 argv = [flag, from_flag]
-            elif action.type in (int, float):
-                from_file, from_flag = action.type(3), action.type(7)
+            elif action.type is int:
+                from_file, from_flag = 3, 7
                 argv = [flag, str(from_flag)]
             else:
                 from_file, from_flag = "from-file", "from-flag"
@@ -719,7 +722,6 @@ class TestMalformedInputs:
     @staticmethod
     def run_cli(*argv):
         env = dict(os.environ, PYTHONPATH=str(Path(starclust.__file__).parents[1]))
-        env.pop("STARCLUST_CONFIG", None)
         return subprocess.run([sys.executable, "-m", "starclust.cli", *argv],
                               capture_output=True, text=True, env=env)
 
@@ -774,12 +776,16 @@ class TestMalformedInputs:
         assert not (tmp_path / "report.csv").exists()
 
     # Each removed flag after the command that took it: cluster's cut rule
-    # flags and smallest cluster size, and weights' rescaling share.
+    # flags and smallest cluster size, weights' rescaling share, and the
+    # significance levels of trends and of the MCS.
     @pytest.mark.parametrize("flags", [
         (("cluster", "--scheme", "B"), ("--cut", "height")),
         (("cluster", "--scheme", "B"), ("--height", "0")),
         (("weights", "--kind", "dB", "--rescale"), ("--rho", "0.9")),
-        (("cluster", "--scheme", "B"), ("--min-size", "2"))])
+        (("cluster", "--scheme", "B"), ("--min-size", "2")),
+        (("trends",), ("--alpha", "0.1")),
+        (("evaluate",), ("--mcs-alpha", "0.05")),
+        (("mcs",), ("--mcs-alpha", "0.05"))])
     def test_removed_cut_flags_exit_2(self, tmp_path, flags):
         command, removed = flags
         result = self.run_cli(*command, *removed, "--out", str(tmp_path))
@@ -800,18 +806,22 @@ class TestMalformedInputs:
         self.assert_clean_exit_2(result, f"unrecognized arguments: {' '.join(argv[-2:])}")
         assert not out.exists()
 
-    # Rescaling maps the largest distance to 0.95 N and a cluster holds at
-    # least two countries; no key sets another share or size.
-    @pytest.mark.parametrize("section, key, value", [
-        ("weights", "rho", "0.9"), ("clusters", "min_size", "2")],
-        ids=["weights.rho", "clusters.min_size"])
-    def test_removed_config_key_exits_2(self, dataset, tmp_path, section, key, value):
+    # Rescaling maps the largest distance to 0.95 N, a cluster holds at least
+    # two countries, and slopes and the MCS are read at the paper's 5% and
+    # 1%; no key sets another share, size or level.
+    @pytest.mark.parametrize("text, message", [
+        ("weights:\n  rho: 0.9\n", "unknown config key weights.rho"),
+        ("clusters:\n  min_size: 2\n", "unknown config key clusters.min_size"),
+        ("trend_alpha: 0.1\n", "unknown config key 'trend_alpha'"),
+        ("mcs:\n  alpha: 0.05\n", "unknown config key mcs.alpha")],
+        ids=["weights.rho", "clusters.min_size", "trend_alpha", "mcs.alpha"])
+    def test_removed_config_key_exits_2(self, dataset, tmp_path, text, message):
         config = tmp_path / "run.yaml"
-        config.write_text(f"{section}:\n  {key}: {value}\n", encoding="utf-8")
+        config.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
         result = self.run_cli("weights", "--kind", "dB", "--config", str(config),
                               "--data", str(dataset["panel"]), "--out", str(out))
-        self.assert_clean_exit_2(result, f"unknown config key {section}.{key}")
+        self.assert_clean_exit_2(result, message)
         assert not out.exists()
 
     def test_repeated_config_key_exits_2(self, dataset, tmp_path):
@@ -930,6 +940,22 @@ class TestMalformedInputs:
         assert capsys.readouterr().err == (
             "error: not enough memory: Unable to allocate 5.22e+03 GiB for an array "
             "with shape (7, 100000000000) and data type float64\n")
+        assert list(tmp_path.iterdir()) == []
+
+    # A shape past the address space, which numpy refuses with ValueError
+    # before it takes any memory, is a refused allocation like any other.
+    @pytest.mark.parametrize("argv, shape", [
+        (("forecast", "--kind", "dA", "--horizon", str(10**20)), f"(9, {10**20})"),
+        (("forecast", "--kind", "dA", "--horizon", str(2**63 - 1)), f"(9, {2**63 - 1})"),
+        (("evaluate", "--reps", str(2**63 - 1)), f"(7, {2**63 - 1})"),
+        (("mcs", "--reps", str(10**20)), f"(7, {10**20})")],
+        ids=["forecast-1e20", "forecast-int64", "evaluate-int64", "mcs-1e20"])
+    def test_shape_past_the_address_space_is_a_refused_allocation(self, dataset, tmp_path,
+                                                                  argv, shape):
+        result = self.run_cli(*argv, "--config", str(dataset["config"]),
+                              "--out", str(tmp_path / "a" / "b"))
+        self.assert_clean_exit_2(result, "error: not enough memory: Unable to allocate "
+                                         f"an array with shape {shape}: ")
         assert list(tmp_path.iterdir()) == []
 
     def test_bare_memory_error_is_named(self, dataset, tmp_path, capsys, monkeypatch):
@@ -1110,10 +1136,10 @@ def _blas_is_openblas() -> bool:
 class TestImportFootprint:
     @staticmethod
     def fresh_python(script, *args, **env_vars):
-        """Run `script` in a new interpreter whose environment sets no
-        STARCLUST_CONFIG and none of the BLAS thread variables beyond `env_vars`."""
+        """Run `script` in a new interpreter whose environment sets none of
+        the BLAS thread variables beyond `env_vars`."""
         env = {name: value for name, value in os.environ.items()
-               if name not in (*_BLAS_THREAD_VARS, "STARCLUST_CONFIG")}
+               if name not in _BLAS_THREAD_VARS}
         env.update(env_vars, PYTHONPATH=str(Path(starclust.__file__).parents[1]))
         return subprocess.run([sys.executable, "-c", script, *args],
                               capture_output=True, text=True, env=env)

@@ -7,11 +7,9 @@ from starclust import RunConfig, ValidationError, config_from_dict, load_config
 class TestDefaults:
     def test_reproduction_defaults(self):
         cfg = RunConfig()
-        assert cfg.trend_alpha == 0.05
         assert (cfg.k_a, cfg.k_b, cfg.k_c) == (4, 5, 12)
         assert cfg.split_year == 2000
         assert cfg.horizon == 22
-        assert cfg.mcs_alpha == 0.01
         assert cfg.mcs_reps == 10_000
         assert cfg.mcs_block == 2
         assert cfg.mcs_statistic == "SQ"
@@ -48,12 +46,9 @@ class TestValidation:
             cfg.validate()
 
     @pytest.mark.parametrize("field,value,match", [
-        ("trend_alpha", 0.0, "trend_alpha"),
-        ("trend_alpha", 1.0, "trend_alpha"),
         ("k_a", 0, "scheme A"),
         ("k_c", -1, "scheme C"),
         ("horizon", 0, "horizon"),
-        ("mcs_alpha", 0.0, "mcs_alpha"),
         ("mcs_reps", 50, "mcs_reps"),
         ("mcs_block", 0, "mcs_block"),
         ("mcs_statistic", "max", "mcs_statistic"),
@@ -90,7 +85,7 @@ class TestConfigFromDict:
             "data": {"panel": "p.csv", "adjacency": "a.csv", "zones": "z.csv"},
             "clusters": {"A": 3, "B": 6, "C": 10},
             "weights": {"rescale": True},
-            "mcs": {"alpha": 0.05, "reps": 2000, "block": 3, "statistic": "R"},
+            "mcs": {"reps": 2000, "block": 3, "statistic": "R"},
             "seed": 7,
             "horizon": 10,
         })
@@ -98,8 +93,7 @@ class TestConfigFromDict:
         assert cfg.adjacency_path == "a.csv"
         assert (cfg.k_a, cfg.k_b, cfg.k_c) == (3, 6, 10)
         assert cfg.rescale_distances is True
-        assert cfg.mcs_alpha == 0.05
-        assert cfg.mcs_statistic == "R"
+        assert (cfg.mcs_reps, cfg.mcs_block, cfg.mcs_statistic) == (2000, 3, "R")
         assert cfg.seed == 7 and cfg.horizon == 10
 
     def test_unknown_top_level_key(self):
@@ -117,10 +111,6 @@ class TestConfigFromDict:
     def test_root_must_be_mapping(self):
         with pytest.raises(ValidationError, match="root must be a mapping"):
             config_from_dict(["a", "b"])
-
-    def test_int_promotes_to_float(self):
-        cfg = config_from_dict({"trend_alpha": 1})
-        assert cfg.trend_alpha == 1.0 and isinstance(cfg.trend_alpha, float)
 
     def test_bool_is_not_int(self):
         with pytest.raises(ValidationError, match="expected int, got bool"):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from starclust import DistanceMatrix, agglomerate, hamming_distance
-from starclust.config import RunConfig
 from starclust.pipeline import _panel_slopes, _scheme_distance
 
 from _oracles import copying_agglomerate
@@ -86,7 +85,7 @@ def test_merged_row_rounding_below_the_merge_height():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_generated_scheme_matrices(seed, k):
     panel = generated_panel(seed, k)
-    slopes, significant = _panel_slopes(panel, RunConfig())
+    slopes, significant = _panel_slopes(panel)
     assert_same_merges(_scheme_distance(panel, "A", slopes, significant))
     for scheme in ("B", "C"):
         assert_same_merges(_scheme_distance(panel, scheme))

@@ -42,7 +42,7 @@ class TestComputeScheme:
         assert assign.members(1) == GROUPS[1]
         assert assign.members(2) == GROUPS[2]
         # Relabeling puts the fastest-warming cluster first.
-        fits = fit_panel_trends(grouped_panel, alpha=CFG.trend_alpha)
+        fits = fit_panel_trends(grouped_panel)
         assert res.slopes.tolist() == [fits[cid].slope for cid in grouped_panel.ids]
         mean1 = res.slopes[assign.codes == 1].mean()
         mean2 = res.slopes[assign.codes == 2].mean()
