@@ -26,7 +26,7 @@ import numpy as np
 
 from . import clustering, evaluation, pipeline, star, trends, weights
 from .config import RunConfig, load_config
-from .errors import NumericalError, StarclustError, ValidationError
+from .errors import NumericalError, StarclustError, ValidationError, check_formable
 from .panel import (TemperaturePanel, _column_index, _read_rows, attach_zones,
                     load_adjacency, load_panel, split_panel, write_csv)
 
@@ -358,9 +358,10 @@ def main(argv: list[str] | None = None) -> int:
     validate the config, load the panel (with zones) and any adjacency, and
     create the output directory, with every output path checked. `mcs
     --losses` reads no panel; otherwise `evaluate` and `mcs` check their
-    block length against the horizon before the panel is read. A run that
-    fails, an allocation numpy refuses included, removes each directory it
-    created that is still empty.
+    block length against the horizon, and their reps against the largest
+    array numpy can form, before the panel is read. A run that fails, an
+    allocation numpy refuses included, removes each directory it created
+    that is still empty.
 
     The collector is frozen at exit, once however often `main` runs, so the
     interpreter's final collections skip every object the run left and the
@@ -378,10 +379,13 @@ def main(argv: list[str] | None = None) -> int:
         else:
             cfg.validate(require_adjacency=args.command in ("evaluate", "mcs")
                          or getattr(args, "kind", None) == "NN")
-            if args.command in ("evaluate", "mcs") and cfg.mcs_block > cfg.horizon:
-                # The MCS resamples the horizon's years, as `evaluation.mcs` checks.
-                raise ValidationError(f"block length {cfg.mcs_block} outside "
-                                      f"[1, {cfg.horizon}]")
+            if args.command in ("evaluate", "mcs"):
+                if cfg.mcs_block > cfg.horizon:
+                    # The MCS resamples the horizon's years, as `evaluation.mcs` checks.
+                    raise ValidationError(f"block length {cfg.mcs_block} outside "
+                                          f"[1, {cfg.horizon}]")
+                # The bootstrap means that `evaluation.mcs` allocates.
+                check_formable((len(weights.KINDS), cfg.mcs_reps))
             panel = load_panel(cfg.panel_path)
             if cfg.zones_path:
                 panel = attach_zones(panel, cfg.zones_path)

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,3 +43,9 @@ def allocate(shape: tuple[int, ...]) -> np.ndarray:
         return np.empty(shape)
     except ValueError as exc:
         raise MemoryError(f"Unable to allocate an array with shape {shape}: {exc}") from None
+
+
+def check_formable(shape: tuple[int, ...]) -> None:
+    """Raise `allocate(shape)`'s MemoryError, without allocating, if numpy cannot form it."""
+    if math.prod(shape) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"Unable to allocate an array with shape {shape}: array is too big")

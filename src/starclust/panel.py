@@ -9,9 +9,9 @@ Validation is strict: gaps, duplicates, and non-numeric cells are hard
 errors, never imputed. One loader validates both CSV layouts: a wide file is
 checked for its layout, then its cells are read as the rows of a long file.
 Panels are read a chunk of rows at a time, so loading memory does not grow
-with panel length; np.loadtxt tokenizes a long file's lines where it reads
-them as the csv module does (see `load_panel`). CSV inputs may start with a
-UTF-8 byte-order mark.
+with panel length; np.loadtxt tokenizes a long file's lines up to the first
+chunk it cannot read as the csv module does (see `load_panel`). CSV inputs
+may start with a UTF-8 byte-order mark.
 
 Every result file is written by `write_csv` or `write_json`, which fix the
 output format: UTF-8; CSV in the csv module's default dialect (comma,
@@ -47,9 +47,9 @@ _META_COLUMNS = ("name", "zone", "area")
 # Long-format rows read and parsed at once; a wider file's chunks hold about
 # as many cells, _ROW_CHUNK * len(_LONG_HEADER), in fewer rows.
 _ROW_CHUNK = 1024
-# Characters that np.loadtxt strips from a number as whitespace and float()
-# and int() refuse, and NUL: a chunk of lines holding one is read as csv rows.
-_CSV_ONLY = "\0\x1c\x1d\x1e\x1f"
+# A quote, NUL, and what np.loadtxt strips from a number as whitespace and
+# float() and int() refuse: the csv module reads from a chunk holding one on.
+_CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +138,10 @@ def _parse_temperature(text: str, country: str, year: int) -> float:
 
 class _Columns(NamedTuple):
     """A chunk of a long panel's rows by column: country cells, unstripped,
-    years and temperatures. `fault()` raises the chunk's first row-level fault."""
+    years and temperatures."""
     countries: list[str]
     years: np.ndarray
     values: np.ndarray
-    fault: Callable[[], NoReturn]
 
 
 def _open_csv(path: Path) -> TextIO:
@@ -287,18 +286,18 @@ def load_panel(path: str | Path) -> TemperaturePanel:
     rows it holds. A `name`, `zone` or `area` column is a ValidationError:
     the panel holds temperatures only, and zones come from `attach_zones`.
 
-    The file is parsed a chunk at a time, and a fault found there is not
-    reported: in a whole-file read an undecodable byte further on, or a wide
-    file's repeated country row, comes before a bad cell. So a file that
-    fails a check is loaded again as one chunk, where every check runs in the
-    order of a whole-file read. Only that pass reports.
+    The file is parsed a chunk at a time, and that pass only detects, since
+    in a whole-file read an undecodable byte further on, or a wide file's
+    repeated country row, comes before a bad cell. So a file that fails a
+    check is read again whole, and its rows are checked in file order before
+    the panel is assembled. Only that pass reports.
 
     The csv module reads every header, every wide file, and the whole of the
     reporting pass. In the first pass np.loadtxt tokenizes and converts a
-    long file's data lines, where it reads them as the csv module does (see
-    `_line_columns`): the benchmark's 97,600-row file loads in 47 ms instead
-    of 96 (fastest of 9 loads, 2-vCPU VM). Both tokenizers give the same
-    panel or message.
+    long file's data lines up to the first chunk it cannot read as the csv
+    module does, and the csv module reads the rest (see `_line_columns`):
+    the benchmark's 97,600-row file loads in 47 ms instead of 96 (fastest of
+    9 loads, 2-vCPU VM). Both tokenizers give the same panel or message.
 
     The cyclic garbage collector is off while loading. The csv module makes
     one new list of strings per row. The lists hold no reference cycle, but
@@ -326,16 +325,16 @@ def _parse_panel(path: Path, chunks: Iterator[list[list[str]]],
                  lines: Iterator[str] | None = None) -> TemperaturePanel:
     """Parse a panel from chunks of a CSV file's non-blank rows, header first.
 
-    With `lines`, the open file the chunks come from, a long file's data is
-    read from its lines by `_line_columns` instead. A message gives `line` a
-    row's position in its chunk: in a one-chunk pass, the row's data-row
-    number."""
+    With `lines`, the open file the chunks come from (the first pass), a long
+    file's data is read from its lines by `_line_columns`; without, the rows
+    are one chunk, checked by `_check_long_rows` before assembly. A message
+    gives `line` a row's position in its chunk: in a one-chunk pass, the
+    row's data-row number."""
     first = next(chunks, [])
     if not first:
         raise ValidationError(f"empty file: {path}")
     header = [cell.strip() for cell in first.pop(0)]
     rows = chain([first], chunks)
-    del first
     line = partial(_data_line, path)
     wide = detect_format(header) == "wide"
     for name in header:
@@ -347,9 +346,13 @@ def _parse_panel(path: Path, chunks: Iterator[list[list[str]]],
     # The header holds all of `_LONG_HEADER`, as `detect_format` found it or
     # `_wide_as_long` wrote it.
     col = _column_index([h.lower() for h in header], _LONG_HEADER, "panel")
-    if lines is None or wide:
-        return _load_long(_row_columns(header, rows, col, line))
-    return _load_long(_line_columns(path, lines, header, col, line))
+    if lines is None:
+        rows = list(rows)
+        for chunk in rows:
+            _check_long_rows(header, chunk, col, line)
+    elif not wide:
+        return _load_long(_line_columns(path, lines, header, col))
+    return _load_long(_row_columns(header, rows, col))
 
 
 def _wide_as_long(header: list[str], chunks: Iterator[list[list[str]]],
@@ -403,7 +406,7 @@ def _wide_rows_as_long(width: int, chunks: Iterator[list[list[str]]],
 
 def _load_long(chunks: Iterator[_Columns]) -> TemperaturePanel:
     """Check and assemble a long panel column-wise; any row-level fault
-    defers to the chunk's `fault()`.
+    raises `_unreported()`.
 
     On valid input every check is an array operation, and between chunks only
     arrays and ids are kept. A wide file's rows can fail only on cells, whose
@@ -413,7 +416,7 @@ def _load_long(chunks: Iterator[_Columns]) -> TemperaturePanel:
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for chunk in chunks:
         if not np.isfinite(chunk.values).all():
-            chunk.fault()
+            _unreported()
         code = {}  # country cell -> code
         for raw in set(chunk.countries):
             cid = raw.strip()
@@ -434,9 +437,7 @@ def _load_long(chunks: Iterator[_Columns]) -> TemperaturePanel:
     order = np.lexsort((years, codes))
     codes, years = codes[order], years[order]
     if ((codes[1:] == codes[:-1]) & (years[1:] == years[:-1])).any():
-        # The last chunk's fault: the whole file's when loaded as one chunk,
-        # and otherwise `load_panel` loads it again as one.
-        chunk.fault()
+        _unreported()
     first, last = int(years.min()), int(years.max())
     span = last - first + 1
     if len(ids) * span != len(codes):
@@ -449,18 +450,15 @@ def _load_long(chunks: Iterator[_Columns]) -> TemperaturePanel:
                             values=values[order].reshape(len(ids), span))
 
 
-def _row_columns(header: list[str], chunks: Iterable[list[list[str]]], col: dict[str, int],
-                 line: Callable[[int], int]) -> Iterator[_Columns]:
-    """Chunks of csv rows by column. A chunk's fault is the first that
-    `_long_row_error` finds in its rows, in file order and with its line
-    number, as a row-by-row reader reports it; a row shorter than the header,
-    or a year or temperature that does not convert, raises it at once."""
+def _row_columns(header: list[str], chunks: Iterable[list[list[str]]],
+                 col: dict[str, int]) -> Iterator[_Columns]:
+    """Chunks of csv rows by column. A row shorter than the header, or a year
+    or temperature that does not convert, raises `_unreported()`."""
     for rows in chunks:
         if not rows:
             continue
-        fault = partial(_long_row_error, header, rows, col, line)
         if min(map(len, rows)) < len(header):
-            fault()
+            _unreported()
 
         def column(idx: int) -> list[str]:
             return list(map(itemgetter(idx), rows))
@@ -468,23 +466,22 @@ def _row_columns(header: list[str], chunks: Iterable[list[list[str]]], col: dict
             years = np.array(column(col["year"]), dtype=np.int64)
             values = np.array(column(col["temperature"]), dtype=float)
         except (ValueError, OverflowError):
-            fault()
-        yield _Columns(column(col["country"]), years, values, fault)
+            _unreported()
+        yield _Columns(column(col["country"]), years, values)
 
 
-def _line_columns(path: Path, fh: Iterator[str], header: list[str], col: dict[str, int],
-                  line: Callable[[int], int]) -> Iterator[_Columns]:
+def _line_columns(path: Path, fh: Iterator[str], header: list[str],
+                  col: dict[str, int]) -> Iterator[_Columns]:
     """The rest of an open long file, `_ROW_CHUNK` lines at a time, by column.
 
     np.loadtxt reads a chunk's non-blank lines, the header's last column
-    included, so that a row shorter than the header fails it. Its chunks'
-    faults are not reported: this is `load_panel`'s first pass, and the
-    whole-file pass finds them again. `_row_columns` reads a chunk
-    np.loadtxt fails or warns on (an older numpy reads a year "1901.5" as
-    1901 with a DeprecationWarning), one it could read otherwise than the csv
-    module (a `_CSV_ONLY` character, a line past the csv field size limit),
-    and from the first chunk holding a quote, which may open a cell that
-    spans lines, the rest of the file.
+    included, so that a row shorter than the header fails it. This is
+    `load_panel`'s first pass: a fault raises `_unreported()`. From the first
+    chunk np.loadtxt cannot take, `_row_columns` reads the rest of the file:
+    a chunk it could read otherwise than the csv module (a `_CSV_ONLY`
+    character, a line past the csv field size limit), one with no non-blank
+    line (np.loadtxt warns on no lines at all), and one it fails or warns on
+    (an older numpy reads a year "1901.5" as 1901 with a DeprecationWarning).
     """
     usecols = sorted({*col.values(), len(header) - 1})
     kinds = {col["year"]: np.int64, col["temperature"]: np.float64}
@@ -498,24 +495,22 @@ def _line_columns(path: Path, fh: Iterator[str], header: list[str], col: dict[st
         if not lines:
             return
         text = "".join(lines)
-        if '"' in text:
-            rest = iter(partial(_row_reader(path, chain(lines, fh)), _ROW_CHUNK), [])
-            yield from _row_columns(header, rest, col, line)
-            return
-        plain = not (any(map(text.__contains__, _CSV_ONLY))
-                     or len(text) > limit and max(map(len, lines)) > limit)
-        nonblank = list(filter(str.strip, lines))  # np.loadtxt warns on no lines at all
-        cells = _loadtxt(nonblank, usecols, dtype) if plain and nonblank else None
+        nonblank = list(filter(str.strip, lines))
+        plain = nonblank and not (any(map(text.__contains__, _CSV_ONLY))
+                                  or len(text) > limit and max(map(len, lines)) > limit)
+        cells = _loadtxt(nonblank, usecols, dtype) if plain else None
         if cells is None:
-            yield from _row_columns(header, [_row_reader(path, lines)(None)], col, line)
-            continue
+            rest = iter(partial(_row_reader(path, chain(lines, fh)), _ROW_CHUNK), [])
+            yield from _row_columns(header, rest, col)
+            return
         # Copies, so that the kept arrays do not hold the ids alive.
         yield _Columns(cells[col["country"]].tolist(), cells[col["year"]].copy(),
-                       cells[col["temperature"]].copy(), _unreported)
+                       cells[col["temperature"]].copy())
 
 
 def _unreported() -> NoReturn:
-    raise ValidationError("a first-pass fault, which the whole-file pass reports")
+    """A first-pass fault: the whole-file pass runs `_check_long_rows` first."""
+    raise ValidationError("long panel rows failed a check but no row is at fault")
 
 
 def _loadtxt(lines: list[str], usecols: list[int], dtype: list[tuple[str, type]]
@@ -566,14 +561,11 @@ def _gap_message(ids: list[str], codes: np.ndarray, years: np.ndarray,
     return f"missing observations: {', '.join(shown)}{more}"
 
 
-def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int],
-                    line: Callable[[int], int]) -> NoReturn:
-    """Re-read a long panel row by row and raise its first row-level fault.
-
-    Reached only after a column-wise check failed. The one fault that no
-    row-by-row check reports is a year that parses as an integer but does
-    not fit in 64 bits; it is raised once every row has passed.
-    """
+def _check_long_rows(header: list[str], rows: list[list[str]], col: dict[str, int],
+                     line: Callable[[int], int]) -> None:
+    """Raise a long panel's first row-level fault, row by row in file order;
+    return when there is none. A year that is an integer but does not fit in
+    64 bits is raised only once every row has passed."""
     seen: set[tuple[str, int]] = set()
     out_of_range: str | None = None
     for i, row in enumerate(rows):
@@ -593,7 +585,8 @@ def _long_row_error(header: list[str], rows: list[list[str]], col: dict[str, int
         if (country, year) in seen:
             raise ValidationError(f"duplicate entry for country {country!r}, year {year}")
         seen.add((country, year))
-    raise ValidationError(out_of_range or "long panel rows failed a check but no row is at fault")
+    if out_of_range:
+        raise ValidationError(out_of_range)
 
 
 def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
@@ -602,10 +595,10 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
     The file is a CSV with header `country,zone` plus optional `name`, `area`.
     Row by row, in file order: each row is as wide as the header, its id is in
     the panel, and its non-blank values agree with the country's earlier ones.
-    Then country by country, in panel order: the area is numeric, the zone one
-    of ZONES and the area not negative. `name` and `area` are not kept. The
-    copy holds exactly the file's zones, None where the file gives none: any
-    zones the panel held are replaced.
+    Then country by country, in panel order: the area is a finite number, the
+    zone one of ZONES and the area not negative. `name` and `area` are not
+    kept. The copy holds exactly the file's zones, None where the file gives
+    none: any zones the panel held are replaced.
     """
     header, rows, where = _read_rows(path)
     if "country" not in header or "zone" not in header:
@@ -631,8 +624,9 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
         try:
             area = float(entry.get("area", 0))
         except ValueError:
-            raise ValidationError(
-                f"non-numeric area {entry['area']!r} for country {cid!r}") from None
+            area = np.nan
+        if not np.isfinite(area):
+            raise ValidationError(f"non-numeric area {entry['area']!r} for country {cid!r}")
         zone = entry.get("zone")
         if zone is not None and zone not in ZONES:
             raise ValidationError(f"unknown zone {zone!r} for country {cid!r}; "

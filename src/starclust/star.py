@@ -124,7 +124,6 @@ def fit_star(panel: TemperaturePanel, weights: WeightMatrix) -> StarModel:
     keep = np.ones((panel.n_countries, 3), dtype=bool)
     keep[:, 2] = weighted
     coefs = np.zeros((panel.n_countries, 3))
-    degenerate = np.zeros(panel.n_countries, dtype=bool)
     for width in (3, 2, 1):
         rows = np.flatnonzero(keep.sum(axis=1) == width)
         if rows.size == 0:
@@ -133,20 +132,16 @@ def fit_star(panel: TemperaturePanel, weights: WeightMatrix) -> StarModel:
         tol = s.max(axis=1, keepdims=True) * max(n_rows, width) * np.finfo(float).eps
         # Compare with the kept columns: T = 4 gives 2 singular values for 3.
         full = np.count_nonzero(s > tol, axis=1) == width
-        if width > 1:   # drop the last kept column: spatial, then temporal
-            keep[rows[~full], width - 1] = False
-        else:
-            degenerate[rows[~full]] = True
+        # Drop the last kept column: spatial, then temporal. The constant
+        # alone is never singular: its one singular value is sqrt(T - 2).
+        keep[rows[~full], width - 1] = False
         solved = rows[full]
         scaled = np.einsum("nmk,nm->nk", u[full], response[solved]) / s[full]
         coefs[solved, :width] = np.einsum("nkj,nk->nj", vh[full], scaled)
 
-    faults = np.flatnonzero(degenerate | ~np.isfinite(coefs).all(axis=1))
+    faults = np.flatnonzero(~np.isfinite(coefs).all(axis=1))
     if faults.size:
-        cid = panel.ids[faults[0]]
-        if degenerate[faults[0]]:
-            raise NumericalError(f"design matrix for {cid} is degenerate beyond repair")
-        raise NumericalError(f"non-finite coefficients for {cid}")
+        raise NumericalError(f"non-finite coefficients for {panel.ids[faults[0]]}")
 
     c, phi, psi = coefs.T.copy()
     dof = n_rows - keep.sum(axis=1)

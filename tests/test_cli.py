@@ -404,6 +404,16 @@ class TestEvaluate:
         assert "error: block length 6 outside [1, 5]" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["evaluate", "mcs"])
+    def test_unformable_reps_refused_before_panel_is_read(self, dataset, tmp_path, capsys,
+                                                          calls, command):
+        out = tmp_path / "a" / "b"
+        assert run([command, "--reps", str(2**63 - 1)], dataset, out) == 2
+        assert capsys.readouterr().err == ("error: not enough memory: Unable to allocate an "
+                                           f"array with shape (7, {2**63 - 1}): array is too big\n")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
 
 def _losses_text():
     """Dominance setup: one model's losses sit a unit above the other's."""

@@ -49,8 +49,11 @@ class TestCountryMeta:
                                                          "C00,Asia,3\nC01,Asia,-1.0\n"))
 
     def test_rejects_non_numeric_area(self, toy_panel, tmp_path):
-        with pytest.raises(ValidationError, match="^non-numeric area 'large' for country 'C00'$"):
-            attach_zones(toy_panel, zones_file(tmp_path, "country,zone,area\nC00,Asia,large\n"))
+        for area in ("large", "nan", "inf"):
+            path = zones_file(tmp_path, f"country,zone,area\nC00,Asia,{area}\n")
+            with pytest.raises(ValidationError,
+                               match=f"^non-numeric area '{area}' for country 'C00'$"):
+                attach_zones(toy_panel, path)
 
     def test_rejects_blank_id(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "country,year,temperature\n"
@@ -509,6 +512,8 @@ _TOKENIZER_CASES = {
     "exactly-1024-rows": _rows_text(8, 128),
     "blank-lines-fill-a-chunk": _rows_text(8, 128) + "\n" * 1024 + "\r\n" * 3,
     "comma-lines-fill-a-chunk": _rows_text(8, 128) + ",,\n" * 1100,
+    "empty-file": "",
+    "header-then-blank-lines": _HEADER + "\n \r\n\n",
 }
 
 
