@@ -77,12 +77,12 @@ def _base_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", dest="mcs_reps", type=int)
         p.add_argument("--block", dest="mcs_block", type=int)
         p.add_argument("--statistic", dest="mcs_statistic", choices=("SQ", "R"))
-        p.add_argument("--origin", dest="split_year", type=int)
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--granularity", choices=("year", "observation"),
-                       help="MCS loss periods; both resample whole years and "
-                            "give the same output")
-    mcs.add_argument("--losses", help="CSV of model,period,loss to test directly")
+    evaluate.add_argument("--origin", dest="split_year", type=int)
+    evaluate.add_argument("--horizon", type=int)
+    evaluate.add_argument("--granularity", choices=("year", "observation"),
+                          help="MCS loss periods; both resample whole years and "
+                               "give the same output")
+    mcs.add_argument("--losses", required=True, help="losses CSV, e.g. evaluate's plot_losses.csv")
     return parser
 
 
@@ -292,13 +292,9 @@ def _write_loss_plot_csv(report: evaluation.EvaluationReport, path: Path) -> Non
                for year, value in zip(series.periods, series.values)))
 
 
-def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel | None,
-            adjacency: np.ndarray | None, out: Path) -> int:
-    if args.losses:
-        losses = _read_losses_csv(args.losses)
-    else:
-        losses = list(pipeline.out_of_sample(panel, cfg, adjacency).losses.values())
-    report = pipeline.confidence_set(losses, cfg)
+def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, panel: None, adjacency: None,
+            out: Path) -> int:
+    report = pipeline.confidence_set(_read_losses_csv(args.losses), cfg)
     payload_path = out / "mcs.json"
     evaluation.write_mcs_json(report, payload_path)
     print(f"{'model':<8} {'mcs_p':>7}")
@@ -310,13 +306,17 @@ def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel | 
 
 
 def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
+    """Loss series from a `model,period,loss` CSV, or `model,year,loss` as
+    `evaluate` writes it; a header that holds both could mean either."""
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"losses file not found: {p}")
     header, rows, where = _read_rows(p)
-    columns = ("model", "period", "loss")
+    if {"period", "year"} <= set(header):
+        raise ValidationError("losses file header holds both 'period' and 'year'")
+    columns = ("model", "year" if "year" in header else "period", "loss")
     if not set(columns) <= set(header):
-        raise ValidationError(f"losses file needs columns {sorted(columns)}")
+        raise ValidationError("losses file needs columns model, period (or year) and loss")
     at = _column_index(header, columns, "losses file")
     by_model: dict[str, dict[str, float]] = {}  # model -> period -> loss, in file order
     for i, row in enumerate(rows):
@@ -324,8 +324,7 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
         if absent:
             raise ValidationError(f"{where(i)}: missing {' and '.join(absent)}")
         model, period, text = (row[at[name]] for name in columns)
-        blank = [name for name, cell in (("model", model), ("period", period))
-                 if not cell.strip()]
+        blank = [name for name, cell in zip(columns, (model, period)) if not cell.strip()]
         if blank:
             raise ValidationError(f"{where(i)}: blank {' and '.join(blank)}")
         try:
@@ -335,7 +334,7 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
         periods = by_model.setdefault(model, {})
         if period in periods:
             raise ValidationError(f"{where(i)}: duplicate entry for model {model!r}, "
-                                  f"period {period!r}")
+                                  f"{columns[1]} {period!r}")
         periods[period] = value
     return [evaluation.LossSeries(model=model, periods=tuple(periods),
                                   values=np.array(list(periods.values())))
@@ -355,13 +354,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command after the steps every command shares: resolve and
-    validate the config, load the panel (with zones) and any adjacency, and
-    create the output directory, with every output path checked. `mcs
-    --losses` reads no panel; otherwise `evaluate` and `mcs` check their
-    block length against the horizon, and their reps against the largest
-    array numpy can form, before the panel is read. A run that fails, an
-    allocation numpy refuses included, removes each directory it created
-    that is still empty.
+    validate the config, read the inputs the command uses and no others, and
+    create the output directory, with every output path checked. `mcs` reads
+    its losses file only; the others read the panel (with any zones), and
+    `evaluate` and `--kind NN` the adjacency. `evaluate` checks its block
+    length against the horizon, and its reps against the bootstrap means it
+    can allocate, before the panel is read. A run that fails, a refused
+    allocation included, removes each directory it created that is still empty.
 
     The collector is frozen at exit, once however often `main` runs, so the
     interpreter's final collections skip every object the run left and the
@@ -374,12 +373,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         panel = adjacency = None
-        if getattr(args, "losses", None):
+        if args.command == "mcs":
             cfg.validate(require_panel=False)
         else:
-            cfg.validate(require_adjacency=args.command in ("evaluate", "mcs")
-                         or getattr(args, "kind", None) == "NN")
-            if args.command in ("evaluate", "mcs"):
+            reads_adjacency = args.command == "evaluate" or getattr(args, "kind", None) == "NN"
+            cfg.validate(require_adjacency=reads_adjacency)
+            if args.command == "evaluate":
                 if cfg.mcs_block > cfg.horizon:
                     # The MCS resamples the horizon's years, as `evaluation.mcs` checks.
                     raise ValidationError(f"block length {cfg.mcs_block} outside "
@@ -389,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
             panel = load_panel(cfg.panel_path)
             if cfg.zones_path:
                 panel = attach_zones(panel, cfg.zones_path)
-            if cfg.adjacency_path:
+            if reads_adjacency:
                 adjacency = load_adjacency(cfg.adjacency_path, panel)
         out = _outdir(cfg, args, created)
         return _COMMANDS[args.command](args, cfg, panel, adjacency, out)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +37,18 @@ def undecodable(path: str | Path) -> ValidationError:
 
 
 def allocate(shape: tuple[int, ...]) -> np.ndarray:
-    """`np.empty(shape)`, whose refusal is always a MemoryError: numpy raises
-    ValueError instead for a shape past the address space, before it takes
-    any memory."""
-    try:
-        return np.empty(shape)
-    except ValueError as exc:
-        raise MemoryError(f"Unable to allocate an array with shape {shape}: {exc}") from None
+    """`np.empty(shape)` once `check_formable` passes it: under overcommit an
+    array past physical memory can be allocated, and the process killed on use."""
+    check_formable(shape)
+    return np.empty(shape)
 
 
 def check_formable(shape: tuple[int, ...]) -> None:
-    """Raise `allocate(shape)`'s MemoryError, without allocating, if numpy cannot form it."""
-    if math.prod(shape) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+    """Raise a MemoryError, without allocating, if numpy cannot form a float64
+    array of `shape` or the machine's physical memory cannot hold it."""
+    nbytes = math.prod(shape) * np.dtype(float).itemsize
+    if nbytes > np.iinfo(np.intp).max:
         raise MemoryError(f"Unable to allocate an array with shape {shape}: array is too big")
+    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise MemoryError(f"Unable to allocate {nbytes / 2**30:.3g} GiB for an array "
+                          f"with shape {shape} and data type float64")

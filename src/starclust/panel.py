@@ -326,16 +326,16 @@ def _parse_panel(path: Path, chunks: Iterator[list[list[str]]],
     """Parse a panel from chunks of a CSV file's non-blank rows, header first.
 
     With `lines`, the open file the chunks come from (the first pass), a long
-    file's data is read from its lines by `_line_columns`; without, the rows
-    are one chunk, checked by `_check_long_rows` before assembly. A message
-    gives `line` a row's position in its chunk: in a one-chunk pass, the
-    row's data-row number."""
+    file's data is read from its lines by `_line_columns`, and a row fault
+    raises `_unreported()`. Without, the rows are one chunk, checked by
+    `_check_long_rows` before assembly, and a message gives `line` a row's
+    data-row number."""
     first = next(chunks, [])
     if not first:
         raise ValidationError(f"empty file: {path}")
     header = [cell.strip() for cell in first.pop(0)]
     rows = chain([first], chunks)
-    line = partial(_data_line, path)
+    line = partial(_data_line, path) if lines is None else None
     wide = detect_format(header) == "wide"
     for name in header:
         if name.lower() in _META_COLUMNS:
@@ -356,7 +356,8 @@ def _parse_panel(path: Path, chunks: Iterator[list[list[str]]],
 
 
 def _wide_as_long(header: list[str], chunks: Iterator[list[list[str]]],
-                  line: Callable[[int], int]) -> tuple[list[str], Iterator[list[list[str]]]]:
+                  line: Callable[[int], int] | None
+                  ) -> tuple[list[str], Iterator[list[list[str]]]]:
     """Check the wide layout and recast it as one long row per cell.
 
     Checked here: year columns named once, consecutive once sorted and
@@ -383,19 +384,22 @@ def _wide_as_long(header: list[str], chunks: Iterator[list[list[str]]],
 
 def _wide_rows_as_long(width: int, chunks: Iterator[list[list[str]]],
                        cells: list[tuple[str, int]],
-                       line: Callable[[int], int]) -> Iterator[list[list[str]]]:
+                       line: Callable[[int], int] | None) -> Iterator[list[list[str]]]:
     """Recast each chunk of wide rows as long rows; the repeat check spans chunks.
 
     A chunk's rows all pass the wide checks before any is recast. A chunk
     holds about as many cells as a long file's chunk, so its long rows take
-    about as much memory as a long chunk's rows.
+    about as much memory as a long chunk's rows. Without `line`, in the first
+    pass, a short or repeated row raises `_unreported()`.
     """
     seen: set[str] = set()
     for rows in chunks:
         for n, row in enumerate(rows):
+            country = row[0].strip()
+            if line is None and (len(row) < width or country in seen):
+                _unreported()
             if len(row) < width:
                 raise ValidationError(f"line {line(n)}: expected {width} columns, got {len(row)}")
-            country = row[0].strip()
             if country in seen:
                 raise ValidationError(f"duplicate country row for {country!r}")
             seen.add(country)
@@ -509,7 +513,7 @@ def _line_columns(path: Path, fh: Iterator[str], header: list[str],
 
 
 def _unreported() -> NoReturn:
-    """A first-pass fault: the whole-file pass runs `_check_long_rows` first."""
+    """A first-pass fault: the whole-file pass finds and reports it."""
     raise ValidationError("long panel rows failed a check but no row is at fault")
 
 

@@ -20,11 +20,12 @@ K x K matrix. It links a copy of a matrix its caller passes in and keeps.
 `build_weights` holds the scheme B and C matrices that its weights need and
 lends them to `compute_scheme` that way. A scheme result keeps no distances.
 
-`evaluate` is the paper's run, used by the `evaluate` and `mcs` commands and
-the acceptance gate alike. It reaches the evaluation stages as attributes of
-the `evaluation` module, and `build_weights` and `weight_builder` through
-this module's globals, both looked up at call time, so a caller that
-replaces one of them (a tracer, a test) sees every call.
+`evaluate` is the paper's run, used by the `evaluate` command and the
+acceptance gate; the `mcs` command tests the losses file `evaluate` writes.
+It reaches the evaluation stages as attributes of the `evaluation` module,
+and `build_weights` and `weight_builder` through this module's globals,
+both looked up at call time, so a caller that replaces one of them (a
+tracer, a test) sees every call.
 """
 from __future__ import annotations
 
@@ -177,15 +178,6 @@ def weight_builder(cfg: RunConfig, kinds: Sequence[str] = KINDS,
     return build
 
 
-def out_of_sample(panel: TemperaturePanel, cfg: RunConfig,
-                  adjacency: np.ndarray | None = None) -> evaluation.OosResult:
-    """Every kind fitted through `cfg.split_year` and scored over the next
-    `cfg.horizon` years, with clusters and weights re-estimated on the
-    training slice."""
-    builder = weight_builder(cfg, KINDS, adjacency)
-    return evaluation.oos_experiment(panel, builder, cfg.split_year, cfg.horizon)
-
-
 def confidence_set(losses: Sequence[evaluation.LossSeries],
                    cfg: RunConfig) -> evaluation.McsReport:
     """The MCS over `losses` at the paper's 1% level, with the run config's
@@ -206,7 +198,8 @@ def evaluate(panel: TemperaturePanel, cfg: RunConfig,
     its peak memory (the bootstrap means, models x reps), and run before the
     in-sample fits it sets that peak higher. The report holds no weights.
     """
-    oos = out_of_sample(panel, cfg, adjacency)
+    oos = evaluation.oos_experiment(panel, weight_builder(cfg, KINDS, adjacency),
+                                    cfg.split_year, cfg.horizon)
     in_sample = evaluation.in_sample_fn(panel, build_weights(panel, cfg, KINDS, adjacency))
     return evaluation.build_report(in_sample, oos,
                                    confidence_set(list(oos.losses.values()), cfg))

@@ -59,20 +59,11 @@ def tiny_inputs(root: Path) -> Path:
     return config
 
 
-def losses_from_plot(plot: Path, dest: Path) -> Path:
-    """Write an `mcs --losses` file: `plot_losses.csv` with its year column named period."""
-    header, rows = plot.read_bytes().split(b"\r\n", 1)
-    if header != b"model,year,loss":
-        raise ValueError(f"unexpected header in {plot}: {header!r}")
-    dest.write_bytes(b"model,period,loss\r\n" + rows)
-    return dest
-
-
 def run_all(config: Path, plot_losses: Path | None, out: Path) -> None:
     """Run every command on the config's inputs, writing all files under `out`.
 
-    `mcs --losses` reads the losses of `plot_losses`, or of the
-    `plot_losses.csv` that `evaluate` writes here when it is None.
+    `mcs --losses` tests `plot_losses`, or the `plot_losses.csv` that
+    `evaluate` writes here when it is None.
     """
     def run(*argv: str) -> None:
         if main([*argv, "--config", str(config), "--out", str(out)]) != 0:
@@ -81,9 +72,7 @@ def run_all(config: Path, plot_losses: Path | None, out: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in COMMANDS:
             run(*argv)
-        losses = losses_from_plot(plot_losses or out / "plot_losses.csv",
-                                  config.parent / "losses.csv")
-        run("mcs", "--losses", str(losses))
+        run("mcs", "--losses", str(plot_losses or out / "plot_losses.csv"))
 
 
 def environment() -> dict[str, str]:

@@ -24,6 +24,7 @@ import starclust
 from starclust import RunConfig, cli, evaluation, pipeline
 from starclust.cli import main
 from starclust.config import _SCHEMA, _TOP_LEVEL
+from starclust.weights import KINDS
 
 
 def _write_dataset(root):
@@ -86,8 +87,15 @@ def _write_dataset(root):
         f"  reps: 200\n",
         encoding="utf-8",
     )
+    # Out-of-sample losses of the seven kinds over the 5-year horizon, with
+    # the header that `evaluate` writes to plot_losses.csv.
+    losses = root / "losses.csv"
+    draws = rng.uniform(1.0, 2.0, (len(KINDS), 5))
+    losses.write_text("model,year,loss\n" + "".join(
+        f"{kind},{1981 + t},{float(loss)!r}\n" for kind, row in zip(sorted(KINDS), draws)
+        for t, loss in enumerate(row)), encoding="utf-8")
     return {"panel": panel, "adjacency": adjacency, "zones": zones,
-            "config": config}
+            "config": config, "losses": losses}
 
 
 @pytest.fixture(scope="module")
@@ -397,22 +405,36 @@ class TestEvaluate:
         assert message in capsys.readouterr().err
         assert calls == ["load_panel"]
 
+    # `mcs` reads no panel at all: it tests the dataset's losses file, whose
+    # seven models span the 5-year horizon.
     @pytest.mark.parametrize("command", ["evaluate", "mcs"])
     def test_block_checked_before_panel_is_read(self, dataset, tmp_path, capsys, calls,
                                                 command):
-        assert run([command, "--block", "6"], dataset, tmp_path) == 2
+        assert run([*_command_argv(command, dataset), "--block", "6"], dataset, tmp_path) == 2
         assert "error: block length 6 outside [1, 5]" in capsys.readouterr().err
         assert calls == []
 
+    # 2**63 - 1 replications are past the address space; 10**14 (4.97 PiB
+    # of bootstrap means) are past any machine's memory.
     @pytest.mark.parametrize("command", ["evaluate", "mcs"])
     def test_unformable_reps_refused_before_panel_is_read(self, dataset, tmp_path, capsys,
                                                           calls, command):
-        out = tmp_path / "a" / "b"
-        assert run([command, "--reps", str(2**63 - 1)], dataset, out) == 2
-        assert capsys.readouterr().err == ("error: not enough memory: Unable to allocate an "
-                                           f"array with shape (7, {2**63 - 1}): array is too big\n")
-        assert calls == []
-        assert list(tmp_path.iterdir()) == []
+        for reps, refusal in [
+                (2**63 - 1, f"an array with shape (7, {2**63 - 1}): array is too big"),
+                (10**14, "5.22e+06 GiB for an array with shape (7, 100000000000000) "
+                         "and data type float64")]:
+            out = tmp_path / "a" / "b"
+            argv = [*_command_argv(command, dataset), "--reps", str(reps)]
+            assert run(argv, dataset, out) == 2
+            assert capsys.readouterr().err == ("error: not enough memory: Unable to allocate "
+                                               f"{refusal}\n")
+            assert calls == []
+            assert list(tmp_path.iterdir()) == []
+
+
+def _command_argv(command, dataset):
+    """`command` with the flags it needs to run on the dataset."""
+    return ["mcs", "--losses", str(dataset["losses"])] if command == "mcs" else [command]
 
 
 def _losses_text():
@@ -480,41 +502,60 @@ class TestMcs:
 
     def test_losses_header_in_any_case(self, tmp_path, capsys):
         # Header names match in any case, as in panel, zones and adjacency
-        # files; one name given twice in two cases is a repeated column.
+        # files, and the period column may be named year; one name given
+        # twice in two cases is a repeated column, and so are period and year.
         lines = _losses_text().splitlines()
         cased = tmp_path / "cased.csv"
         outputs = []
-        for i, header in enumerate(("model,period,loss", "Model,PERIOD,Loss")):
+        for i, header in enumerate(("model,period,loss", "Model,PERIOD,Loss", "model,Year,loss")):
             cased.write_text("\n".join([header, *lines[1:]]) + "\n", encoding="utf-8")
             out = tmp_path / f"out{i}"
             assert main(["mcs", "--losses", str(cased), "--reps", "200",
                          "--out", str(out)]) == 0
             outputs.append((out / "mcs.json").read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         cased.write_text("\n".join(["Model,period,loss,model", *lines[1:]]) + "\n",
                          encoding="utf-8")
         assert main(["mcs", "--losses", str(cased), "--out", str(tmp_path / "repeat")]) == 2
         assert "losses file header repeats column 'model'" in capsys.readouterr().err
+        cased.write_text("\n".join(["model,Period,loss,year",
+                                    *(f"{line},{line.split(',')[1]}" for line in lines[1:])])
+                         + "\n", encoding="utf-8")
+        assert main(["mcs", "--losses", str(cased), "--out", str(tmp_path / "both")]) == 2
+        assert capsys.readouterr().err == ("error: losses file header holds both "
+                                           "'period' and 'year'\n")
+        assert not (tmp_path / "both").exists()
 
-    def test_full_pipeline_without_losses_file(self, dataset, tmp_path, capsys):
-        rc = run(["mcs"], dataset, tmp_path)
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert (tmp_path / "mcs.json").is_file()
-        payload = json.loads((tmp_path / "mcs.json").read_text())
+    def test_losses_that_evaluate_writes(self, dataset, tmp_path, capsys):
+        # `evaluate`'s plot_losses.csv, as it stands, gives the MCS that
+        # `evaluate` reports.
+        assert run(["evaluate"], dataset, tmp_path) == 0
+        assert run(["mcs", "--losses", str(tmp_path / "plot_losses.csv")], dataset, tmp_path) == 0
+        capsys.readouterr()
+        reported = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["mcs"]
+        payload = json.loads((tmp_path / "mcs.json").read_text(encoding="utf-8"))
         assert len(payload["eliminations"]) == 7
+        assert dict(payload["eliminations"]) == reported["p_values"]
+        assert payload["survivors"] == reported["survivors"]
 
-    def test_bad_panel_reported_before_output_directory(self, dataset, tmp_path, capsys):
-        # Like every command, mcs loads its inputs before it creates --out.
-        panel = tmp_path / "panel.csv"
-        panel.write_text("country,year,temperature\n\nA,MMXX,1.0\n", encoding="utf-8")
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file, not a directory\n", encoding="utf-8")
-        rc = main(["mcs", "--data", str(panel), "--adjacency", str(dataset["adjacency"]),
-                   "--out", str(blocker / "out")])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "line 3: non-integer year 'MMXX' for country 'A'" in captured.err
+    def test_losses_flag_is_required(self, dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["mcs"], dataset, tmp_path / "out")
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --losses" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_reads_no_panel_zones_or_adjacency(self, losses_csv, tmp_path, capsys):
+        # Inputs that fail every other command are configured but not opened.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("country,year,temperature\n\nA,MMXX,1.0\n", encoding="utf-8")
+        outputs = []
+        for inputs in ([], ["--data", str(bad), "--zones", str(bad), "--adjacency", str(bad)]):
+            out = tmp_path / f"out{len(inputs)}"
+            assert main(["mcs", "--losses", str(losses_csv), "--reps", "200", *inputs,
+                         "--out", str(out)]) == 0
+            outputs.append((out / "mcs.json").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_losses_file_missing(self, tmp_path, capsys):
         rc = main(["mcs", "--losses", str(tmp_path / "none.csv"),
@@ -634,7 +675,8 @@ class TestConfigResolution:
 # Flags that choose what a command does rather than a run parameter.
 CLI_ONLY = {"config", "scheme", "k", "kind", "origin", "losses"}
 REQUIRED_FLAGS = {"cluster": ["--scheme", "A"], "weights": ["--kind", "NN"],
-                  "fit": ["--kind", "NN"], "forecast": ["--kind", "NN"]}
+                  "fit": ["--kind", "NN"], "forecast": ["--kind", "NN"],
+                  "mcs": ["--losses", "losses.csv"]}
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -714,16 +756,55 @@ class TestOutputNames:
         ["trends"], ["cluster", "--scheme", "A", "--zones", "ZONES"],
         ["cluster", "--scheme", "B"], ["cluster", "--scheme", "C"],
         ["weights", "--kind", "dB"], ["fit", "--kind", "NN"],
-        ["forecast", "--kind", "cA", "--origin", "1985"], ["evaluate"], ["mcs"]],
-        ids=lambda argv: "-".join(argv[:3:2]))
+        ["forecast", "--kind", "cA", "--origin", "1985"], ["evaluate"],
+        ["mcs", "--losses", "LOSSES"]],
+        ids=["trends", "cluster-A", "cluster-B", "cluster-C", "weights-dB", "fit-NN",
+             "forecast-cA", "evaluate", "mcs"])
     def test_every_written_file_is_checked(self, dataset, tmp_path, capsys, argv):
-        argv = [str(dataset["zones"]) if arg == "ZONES" else arg for arg in argv]
+        argv = [str(dataset[arg.lower()]) if arg in ("ZONES", "LOSSES") else arg for arg in argv]
         assert run(argv, dataset, tmp_path) == 0
         capsys.readouterr()
         args = cli._base_parser().parse_args([*argv, "--out", str(tmp_path)])
         checked = {name.format_map(vars(args)) for name in cli._OUTPUTS[argv[0]]}
         written = {path.name for path in tmp_path.iterdir()}
         assert written and written <= checked
+
+
+class TestAdjacencyReaders:
+    """Only `evaluate` and the `--kind NN` commands read the adjacency file:
+    one whose second line names ids outside the panel fails them alone."""
+
+    @pytest.fixture()
+    def unknown_ids(self, tmp_path):
+        path = tmp_path / "adjacency.csv"
+        path.write_text("country_a,country_b\nX,Y\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("argv, reads", [
+        (["trends"], False), (["cluster", "--scheme", "C"], False),
+        (["weights", "--kind", "dB"], False), (["fit", "--kind", "cC"], False),
+        (["forecast", "--kind", "dA"], False), (["weights", "--kind", "NN"], True),
+        (["fit", "--kind", "NN"], True), (["forecast", "--kind", "NN"], True),
+        (["evaluate"], True)],
+        ids=lambda value: "-".join(value[::2]) if isinstance(value, list) else None)
+    def test_only_readers_fail(self, dataset, tmp_path, capsys, unknown_ids, argv, reads):
+        rc = run(argv, dataset, tmp_path / "out", "--adjacency", str(unknown_ids))
+        err = capsys.readouterr().err
+        if reads:
+            assert (rc, err) == (2, f"error: {unknown_ids}:2: unknown country id 'X' "
+                                    "in adjacency\n")
+        else:
+            assert (rc, err) == (0, "")
+
+    def test_cluster_writes_the_same_bytes(self, dataset, tmp_path, capsys, unknown_ids):
+        written = []
+        for name, adjacency in (("good", dataset["adjacency"]), ("bad", unknown_ids)):
+            out = tmp_path / name
+            assert run(["cluster", "--scheme", "C"], dataset, out,
+                       "--adjacency", str(adjacency)) == 0
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        capsys.readouterr()
+        assert written[0] and written[0] == written[1]
 
 
 class TestMalformedInputs:
@@ -786,8 +867,9 @@ class TestMalformedInputs:
         assert not (tmp_path / "report.csv").exists()
 
     # Each removed flag after the command that took it: cluster's cut rule
-    # flags and smallest cluster size, weights' rescaling share, and the
-    # significance levels of trends and of the MCS.
+    # flags and smallest cluster size, weights' rescaling share, the
+    # significance levels of trends and of the MCS, and the out-of-sample
+    # run's flags that `mcs` took before it tested a losses file only.
     @pytest.mark.parametrize("flags", [
         (("cluster", "--scheme", "B"), ("--cut", "height")),
         (("cluster", "--scheme", "B"), ("--height", "0")),
@@ -795,7 +877,10 @@ class TestMalformedInputs:
         (("cluster", "--scheme", "B"), ("--min-size", "2")),
         (("trends",), ("--alpha", "0.1")),
         (("evaluate",), ("--mcs-alpha", "0.05")),
-        (("mcs",), ("--mcs-alpha", "0.05"))])
+        (("mcs", "--losses", "losses.csv"), ("--mcs-alpha", "0.05")),
+        (("mcs", "--losses", "losses.csv"), ("--origin", "2000")),
+        (("mcs", "--losses", "losses.csv"), ("--horizon", "10")),
+        (("mcs", "--losses", "losses.csv"), ("--granularity", "year"))])
     def test_removed_cut_flags_exit_2(self, tmp_path, flags):
         command, removed = flags
         result = self.run_cli(*command, *removed, "--out", str(tmp_path))
@@ -919,7 +1004,8 @@ class TestMalformedInputs:
             "clusters:\n  A: 1\n  B: 3\n  C: 4\nweights:\n  rescale: true\n"
             "split_year: 2000\nhorizon: 22\ngranularity: observation\n"
             "mcs:\n  reps: 200\n  block: 23\n", encoding="utf-8")
-        result = self.run_cli("mcs", "--config", str(config), "--out", str(tmp_path / "out"))
+        result = self.run_cli("evaluate", "--config", str(config),
+                              "--out", str(tmp_path / "out"))
         self.assert_clean_exit_2(result, "block length 23 outside [1, 22]")
         assert not any((tmp_path / "out").glob("*"))
 
@@ -958,10 +1044,11 @@ class TestMalformedInputs:
         (("forecast", "--kind", "dA", "--horizon", str(10**20)), f"(9, {10**20})"),
         (("forecast", "--kind", "dA", "--horizon", str(2**63 - 1)), f"(9, {2**63 - 1})"),
         (("evaluate", "--reps", str(2**63 - 1)), f"(7, {2**63 - 1})"),
-        (("mcs", "--reps", str(10**20)), f"(7, {10**20})")],
+        (("mcs", "--losses", "{losses}", "--reps", str(10**20)), f"(7, {10**20})")],
         ids=["forecast-1e20", "forecast-int64", "evaluate-int64", "mcs-1e20"])
     def test_shape_past_the_address_space_is_a_refused_allocation(self, dataset, tmp_path,
                                                                   argv, shape):
+        argv = [arg.format(losses=dataset["losses"]) for arg in argv]
         result = self.run_cli(*argv, "--config", str(dataset["config"]),
                               "--out", str(tmp_path / "a" / "b"))
         self.assert_clean_exit_2(result, "error: not enough memory: Unable to allocate "

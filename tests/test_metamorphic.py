@@ -25,9 +25,9 @@ scale-free) and sigma2 multiplied by 4, and every in-sample and
 out-of-sample Frobenius norm is multiplied by 4, each within STAR_RTOL of
 the largest value of its column.
 
-`evaluate` and `mcs` also run with `--granularity year` and `observation`:
-the observation-level MCS resamples whole years, so the two write the same
-bytes.
+`evaluate` also runs with `--granularity year` and `observation`, and `mcs`
+tests each run's losses file: the observation-level MCS resamples whole
+years, so the two write the same bytes.
 """
 import importlib.util
 import json
@@ -111,9 +111,11 @@ def runs(request, tmp_path_factory) -> dict[str, Path]:
               for cid, values in by_country.items())]
     config = _write_config(root / "granularity", inputs, [header, *rows])
     for granularity in ("year", "observation"):
-        for command in ("evaluate", "mcs"):
-            assert main([command, "--granularity", granularity, "--config", str(config),
-                         "--out", str(root / "granularity" / granularity)]) == 0
+        out = root / "granularity" / granularity
+        assert main(["evaluate", "--granularity", granularity, "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert main(["mcs", "--losses", str(out / "plot_losses.csv"), "--config", str(config),
+                     "--out", str(out)]) == 0
     return {"year": root / "granularity" / "year",
             "observation": root / "granularity" / "observation",
             "base": _run_variant(root / "base", inputs, [header, *rows]),

@@ -475,6 +475,17 @@ def _rows_text(n_countries: int, n_years: int, meta: str = "", **rows: str) -> s
     return "".join(line + "\n" for line in lines)
 
 
+def _wide_text(n_countries: int, n_years: int, **rows: str) -> str:
+    """A wide panel, header first: countries A0.. over years from 2000, each
+    temperature a plain decimal. `rows` replaces data rows by index."""
+    lines = [",".join(["country", *(str(2000 + j) for j in range(n_years))])]
+    lines += [",".join([f"A{i}", *(f"{i + j / 8}" for j in range(n_years))])
+              for i in range(n_countries)]
+    for index, line in rows.items():
+        lines[1 + int(index)] = line
+    return "".join(line + "\n" for line in lines)
+
+
 _HEADER = "country,year,temperature\n"
 _TWO = "A,2000,1.0\nA,2001,1.5\nB,2000,2.0\nB,2001,2.5\n"
 
@@ -502,6 +513,8 @@ _TOKENIZER_CASES = {
     "wide-year-past-int64": "country,99999999999999999999\nA,1.0\nB,2.0\n",
     # "\u00b2".isdigit() holds but int() refuses it; it is not a year column.
     "wide-superscript-column": "country,2000,2001,\u00b2\nA,1.0,1.5,x\nB,2.0,2.5,y\n",
+    # 123 columns: the first pass reads 24 rows a chunk, so row 59 is in the third.
+    "wide-short-row-in-third-chunk": _wide_text(100, 122, **{"59": "A59,1.0"}),
     "temperature-padded": _HEADER + "A,2000, 5.25 \nA,2001,\t1.5\n",
     "temperature-inf": _HEADER + "A,2000,inf\nA,2001,1.5\n",
     "temperature-nan": _HEADER + "A,2000,nan\nA,2001,1.5\n",
@@ -629,6 +642,20 @@ class TestWideFaultOrder:
         assert _outcome(path, load_panel) == want
         assert csv_only(path) == want
         assert _outcome(path, load_panel_rows) == want
+
+    def test_short_row_past_the_first_chunks_is_looked_up_once(self, tmp_path, monkeypatch):
+        # Only the whole-file pass looks up a line, with the row's index in
+        # the file: the chunked first pass only detects the fault.
+        looked_up = []
+
+        def data_line(path, i, _data_line=panel_module._data_line):
+            looked_up.append(i)
+            return _data_line(path, i)
+        monkeypatch.setattr(panel_module, "_data_line", data_line)
+        path = write_csv(tmp_path / "w.csv", _TOKENIZER_CASES["wide-short-row-in-third-chunk"])
+        with pytest.raises(ValidationError, match="^line 61: expected 123 columns, got 2$"):
+            load_panel(path)
+        assert looked_up == [59]
 
 
 class TestChunkBoundaries:
