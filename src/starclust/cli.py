@@ -36,7 +36,7 @@ def _base_parser() -> argparse.ArgumentParser:
     # or a typo of one flag, as a flag that shares its prefix.
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", help="YAML run configuration")
-    common.add_argument("--data", dest="panel_path", help="panel CSV (long or wide)")
+    common.add_argument("--data", dest="panel_path", help="panel CSV (country,year,temperature)")
     common.add_argument("--adjacency", dest="adjacency_path",
                         help="country adjacency CSV")
     common.add_argument("--zones", dest="zones_path", help="zone metadata CSV")
@@ -292,9 +292,9 @@ def _write_loss_plot_csv(report: evaluation.EvaluationReport, path: Path) -> Non
                for year, value in zip(series.periods, series.values)))
 
 
-def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, panel: None, adjacency: None,
-            out: Path) -> int:
-    report = pipeline.confidence_set(_read_losses_csv(args.losses), cfg)
+def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, losses: list[evaluation.LossSeries],
+            adjacency: None, out: Path) -> int:
+    report = pipeline.confidence_set(losses, cfg)
     payload_path = out / "mcs.json"
     evaluation.write_mcs_json(report, payload_path)
     print(f"{'model':<8} {'mcs_p':>7}")
@@ -372,9 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     created: list[Path] = []
     try:
         cfg = _resolve_config(args)
-        panel = adjacency = None
         if args.command == "mcs":
             cfg.validate(require_panel=False)
+            inputs = (_read_losses_csv(args.losses), None)
         else:
             reads_adjacency = args.command == "evaluate" or getattr(args, "kind", None) == "NN"
             cfg.validate(require_adjacency=reads_adjacency)
@@ -388,10 +388,10 @@ def main(argv: list[str] | None = None) -> int:
             panel = load_panel(cfg.panel_path)
             if cfg.zones_path:
                 panel = attach_zones(panel, cfg.zones_path)
-            if reads_adjacency:
-                adjacency = load_adjacency(cfg.adjacency_path, panel)
+            inputs = (panel, load_adjacency(cfg.adjacency_path, panel)
+                      if reads_adjacency else None)
         out = _outdir(cfg, args, created)
-        return _COMMANDS[args.command](args, cfg, panel, adjacency, out)
+        return _COMMANDS[args.command](args, cfg, *inputs, out)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         code = 3

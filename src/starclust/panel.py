@@ -6,12 +6,11 @@ plus each country's geographical zone; borders are a boolean N x N matrix in
 the same country order. A panel CSV holds temperatures only: zones, with a
 country's optional name and area, come from a zones file (`attach_zones`).
 Validation is strict: gaps, duplicates, and non-numeric cells are hard
-errors, never imputed. One loader validates both CSV layouts: a wide file is
-checked for its layout, then its cells are read as the rows of a long file.
-Panels are read a chunk of rows at a time, so loading memory does not grow
-with panel length; np.loadtxt tokenizes a long file's lines up to the first
-chunk it cannot read as the csv module does (see `load_panel`). CSV inputs
-may start with a UTF-8 byte-order mark.
+errors, never imputed. A panel file is long: one `country,year,temperature`
+row per observation. It is read a chunk of rows at a time, so loading memory
+does not grow with panel length; np.loadtxt tokenizes its lines up to the
+first chunk it cannot read as the csv module does (see `load_panel`). CSV
+inputs may start with a UTF-8 byte-order mark.
 
 Every result file is written by `write_csv` or `write_json`, which fix the
 output format: UTF-8; CSV in the csv module's default dialect (comma,
@@ -44,8 +43,7 @@ _LONG_HEADER = ("country", "year", "temperature")
 # Years are parsed as 64-bit integers.
 _YEAR_MIN, _YEAR_MAX = -2**63, 2**63 - 1
 _META_COLUMNS = ("name", "zone", "area")
-# Long-format rows read and parsed at once; a wider file's chunks hold about
-# as many cells, _ROW_CHUNK * len(_LONG_HEADER), in fewer rows.
+# Panel rows read and parsed at once.
 _ROW_CHUNK = 1024
 # A quote, NUL, and what np.loadtxt strips from a number as whitespace and
 # float() and int() refuse: the csv module reads from a chunk holding one on.
@@ -180,25 +178,6 @@ def _csv_rows(path: Path) -> list[list[str]]:
         return _row_reader(path, fh)(None)
 
 
-def _csv_chunks(path: Path, fh: Iterator[str]) -> Iterator[list[list[str]]]:
-    """The non-blank rows of `fh`, an open CSV file, about a chunk of cells at
-    a time: the header alone, then the data rows.
-
-    A chunk holds `_ROW_CHUNK` rows as wide as the long header, and fewer of
-    a wider header's rows: a wide panel row holds a cell per year. An
-    undecodable byte or a malformed row raises ValidationError once the
-    reader reaches it, after the chunks before it were yielded. No line past
-    the header is read before the data rows are asked for.
-    """
-    take = _row_reader(path, fh)
-    chunk = take(1)
-    if not chunk:
-        return
-    width = max(len(chunk[0]), len(_LONG_HEADER))
-    yield chunk
-    yield from iter(partial(take, max(1, _ROW_CHUNK * len(_LONG_HEADER) // width)), [])
-
-
 def _data_line(path: Path, i: int) -> int:
     """Data row i's physical line, as `csv.reader`'s `line_num` gave it.
 
@@ -263,41 +242,46 @@ def _column_index(header: list[str], names: Iterable[str], source: str) -> dict[
     return index
 
 
-def detect_format(header: list[str]) -> str:
-    """Classify a CSV header as 'long' or 'wide'."""
-    lowered = [h.lower() for h in header]
-    if all(col in lowered for col in _LONG_HEADER):
-        return "long"
-    year_like = [h for h in lowered if h.removeprefix("-").isdecimal()]
-    if lowered and lowered[0] == "country" and year_like:
-        return "wide"
-    raise ValidationError(
-        "cannot detect panel format: expected long header "
-        "(country,year,temperature) or wide header (country,<year>,<year>,...)"
-    )
+def _long_header(path: Path, rows: list[list[str]]) -> tuple[list[str], dict[str, int]]:
+    """Pop the header off `rows`, a panel file's first non-blank rows, and
+    return it, stripped, with the column of each of `_LONG_HEADER`.
+
+    A header without all three is a ValidationError, a wide file's
+    (`country,<year>,...`) included. So is a `name`, `zone` or `area`
+    column: the panel holds temperatures only, and zones come from
+    `attach_zones`.
+    """
+    if not rows:
+        raise ValidationError(f"empty file: {path}")
+    header = [cell.strip() for cell in rows.pop(0)]
+    lowered = [name.lower() for name in header]
+    if not set(_LONG_HEADER) <= set(lowered):
+        raise ValidationError("panel header must hold country, year and temperature columns")
+    for name in header:
+        if name.lower() in _META_COLUMNS:
+            raise ValidationError(f"panel column {name!r} is not read: a country's "
+                                  "name, zone and area belong in the zones file")
+    return header, _column_index(lowered, _LONG_HEADER, "panel")
 
 
 def load_panel(path: str | Path) -> TemperaturePanel:
-    """Load and validate a temperature panel from CSV.
-
-    Accepts the long layout (`country,year,temperature`) or the wide layout
-    (one row per country with year columns), told apart by `detect_format`.
-    A wide file is checked for its layout only, then validated as the long
-    rows it holds. A `name`, `zone` or `area` column is a ValidationError:
-    the panel holds temperatures only, and zones come from `attach_zones`.
+    """Load and validate a temperature panel from a long CSV file: a header
+    holding `country`, `year` and `temperature`, in any order and case, then
+    one row per observation. Other columns are ignored, except that `name`,
+    `zone` and `area` are refused (see `_long_header`).
 
     The file is parsed a chunk at a time, and that pass only detects, since
-    in a whole-file read an undecodable byte further on, or a wide file's
-    repeated country row, comes before a bad cell. So a file that fails a
-    check is read again whole, and its rows are checked in file order before
-    the panel is assembled. Only that pass reports.
+    in a whole-file read an undecodable byte further on comes before a bad
+    cell. So a file that fails a check is read again whole, and its rows are
+    checked in file order before the panel is assembled. Only that pass
+    reports.
 
-    The csv module reads every header, every wide file, and the whole of the
-    reporting pass. In the first pass np.loadtxt tokenizes and converts a
-    long file's data lines up to the first chunk it cannot read as the csv
-    module does, and the csv module reads the rest (see `_line_columns`):
-    the benchmark's 97,600-row file loads in 47 ms instead of 96 (fastest of
-    9 loads, 2-vCPU VM). Both tokenizers give the same panel or message.
+    The csv module reads the header and the whole of the reporting pass. In
+    the first pass np.loadtxt tokenizes and converts the data lines up to the
+    first chunk it cannot read as the csv module does, and the csv module
+    reads the rest (see `_line_columns`): the benchmark's 97,600-row file
+    loads in 47 ms instead of 96 (fastest of 9 loads, 2-vCPU VM). Both
+    tokenizers give the same panel or message.
 
     The cyclic garbage collector is off while loading. The csv module makes
     one new list of strings per row. The lists hold no reference cycle, but
@@ -312,100 +296,25 @@ def load_panel(path: str | Path) -> TemperaturePanel:
     try:
         try:
             with _open_csv(path) as fh:
-                return _parse_panel(path, _csv_chunks(path, fh), fh)
+                header, col = _long_header(path, _row_reader(path, fh)(1))
+                return _load_long(_line_columns(path, fh, header, col))
         except ValidationError:
             pass
-        return _parse_panel(path, iter([_csv_rows(path)]))
+        with _open_csv(path) as fh:
+            take = _row_reader(path, fh)
+            rows = take(1)
+            try:
+                header, col = _long_header(path, rows)
+            except ValidationError:
+                while take(1):  # a malformed row further on comes first
+                    pass
+                raise
+            rows = take(None)
+        _check_long_rows(header, rows, col, partial(_data_line, path))
+        return _load_long(_row_columns(header, [rows], col))
     finally:
         if collecting:
             gc.enable()
-
-
-def _parse_panel(path: Path, chunks: Iterator[list[list[str]]],
-                 lines: Iterator[str] | None = None) -> TemperaturePanel:
-    """Parse a panel from chunks of a CSV file's non-blank rows, header first.
-
-    With `lines`, the open file the chunks come from (the first pass), a long
-    file's data is read from its lines by `_line_columns`, and a row fault
-    raises `_unreported()`. Without, the rows are one chunk, checked by
-    `_check_long_rows` before assembly, and a message gives `line` a row's
-    data-row number."""
-    first = next(chunks, [])
-    if not first:
-        raise ValidationError(f"empty file: {path}")
-    header = [cell.strip() for cell in first.pop(0)]
-    rows = chain([first], chunks)
-    line = partial(_data_line, path) if lines is None else None
-    wide = detect_format(header) == "wide"
-    for name in header:
-        if name.lower() in _META_COLUMNS:
-            raise ValidationError(f"panel column {name!r} is not read: a country's "
-                                  "name, zone and area belong in the zones file")
-    if wide:
-        header, rows = _wide_as_long(header, rows, line)
-    # The header holds all of `_LONG_HEADER`, as `detect_format` found it or
-    # `_wide_as_long` wrote it.
-    col = _column_index([h.lower() for h in header], _LONG_HEADER, "panel")
-    if lines is None:
-        rows = list(rows)
-        for chunk in rows:
-            _check_long_rows(header, chunk, col, line)
-    elif not wide:
-        return _load_long(_line_columns(path, lines, header, col))
-    return _load_long(_row_columns(header, rows, col))
-
-
-def _wide_as_long(header: list[str], chunks: Iterator[list[list[str]]],
-                  line: Callable[[int], int] | None
-                  ) -> tuple[list[str], Iterator[list[list[str]]]]:
-    """Check the wide layout and recast it as one long row per cell.
-
-    Checked here: year columns named once, consecutive once sorted and
-    within 64 bits, rows as long as the header, no country row repeated.
-    Cells are left to `_row_columns` and `_load_long`, which see
-    `country,year,temperature` rows in file order.
-    """
-    lowered = [h.lower() for h in header]
-    _column_index(lowered, ["country"], "panel")
-    year_cols = sorted((int(h), i) for i, h in enumerate(lowered)
-                       if h.removeprefix("-").isdecimal())
-    years = [year for year, _ in year_cols]
-    for (prev, _), (cur, i) in zip(year_cols, year_cols[1:]):
-        if cur == prev:
-            raise ValidationError(f"panel header repeats column {lowered[i]!r}")
-        if cur != prev + 1:
-            raise ValidationError(f"wide panel year columns not consecutive: {prev} then {cur}")
-    for year in (years[0], years[-1]):
-        if not _YEAR_MIN <= year <= _YEAR_MAX:
-            raise ValidationError(f"wide panel year column {year} is out of range")
-    cells = [(str(year), i) for year, i in year_cols]
-    return list(_LONG_HEADER), _wide_rows_as_long(len(header), chunks, cells, line)
-
-
-def _wide_rows_as_long(width: int, chunks: Iterator[list[list[str]]],
-                       cells: list[tuple[str, int]],
-                       line: Callable[[int], int] | None) -> Iterator[list[list[str]]]:
-    """Recast each chunk of wide rows as long rows; the repeat check spans chunks.
-
-    A chunk's rows all pass the wide checks before any is recast. A chunk
-    holds about as many cells as a long file's chunk, so its long rows take
-    about as much memory as a long chunk's rows. Without `line`, in the first
-    pass, a short or repeated row raises `_unreported()`.
-    """
-    seen: set[str] = set()
-    for rows in chunks:
-        for n, row in enumerate(rows):
-            country = row[0].strip()
-            if line is None and (len(row) < width or country in seen):
-                _unreported()
-            if len(row) < width:
-                raise ValidationError(f"line {line(n)}: expected {width} columns, got {len(row)}")
-            if country in seen:
-                raise ValidationError(f"duplicate country row for {country!r}")
-            seen.add(country)
-        yield [[row[0], year, row[i]] for row in rows for year, i in cells]
-    if not seen:
-        raise ValidationError("panel must have at least one country and one year")
 
 
 def _load_long(chunks: Iterator[_Columns]) -> TemperaturePanel:
@@ -413,8 +322,7 @@ def _load_long(chunks: Iterator[_Columns]) -> TemperaturePanel:
     raises `_unreported()`.
 
     On valid input every check is an array operation, and between chunks only
-    arrays and ids are kept. A wide file's rows can fail only on cells, whose
-    messages name the country and year, not a line.
+    arrays and ids are kept.
     """
     code_of: dict[str, int] = {}  # country id -> code, in the order ids first appear
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -535,9 +443,8 @@ def _detached(text: str) -> str:
 
     A string kept after loading pins the allocator arena it sits in. Ids
     taken straight from the parsed rows would keep the memory of the chunks
-    they came from resident for the rest of the run: chunks are sized in
-    cells, so a wide file of 800 countries over 122 years is read about 24
-    rows at a time, and every chunk holds ids.
+    they came from resident for the rest of the run: a country's first row
+    may fall in any chunk of 1,024 rows, so any chunk may hold ids.
     """
     return text.encode().decode()
 

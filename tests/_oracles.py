@@ -30,7 +30,7 @@ from starclust.clustering import Dendrogram, Merge
 from starclust.distances import DistanceMatrix
 from starclust.errors import NumericalError, ValidationError
 from starclust.evaluation import LossSeries, McsReport, _start_chunks
-from starclust.panel import _LONG_HEADER, TemperaturePanel, _parse_temperature, detect_format
+from starclust.panel import _LONG_HEADER, TemperaturePanel, _parse_temperature
 from starclust.star import EquationFit
 from starclust.trends import TrendFit, panel_differences, student_t_sf2
 from starclust.weights import WeightMatrix
@@ -596,15 +596,14 @@ def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
                      survivors=survivors)
 
 
-# Row-by-row panel reader: `_read_rows`, `_load_long` and `_load_wide` as the
-# package had them before long panels were parsed column-wise (verbatim,
-# except that messages give each row's physical line, as `csv.reader`'s
-# `line_num` reports it, that both loaders report a year outside 64 bits,
-# that `_load_long` lists gaps without forming the full year span, that
-# `_load_wide` checks every row's width and repeat before any cell and a blank
-# id last, and that neither reads a country's name, zone or area), and
-# `load_panel_rows` composing them as `starclust.panel.load_panel` does, which
-# refuses a header naming one of those.
+# Row-by-row panel reader: `_read_rows` and `_load_long` as the package had
+# them before long panels were parsed column-wise (verbatim, except that
+# messages give each row's physical line, as `csv.reader`'s `line_num`
+# reports it, that a year outside 64 bits is reported, that gaps are listed
+# without forming the full year span, and that a country's name, zone or
+# area is not read), and `load_panel_rows` composing them as
+# `starclust.panel.load_panel` does, which refuses a header without the long
+# columns, then one naming a name, zone or area column.
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], list[int]]:
     path = Path(path)
@@ -624,10 +623,7 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], list[int]]
 
 def _load_long(header: list[str], rows: list[list[str]], lines: list[int]) -> TemperaturePanel:
     lowered = [h.lower() for h in header]
-    col = {name: lowered.index(name) for name in _LONG_HEADER if name in lowered}
-    missing = [name for name in _LONG_HEADER if name not in col]
-    if missing:
-        raise ValidationError(f"long panel header missing columns: {missing}")
+    col = {name: lowered.index(name) for name in _LONG_HEADER}
 
     cells: dict[tuple[str, int], float] = {}
     out_of_range: str | None = None
@@ -680,65 +676,15 @@ def _load_long(header: list[str], rows: list[list[str]], lines: list[int]) -> Te
     return TemperaturePanel(ids=ids, years=tuple(full_years), values=values)
 
 
-def _load_wide(header: list[str], rows: list[list[str]], lines: list[int]) -> TemperaturePanel:
-    lowered = [h.lower() for h in header]
-    year_cols = [(i, int(h)) for i, h in enumerate(lowered) if h.removeprefix("-").isdecimal()]
-    if not year_cols:
-        raise ValidationError("wide panel has no year columns")
-    id_col = lowered.index("country")
-
-    years = [y for _, y in year_cols]
-    if years != sorted(years):
-        order = np.argsort(years)
-        year_cols = [year_cols[i] for i in order]
-        years = [y for _, y in year_cols]
-    for (_, prev), (i, cur) in zip(year_cols, year_cols[1:]):
-        if cur == prev:
-            raise ValidationError(f"panel header repeats column {lowered[i]!r}")
-        if cur != prev + 1:
-            raise ValidationError(f"wide panel year columns not consecutive: {prev} then {cur}")
-    for year in (years[0], years[-1]):
-        if not -2**63 <= year < 2**63:
-            raise ValidationError(f"wide panel year column {year} is out of range")
-
-    seen: set[str] = set()
-    for lineno, row in zip(lines, rows):
-        if len(row) < len(header):
-            raise ValidationError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
-        country = row[id_col].strip()
-        if country in seen:
-            raise ValidationError(f"duplicate country row for {country!r}")
-        seen.add(country)
-    records: list[tuple[str, list[float]]] = []
-    for row in rows:
-        country = row[id_col].strip()
-        series = []
-        for idx, year in year_cols:
-            text = row[idx].strip()
-            if not text:
-                raise ValidationError(f"missing observation for country {country!r}, year {year}")
-            series.append(_parse_temperature(text, country, year))
-        records.append((country, series))
-    if "" in seen:
-        raise ValidationError("country id must be a non-empty string")
-
-    records.sort(key=lambda rec: rec[0])
-    values = np.array([rec[1] for rec in records], dtype=float)
-    return TemperaturePanel(ids=[rec[0] for rec in records], years=tuple(years),
-                            values=values)
-
-
-def load_panel_rows(path: str | Path, fmt: str = "auto") -> TemperaturePanel:
+def load_panel_rows(path: str | Path) -> TemperaturePanel:
     header, rows, lines = _read_rows(path)
-    if fmt == "auto":
-        fmt = detect_format(header)
+    if not set(_LONG_HEADER) <= {h.lower() for h in header}:
+        raise ValidationError("panel header must hold country, year and temperature columns")
     for name in header:
         if name.lower() in ("name", "zone", "area"):
             raise ValidationError(f"panel column {name!r} is not read: a country's "
                                   "name, zone and area belong in the zones file")
-    if fmt == "long":
-        return _load_long(header, rows, lines)
-    return _load_wide(header, rows, lines)
+    return _load_long(header, rows, lines)
 
 
 # Country-by-country STAR fit: `fit_star`, `_ols_with_fallback` and `_predict`

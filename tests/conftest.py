@@ -3,7 +3,7 @@
 Real-data fixtures are gated on environment variables and skip cleanly when
 the files are absent:
 
-  STARCLUST_DATA       panel CSV (long or wide format)
+  STARCLUST_DATA       panel CSV (country,year,temperature)
   STARCLUST_ADJACENCY  country adjacency CSV (country_a,country_b)
   STARCLUST_ZONES      zone metadata CSV (country,zone)
 """
@@ -132,21 +132,15 @@ def code_of(assign, cid: str) -> int:
     return int(assign.codes[assign.ids.index(cid)])
 
 
-def write_panel(panel: TemperaturePanel, path: str | Path, fmt: str = "long") -> None:
-    """Write a panel's temperatures to CSV, long or wide, with full precision
+def write_panel(panel: TemperaturePanel, path: str | Path) -> None:
+    """Write a panel's temperatures to a long CSV with full precision
     (round-trips bit-exactly). Zones are not written: they belong in a zones file."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if fmt == "long":
-            writer.writerow(["country", "year", "temperature"])
-        else:
-            writer.writerow(["country"] + [str(y) for y in panel.years])
+        writer.writerow(["country", "year", "temperature"])
         for cid, row in zip(panel.ids, panel.values):
-            if fmt == "long":
-                for year, value in zip(panel.years, row):
-                    writer.writerow([cid, year, repr(float(value))])
-            else:
-                writer.writerow([cid] + [repr(float(v)) for v in row])
+            for year, value in zip(panel.years, row):
+                writer.writerow([cid, year, repr(float(value))])
 
 
 def fixed_builder(weights: dict) -> Callable[[TemperaturePanel], dict]:

@@ -614,10 +614,15 @@ class TestMcs:
     def test_losses_needs_columns(self, tmp_path, capsys):
         path = tmp_path / "cols.csv"
         path.write_text("model,year,value\ngood,2000,1.0\n")
-        rc = main(["mcs", "--losses", str(path), "--out", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "losses file needs columns" in captured.err
+        # The losses are read before the output directory is made, so an
+        # --out under a file does not hide their fault.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n", encoding="utf-8")
+        for out in (tmp_path, blocker / "out"):
+            rc = main(["mcs", "--losses", str(path), "--out", str(out)])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert "losses file needs columns" in captured.err
 
 
 class TestConfigResolution:
@@ -1169,7 +1174,8 @@ class TestByteOrderMark:
 
 class TestRepeatedColumn:
     """A column that a reader uses, named twice in the header, exits 2: either
-    column could be the one meant. A repeated column no reader uses is allowed."""
+    column could be the one meant. A repeated column no reader uses is allowed.
+    A wide panel is refused for its layout before any repeat is looked at."""
 
     @staticmethod
     def run_with_column_repeated(dataset, root, target, column):
@@ -1210,7 +1216,11 @@ class TestRepeatedColumn:
     def test_used_column_exits_2_naming_it(self, dataset, tmp_path, capsys, target, column):
         assert self.run_with_column_repeated(dataset, tmp_path, target, column) == 2
         captured = capsys.readouterr()
-        assert f"header repeats column {column!r}" in captured.err
+        if target == "wide":
+            assert captured.err == ("error: panel header must hold country, year and "
+                                    "temperature columns\n")
+        else:
+            assert f"header repeats column {column!r}" in captured.err
         assert "Traceback" not in captured.err
 
     def test_unused_column_may_repeat(self, dataset, tmp_path, capsys):
@@ -1336,18 +1346,24 @@ class TestExitTeardown:
         assert result.stdout.count(wrote) == 2 and result.stdout.endswith(wrote)
 
     def test_failing_command_exits_2_and_writes_nothing(self, tmp_path):
-        panel = tmp_path / "panel.csv"
-        panel.write_text("country,year,temperature,zone\nA,2000,1.0,Asia\n", encoding="utf-8")
         out = tmp_path / "out"
-        result = self.fresh_python("import sys\n"
-                                   "from starclust.cli import main\n"
-                                   "sys.exit(main(sys.argv[1:]))\n",
-                                   "trends", "--data", str(panel), "--out", str(out))
-        assert result.returncode == 2
-        assert result.stderr == ("error: panel column 'zone' is not read: a country's name, "
-                                 "zone and area belong in the zones file\n")
-        assert result.stdout == ""
-        assert not out.exists()
+        for text, message in [
+                ("country,year,temperature,zone\nA,2000,1.0,Asia\n",
+                 "panel column 'zone' is not read: a country's name, zone and area "
+                 "belong in the zones file"),
+                # A wide file: one row per country, one column per year.
+                ("country,2000,2001\nA,1.0,1.5\n",
+                 "panel header must hold country, year and temperature columns")]:
+            panel = tmp_path / "panel.csv"
+            panel.write_text(text, encoding="utf-8")
+            result = self.fresh_python("import sys\n"
+                                       "from starclust.cli import main\n"
+                                       "sys.exit(main(sys.argv[1:]))\n",
+                                       "trends", "--data", str(panel), "--out", str(out))
+            assert result.returncode == 2
+            assert result.stderr == f"error: {message}\n"
+            assert result.stdout == ""
+            assert not out.exists()
 
 
 _JUNK = ("", " ", "x", "nan", "inf", "-1", "0", "1e999", "99999999999999999999",

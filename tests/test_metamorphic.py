@@ -3,13 +3,14 @@
 Each seed's paper-sized inputs come from the benchmark's generator
 (bench/gen_panel.py). `evaluate`, `trends`, `cluster` A/B/C and `fit --kind
 dC` run on them, on the same panel rows in shuffled order, on the same
-cells written in the wide layout, on the long panel's columns reordered, on
-every id renamed by an order-preserving map (`u0000` -> `w0000`, in the
-panel, zones and adjacency files), and on every temperature times 2. The
-outputs must obey the relations that the arithmetic makes exact:
+cells in the wide layout, on the panel's columns reordered, on every id
+renamed by an order-preserving map (`u0000` -> `w0000`, in the panel, zones
+and adjacency files), and on every temperature times 2. The outputs must obey the relations that the
+arithmetic makes exact:
 
-- shuffled rows, the wide layout and reordered columns: every output file is
-  byte-identical;
+- shuffled rows and reordered columns: every output file is byte-identical;
+- the same cells in the wide layout: every command refuses the panel and
+  writes nothing;
 - renamed ids: every output file is byte-identical once the ids are mapped
   back, and no file holds an old id;
 - doubled temperatures (exact in binary): the trend intercept, slope and SE
@@ -87,7 +88,8 @@ def _write_config(root: Path, inputs: dict, panel_lines: list[str]) -> Path:
 
 @pytest.fixture(scope="module", params=SEEDS, ids=lambda seed: f"seed{seed}")
 def runs(request, tmp_path_factory) -> dict[str, Path]:
-    """Output directories of the base run and of each variant's run."""
+    """Output directories of the base run and of each variant's run, and the
+    directory of the wide layout's config, which every command refuses."""
     root = tmp_path_factory.mktemp(f"metamorphic{request.param}")
     gen_panel = _gen_panel()
     data = gen_panel.generate(request.param, 168)
@@ -109,6 +111,7 @@ def runs(request, tmp_path_factory) -> dict[str, Path]:
     wide = [",".join(["country", *years]) + "\n",
             *(",".join([cid, *map(values.__getitem__, years)]) + "\n"
               for cid, values in by_country.items())]
+    _write_config(root / "wide", inputs, wide)
     config = _write_config(root / "granularity", inputs, [header, *rows])
     for granularity in ("year", "observation"):
         out = root / "granularity" / granularity
@@ -121,8 +124,8 @@ def runs(request, tmp_path_factory) -> dict[str, Path]:
             "base": _run_variant(root / "base", inputs, [header, *rows]),
             "shuffled": _run_variant(root / "shuffled", inputs,
                                      [header, *(rows[i] for i in order)]),
-            "wide": _run_variant(root / "wide", inputs, wide),
             "reordered": _run_variant(root / "reordered", inputs, reordered),
+            "wide": root / "wide",
             "renamed": _run_variant(root / "renamed", renamed,
                                     renamed["panel"].read_text(encoding="utf-8")
                                     .splitlines(keepends=True)),
@@ -144,9 +147,11 @@ def test_shuffled_rows_change_no_output_byte(runs):
 
 
 def test_wide_layout_changes_no_output_byte(runs):
-    base = _files(runs["base"])
-    assert len(base) == 21
-    assert _files(runs["wide"]) == base
+    out = runs["wide"] / "out"
+    for command in COMMANDS:
+        assert main([*command, "--config", str(runs["wide"] / "run.yaml"),
+                     "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_reordered_columns_change_no_output_byte(runs):
