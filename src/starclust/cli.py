@@ -36,12 +36,12 @@ def _base_parser() -> argparse.ArgumentParser:
     # or a typo of one flag, as a flag that shares its prefix.
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", help="YAML run configuration")
-    common.add_argument("--data", dest="panel_path", help="panel CSV (country,year,temperature)")
-    common.add_argument("--adjacency", dest="adjacency_path",
-                        help="country adjacency CSV")
-    common.add_argument("--zones", dest="zones_path", help="zone metadata CSV")
     common.add_argument("--out", dest="output_dir", help="output directory")
-    common.add_argument("--seed", type=int, help="seed for stochastic steps")
+    # Every command but `mcs` reads the panel.
+    inputs = argparse.ArgumentParser(add_help=False, allow_abbrev=False, parents=[common])
+    inputs.add_argument("--data", dest="panel_path", help="panel CSV (country,year,temperature)")
+    inputs.add_argument("--adjacency", dest="adjacency_path", help="country adjacency CSV")
+    inputs.add_argument("--zones", dest="zones_path", help="zone metadata CSV")
 
     parser = argparse.ArgumentParser(
         prog="starclust",
@@ -49,7 +49,7 @@ def _base_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = partial(sub.add_parser, parents=[common], allow_abbrev=False)
+    add_parser = partial(sub.add_parser, parents=[inputs], allow_abbrev=False)
 
     add_parser("trends", help="fit per-country linear trends")
 
@@ -72,8 +72,9 @@ def _base_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, help="number of years ahead")
 
     evaluate = add_parser("evaluate", help="in-sample + out-of-sample table with MCS p-values")
-    mcs = add_parser("mcs", help="model confidence set over forecast losses")
+    mcs = add_parser("mcs", parents=[common], help="model confidence set over forecast losses")
     for p in (evaluate, mcs):
+        p.add_argument("--seed", type=int, help="seed for the MCS bootstrap")
         p.add_argument("--reps", dest="mcs_reps", type=int)
         p.add_argument("--block", dest="mcs_block", type=int)
         p.add_argument("--statistic", dest="mcs_statistic", choices=("SQ", "R"))
@@ -311,7 +312,7 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"losses file not found: {p}")
-    header, rows, where = _read_rows(p)
+    header, rows = _read_rows(p)
     if {"period", "year"} <= set(header):
         raise ValidationError("losses file header holds both 'period' and 'year'")
     columns = ("model", "year" if "year" in header else "period", "loss")
@@ -319,21 +320,21 @@ def _read_losses_csv(path: str) -> list[evaluation.LossSeries]:
         raise ValidationError("losses file needs columns model, period (or year) and loss")
     at = _column_index(header, columns, "losses file")
     by_model: dict[str, dict[str, float]] = {}  # model -> period -> loss, in file order
-    for i, row in enumerate(rows):
+    for line, row in rows:
         absent = [name for name in columns if at[name] >= len(row)]
         if absent:
-            raise ValidationError(f"{where(i)}: missing {' and '.join(absent)}")
+            raise ValidationError(f"{p}:{line}: missing {' and '.join(absent)}")
         model, period, text = (row[at[name]] for name in columns)
         blank = [name for name, cell in zip(columns, (model, period)) if not cell.strip()]
         if blank:
-            raise ValidationError(f"{where(i)}: blank {' and '.join(blank)}")
+            raise ValidationError(f"{p}:{line}: blank {' and '.join(blank)}")
         try:
             value = float(text)
         except ValueError as exc:
-            raise ValidationError(f"{where(i)}: bad loss {text!r}") from exc
+            raise ValidationError(f"{p}:{line}: bad loss {text!r}") from exc
         periods = by_model.setdefault(model, {})
         if period in periods:
-            raise ValidationError(f"{where(i)}: duplicate entry for model {model!r}, "
+            raise ValidationError(f"{p}:{line}: duplicate entry for model {model!r}, "
                                   f"{columns[1]} {period!r}")
         periods[period] = value
     return [evaluation.LossSeries(model=model, periods=tuple(periods),

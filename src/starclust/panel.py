@@ -7,10 +7,10 @@ the same country order. A panel CSV holds temperatures only: zones, with a
 country's optional name and area, come from a zones file (`attach_zones`).
 Validation is strict: gaps, duplicates, and non-numeric cells are hard
 errors, never imputed. A panel file is long: one `country,year,temperature`
-row per observation. It is read a chunk of rows at a time, so loading memory
-does not grow with panel length; np.loadtxt tokenizes its lines up to the
-first chunk it cannot read as the csv module does (see `load_panel`). CSV
-inputs may start with a UTF-8 byte-order mark.
+row per observation, read a chunk at a time so that loading memory does not
+grow with panel length (see `load_panel`). Every CSV input is read through
+`_rows`, which numbers each row with its physical line for the messages, and
+may start with a UTF-8 byte-order mark.
 
 Every result file is written by `write_csv` or `write_json`, which fix the
 output format: UTF-8; CSV in the csv module's default dialect (comma,
@@ -24,12 +24,12 @@ import gc
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import chain, compress, islice, tee
+from functools import cached_property
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, TextIO
 
 import numpy as np
 
@@ -150,56 +150,32 @@ def _open_csv(path: Path) -> TextIO:
     return path.open(newline="", encoding="utf-8-sig")
 
 
-def _row_reader(path: Path, lines: Iterable[str]) -> Callable[[int | None], list[list[str]]]:
-    """`take(n)`: the next n non-blank rows the csv module reads from `lines`,
-    or all of them when n is None.
+def _rows(path: Path, lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows the csv module reads from `lines`, each after its
+    physical line, as `csv.reader`'s `line_num` gives it.
 
     A row is blank when all its cells are empty or whitespace. An undecodable
     byte or a malformed row raises ValidationError once the reader reaches it.
-    The reader reads no line past the rows it returns.
+    The reader reads no line past the row it yields.
     """
     reader = csv.reader(lines)
-    rows, texts = tee(reader)
-    rows = compress(rows, map(str.strip, map("".join, texts)))
-
-    def take(n: int | None) -> list[list[str]]:
-        try:
-            return list(islice(rows, n))
-        except UnicodeDecodeError:
-            raise undecodable(path) from None
-        except csv.Error as exc:
-            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
-    return take
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                yield reader.line_num, row
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _csv_rows(path: Path) -> list[list[str]]:
-    """A CSV file's non-blank rows, header first."""
+def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header, stripped and lower-cased, and the numbered data rows."""
     with _open_csv(path) as fh:
-        return _row_reader(path, fh)(None)
-
-
-def _data_line(path: Path, i: int) -> int:
-    """Data row i's physical line, as `csv.reader`'s `line_num` gave it.
-
-    Only error messages need line numbers, so the file is read again, up to
-    row i only: a mid-stream fault is looked up before the reader has reached
-    an undecodable byte or malformed row further on, which must not fail here.
-    """
-    with path.open(newline="", encoding="utf-8-sig", errors="replace") as fh:
-        reader = csv.reader(fh)
-        lines = (reader.line_num for row in reader if "".join(row).strip())
-        return next(islice(lines, i + 1, None))
-
-
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], Callable[[int], str]]:
-    """The header, stripped and lower-cased, the non-blank data rows, and `where(i)`:
-    `<file>:<line>` for data row i's physical line, the prefix of a message about it."""
-    path = Path(path)
-    rows = _csv_rows(path)
+        rows = list(_rows(path, fh))
     if not rows:
         raise ValidationError(f"empty file: {path}")
-    return ([cell.strip().lower() for cell in rows[0]], rows[1:],
-            lambda i: f"{path}:{_data_line(path, i)}")
+    return [cell.strip().lower() for cell in rows[0][1]], rows[1:]
 
 
 def write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:
@@ -242,18 +218,19 @@ def _column_index(header: list[str], names: Iterable[str], source: str) -> dict[
     return index
 
 
-def _long_header(path: Path, rows: list[list[str]]) -> tuple[list[str], dict[str, int]]:
-    """Pop the header off `rows`, a panel file's first non-blank rows, and
-    return it, stripped, with the column of each of `_LONG_HEADER`.
+def _long_header(path: Path, rows: Iterator[tuple[int, list[str]]]
+                 ) -> tuple[list[str], dict[str, int]]:
+    """Take the header off `rows`, a panel file's numbered rows, and return
+    it, stripped, with the column of each of `_LONG_HEADER`.
 
     A header without all three is a ValidationError, a wide file's
     (`country,<year>,...`) included. So is a `name`, `zone` or `area`
     column: the panel holds temperatures only, and zones come from
     `attach_zones`.
     """
-    if not rows:
+    header = [cell.strip() for cell in next(rows, (0, []))[1]]
+    if not header:
         raise ValidationError(f"empty file: {path}")
-    header = [cell.strip() for cell in rows.pop(0)]
     lowered = [name.lower() for name in header]
     if not set(_LONG_HEADER) <= set(lowered):
         raise ValidationError("panel header must hold country, year and temperature columns")
@@ -276,12 +253,12 @@ def load_panel(path: str | Path) -> TemperaturePanel:
     checked in file order before the panel is assembled. Only that pass
     reports.
 
-    The csv module reads the header and the whole of the reporting pass. In
-    the first pass np.loadtxt tokenizes and converts the data lines up to the
-    first chunk it cannot read as the csv module does, and the csv module
-    reads the rest (see `_line_columns`): the benchmark's 97,600-row file
-    loads in 47 ms instead of 96 (fastest of 9 loads, 2-vCPU VM). Both
-    tokenizers give the same panel or message.
+    `_rows` reads the header, and every row of the reporting pass with the
+    physical line its message names. In the first pass np.loadtxt tokenizes
+    and converts the data lines up to the first chunk it cannot read as the
+    csv module does, and `_rows` reads the rest (see `_line_columns`): the
+    benchmark's 97,600-row file loads in 47 ms instead of 96 (fastest of 9
+    loads, 2-vCPU VM). Both tokenizers give the same panel or message.
 
     The cyclic garbage collector is off while loading. The csv module makes
     one new list of strings per row. The lists hold no reference cycle, but
@@ -296,22 +273,21 @@ def load_panel(path: str | Path) -> TemperaturePanel:
     try:
         try:
             with _open_csv(path) as fh:
-                header, col = _long_header(path, _row_reader(path, fh)(1))
+                header, col = _long_header(path, _rows(path, fh))
                 return _load_long(_line_columns(path, fh, header, col))
         except ValidationError:
             pass
         with _open_csv(path) as fh:
-            take = _row_reader(path, fh)
-            rows = take(1)
+            rows = _rows(path, fh)
             try:
                 header, col = _long_header(path, rows)
             except ValidationError:
-                while take(1):  # a malformed row further on comes first
+                for _ in rows:  # a malformed row further on comes first
                     pass
                 raise
-            rows = take(None)
-        _check_long_rows(header, rows, col, partial(_data_line, path))
-        return _load_long(_row_columns(header, [rows], col))
+            rows = list(rows)
+        _check_long_rows(header, rows, col)
+        return _load_long(_row_columns(header, iter(rows), col))
     finally:
         if collecting:
             gc.enable()
@@ -362,18 +338,18 @@ def _load_long(chunks: Iterator[_Columns]) -> TemperaturePanel:
                             values=values[order].reshape(len(ids), span))
 
 
-def _row_columns(header: list[str], chunks: Iterable[list[list[str]]],
+def _row_columns(header: list[str], rows: Iterator[tuple[int, list[str]]],
                  col: dict[str, int]) -> Iterator[_Columns]:
-    """Chunks of csv rows by column. A row shorter than the header, or a year
-    or temperature that does not convert, raises `_unreported()`."""
-    for rows in chunks:
-        if not rows:
-            continue
-        if min(map(len, rows)) < len(header):
+    """Numbered csv rows, `_ROW_CHUNK` at a time, by column. A row shorter
+    than the header, or a year or temperature that does not convert, raises
+    `_unreported()`."""
+    while chunk := list(islice(rows, _ROW_CHUNK)):
+        _, cells = zip(*chunk)
+        if min(map(len, cells)) < len(header):
             _unreported()
 
         def column(idx: int) -> list[str]:
-            return list(map(itemgetter(idx), rows))
+            return list(map(itemgetter(idx), cells))
         try:
             years = np.array(column(col["year"]), dtype=np.int64)
             values = np.array(column(col["temperature"]), dtype=float)
@@ -389,11 +365,13 @@ def _line_columns(path: Path, fh: Iterator[str], header: list[str],
     np.loadtxt reads a chunk's non-blank lines, the header's last column
     included, so that a row shorter than the header fails it. This is
     `load_panel`'s first pass: a fault raises `_unreported()`. From the first
-    chunk np.loadtxt cannot take, `_row_columns` reads the rest of the file:
-    a chunk it could read otherwise than the csv module (a `_CSV_ONLY`
-    character, a line past the csv field size limit), one with no non-blank
-    line (np.loadtxt warns on no lines at all), and one it fails or warns on
-    (an older numpy reads a year "1901.5" as 1901 with a DeprecationWarning).
+    chunk np.loadtxt cannot take, `_rows` reads that chunk and the rest of
+    the file, and `_row_columns` converts them: a chunk np.loadtxt could read
+    otherwise than the csv module (a `_CSV_ONLY` character, a line past the
+    csv field size limit), one with no non-blank line (np.loadtxt warns on no
+    lines at all), and one it fails or warns on (an older numpy reads a year
+    "1901.5" as 1901 with a DeprecationWarning). Their line numbers count
+    from that chunk, but this pass reports no fault.
     """
     usecols = sorted({*col.values(), len(header) - 1})
     kinds = {col["year"]: np.int64, col["temperature"]: np.float64}
@@ -412,8 +390,7 @@ def _line_columns(path: Path, fh: Iterator[str], header: list[str],
                                   or len(text) > limit and max(map(len, lines)) > limit)
         cells = _loadtxt(nonblank, usecols, dtype) if plain else None
         if cells is None:
-            rest = iter(partial(_row_reader(path, chain(lines, fh)), _ROW_CHUNK), [])
-            yield from _row_columns(header, rest, col)
+            yield from _row_columns(header, _rows(path, chain(lines, fh)), col)
             return
         # Copies, so that the kept arrays do not hold the ids alive.
         yield _Columns(cells[col["country"]].tolist(), cells[col["year"]].copy(),
@@ -472,26 +449,26 @@ def _gap_message(ids: list[str], codes: np.ndarray, years: np.ndarray,
     return f"missing observations: {', '.join(shown)}{more}"
 
 
-def _check_long_rows(header: list[str], rows: list[list[str]], col: dict[str, int],
-                     line: Callable[[int], int]) -> None:
+def _check_long_rows(header: list[str], rows: list[tuple[int, list[str]]],
+                     col: dict[str, int]) -> None:
     """Raise a long panel's first row-level fault, row by row in file order;
     return when there is none. A year that is an integer but does not fit in
     64 bits is raised only once every row has passed."""
     seen: set[tuple[str, int]] = set()
     out_of_range: str | None = None
-    for i, row in enumerate(rows):
+    for line, row in rows:
         if len(row) < len(header):
-            raise ValidationError(f"line {line(i)}: expected {len(header)} columns, got {len(row)}")
+            raise ValidationError(f"line {line}: expected {len(header)} columns, got {len(row)}")
         country = row[col["country"]].strip()
         year_text = row[col["year"]].strip()
         try:
             year = int(year_text)
         except ValueError:
             raise ValidationError(
-                f"line {line(i)}: non-integer year {year_text!r} for country {country!r}"
+                f"line {line}: non-integer year {year_text!r} for country {country!r}"
             ) from None
         if out_of_range is None and not _YEAR_MIN <= year <= _YEAR_MAX:
-            out_of_range = f"line {line(i)}: year {year_text!r} for country {country!r} is out of range"
+            out_of_range = f"line {line}: year {year_text!r} for country {country!r} is out of range"
         _parse_temperature(row[col["temperature"]].strip(), country, year)
         if (country, year) in seen:
             raise ValidationError(f"duplicate entry for country {country!r}, year {year}")
@@ -511,18 +488,19 @@ def attach_zones(panel: TemperaturePanel, path: str | Path) -> TemperaturePanel:
     kept. The copy holds exactly the file's zones, None where the file gives
     none: any zones the panel held are replaced.
     """
-    header, rows, where = _read_rows(path)
+    path = Path(path)
+    header, rows = _read_rows(path)
     if "country" not in header or "zone" not in header:
         raise ValidationError("zone file header must contain `country` and `zone`")
     cols = _column_index(header, ["country", *_META_COLUMNS], "zone file")
     id_col = cols.pop("country")
     table: dict[str, dict[str, str]] = {}
-    for i, row in enumerate(rows):
+    for line, row in rows:
         if len(row) < len(header):
-            raise ValidationError(f"{where(i)}: expected {len(header)} columns, got {len(row)}")
+            raise ValidationError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
         country = row[id_col].strip()
         if country not in panel.id_index:
-            raise ValidationError(f"{where(i)}: unknown country id {country!r} in zone file")
+            raise ValidationError(f"{path}:{line}: unknown country id {country!r} in zone file")
         entry = table.setdefault(country, {})
         for name, idx in cols.items():
             text = row[idx].strip()
@@ -557,21 +535,22 @@ def load_adjacency(path: str | Path, panel: TemperaturePanel) -> np.ndarray:
     order; a country absent from the file has an all-False row. Unknown ids
     and self-edges are hard errors, and a repeated edge is one border.
     """
-    header, rows, where = _read_rows(path)
+    path = Path(path)
+    header, rows = _read_rows(path)
     if header[:2] != ["country_a", "country_b"]:
         raise ValidationError("adjacency header must be `country_a,country_b`")
     _column_index(header, ["country_a", "country_b"], "adjacency")
     index = panel.id_index
     edges = []
-    for i, row in enumerate(rows):
+    for line, row in rows:
         if len(row) < 2:
-            raise ValidationError(f"{where(i)}: adjacency row needs two country ids")
+            raise ValidationError(f"{path}:{line}: adjacency row needs two country ids")
         a, b = row[0].strip(), row[1].strip()
         for cid in (a, b):
             if cid not in index:
-                raise ValidationError(f"{where(i)}: unknown country id {cid!r} in adjacency")
+                raise ValidationError(f"{path}:{line}: unknown country id {cid!r} in adjacency")
         if a == b:
-            raise ValidationError(f"{where(i)}: self-edge for country {a!r}")
+            raise ValidationError(f"{path}:{line}: self-edge for country {a!r}")
         edges.append((index[a], index[b]))
     a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     borders = np.zeros((panel.n_countries, panel.n_countries), dtype=bool)

@@ -603,7 +603,8 @@ def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
 # without forming the full year span, and that a country's name, zone or
 # area is not read), and `load_panel_rows` composing them as
 # `starclust.panel.load_panel` does, which refuses a header without the long
-# columns, then one naming a name, zone or area column.
+# columns, then one naming a name, zone or area column, then one that repeats
+# a long column in any case.
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]], list[int]]:
     path = Path(path)
@@ -684,6 +685,10 @@ def load_panel_rows(path: str | Path) -> TemperaturePanel:
         if name.lower() in ("name", "zone", "area"):
             raise ValidationError(f"panel column {name!r} is not read: a country's "
                                   "name, zone and area belong in the zones file")
+    lowered = [h.lower() for h in header]
+    for name in _LONG_HEADER:
+        if lowered.count(name) > 1:
+            raise ValidationError(f"panel header repeats column {name!r}")
     return _load_long(header, rows, lines)
 
 

@@ -546,11 +546,15 @@ class TestMcs:
         assert not (tmp_path / "out").exists()
 
     def test_reads_no_panel_zones_or_adjacency(self, losses_csv, tmp_path, capsys):
-        # Inputs that fail every other command are configured but not opened.
+        # Inputs that fail every other command are configured but not opened;
+        # `mcs` takes no flag naming them.
         bad = tmp_path / "bad.csv"
         bad.write_text("country,year,temperature\n\nA,MMXX,1.0\n", encoding="utf-8")
+        config = tmp_path / "run.yaml"
+        config.write_text(f"data:\n  panel: {bad}\n  zones: {bad}\n  adjacency: {bad}\n",
+                          encoding="utf-8")
         outputs = []
-        for inputs in ([], ["--data", str(bad), "--zones", str(bad), "--adjacency", str(bad)]):
+        for inputs in ([], ["--config", str(config)]):
             out = tmp_path / f"out{len(inputs)}"
             assert main(["mcs", "--losses", str(losses_csv), "--reps", "200", *inputs,
                          "--out", str(out)]) == 0
@@ -745,7 +749,9 @@ class TestFlagCoverage:
             both = cli._resolve_config(parser.parse_args([*base, *argv]))
             assert getattr(both, action.dest) == from_flag, flag
             checked.append(action.dest)
-        assert {"panel_path", "output_dir", "seed"} <= set(checked)
+        # `mcs` reads no panel, and only `evaluate` and `mcs` draw at random.
+        assert {"output_dir", *(() if command == "mcs" else ("panel_path",)),
+                *(("seed",) if command in ("evaluate", "mcs") else ())} <= set(checked)
 
     def test_every_readme_flag_exists(self):
         # pip's flag in the install instructions is not a starclust option.
@@ -873,8 +879,9 @@ class TestMalformedInputs:
 
     # Each removed flag after the command that took it: cluster's cut rule
     # flags and smallest cluster size, weights' rescaling share, the
-    # significance levels of trends and of the MCS, and the out-of-sample
-    # run's flags that `mcs` took before it tested a losses file only.
+    # significance levels of trends and of the MCS, the out-of-sample run's
+    # flags that `mcs` took before it tested a losses file only, the seed of
+    # commands that draw nothing at random, and `mcs`'s panel input flags.
     @pytest.mark.parametrize("flags", [
         (("cluster", "--scheme", "B"), ("--cut", "height")),
         (("cluster", "--scheme", "B"), ("--height", "0")),
@@ -885,7 +892,10 @@ class TestMalformedInputs:
         (("mcs", "--losses", "losses.csv"), ("--mcs-alpha", "0.05")),
         (("mcs", "--losses", "losses.csv"), ("--origin", "2000")),
         (("mcs", "--losses", "losses.csv"), ("--horizon", "10")),
-        (("mcs", "--losses", "losses.csv"), ("--granularity", "year"))])
+        (("mcs", "--losses", "losses.csv"), ("--granularity", "year")),
+        (("trends",), ("--seed", "1")),
+        (("cluster", "--scheme", "B"), ("--seed", "1")),
+        (("mcs", "--losses", "losses.csv"), ("--data", "p.csv"))])
     def test_removed_cut_flags_exit_2(self, tmp_path, flags):
         command, removed = flags
         result = self.run_cli(*command, *removed, "--out", str(tmp_path))

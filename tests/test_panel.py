@@ -8,6 +8,7 @@ import re
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from starclust import (TemperaturePanel, ValidationError, attach_zones,
                        load_adjacency, load_panel, split_panel)
 from starclust import panel as panel_module
-from starclust.cli import main
+from starclust.cli import _read_losses_csv, main
 
 from _oracles import load_panel_rows
 from conftest import make_panel, write_panel
@@ -440,7 +441,7 @@ class TestLoaderParity:
     def reads(self, monkeypatch) -> list:
         """The paths `load_panel` opened to read: once for a valid panel, and
         twice for a malformed one, whose fault only the whole-file reload
-        reports. Opens that look up a line number for a message are not reads."""
+        reports. No other open looks up a line (see `TestLineNumbersOpenNoFile`)."""
         opened = []
         open_csv = panel_module._open_csv
 
@@ -581,6 +582,8 @@ _TOKENIZER_CASES = {
     "wide-header": "country,1901,1902\nA,1.0,1.5\nB,2.0,2.5\n",
     "no-temperature-column": "country,year,temp\nA,2000,1.0\nA,2001,1.5\n",
     "garbage-header": "foo,bar\n1,2\n",
+    # Either column could be meant, so both are refused.
+    "repeated-used-column": "country,year,temperature,Temperature\nA,2000,1.0,2.0\n",
 }
 
 
@@ -955,6 +958,59 @@ class TestPhysicalLineNumbers:
         with pytest.raises(ValidationError,
                            match=f"^{re.escape(path)}:4: unknown country id 'ZZ' in zone file$"):
             attach_zones(toy_panel, path)
+
+
+class TestLineNumbersOpenNoFile:
+    """A message's line number comes from the read that met the fault: no
+    input is opened again to look it up."""
+
+    @pytest.fixture
+    def opens(self, monkeypatch) -> list:
+        """Every path opened through `Path.open`, except by `errors.undecodable`,
+        which reads an undecodable file again to find its bad byte. A test
+        clears it once it has written its input."""
+        opened = []
+        path_open = Path.open
+
+        def counted(self, *args, **kwargs):
+            opened.append(str(self))
+            return path_open(self, *args, **kwargs)
+
+        def uncounted(path, _undecodable=panel_module.undecodable):
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "open", path_open)
+                return _undecodable(path)
+        monkeypatch.setattr(Path, "open", counted)
+        monkeypatch.setattr(panel_module, "undecodable", uncounted)
+        return opened
+
+    @pytest.mark.parametrize("content, read, message", [
+        (b"country,zone\n\nZZ,Africa\n", attach_zones,
+         "3: unknown country id 'ZZ' in zone file"),
+        (b"country,zone\nC00,Africa\n\xff,Asia\n", attach_zones,
+         "3: not valid UTF-8 (byte 0xff)"),
+        (b"country_a,country_b\n\nC00,ZZ\n", lambda panel, path: load_adjacency(path, panel),
+         "3: unknown country id 'ZZ' in adjacency"),
+        (b"model,period,loss\n\na,1,oops\n", lambda panel, path: _read_losses_csv(path),
+         "3: bad loss 'oops'"),
+    ], ids=["zones", "zones-undecodable", "adjacency", "losses"])
+    def test_fault_opens_its_file_once(self, toy_panel, tmp_path, opens, content, read,
+                                       message):
+        path = tmp_path / "input.csv"
+        path.write_bytes(content)
+        opens.clear()
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:{message}')}$"):
+            read(toy_panel, str(path))
+        assert opens == [str(path)]
+
+    def test_panel_fault_past_the_first_chunk_opens_it_twice(self, tmp_path, opens):
+        # Once for the first pass, which only detects, and once to report.
+        path = write_csv(tmp_path / "p.csv", _rows_text(9, 128, **{"1100": "A8,MMXX,1.0"}))
+        opens.clear()
+        with pytest.raises(ValidationError,
+                           match="^line 1102: non-integer year 'MMXX' for country 'A8'$"):
+            load_panel(path)
+        assert opens == [path] * 2
 
 
 class TestSplit:
