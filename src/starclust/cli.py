@@ -18,7 +18,7 @@ import errno
 import gc
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -90,10 +90,11 @@ def _base_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """The config file's values, overridden by every flag named after a field."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
     if getattr(args, "k", None) is not None:
         overrides[f"k_{args.scheme.lower()}"] = args.k
-    return cfg.with_overrides(**overrides)
+    return replace(cfg, **overrides)
 
 
 # Every file each command may write under --out, formatted with its flags.
@@ -220,7 +221,7 @@ def _write_feature_csv(assign: clustering.ClusterAssignment, means: np.ndarray,
 
 def cmd_weights(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
                 adjacency: np.ndarray | None, out: Path) -> int:
-    matrix = _build_kind(cfg, panel, adjacency, args.kind)
+    matrix = pipeline.build_weights(panel, cfg, [args.kind], adjacency)[args.kind]
     weights.write_weight_csv(matrix, out / f"weights_{args.kind}.csv")
     weights.write_weight_meta(matrix, out / f"weights_{args.kind}.json")
     print(f"{args.kind}: {matrix.size}x{matrix.size}, "
@@ -229,14 +230,9 @@ def cmd_weights(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePane
     return 0
 
 
-def _build_kind(cfg: RunConfig, panel: TemperaturePanel,
-                adjacency: np.ndarray | None, kind: str) -> weights.WeightMatrix:
-    return pipeline.build_weights(panel, cfg, [kind], adjacency)[kind]
-
-
 def cmd_fit(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePanel,
             adjacency: np.ndarray | None, out: Path) -> int:
-    matrix = _build_kind(cfg, panel, adjacency, args.kind)
+    matrix = pipeline.build_weights(panel, cfg, [args.kind], adjacency)[args.kind]
     model = star.fit_star(panel, matrix)
     fitted = star.fitted_levels(model, panel)
     star.write_coefficients_csv(model, out / f"coefficients_{args.kind}.csv")
@@ -259,7 +255,7 @@ def cmd_forecast(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
         train = panel
     else:
         train, _ = split_panel(panel, origin)
-    matrix = _build_kind(cfg, train, adjacency, args.kind)
+    matrix = pipeline.build_weights(train, cfg, [args.kind], adjacency)[args.kind]
     model = star.fit_star(train, matrix)
     levels = star.forecast(model, train, cfg.horizon)
     star.write_level_csv(train.ids, range(origin + 1, origin + cfg.horizon + 1), levels,
@@ -280,7 +276,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, panel: TemperaturePan
     for row in report.rows():
         print(f"{row['model']:<6} {row['in_sample_fn']:>13.1f} "
               f"{row['out_of_sample_fn']:>10.1f} {row['mcs_p']:>7.3f}")
-    print(f"MCS survivors at alpha={report.mcs_report.alpha}: "
+    print(f"MCS survivors at alpha={evaluation.ALPHA}: "
           f"{', '.join(report.mcs_report.survivors)}")
     print(f"wrote report.csv, report.json, plot_losses.csv under {out}")
     return 0
@@ -301,7 +297,7 @@ def cmd_mcs(args: argparse.Namespace, cfg: RunConfig, losses: list[evaluation.Lo
     print(f"{'model':<8} {'mcs_p':>7}")
     for model, p in report.eliminations:
         print(f"{model:<8} {p:>7.3f}")
-    print(f"survivors at alpha={report.alpha}: {', '.join(report.survivors)}")
+    print(f"survivors at alpha={evaluation.ALPHA}: {', '.join(report.survivors)}")
     print(f"wrote {payload_path}")
     return 0
 

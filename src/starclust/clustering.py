@@ -190,10 +190,9 @@ class ClusterAssignment:
         return names, np.searchsorted(present, key)
 
 
-def cut(dendro: Dendrogram, k: int, scheme: str = "B",
-        ids: Sequence[str] | None = None) -> ClusterAssignment:
+def cut(dendro: Dendrogram, k: int, scheme: str, ids: Sequence[str]) -> ClusterAssignment:
     """Flatten a dendrogram into exactly `k` clusters of at least two leaves,
-    as a ClusterAssignment over `ids` (default: the leaves).
+    as scheme `scheme`'s ClusterAssignment over `ids`.
 
     Singletons become idiosyncratic; the clusters are renumbered 1..k by
     decreasing size (ties by smallest label). Ids that are not leaves get NULL.
@@ -207,7 +206,7 @@ def cut(dendro: Dendrogram, k: int, scheme: str = "B",
     leaf_codes = np.full(dendro.n_leaves, IDIOSYNCRATIC)
     for code, comp in enumerate(clusters, start=1):
         leaf_codes[comp] = code
-    ids = dendro.leaf_labels if ids is None else tuple(ids)
+    ids = tuple(ids)
     code_of = dict(zip(dendro.leaf_labels, leaf_codes.tolist()))
     codes = [code_of.pop(cid, NULL) for cid in ids]
     if code_of:

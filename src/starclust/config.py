@@ -5,7 +5,7 @@ values, and missing input files are all reported before any computation runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -72,13 +72,6 @@ class RunConfig:
             raise ValidationError(f"mcs_statistic must be one of {_STATISTICS}")
         if self.granularity not in _GRANULARITIES:
             raise ValidationError(f"granularity must be one of {_GRANULARITIES}")
-
-    def with_overrides(self, **overrides: Any) -> "RunConfig":
-        effective = {k: v for k, v in overrides.items() if v is not None}
-        unknown = set(effective) - {f.name for f in fields(self)}
-        if unknown:
-            raise ValidationError(f"unknown config overrides: {sorted(unknown)}")
-        return replace(self, **effective)
 
 
 _SCHEMA = {

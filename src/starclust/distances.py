@@ -101,16 +101,13 @@ def diff_distance(panel: TemperaturePanel) -> DistanceMatrix:
     return DistanceMatrix(metric="diff", labels=panel.ids, values=values)
 
 
-def hamming_distance(signs: Sequence[np.ndarray] | np.ndarray,
-                     ids: Sequence[str]) -> DistanceMatrix:
-    """Number of differing positions between equal-length binary sign strings,
-    given as a sequence or as the rows of an N x T array."""
-    if len(signs) != len(ids):
-        raise ValidationError("one sign string per id is required")
-    lengths = {len(s) for s in signs}
-    if len(lengths) > 1:
-        raise ValidationError(f"sign strings have mixed lengths: {sorted(lengths)}")
-    bits = np.array(signs, dtype=float).reshape(len(ids), max(lengths, default=0))
+def hamming_distance(signs: np.ndarray, ids: Sequence[str]) -> DistanceMatrix:
+    """Number of differing positions between binary sign strings, the rows of
+    an N x T array, one row per id."""
+    bits = np.asarray(signs, dtype=float)
+    if bits.ndim != 2 or len(bits) != len(ids):
+        raise ValidationError(f"sign strings must be one row per id of a 2-D array, "
+                              f"got shape {bits.shape} for {len(ids)} ids")
     if np.any((bits != 0.0) & (bits != 1.0)):
         raise ValidationError("sign strings must hold only 0 and 1")
     # Mismatches n1_i + n1_j - 2 (B B')_ij, from the ones each string holds

@@ -13,7 +13,8 @@ of replications from a seeded generator, so reports are bit-identical across
 repeated calls and memory does not grow with reps x periods. The chunk size
 also fixes the rounding of each chunk's count-times-block-sum product, so
 changing it moves the bootstrap means in their last bits: outputs must then
-be pinned again.
+be pinned again. The surviving set is fixed at the paper's 1% level, ALPHA;
+every model's p-value is reported, so another level reads off the report.
 """
 from __future__ import annotations
 
@@ -36,6 +37,8 @@ from .weights import WeightMatrix
 # size gives other last bits in the bootstrap means, and outputs must then be
 # pinned again.
 _REP_CHUNK = 64
+
+ALPHA = 0.01  # the paper's MCS level: a model with p >= 1% survives
 
 
 def frobenius_norm(observed: np.ndarray, predicted: np.ndarray) -> float:
@@ -137,7 +140,6 @@ class McsReport:
     reps: int
     block: int
     seed: int
-    alpha: float
     eliminations: tuple[tuple[str, float], ...]  # full order, survivor last, p = 1
     survivors: tuple[str, ...]
 
@@ -219,14 +221,13 @@ def _null_statistics(live: np.ndarray, pairs: list[tuple[int, int]], centered: n
         reduce(out, row, out=out)
 
 
-def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
-        block: int = 2, statistic: str = "SQ", seed: int = 0) -> McsReport:
+def mcs(losses: Sequence[LossSeries], reps: int = 10_000, block: int = 2,
+        statistic: str = "SQ", seed: int = 0) -> McsReport:
     """Model confidence set over equal-length loss series.
 
-    Eliminations run to the last model regardless of alpha so every model gets
-    a max-adjusted p-value; the surviving set keeps models with p >= alpha.
-    Round p-values use add-one smoothing, (1 + hits)/(reps + 1), so they are
-    strictly positive and alpha -> 0 retains everything.
+    Eliminations run to the last model, whatever the level, so every model
+    gets a max-adjusted p-value; the surviving set keeps models with
+    p >= ALPHA. Round p-values use add-one smoothing, (1 + hits)/(reps + 1).
 
     Blocks run over the periods in their given order, so on the experiment's
     per-year losses they are blocks of `block` whole years, every country's
@@ -261,8 +262,6 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
         raise ValidationError(f"need at least 100 bootstrap replications, got {reps}")
     if not 1 <= block <= n_periods:
         raise ValidationError(f"block length {block} outside [1, {n_periods}]")
-    if not 0 < alpha < 1:
-        raise ValidationError(f"alpha must be inside (0, 1), got {alpha}")
     if statistic not in ("SQ", "R"):
         raise ValidationError(f"statistic must be 'SQ' or 'R', got {statistic!r}")
 
@@ -331,10 +330,9 @@ def mcs(losses: Sequence[LossSeries], alpha: float = 0.01, reps: int = 10_000,
                       f"model pairs {listed}; their statistic contribution was set to 0",
                       RuntimeWarning)
 
-    survivors = tuple(model for model, p in eliminations if p >= alpha)
+    survivors = tuple(model for model, p in eliminations if p >= ALPHA)
     return McsReport(statistic=statistic, reps=reps, block=block, seed=seed,
-                     alpha=alpha, eliminations=tuple(eliminations),
-                     survivors=survivors)
+                     eliminations=tuple(eliminations), survivors=survivors)
 
 
 @dataclass(frozen=True)
@@ -380,7 +378,7 @@ def write_report_json(report: EvaluationReport, path: str | Path) -> None:
             "reps": report.mcs_report.reps,
             "block": report.mcs_report.block,
             "seed": report.mcs_report.seed,
-            "alpha": report.mcs_report.alpha,
+            "alpha": ALPHA,
             "p_values": {m: p for m, p in report.mcs_report.eliminations},
             "survivors": list(report.mcs_report.survivors),
         },
@@ -389,6 +387,6 @@ def write_report_json(report: EvaluationReport, path: str | Path) -> None:
 
 def write_mcs_json(report: McsReport, path: str | Path) -> None:
     write_json(path, {"statistic": report.statistic, "reps": report.reps,
-                      "block": report.block, "seed": report.seed, "alpha": report.alpha,
+                      "block": report.block, "seed": report.seed, "alpha": ALPHA,
                       "eliminations": [[m, p] for m, p in report.eliminations],
                       "survivors": list(report.survivors)})

@@ -168,13 +168,13 @@ def build_weights(panel: TemperaturePanel, cfg: RunConfig,
     return out
 
 
-def weight_builder(cfg: RunConfig, kinds: Sequence[str] = KINDS,
-                   adjacency: np.ndarray | None = None
+def weight_builder(cfg: RunConfig, adjacency: np.ndarray | None = None
                    ) -> Callable[[TemperaturePanel], dict[str, WeightMatrix]]:
-    """Builder for the out-of-sample experiment: clusters, distances, and
-    weights are re-estimated on whatever (training) panel it is handed."""
+    """Builder for the out-of-sample experiment: clusters, distances and all
+    seven weight kinds, in KINDS order, re-estimated on whatever (training)
+    panel it is handed."""
     def build(panel: TemperaturePanel) -> dict[str, WeightMatrix]:
-        return build_weights(panel, cfg, kinds, adjacency)
+        return build_weights(panel, cfg, KINDS, adjacency)
     return build
 
 
@@ -198,7 +198,7 @@ def evaluate(panel: TemperaturePanel, cfg: RunConfig,
     its peak memory (the bootstrap means, models x reps), and run before the
     in-sample fits it sets that peak higher. The report holds no weights.
     """
-    oos = evaluation.oos_experiment(panel, weight_builder(cfg, KINDS, adjacency),
+    oos = evaluation.oos_experiment(panel, weight_builder(cfg, adjacency),
                                     cfg.split_year, cfg.horizon)
     in_sample = evaluation.in_sample_fn(panel, build_weights(panel, cfg, KINDS, adjacency))
     return evaluation.build_report(in_sample, oos,

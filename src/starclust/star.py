@@ -86,10 +86,6 @@ class StarModel:
         return tuple(sorted(compress(self.weights.labels, flagged.tolist())))
 
 
-def _spatial_lags(weights: WeightMatrix, diffs: np.ndarray) -> np.ndarray:
-    return weights.values @ diffs
-
-
 def fit_star(panel: TemperaturePanel, weights: WeightMatrix) -> StarModel:
     """Estimate the per-country difference equations by OLS, all at once.
 
@@ -113,7 +109,7 @@ def fit_star(panel: TemperaturePanel, weights: WeightMatrix) -> StarModel:
     overflow = np.flatnonzero(~np.isfinite(diffs).all(axis=1))
     if overflow.size:
         raise NumericalError(f"non-finite differences for {panel.ids[overflow[0]]}")
-    spatial = _spatial_lags(weights, diffs)
+    spatial = weights.values @ diffs
     response = diffs[:, 1:]               # x_t  for t = 3..T
     own_lag = diffs[:, :-1]               # x_{t-1}
     spatial_lag = spatial[:, :-1]         # sum_j w_ij x_{j,t-1}
@@ -165,7 +161,7 @@ def fitted_levels(model: StarModel, panel: TemperaturePanel) -> np.ndarray:
     if tuple(model.weights.labels) != tuple(panel.ids):
         raise ValidationError("model weight labels must match panel id order")
     diffs = panel_differences(panel)
-    spatial = _spatial_lags(model.weights, diffs)
+    spatial = model.weights.values @ diffs
     c, phi, psi = model.c, model.phi, model.psi
     pred_diffs = c[:, None] + phi[:, None] * diffs[:, :-1] + psi[:, None] * spatial[:, :-1]
     return panel.values[:, 1:-1] + pred_diffs

@@ -108,19 +108,17 @@ def student_t_sf2(t_stat: float, df: int) -> float:
 ALPHA = 0.05  # the paper's level: a slope with p >= 5% is "null"
 
 
-def fit_panel_trends(panel: TemperaturePanel, alpha: float = ALPHA) -> dict[str, TrendFit]:
+def fit_panel_trends(panel: TemperaturePanel) -> dict[str, TrendFit]:
     """Fit temperature = intercept + slope * t + noise, t = 1..T, for every country.
 
     Returns each country's TrendFit, keys in panel order, with the classical
     OLS slope standard error and a two-sided p-value from Student's t on
-    T - 2 degrees of freedom; `alpha` is the two-sided level of the
-    `significant` flag. A fit does not depend on the panel's other rows.
+    T - 2 degrees of freedom; `significant` is p < ALPHA, the paper's fixed
+    5% level. A fit does not depend on the panel's other rows.
     """
     n = panel.n_years
     if n < 3:
         raise ValidationError(f"trend fit needs at least 3 observations, got {n}")
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
 
     y = panel.values
     t = np.arange(1, n + 1, dtype=float)
@@ -150,7 +148,7 @@ def fit_panel_trends(panel: TemperaturePanel, alpha: float = ALPHA) -> dict[str,
     # t is 0; student_t_sf2 gives p 0 at t = +-inf and 1 at t = 0.
     t_stat[np.isnan(t_stat)] = 0.0
     p_values = [student_t_sf2(t, df) for t in t_stat.tolist()]
-    return {cid: TrendFit(*fit, p_value=p, significant=p < alpha)
+    return {cid: TrendFit(*fit, p_value=p, significant=p < ALPHA)
             for cid, *fit, p in zip(panel.ids, intercept.tolist(), slope.tolist(),
                                     slope_se.tolist(), t_stat.tolist(), p_values)}
 

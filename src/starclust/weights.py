@@ -91,8 +91,8 @@ def _similarity(dist: DistanceMatrix, panel: TemperaturePanel,
     dmax = float(d.max()) if d.size else 0.0
     scale_applied = bool(rescale and dmax > 0)
     if not scale_applied and dmax > n:
-        raise ValidationError(f"distance {dmax} exceeds panel size {n}; enable rescaling "
-                              f"(weights.rescale or --rescale) to map it to {_RHO}*N")
+        raise ValidationError(f"distance {dmax} exceeds panel size {n}; set weights.rescale "
+                              f"to map it to {_RHO}*N")
     scale = n * _RHO / dmax if scale_applied else 1.0
     if np.isinf(scale):
         raise NumericalError(f"largest distance {dmax} too small to rescale")

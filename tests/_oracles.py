@@ -29,7 +29,7 @@ from scipy import stats
 from starclust.clustering import Dendrogram, Merge
 from starclust.distances import DistanceMatrix
 from starclust.errors import NumericalError, ValidationError
-from starclust.evaluation import LossSeries, McsReport, _start_chunks
+from starclust.evaluation import ALPHA, LossSeries, McsReport, _start_chunks
 from starclust.panel import _LONG_HEADER, TemperaturePanel, _parse_temperature
 from starclust.star import EquationFit
 from starclust.trends import TrendFit, panel_differences, student_t_sf2
@@ -499,20 +499,21 @@ def dense_boot_means(matrix: np.ndarray, block: int, reps: int,
     return total / n_periods, sums / n_periods
 
 
-def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
-                       reps: int = 10_000, block: int = 2, statistic: str = "SQ",
-                       seed: int = 0, rounds: list | None = None) -> McsReport:
+def round_by_round_mcs(losses: Sequence[LossSeries], reps: int = 10_000, block: int = 2,
+                       statistic: str = "SQ", seed: int = 0,
+                       rounds: list | None = None) -> McsReport:
     """`starclust.mcs` as it was before each pair's terms were formed once per
     call: every round rebuilds its active pairs' bootstrap differentials,
     squares and valid-row copies. Its warning lists every degenerate pair, as
-    the package's does. Each round's null statistics (one per replication)
-    are appended to `rounds` when it is given."""
+    the package's does. Survivors are kept at the package's level, ALPHA.
+    Each round's null statistics (one per replication) are appended to
+    `rounds` when it is given."""
     if not losses:
         raise ValidationError("the confidence set needs at least one model")
     if len(losses) == 1:
         # One candidate has nothing to be tested against; it survives trivially.
         return McsReport(statistic=statistic, reps=reps, block=block, seed=seed,
-                         alpha=alpha, eliminations=((losses[0].model, 1.0),),
+                         eliminations=((losses[0].model, 1.0),),
                          survivors=(losses[0].model,))
     ids = [ls.model for ls in losses]
     if len(set(ids)) != len(ids):
@@ -525,8 +526,6 @@ def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
         raise ValidationError(f"need at least 100 bootstrap replications, got {reps}")
     if not 1 <= block <= n_periods:
         raise ValidationError(f"block length {block} outside [1, {n_periods}]")
-    if not 0 < alpha < 1:
-        raise ValidationError(f"alpha must be inside (0, 1), got {alpha}")
     if statistic not in ("SQ", "R"):
         raise ValidationError(f"statistic must be 'SQ' or 'R', got {statistic!r}")
 
@@ -590,10 +589,9 @@ def round_by_round_mcs(losses: Sequence[LossSeries], alpha: float = 0.01,
                       f"model pairs {listed}; their statistic contribution was set to 0",
                       RuntimeWarning)
 
-    survivors = tuple(model for model, p in eliminations if p >= alpha)
+    survivors = tuple(model for model, p in eliminations if p >= ALPHA)
     return McsReport(statistic=statistic, reps=reps, block=block, seed=seed,
-                     alpha=alpha, eliminations=tuple(eliminations),
-                     survivors=survivors)
+                     eliminations=tuple(eliminations), survivors=survivors)
 
 
 # Row-by-row panel reader: `_read_rows` and `_load_long` as the package had

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def reproduction_run(panel, adjacency) -> dict:
     cfg = RunConfig(k_a=4, k_b=5, k_c=12)
     report = pipeline.evaluate(panel, cfg, adjacency)
     losses = list(report.oos.losses.values())
-    reports = [report.mcs_report, *(pipeline.confidence_set(losses, cfg.with_overrides(seed=seed))
+    reports = [report.mcs_report, *(pipeline.confidence_set(losses, replace(cfg, seed=seed))
                                     for seed in range(1, 5))]
     scheme_a = pipeline.compute_scheme(panel, "A", cfg)
     elapsed = time.perf_counter() - t0
@@ -344,17 +345,17 @@ class TestProperties:
             good = LossSeries("good", periods, base)
             bad = LossSeries("bad", periods, base + 1.0 + noise)
             for seed in range(10):
-                report = mcs([good, bad], alpha=0.01, reps=2000, seed=seed)
+                report = mcs([good, bad], reps=2000, seed=seed)
                 assert report.eliminations[0][0] == "bad"
                 assert report.eliminations[0][1] < 0.01
                 assert report.p_values()["good"] == 1.0
                 assert report.survivors == ("good",)
-            single = mcs([good], alpha=0.01, reps=500, seed=0)
+            single = mcs([good], reps=500, seed=0)
             assert single.p_values() == {"good": 1.0}
             assert single.survivors == ("good",)
             payloads = []
             for _ in range(2):
-                report = mcs([good, bad], alpha=0.01, reps=2000, seed=123)
+                report = mcs([good, bad], reps=2000, seed=123)
                 payloads.append(json.dumps(
                     {"eliminations": [[m, float(p)]
                                       for m, p in report.eliminations],

@@ -1008,11 +1008,7 @@ class TestMalformedInputs:
     def test_block_longer_than_horizon_at_observation_granularity(self, tmp_path):
         # Observation-level blocks are whole years, so the bound is the
         # horizon. The benchmark generator's panel spans 1901-2022.
-        spec = importlib.util.spec_from_file_location(
-            "cli_gen_panel", Path(__file__).resolve().parent.parent / "bench" / "gen_panel.py")
-        gen_panel = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen_panel)
-        paths = gen_panel.write_inputs(gen_panel.generate(7, 40), tmp_path / "inputs")
+        paths = _generated_inputs(tmp_path / "inputs")
         config = tmp_path / "run.yaml"
         config.write_text(
             f"data:\n  panel: {paths['panel']}\n  adjacency: {paths['adjacency']}\n"
@@ -1023,6 +1019,23 @@ class TestMalformedInputs:
                               "--out", str(tmp_path / "out"))
         self.assert_clean_exit_2(result, "block length 23 outside [1, 22]")
         assert not any((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("argv", [["fit", "--kind", "dC"], ["forecast", "--kind", "dC"],
+                                      ["evaluate"]], ids=["fit", "forecast", "evaluate"])
+    def test_wide_distances_name_the_rescale_key(self, tmp_path, capsys, argv):
+        # Without rescaling, sign mismatches over 121 years exceed N = 40.
+        # Every command reads weights.rescale; only `weights` has --rescale.
+        paths = _generated_inputs(tmp_path / "inputs")
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            f"data:\n  panel: {paths['panel']}\n  adjacency: {paths['adjacency']}\n"
+            "clusters:\n  A: 1\n  B: 3\n  C: 4\nweights:\n  rescale: false\n"
+            "mcs:\n  reps: 200\n", encoding="utf-8")
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: distance \S+ exceeds panel size 40; "
+                            r"set weights\.rescale to map it to 0\.95\*N\n", err)
+        assert "--rescale" not in err
 
     @pytest.mark.parametrize("argv, message", [
         (["evaluate", "--horizon", "30"], "origin 1980 + horizon 30 runs past the panel end 1990"),
@@ -1240,6 +1253,16 @@ class TestRepeatedColumn:
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                      "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _generated_inputs(root: Path) -> dict:
+    """The benchmark generator's seed-7 panel of 40 countries, 1901-2022,
+    and its side files, written under `root`."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_gen_panel", Path(__file__).resolve().parent.parent / "bench" / "gen_panel.py")
+    gen_panel = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_panel)
+    return gen_panel.write_inputs(gen_panel.generate(7, 40), root)
 
 
 def _blas_is_openblas() -> bool:

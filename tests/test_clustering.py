@@ -46,7 +46,7 @@ def shuffled_labels(rng, k):
 def sign_string_distance(rng, k, length):
     """Hamming matrix of k random sign strings: integer-valued, tie-heavy."""
     bits = rng.integers(0, 2, size=(k, length)).astype(np.uint8)
-    return hamming_distance(list(bits), shuffled_labels(rng, k))
+    return hamming_distance(bits, shuffled_labels(rng, k))
 
 
 def ultrametric_sign_distance(rng, groups=3, subgroups=3):
@@ -64,7 +64,7 @@ def ultrametric_sign_distance(rng, groups=3, subgroups=3):
             bits[g] = 1
             bits[groups + g * subgroups + sub] = 1
             strings += [bits] * int(rng.integers(1, 4))
-    return hamming_distance(strings, shuffled_labels(rng, len(strings)))
+    return hamming_distance(np.array(strings), shuffled_labels(rng, len(strings)))
 
 
 def same_sets(got, want):
@@ -221,7 +221,7 @@ class TestLinkageInPlace:
     def test_reverse_sorted_labels_fall_back_to_a_copy(self, consume):
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, (40, 6)).astype(np.uint8)
-        dist = hamming_distance(list(bits), [f"L{i:02d}" for i in reversed(range(40))])
+        dist = hamming_distance(bits, [f"L{i:02d}" for i in reversed(range(40))])
         original = dist.values.copy()
         assert agglomerate(dist, consume=consume) == copying_agglomerate(dist)
         assert np.array_equal(dist.values, original)
@@ -350,7 +350,7 @@ class TestCutRules:
         # k = 1 resolves to the root: its gap is infinite, and ties go to
         # the coarsest cut.
         dendro = agglomerate(self.grouped())
-        assign = cut(dendro, 1)
+        assign = cut(dendro, 1, scheme="B", ids=dendro.leaf_labels)
         assert assign.n_clusters == 1
         assert set(assign.members(1)) == set(self.grouped().labels)
         assert assign.members(IDIOSYNCRATIC) == []
@@ -358,7 +358,7 @@ class TestCutRules:
 
     def test_main_count_rule(self):
         dendro = agglomerate(self.grouped())
-        assign = cut(dendro, 2)
+        assign = cut(dendro, 2, scheme="B", ids=dendro.leaf_labels)
         assert assign.n_clusters == 2
         assert set(assign.members(1)) == {"a1", "a2", "a3"}
         assert set(assign.members(2)) == {"b1", "b2", "b3"}
@@ -368,12 +368,12 @@ class TestCutRules:
     def test_main_count_unreachable(self):
         dendro = agglomerate(self.grouped())
         with pytest.raises(ValidationError, match="no dendrogram cut produces exactly 5"):
-            cut(dendro, 5)
+            cut(dendro, 5, scheme="B", ids=dendro.leaf_labels)
 
     def test_clusters_numbered_by_size_then_label(self):
         # Sizes 3 and 3 tie; the cluster holding the smallest label comes first.
         dendro = agglomerate(self.grouped())
-        assign = cut(dendro, 2)
+        assign = cut(dendro, 2, scheme="B", ids=dendro.leaf_labels)
         assert code_of(assign, "a1") == 1
         assert code_of(assign, "b1") == 2
 
@@ -390,12 +390,12 @@ class TestCutRules:
     def test_leaves_must_be_among_ids(self):
         dendro = agglomerate(self.grouped())
         with pytest.raises(ValidationError, match="leaves absent from ids"):
-            cut(dendro, 2, ids=("a1", "a2"))
+            cut(dendro, 2, scheme="B", ids=("a1", "a2"))
 
     def test_rule_validation(self):
         dendro = agglomerate(self.grouped())
         with pytest.raises(ValidationError, match="positive k"):
-            cut(dendro, 0)
+            cut(dendro, 0, scheme="B", ids=dendro.leaf_labels)
 
 
 class TestClusterAssignment:

@@ -1,4 +1,4 @@
-"""Run configuration: defaults, YAML parsing, overrides, validation."""
+"""Run configuration: defaults, YAML parsing, validation."""
 import pytest
 
 from starclust import RunConfig, ValidationError, config_from_dict, load_config
@@ -58,25 +58,6 @@ class TestValidation:
         cfg = RunConfig(**{field: value})
         with pytest.raises(ValidationError, match=match):
             cfg.validate(require_panel=False)
-
-
-class TestOverrides:
-    def test_none_values_ignored(self):
-        cfg = RunConfig().with_overrides(horizon=None, seed=None)
-        assert cfg == RunConfig()
-
-    def test_values_applied(self):
-        cfg = RunConfig().with_overrides(horizon=5, mcs_reps=500)
-        assert cfg.horizon == 5 and cfg.mcs_reps == 500
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError, match="unknown config overrides"):
-            RunConfig().with_overrides(horizontal=5)
-
-    def test_original_unchanged(self):
-        base = RunConfig()
-        base.with_overrides(horizon=7)
-        assert base.horizon == 22
 
 
 class TestConfigFromDict:

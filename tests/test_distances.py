@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -169,17 +170,17 @@ class TestDiffDistance:
 class TestHammingDistance:
     def test_identical_strings(self):
         s = np.array([1, 0, 1], dtype=np.uint8)
-        assert hamming_distance([s, s], ["a", "b"]).values[0, 1] == 0.0
+        assert hamming_distance(np.array([s, s]), ["a", "b"]).values[0, 1] == 0.0
 
     def test_complementary_strings_attain_maximum(self):
         ones = np.ones(121, dtype=np.uint8)
         zeros = np.zeros(121, dtype=np.uint8)
-        assert hamming_distance([ones, zeros], ["a", "b"]).values[0, 1] == 121.0
+        assert hamming_distance(np.array([ones, zeros]), ["a", "b"]).values[0, 1] == 121.0
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="length"):
-            hamming_distance([np.array([1], dtype=np.uint8),
-                              np.array([1, 0], dtype=np.uint8)], ["a", "b"])
+    @pytest.mark.parametrize("shape", [(6,), (3, 6), (1, 2, 6)], ids=["1-D", "rows", "3-D"])
+    def test_one_row_per_id_required(self, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"got shape {shape} for 2 ids")):
+            hamming_distance(np.zeros(shape, dtype=np.uint8), ["a", "b"])
 
     def test_matches_bit_counting_oracle(self):
         rng = np.random.default_rng(3)
@@ -190,7 +191,7 @@ class TestHammingDistance:
 
     def test_equals_xor_weight(self):
         rng = np.random.default_rng(4)
-        bits = [rng.integers(0, 2, 17).astype(np.uint8) for _ in range(6)]
+        bits = rng.integers(0, 2, (6, 17)).astype(np.uint8)
         dist = hamming_distance(bits, [f"c{i}" for i in range(6)])
         for i in range(6):
             for j in range(6):
@@ -199,7 +200,7 @@ class TestHammingDistance:
     @pytest.mark.parametrize("k", [1, 2, 69, 800])
     def test_bitwise_equal_to_broadcast_mismatch_count(self, k):
         bits = np.random.default_rng(k).integers(0, 2, (k, 121)).astype(np.uint8)
-        dist = hamming_distance(list(bits), [f"c{i}" for i in range(k)])
+        dist = hamming_distance(bits, [f"c{i}" for i in range(k)])
         expected = (bits[:, None, :] != bits[None, :, :]).sum(axis=2).astype(float)
         assert np.array_equal(dist.values, expected)
 
@@ -218,7 +219,7 @@ class TestHammingDistance:
 
     def test_non_binary_strings_rejected(self):
         with pytest.raises(ValidationError, match="only 0 and 1"):
-            hamming_distance([np.array([1, 0, 2]), np.array([1, 1, 0])], ["a", "b"])
+            hamming_distance(np.array([[1, 0, 2], [1, 1, 0]]), ["a", "b"])
 
     def test_integer_valued_within_bounds(self, toy_panel):
         values = sign_distance(toy_panel).values
@@ -226,13 +227,13 @@ class TestHammingDistance:
         assert values.max() <= toy_panel.n_years - 1
 
     def test_no_strings_give_the_empty_matrix(self):
-        for dist in (hamming_distance([], []), slope_distance(np.array([]), [])):
+        for dist in (hamming_distance(np.empty((0, 121)), []), slope_distance(np.array([]), [])):
             assert dist.values.shape == (0, 0)
             assert dist.labels == ()
 
     def test_built_from_sign_sequences(self, toy_panel):
         diffs = panel_differences(toy_panel)
-        signs = [sign_sequence(diffs[i]) for i in range(toy_panel.n_countries)]
+        signs = np.array([sign_sequence(diffs[i]) for i in range(toy_panel.n_countries)])
         direct = hamming_distance(signs, list(toy_panel.ids))
         assert np.array_equal(direct.values, sign_distance(toy_panel).values)
 
@@ -263,12 +264,12 @@ class TestInPlaceDistancesMatchOracles:
         bits[::5] = 0  # all-0 rows
         bits[1::7] = 1  # all-1 rows
         ids = [f"c{i}" for i in range(k)]
-        got = hamming_distance(list(bits), ids)
-        assert bitwise_equal(got.values, two_product_hamming_distance(list(bits), ids).values)
+        got = hamming_distance(bits, ids)
+        assert bitwise_equal(got.values, two_product_hamming_distance(bits, ids).values)
 
     @pytest.mark.parametrize("fill", [0, 1])
     def test_hamming_on_constant_strings(self, fill):
-        bits = [np.full(121, fill, dtype=np.uint8)] * 4
+        bits = np.full((4, 121), fill, dtype=np.uint8)
         ids = ["a", "b", "c", "d"]
         got = hamming_distance(bits, ids).values
         assert bitwise_equal(got, two_product_hamming_distance(bits, ids).values)

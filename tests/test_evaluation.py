@@ -195,7 +195,7 @@ class TestMcs:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dominated_model_eliminated(self, seed):
-        report = mcs(self.dominance_losses(seed), alpha=0.01, reps=500, seed=seed)
+        report = mcs(self.dominance_losses(seed), reps=500, seed=seed)
         p = report.p_values()
         assert p["bad"] < 0.01
         assert p["good"] == 1.0
@@ -203,21 +203,24 @@ class TestMcs:
         assert [m for m, _ in report.eliminations] == ["bad", "good"]
 
     def test_survivor_set_respects_alpha(self):
-        losses = self.dominance_losses(0)
-        strict = mcs(losses, alpha=0.01, reps=500, seed=0)
-        # With add-one smoothing no p-value is exactly 0, so a tiny alpha
-        # retains every model.
-        lax = mcs(losses, alpha=1e-9, reps=500, seed=0)
-        assert strict.survivors == ("good",)
-        assert set(lax.survivors) == {"good", "bad"}
-        assert strict.eliminations == lax.eliminations
+        # Survivors are the models with p >= 1%, the MCS level, not the 5%
+        # of the slope tests: `mid`, with 0.01 <= p < 0.05, survives.
+        rng = np.random.default_rng(0)
+        base = rng.random(20) + 2
+        noise = rng.normal(0, 0.5, 20)
+        report = mcs([loss("good", base), loss("mid", base + 0.15 + noise),
+                      loss("bad", base + 2 + 0.1 * noise)], reps=500, seed=0)
+        p = report.p_values()
+        assert report.survivors == tuple(m for m, q in report.eliminations if q >= 0.01)
+        assert p["bad"] < 0.01 <= p["mid"] < 0.05
+        assert report.survivors == ("mid", "good")
 
     def test_equivalent_models_both_survive(self):
         rng = np.random.default_rng(6)
         base = rng.random(40)
         a = base + rng.normal(0, 0.05, 40) ** 2
         b = base + rng.normal(0, 0.05, 40) ** 2
-        report = mcs([loss("a", a), loss("b", b)], alpha=0.01, reps=500, seed=1)
+        report = mcs([loss("a", a), loss("b", b)], reps=500, seed=1)
         assert set(report.survivors) == {"a", "b"}
 
     def test_p_values_nondecreasing_and_last_one(self):
@@ -344,10 +347,8 @@ class TestMcs:
     @pytest.mark.parametrize("kwargs, message", [
         ({"block": 9}, "block length 9 outside [1, 5]"),
         ({"reps": 99}, "need at least 100 bootstrap replications, got 99"),
-        ({"alpha": 0.0}, "alpha must be inside (0, 1), got 0.0"),
-        ({"alpha": 1.5}, "alpha must be inside (0, 1), got 1.5"),
         ({"statistic": "max"}, "statistic must be 'SQ' or 'R', got 'max'"),
-    ], ids=["block", "reps", "alpha-0", "alpha-1.5", "statistic"])
+    ], ids=["block", "reps", "statistic"])
     def test_single_model_checked_like_two(self, kwargs, message):
         a, b = loss("a", np.ones(5)), loss("b", np.zeros(5))
         for losses in ([a], [a, b]):
@@ -366,8 +367,6 @@ class TestMcs:
             mcs([a, b], reps=50)
         with pytest.raises(ValidationError, match="block length"):
             mcs([a, b], reps=200, block=9)
-        with pytest.raises(ValidationError, match="alpha"):
-            mcs([a, b], reps=200, alpha=1.5)
         with pytest.raises(ValidationError, match="statistic"):
             mcs([a, b], reps=200, statistic="max")
 
@@ -387,11 +386,11 @@ class TestMcs:
 
     def test_report_validation(self):
         with pytest.raises(ValidationError, match="non-decreasing"):
-            McsReport(statistic="SQ", reps=100, block=2, seed=0, alpha=0.01,
+            McsReport(statistic="SQ", reps=100, block=2, seed=0,
                       eliminations=(("a", 0.5), ("b", 0.1), ("c", 1.0)),
                       survivors=("c",))
         with pytest.raises(ValidationError, match="p-value 1"):
-            McsReport(statistic="SQ", reps=100, block=2, seed=0, alpha=0.01,
+            McsReport(statistic="SQ", reps=100, block=2, seed=0,
                       eliminations=(("a", 0.5), ("b", 0.9)),
                       survivors=("b",))
 
@@ -507,7 +506,7 @@ class TestYearBlockBootstrap:
         losses += [loss("twin", base.copy(), periods=range(22)),
                    loss("shift", base + 0.25, periods=range(22))]
         scaled = [LossSeries(ls.model, ls.periods, ls.values / n_countries) for ls in losses]
-        kwargs = dict(reps=1000, block=2, statistic=statistic, seed=n_countries, alpha=0.05)
+        kwargs = dict(reps=1000, block=2, statistic=statistic, seed=n_countries)
         report, caught = mcs_outcome(mcs, losses, **kwargs)
         assert len(caught) == 1 and "('m0', 'shift')" in caught[0][1]
         assert mcs_outcome(mcs, scaled, **kwargs) == (report, caught)
@@ -571,7 +570,7 @@ class TestMcsMatchesRoundByRound:
     @pytest.mark.parametrize("losses, block, reps", [run[:3] for run in MCS_ORACLE_RUNS],
                              ids=[run[3] for run in MCS_ORACLE_RUNS])
     def test_same_report_warnings_and_errors(self, losses, block, reps, statistic):
-        kwargs = dict(reps=reps, block=block, statistic=statistic, seed=4, alpha=0.05)
+        kwargs = dict(reps=reps, block=block, statistic=statistic, seed=4)
         got = mcs_outcome(mcs, losses, **kwargs)
         assert got == mcs_outcome(round_by_round_mcs, losses, **kwargs)
 
@@ -588,7 +587,7 @@ class TestMcsMatchesRoundByRound:
             folded.append(args[-1].copy())  # the null statistics it folded
 
         monkeypatch.setattr(evaluation, "_null_statistics", recording)
-        kwargs = dict(reps=700, block=block, statistic=statistic, seed=4, alpha=0.05)
+        kwargs = dict(reps=700, block=block, statistic=statistic, seed=4)
         mcs_outcome(mcs, losses, **kwargs)
         expected = []
         mcs_outcome(round_by_round_mcs, losses, rounds=expected, **kwargs)

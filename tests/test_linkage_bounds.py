@@ -30,7 +30,7 @@ def random_matrix(rng, k, kind):
         values = np.minimum(raw, raw.T)
     elif kind == "signs":
         bits = rng.integers(0, 2, size=(k, int(rng.integers(1, 8)))).astype(np.uint8)
-        values = hamming_distance(list(bits), [f"s{i}" for i in range(k)]).values.copy()
+        values = hamming_distance(bits, [f"s{i}" for i in range(k)]).values.copy()
     else:
         values = np.full((k, k), [1.0, 2.0, 0.1, 0.3, 0.7][rng.integers(5)])
     np.fill_diagonal(values, 0.0)

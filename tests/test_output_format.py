@@ -33,7 +33,7 @@ def _weights():
 
 
 def _mcs_report():
-    return McsReport(statistic="SQ", reps=100, block=2, seed=7, alpha=0.01,
+    return McsReport(statistic="SQ", reps=100, block=2, seed=7,
                      eliminations=(("NN", 1e-05), ("cA", 0.3333333333333333),
                                    ("dA", 1.0)),
                      survivors=("cA", "dA"))

@@ -1,5 +1,6 @@
 """Scheme computation and weight assembly over a shared panel."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ class TestComputeScheme:
     def test_explicit_rule_override(self, grouped_panel):
         # k = 1 resolves to the root: its gap is infinite, and ties go to
         # the coarsest cut.
-        cfg = CFG.with_overrides(k_b=1)
+        cfg = replace(CFG, k_b=1)
         res = compute_scheme(grouped_panel, "B", cfg)
         assert res.assignment.n_clusters == 1
         assert len(res.assignment.members(1)) == 9
@@ -156,7 +157,7 @@ class TestDistanceOwnership:
                            ids=[f"C{i:03d}" for i in range(k)])
         tracemalloc.start()
         try:
-            compute_scheme(panel, scheme, CFG.with_overrides(k_b=5, k_c=5))
+            compute_scheme(panel, scheme, replace(CFG, k_b=5, k_c=5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -289,11 +290,14 @@ class TestBuildWeights:
 
 class TestBuilders:
     def test_weight_builder_reestimates_on_slice(self, grouped_panel):
-        build = weight_builder(CFG, kinds=("dB",))
+        # Only the 3 fastest-warming slopes are significant over 1950-1975,
+        # so scheme A is cut into one cluster.
+        build = weight_builder(replace(CFG, k_a=1), chain_adjacency(grouped_panel.ids))
         full = build(grouped_panel)
         train, _ = split_panel(grouped_panel, 1975)
         reduced = build(train)
-        assert reduced["dB"].labels == train.ids
+        assert tuple(reduced) == KINDS
+        assert all(reduced[kind].labels == train.ids for kind in KINDS)
         # Distances over 25 years differ from distances over 41 years.
         assert not np.allclose(full["dB"].values, reduced["dB"].values)
 

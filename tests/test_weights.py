@@ -287,7 +287,7 @@ class TestClusterRestrictedWeights:
             [0, 0, 1, 0],
         ], dtype=float)
         panel = make_panel(np.cumsum(values, axis=1), ids=["a", "b", "c", "d"])
-        signs = [np.array(list(map(int, s))) for s in ("1101", "1100", "0011", "0010")]
+        signs = np.array([list(map(int, s)) for s in ("1101", "1100", "0011", "0010")])
         dist = hamming_distance(signs, panel.ids)
         assign = assignment_of({"a": 1, "b": 1, "c": 2, "d": 2}, scheme="C")
         w = cluster_restricted_weights(dist, assign, panel, kind="cC")
